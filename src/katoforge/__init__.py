@@ -10,7 +10,8 @@ reciprocity over F_q(t), and the residue decomposition over F_q((t)).
 from .errors import (ConfigMismatch, DegreeMismatch, DegreeOverflow,
                      DivisionByZero, DlogOfZero, IntegralityViolation,
                      KatoforgeError, LevelDecrease, NonPrime,
-                     NormShapeUnsupported, NotClosed, PrecisionExhausted,
+                     NormShapeUnsupported, NotClosed, NotConstant,
+                     PrecisionExhausted,
                      ResourceLimit, ScriptError, UnknownName,
                      UnsupportedDegree, UnsupportedField, VerifyMismatch,
                      WildClass, ZeroPolynomial)
@@ -28,8 +29,8 @@ from .mpoly import MPoly, mpoly_gcd
 from .places import (Place, place_context, place_order, residue_at,
                      residue_table, support_places)
 from .poly import Poly, factor, is_irreducible, squarefree_decomposition
-from .rational import (FuncField, RatFunc, func_field, p_power_decompose,
-                       p_power_rebuild)
+from .rational import (FuncField, RatFunc, func_field, p_power_component,
+                       p_power_decompose, p_power_rebuild)
 from .witt import (WittStructure, WittVector, int_to_witt, set_cache_dir,
                    verify_ghost_identities, witt_as_solve, witt_structure,
                    witt_to_int)

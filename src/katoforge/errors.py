@@ -39,6 +39,10 @@ class DlogOfZero(KatoforgeError):
     pass
 
 
+class NotConstant(KatoforgeError):
+    """A constant value was asked of a non-constant rational function."""
+
+
 class NotClosed(KatoforgeError):
     """The Cartier operator was applied to a form with d(form) != 0."""
 
@@ -80,7 +84,8 @@ class WildClass(KatoforgeError):
 
 
 class IntegralityViolation(KatoforgeError):
-    """An exact division by p failed; indicates an implementation bug."""
+    """A division expected to be exact (by p, or of one polynomial by
+    another) left a remainder; indicates an implementation bug."""
 
 
 class ScriptError(KatoforgeError):

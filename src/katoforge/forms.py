@@ -16,7 +16,7 @@ both the exactness test and the membership test for the span of dlog wedges.
 from itertools import combinations
 
 from .errors import (ConfigMismatch, DegreeOverflow, DlogOfZero, NotClosed)
-from .rational import p_power_decompose
+from .rational import RatFunc, p_power_component
 from .render import parenthesize_if_sum
 
 
@@ -140,9 +140,7 @@ class DiffForm:
         out = {}
         for I, c in self.terms.items():
             pattern = tuple(p - 1 if j in I else 0 for j in range(F.k))
-            g = p_power_decompose(c).get(pattern, F.zero)
-            if not g.is_zero():
-                out[I] = g
+            out[I] = p_power_component(c, pattern)
         return DiffForm(F, self.degree, out)
 
     def is_exact(self):
@@ -205,7 +203,15 @@ def dlog(f):
     """df/f for a nonzero rational function."""
     if f.is_zero():
         raise DlogOfZero("dlog of zero")
-    return d_of_function(f).scale(f.inverse())
+    F = f.field
+    n, d = f.num, f.den
+    nd = n * d
+    terms = {}
+    for j in range(F.k):
+        top = n.derivative(j) * d - n * d.derivative(j)
+        if not top.is_zero():
+            terms[(j,)] = RatFunc(F, top, nd)
+    return DiffForm(F, 1, terms)
 
 
 def form_from_terms(field, degree, assignments):

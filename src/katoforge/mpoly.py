@@ -6,7 +6,7 @@ GCDs use content/primitive-part recursion with a primitive PRS in the last
 variable, which stays exact in characteristic p.
 """
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, IntegralityViolation
 
 
 class MPoly:
@@ -35,9 +35,6 @@ class MPoly:
 
     def const_value(self):
         return self.terms.get((0,) * self.nvars, self.field.zero)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, j):
         return max((e[j] for e in self.terms), default=0)
@@ -134,26 +131,21 @@ class MPoly:
                 out[ne] = s + d if s is not None else d
         return MPoly(self.field, self.nvars, out)
 
-    def eval_var(self, j, value):
-        """Substitute an MPoly value for variable j (same field, same nvars)."""
-        out = MPoly.const(self.field, self.nvars, 0)
-        # group by exponent of x_j
-        by_deg = {}
-        for e, c in self.terms.items():
-            d = e[j]
-            rest = tuple(0 if i == j else x for i, x in enumerate(e))
-            by_deg.setdefault(d, {})[rest] = c
-        for d, terms in by_deg.items():
-            base = MPoly(self.field, self.nvars, terms)
-            out = out + base * (value ** d)
-        return out
-
     def sort_key(self):
         return tuple(sorted(
             ((e, c.coeffs) for e, c in self.terms.items()), reverse=True))
 
     def __repr__(self):
         return format_mpoly(self, tuple(f"x{i}" for i in range(self.nvars)))
+
+
+def exact_div(f, g):
+    """f / g where g is known to divide f; IntegralityViolation otherwise."""
+    q = f.divmod_exact(g)
+    if q is None:
+        raise IntegralityViolation("polynomial division expected to be exact "
+                                   "left a remainder")
+    return q
 
 
 def format_mpoly(f, vars):
@@ -268,9 +260,7 @@ def _content_pp(u, field, nvars):
         cont = mpoly_gcd(cont, c)
         if cont.is_const() and not cont.is_zero():
             return one, u
-    pp = [c.divmod_exact(cont) for c in u]
-    assert all(x is not None for x in pp)
-    return cont, pp
+    return cont, [exact_div(c, cont) for c in u]
 
 
 # dense bivariate gcd: evaluation at points of a small extension field plus
@@ -490,7 +480,8 @@ def _bi_content_pp(u, field):
 
 def _poly_exact_div(a, b):
     q, r = a.divmod(b)
-    assert r.is_zero(), "inexact polynomial division in the PRS"
+    if not r.is_zero():
+        raise IntegralityViolation("inexact polynomial division in the PRS")
     return q
 
 

@@ -1,17 +1,32 @@
 """Rational function fields F_q(x_1, ..., x_k) with exact arithmetic.
 
 A RatFunc is numerator/denominator in lowest terms with the denominator
-normalized graded-lex monic; zero is 0/1.  The p-power decomposition
-f = sum_e g_e^p * x^e over e in {0..p-1}^k is the workhorse behind the
-Cartier operator: denominators are cleared by den^p, the polynomial part
-splits coefficient-wise using p-th roots, and den divides back out.
+normalized graded-lex monic; zero is 0/1.  Every operand satisfies this
+invariant, so arithmetic keeps it by cross-cancellation instead of taking
+the GCD of the whole result (Henrici, JACM 1956; Knuth, TAOCP 2, 4.5.1):
+
+* a product cancels gcd(n1, d2) and gcd(n2, d1); a quotient is the product
+  with the inverse;
+* a sum takes g = gcd(d1, d2); for g = 1 the cross sum is already in lowest
+  terms, otherwise one more GCD, of the cross sum with g, finishes it;
+* powers, inverses, negation, integer multiples and zero operands run no
+  GCD, only the rescale that keeps the denominator monic.
+
+Only construction from outside (RatFunc(field, num, den)), derivative, dlog
+and the p-power components run the full normalization, one GCD of num and
+den.
+
+The p-power decomposition f = sum_e g_e^p * x^e over e in {0..p-1}^k is the
+workhorse behind the Cartier operator: denominators are cleared by den^p, the
+polynomial part splits coefficient-wise using p-th roots, and den divides
+back out.
 """
 
 from functools import lru_cache
 from itertools import product
 
-from .errors import ConfigMismatch, DivisionByZero
-from .mpoly import MPoly, format_mpoly, mpoly_gcd
+from .errors import ConfigMismatch, DivisionByZero, NotConstant
+from .mpoly import MPoly, exact_div, format_mpoly, mpoly_gcd
 from .render import parenthesize_factor, parenthesize_if_sum
 
 
@@ -33,9 +48,6 @@ class FuncField:
         j = self.vars.index(name)
         one = MPoly.const(self.base, self.k, 1)
         return RatFunc(self, MPoly.var(self.base, self.k, j), one, _norm=False)
-
-    def gens(self):
-        return [self.var(v) for v in self.vars]
 
     def const(self, c):
         one = MPoly.const(self.base, self.k, 1)
@@ -64,13 +76,9 @@ class RatFunc:
             else:
                 g = mpoly_gcd(num, den)
                 if not (g.is_const() and g.const_value() == field.base.one):
-                    num = num.divmod_exact(g)
-                    den = den.divmod_exact(g)
-                _, lc = den.leading()
-                if lc != field.base.one:
-                    inv = lc.inverse()
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+                    num = exact_div(num, g)
+                    den = exact_div(den, g)
+                num, den = _monic_den(num, den)
         self.field = field
         self.num = num
         self.den = den
@@ -82,7 +90,8 @@ class RatFunc:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self):
-        assert self.is_const()
+        if not self.is_const():
+            raise NotConstant(f"{self!r} is not a constant")
         return self.num.const_value()
 
     def _check(self, other):
@@ -96,11 +105,28 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
+    # Operands are in lowest terms with monic denominators, and an exact
+    # quotient or a product of graded-lex monic polynomials is monic, so
+    # the results below are built with _norm=False.
+
     def __add__(self, other):
         self._check(other)
-        return RatFunc(self.field,
-                       self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g = mpoly_gcd(d1, d2)
+        if g.is_const():
+            num, den = n1 * d2 + n2 * d1, d1 * d2
+        else:
+            d1g = exact_div(d1, g)
+            num = n1 * exact_div(d2, g) + n2 * d1g
+            g2 = mpoly_gcd(num, g)
+            num, den = _cancel(num, g2), d1g * _cancel(d2, g2)
+        if num.is_zero():
+            return self.field.zero
+        return RatFunc(self.field, num, den, _norm=False)
 
     def __neg__(self):
         return RatFunc(self.field, -self.num, self.den, _norm=False)
@@ -109,33 +135,37 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
+        F = self.field
         if isinstance(other, int):
-            return RatFunc(self.field, self.num * other, self.den)
+            num = self.num.scale(F.base.elem(other))
+            if num.is_zero():
+                return F.zero
+            return RatFunc(F, num, self.den, _norm=False)
         self._check(other)
-        return RatFunc(self.field, self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return F.zero
+        g1 = mpoly_gcd(self.num, other.den)
+        g2 = mpoly_gcd(other.num, self.den)
+        return RatFunc(F, _cancel(self.num, g1) * _cancel(other.num, g2),
+                       _cancel(self.den, g2) * _cancel(other.den, g1),
+                       _norm=False)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         self._check(other)
-        if other.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        return RatFunc(self.field, self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self):
-        return self.field.one / self
+        if self.is_zero():
+            raise DivisionByZero("division by zero rational function")
+        num, den = _monic_den(self.den, self.num)
+        return RatFunc(self.field, num, den, _norm=False)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return RatFunc(self.field, self.num ** n, self.den ** n, _norm=False)
 
     def derivative(self, var):
         j = self.field.vars.index(var) if isinstance(var, str) else var
@@ -171,6 +201,20 @@ class RatFunc:
         return f"{parenthesize_if_sum(n)}/{parenthesize_factor(d)}"
 
 
+def _monic_den(num, den):
+    """(num, den) rescaled so den is graded-lex monic."""
+    _, lc = den.leading()
+    if lc == den.field.one:
+        return num, den
+    inv = lc.inverse()
+    return num.scale(inv), den.scale(inv)
+
+
+def _cancel(a, g):
+    """a / g for a factor g (graded-lex monic) of a."""
+    return a if g.is_const() else exact_div(a, g)
+
+
 def _subs_poly(f, j, value):
     field = value.field
     out = field.zero
@@ -196,6 +240,24 @@ def _map_poly(f, field, var_images):
     return out
 
 
+def _p_power_split(f, pattern=None):
+    """{e: {m: c^(1/p)}} over the terms c x^(p m + e) of num * den^(p-1),
+    restricted to e == pattern when a pattern is given.
+
+    Since f = (num * den^(p-1)) / den^p, the component g_e of f is the
+    polynomial with these terms over den.
+    """
+    base = f.field.base
+    p = base.p
+    parts = {}
+    for mono, c in (f.num * f.den ** (p - 1)).terms.items():
+        e = tuple(x % p for x in mono)
+        if pattern is None or e == pattern:
+            root = tuple(x // p for x in mono)
+            parts.setdefault(e, {})[root] = base.pth_root(c)
+    return parts
+
+
 def p_power_decompose(f):
     """{e in {0..p-1}^k: g_e} with f = sum_e g_e^p * x^e, exactly and uniquely.
 
@@ -204,19 +266,16 @@ def p_power_decompose(f):
     residues, then den divides back out of each component.
     """
     F = f.field
-    p = F.base.p
-    k = F.k
-    poly = f.num * f.den ** (p - 1)
-    parts = {e: {} for e in product(range(p), repeat=k)}
-    for mono, c in poly.terms.items():
-        e = tuple(x % p for x in mono)
-        root_mono = tuple(x // p for x in mono)
-        parts[e][root_mono] = F.base.pth_root(c)
-    out = {}
-    for e, terms in parts.items():
-        h = MPoly(F.base, k, terms)
-        out[e] = RatFunc(F, h, f.den)
-    return out
+    parts = _p_power_split(f)
+    return {e: RatFunc(F, MPoly(F.base, F.k, parts.get(e, {})), f.den)
+            for e in product(range(F.base.p), repeat=F.k)}
+
+
+def p_power_component(f, e):
+    """The component g_e of p_power_decompose(f), computed alone."""
+    F = f.field
+    terms = _p_power_split(f, e).get(e, {})
+    return RatFunc(F, MPoly(F.base, F.k, terms), f.den)
 
 
 def p_power_rebuild(parts, field):

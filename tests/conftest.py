@@ -1,8 +1,22 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from katoforge import MPoly, func_field, gf
+
+# Property tests draw the same examples on every run and never time out, so
+# the suite stays deterministic; max_examples keeps it fast.
+settings.register_profile("katoforge", derandomize=True, deadline=None,
+                          database=None, max_examples=30)
+settings.load_profile("katoforge")
+
+
+# F_2(t), F_3(t), F_4(t), F_{2,3,4}(x,y), F_{2,3}(x,y,z) as (p, e, vars); the
+# 3-variable fields reach the primitive-PRS gcd (mpoly._gcd_rec)
+ORACLE_FIELDS = [(2, 1, ("t",)), (3, 1, ("t",)), (2, 2, ("t",)),
+                 (2, 1, ("x", "y")), (3, 1, ("x", "y")), (2, 2, ("x", "y")),
+                 (2, 1, ("x", "y", "z")), (3, 1, ("x", "y", "z"))]
 
 
 def random_mpoly(rng, base, nvars, max_deg=3, max_terms=3):

@@ -6,7 +6,7 @@ from katoforge import (DiffForm, NotClosed, d_of_function, dlog, func_field,
                        gf)
 from katoforge.forms import random_form
 
-from conftest import random_ratfunc
+from conftest import ORACLE_FIELDS, random_ratfunc
 
 
 def test_dlog_examples():
@@ -18,6 +18,15 @@ def test_dlog_examples():
     L = func_field(F2, ("x", "y"))
     x, y = L.var("x"), L.var("y")
     assert dlog(x * y) == dlog(x) + dlog(y)
+
+
+@pytest.mark.parametrize("p,e,vars", ORACLE_FIELDS)
+def test_dlog_matches_df_over_f(p, e, vars):
+    K = func_field(gf(p, e), vars)
+    rng = random.Random(17 * p + e + len(vars))
+    for _ in range(10):
+        f = random_ratfunc(rng, K, max_deg=2)
+        assert dlog(f) == d_of_function(f).scale(f.inverse())
 
 
 def test_cartier_inverse_examples():

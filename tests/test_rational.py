@@ -1,12 +1,38 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from katoforge import (DivisionByZero, func_field, gf, p_power_decompose,
-                       p_power_rebuild)
-from katoforge.mpoly import mpoly_gcd
+from katoforge import (DivisionByZero, IntegralityViolation, MPoly,
+                       NotConstant, RatFunc, func_field, gf,
+                       p_power_component, p_power_decompose, p_power_rebuild)
+from katoforge.mpoly import exact_div, mpoly_gcd
 
-from conftest import random_ratfunc
+from conftest import ORACLE_FIELDS, random_ratfunc
+
+
+@st.composite
+def mpolys(draw, K, min_terms=0):
+    base = K.base
+    nonzero = [c for c in base.elements() if c]
+    max_deg = 3 if K.k < 3 else 1
+    monos = st.tuples(*[st.integers(0, max_deg)] * K.k)
+    terms = draw(st.dictionaries(monos, st.sampled_from(nonzero),
+                                 min_size=min_terms, max_size=3))
+    return MPoly(base, K.k, terms)
+
+
+@st.composite
+def ratfunc_pairs(draw, K):
+    """(a, b); b may share factors with a, either operand may be zero."""
+    a = RatFunc(K, draw(mpolys(K)), draw(mpolys(K, min_terms=1)))
+    b = RatFunc(K, draw(mpolys(K)), draw(mpolys(K, min_terms=1)))
+    share = draw(st.sampled_from(["none", "times", "over"]))
+    if share == "times":
+        b = RatFunc(K, b.num * a.num, b.den * a.den)
+    elif share == "over" and not a.is_zero():
+        b = RatFunc(K, b.num * a.den, b.den * a.num)
+    return a, b
 
 
 def test_normalization():
@@ -23,6 +49,49 @@ def test_division_by_zero():
     K = func_field(gf(2), ("t",))
     with pytest.raises(DivisionByZero):
         K.one / K.zero
+    with pytest.raises(DivisionByZero):
+        K.zero.inverse()
+    with pytest.raises(DivisionByZero):
+        K.zero ** -2
+
+
+def test_const_value():
+    K = func_field(gf(3), ("t",))
+    assert K.const(2).const_value() == gf(3).elem(2)
+    assert K.zero.const_value() == gf(3).zero
+    with pytest.raises(NotConstant):
+        (K.var("t") + K.one).const_value()
+
+
+def test_exact_div_raises_on_remainder():
+    L = func_field(gf(2), ("x", "y"))
+    x, y = L.var("x").num, L.var("y").num
+    assert exact_div(x * y + x, x) == y + MPoly.const(gf(2), 2, 1)
+    with pytest.raises(IntegralityViolation):
+        exact_div(x * y + x, y)
+
+
+@pytest.mark.parametrize("p,e,vars", ORACLE_FIELDS)
+@given(data=st.data())
+def test_arithmetic_matches_full_normalization(p, e, vars, data):
+    """Cross-cancelled and GCD-free results equal RatFunc(K, num, den),
+    which normalizes the raw numerator and denominator with a full GCD."""
+    K = func_field(gf(p, e), vars)
+    a, b = data.draw(ratfunc_pairs(K))
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    assert a + b == RatFunc(K, n1 * d2 + n2 * d1, d1 * d2)
+    assert a - b == RatFunc(K, n1 * d2 - n2 * d1, d1 * d2)
+    assert a * b == RatFunc(K, n1 * n2, d1 * d2)
+    if not b.is_zero():
+        assert a / b == RatFunc(K, n1 * d2, d1 * n2)
+        assert b.inverse() == RatFunc(K, d2, n2)
+    k = data.draw(st.integers(-3, 4))
+    if k >= 0:
+        assert a ** k == RatFunc(K, n1 ** k, d1 ** k)
+    elif not a.is_zero():
+        assert a ** k == RatFunc(K, d1 ** -k, n1 ** -k)
+    m = data.draw(st.integers(-7, 7))
+    assert a * m == m * a == RatFunc(K, n1 * m, d1)
 
 
 def test_gcd_bivariate():
@@ -73,6 +142,8 @@ def test_p_power_roundtrip(p, e, vars):
         parts = p_power_decompose(f)
         assert p_power_rebuild(parts, K) == f
         assert len(parts) == p ** len(vars)
+        for pattern, g in parts.items():
+            assert p_power_component(f, pattern) == g
 
 
 def test_derivative_quotient_rule():
