@@ -7,8 +7,9 @@ symbol; level-i Witt-symbol classes with Schmid-Witt local invariants,
 reciprocity over F_q(t), and the residue decomposition over F_q((t)).
 """
 
-from .errors import (ConfigMismatch, DegreeMismatch, DegreeOverflow,
-                     DivisionByZero, DlogOfZero, IntegralityViolation,
+from .errors import (ConfigMismatch, CorruptCache, DegreeMismatch,
+                     DegreeOverflow, DivisionByZero, DlogOfZero,
+                     IntegralityViolation,
                      KatoforgeError, LevelDecrease, NonPrime,
                      NormShapeUnsupported, NotClosed, NotConstant,
                      PrecisionExhausted,

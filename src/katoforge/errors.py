@@ -107,6 +107,10 @@ class UnknownName(ScriptError):
     pass
 
 
+class CorruptCache(KatoforgeError):
+    """A structure-cache file cannot be parsed."""
+
+
 class VerifyMismatch(KatoforgeError):
     """A cache file does not match its recomputation."""
 

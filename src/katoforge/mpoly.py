@@ -2,8 +2,9 @@
 
 Terms live in a dict {exponent tuple: nonzero GFElem}; the term order is
 graded lexicographic (total degree first, then lex on the exponent tuple).
-GCDs use content/primitive-part recursion with a primitive PRS in the last
-variable, which stays exact in characteristic p.
+GCDs in two active variables use evaluation and interpolation (Brown); in
+three or more, content/primitive-part recursion with a primitive PRS in the
+last variable, which stays exact in characteristic p.
 """
 
 from .errors import DivisionByZero, IntegralityViolation
@@ -210,7 +211,8 @@ def _pseudo_rem(a, b, field, nvars):
         prev = len(r)
         r = _usub(_uscale(r, lb), [zero] * shift + _uscale(b, lr),
                   field, nvars)
-        assert len(r) < prev
+        if len(r) >= prev:
+            raise IntegralityViolation("pseudo-remainder degree did not drop")
     return r
 
 
@@ -263,9 +265,9 @@ def _content_pp(u, field, nvars):
     return cont, [exact_div(c, cont) for c in u]
 
 
-# dense bivariate gcd: evaluation at points of a small extension field plus
-# interpolation (Brown); every candidate is verified by exact division, and
-# a subresultant PRS stands by for the cases interpolation cannot reach
+# dense bivariate gcd: evaluation in x at points of an extension field and
+# interpolation (Brown); a candidate that fails the exact-division check
+# proves its image degree unlucky, and evaluation goes on below that degree
 
 def _gcd_bivariate(f, g, jx, jy):
     F = f.field
@@ -277,15 +279,17 @@ def _gcd_bivariate(f, g, jx, jy):
     if len(A) < len(B):
         A, B = B, A
     pp = _brown_pp_gcd(A, B, F)
-    if pp is None:
-        pp = _subresultant_pp_gcd(A, B, F)
     out = _from_bipoly([c * cont for c in pp], F, f.nvars, jx, jy)
     return out.monic_grlex()
 
 
 def _brown_pp_gcd(A, B, F):
-    """GCD of primitive bipolys by evaluation/interpolation; None if the
-    needed extension field is out of table range."""
+    """GCD of primitive bipolys (rows in y of Polys in x) by evaluation at
+    x = a and interpolation, over GF(p, e*m) with m growing as points run
+    out.  At a point where gamma = gcd of the leading rows does not vanish,
+    the image gcd has y-degree at least that of the true gcd, so the least
+    image degree seen bounds it, and images of higher degree are unlucky."""
+    from .embed import subfield_embedding
     from .gf import gf
     from .poly import Poly
     gamma = A[-1].gcd(B[-1])
@@ -294,46 +298,40 @@ def _brown_pp_gcd(A, B, F):
     m = 1
     while F.order ** m < npoints + gamma.degree + 2:
         m += 1
-    if F.p ** (F.e * m) > 4096:
-        return None
-    E = gf(F.p, F.e * m)
-    from .embed import subfield_embedding
-    fwd, inverse = subfield_embedding(F, E)
-    Alift = [[fwd(c) for c in pol.coeffs] for pol in A]
-    Blift = [[fwd(c) for c in pol.coeffs] for pol in B]
-    gamma_l = [fwd(c) for c in gamma.coeffs]
-
-    points, images = [], []
-    best_deg = None
-    for a in E.elements():
-        ga = _eval_row(gamma_l, a, E)
-        if not ga:
-            continue
-        Aa = Poly(E, [_eval_row(c, a, E) for c in Alift])
-        Ba = Poly(E, [_eval_row(c, a, E) for c in Blift])
-        if Aa.is_zero() or Ba.is_zero():
-            continue
-        h = Aa.gcd(Ba)
-        if h.degree == 0:
-            return [Poly.const(F, 1)]
-        if best_deg is None or h.degree < best_deg:
-            best_deg = h.degree
-            points, images = [], []
-        if h.degree > best_deg:
-            continue
-        points.append(a)
-        images.append(h.scale(ga))
-        if len(points) < npoints:
-            continue
-        cand = _interpolate_bipoly(points, images, E)
-        proj = _project_bipoly(cand, inverse, F)
-        if proj is None:
-            return None
-        _, proj = _bi_content_pp(proj, F)
-        if _bi_divides(proj, A, F) and _bi_divides(proj, B, F):
-            return proj
-        return None
-    return None
+    # deg bounds the y-degree of the gcd; collected images all have degree deg
+    deg = len(B) - 1
+    while True:
+        E = gf(F.p, F.e * m)
+        fwd, inverse = subfield_embedding(F, E)
+        Alift = [[fwd(c) for c in pol.coeffs] for pol in A]
+        Blift = [[fwd(c) for c in pol.coeffs] for pol in B]
+        gamma_l = [fwd(c) for c in gamma.coeffs]
+        points, images = [], []
+        for a in E.elements():
+            ga = _eval_row(gamma_l, a, E)
+            if not ga:
+                continue
+            Aa = Poly(E, [_eval_row(c, a, E) for c in Alift])
+            Ba = Poly(E, [_eval_row(c, a, E) for c in Blift])
+            h = Aa.gcd(Ba)
+            if h.degree == 0:
+                return [Poly.const(F, 1)]
+            if h.degree > deg:
+                continue
+            if h.degree < deg:
+                deg, points, images = h.degree, [], []
+            points.append(a)
+            images.append(h.scale(ga))
+            if len(points) < npoints:
+                continue
+            cand = _interpolate_bipoly(points, images, E)
+            proj = _project_bipoly(cand, inverse, F)
+            if proj is not None:
+                _, proj = _bi_content_pp(proj, F)
+                if _bi_divides(proj, A, F) and _bi_divides(proj, B, F):
+                    return proj
+            deg, points, images = deg - 1, [], []
+        m += 1
 
 
 def _eval_row(coeffs, a, E):
@@ -381,7 +379,7 @@ def _project_bipoly(rows, inverse, F):
     for pol in rows:
         coeffs = []
         for c in pol.coeffs:
-            small = inverse.get(c.coeffs)
+            small = inverse(c)
             if small is None:
                 return None
             coeffs.append(small)
@@ -410,31 +408,6 @@ def _bi_divides(d, A, F):
         if not r:
             return True
     return not r or all(c.is_zero() for c in r)
-
-
-def _subresultant_pp_gcd(A, B, F):
-    from .poly import Poly
-    one = Poly.const(F, 1)
-    gg, h = one, one
-    while True:
-        delta = len(A) - len(B)
-        R = _bi_prem(A, B, F)
-        if not R:
-            last = B
-            break
-        if len(R) == 1:
-            last = [one]
-            break
-        divisor = gg * h ** delta
-        R = [_poly_exact_div(c, divisor) for c in R]
-        A, B = B, R
-        gg = A[-1]
-        if delta == 1:
-            h = gg
-        elif delta > 1:
-            h = _poly_exact_div(gg ** delta, h ** (delta - 1))
-    _, last = _bi_content_pp(last, F)
-    return last
 
 
 def _to_bipoly(f, jx, jy):
@@ -481,30 +454,9 @@ def _bi_content_pp(u, field):
 def _poly_exact_div(a, b):
     q, r = a.divmod(b)
     if not r.is_zero():
-        raise IntegralityViolation("inexact polynomial division in the PRS")
+        raise IntegralityViolation("polynomial division expected to be exact "
+                                   "left a remainder")
     return q
-
-
-def _bi_prem(a, b, field):
-    """Pseudo-remainder with the exact lc(b)^(deg a - deg b + 1) scaling."""
-    from .poly import Poly
-    lb = b[-1]
-    delta = len(a) - len(b)
-    r = list(a)
-    steps = 0
-    while len(r) >= len(b):
-        lr = r[-1]
-        shift = len(r) - len(b)
-        r = [x * lb for x in r]
-        for k, c in enumerate(b):
-            r[shift + k] = r[shift + k] - c * lr
-        r = _bi_trim(r)
-        steps += 1
-    missing = delta + 1 - steps
-    if missing > 0:
-        scale = lb ** missing
-        r = [x * scale for x in r]
-    return r
 
 
 def _gcd_rec(f, g, j):

@@ -1,10 +1,10 @@
 """Places of F_q(t), local expansions, and residues of rational 1-forms.
 
 A finite place is a monic irreducible f(t); its residue field F_q[t]/(f) is
-realized as the canonical GF(p, e*deg f) through a deterministic embedding:
-the base field maps onto the lexicographically least root of its modulus, and
-t maps to theta + pi with theta the lexicographically least root of f there.
-The infinite place uses the substitution s = 1/t (and dt = -s^-2 ds).
+realized as the canonical GF(p, e*deg f), into which the base field maps by
+``embed.subfield_embedding`` (the identity at places of degree 1), and t maps
+to theta + pi with theta the lexicographically least root of f there.  The
+infinite place uses the substitution s = 1/t (and dt = -s^-2 ds).
 
 Residues are read off the exact local Laurent expansion; this stays valid for
 every pole order in characteristic p (order-reduction tricks that divide by
@@ -13,8 +13,9 @@ every pole order in characteristic p (order-reduction tricks that divide by
 
 from functools import lru_cache
 
-from .errors import ConfigMismatch
-from .laurent import Laurent, _series_div
+from .embed import least_root, subfield_embedding
+from .errors import ConfigMismatch, IntegralityViolation, UnsupportedField
+from .laurent import _series_div
 from .poly import Poly, factor, is_irreducible
 
 
@@ -26,8 +27,8 @@ class Place:
     __slots__ = ("poly", "var")
 
     def __init__(self, poly=None, var="t"):
-        if poly is not None:
-            assert poly.coeffs[-1] == poly.field.one, "place polynomial must be monic"
+        if poly is not None and poly.coeffs[-1] != poly.field.one:
+            raise ConfigMismatch("place polynomial must be monic")
         self.poly = poly
         self.var = var
 
@@ -37,7 +38,8 @@ class Place:
 
     @classmethod
     def finite(cls, poly, var="t"):
-        assert is_irreducible(poly)
+        if not is_irreducible(poly):
+            raise ConfigMismatch("place polynomial must be irreducible")
         return cls(poly.monic(), var)
 
     @property
@@ -78,37 +80,23 @@ class PlaceContext:
     """Everything needed to compute locally at one place of F_q(t)."""
 
     def __init__(self, field, place):
-        assert field.k == 1, "places are defined for one-variable fields only"
+        if field.k != 1:
+            raise UnsupportedField(
+                "places are defined for one-variable fields only")
         self.field = field
         self.place = place
         base = field.base
         from .gf import gf
-        if place.is_infinite:
-            self.res_field = base
-            self.embed = lambda c: c
-            self._phi_inv = None
-            self.theta = None
-        else:
-            d = place.degree
-            big = gf(base.p, base.e * d)
-            self.res_field = big
-            if base.e == 1:
-                emb_table = {(c,): big.elem(c) for c in range(base.p)}
-                self.embed = lambda a, T=emb_table: T[a.coeffs]
-            else:
-                root = _least_root(
-                    Poly(big, [big.elem(c) for c in base.modulus]), big)
-                emb_table = {}
-                for a in base.elements():
-                    img = big.zero
-                    for i in reversed(range(base.e)):
-                        img = img * root + big.elem(a.coeffs[i])
-                    emb_table[a.coeffs] = img
-                self.embed = lambda a, T=emb_table: T[a.coeffs]
-            self._phi_inv = {self.embed(a).coeffs: a for a in base.elements()}
-            fbig = Poly(big, [self.embed(c) for c in place.poly.coeffs])
-            self.theta = _least_root(fbig, big)
-            assert self.theta is not None, "place polynomial has no root upstairs"
+        self.res_field = gf(base.p, base.e * place.degree)
+        self.embed, self._phi_inv = subfield_embedding(base, self.res_field)
+        self.theta = None
+        if not place.is_infinite:
+            fbig = Poly(self.res_field,
+                        [self.embed(c) for c in place.poly.coeffs])
+            self.theta = least_root(fbig)
+            if self.theta is None:
+                raise IntegralityViolation(
+                    "place polynomial has no root in its residue field")
 
     def expand(self, r, prec):
         """Local Laurent expansion of a RatFunc, to absolute precision prec."""
@@ -140,28 +128,16 @@ class PlaceContext:
 
     def trace_to_base(self, x):
         """Tr_{k(v)/F_q}, landing back in the base field."""
-        if self.place.is_infinite:
-            return x
         q = self.field.base.order
         acc = self.res_field.zero
         y = x
         for _ in range(self.place.degree):
             acc = acc + y
             y = y ** q
-        return self._phi_inv[acc.coeffs]
-
-    def trace_to_prime(self, x):
-        """Absolute trace Tr_{k(v)/F_p} as an integer."""
-        return self.res_field.trace_int(x)
-
-
-def _least_root(f, field):
-    """Lexicographically least root in the field, via factorization."""
-    roots = [(-g.coeffs[0]) * g.coeffs[1].inverse()
-             for g, _ in factor(f) if g.degree == 1]
-    if not roots:
-        return None
-    return min(roots, key=lambda a: a.coeffs)
+        out = self._phi_inv(acc)
+        if out is None:
+            raise IntegralityViolation("trace escaped the base field")
+        return out
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,9 @@ on disk as ``wittpoly-v1-p{p}-i{i}.txt``:
     ...
     POLY N 0        (negation; derived, stored for completeness)
 
+A cache file that does not parse, or whose header names another (p, i), is
+regenerated and overwritten.
+
 Coefficient universes only need +, -, * (including by int) and ** with int
 exponents: field elements, rational functions, and truncated Laurent series
 all qualify.  For finite coefficient fields beyond the universal-polynomial
@@ -22,11 +25,12 @@ isomorphism instead; both engines agree on the overlap (tested).
 """
 
 import os
+import re
 import tempfile
 from fractions import Fraction
 
-from .errors import (ConfigMismatch, IntegralityViolation, NonPrime,
-                     ResourceLimit)
+from .errors import (ConfigMismatch, CorruptCache, IntegralityViolation,
+                     NonPrime, ResourceLimit)
 from .gf import GFElem, is_prime
 from .gring import galois_ring
 
@@ -94,18 +98,6 @@ class _QPoly:
             k >>= 1
         return result
 
-    def eval_polys(self, values):
-        """Substitute a _QPoly for each variable."""
-        n = values[0].n
-        out = _QPoly.const(n, 0)
-        for e, c in self.terms.items():
-            term = _QPoly.const(n, c)
-            for j, exp in enumerate(e):
-                if exp:
-                    term = term * values[j] ** exp
-            out = out + term
-        return out
-
     def as_int_terms(self):
         out = {}
         for e, c in self.terms.items():
@@ -124,12 +116,16 @@ def _ghost_qpoly(p, nvars, offset, n):
     return out
 
 
+# the longest W_i whose universal polynomials generate in under 10 s
+# (Python 3.11 on a 2-vCPU Xeon VM: (2,5) 6.2 s, (3,4) 0.45 s, (5,3) 0.05 s,
+# (7,3) 0.17 s, (11,3) 10.2 s; (3,5), (5,4), (17,3) take over 45 s and
+# (2,6) over 240 s)
+_MAX_STRUCTURE_LEVEL = {2: 5, 3: 4, 5: 3, 7: 3}
+
+
 def max_structure_level(p):
     """Largest supported length for universal polynomial generation."""
-    i = 1
-    while p ** i <= 32:
-        i += 1
-    return i + 1   # p=2 -> 6, p=3 -> 4, p=5 -> 3, p=7 -> 2
+    return _MAX_STRUCTURE_LEVEL.get(p, 2)
 
 
 def _generate(p, i):
@@ -186,19 +182,28 @@ class WittStructure:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        assert head[0] == "WITTPOLY" and head[1] == "v1"
-        p = int(head[2].split("=")[1])
-        i = int(head[3].split("=")[1])
-        polys = {"S": [None] * i, "P": [None] * i, "N": [None] * i}
-        cur = None
-        for ln in lines[1:]:
-            parts = ln.split()
-            if parts[0] == "POLY":
-                cur = polys[parts[1]][int(parts[2])] = {}
-            else:
-                cur[tuple(int(x) for x in parts[1:])] = int(parts[0])
+        """Parse ``to_text`` output; CorruptCache if it is malformed."""
+        try:
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            head = re.fullmatch(r"WITTPOLY v1 p=(\d+) i=(\d+)",
+                                lines[0].strip())
+            if head is None:
+                raise CorruptCache("not a v1 structure file")
+            p, i = int(head[1]), int(head[2])
+            polys = {"S": [None] * i, "P": [None] * i, "N": [None] * i}
+            cur = None
+            for ln in lines[1:]:
+                parts = ln.split()
+                if parts[0] == "POLY":
+                    cur = polys[parts[1]][int(parts[2])] = {}
+                elif len(parts) != 2 * i + 1:
+                    raise CorruptCache("term line of the wrong length")
+                else:
+                    cur[tuple(int(x) for x in parts[1:])] = int(parts[0])
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise CorruptCache(f"unparsable structure file: {exc}") from None
+        if any(t is None for ts in polys.values() for t in ts):
+            raise CorruptCache("structure file lacks a polynomial")
         return cls(p, i, polys["S"], polys["P"], polys["N"])
 
 
@@ -225,15 +230,7 @@ def witt_structure(p, i, cache_dir=None):
             _atomic_write(os.path.join(cdir, _cache_filename(p, i)),
                           struct.to_text())
         return struct
-    struct = None
-    if cdir:
-        path = os.path.join(cdir, _cache_filename(p, i))
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    struct = WittStructure.from_text(fh.read())
-            except Exception:
-                struct = None
+    struct = _read_cached(cdir, p, i) if cdir else None
     if struct is None:
         struct = WittStructure(p, i, *_generate(p, i))
         if cdir:
@@ -241,6 +238,21 @@ def witt_structure(p, i, cache_dir=None):
                           struct.to_text())
     _memory_cache[key] = struct
     return struct
+
+
+def _read_cached(cdir, p, i):
+    """The cached structure for (p, i), or None when the file is missing or
+    corrupt: unparsable, or its header names another structure."""
+    path = os.path.join(cdir, _cache_filename(p, i))
+    if not os.path.exists(path):
+        return None
+    with open(path, errors="replace") as fh:
+        text = fh.read()
+    try:
+        struct = WittStructure.from_text(text)
+    except CorruptCache:
+        return None
+    return struct if (struct.p, struct.i) == (p, i) else None
 
 
 def _atomic_write(path, text):

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from katoforge import (Place, Poly, func_field, gf, place_order, residue_at,
-                       residue_table)
+import katoforge
+from katoforge import (ConfigMismatch, Place, Poly, UnsupportedField,
+                       func_field, gf, place_order, residue_at, residue_table)
 from katoforge.places import place_context
 
 from conftest import random_mpoly
@@ -97,3 +101,38 @@ def test_place_order():
     assert place_order(r, _t_place(F2)) == -3
     assert place_order(r, Place(Poly(F2, [F2.one, F2.one]))) == 1
     assert place_order(r, Place.infinity()) == 2
+
+
+def test_place_polynomial_checks():
+    F2 = gf(2)
+    with pytest.raises(ConfigMismatch):
+        Place.finite(Poly(F2, [F2.one, F2.zero, F2.one]))   # t^2+1 = (t+1)^2
+    F3 = gf(3)
+    with pytest.raises(ConfigMismatch):
+        Place(Poly(F3, [F3.one, F3.elem(2)]))                # 2t+1, not monic
+    with pytest.raises(UnsupportedField):
+        place_context(func_field(F2, ("x", "y")), Place.infinity())
+
+
+def test_place_checks_survive_optimized_mode():
+    # python -O strips asserts; the reducible t^2+1 must still be refused
+    code = ("from katoforge import ConfigMismatch, Place, Poly, gf\n"
+            "F = gf(2)\n"
+            "try:\n"
+            "    Place.finite(Poly(F, [F.one, F.zero, F.one]))\n"
+            "except ConfigMismatch:\n"
+            "    print('refused')\n")
+    src = os.path.dirname(os.path.dirname(katoforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "refused\n"
+
+
+def test_degree_one_residue_is_not_twisted():
+    # over F_8 the least root of the modulus is z^2, not z; a degree-1 place
+    # has residue field F_8 itself, embedded by the identity
+    F8 = gf(2, 3)
+    K = func_field(F8, ("t",))
+    z = F8.gen
+    assert residue_at(K.const(z) / K.var("t"), _t_place(F8)) == z

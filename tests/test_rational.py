@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from katoforge import (DivisionByZero, IntegralityViolation, MPoly,
                        NotConstant, RatFunc, func_field, gf,
                        p_power_component, p_power_decompose, p_power_rebuild)
-from katoforge.mpoly import exact_div, mpoly_gcd
+from katoforge.mpoly import (_gcd_bivariate, _gcd_rec, exact_div,
+                             mpoly_gcd)
 
 from conftest import ORACLE_FIELDS, random_ratfunc
 
@@ -102,6 +103,45 @@ def test_gcd_bivariate():
     g = (x + y) * x
     gc = mpoly_gcd(f.num, g.num)
     assert gc == (x + y).num
+
+
+# F_2, F_3, F_4, F_5, F_8 as (p, e)
+BIVARIATE_GCD_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)]
+
+
+@given(st.data())
+def test_gcd_bivariate_matches_prs(data):
+    """Brown's evaluation/interpolation against the primitive PRS."""
+    p, e = data.draw(st.sampled_from(BIVARIATE_GCD_FIELDS))
+    K = func_field(gf(p, e), ("x", "y"))
+    a = data.draw(mpolys(K, min_terms=1))
+    b = data.draw(mpolys(K, min_terms=1))
+    c = data.draw(mpolys(K, min_terms=1))
+    f, g = a * c, b * c
+    assert _gcd_bivariate(f, g, 0, 1) == _gcd_rec(f, g, 1)
+
+
+def _xy(F, terms):
+    return MPoly(F, 2, {e: F.elem(c) for e, c in terms.items()})
+
+
+@pytest.mark.parametrize("p,e,a,b,c", [
+    # x = 0 gives gcd(y^3, y^2) = y^2: the first and only point is unlucky
+    (3, 1, {(3, 0): 1, (0, 3): 1}, {(0, 2): 1}, {(0, 0): 1}),
+    # x^4 + x vanishes on F_4, so every point there is unlucky and
+    # evaluation moves on to F_8
+    (2, 1, {(0, 1): 1, (4, 0): 1, (1, 0): 1}, {(0, 1): 1}, {(0, 0): 1}),
+    # GF(2^13) is past the size the extension field used to be capped at
+    (2, 13, {(1, 1): 1, (0, 1): 1, (2, 0): 1, (0, 0): [0, 1]},
+     {(1, 1): 1, (0, 1): 1, (3, 0): 1, (1, 0): [1, 1]},
+     {(1, 1): 1, (0, 0): [1, 0, 1]}),
+])
+def test_gcd_bivariate_unlucky_and_large(p, e, a, b, c):
+    """gcd(a*c, b*c) = c for coprime a, b."""
+    F = gf(p, e)
+    a, b, c = _xy(F, a), _xy(F, b), _xy(F, c)
+    f, g = a * c, b * c
+    assert _gcd_bivariate(f, g, 0, 1) == _gcd_rec(f, g, 1) == c.monic_grlex()
 
 
 def test_field_laws_random():

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from katoforge import (ResourceLimit, WittVector, func_field, gf, int_to_witt,
-                       verify_ghost_identities, witt_as_solve, witt_structure,
-                       witt_to_int)
+from katoforge import (CorruptCache, HClass, ResourceLimit, WittStructure,
+                       WittVector, func_field, gf, int_to_witt,
+                       verify_ghost_identities, witt, witt_as_solve,
+                       witt_structure, witt_to_int)
 from katoforge.gring import galois_ring
-from katoforge.witt import from_galois_ring
+from katoforge.witt import from_galois_ring, max_structure_level
 
 from conftest import random_ratfunc
 
@@ -173,3 +174,41 @@ def test_witt_over_function_field():
         assert u + v == v + u
         assert (u + v) - v == u
         assert u.wp() == u.frobenius() - u
+
+
+def test_max_structure_level_table():
+    assert [max_structure_level(p) for p in (2, 3, 5, 7, 11, 13)] \
+        == [5, 4, 3, 3, 2, 2]
+    with pytest.raises(ResourceLimit):
+        witt_structure(2, 6)
+
+
+def test_level_beyond_bound_fails_fast():
+    # generating W_6 over F_2 takes minutes; the bound refuses it up front
+    K = func_field(gf(2), ("t",))
+    t = K.var("t")
+    w = WittVector(2, (K.one / t,) + (K.zero,) * 5)
+    with pytest.raises(ResourceLimit):
+        HClass.build(K, w, [t + K.one])
+
+
+@pytest.mark.parametrize("data", [
+    witt_structure(3, 2).to_text().encode(),   # a valid file for another p
+    b"WITTPOLY v1 p=2 i=2\nPOLY S 0\n1 1 0\n",  # a term line too short
+    b"\x00garbage\xff\n",                      # not even UTF-8
+], ids=["other-p", "short-term-line", "garbage"])
+def test_corrupt_cache_file_is_regenerated(tmp_path, monkeypatch, data):
+    monkeypatch.setattr(witt, "_memory_cache", {})
+    path = tmp_path / "wittpoly-v1-p2-i2.txt"
+    path.write_bytes(data)
+    st = witt_structure(2, 2, cache_dir=str(tmp_path))
+    assert (st.p, st.i) == (2, 2)
+    assert st.sums[1] == {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1, (1, 0, 1, 0): -1}
+    assert path.read_text() == st.to_text()
+
+
+def test_from_text_raises_typed_error():
+    with pytest.raises(CorruptCache):
+        WittStructure.from_text("WITTPOLY v2 p=2 i=2\n")
+    with pytest.raises(CorruptCache):
+        WittStructure.from_text("")
