@@ -24,7 +24,8 @@ import json
 import os
 import sys
 
-from .errors import (KatoforgeError, ScriptError, UnknownName, VerifyMismatch)
+from .errors import (ConfigMismatch, KatoforgeError, ScriptError,
+                     UnknownName)
 from .forms import DiffForm, d_of_function
 from .gf import GF, gf
 from .kato import (HClass, LaurentField, laurent_field, level_shift,
@@ -32,10 +33,9 @@ from .kato import (HClass, LaurentField, laurent_field, level_shift,
 from .laurent import Laurent
 from .milnor import MilnorElement, d_symbol
 from .places import Place, to_dense
-from .poly import is_irreducible
 from .rational import FuncField, RatFunc, func_field
-from .witt import (WittStructure, WittVector, _cache_filename,
-                   set_cache_dir, witt_structure)
+from .witt import (WittVector, _cache_filename, set_cache_dir,
+                   verify_cache_file, witt_structure)
 
 # ------------------------------------------------------------ lexer ----
 
@@ -393,10 +393,12 @@ class Parser:
         if not isinstance(v, RatFunc) or not v.den.is_const():
             raise ScriptError("a place is a monic irreducible polynomial "
                               "or 'inf'", self.lineno, col)
-        dense = to_dense(v.num, v.field.base).monic()
-        if not is_irreducible(dense):
-            raise ScriptError(f"{v!r} is not irreducible", self.lineno, col)
-        return Place(dense, v.field.vars[0])
+        try:
+            return Place.finite(to_dense(v.num, v.field.base),
+                                v.field.vars[0])
+        except ConfigMismatch:
+            raise ScriptError(f"{v!r} is not irreducible", self.lineno,
+                              col) from None
 
 
 # ------------------------------------------------------------ runner ----
@@ -617,19 +619,9 @@ def cache_warm(cdir, pairs):
 def cache_verify(cdir):
     report = []
     for name in sorted(os.listdir(cdir)):
-        if not name.startswith("wittpoly-v1-"):
-            continue
-        path = os.path.join(cdir, name)
-        with open(path) as fh:
-            text = fh.read()
-        head = text.splitlines()[0].split()
-        p = int(head[2].split("=")[1])
-        i = int(head[3].split("=")[1])
-        from .witt import _generate
-        fresh = WittStructure(p, i, *_generate(p, i)).to_text()
-        if fresh != text:
-            raise VerifyMismatch(path)
-        report.append(name)
+        if name.startswith("wittpoly-v1-"):
+            verify_cache_file(os.path.join(cdir, name))
+            report.append(name)
     return report
 
 
@@ -780,7 +772,7 @@ def main(argv=None):
             else:
                 for name in cache_clear(cdir):
                     print(f"{name}: removed")
-        except VerifyMismatch as exc:
+        except KatoforgeError as exc:
             print(exc, file=sys.stderr)
             return 1
         return 0

@@ -288,7 +288,12 @@ def _brown_pp_gcd(A, B, F):
     x = a and interpolation, over GF(p, e*m) with m growing as points run
     out.  At a point where gamma = gcd of the leading rows does not vanish,
     the image gcd has y-degree at least that of the true gcd, so the least
-    image degree seen bounds it, and images of higher degree are unlucky."""
+    image degree seen bounds it, and images of higher degree are unlucky.
+
+    Raises ResourceLimit when GF(p, e*m) would pass the field-size bound of
+    ``gf`` (2^24): over a base field of more than 2^12 elements, a GCD that
+    needs more points than the base field has, or finds too few lucky ones
+    in it, cannot move on to an extension."""
     from .embed import subfield_embedding
     from .gf import gf
     from .poly import Poly

@@ -27,8 +27,11 @@ class Place:
     __slots__ = ("poly", "var")
 
     def __init__(self, poly=None, var="t"):
-        if poly is not None and poly.coeffs[-1] != poly.field.one:
-            raise ConfigMismatch("place polynomial must be monic")
+        if poly is not None:
+            if poly.coeffs[-1] != poly.field.one:
+                raise ConfigMismatch("place polynomial must be monic")
+            if not is_irreducible(poly):
+                raise ConfigMismatch("place polynomial must be irreducible")
         self.poly = poly
         self.var = var
 
@@ -38,8 +41,6 @@ class Place:
 
     @classmethod
     def finite(cls, poly, var="t"):
-        if not is_irreducible(poly):
-            raise ConfigMismatch("place polynomial must be irreducible")
         return cls(poly.monic(), var)
 
     @property

@@ -278,7 +278,8 @@ def factor(f):
 
 
 def is_irreducible(f):
+    """A reducible f, squarefree or not, has an irreducible factor of degree
+    d <= deg f / 2, so distinct-degree splitting finds it before deg f."""
     if f.degree < 1:
         return False
-    fs = factor(f)
-    return len(fs) == 1 and fs[0][1] == 1 and fs[0][0] == f.monic()
+    return [d for _, d in _distinct_degree(f.monic())] == [f.degree]

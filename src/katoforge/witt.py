@@ -19,9 +19,9 @@ regenerated and overwritten.
 
 Coefficient universes only need +, -, * (including by int) and ** with int
 exponents: field elements, rational functions, and truncated Laurent series
-all qualify.  For finite coefficient fields beyond the universal-polynomial
-resource bound, arithmetic runs through the canonical Galois-ring digit
-isomorphism instead; both engines agree on the overlap (tested).
+all qualify.  For finite coefficient fields above UNIVERSAL_FINITE_MAX or
+``max_structure_level(p)``, arithmetic runs through the canonical Galois-ring
+digit isomorphism instead; both engines agree on the overlap (tested).
 """
 
 import os
@@ -30,11 +30,12 @@ import tempfile
 from fractions import Fraction
 
 from .errors import (ConfigMismatch, CorruptCache, IntegralityViolation,
-                     NonPrime, ResourceLimit)
+                     NonPrime, ResourceLimit, VerifyMismatch)
 from .gf import GFElem, is_prime
 from .gring import galois_ring
 
 # finite-field arithmetic switches to the Galois-ring engine above this level
+# (or above max_structure_level(p), when that is lower)
 UNIVERSAL_FINITE_MAX = 4
 
 _CACHE_DIR = os.environ.get("KATOFORGE_CACHE")
@@ -171,7 +172,7 @@ class WittStructure:
         return f"WittStructure(p={self.p}, i={self.i})"
 
     def to_text(self):
-        lines = [f"WITTPOLY v1 p={self.p} i={self.i}"]
+        lines = [_header(self.p, self.i)]
         for tag, polys in (("S", self.sums), ("P", self.prods),
                            ("N", self.negs)):
             for n, terms in enumerate(polys):
@@ -181,17 +182,15 @@ class WittStructure:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text):
-        """Parse ``to_text`` output; CorruptCache if it is malformed."""
+    def from_text(cls, text, p, i):
+        """Parse ``to_text`` output of the structure for (p, i); CorruptCache
+        if it is malformed or its header names another structure."""
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines or lines[0].strip() != _header(p, i):
+            raise CorruptCache(f"not a v1 structure file for p={p}, i={i}")
+        polys = {"S": [None] * i, "P": [None] * i, "N": [None] * i}
+        cur = None
         try:
-            lines = [ln for ln in text.splitlines() if ln.strip()]
-            head = re.fullmatch(r"WITTPOLY v1 p=(\d+) i=(\d+)",
-                                lines[0].strip())
-            if head is None:
-                raise CorruptCache("not a v1 structure file")
-            p, i = int(head[1]), int(head[2])
-            polys = {"S": [None] * i, "P": [None] * i, "N": [None] * i}
-            cur = None
             for ln in lines[1:]:
                 parts = ln.split()
                 if parts[0] == "POLY":
@@ -207,12 +206,18 @@ class WittStructure:
         return cls(p, i, polys["S"], polys["P"], polys["N"])
 
 
+def _header(p, i):
+    return f"WITTPOLY v1 p={p} i={i}"
+
+
 def _cache_filename(p, i):
     return f"wittpoly-v1-p{p}-i{i}.txt"
 
 
-def witt_structure(p, i, cache_dir=None):
-    """The structure for W_i over char p, generated or loaded from cache."""
+_CACHE_NAME = re.compile(r"wittpoly-v1-p(\d+)-i(\d+)\.txt")
+
+
+def _check_request(p, i):
     if not is_prime(p):
         raise NonPrime(p)
     if i < 1:
@@ -221,6 +226,11 @@ def witt_structure(p, i, cache_dir=None):
         raise ResourceLimit(
             f"universal polynomials for p={p}, i={i} exceed the bound "
             f"(max i={max_structure_level(p)})")
+
+
+def witt_structure(p, i, cache_dir=None):
+    """The structure for W_i over char p, generated or loaded from cache."""
+    _check_request(p, i)
     key = (p, i)
     cdir = cache_dir or _CACHE_DIR
     if key in _memory_cache:
@@ -240,19 +250,39 @@ def witt_structure(p, i, cache_dir=None):
     return struct
 
 
+def _read_text(path):
+    with open(path, errors="replace") as fh:
+        return fh.read()
+
+
 def _read_cached(cdir, p, i):
     """The cached structure for (p, i), or None when the file is missing or
     corrupt: unparsable, or its header names another structure."""
     path = os.path.join(cdir, _cache_filename(p, i))
     if not os.path.exists(path):
         return None
-    with open(path, errors="replace") as fh:
-        text = fh.read()
     try:
-        struct = WittStructure.from_text(text)
+        return WittStructure.from_text(_read_text(path), p, i)
     except CorruptCache:
         return None
-    return struct if (struct.p, struct.i) == (p, i) else None
+
+
+def verify_cache_file(path):
+    """Check a structure file against a fresh generation of the (p, i) its
+    name gives: CorruptCache if the name or the file is malformed,
+    VerifyMismatch if the file differs from the generated text."""
+    name = _CACHE_NAME.fullmatch(os.path.basename(path))
+    if name is None:
+        raise CorruptCache(f"not a structure file name: {path}")
+    p, i = int(name[1]), int(name[2])
+    _check_request(p, i)
+    text = _read_text(path)
+    try:
+        WittStructure.from_text(text, p, i)
+    except CorruptCache as exc:
+        raise CorruptCache(f"{path}: {exc}") from None
+    if WittStructure(p, i, *_generate(p, i)).to_text() != text:
+        raise VerifyMismatch(path)
 
 
 def _atomic_write(path, text):
@@ -374,7 +404,8 @@ class WittVector:
     # -- engine dispatch --
 
     def _use_gr(self):
-        return self.is_finite_coeffs() and self.level > UNIVERSAL_FINITE_MAX
+        return self.is_finite_coeffs() and self.level > min(
+            UNIVERSAL_FINITE_MAX, max_structure_level(self.p))
 
     def _binop(self, other, tag):
         self._check(other)

@@ -153,6 +153,20 @@ def test_cache_cycle(tmp_path):
     assert os.listdir(cdir) == []
 
 
+def test_cache_errors_are_reported(tmp_path, monkeypatch, capsys):
+    from katoforge import CorruptCache, witt
+    monkeypatch.setattr(witt, "_CACHE_DIR", None)    # main sets it
+    cdir = str(tmp_path)
+    # W_3 over F_11 is past max_structure_level(11)
+    assert main(["cache", "warm", "--cache-dir", cdir, "--pairs", "11:3"]) == 1
+    assert "exceed the bound" in capsys.readouterr().err
+    (tmp_path / "wittpoly-v1-p2-i1.txt").write_bytes(b"\x00garbage\xff\n")
+    with pytest.raises(CorruptCache):
+        cache_verify(cdir)
+    assert main(["cache", "verify", "--cache-dir", cdir]) == 1
+    assert "wittpoly-v1-p2-i1.txt" in capsys.readouterr().err
+
+
 def test_main_entry(tmp_path, capsys):
     script = tmp_path / "s.kf"
     script.write_text("field F = GF(2)(t)\ninv [ [1/t] | 1+t ) at t\n")

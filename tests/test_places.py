@@ -105,8 +105,11 @@ def test_place_order():
 
 def test_place_polynomial_checks():
     F2 = gf(2)
+    t2_1 = Poly(F2, [F2.one, F2.zero, F2.one])              # (t+1)^2
     with pytest.raises(ConfigMismatch):
-        Place.finite(Poly(F2, [F2.one, F2.zero, F2.one]))   # t^2+1 = (t+1)^2
+        Place.finite(t2_1)
+    with pytest.raises(ConfigMismatch):
+        Place(t2_1)
     F3 = gf(3)
     with pytest.raises(ConfigMismatch):
         Place(Poly(F3, [F3.one, F3.elem(2)]))                # 2t+1, not monic
@@ -118,15 +121,16 @@ def test_place_checks_survive_optimized_mode():
     # python -O strips asserts; the reducible t^2+1 must still be refused
     code = ("from katoforge import ConfigMismatch, Place, Poly, gf\n"
             "F = gf(2)\n"
-            "try:\n"
-            "    Place.finite(Poly(F, [F.one, F.zero, F.one]))\n"
-            "except ConfigMismatch:\n"
-            "    print('refused')\n")
+            "for make in (Place, Place.finite):\n"
+            "    try:\n"
+            "        make(Poly(F, [F.one, F.zero, F.one]))\n"
+            "    except ConfigMismatch:\n"
+            "        print('refused')\n")
     src = os.path.dirname(os.path.dirname(katoforge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "refused\n"
+    assert out.stdout == "refused\nrefused\n"
 
 
 def test_degree_one_residue_is_not_twisted():

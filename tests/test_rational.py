@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from katoforge import (DivisionByZero, IntegralityViolation, MPoly,
-                       NotConstant, RatFunc, func_field, gf,
+                       NotConstant, RatFunc, ResourceLimit, func_field, gf,
                        p_power_component, p_power_decompose, p_power_rebuild)
 from katoforge.mpoly import (_gcd_bivariate, _gcd_rec, exact_div,
                              mpoly_gcd)
@@ -142,6 +142,17 @@ def test_gcd_bivariate_unlucky_and_large(p, e, a, b, c):
     a, b, c = _xy(F, a), _xy(F, b), _xy(F, c)
     f, g = a * c, b * c
     assert _gcd_bivariate(f, g, 0, 1) == _gcd_rec(f, g, 1) == c.monic_grlex()
+
+
+def test_gcd_bivariate_needs_too_large_extension():
+    """Over GF(2^13), gcd(y + x^8191, y^2 + x^8191) needs 8192 points and
+    two more, so evaluation must leave GF(2^13), and GF(2^26) is past the
+    field-size bound: Brown's loop raises ResourceLimit instead."""
+    F = gf(2, 13)
+    f = _xy(F, {(0, 1): 1, (8191, 0): 1})
+    g = _xy(F, {(0, 2): 1, (8191, 0): 1})
+    with pytest.raises(ResourceLimit):
+        _gcd_bivariate(f, g, 0, 1)
 
 
 def test_field_laws_random():

@@ -49,7 +49,7 @@ def test_cache_roundtrip(tmp_path):
     text = st.to_text()
     assert text.splitlines()[0] == "WITTPOLY v1 p=3 i=2"
     from katoforge.witt import WittStructure
-    st2 = WittStructure.from_text(text)
+    st2 = WittStructure.from_text(text, 3, 2)
     assert st2.sums == st.sums and st2.prods == st.prods \
         and st2.negs == st.negs
 
@@ -196,7 +196,9 @@ def test_level_beyond_bound_fails_fast():
     witt_structure(3, 2).to_text().encode(),   # a valid file for another p
     b"WITTPOLY v1 p=2 i=2\nPOLY S 0\n1 1 0\n",  # a term line too short
     b"\x00garbage\xff\n",                      # not even UTF-8
-], ids=["other-p", "short-term-line", "garbage"])
+    b"WITTPOLY v1 p=2 i=10000000000000000000\n",  # a length too large to
+                                                 # allocate
+], ids=["other-p", "short-term-line", "garbage", "huge-i"])
 def test_corrupt_cache_file_is_regenerated(tmp_path, monkeypatch, data):
     monkeypatch.setattr(witt, "_memory_cache", {})
     path = tmp_path / "wittpoly-v1-p2-i2.txt"
@@ -208,7 +210,30 @@ def test_corrupt_cache_file_is_regenerated(tmp_path, monkeypatch, data):
 
 
 def test_from_text_raises_typed_error():
-    with pytest.raises(CorruptCache):
-        WittStructure.from_text("WITTPOLY v2 p=2 i=2\n")
-    with pytest.raises(CorruptCache):
-        WittStructure.from_text("")
+    for text in ("WITTPOLY v2 p=2 i=2\n", "",
+                 witt_structure(2, 1).to_text(),        # another (p, i)
+                 "WITTPOLY v1 p=2 i=10000000000000000000\n"):
+        with pytest.raises(CorruptCache):
+            WittStructure.from_text(text, 2, 2)
+
+
+@pytest.mark.parametrize("p,e,i", [(5, 1, 4), (5, 2, 4), (7, 1, 4),
+                                   (11, 1, 3), (11, 2, 3)])
+def test_finite_arithmetic_past_polynomial_bound(p, e, i):
+    # past max_structure_level(p), finite coefficients take the Galois ring
+    assert i > max_structure_level(p)
+    F = gf(p, e)
+    R = galois_ring(F, i)
+    rng = random.Random(p * i + e)
+    elems = list(F.elements())
+    for _ in range(5):
+        x = R.from_digits([rng.choice(elems) for _ in range(i)])
+        y = R.from_digits([rng.choice(elems) for _ in range(i)])
+        u = from_galois_ring(R, x, p, i)
+        v = from_galois_ring(R, y, p, i)
+        assert u + v == from_galois_ring(R, x + y, p, i)
+        assert u * v == from_galois_ring(R, x * y, p, i)
+        assert u - v == from_galois_ring(R, x - y, p, i)
+        assert -u == from_galois_ring(R, -x, p, i)
+        w = witt_as_solve(u)
+        assert w is None or w.wp() == u
