@@ -11,7 +11,8 @@ element factory.
 
 from functools import lru_cache
 
-from .errors import ConfigMismatch, DivisionByZero, NonPrime, ResourceLimit
+from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
+                     NonPrime, ResourceLimit)
 
 _MAX_FIELD_ORDER = 2 ** 24
 
@@ -272,6 +273,7 @@ class GF:
             raise ResourceLimit(f"field order {p}^{e} exceeds the bound")
         self.p = p
         self.e = e
+        self.digit_modulus = p  # coefficients live in Z/p
         self.order = p ** e
         self.modulus = _canonical_modulus(p, e)
         self._interned = {} if self.order <= _INTERN_MAX_ORDER else None
@@ -373,7 +375,8 @@ class GF:
     def trace_int(self, a):
         """Absolute trace as an integer in {0, ..., p-1}."""
         t = self.trace(a)
-        assert all(c == 0 for c in t.coeffs[1:])
+        if any(t.coeffs[1:]):
+            raise IntegralityViolation(f"trace {t} escaped F_{self.p}")
         return t.coeffs[0]
 
     def pth_root(self, a):

@@ -36,23 +36,23 @@ class GRElem:
 
     def __add__(self, other):
         self._check(other)
-        m = self.ring.pi
+        m = self.ring.digit_modulus
         return GRElem(self.ring, tuple((a + b) % m for a, b in
                                        zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        m = self.ring.pi
+        m = self.ring.digit_modulus
         return GRElem(self.ring, tuple((a - b) % m for a, b in
                                        zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        m = self.ring.pi
+        m = self.ring.digit_modulus
         return GRElem(self.ring, tuple((-a) % m for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            m = self.ring.pi
+            m = self.ring.digit_modulus
             return GRElem(self.ring, tuple((a * other) % m for a in self.coeffs))
         self._check(other)
         return self.ring._mul(self, other)
@@ -60,7 +60,8 @@ class GRElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert n >= 0
+        if n < 0:
+            return self.ring.inv(self) ** (-n)
         result = self.ring.one
         base = self
         while n:
@@ -82,7 +83,7 @@ class GaloisRing:
         self.length = length
         self.p = field.p
         self.e = field.e
-        self.pi = field.p ** length
+        self.digit_modulus = field.p ** length  # digits live in Z/p^length
         self.modulus = tuple(int(c) for c in field.modulus)  # lifted, monic
         self.zero = GRElem(self, (0,) * self.e)
         self.one = GRElem(self, (1,) + (0,) * (self.e - 1))
@@ -92,13 +93,18 @@ class GaloisRing:
         return f"GR({self.p}^{self.length}, {self.e})"
 
     def elem(self, coeffs):
+        m = self.digit_modulus
         if isinstance(coeffs, int):
-            return GRElem(self, (coeffs % self.pi,) + (0,) * (self.e - 1))
+            return GRElem(self, (coeffs % m,) + (0,) * (self.e - 1))
         coeffs = list(coeffs) + [0] * (self.e - len(coeffs))
-        return GRElem(self, tuple(c % self.pi for c in coeffs))
+        return GRElem(self, tuple(c % m for c in coeffs))
+
+    def _make(self, coeffs):
+        """The element with these reduced digits (a length-e tuple)."""
+        return GRElem(self, coeffs)
 
     def _mul(self, a, b):
-        m = self.pi
+        m = self.digit_modulus
         e = self.e
         res = [0] * (2 * e - 1)
         for i, ai in enumerate(a.coeffs):
@@ -152,7 +158,8 @@ class GaloisRing:
         if any(c % pn for c in x.coeffs):
             raise IntegralityViolation(
                 f"element {x.coeffs} not divisible by p^{n}")
-        return GRElem(self, tuple((c // pn) % self.pi for c in x.coeffs))
+        m = self.digit_modulus
+        return GRElem(self, tuple((c // pn) % m for c in x.coeffs))
 
     def frobenius(self, x):
         """The ring automorphism lifting a -> a^p, via Teichmueller digits."""

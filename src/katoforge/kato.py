@@ -24,7 +24,8 @@ classes; that assumption is recorded here and in the README.
 from functools import lru_cache
 
 from .errors import (ConfigMismatch, LevelDecrease, PrecisionExhausted,
-                     UnsupportedDegree, UnsupportedField, WildClass)
+                     ResourceLimit, UnsupportedDegree, UnsupportedField,
+                     WildClass)
 from .gf import GF, GFElem
 from .gring import galois_ring
 from .laurent import Laurent
@@ -351,7 +352,9 @@ def witt_standard_form(w, base):
         guard = 0
         while True:
             guard += 1
-            assert guard < 10000, "standard-form reduction did not terminate"
+            if guard >= 10000:
+                raise ResourceLimit(
+                    "standard-form reduction did not terminate")
             a = cur.coords[j]
             target = None
             if not a.is_zero():
@@ -389,7 +392,6 @@ def _local_series_inputs(c, place):
     k_field = ctx.res_field
     p = field.base.p
     for w, entries in c.terms:
-        assert len(entries) == 1
         b = entries[0]
         pole = max((max(0, -place_order(a, place))
                     for a in w.coords if not a.is_zero()), default=0)
@@ -402,7 +404,7 @@ def _local_series_inputs(c, place):
 
 def local_invariant(c, place):
     """The local invariant of a degree-1 class at a place, in Z/p^level."""
-    if c.degree != 1:
+    if c.degree != 1 or any(len(entries) != 1 for _, entries in c.terms):
         raise UnsupportedDegree("local invariants exist for degree 1 only")
     kind = _field_kind(c.field)
     p = c.field.base.p if kind != "const" else c.field.p

@@ -7,13 +7,109 @@ Every operation records the guaranteed precision of its result and never
 truncates below it; reading a coefficient at or beyond the precision raises
 PrecisionExhausted.
 
-The coefficient ring only needs `zero`, `one` and `inv(unit)`; field elements
-and Galois-ring elements both qualify.
+The coefficient ring is a GF(p^e) or a Galois ring GR(p^i, e): an element is
+a length-e tuple of digits in Z/M (`coeffs`), M = `digit_modulus` (p for GF,
+p^i for GR), read modulo the monic `modulus` of degree e lifted to Z.  Besides
+`zero`, `one` and `inv(unit)` the ring exposes `e`, `digit_modulus`,
+`modulus` and `_make(digits)`, the element with those reduced digits; the
+product kernel needs nothing else.
+
+Products are Kronecker-packed (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", JSC 2009): every coefficient's digits go
+into byte-aligned slots of one integer, 2e-1 slots per power of t, so a
+series product is one bigint multiplication.  Reduction by the modulus is
+e-1 more shifts and multiplications of that integer; then only the slots of
+the coefficients the result keeps are unpacked and reduced mod M.
 """
 
-from .errors import ConfigMismatch, DivisionByZero, PrecisionExhausted
+import sys
+from array import array
+from functools import lru_cache
+
+from .errors import (ConfigMismatch, DivisionByZero, PrecisionExhausted,
+                     UnsupportedField)
 
 DEFAULT_PREC = 16
+
+# array typecodes by item size; a slot wider than the widest item is
+# converted digit by digit
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+_SWAP = sys.byteorder == "big"
+# the array item size for a slot of n bytes, n <= 8
+_ITEM_BYTES = [min(w for w in _TYPECODES if w >= n) for n in range(9)]
+
+
+def _pack(digits, width):
+    """The integer whose width-byte slots, least significant first, hold
+    the digits."""
+    code = _TYPECODES.get(width)
+    if code is None:
+        return int.from_bytes(b"".join(d.to_bytes(width, "little")
+                                       for d in digits), "little")
+    arr = array(code, digits)
+    if _SWAP:
+        arr.byteswap()
+    return int.from_bytes(arr.tobytes(), "little")
+
+
+def _unpack(x, count, width):
+    """The lowest count width-byte slots of x >= 0, least significant first."""
+    size = width * count
+    buf = (x & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    code = _TYPECODES.get(width)
+    if code is None:
+        return [int.from_bytes(buf[i:i + width], "little")
+                for i in range(0, size, width)]
+    arr = array(code, buf)
+    if _SWAP:
+        arr.byteswap()
+    return arr.tolist()
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(modulus, m, width):
+    """z^e, ..., z^(2e-2) modulo the monic modulus and m, each packed into e
+    width-byte slots."""
+    e = len(modulus) - 1
+    row = [-c % m for c in modulus[:e]]
+    rows = []
+    for _ in range(e - 1):
+        rows.append(_pack(row, width))
+        top = row[-1]
+        row = [(lo - top * c) % m for lo, c in zip([0] + row[:-1], modulus)]
+    return rows
+
+
+def _packed_product(ring, a, b, n):
+    """The first n coefficients of the product of two coefficient tuples.
+
+    Power k of t owns slots k(2e-1) .. k(2e-1)+2e-2 of the product, holding
+    the unreduced product of two degree-(e-1) digit polynomials.  Reducing
+    by the modulus adds, for each high slot, its value times the packed
+    z^(e+j) mod (modulus, M) to the low e slots of the same power; the high
+    slots are never read after that.  A low
+    slot then holds at most B(1 + (e-1)(M-1)) with B = min(len a, len b)
+    * e * (M-1)^2, the bound on a slot of the product, so no slot carries.
+    """
+    a, b = a[:n], b[:n]
+    e, m = ring.e, ring.digit_modulus
+    step = 2 * e - 1
+    bound = min(len(a), len(b)) * e * (m - 1) ** 2 * (1 + (e - 1) * (m - 1))
+    width = (bound.bit_length() + 7) // 8
+    if width <= 8:
+        width = _ITEM_BYTES[width]
+    pad = (0,) * (e - 1)
+    prod = (_pack([d for c in a for d in c.coeffs + pad], width)
+            * _pack([d for c in b for d in c.coeffs + pad], width))
+    groups = min(n, len(a) + len(b) - 1)
+    if e > 1:
+        first = int.from_bytes((b"\xff" * width + bytes(width * (step - 1)))
+                               * groups, "little")
+        bits = 8 * width
+        for j, row in enumerate(_reduction_rows(ring.modulus, m, width)):
+            prod += ((prod >> (bits * (e + j))) & first) * row
+    digits = [v % m for v in _unpack(prod, groups * step, width)]
+    return list(map(ring._make, zip(*[digits[j::step] for j in range(e)])))
 
 
 class Laurent:
@@ -102,17 +198,9 @@ class Laurent:
         if self.is_zero() or other.is_zero():
             return Laurent.zero(self.ring, prec)
         lo = self.val + other.val
-        out = [self.ring.zero] * (prec - lo)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                n = i + j
-                if lo + n >= prec:
-                    break
-                if b:
-                    out[n] = out[n] + a * b
-        return Laurent(self.ring, lo, out, prec)
+        return Laurent(self.ring, lo,
+                       _packed_product(self.ring, self.coeffs, other.coeffs,
+                                       prec - lo), prec)
 
     __rmul__ = __mul__
 
@@ -193,7 +281,9 @@ class Laurent:
 def from_rational(r, prec=DEFAULT_PREC):
     """Expand a univariate RatFunc at t = 0 to the requested precision."""
     F = r.field
-    assert F.k == 1
+    if F.k != 1:
+        raise UnsupportedField(
+            f"series expansion at t = 0 needs one variable, not {F.k}")
     base = F.base
     num = _dense(r.num, base)
     den = _dense(r.den, base)
@@ -217,6 +307,4 @@ def _series_div(num, den, ring, prec):
     big = prec + 2 * dv + abs(nv) + len(num) + len(den) + 2
     n = Laurent(ring, 0, num, big)
     d = Laurent(ring, 0, den, big)
-    q = n / d
-    assert q.prec >= prec
-    return q.truncate(prec)
+    return (n / d).truncate(prec)  # PrecisionExhausted if n / d fell short

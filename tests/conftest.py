@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import settings
 
+import katoforge
 from katoforge import MPoly, func_field, gf
 
 # Property tests draw the same examples on every run and never time out, so
@@ -17,6 +21,16 @@ settings.load_profile("katoforge")
 ORACLE_FIELDS = [(2, 1, ("t",)), (3, 1, ("t",)), (2, 2, ("t",)),
                  (2, 1, ("x", "y")), (3, 1, ("x", "y")), (2, 2, ("x", "y")),
                  (2, 1, ("x", "y", "z")), (3, 1, ("x", "y", "z"))]
+
+
+def run_optimized(code):
+    """stdout of code run by ``python -O``, which strips every assert."""
+    src = os.path.dirname(os.path.dirname(katoforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    return out.stdout
 
 
 def random_mpoly(rng, base, nvars, max_deg=3, max_terms=3):

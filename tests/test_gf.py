@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from katoforge import NonPrime, gf
+from katoforge import IntegralityViolation, NonPrime, gf
 from katoforge.gf import GF
 
 
@@ -61,6 +61,13 @@ def test_trace():
         a, b = rng.choice(els), rng.choice(els)
         assert F4.trace_int(a + b) == (F4.trace_int(a) + F4.trace_int(b)) % 2
         assert F4.trace_int(a.frobenius()) == F4.trace_int(a)
+
+
+def test_trace_outside_prime_field_raises(monkeypatch):
+    F8 = gf(2, 3)
+    monkeypatch.setattr(F8, "trace", lambda a: a)
+    with pytest.raises(IntegralityViolation):
+        F8.trace_int(F8.gen)
 
 
 def test_artin_schreier_solve():

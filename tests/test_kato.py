@@ -3,7 +3,8 @@ import random
 import pytest
 
 from katoforge import (HClass, Laurent, LevelDecrease, MilnorElement, Place,
-                       Poly, PrecisionExhausted, UnsupportedField, WildClass,
+                       Poly, PrecisionExhausted, ResourceLimit,
+                       UnsupportedDegree, UnsupportedField, WildClass,
                        WittVector, colimit_equal, ColimitClass,
                        decompose_local, func_field, gf, h_zero_test,
                        laurent_field, level_shift, local_invariant, pair,
@@ -335,6 +336,29 @@ def test_wild_class_raises():
     red, wildlist = witt_standard_form(WittVector(2, (b,)), F2)
     assert not wildlist
     assert all(c.is_zero() or c.val >= 0 for c in red.coords)
+
+
+def test_local_path_raises_typed_errors(K2, monkeypatch):
+    # degree-1 classes whose term carries two entries, over F_2(t) and
+    # F_2((t))
+    t = K2.var("t")
+    two = HClass(K2, 1, 1, [(WittVector(2, (t.inverse(),)), (t, t + K2.one))],
+                 normalize=False)
+    with pytest.raises(UnsupportedDegree):
+        local_invariant(two, Place.infinity())
+    F2 = gf(2)
+    LF = laurent_field(F2)
+    s = Laurent.monomial(F2, F2.one, 1, 20)
+    two = HClass(LF, 1, 1, [(WittVector(2, (s.inverse(),)),
+                             (s, Laurent(F2, 0, [F2.one, F2.one], 20)))],
+                 normalize=False)
+    with pytest.raises(UnsupportedDegree):
+        local_invariant(two, _t_place(LF))
+    # a reduction step that removes nothing would never terminate
+    monkeypatch.setattr(WittVector, "wp", lambda w: w.int_mul(0))
+    with pytest.raises(ResourceLimit):
+        witt_standard_form(WittVector(2, (Laurent(F2, -2, [F2.one], 8),)),
+                           F2)
 
 
 def test_decompose_reconstructs_invariant():

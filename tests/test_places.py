@@ -1,16 +1,12 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import katoforge
 from katoforge import (ConfigMismatch, Place, Poly, UnsupportedField,
                        func_field, gf, place_order, residue_at, residue_table)
 from katoforge.places import place_context
 
-from conftest import random_mpoly
+from conftest import random_mpoly, run_optimized
 
 
 def _t_place(F):
@@ -126,11 +122,7 @@ def test_place_checks_survive_optimized_mode():
             "        make(Poly(F, [F.one, F.zero, F.one]))\n"
             "    except ConfigMismatch:\n"
             "        print('refused')\n")
-    src = os.path.dirname(os.path.dirname(katoforge.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "refused\nrefused\n"
+    assert run_optimized(code) == "refused\nrefused\n"
 
 
 def test_degree_one_residue_is_not_twisted():

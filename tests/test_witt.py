@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from katoforge import (CorruptCache, HClass, ResourceLimit, WittStructure,
+from katoforge import (CorruptCache, DivisionByZero, HClass,
+                       IntegralityViolation, ResourceLimit, WittStructure,
                        WittVector, func_field, gf, int_to_witt,
                        verify_ghost_identities, witt, witt_as_solve,
                        witt_structure, witt_to_int)
 from katoforge.gring import galois_ring
 from katoforge.witt import from_galois_ring, max_structure_level
 
-from conftest import random_ratfunc
+from conftest import random_ratfunc, run_optimized
 
 
 def test_structure_polynomials():
@@ -115,6 +116,14 @@ def test_trace_example():
     assert zero.trace_int() == 0
 
 
+def test_trace_outside_prime_field_raises(monkeypatch):
+    F4 = gf(2, 2)
+    w = WittVector(2, (F4.gen, F4.zero))
+    monkeypatch.setattr(WittVector, "trace", lambda v: v)
+    with pytest.raises(IntegralityViolation):
+        w.trace_int()
+
+
 def test_trace_kills_wp_exhaustive():
     F4 = gf(2, 2)
     for coords in itertools.product(list(F4.elements()), repeat=2):
@@ -162,6 +171,29 @@ def test_galois_ring_agrees_with_universal():
                                     p, i) == u + v
             assert from_galois_ring(R, u.to_galois_ring(R) * v.to_galois_ring(R),
                                     p, i) == u * v
+
+
+def test_galois_ring_negative_power():
+    R = galois_ring(gf(2), 3)
+    assert R.elem(3) ** -1 == R.elem(3)
+    assert R.elem(5) ** -2 == R.one
+    R4 = galois_ring(gf(2, 2), 2)
+    x = R4.elem([1, 3])
+    assert x ** -3 * x ** 3 == R4.one
+    for non_unit in (R.elem(2), R.zero, R4.elem([2, 2])):
+        with pytest.raises(DivisionByZero):
+            non_unit ** -1
+
+
+def test_galois_ring_power_survives_optimized_mode():
+    code = ("from katoforge import DivisionByZero, galois_ring, gf\n"
+            "R = galois_ring(gf(2), 3)\n"
+            "print(R.elem(3) ** -1)\n"
+            "try:\n"
+            "    print(R.elem(2) ** -1)\n"
+            "except DivisionByZero:\n"
+            "    print('refused')\n")
+    assert run_optimized(code) == "GR(3,)\nrefused\n"
 
 
 def test_witt_over_function_field():
