@@ -5,6 +5,7 @@ its modulus in the big field, which pins the embedding deterministically; a
 field embeds in itself by the identity.  The forward map is a lookup table
 (the small field is small); the inverse maps an element of the big field back
 to the small one, or to None when it lies outside the subfield.
+``subfield_codes`` is the same embedding on element codes (``GF.from_code``).
 """
 
 from functools import lru_cache
@@ -49,3 +50,13 @@ def subfield_embedding(small, big):
         return _i.get(a.coeffs)
 
     return fwd, inv
+
+
+@lru_cache(maxsize=None)
+def subfield_codes(small, big):
+    """The canonical embedding on element codes: (lift, drop), lift[c] the
+    code in ``big`` of the element of ``small`` with code c, and drop the
+    dict back from those codes; codes outside the subfield are not in it."""
+    fwd, _ = subfield_embedding(small, big)
+    lift = [fwd(small.from_code(c)).idx for c in range(small.order)]
+    return lift, {b: a for a, b in enumerate(lift)}

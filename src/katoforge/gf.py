@@ -5,6 +5,14 @@ Elements are coefficient vectors over Z/p in the power basis of a generator
 irreducible polynomial of degree e, ordered by the coefficient sequence
 (c_0, ..., c_{e-1}).  That choice needs no tables and is reproducible.
 
+Every element also has an integer code sum c_i p^i in [0, p^e).  A field of
+at most 256 elements keeps one set of operation tables indexed by code
+(add, mul, neg, inv and Frobenius; entries are codes, built from the powers
+of a primitive element), and its GFElem operations are lookups in them.
+``GF.tables`` gives (add, mul, neg, inv) for every field, larger ones
+computing each entry from the modulus when it is read, so code-level
+kernels such as the bivariate GCD in ``mpoly`` run over any field.
+
 Everything is immutable; a ``GF`` object is both the configuration and the
 element factory.
 """
@@ -145,20 +153,51 @@ def _canonical_modulus(p, e):
         tail[i] += 1
 
 
-_TABLE_MAX_ORDER = 256     # pairwise operation tables up to this field size
+_TABLE_MAX_ORDER = 256     # operation tables up to this field size
 _INTERN_MAX_ORDER = 65536  # one object per element up to this field size
+
+
+def _code(coeffs, p):
+    """The code sum c_i p^i of a coefficient vector (c_0, ..., c_{e-1})."""
+    c = 0
+    for d in reversed(coeffs):
+        c = c * p + d
+    return c
+
+
+def _digits(code, p, e):
+    """The coefficient vector of a code, as a list of e digits."""
+    out = []
+    for _ in range(e):
+        code, d = divmod(code, p)
+        out.append(d)
+    return out
+
+
+class _Computed:
+    """Read-only table whose entry i is entry(i), computed when read."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, i):
+        return self.entry(i)
 
 
 class GFElem:
     """Element of GF(p^e) as a coefficient tuple in the power basis of z.
 
-    Elements of small fields are interned (one object per value) and their
-    ring operations are table lookups; everything stays immutable either way.
+    ``idx`` is the element's code sum c_i p^i, an int in [0, p^e).  Elements
+    of small fields are interned (one object per value) and their ring
+    operations are lookups in the field's code tables; everything stays
+    immutable either way.
     """
 
     __slots__ = ("field", "coeffs", "idx", "_hash", "_nonzero")
 
-    def __init__(self, field, coeffs, idx=-1):
+    def __init__(self, field, coeffs, idx):
         self.field = field
         self.coeffs = coeffs
         self.idx = idx
@@ -183,10 +222,10 @@ class GFElem:
 
     def __add__(self, other):
         F = self.field
-        t = F._add_table
-        if t is not None and isinstance(other, GFElem) \
+        els = F._elems
+        if els is not None and isinstance(other, GFElem) \
                 and other.field is F:
-            return t[self.idx][other.idx]
+            return els[F._add_table[self.idx][other.idx]]
         self._check(other)
         p = F.p
         return F._make(tuple((a + b) % p for a, b in
@@ -194,10 +233,10 @@ class GFElem:
 
     def __sub__(self, other):
         F = self.field
-        t = F._add_table
-        if t is not None and isinstance(other, GFElem) \
+        els = F._elems
+        if els is not None and isinstance(other, GFElem) \
                 and other.field is F:
-            return t[self.idx][F._neg_table[other.idx].idx]
+            return els[F._add_table[self.idx][F._neg_table[other.idx]]]
         self._check(other)
         p = F.p
         return F._make(tuple((a - b) % p for a, b in
@@ -205,20 +244,21 @@ class GFElem:
 
     def __neg__(self):
         F = self.field
-        if F._neg_table is not None:
-            return F._neg_table[self.idx]
+        if F._elems is not None:
+            return F._elems[F._neg_table[self.idx]]
         return F._make(tuple((-a) % F.p for a in self.coeffs))
 
     def __mul__(self, other):
         F = self.field
+        els = F._elems
         if isinstance(other, int):
             other %= F.p
-            if F._mul_table is not None:
-                return F._mul_table[self.idx][F._int_elems[other].idx]
+            if els is not None:
+                # the code of an element of the prime field is its value
+                return els[F._mul_table[self.idx][other]]
             return F._make(tuple((a * other) % F.p for a in self.coeffs))
-        t = F._mul_table
-        if t is not None and isinstance(other, GFElem) and other.field is F:
-            return t[self.idx][other.idx]
+        if els is not None and isinstance(other, GFElem) and other.field is F:
+            return els[F._mul_table[self.idx][other.idx]]
         self._check(other)
         prod = _polymulmod(list(self.coeffs), list(other.coeffs),
                            list(F.modulus), F.p)
@@ -247,14 +287,14 @@ class GFElem:
         if not self:
             raise DivisionByZero("inverse of zero")
         F = self.field
-        if F._inv_table is not None:
-            return F._inv_table[self.idx]
+        if F._elems is not None:
+            return F._elems[F._inv_table[self.idx]]
         return self ** (F.order - 2)
 
     def frobenius(self):
         F = self.field
-        if F._frob_table is not None:
-            return F._frob_table[self.idx]
+        if F._elems is not None:
+            return F._elems[F._frob_table[self.idx]]
         return self ** F.p
 
     def __repr__(self):
@@ -262,7 +302,14 @@ class GFElem:
 
 
 class GF:
-    """Configuration of GF(p^e) with the canonical modulus."""
+    """Configuration of GF(p^e) with the canonical modulus.
+
+    ``tables`` is (add, mul, neg, inv) on element codes: add[a][b] is the
+    code of a + b, mul[a][b] of a * b, neg[a] of -a and inv[a] of 1/a (a
+    nonzero).  Up to _TABLE_MAX_ORDER elements they are lists, built once,
+    and GFElem operations read them too (``_elems`` maps a code back to
+    its element); past it they compute each entry when it is read.
+    """
 
     def __init__(self, p, e=1):
         if not is_prime(p):
@@ -277,59 +324,97 @@ class GF:
         self.order = p ** e
         self.modulus = _canonical_modulus(p, e)
         self._interned = {} if self.order <= _INTERN_MAX_ORDER else None
+        self._elems = None
         self._add_table = self._mul_table = None
         self._neg_table = self._inv_table = self._frob_table = None
-        self._int_elems = None
         self.zero = self._make((0,) * e)
         self.one = self._make((1,) + (0,) * (e - 1))
         self.gen = self._make(tuple(1 if i == 1 else 0 for i in range(e))) \
             if e > 1 else self.one
         if self.order <= _TABLE_MAX_ORDER:
             self._build_tables()
+            self.tables = (self._add_table, self._mul_table,
+                           self._neg_table, self._inv_table)
+        else:
+            self.tables = (
+                _Computed(lambda a: _Computed(
+                    lambda b: self._code_add(a, b))),
+                _Computed(lambda a: _Computed(
+                    lambda b: self._code_mul(a, b))),
+                _Computed(self._code_neg),
+                _Computed(self._code_inv))
 
     def _make(self, coeffs):
         if self._interned is None:
-            return GFElem(self, coeffs)
+            return GFElem(self, coeffs, _code(coeffs, self.p))
         el = self._interned.get(coeffs)
         if el is None:
-            el = GFElem(self, coeffs, idx=len(self._interned))
+            el = GFElem(self, coeffs, _code(coeffs, self.p))
             self._interned[coeffs] = el
         return el
 
-    def _build_tables(self):
+    def from_code(self, code):
+        """The element whose code is sum c_i p^i = code."""
+        if self._elems is not None:
+            return self._elems[code]
+        return self._make(tuple(_digits(code, self.p, self.e)))
+
+    # -- code arithmetic from the modulus, for the tables and past them --
+
+    def _code_add(self, a, b):
+        p = self.p
+        return _code([(x + y) % p for x, y in zip(_digits(a, p, self.e),
+                                                  _digits(b, p, self.e))], p)
+
+    def _code_neg(self, a):
+        p = self.p
+        return _code([-x % p for x in _digits(a, p, self.e)], p)
+
+    def _code_mul(self, a, b):
         p, e = self.p, self.e
-        from itertools import product
-        for tup in product(range(p), repeat=e):
-            self._make(tup)
-        els = sorted(self._interned.values(), key=lambda a: a.idx)
-        mod = list(self.modulus)
+        return _code(_polymulmod(_digits(a, p, e), _digits(b, p, e),
+                                 list(self.modulus), p), p)
 
-        def mul_raw(a, b):
-            prod = _polymulmod(list(a.coeffs), list(b.coeffs), mod, p)
-            prod += [0] * (e - len(prod))
-            return self._make(tuple(prod))
+    def _code_inv(self, a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        p, e = self.p, self.e
+        return _code(_polypowmod(_digits(a, p, e), self.order - 2,
+                                 list(self.modulus), p), p)
 
-        def pow_raw(a, n):
-            acc = self.one
-            base = a
-            while n:
-                if n & 1:
-                    acc = mul_raw(acc, base)
-                base = mul_raw(base, base)
-                n >>= 1
-            return acc
-
-        self._int_elems = [self._make((c,) + (0,) * (e - 1))
-                           for c in range(p)]
-        self._neg_table = [self._make(tuple((-x) % p for x in a.coeffs))
-                           for a in els]
-        self._inv_table = [pow_raw(a, self.order - 2) if a else None
-                           for a in els]
-        self._frob_table = [pow_raw(a, p) for a in els]
-        self._add_table = [[self._make(tuple((x + y) % p for x, y in
-                                             zip(a.coeffs, b.coeffs)))
-                            for b in els] for a in els]
-        self._mul_table = [[mul_raw(a, b) for b in els] for a in els]
+    def _build_tables(self):
+        """Code tables from a primitive element g: mul[a][b] is
+        g^(log a + log b), inv and Frobenius likewise; addition is digit by
+        digit, code a = a_0 + p * (a // p)."""
+        p, e, q = self.p, self.e, self.order
+        self._elems = [self._make(tuple(_digits(c, p, e))) for c in range(q)]
+        digit_add = [[(x + y) % p for y in range(p)] for x in range(p)]
+        add = digit_add
+        for _ in range(e - 1):
+            high = add
+            add = [[digit_add[a % p][b % p] + p * high[a // p][b // p]
+                    for b in range(len(high) * p)]
+                   for a in range(len(high) * p)]
+        self._add_table = add
+        self._neg_table = [self._code_neg(a) for a in range(q)]
+        for g in range(1, q):
+            powers = [1]
+            x = self._code_mul(1, g)
+            while x != 1:
+                powers.append(x)
+                x = self._code_mul(x, g)
+            if len(powers) == q - 1:
+                break
+        log = [0] * q
+        for k, x in enumerate(powers):
+            log[x] = k
+        exp = powers + powers
+        self._mul_table = [[0] * q] + [
+            [0] + [exp[log[a] + log[b]] for b in range(1, q)]
+            for a in range(1, q)]
+        self._inv_table = [None] + [exp[q - 1 - log[a]] for a in range(1, q)]
+        self._frob_table = [0] + [exp[p * log[a] % (q - 1)]
+                                  for a in range(1, q)]
 
     def __repr__(self):
         return f"GF({self.p})" if self.e == 1 else f"GF({self.p}^{self.e})"

@@ -438,7 +438,8 @@ def class_places(c):
     """Places that can carry a nonzero invariant: poles of the Witt
     coordinates, zeros and poles of the entries, and infinity.  (Where every
     coordinate is integral and every entry is a unit the symbol vanishes.)"""
-    assert _field_kind(c.field) == "global"
+    if _field_kind(c.field) != "global":
+        raise UnsupportedField("places belong to classes over F_q(t)")
     out = set()
     base = c.field.base
     for w, entries in c.terms:

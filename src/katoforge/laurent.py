@@ -116,21 +116,17 @@ class Laurent:
     __slots__ = ("ring", "val", "coeffs", "prec")
 
     def __init__(self, ring, val, coeffs, prec):
-        coeffs = list(coeffs)
-        # drop unknown range
-        if val + len(coeffs) > prec:
-            coeffs = coeffs[:max(0, prec - val)]
-        # strip leading zeros
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            val += 1
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        if not coeffs:
-            val = prec
+        coeffs = tuple(coeffs)
+        # keep the known range without its leading and trailing zeros
+        end = min(len(coeffs), max(0, prec - val))
+        start = 0
+        while start < end and not coeffs[start]:
+            start += 1
+        while end > start and not coeffs[end - 1]:
+            end -= 1
         self.ring = ring
-        self.val = val
-        self.coeffs = tuple(coeffs)
+        self.val = val + start if start < end else prec
+        self.coeffs = coeffs[start:end]
         self.prec = prec
 
     @classmethod

@@ -2,9 +2,13 @@
 
 Terms live in a dict {exponent tuple: nonzero GFElem}; the term order is
 graded lexicographic (total degree first, then lex on the exponent tuple).
-GCDs in two active variables use evaluation and interpolation (Brown); in
-three or more, content/primitive-part recursion with a primitive PRS in the
-last variable, which stays exact in characteristic p.
+GCDs in one or two active variables run on element codes (``GF.from_code``)
+in dense lists, reading the field's ``tables`` instead of building GFElem
+objects: Euclid in one variable; in two, row contents, then evaluation and
+Newton interpolation (Brown), projection back to the base field and exact
+division checks.  In three or more variables the GCD is content/primitive-
+part recursion with a primitive PRS in the last variable, which stays exact
+in characteristic p.
 """
 
 from .errors import DivisionByZero, IntegralityViolation
@@ -235,23 +239,12 @@ def mpoly_gcd(f, g):
 
 
 def _gcd_univar(f, g, j):
-    """Both polynomials effectively univariate in x_j: use dense Euclid."""
-    from .poly import Poly
+    """Both polynomials effectively univariate in x_j: Euclid on codes."""
     F = f.field
-
-    def dense(h):
-        cs = [F.zero] * (h.degree_in(j) + 1)
-        for e, c in h.terms.items():
-            cs[e[j]] = cs[e[j]] + c
-        return Poly(F, cs)
-
-    d = dense(f).gcd(dense(g))
-    terms = {}
-    for deg, c in enumerate(d.coeffs):
-        if c:
-            e = tuple(deg if i == j else 0 for i in range(f.nvars))
-            terms[e] = c
-    return MPoly(F, f.nvars, terms)
+    d = _code_gcd(_to_codes(f, j), _to_codes(g, j), F.tables)
+    return MPoly(F, f.nvars, {
+        tuple(deg if i == j else 0 for i in range(f.nvars)): F.from_code(c)
+        for deg, c in enumerate(d) if c})
 
 
 def _content_pp(u, field, nvars):
@@ -265,203 +258,260 @@ def _content_pp(u, field, nvars):
     return cont, [exact_div(c, cont) for c in u]
 
 
-# dense bivariate gcd: evaluation in x at points of an extension field and
-# interpolation (Brown); a candidate that fails the exact-division check
-# proves its image degree unlucky, and evaluation goes on below that degree
+# -- dense univariate arithmetic on element codes --
+# A polynomial is a list of codes (GF.from_code), index = degree, whose last
+# entry is nonzero; the zero polynomial is [].  T is the field's ``tables``,
+# (add, mul, neg, inv) indexed by code.
+
+def _code_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _code_eval(a, x, T):
+    add, mx = T[0], T[1][x]
+    acc = 0
+    for c in reversed(a):
+        acc = add[mx[acc]][c]
+    return acc
+
+
+def _code_addmul(r, a, b, T):
+    """r + a*b."""
+    out = list(r)
+    if not a or not b:
+        return out
+    add, mul = T[0], T[1]
+    out += [0] * (len(a) + len(b) - 1 - len(out))
+    for i, x in enumerate(a):
+        if x:
+            row = mul[x]
+            for k, y in enumerate(b, i):
+                out[k] = add[out[k]][row[y]]
+    return _code_trim(out)
+
+
+def _code_mul(a, b, T):
+    return _code_addmul([], a, b, T)
+
+
+def _code_divmod(a, b, T):
+    """(quotient, remainder) of a by a nonzero b."""
+    add, mul, neg, inv = T
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    r = list(a)
+    nb = [neg[c] for c in b[:-1]]
+    lead_inv = inv[b[-1]]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db]
+        if c:
+            c = q[k] = mul[c][lead_inv]
+            row = mul[c]
+            for i, y in enumerate(nb, k):
+                r[i] = add[r[i]][row[y]]
+    del r[db:]
+    return q, _code_trim(r)
+
+
+def _code_gcd(a, b, T):
+    """Monic gcd; [] when both are zero."""
+    while b:
+        a, b = b, _code_divmod(a, b, T)[1]
+    if not a:
+        return a
+    row = T[1][T[3][a[-1]]]
+    return [row[c] for c in a]
+
+
+def _code_exact_div(a, b, T):
+    q, r = _code_divmod(a, b, T)
+    if r:
+        raise IntegralityViolation("polynomial division expected to be exact "
+                                   "left a remainder")
+    return q
+
+
+# -- dense bivariate gcd on codes --
+# A bivariate polynomial is a list of rows, index = degree in y, each row a
+# code polynomial in x; the last row is nonzero.  Evaluation in x at points
+# of an extension field and interpolation (Brown, JACM 1971); a candidate
+# that fails the exact-division check proves its image degree unlucky, and
+# evaluation goes on below that degree.
+
+def _to_codes(f, j):
+    """f, in which only x_j occurs, as a code polynomial in x_j."""
+    out = [0] * (f.degree_in(j) + 1)
+    for e, c in f.terms.items():
+        out[e[j]] = c.idx
+    return out
+
+
+def _to_rows(f, jx, jy):
+    by_y = {}
+    for e, c in f.terms.items():
+        by_y.setdefault(e[jy], {})[e[jx]] = c.idx
+    rows = []
+    for dy in range(max(by_y) + 1):
+        terms = by_y.get(dy, {})
+        row = [0] * (max(terms, default=-1) + 1)
+        for dx, c in terms.items():
+            row[dx] = c
+        rows.append(row)
+    return rows
+
+
+def _from_rows(rows, F, nvars, jx, jy):
+    terms = {}
+    for dy, row in enumerate(rows):
+        for dx, c in enumerate(row):
+            if c:
+                e = [0] * nvars
+                e[jx], e[jy] = dx, dy
+                terms[tuple(e)] = F.from_code(c)
+    return MPoly(F, nvars, terms)
+
+
+def _rows_content_pp(rows, T):
+    cont = []
+    for r in rows:
+        cont = _code_gcd(cont, r, T)
+        if len(cont) == 1:
+            return cont, rows
+    return cont, [_code_exact_div(r, cont, T) for r in rows]
+
+
+def _rows_divide(d, a, T):
+    """Whether d divides a exactly."""
+    neg = T[2]
+    r = list(a)
+    n = len(d) - 1
+    while len(r) > n:
+        q, rem = _code_divmod(r[-1], d[-1], T)
+        if rem:
+            return False
+        nq = [neg[c] for c in q]
+        shift = len(r) - 1 - n
+        for k in range(n):
+            r[shift + k] = _code_addmul(r[shift + k], d[k], nq, T)
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return not r
+
+
+def _rows_interpolate(points, images, T):
+    """Rows in y of the polynomials in x of degree < n = len(points) that
+    take the value images[k] (a code polynomial in y) at x = points[k]:
+    Newton's divided differences, then Horner in the Newton basis, O(n^2)
+    per row."""
+    add, mul, neg, inv = T
+    n = len(points)
+    negp = [neg[a] for a in points]
+    # dinv[j][k] = 1 / (points[k] - points[k - j])
+    dinv = [None] + [[None] * j + [inv[add[points[k]][negp[k - j]]]
+                                   for k in range(j, n)]
+                     for j in range(1, n)]
+    rows = []
+    for dy in range(len(images[0])):
+        c = [img[dy] for img in images]
+        for j in range(1, n):
+            dj = dinv[j]
+            for k in range(n - 1, j - 1, -1):
+                c[k] = mul[add[c[k]][neg[c[k - 1]]]][dj[k]]
+        poly = [c[-1]]
+        for k in range(n - 2, -1, -1):
+            mna = mul[negp[k]]
+            poly = ([add[mna[poly[0]]][c[k]]]
+                    + [add[poly[i - 1]][mna[poly[i]]]
+                       for i in range(1, len(poly))]
+                    + [poly[-1]])
+        rows.append(_code_trim(poly))
+    return _code_trim(rows)
+
 
 def _gcd_bivariate(f, g, jx, jy):
     F = f.field
-    A = _to_bipoly(f, jx, jy)
-    B = _to_bipoly(g, jx, jy)
-    ca, A = _bi_content_pp(A, F)
-    cb, B = _bi_content_pp(B, F)
-    cont = ca.gcd(cb)
-    if len(A) < len(B):
-        A, B = B, A
-    pp = _brown_pp_gcd(A, B, F)
-    out = _from_bipoly([c * cont for c in pp], F, f.nvars, jx, jy)
-    return out.monic_grlex()
+    T = F.tables
+    ca, A = _rows_content_pp(_to_rows(f, jx, jy), T)
+    cb, B = _rows_content_pp(_to_rows(g, jx, jy), T)
+    cont = _code_gcd(ca, cb, T)
+    if len(A) == 1 or len(B) == 1:
+        # a primitive part free of y is 1, so the gcd is the content gcd
+        rows = [cont]
+    else:
+        if len(A) < len(B):
+            A, B = B, A
+        rows = [_code_mul(r, cont, T) for r in _brown_pp_gcd(A, B, F, T)]
+    return _from_rows(rows, F, f.nvars, jx, jy).monic_grlex()
 
 
-def _brown_pp_gcd(A, B, F):
-    """GCD of primitive bipolys (rows in y of Polys in x) by evaluation at
-    x = a and interpolation, over GF(p, e*m) with m growing as points run
-    out.  At a point where gamma = gcd of the leading rows does not vanish,
-    the image gcd has y-degree at least that of the true gcd, so the least
-    image degree seen bounds it, and images of higher degree are unlucky.
+def _brown_pp_gcd(A, B, F, T):
+    """GCD of primitive bivariate polynomials of positive degree in y over
+    F, by evaluation at x = a and interpolation over GF(p, e*m), with m
+    growing as points run out.  At a point where gamma = gcd of the leading
+    rows does not vanish, the image gcd has y-degree at least that of the
+    true gcd, so the least image degree seen bounds it, and images of
+    higher degree are unlucky.
 
     Raises ResourceLimit when GF(p, e*m) would pass the field-size bound of
     ``gf`` (2^24): over a base field of more than 2^12 elements, a GCD that
     needs more points than the base field has, or finds too few lucky ones
     in it, cannot move on to an extension."""
-    from .embed import subfield_embedding
+    from .embed import subfield_codes
     from .gf import gf
-    from .poly import Poly
-    gamma = A[-1].gcd(B[-1])
-    dx_bound = min(max(c.degree for c in A), max(c.degree for c in B))
-    npoints = dx_bound + gamma.degree + 1
+    gamma = _code_gcd(A[-1], B[-1], T)
+    gdeg = len(gamma) - 1
+    npoints = min(max(map(len, A)), max(map(len, B))) + gdeg
     m = 1
-    while F.order ** m < npoints + gamma.degree + 2:
+    while F.order ** m < npoints + gdeg + 2:
         m += 1
     # deg bounds the y-degree of the gcd; collected images all have degree deg
     deg = len(B) - 1
     while True:
         E = gf(F.p, F.e * m)
-        fwd, inverse = subfield_embedding(F, E)
-        Alift = [[fwd(c) for c in pol.coeffs] for pol in A]
-        Blift = [[fwd(c) for c in pol.coeffs] for pol in B]
-        gamma_l = [fwd(c) for c in gamma.coeffs]
+        TE = E.tables
+        if E is F:
+            Al, Bl, gl, drop = A, B, gamma, None
+        else:
+            lift, drop = subfield_codes(F, E)
+            Al = [[lift[c] for c in r] for r in A]
+            Bl = [[lift[c] for c in r] for r in B]
+            gl = [lift[c] for c in gamma]
+        mul = TE[1]
         points, images = [], []
-        for a in E.elements():
-            ga = _eval_row(gamma_l, a, E)
+        for a in range(E.order):
+            ga = _code_eval(gl, a, TE)
             if not ga:
                 continue
-            Aa = Poly(E, [_eval_row(c, a, E) for c in Alift])
-            Ba = Poly(E, [_eval_row(c, a, E) for c in Blift])
-            h = Aa.gcd(Ba)
-            if h.degree == 0:
-                return [Poly.const(F, 1)]
-            if h.degree > deg:
+            h = _code_gcd(_code_trim([_code_eval(r, a, TE) for r in Al]),
+                          _code_trim([_code_eval(r, a, TE) for r in Bl]), TE)
+            if len(h) == 1:
+                return [[1]]
+            if len(h) - 1 > deg:
                 continue
-            if h.degree < deg:
-                deg, points, images = h.degree, [], []
+            if len(h) - 1 < deg:
+                deg, points, images = len(h) - 1, [], []
             points.append(a)
-            images.append(h.scale(ga))
+            row = mul[ga]
+            images.append([row[c] for c in h])
             if len(points) < npoints:
                 continue
-            cand = _interpolate_bipoly(points, images, E)
-            proj = _project_bipoly(cand, inverse, F)
-            if proj is not None:
-                _, proj = _bi_content_pp(proj, F)
-                if _bi_divides(proj, A, F) and _bi_divides(proj, B, F):
-                    return proj
+            cand = _rows_interpolate(points, images, TE)
+            if drop is not None:
+                try:
+                    cand = [[drop[c] for c in r] for r in cand]
+                except KeyError:   # a coefficient outside F
+                    cand = None
+            if cand is not None:
+                _, cand = _rows_content_pp(cand, T)
+                if _rows_divide(cand, A, T) and _rows_divide(cand, B, T):
+                    return cand
             deg, points, images = deg - 1, [], []
         m += 1
-
-
-def _eval_row(coeffs, a, E):
-    acc = E.zero
-    for c in reversed(coeffs):
-        acc = acc * a + c
-    return acc
-
-
-def _interpolate_bipoly(points, images, E):
-    """Lagrange interpolation in x of Polys in y; returns rows over E."""
-    from .poly import Poly
-    n = len(points)
-    ydeg = max(h.degree for h in images)
-    rows = [[E.zero] * n for _ in range(ydeg + 1)]
-    # basis polynomial for each point, as dense coefficient lists in x
-    for k, (a, h) in enumerate(zip(points, images)):
-        denom = E.one
-        basis = [E.one]
-        for j, b in enumerate(points):
-            if j == k:
-                continue
-            denom = denom * (a - b)
-            nxt = [E.zero] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d + 1] = nxt[d + 1] + c
-                nxt[d] = nxt[d] - c * b
-            basis = nxt
-        scale = denom.inverse()
-        for dy in range(h.degree + 1):
-            cy = h.coeffs[dy] if dy < len(h.coeffs) else E.zero
-            if not cy:
-                continue
-            w = cy * scale
-            row = rows[dy]
-            for d, c in enumerate(basis):
-                if c:
-                    row[d] = row[d] + c * w
-    return [Poly(E, r) for r in rows]
-
-
-def _project_bipoly(rows, inverse, F):
-    from .poly import Poly
-    out = []
-    for pol in rows:
-        coeffs = []
-        for c in pol.coeffs:
-            small = inverse(c)
-            if small is None:
-                return None
-            coeffs.append(small)
-        out.append(Poly(F, coeffs))
-    return _bi_trim(out)
-
-
-def _bi_divides(d, A, F):
-    """Exact bipoly division test A / d with remainder zero."""
-    from .poly import Poly
-    if not d:
-        return False
-    r = [Poly(F, list(c.coeffs)) for c in A]
-    ld = d[-1]
-    while len(r) >= len(d):
-        q, rem = r[-1].divmod(ld)
-        if not rem.is_zero():
-            return False
-        shift = len(r) - len(d)
-        for k, c in enumerate(d):
-            r[shift + k] = r[shift + k] - c * q
-        if not r[-1].is_zero():
-            return False
-        r.pop()
-        r = _bi_trim(r)
-        if not r:
-            return True
-    return not r or all(c.is_zero() for c in r)
-
-
-def _to_bipoly(f, jx, jy):
-    from .poly import Poly
-    F = f.field
-    rows = [[F.zero] * (f.degree_in(jx) + 1)
-            for _ in range(f.degree_in(jy) + 1)]
-    for e, c in f.terms.items():
-        rows[e[jy]][e[jx]] = c
-    out = [Poly(F, r) for r in rows]
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _from_bipoly(coeffs, field, nvars, jx, jy):
-    terms = {}
-    for dy, pol in enumerate(coeffs):
-        for dx, c in enumerate(pol.coeffs):
-            if c:
-                e = tuple(dx if i == jx else (dy if i == jy else 0)
-                          for i in range(nvars))
-                terms[e] = c
-    return MPoly(field, nvars, terms)
-
-
-def _bi_trim(cs):
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _bi_content_pp(u, field):
-    from .poly import Poly
-    cont = Poly(field, [])
-    for c in u:
-        cont = cont.gcd(c)
-        if cont.degree == 0 and not cont.is_zero():
-            return Poly.const(field, 1), u
-    pp = [_poly_exact_div(c, cont) for c in u]
-    return cont, pp
-
-
-def _poly_exact_div(a, b):
-    q, r = a.divmod(b)
-    if not r.is_zero():
-        raise IntegralityViolation("polynomial division expected to be exact "
-                                   "left a remainder")
-    return q
 
 
 def _gcd_rec(f, g, j):

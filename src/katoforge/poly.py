@@ -9,7 +9,7 @@ from the input so identical inputs factor identically in any call order.
 
 import random
 
-from .errors import DivisionByZero, ZeroPolynomial
+from .errors import DivisionByZero, IntegralityViolation, ZeroPolynomial
 
 
 class Poly:
@@ -155,7 +155,10 @@ class Poly:
         """For f with zero derivative, the g with g^p = f."""
         F = self.field
         p = F.p
-        assert all(not c for i, c in enumerate(self.coeffs) if i % p)
+        if any(c for i, c in enumerate(self.coeffs) if i % p):
+            raise IntegralityViolation(f"{self!r} is not a p-th power: a "
+                                       "coefficient off the p-multiples "
+                                       "is nonzero")
         return Poly(F, [F.pth_root(c) for c in self.coeffs[::p]])
 
     def reverse(self):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from katoforge import IntegralityViolation, NonPrime, gf
-from katoforge.gf import GF
+from katoforge.gf import GF, _polymulmod
 
 
 def test_canonical_moduli():
@@ -110,6 +110,26 @@ def test_pth_root():
             a = rng.choice(els)
             assert F.pth_root(a) ** p == a
             assert F.pth_root(a ** p) == a
+
+
+@pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (2, 8)])
+def test_tables_match_polymulmod(p, e):
+    """Every entry of the code tables against the modulus arithmetic."""
+    F = gf(p, e)
+    add, mul, neg, inv = F.tables
+    mod = list(F.modulus)
+
+    # digits[c] is the coefficient list (c_0, ..., c_{e-1}) of code c
+    digits = [[c // p ** i % p for i in range(e)] for c in range(F.order)]
+    for a, da in enumerate(digits):
+        assert list(F.from_code(a).coeffs) == da
+        assert digits[neg[a]] == [-x % p for x in da]
+        if a:
+            assert mul[a][inv[a]] == 1
+        for b, db in enumerate(digits):
+            prod = _polymulmod(da, db, mod, p)
+            assert digits[mul[a][b]] == prod + [0] * (e - len(prod))
+            assert digits[add[a][b]] == [(x + y) % p for x, y in zip(da, db)]
 
 
 def test_printing():

@@ -11,7 +11,7 @@ from katoforge import (HClass, Laurent, LevelDecrease, MilnorElement, Place,
                        reciprocity_check, witt_standard_form)
 from katoforge.kato import _t_place, class_places
 
-from conftest import random_ratfunc
+from conftest import random_ratfunc, run_optimized
 
 
 def _w(p, *coords):
@@ -359,6 +359,30 @@ def test_local_path_raises_typed_errors(K2, monkeypatch):
     with pytest.raises(ResourceLimit):
         witt_standard_form(WittVector(2, (Laurent(F2, -2, [F2.one], 8),)),
                            F2)
+
+
+def test_typed_errors_survive_optimized_mode():
+    """Poly.pth_root off the p-th powers and class_places of a class over
+    F_q((t)) raise typed errors under python -O too."""
+    code = ("from katoforge import (HClass, IntegralityViolation, Laurent,\n"
+            "                       UnsupportedField, WittVector, gf,\n"
+            "                       laurent_field)\n"
+            "from katoforge.kato import class_places\n"
+            "from katoforge.poly import Poly\n"
+            "F = gf(2)\n"
+            "try:\n"
+            "    print(Poly(F, [F.zero, F.one, F.one]).pth_root())\n"
+            "except IntegralityViolation:\n"
+            "    print('refused')\n"
+            "print(Poly(F, [F.one, F.zero, F.one]).pth_root())\n"
+            "one = Laurent.one(F, 8)\n"
+            "t = Laurent.monomial(F, F.one, 1, 8)\n"
+            "c = HClass.build(laurent_field(F), WittVector(2, (one,)), (t,))\n"
+            "try:\n"
+            "    print(class_places(c))\n"
+            "except UnsupportedField:\n"
+            "    print('refused')\n")
+    assert run_optimized(code) == "refused\nt+1\nrefused\n"
 
 
 def test_decompose_reconstructs_invariant():

@@ -117,6 +117,19 @@ def test_precision_rules():
     assert inv.val == -2 and inv.prec == 5   # relative precision 7 shifted
 
 
+def test_leading_zeros_stripped():
+    F3 = gf(3)
+    one, two = F3.one, F3.elem(2)
+    a = Laurent(F3, -7, [F3.zero] * 5000 + [one, F3.zero, two, F3.zero], 6000)
+    assert (a.val, a.coeffs, a.prec) == (4993, (one, F3.zero, two), 6000)
+    # truncated to the precision first: the nonzero tail is unknown
+    b = Laurent(F3, 0, [F3.zero] * 5000 + [one], 3000)
+    assert (b.val, b.coeffs, b.prec) == (3000, (), 3000)
+    assert b == Laurent.zero(F3, 3000) and b.is_zero()
+    c = Laurent(F3, 2, (F3.zero for _ in range(40)), 30)
+    assert (c.val, c.coeffs, c.prec) == (30, (), 30)
+
+
 def test_coeff_beyond_precision_raises():
     F2 = gf(2)
     a = Laurent(F2, 0, [F2.one], 4)

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from katoforge import (DivisionByZero, IntegralityViolation, MPoly,
                        NotConstant, RatFunc, ResourceLimit, func_field, gf,
                        p_power_component, p_power_decompose, p_power_rebuild)
-from katoforge.mpoly import (_gcd_bivariate, _gcd_rec, exact_div,
-                             mpoly_gcd)
+from katoforge.mpoly import (_code_divmod, _code_eval, _code_gcd, _code_mul,
+                             _gcd_bivariate, _gcd_rec, exact_div, mpoly_gcd)
+from katoforge.poly import Poly
 
 from conftest import ORACLE_FIELDS, random_ratfunc
 
@@ -105,8 +106,9 @@ def test_gcd_bivariate():
     assert gc == (x + y).num
 
 
-# F_2, F_3, F_4, F_5, F_8 as (p, e)
-BIVARIATE_GCD_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)]
+# F_2, F_3, F_4, F_5, F_8, and past the table bound F_512, F_289, as (p, e)
+BIVARIATE_GCD_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (2, 9),
+                        (17, 2)]
 
 
 @given(st.data())
@@ -142,6 +144,51 @@ def test_gcd_bivariate_unlucky_and_large(p, e, a, b, c):
     a, b, c = _xy(F, a), _xy(F, b), _xy(F, c)
     f, g = a * c, b * c
     assert _gcd_bivariate(f, g, 0, 1) == _gcd_rec(f, g, 1) == c.monic_grlex()
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_gcd_bivariate_content_only(p, e):
+    """One argument in F[x], the other in F[y]: the gcd is 1; with a common
+    factor in F[x] it is that factor, the gcd of the contents."""
+    F = gf(p, e)
+    f = _xy(F, {(2, 0): 1, (1, 0): 1, (0, 0): 1})
+    g = _xy(F, {(0, 3): 1, (0, 1): -1, (0, 0): 1})
+    one = MPoly.const(F, 2, 1)
+    assert _gcd_bivariate(f, g, 0, 1) == _gcd_rec(f, g, 1) == one
+    c = _xy(F, {(1, 0): 1, (0, 0): 1})
+    h = _xy(F, {(0, 2): 1, (1, 1): 1, (0, 0): 1})
+    assert _gcd_bivariate(f * c, h * c, 0, 1) == c
+    assert _gcd_bivariate(h * c, c, 0, 1) == c
+
+
+# F_2, F_4, F_9, and past the table bound F_512, F_{2^17} (not interned)
+KERNEL_FIELDS = [(2, 1), (2, 2), (3, 2), (2, 9), (2, 17)]
+
+
+@given(st.data())
+def test_code_kernels_match_poly(data):
+    """mul, divmod, gcd and evaluation on element codes against Poly."""
+    p, e = data.draw(st.sampled_from(KERNEL_FIELDS))
+    F = gf(p, e)
+    codes = st.lists(st.integers(0, F.order - 1), max_size=7).map(
+        lambda cs: cs[:max((i + 1 for i, c in enumerate(cs) if c),
+                           default=0)])
+    a, b = data.draw(codes), data.draw(codes)
+    x = data.draw(st.integers(0, F.order - 1))
+    T = F.tables
+
+    def poly(cs):
+        return Poly(F, [F.from_code(c) for c in cs])
+
+    def codes_of(f):
+        return [c.idx for c in f.coeffs]
+
+    assert codes_of(poly(a) * poly(b)) == _code_mul(a, b, T)
+    assert F.from_code(_code_eval(a, x, T)) == poly(a).eval(F.from_code(x))
+    assert codes_of(poly(a).gcd(poly(b))) == _code_gcd(a, b, T)
+    if b:
+        q, r = poly(a).divmod(poly(b))
+        assert (codes_of(q), codes_of(r)) == _code_divmod(a, b, T)
 
 
 def test_gcd_bivariate_needs_too_large_extension():
