@@ -32,7 +32,8 @@ from .kato import (HClass, LaurentField, laurent_field, level_shift,
                    local_invariant, reciprocity_check, h_zero_test)
 from .laurent import Laurent
 from .milnor import MilnorElement, d_symbol
-from .places import Place, to_dense
+from .places import Place
+from .poly import to_dense
 from .rational import FuncField, RatFunc, func_field
 from .witt import (WittVector, _cache_filename, set_cache_dir,
                    verify_cache_file, witt_structure)
@@ -461,10 +462,6 @@ def _field_spec(parser_tokens, session, lineno):
     return func_field(base, tuple(vars))
 
 
-def field_label(f):
-    return repr(f)
-
-
 def run_statement(line, lineno, session, emit):
     tokens = tokenize(line, lineno)
     if not tokens:
@@ -482,7 +479,7 @@ def run_statement(line, lineno, session, emit):
         fld = _field_spec(rest[2:], session, lineno)
         session.fields[name] = fld
         session.current = name
-        emit("field", {"name": name}, field_label(fld), session)
+        emit("field", {"name": name}, repr(fld), session)
         return
     if val == "set":
         if (len(rest) != 2 or rest[0][0] != "name"
@@ -707,6 +704,19 @@ def selftest(seed=0, out=None):
 
 # -------------------------------------------------------------- main ----
 
+def _parse_pairs(text):
+    """``p:max_i,...`` -> [(p, max_i)]; a malformed pair is a usage error."""
+    pairs = []
+    for part in text.split(","):
+        try:
+            p, imax = (int(x) for x in part.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{part!r} is not a pair p:max_i") from None
+        pairs.append((p, imax))
+    return pairs
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     common = argparse.ArgumentParser(add_help=False)
@@ -728,7 +738,7 @@ def main(argv=None):
     cachep = sub.add_parser("cache", help="manage the Witt structure cache",
                             parents=[common])
     cachep.add_argument("action", choices=("warm", "verify", "clear"))
-    cachep.add_argument("--pairs", default="2:3,3:3",
+    cachep.add_argument("--pairs", default="2:3,3:3", type=_parse_pairs,
                         help="comma list of p:max_i to warm")
     sub.add_parser("selftest", help="run the randomized self test",
                    parents=[common])
@@ -760,11 +770,7 @@ def main(argv=None):
             ap.error("cache management needs --cache-dir or KATOFORGE_CACHE")
         try:
             if args.action == "warm":
-                pairs = []
-                for part in args.pairs.split(","):
-                    p, imax = part.split(":")
-                    pairs.append((int(p), int(imax)))
-                for name in cache_warm(cdir, pairs):
+                for name in cache_warm(cdir, args.pairs):
                     print(name)
             elif args.action == "verify":
                 for name in cache_verify(cdir):

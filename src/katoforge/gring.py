@@ -3,12 +3,12 @@
 GR(p^i, e) = (Z/p^i)[z] / (m(z)) with m the integer lift of the canonical
 GF(p^e) modulus.  This is the ring of length-i Witt vectors of GF(p^e) in a
 multiplication-friendly presentation: Teichmueller digits correspond to Witt
-coordinates (with a Frobenius twist per position).  Used as the fast engine
-for Witt arithmetic over finite fields and as the coefficient ring of the
-lifted series in level-i local invariants.
+coordinates (with a Frobenius twist per position).  It is the only engine
+for Witt arithmetic over finite fields (sums, products, traces), and the
+coefficient ring of the lifted series in level-i local invariants.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConfigMismatch, DivisionByZero, IntegralityViolation
 
@@ -161,13 +161,23 @@ class GaloisRing:
         m = self.digit_modulus
         return GRElem(self, tuple((c // pn) % m for c in x.coeffs))
 
-    def frobenius(self, x):
-        """The ring automorphism lifting a -> a^p, via Teichmueller digits."""
-        digits = self.p_adic_digits(x)
-        out = self.zero
-        for j, d in enumerate(digits):
-            out = out + self.teich(d.frobenius()) * (self.p ** j)
-        return out
+    def trace_int(self, x):
+        """The trace to Z/p^length, sum x_k Tr(z^k): the trace of
+        multiplication by x on the basis 1, z, ..., z^(e-1)."""
+        return sum(c * t for c, t in zip(x.coeffs, self._basis_traces)) \
+            % self.digit_modulus
+
+    @cached_property
+    def _basis_traces(self):
+        """Tr(z^k) for k < e: the sum over j of the z^j-coefficient of
+        z^(k+j)."""
+        powers = [self.one]
+        if self.e > 1:
+            z = self.elem([0, 1])
+            for _ in range(2 * self.e - 2):
+                powers.append(powers[-1] * z)
+        return [sum(powers[k + j].coeffs[j] for j in range(self.e))
+                % self.digit_modulus for k in range(self.e)]
 
     def p_adic_digits(self, x):
         """Field elements d_0..d_{length-1} with x = sum p^j teich(d_j)."""
@@ -176,16 +186,19 @@ class GaloisRing:
         for j in range(self.length):
             d = self.reduce(cur)
             digits.append(d)
-            cur = cur - self.teich(d)
             if j + 1 < self.length:
-                cur = self.div_exact_p(cur, 1)
+                cur = self.div_exact_p(cur - self.teich(d), 1)
         return digits
 
     def from_digits(self, digits):
-        out = self.zero
-        for j, d in enumerate(digits):
-            out = out + self.teich(d) * (self.p ** j)
-        return out
+        """sum p^j teich(d_j), the inverse of p_adic_digits."""
+        acc = [0] * self.e
+        pj = 1
+        for d in digits:
+            for k, c in enumerate(self.teich(d).coeffs):
+                acc[k] += pj * c
+            pj *= self.p
+        return self.elem(acc)
 
 
 @lru_cache(maxsize=None)

@@ -30,9 +30,8 @@ from .gf import GF, GFElem
 from .gring import galois_ring
 from .laurent import Laurent
 from .milnor import MilnorElement
-from .places import (Place, place_context, place_order, support_places,
-                     to_dense)
-from .poly import factor
+from .places import Place, place_context, place_order, support_places
+from .poly import factor, to_dense, to_mpoly
 from .rational import FuncField
 from .witt import WittVector
 
@@ -94,12 +93,6 @@ def _is_one_entry(field, b):
     return b == field.one
 
 
-def _entry_is_zero(b):
-    if isinstance(b, GFElem):
-        return not b
-    return b.is_zero()
-
-
 def _expand_entry(field, b):
     """[(factor, multiplicity)]: the multilinear expansion of one b-slot."""
     kind = _field_kind(field)
@@ -121,17 +114,11 @@ def _expand_entry(field, b):
         dense = to_dense(mp, base)
         if dense.degree >= 1:
             for f, m in factor(dense):
-                out.append((field.from_poly(_poly_as_mpoly(f, field)),
-                            sgn * m))
+                out.append((field.from_poly(to_mpoly(f)), sgn * m))
     lead = _leading_constant(b)
     if lead != base.one:
         out.append((field.const(lead), 1))
     return out
-
-
-def _poly_as_mpoly(f, field):
-    from .mpoly import MPoly
-    return MPoly(field.base, 1, {(d,): c for d, c in enumerate(f.coeffs) if c})
 
 
 def _leading_constant(r):
@@ -141,18 +128,17 @@ def _leading_constant(r):
 
 
 def _witt_is_zero(w):
-    return all(_coeff_zero(c) for c in w.coords)
+    return all(_is_zero(c) for c in w.coords)
 
 
-def _coeff_zero(c):
-    if isinstance(c, Laurent):
-        return c.is_zero()
-    return not c if isinstance(c, GFElem) else c.is_zero()
+def _is_zero(x):
+    """Zero test for a field element, rational function or series."""
+    return not x if isinstance(x, GFElem) else x.is_zero()
 
 
 def _teich_match(w, entries):
     """True when w = (a,0,...,0) with a equal to some entry."""
-    if any(not _coeff_zero(c) for c in w.coords[1:]):
+    if any(not _is_zero(c) for c in w.coords[1:]):
         return False
     a = w.coords[0]
     return any(a == b for b in entries)
@@ -238,7 +224,7 @@ def _normalize_terms(field, degree, level, terms):
     out = []
     for w, entries in terms:
         for b in entries:
-            if _entry_is_zero(b):
+            if _is_zero(b):
                 raise ConfigMismatch("zero entry in a Witt symbol")
         expansions = [([], 1)]
         for b in entries:
@@ -502,12 +488,9 @@ def h_zero_test(c):
     if kind == "const":
         if c.degree >= 1:
             return True      # Omega^n of a perfect constant field vanishes
-        total = None
-        for w, _ in c.terms:
-            total = w if total is None else total + w
-        if total is None:
-            return True
-        return total.trace_int() == 0
+        # the trace is additive, so the terms' traces are summed in Z/p^i
+        return sum(w.trace_int() for w, _ in c.terms) \
+            % c.field.p ** c.level == 0
     if kind == "global":
         if c.degree != 1:
             raise UnsupportedField(

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from .errors import (ConfigMismatch, DivisionByZero, PrecisionExhausted,
                      UnsupportedField)
+from .poly import to_dense
 
 DEFAULT_PREC = 16
 
@@ -281,17 +282,9 @@ def from_rational(r, prec=DEFAULT_PREC):
         raise UnsupportedField(
             f"series expansion at t = 0 needs one variable, not {F.k}")
     base = F.base
-    num = _dense(r.num, base)
-    den = _dense(r.den, base)
+    num = to_dense(r.num, base).coeffs
+    den = to_dense(r.den, base).coeffs
     return _series_div(num, den, base, prec)
-
-
-def _dense(mp, base):
-    deg = mp.degree_in(0)
-    out = [base.zero] * (deg + 1)
-    for e, c in mp.terms.items():
-        out[e[0]] = c
-    return out
 
 
 def _series_div(num, den, ring, prec):

@@ -19,10 +19,10 @@ machinery applies verbatim over L.
 """
 
 from .errors import (ConfigMismatch, DegreeMismatch, DlogOfZero,
-                     NormShapeUnsupported)
+                     IntegralityViolation, NormShapeUnsupported,
+                     UnsupportedField)
 from .forms import DiffForm, dlog
-from .places import to_dense
-from .poly import factor
+from .poly import factor, to_dense, to_mpoly
 from .rational import func_field
 
 
@@ -114,7 +114,7 @@ def _entry_factors(a):
             dense = to_dense(mp, base)
             if dense.degree >= 1:
                 for f, m in factor(dense):
-                    out.append((F.from_poly(_poly_to_mpoly(f, F)), sgn * m))
+                    out.append((F.from_poly(to_mpoly(f)), sgn * m))
         return out
     for mp, sgn in ((a.num, 1), (a.den, -1)):
         if mp.is_const():
@@ -133,11 +133,6 @@ def _entry_factors(a):
         if not rest_poly.is_const():
             out.append((F.from_poly(rest_poly.monic_grlex()), sgn))
     return out
-
-
-def _poly_to_mpoly(f, field):
-    from .mpoly import MPoly
-    return MPoly(field.base, 1, {(d,): c for d, c in enumerate(f.coeffs) if c})
 
 
 def symbol_expand(s):
@@ -208,7 +203,10 @@ class ASExtension:
     """L = F_q(u) over F = F_q(t) with t = u^p - u, sigma: u -> u + 1."""
 
     def __init__(self, base_field, ext_var="u"):
-        assert base_field.k == 1
+        if base_field.k != 1:
+            raise UnsupportedField(
+                f"Artin-Schreier extensions of {base_field!r} need one "
+                "variable")
         self.F = base_field
         self.L = func_field(base_field.base, (ext_var,))
         self.p = base_field.base.p
@@ -238,14 +236,14 @@ class ASExtension:
 
     def descend_rf(self, a):
         """Rewrite a sigma-invariant element of L as an element of F."""
-        assert self.is_invariant(a), "element is not Galois-invariant"
+        if not self.is_invariant(a):
+            raise ConfigMismatch(f"{a!r} is not Galois-invariant")
         num = self._descend_poly(a.num)
         den = self._descend_poly(a.den)
         return num / den
 
     def _descend_poly(self, mp):
         """Invariant polynomial in u -> polynomial in t = u^p - u."""
-        from .mpoly import MPoly
         base = self.F.base
         cur = to_dense(mp, base)
         out = self.F.zero
@@ -253,7 +251,9 @@ class ASExtension:
         tvar = self.F.var(self.F.vars[0])
         while cur.degree >= 1:
             m = cur.degree
-            assert m % self.p == 0, "invariant polynomial of bad degree"
+            if m % self.p:
+                raise IntegralityViolation(
+                    f"invariant polynomial of degree {m} prime to p")
             c = cur.coeffs[-1]
             out = out + self.F.const(c) * tvar ** (m // self.p)
             cur = cur - tau ** (m // self.p) * type(cur).const(base, c)
@@ -271,7 +271,8 @@ class ASExtension:
 
     def restrict(self, x):
         """K_n(F) -> K_n(L)."""
-        assert x.field is self.F
+        if x.field is not self.F:
+            raise ConfigMismatch("restriction takes elements of K_n(F)")
         return x.map_entries(self.restrict_rf, field=self.L)
 
     def norm_proj(self, x):
@@ -281,7 +282,8 @@ class ASExtension:
         norm multiplies that entry's p conjugates and descends, the invariant
         entries descend unchanged.  All-invariant symbols pick up a factor p.
         """
-        assert x.field is self.L
+        if x.field is not self.L:
+            raise ConfigMismatch("the norm takes elements of K_n(L)")
         out = MilnorElement.zero(self.F, x.degree)
         for sym, c in x.terms.items():
             invariant = [self.is_invariant(a) for a in sym]

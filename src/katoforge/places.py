@@ -16,7 +16,7 @@ from functools import lru_cache
 from .embed import least_root, subfield_embedding
 from .errors import ConfigMismatch, IntegralityViolation, UnsupportedField
 from .laurent import _series_div
-from .poly import Poly, factor, is_irreducible
+from .poly import Poly, factor, is_irreducible, to_dense
 
 
 class Place:
@@ -67,14 +67,6 @@ class Place:
             return "inf"
         from .render import format_poly
         return format_poly(self.poly, self.var)
-
-
-def to_dense(mp, base):
-    """Univariate MPoly -> dense Poly over the base field."""
-    out = [base.zero] * (mp.degree_in(0) + 1)
-    for e, c in mp.terms.items():
-        out[e[0]] = c
-    return Poly(base, out)
 
 
 class PlaceContext:

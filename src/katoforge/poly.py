@@ -10,6 +10,7 @@ from the input so identical inputs factor identically in any call order.
 import random
 
 from .errors import DivisionByZero, IntegralityViolation, ZeroPolynomial
+from .mpoly import MPoly
 
 
 class Poly:
@@ -286,3 +287,16 @@ def is_irreducible(f):
     if f.degree < 1:
         return False
     return [d for _, d in _distinct_degree(f.monic())] == [f.degree]
+
+
+def to_dense(mp, base):
+    """Univariate MPoly -> dense Poly over the base field."""
+    out = [base.zero] * (mp.degree_in(0) + 1)
+    for e, c in mp.terms.items():
+        out[e[0]] = c
+    return Poly(base, out)
+
+
+def to_mpoly(f):
+    """Dense Poly -> univariate MPoly, the inverse of to_dense."""
+    return MPoly(f.field, 1, {(d,): c for d, c in enumerate(f.coeffs) if c})

@@ -1,8 +1,9 @@
 """Witt vectors of length i over characteristic-p coefficient rings.
 
-The ring structure comes from the universal sum/product polynomials, solved
-from the ghost equations over exact rationals; every division by a p-power
-must be exact (IntegralityViolation otherwise, which would mean a bug).
+Over rational functions and Laurent series the ring structure comes from the
+universal sum/product polynomials, solved from the ghost equations over
+exact rationals; every division by a p-power must be exact
+(IntegralityViolation otherwise, which would mean a bug).
 Structures are cached in memory and, when a cache directory is configured,
 on disk as ``wittpoly-v1-p{p}-i{i}.txt``:
 
@@ -17,28 +18,28 @@ on disk as ``wittpoly-v1-p{p}-i{i}.txt``:
 A cache file that does not parse, or whose header names another (p, i), is
 regenerated and overwritten.
 
-Coefficient universes only need +, -, * (including by int) and ** with int
-exponents: field elements, rational functions, and truncated Laurent series
-all qualify.  For finite coefficient fields above UNIVERSAL_FINITE_MAX or
-``max_structure_level(p)``, arithmetic runs through the canonical Galois-ring
-digit isomorphism instead; both engines agree on the overlap (tested).
+Those coordinate universes only need +, -, * (including by int) and ** with
+int exponents.  Over a finite field GF(p^e), W_i *is* the Galois ring
+GR(p^i, e) (Serre, Local Fields II 5-6): every operation on GFElem
+coordinates runs there through the canonical digit isomorphism, so it is not
+bounded by ``max_structure_level`` and generates no structures.  The
+polynomials stay the tests' oracle for that engine.
 """
 
+import operator
 import os
 import re
 import tempfile
 from fractions import Fraction
 
 from .errors import (ConfigMismatch, CorruptCache, IntegralityViolation,
-                     NonPrime, ResourceLimit, VerifyMismatch)
-from .gf import GFElem, is_prime
+                     NonPrime, ResourceLimit, UnsupportedField,
+                     VerifyMismatch)
+from .gf import GFElem, gf, is_prime
 from .gring import galois_ring
 
-# finite-field arithmetic switches to the Galois-ring engine above this level
-# (or above max_structure_level(p), when that is lower)
-UNIVERSAL_FINITE_MAX = 4
-
 _CACHE_DIR = os.environ.get("KATOFORGE_CACHE")
+_RING_OPS = {"S": operator.add, "P": operator.mul, "D": operator.sub}
 _memory_cache = {}
 
 
@@ -403,18 +404,16 @@ class WittVector:
 
     # -- engine dispatch --
 
-    def _use_gr(self):
-        return self.is_finite_coeffs() and self.level > min(
-            UNIVERSAL_FINITE_MAX, max_structure_level(self.p))
+    def _via_ring(self, op, *others):
+        """op on the images in the Galois ring, mapped back."""
+        R = galois_ring(_finite_field(self), self.level)
+        z = op(*(w.to_galois_ring(R) for w in (self,) + others))
+        return from_galois_ring(R, z, self.p, self.level)
 
     def _binop(self, other, tag):
         self._check(other)
-        if self._use_gr():
-            R = galois_ring(self._field(), self.level)
-            x, y = self.to_galois_ring(R), other.to_galois_ring(R)
-            z = {"S": lambda: x + y, "P": lambda: x * y,
-                 "D": lambda: x - y}[tag]()
-            return from_galois_ring(R, z, self.p, self.level)
+        if self.is_finite_coeffs():
+            return self._via_ring(_RING_OPS[tag], other)
         struct = witt_structure(self.p, self.level)
         xs = list(self.coords) + list(other.coords)
         if tag == "S":
@@ -439,10 +438,8 @@ class WittVector:
         return self._binop(other, "P")
 
     def __neg__(self):
-        if self._use_gr():
-            R = galois_ring(self._field(), self.level)
-            return from_galois_ring(R, -self.to_galois_ring(R), self.p,
-                                    self.level)
+        if self.is_finite_coeffs():
+            return self._via_ring(operator.neg)
         struct = witt_structure(self.p, self.level)
         return WittVector(self.p,
                           [_eval_terms(t, list(self.coords))
@@ -450,6 +447,8 @@ class WittVector:
 
     def int_mul(self, m):
         m %= self.p ** self.level   # additive order divides p^i
+        if self.is_finite_coeffs():
+            return self._via_ring(lambda x: x * m)
         result = WittVector(self.p, [c * 0 for c in self.coords])
         base = self
         while m:
@@ -484,57 +483,54 @@ class WittVector:
     # -- finite-field specific --
 
     def to_galois_ring(self, R=None):
-        assert self.is_finite_coeffs()
-        F = self._field()
+        """The image in GR(p^i, e): sum p^j teich(a_j^(p^-j))."""
+        F = _finite_field(self)
         R = R or galois_ring(F, self.level)
-        digits = []
-        for j, a in enumerate(self.coords):
-            d = a
-            for _ in range(j):
-                d = F.pth_root(d)
-            digits.append(d)
-        return R.from_digits(digits)
+        if R.field is not F or R.length != self.level:
+            raise ConfigMismatch(f"{self!r} does not live in {R!r}")
+        return R.from_digits([_frobenius_power(a, -j % F.e)
+                              for j, a in enumerate(self.coords)])
 
     def trace(self):
-        """Sum of Frobenius conjugates; lands in W_i(F_p) read as Z/p^i."""
-        assert self.is_finite_coeffs()
-        e = self._field().e
-        acc = self
-        x = self
-        for _ in range(e - 1):
-            x = x.frobenius()
-            acc = acc + x
-        return acc
+        """Sum of Frobenius conjugates, in W_i(F_p) inside W_i(F_q)."""
+        F = _finite_field(self)
+        t = int_to_witt(self.p, self.trace_int(), self.level)
+        return WittVector(self.p, [F.elem(c.coeffs[0]) for c in t.coords])
 
     def trace_int(self):
         """The trace as an integer modulo p^level."""
-        from .gf import gf
-        t = self.trace()
-        Fp = gf(self.p)
-        if any(any(c.coeffs[1:]) for c in t.coords):
-            raise IntegralityViolation(f"trace {t} escaped W(F_{self.p})")
-        coords = [Fp.elem(c.coeffs[0]) for c in t.coords]
-        return witt_to_int(WittVector(self.p, coords))
+        R = galois_ring(_finite_field(self), self.level)
+        return R.trace_int(self.to_galois_ring(R))
+
+
+def _finite_field(w):
+    """The field GF(p^e) of w's coordinates; UnsupportedField otherwise."""
+    if not w.coords or not w.is_finite_coeffs():
+        raise UnsupportedField(
+            f"{w!r} is not a Witt vector over a finite field")
+    return w._field()
+
+
+def _frobenius_power(a, k):
+    for _ in range(k):
+        a = a.frobenius()
+    return a
 
 
 def from_galois_ring(R, x, p, level):
-    digits = R.p_adic_digits(x)
-    coords = []
-    for j, d in enumerate(digits):
-        coords.append(d ** (p ** j))
-    return WittVector(p, coords)
+    return WittVector(p, [_frobenius_power(d, j % R.e)
+                          for j, d in enumerate(R.p_adic_digits(x))])
 
 
 def witt_to_int(w):
     """W_i(F_p) -> Z/p^i through the digit isomorphism."""
-    assert w.is_finite_coeffs() and w._field().e == 1
-    R = galois_ring(w._field(), w.level)
-    return w.to_galois_ring(R).coeffs[0]
+    if _finite_field(w).e != 1:
+        raise UnsupportedField(f"{w!r} does not lie over a prime field")
+    return w.to_galois_ring().coeffs[0]
 
 
 def int_to_witt(p, m, level):
     """Z/p^i -> W_i(F_p)."""
-    from .gf import gf
     R = galois_ring(gf(p), level)
     return from_galois_ring(R, R.elem(m), p, level)
 
@@ -547,16 +543,13 @@ def witt_as_solve(v):
     Each level takes the canonical Artin-Schreier root, so the answer is
     deterministic.
     """
-    assert v.is_finite_coeffs()
-    F = v._field()
-    if v.level == 0:
-        return v
-    x0 = F.artin_schreier_solve(v.coords[0])
+    x0 = _finite_field(v).artin_schreier_solve(v.coords[0])
     if x0 is None:
         return None
     t = WittVector.teichmuller(v.p, x0, v.level)
     rest = v - t.wp()
-    assert not rest.coords[0], "coordinate 0 did not cancel"
+    if rest.coords[0]:
+        raise IntegralityViolation("coordinate 0 did not cancel")
     if v.level == 1:
         return t
     tail = WittVector(v.p, rest.coords[1:])

@@ -167,6 +167,16 @@ def test_cache_errors_are_reported(tmp_path, monkeypatch, capsys):
     assert "wittpoly-v1-p2-i1.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs,bad", [("2", "2"), ("2:x", "2:x"),
+                                       ("2:3,", ""), ("2:3,3:1:4", "3:1:4")])
+def test_malformed_pairs_are_usage_errors(tmp_path, capsys, pairs, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "warm", "--cache-dir", str(tmp_path), "--pairs", pairs])
+    assert exc.value.code == 2
+    assert f"{bad!r} is not a pair p:max_i" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_main_entry(tmp_path, capsys):
     script = tmp_path / "s.kf"
     script.write_text("field F = GF(2)(t)\ninv [ [1/t] | 1+t ) at t\n")

@@ -271,12 +271,16 @@ def test_zero_test_constants():
     assert not h_zero_test(c0)       # trace is 3 in Z/4
     c1 = HClass(F4, 0, 2, [(WittVector(2, (F4.zero, F4.one)), ())])
     assert h_zero_test(c1)           # (0,1)+(0,1) = 0 over F_4
-    # brute-force oracle: degree-0 zero test matches the trace kernel
+    # brute-force oracle: degree-0 zero test matches the trace kernel, also
+    # for a sum of terms, whose traces add up in Z/4
     import itertools
+    v = WittVector(2, (z, F4.one))
     for coords in itertools.product(list(F4.elements()), repeat=2):
         w = WittVector(2, coords)
         ch = HClass(F4, 0, 2, [(w, ())])
         assert h_zero_test(ch) == (w.trace_int() == 0)
+        two = HClass(F4, 0, 2, [(w, ()), (v, ())])
+        assert h_zero_test(two) == ((w + v).trace_int() == 0)
 
 
 def test_zero_test_function_field(K2):

@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from katoforge import (CorruptCache, DivisionByZero, HClass,
-                       IntegralityViolation, ResourceLimit, WittStructure,
-                       WittVector, func_field, gf, int_to_witt,
+from katoforge import (CorruptCache, DivisionByZero, HClass, ResourceLimit,
+                       WittStructure, WittVector, func_field, gf, int_to_witt,
                        verify_ghost_identities, witt, witt_as_solve,
                        witt_structure, witt_to_int)
 from katoforge.gring import galois_ring
-from katoforge.witt import from_galois_ring, max_structure_level
+from katoforge.witt import _eval_terms, from_galois_ring, max_structure_level
 
 from conftest import random_ratfunc, run_optimized
 
@@ -116,14 +115,6 @@ def test_trace_example():
     assert zero.trace_int() == 0
 
 
-def test_trace_outside_prime_field_raises(monkeypatch):
-    F4 = gf(2, 2)
-    w = WittVector(2, (F4.gen, F4.zero))
-    monkeypatch.setattr(WittVector, "trace", lambda v: v)
-    with pytest.raises(IntegralityViolation):
-        w.trace_int()
-
-
 def test_trace_kills_wp_exhaustive():
     F4 = gf(2, 2)
     for coords in itertools.product(list(F4.elements()), repeat=2):
@@ -158,19 +149,93 @@ def test_int_conversion_roundtrip():
             assert witt_to_int(int_to_witt(p, m, i)) == m
 
 
+# every (p, e) pair the oracle tests cover, at every level the universal
+# polynomials reach
+ORACLE_PE = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+
+
+def _oracle_add(struct, u, v):
+    xs = list(u.coords) + list(v.coords)
+    return WittVector(u.p, [_eval_terms(t, xs) for t in struct.sums])
+
+
 def test_galois_ring_agrees_with_universal():
-    for (p, e, i) in [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 2)]:
+    # finite arithmetic runs only on the Galois ring; the universal
+    # polynomials, evaluated on the coordinates, are its oracle
+    for p, e in ORACLE_PE:
+        els = list(gf(p, e).elements())
+        for i in range(1, max_structure_level(p) + 1):
+            struct = witt_structure(p, i)
+            rng = random.Random(100 * p + 10 * e + i)
+            for _ in range(8 if i < 5 else 2):
+                u = WittVector(p, tuple(rng.choice(els) for _ in range(i)))
+                v = WittVector(p, tuple(rng.choice(els) for _ in range(i)))
+                neg_v = WittVector(p, [_eval_terms(t, list(v.coords))
+                                       for t in struct.negs])
+                xs = list(u.coords) + list(v.coords)
+                assert u + v == _oracle_add(struct, u, v)
+                assert u * v == WittVector(p, [_eval_terms(t, xs)
+                                               for t in struct.prods])
+                assert -v == neg_v
+                assert u - v == _oracle_add(struct, u, neg_v)
+
+
+def _oracle_trace_int(struct, w):
+    """Sum of the Frobenius conjugates through the universal sums, read in
+    Z/p^i by counting multiples of 1 through the same sums."""
+    p, i = w.p, w.level
+    F = w.coords[0].field
+    acc, x = w, w
+    for _ in range(F.e - 1):
+        x = x.frobenius()
+        acc = _oracle_add(struct, acc, x)
+    one = WittVector.teichmuller(p, F.one, i)
+    multiple = WittVector.zeros(p, F.zero, i)
+    for m in range(p ** i):
+        if multiple == acc:
+            return m
+        multiple = _oracle_add(struct, multiple, one)
+    raise AssertionError(f"trace {acc} escaped W(F_{p})")
+
+
+@pytest.mark.parametrize("p,e", ORACLE_PE)
+def test_trace_int_agrees_with_conjugate_sum(p, e):
+    F = gf(p, e)
+    els = list(F.elements())
+    for i in range(1, max_structure_level(p) + 1):
+        struct = witt_structure(p, i)
+        if (p, e, i) == (2, 2, 2):
+            vectors = [WittVector(p, c)
+                       for c in itertools.product(els, repeat=i)]
+        else:
+            rng = random.Random(100 * p + 10 * e + i)
+            vectors = [WittVector(p, tuple(rng.choice(els) for _ in range(i)))
+                       for _ in range(4)]
+        for w in vectors:
+            assert w.trace_int() == _oracle_trace_int(struct, w)
+
+
+def test_finite_arithmetic_never_generates_structures(monkeypatch):
+    def refuse(p, i):
+        raise AssertionError(f"generated the structure for p={p}, i={i}")
+    monkeypatch.setattr(witt, "_generate", refuse)
+    monkeypatch.setattr(witt, "_memory_cache", {})
+    monkeypatch.setattr(witt, "_CACHE_DIR", None)
+    for (p, e, i) in [(2, 1, 4), (3, 1, 4), (2, 2, 3)]:
         F = gf(p, e)
-        R = galois_ring(F, i)
         rng = random.Random(p + e + i)
         els = list(F.elements())
-        for _ in range(30):
+        for _ in range(5):
             u = WittVector(p, tuple(rng.choice(els) for _ in range(i)))
             v = WittVector(p, tuple(rng.choice(els) for _ in range(i)))
-            assert from_galois_ring(R, u.to_galois_ring(R) + v.to_galois_ring(R),
-                                    p, i) == u + v
-            assert from_galois_ring(R, u.to_galois_ring(R) * v.to_galois_ring(R),
-                                    p, i) == u * v
+            assert (u + v) - v == u
+            assert u * v == v * u
+            assert -u + u == WittVector.zeros(p, F.zero, i)
+            assert (u + v).trace_int() == (u.trace_int() + v.trace_int()) \
+                % p ** i
+            w = witt_as_solve(u)
+            assert (w is None) == (u.trace_int() != 0)
+            assert w is None or w.wp() == u
 
 
 def test_galois_ring_negative_power():
@@ -252,7 +317,8 @@ def test_from_text_raises_typed_error():
 @pytest.mark.parametrize("p,e,i", [(5, 1, 4), (5, 2, 4), (7, 1, 4),
                                    (11, 1, 3), (11, 2, 3)])
 def test_finite_arithmetic_past_polynomial_bound(p, e, i):
-    # past max_structure_level(p), finite coefficients take the Galois ring
+    # finite arithmetic has no length bound: past max_structure_level(p) it
+    # still matches the Galois ring
     assert i > max_structure_level(p)
     F = gf(p, e)
     R = galois_ring(F, i)
