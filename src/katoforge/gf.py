@@ -3,24 +3,30 @@
 Elements are coefficient vectors over Z/p in the power basis of a generator
 ``z`` that satisfies the canonical modulus: the lexicographically least monic
 irreducible polynomial of degree e, ordered by the coefficient sequence
-(c_0, ..., c_{e-1}).  That choice needs no tables and is reproducible.
+(c_0, ..., c_{e-1}).  That choice needs no tables and is reproducible; the
+search tests candidates with ``poly.is_irreducible`` over GF(p).
 
 Every element also has an integer code sum c_i p^i in [0, p^e).  A field of
 at most 256 elements keeps one set of operation tables indexed by code
 (add, mul, neg, inv and Frobenius; entries are codes, built from the powers
 of a primitive element), and its GFElem operations are lookups in them.
 ``GF.tables`` gives (add, mul, neg, inv) for every field, larger ones
-computing each entry from the modulus when it is read, so code-level
-kernels such as the bivariate GCD in ``mpoly`` run over any field.
+computing each entry when it is read: a product multiplies the two digit
+vectors with the univariate code kernels of ``mpoly`` over GF(p) and reduces
+by the modulus, an inverse is a power.  So code-level kernels such as
+``Poly`` and the GCDs in ``mpoly`` run over any field.
 
 Everything is immutable; a ``GF`` object is both the configuration and the
 element factory.
 """
 
 from functools import lru_cache
+from itertools import product
 
+from . import mpoly
 from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
                      NonPrime, ResourceLimit)
+from .poly import Poly, is_irreducible
 
 _MAX_FIELD_ORDER = 2 ** 24
 
@@ -40,117 +46,16 @@ def is_prime(n):
     return True
 
 
-# -- dense univariate arithmetic over Z/p, used only to build the modulus --
-
-def _polymulmod(a, b, mod, p):
-    # a, b, mod: coefficient lists over Z/p, mod monic
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce by monic mod
-    dm = len(mod) - 1
-    while len(res) - 1 >= dm:
-        lead = res[-1]
-        if lead:
-            off = len(res) - 1 - dm
-            for j in range(dm + 1):
-                res[off + j] = (res[off + j] - lead * mod[j]) % p
-        res.pop()
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return res
-
-
-def _polypowmod(base, n, mod, p):
-    result = [1]
-    while n:
-        if n & 1:
-            result = _polymulmod(result, base, mod, p)
-        base = _polymulmod(base, base, mod, p)
-        n >>= 1
-    return result
-
-
-def _trim(a):
-    a = list(a)
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polyrem(a, b, p):
-    """a mod b over Z/p, b nonzero."""
-    a, b = _trim(a), _trim(b)
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and any(a):
-        lead = (a[-1] * inv) % p
-        off = len(a) - len(b)
-        for j in range(len(b)):
-            a[off + j] = (a[off + j] - lead * b[j]) % p
-        a = _trim(a)
-    return a
-
-
-def _polygcd(a, b, p):
-    a, b = _trim(a), _trim(b)
-    while any(b):
-        a, b = b, _polyrem(a, b, p)
-    return a
-
-
-def _is_irreducible(coeffs, p):
-    """Rabin test for a monic polynomial given as (c_0, ..., c_{e-1}, 1)."""
-    e = len(coeffs) - 1
-    if e == 1:
-        return True
-    if coeffs[0] == 0:
-        return False
-    x = [0, 1]
-    # x^(p^e) == x mod f
-    xq = _polypowmod(x, p ** e, list(coeffs), p)
-    if _trim(xq) != x:
-        return False
-    # gcd(x^(p^(e/l)) - x, f) == 1 for every prime l | e
-    ell = 2
-    m = e
-    primes = []
-    while m > 1:
-        if m % ell == 0:
-            primes.append(ell)
-            while m % ell == 0:
-                m //= ell
-        ell += 1
-    for ell in primes:
-        xr = _polypowmod(x, p ** (e // ell), list(coeffs), p)
-        diff = list(xr) + [0] * max(0, 2 - len(xr))
-        diff[1] = (diff[1] - 1) % p
-        diff = _trim(diff)
-        if not any(diff):
-            return False
-        if len(_polygcd(list(coeffs), diff, p)) != 1:
-            return False
-    return True
-
-
 def _canonical_modulus(p, e):
     """First monic irreducible of degree e in lex order of (c_0..c_{e-1})."""
     if e == 1:
         return (0, 1)
-    tail = [0] * e
-    while True:
-        coeffs = tuple(tail) + (1,)
-        if _is_irreducible(list(coeffs), p):
-            return coeffs
-        # lex increment: (c_0, c_1, ...) with c_0 most significant
-        i = e - 1
-        while i >= 0 and tail[i] == p - 1:
-            tail[i] = 0
-            i -= 1
-        if i < 0:
-            raise ResourceLimit(f"no irreducible of degree {e} over GF({p})")
-        tail[i] += 1
+    Fp = gf(p)
+    # c_0 = 0 makes x a factor; codes of GF(p) are the residues themselves
+    for tail in product(range(1, p), *[range(p)] * (e - 1)):
+        if is_irreducible(Poly._from_codes(Fp, list(tail) + [1])):
+            return tail + (1,)
+    raise ResourceLimit(f"no irreducible of degree {e} over GF({p})")
 
 
 _TABLE_MAX_ORDER = 256     # operation tables up to this field size
@@ -260,10 +165,7 @@ class GFElem:
         if els is not None and isinstance(other, GFElem) and other.field is F:
             return els[F._mul_table[self.idx][other.idx]]
         self._check(other)
-        prod = _polymulmod(list(self.coeffs), list(other.coeffs),
-                           list(F.modulus), F.p)
-        prod += [0] * (F.e - len(prod))
-        return F._make(tuple(prod))
+        return F.from_code(F._code_mul(self.idx, other.idx))
 
     __rmul__ = __mul__
 
@@ -289,7 +191,7 @@ class GFElem:
         F = self.field
         if F._elems is not None:
             return F._elems[F._inv_table[self.idx]]
-        return self ** (F.order - 2)
+        return F.from_code(F._code_inv(self.idx))
 
     def frobenius(self):
         F = self.field
@@ -371,16 +273,30 @@ class GF:
         return _code([-x % p for x in _digits(a, p, self.e)], p)
 
     def _code_mul(self, a, b):
+        """Digit vectors multiplied by the code kernels over GF(p), then
+        reduced by the modulus."""
         p, e = self.p, self.e
-        return _code(_polymulmod(_digits(a, p, e), _digits(b, p, e),
-                                 list(self.modulus), p), p)
+        if e == 1:
+            return a * b % p
+        T = gf(p).tables
+        prod = mpoly._code_mul(_digits(a, p, e), _digits(b, p, e), T)
+        return _code(mpoly._code_divmod(prod, self.modulus, T)[1], p)
+
+    def _code_pow(self, a, n):
+        """The code of a^n, by square and multiply on ``tables``."""
+        mul = self.tables[1]
+        r = 1
+        while n:
+            if n & 1:
+                r = mul[r][a]
+            a = mul[a][a]
+            n >>= 1
+        return r
 
     def _code_inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
-        p, e = self.p, self.e
-        return _code(_polypowmod(_digits(a, p, e), self.order - 2,
-                                 list(self.modulus), p), p)
+        return self._code_pow(a, self.order - 2)
 
     def _build_tables(self):
         """Code tables from a primitive element g: mul[a][b] is

@@ -2,13 +2,19 @@
 
 Terms live in a dict {exponent tuple: nonzero GFElem}; the term order is
 graded lexicographic (total degree first, then lex on the exponent tuple).
-GCDs in one or two active variables run on element codes (``GF.from_code``)
-in dense lists, reading the field's ``tables`` instead of building GFElem
-objects: Euclid in one variable; in two, row contents, then evaluation and
-Newton interpolation (Brown), projection back to the base field and exact
-division checks.  In three or more variables the GCD is content/primitive-
-part recursion with a primitive PRS in the last variable, which stays exact
-in characteristic p.
+
+This module also holds the library's one dense univariate arithmetic: the
+kernels ``_code_trim``, ``_code_eval``, ``_code_addmul``, ``_code_mul``,
+``_code_divmod``, ``_code_gcd`` and ``_code_exact_div`` on lists of element
+codes (``GF.from_code``), reading the field's ``tables`` instead of building
+GFElem objects.  ``poly.Poly`` and the multiplication of large fields in
+``gf`` run on them; this module imports neither at load time.
+
+GCDs in one or two active variables run on these kernels: Euclid in one
+variable; in two, row contents, then evaluation and Newton interpolation
+(Brown), projection back to the base field and exact division checks.  In
+three or more variables the GCD is content/primitive-part recursion with a
+primitive PRS in the last variable, which stays exact in characteristic p.
 """
 
 from .errors import DivisionByZero, IntegralityViolation

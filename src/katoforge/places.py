@@ -28,7 +28,7 @@ class Place:
 
     def __init__(self, poly=None, var="t"):
         if poly is not None:
-            if poly.coeffs[-1] != poly.field.one:
+            if poly.is_zero() or poly.coeffs[-1] != poly.field.one:
                 raise ConfigMismatch("place polynomial must be monic")
             if not is_irreducible(poly):
                 raise ConfigMismatch("place polynomial must be irreducible")

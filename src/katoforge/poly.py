@@ -1,27 +1,42 @@
 """Dense univariate polynomials over GF(q), with factorization.
 
-Coefficients are GFElem values, index = degree, trimmed so the leading
-coefficient is nonzero (the zero polynomial has an empty list).  Factorization
-is squarefree decomposition (with p-th-root descent for the inseparable step),
+A ``Poly`` stores a tuple of element codes (``GF.from_code``), index =
+degree, trimmed so the leading code is nonzero (the zero polynomial is the
+empty tuple); ``coeffs`` gives the coefficients as GFElem values.  All
+arithmetic runs on the code kernels in ``mpoly`` (``_code_mul``,
+``_code_divmod``, ...) over the field's ``tables``.  Factorization is
+squarefree decomposition (with p-th-root descent for the inseparable step),
 then distinct-degree, then equal-degree splitting seeded deterministically
 from the input so identical inputs factor identically in any call order.
 """
 
 import random
 
-from .errors import DivisionByZero, IntegralityViolation, ZeroPolynomial
-from .mpoly import MPoly
+from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
+                     ZeroPolynomial)
+from .mpoly import (MPoly, _code_addmul, _code_divmod, _code_eval, _code_gcd,
+                    _code_mul, _code_trim)
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_codes")
 
     def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
+        codes = []
+        for c in coeffs:
+            if getattr(c, "field", None) is not field:
+                raise ConfigMismatch(f"coefficient {c!r} is not in {field!r}")
+            codes.append(c.idx)
         self.field = field
-        self.coeffs = tuple(cs)
+        self._codes = tuple(_code_trim(codes))
+
+    @classmethod
+    def _from_codes(cls, field, codes):
+        """The polynomial with the element codes in the list ``codes``."""
+        f = cls.__new__(cls)
+        f.field = field
+        f._codes = tuple(_code_trim(codes))
+        return f
 
     @classmethod
     def const(cls, field, c):
@@ -29,70 +44,68 @@ class Poly:
 
     @classmethod
     def x(cls, field):
-        return cls(field, [field.zero, field.one])
+        return cls._from_codes(field, [0, 1])
+
+    @property
+    def coeffs(self):
+        return tuple(map(self.field.from_code, self._codes))
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._codes) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._codes
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field is other.field
-                and self.coeffs == other.coeffs)
+                and self._codes == other._codes)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self._codes))
+
+    def _codes_of(self, other):
+        if not isinstance(other, Poly) or other.field is not self.field:
+            raise ConfigMismatch("polynomials over different fields")
+        return other._codes
+
+    def _times(self, c):
+        """self * c for the element code c."""
+        return Poly._from_codes(self.field,
+                                _code_mul(self._codes, [c], self.field.tables))
+
+    def _plus(self, other, c):
+        """self + c * other for the element code c."""
+        return Poly._from_codes(self.field, _code_addmul(
+            self._codes, self._codes_of(other), [c], self.field.tables))
 
     def __add__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [F.zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [F.zero] * (n - len(other.coeffs))
-        return Poly(F, [x + y for x, y in zip(a, b)])
+        return self._plus(other, 1)
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return self._times(self.field.tables[2][1])
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, self.field.tables[2][1])
 
     def __mul__(self, other):
-        F = self.field
         if isinstance(other, int):
-            other = Poly.const(F, other)
-        if self.is_zero() or other.is_zero():
-            return Poly(F, [])
-        res = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        res[i + j] = res[i + j] + a * b
-        return Poly(F, res)
+            other = Poly.const(self.field, other)
+        b = self._codes_of(other)
+        return Poly._from_codes(self.field,
+                                _code_mul(self._codes, b, self.field.tables))
 
     def scale(self, c):
-        return Poly(self.field, [a * c for a in self.coeffs])
+        if c.field is not self.field:
+            raise ConfigMismatch("scalar from a different field")
+        return self._times(c.idx)
 
     def divmod(self, other):
-        if other.is_zero():
+        b = self._codes_of(other)
+        if not b:
             raise DivisionByZero("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly(F, []), self
-        quot = [F.zero] * (dq + 1)
-        inv = other.coeffs[-1].inverse()
-        for k in range(dq, -1, -1):
-            lead = rem[k + other.degree]
-            if lead:
-                c = lead * inv
-                quot[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(F, quot), Poly(F, rem)
+        q, r = _code_divmod(self._codes, b, self.field.tables)
+        return Poly._from_codes(self.field, q), Poly._from_codes(self.field, r)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -103,17 +116,17 @@ class Poly:
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(self.coeffs[-1].inverse())
+        return self._times(self.field.tables[3][self._codes[-1]])
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        b = self._codes_of(other)
+        return Poly._from_codes(self.field,
+                                _code_gcd(self._codes, b, self.field.tables))
 
     def derivative(self):
-        F = self.field
-        return Poly(F, [c * i for i, c in enumerate(self.coeffs)][1:])
+        mul, p = self.field.tables[1], self.field.p
+        return Poly._from_codes(self.field, [mul[c][i % p] for i, c in
+                                             enumerate(self._codes)][1:])
 
     def powmod(self, n, mod):
         result = Poly.const(self.field, 1) % mod
@@ -136,34 +149,40 @@ class Poly:
         return result
 
     def eval(self, x):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        F = self.field
+        if x.field is not F:
+            raise ConfigMismatch("evaluation point in a different field")
+        return F.from_code(_code_eval(self._codes, x.idx, F.tables))
 
     def shift(self, theta, target_field=None, embed=None):
-        """Coefficients of self(theta + pi) as a Poly over theta's field."""
+        """Coefficients of self(theta + pi) as a Poly over theta's field;
+        ``embed`` maps this polynomial's coefficients into it."""
         F = target_field or self.field
-        emb = embed or (lambda c: c)
-        out = Poly(F, [])
-        for c in reversed(self.coeffs):
-            # out <- out * (theta + pi) + c
-            shifted = Poly(F, [F.zero] + list(out.coeffs))
-            out = shifted + out.scale(theta) + Poly.const(F, emb(c))
-        return out
+        if theta.field is not F or (embed is None and F is not self.field):
+            raise ConfigMismatch("shift into a different field")
+        cs = self._codes if embed is None else \
+            [embed(c).idx for c in self.coeffs]
+        T = F.tables
+        lin = [theta.idx, 1]
+        out = []
+        for c in reversed(cs):
+            out = _code_addmul([c], out, lin, T)   # out * (theta + pi) + c
+        return Poly._from_codes(F, out)
 
     def pth_root(self):
         """For f with zero derivative, the g with g^p = f."""
         F = self.field
         p = F.p
-        if any(c for i, c in enumerate(self.coeffs) if i % p):
+        if any(c for i, c in enumerate(self._codes) if i % p):
             raise IntegralityViolation(f"{self!r} is not a p-th power: a "
                                        "coefficient off the p-multiples "
                                        "is nonzero")
-        return Poly(F, [F.pth_root(c) for c in self.coeffs[::p]])
+        n = p ** (F.e - 1)
+        return Poly._from_codes(F, [F._code_pow(c, n)
+                                    for c in self._codes[::p]])
 
     def reverse(self):
-        return Poly(self.field, list(reversed(self.coeffs)))
+        return Poly._from_codes(self.field, list(reversed(self._codes)))
 
     def __repr__(self):
         from .render import format_poly
@@ -237,9 +256,8 @@ def _equal_degree_split(f, d, rng):
     n = f.degree
     if n == d:
         return [f]
-    elems = list(F.elements())
     while True:
-        a = Poly(F, [rng.choice(elems) for _ in range(n)])
+        a = Poly._from_codes(F, [rng.randrange(q) for _ in range(n)])
         if a.degree < 1:
             continue
         g = f.gcd(a)
@@ -282,21 +300,34 @@ def factor(f):
 
 
 def is_irreducible(f):
-    """A reducible f, squarefree or not, has an irreducible factor of degree
-    d <= deg f / 2, so distinct-degree splitting finds it before deg f."""
-    if f.degree < 1:
+    """A reducible f, squarefree or not, has an irreducible factor of some
+    degree d <= deg f / 2, which divides x^(q^d) - x; an irreducible f of
+    degree n is prime to x^(q^d) - x for every d < n."""
+    n = f.degree
+    if n < 1:
         return False
-    return [d for _, d in _distinct_degree(f.monic())] == [f.degree]
+    if n > 1 and not f._codes[0]:
+        return False
+    f = f.monic()
+    x = Poly.x(f.field)
+    h = x
+    for _ in range(n // 2):
+        h = h.powmod(f.field.order, f)
+        if f.gcd(h - x).degree >= 1:
+            return False
+    return True
 
 
 def to_dense(mp, base):
     """Univariate MPoly -> dense Poly over the base field."""
-    out = [base.zero] * (mp.degree_in(0) + 1)
+    out = [0] * (mp.degree_in(0) + 1)
     for e, c in mp.terms.items():
-        out[e[0]] = c
-    return Poly(base, out)
+        out[e[0]] = c.idx
+    return Poly._from_codes(base, out)
 
 
 def to_mpoly(f):
     """Dense Poly -> univariate MPoly, the inverse of to_dense."""
-    return MPoly(f.field, 1, {(d,): c for d, c in enumerate(f.coeffs) if c})
+    F = f.field
+    return MPoly(F, 1, {(d,): F.from_code(c)
+                        for d, c in enumerate(f._codes) if c})

@@ -18,8 +18,9 @@ def format_poly(f, var):
     if f.is_zero():
         return "0"
     terms = []
+    coeffs = f.coeffs
     for d in range(f.degree, -1, -1):
-        c = f.coeffs[d]
+        c = coeffs[d]
         if not c:
             continue
         cs = format_gf_coeff(c)

@@ -3,7 +3,52 @@ import random
 import pytest
 
 from katoforge import IntegralityViolation, NonPrime, gf
-from katoforge.gf import GF, _polymulmod
+from katoforge.gf import GF
+
+
+def _polymulmod(a, b, mod, p):
+    """a * b reduced by the monic mod, all coefficient lists over Z/p: the
+    schoolbook oracle for the tables."""
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                res[i + j] = (res[i + j] + ai * bj) % p
+    dm = len(mod) - 1
+    while len(res) - 1 >= dm:
+        lead = res[-1]
+        if lead:
+            off = len(res) - 1 - dm
+            for j in range(dm + 1):
+                res[off + j] = (res[off + j] - lead * mod[j]) % p
+        res.pop()
+    while len(res) > 1 and res[-1] == 0:
+        res.pop()
+    return res
+
+
+# (p, e): gf(p, e).modulus, recorded from the Rabin-test search that the
+# distinct-degree test replaced
+MODULUS_GOLDEN = {
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 13): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 17): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 24): (1,) + (0,) * 19 + (1, 1, 0, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (3, 15): (1,) + (0,) * 12 + (1, 2, 1),
+    (5, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (7, 3): (1, 0, 1, 1),
+    (13, 2): (1, 3, 1),
+    (257, 2): (1, 1, 1),
+    (4091, 2): (1, 0, 1),
+    (4093, 2): (1, 3, 1),
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(MODULUS_GOLDEN))
+def test_canonical_modulus_golden(p, e):
+    assert gf(p, e).modulus == MODULUS_GOLDEN[p, e]
 
 
 def test_canonical_moduli():

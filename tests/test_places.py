@@ -97,6 +97,8 @@ def test_place_order():
     assert place_order(r, _t_place(F2)) == -3
     assert place_order(r, Place(Poly(F2, [F2.one, F2.one]))) == 1
     assert place_order(r, Place.infinity()) == 2
+    with pytest.raises(ConfigMismatch):
+        place_order(r, _t_place(gf(3)))       # a place of F_3(t)
 
 
 def test_place_polynomial_checks():
@@ -109,6 +111,9 @@ def test_place_polynomial_checks():
     F3 = gf(3)
     with pytest.raises(ConfigMismatch):
         Place(Poly(F3, [F3.one, F3.elem(2)]))                # 2t+1, not monic
+    for make in (Place, Place.finite):
+        with pytest.raises(ConfigMismatch):
+            make(Poly(F3, []))
     with pytest.raises(UnsupportedField):
         place_context(func_field(F2, ("x", "y")), Place.infinity())
 

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from katoforge import Poly, ZeroPolynomial, factor, gf, is_irreducible
+from katoforge import (ConfigMismatch, Poly, ZeroPolynomial, factor, gf,
+                       is_irreducible)
 from katoforge.poly import squarefree_decomposition
 
 
@@ -76,3 +78,41 @@ def test_irreducibility_by_roots():
             E = gf(2, sub_e)
             lifted = Poly(E, [E.elem(int(c.coeffs[0])) for c in f.coeffs])
             assert all(lifted.eval(a) for a in E.elements()) or d == 1
+
+
+@pytest.mark.parametrize("p,e,max_deg", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
+def test_is_irreducible_exhaustive(p, e, max_deg):
+    """Every monic polynomial of degree <= max_deg against brute force: the
+    reducible ones of degree n are the products of two monic polynomials of
+    positive degrees summing to n, multiplied out term by term."""
+    F = gf(p, e)
+    els = list(F.elements())
+    monic = {n: [list(tail) + [F.one]
+                 for tail in itertools.product(els, repeat=n)]
+             for n in range(max_deg + 1)}
+    reducible = set()
+    for n in range(2, max_deg + 1):
+        for d in range(1, n // 2 + 1):
+            for a in monic[d]:
+                for b in monic[n - d]:
+                    prod = [F.zero] * (n + 1)
+                    for i, x in enumerate(a):
+                        for j, y in enumerate(b):
+                            prod[i + j] = prod[i + j] + x * y
+                    reducible.add(tuple(prod))
+    for n in range(max_deg + 1):
+        for f in monic[n]:
+            expected = n >= 1 and tuple(f) not in reducible
+            assert is_irreducible(Poly(F, f)) == expected, f
+
+
+def test_fields_do_not_mix():
+    F2, F3 = gf(2), gf(3)
+    with pytest.raises(ConfigMismatch):
+        Poly(F2, [F2.one, F3.one])
+    f, g = Poly.x(F2), Poly.x(F3)
+    for op in (lambda: f + g, lambda: f - g, lambda: f * g,
+               lambda: f.divmod(g), lambda: f.gcd(g), lambda: f.powmod(2, g),
+               lambda: f.eval(F3.one), lambda: f.scale(F3.one)):
+        with pytest.raises(ConfigMismatch):
+            op()

@@ -165,9 +165,44 @@ def test_gcd_bivariate_content_only(p, e):
 KERNEL_FIELDS = [(2, 1), (2, 2), (3, 2), (2, 9), (2, 17)]
 
 
+def _trimmed(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _school_mul(a, b, F):
+    """Schoolbook product of GFElem coefficient lists."""
+    out = [F.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trimmed(out)
+
+
+def _school_divmod(a, b, F):
+    r, q = list(a), [F.zero] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for j, y in enumerate(b):
+            r[k + j] = r[k + j] - c * y
+        _trimmed(r)
+    return q, r
+
+
+def _school_gcd(a, b, F):
+    while b:
+        a, b = b, _school_divmod(a, b, F)[1]
+    return [c / a[-1] for c in a]
+
+
 @given(st.data())
 def test_code_kernels_match_poly(data):
-    """mul, divmod, gcd and evaluation on element codes against Poly."""
+    """The code kernels and the Poly methods built on them (mul, divmod,
+    gcd, evaluation, powmod, Taylor shift) against schoolbook GFElem
+    arithmetic."""
     p, e = data.draw(st.sampled_from(KERNEL_FIELDS))
     F = gf(p, e)
     codes = st.lists(st.integers(0, F.order - 1), max_size=7).map(
@@ -175,20 +210,42 @@ def test_code_kernels_match_poly(data):
                            default=0)])
     a, b = data.draw(codes), data.draw(codes)
     x = data.draw(st.integers(0, F.order - 1))
+    n = data.draw(st.integers(0, 12))
     T = F.tables
+    ea = [F.from_code(c) for c in a]
+    eb = [F.from_code(c) for c in b]
+    ex = F.from_code(x)
 
-    def poly(cs):
-        return Poly(F, [F.from_code(c) for c in cs])
+    def codes_of(elems):
+        return [c.idx for c in elems]
 
-    def codes_of(f):
-        return [c.idx for c in f.coeffs]
-
-    assert codes_of(poly(a) * poly(b)) == _code_mul(a, b, T)
-    assert F.from_code(_code_eval(a, x, T)) == poly(a).eval(F.from_code(x))
-    assert codes_of(poly(a).gcd(poly(b))) == _code_gcd(a, b, T)
+    prod = _school_mul(ea, eb, F)
+    assert _code_mul(a, b, T) == codes_of(prod)
+    assert Poly(F, ea) * Poly(F, eb) == Poly(F, prod)
+    value = F.zero
+    for c in reversed(ea):
+        value = value * ex + c
+    assert _code_eval(a, x, T) == value.idx
+    assert Poly(F, ea).eval(ex) == value
+    g = _school_gcd(ea, eb, F) if ea or eb else []
+    assert _code_gcd(a, b, T) == codes_of(g)
+    assert Poly(F, ea).gcd(Poly(F, eb)) == Poly(F, g)
     if b:
-        q, r = poly(a).divmod(poly(b))
-        assert (codes_of(q), codes_of(r)) == _code_divmod(a, b, T)
+        q, r = _school_divmod(ea, eb, F)
+        assert _code_divmod(a, b, T) == (codes_of(q), codes_of(r))
+        assert Poly(F, ea).divmod(Poly(F, eb)) == (Poly(F, q), Poly(F, r))
+        power = _school_divmod([F.one], eb, F)[1]
+        for _ in range(n):
+            power = _school_divmod(_school_mul(power, ea, F), eb, F)[1]
+        assert Poly(F, ea).powmod(n, Poly(F, eb)) == Poly(F, power)
+    # a(x + pi) = sum_i a_i (x + pi)^i
+    shifted, lin_power = [], [F.one]
+    for c in ea:
+        term = [c * y for y in lin_power]
+        shifted += [F.zero] * (len(term) - len(shifted))
+        shifted = _trimmed([s + t for s, t in zip(shifted, term)])
+        lin_power = _school_mul(lin_power, [ex, F.one], F)
+    assert Poly(F, ea).shift(ex) == Poly(F, shifted)
 
 
 def test_gcd_bivariate_needs_too_large_extension():
