@@ -207,7 +207,7 @@ class Parser:
                     v = a / b
             elif self._is_diff_start():
                 form = self.diff_product()
-                v = form.scale(self._as_ratfunc(v))
+                v = form.scale(self._coerce(v))
             else:
                 return v
 
@@ -331,18 +331,14 @@ class Parser:
 
     def symbol_lit(self):
         self.expect("{")
-        entries = [self._as_ratfunc(self.expr())]
+        entries = [self._coerce(self.expr())]
         while self.peek()[0] == ",":
             self.next()
-            entries.append(self._as_ratfunc(self.expr()))
+            entries.append(self._coerce(self.expr()))
         self.expect("}")
         if not isinstance(self.field, FuncField):
             raise ScriptError("symbols need a function field", self.lineno)
         return MilnorElement.symbol(self.field, entries)
-
-    def _as_ratfunc(self, v):
-        v = self._coerce(v)
-        return v
 
     def bracket_lit(self):
         self.expect("[")

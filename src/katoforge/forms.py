@@ -174,8 +174,9 @@ class DiffForm:
 
 
 def _merge_indices(I, J):
-    """Merge disjoint increasing tuples; None if they intersect."""
-    if set(I) & set(J):
+    """The sorted concatenation of I and J and the sign of the permutation
+    that sorts it; None if an index repeats."""
+    if len(set(I + J)) < len(I) + len(J):
         return None
     merged = tuple(sorted(I + J))
     # sign of the permutation sorting I+J
@@ -218,15 +219,11 @@ def form_from_terms(field, degree, assignments):
     """Build a form from {index tuple: RatFunc}; indices get sorted with sign."""
     out = DiffForm.zero(field, degree)
     for I, c in assignments.items():
-        if len(set(I)) != len(I):
+        merged = _merge_indices(I, ())
+        if merged is None:
             continue
-        sign = 1
-        seq = list(I)
-        for a in range(len(seq)):
-            for b in range(a + 1, len(seq)):
-                if seq[a] > seq[b]:
-                    sign = -sign
-        out = out + DiffForm(field, degree, {tuple(sorted(I)): c * sign})
+        K, sign = merged
+        out = out + DiffForm(field, degree, {K: c * sign})
     return out
 
 

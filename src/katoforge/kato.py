@@ -31,7 +31,7 @@ from .gring import galois_ring
 from .laurent import Laurent
 from .milnor import MilnorElement
 from .places import Place, place_context, place_order, support_places
-from .poly import factor, to_dense, to_mpoly
+from .poly import factor, factor_ratfunc, to_dense, to_mpoly
 from .rational import FuncField
 from .witt import WittVector
 
@@ -108,15 +108,9 @@ def _expand_entry(field, b):
         if not _is_one_entry(field, unit):
             out.append((unit, 1))
         return out
-    base = field.base
-    out = []
-    for mp, sgn in ((b.num, 1), (b.den, -1)):
-        dense = to_dense(mp, base)
-        if dense.degree >= 1:
-            for f, m in factor(dense):
-                out.append((field.from_poly(to_mpoly(f)), sgn * m))
+    out = [(field.from_poly(to_mpoly(f)), m) for f, m in factor_ratfunc(b)]
     lead = _leading_constant(b)
-    if lead != base.one:
+    if lead != field.base.one:
         out.append((field.const(lead), 1))
     return out
 

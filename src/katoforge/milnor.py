@@ -22,7 +22,8 @@ from .errors import (ConfigMismatch, DegreeMismatch, DlogOfZero,
                      IntegralityViolation, NormShapeUnsupported,
                      UnsupportedField)
 from .forms import DiffForm, dlog
-from .poly import factor, to_dense, to_mpoly
+from .mpoly import MPoly
+from .poly import factor_ratfunc, to_dense, to_mpoly
 from .rational import func_field
 
 
@@ -109,13 +110,7 @@ def _entry_factors(a):
     F = a.field
     out = []
     if F.k == 1:
-        base = F.base
-        for mp, sgn in ((a.num, 1), (a.den, -1)):
-            dense = to_dense(mp, base)
-            if dense.degree >= 1:
-                for f, m in factor(dense):
-                    out.append((F.from_poly(to_mpoly(f)), sgn * m))
-        return out
+        return [(F.from_poly(to_mpoly(f)), m) for f, m in factor_ratfunc(a)]
     for mp, sgn in ((a.num, 1), (a.den, -1)):
         if mp.is_const():
             continue
@@ -128,8 +123,7 @@ def _entry_factors(a):
                 out.append((F.var(F.vars[j]), sgn * m))
         rest = {tuple(x - y for x, y in zip(e, common)): c
                 for e, c in mp.terms.items()}
-        from .mpoly import MPoly
-        rest_poly = MPoly(F.base, F.k, rest)
+        rest_poly = MPoly._from_codes(F.base, F.k, rest)
         if not rest_poly.is_const():
             out.append((F.from_poly(rest_poly.monic_grlex()), sgn))
     return out

@@ -1,42 +1,73 @@
 """Sparse multivariate polynomials over GF(q).
 
-Terms live in a dict {exponent tuple: nonzero GFElem}; the term order is
-graded lexicographic (total degree first, then lex on the exponent tuple).
+Terms live in a dict {exponent tuple: nonzero element code} (``GF.from_code``)
+and every coefficient operation reads the field's ``tables``; the term order
+is graded lexicographic (total degree first, then lex on the exponent tuple).
+The public constructor takes GFElem coefficients, and ``leading``,
+``const_value``, ``sort_key`` and printing give them back as GFElems.
 
 This module also holds the library's one dense univariate arithmetic: the
 kernels ``_code_trim``, ``_code_eval``, ``_code_addmul``, ``_code_mul``,
 ``_code_divmod``, ``_code_gcd`` and ``_code_exact_div`` on lists of element
-codes (``GF.from_code``), reading the field's ``tables`` instead of building
-GFElem objects.  ``poly.Poly`` and the multiplication of large fields in
-``gf`` run on them; this module imports neither at load time.
+codes.  ``poly.Poly`` and the multiplication of large fields in ``gf`` run
+on them; this module imports neither at load time.
 
-GCDs in one or two active variables run on these kernels: Euclid in one
-variable; in two, row contents, then evaluation and Newton interpolation
-(Brown), projection back to the base field and exact division checks.  In
-three or more variables the GCD is content/primitive-part recursion with a
-primitive PRS in the last variable, which stays exact in characteristic p.
+The GCD is Euclid on these kernels when one variable occurs, and otherwise
+one loop of evaluation and interpolation (Brown, JACM 1971, section 4) that
+recurses in the variables: the first variable is evaluated at points of an
+extension field that grows until enough of them are lucky, the image GCDs
+in the other variables come from the same two algorithms on code dicts, and
+exact division checks the interpolated candidate.
 """
 
-from .errors import DivisionByZero, IntegralityViolation
+from operator import add as _exp_add, sub as _exp_sub
+
+from .errors import ConfigMismatch, DivisionByZero, IntegralityViolation
+
+
+def _grlex(e):
+    """Sort key of an exponent tuple in graded-lex order."""
+    return sum(e), e
 
 
 class MPoly:
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field, nvars, terms):
+        codes = {}
+        for e, c in terms.items():
+            if type(e) is not tuple or len(e) != nvars or not all(
+                    type(x) is int and x >= 0 for x in e):
+                raise ConfigMismatch(f"exponent {e!r} is not a tuple of "
+                                     f"{nvars} non-negative ints")
+            if getattr(c, "field", None) is not field:
+                raise ConfigMismatch(f"coefficient {c!r} is not in {field!r}")
+            if c:
+                codes[e] = c.idx
         self.field = field
         self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = codes
+
+    @classmethod
+    def _from_codes(cls, field, nvars, terms):
+        """The polynomial whose terms are the dict ``terms`` of nonzero
+        element codes, taken as it is."""
+        f = cls.__new__(cls)
+        f.field = field
+        f.nvars = nvars
+        f.terms = terms
+        return f
 
     @classmethod
     def const(cls, field, nvars, c):
-        c = field.elem(c) if isinstance(c, int) else c
-        return cls(field, nvars, {(0,) * nvars: c} if c else {})
+        c = field.elem(c)
+        return cls._from_codes(field, nvars,
+                               {(0,) * nvars: c.idx} if c else {})
 
     @classmethod
     def var(cls, field, nvars, j):
         e = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls(field, nvars, {e: field.one})
+        return cls._from_codes(field, nvars, {e: 1})
 
     def is_zero(self):
         return not self.terms
@@ -45,7 +76,7 @@ class MPoly:
         return all(not any(e) for e in self.terms)
 
     def const_value(self):
-        return self.terms.get((0,) * self.nvars, self.field.zero)
+        return self.field.from_code(self.terms.get((0,) * self.nvars, 0))
 
     def degree_in(self, j):
         return max((e[j] for e in self.terms), default=0)
@@ -56,37 +87,67 @@ class MPoly:
 
     def __hash__(self):
         return hash((id(self.field), self.nvars,
-                     tuple(sorted((e, c.coeffs) for e, c in self.terms.items()))))
+                     frozenset(self.terms.items())))
+
+    def _terms_of(self, other):
+        if not isinstance(other, MPoly) or other.field is not self.field \
+                or other.nvars != self.nvars:
+            raise ConfigMismatch("polynomials over different rings")
+        return other.terms
+
+    def _plus(self, items):
+        """self plus the terms (exponent, code) in ``items``."""
+        add = self.field.tables[0]
+        terms = dict(self.terms)
+        for e, c in items:
+            s = terms.get(e)
+            if s is None:
+                terms[e] = c
+            else:
+                s = add[s][c]
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return MPoly._from_codes(self.field, self.nvars, terms)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = s + c if s is not None else c
-        return MPoly(self.field, self.nvars, terms)
+        return self._plus(self._terms_of(other).items())
 
     def __neg__(self):
-        return MPoly(self.field, self.nvars,
-                     {e: -c for e, c in self.terms.items()})
+        neg = self.field.tables[2]
+        return MPoly._from_codes(self.field, self.nvars,
+                                 {e: neg[c] for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        neg = self.field.tables[2]
+        return self._plus((e, neg[c])
+                          for e, c in self._terms_of(other).items())
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = MPoly.const(self.field, self.nvars, other)
+            return self.scale(self.field.elem(other))
+        b = self._terms_of(other).items()
+        add, mul = self.field.tables[:2]
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                out[e] = s + c if s is not None else c
-        return MPoly(self.field, self.nvars, out)
+            row = mul[c1]
+            for e2, c2 in b:
+                e = tuple(map(_exp_add, e1, e2))
+                s = get(e)
+                out[e] = row[c2] if s is None else add[s][row[c2]]
+        return MPoly._from_codes(self.field, self.nvars,
+                                 {e: c for e, c in out.items() if c})
 
     def scale(self, c):
-        return MPoly(self.field, self.nvars,
-                     {e: a * c for e, a in self.terms.items()})
+        if getattr(c, "field", None) is not self.field:
+            raise ConfigMismatch("scalar from a different field")
+        if not c:
+            return MPoly._from_codes(self.field, self.nvars, {})
+        row = self.field.tables[1][c.idx]
+        return MPoly._from_codes(self.field, self.nvars,
+                                 {e: row[a] for e, a in self.terms.items()})
 
     def __pow__(self, n):
         result = MPoly.const(self.field, self.nvars, 1)
@@ -100,51 +161,38 @@ class MPoly:
 
     def leading(self):
         """(exponent, coeff) in graded-lex order."""
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
+        e = max(self.terms, key=_grlex)
+        return e, self.field.from_code(self.terms[e])
 
     def monic_grlex(self):
         """Scaled so the graded-lex leading coefficient is 1."""
         if self.is_zero():
             return self
-        _, c = self.leading()
-        return self.scale(c.inverse())
+        return MPoly._from_codes(self.field, self.nvars,
+                                 _monic(self.terms, self.field.tables))
 
     def divmod_exact(self, other):
         """Quotient when other divides self exactly; None otherwise."""
-        if other.is_zero():
+        b = self._terms_of(other)
+        if not b:
             raise DivisionByZero("division by the zero polynomial")
-        F = self.field
-        rem = self
-        quot = MPoly.const(F, self.nvars, 0)
-        le, lc = other.leading()
-        lcinv = lc.inverse()
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, le))
-            if any(x < 0 for x in qe):
-                return None
-            qc = rc * lcinv
-            qterm = MPoly(F, self.nvars, {qe: qc})
-            quot = quot + qterm
-            rem = rem - qterm * other
-        return quot
+        q = _code_divexact(self.terms, b, self.field.tables)
+        return None if q is None else \
+            MPoly._from_codes(self.field, self.nvars, q)
 
     def derivative(self, j):
+        mul, p = self.field.tables[1], self.field.p
         out = {}
         for e, c in self.terms.items():
-            if e[j] == 0:
-                continue
-            d = c * e[j]
-            if d:
-                ne = tuple(x - 1 if i == j else x for i, x in enumerate(e))
-                s = out.get(ne)
-                out[ne] = s + d if s is not None else d
-        return MPoly(self.field, self.nvars, out)
+            k = e[j] % p
+            if k:
+                out[e[:j] + (e[j] - 1,) + e[j + 1:]] = mul[c][k]
+        return MPoly._from_codes(self.field, self.nvars, out)
 
     def sort_key(self):
-        return tuple(sorted(
-            ((e, c.coeffs) for e, c in self.terms.items()), reverse=True))
+        from_code = self.field.from_code
+        return tuple(sorted(((e, from_code(c).coeffs)
+                             for e, c in self.terms.items()), reverse=True))
 
     def __repr__(self):
         return format_mpoly(self, tuple(f"x{i}" for i in range(self.nvars)))
@@ -163,105 +211,11 @@ def format_mpoly(f, vars):
     from .render import format_gf_coeff, format_monomial
     if f.is_zero():
         return "0"
-    items = sorted(f.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]),
+    items = sorted(f.terms.items(), key=lambda ec: _grlex(ec[0]),
                    reverse=True)
-    return "+".join(format_monomial(format_gf_coeff(c), e, vars)
+    return "+".join(format_monomial(format_gf_coeff(f.field.from_code(c)),
+                                    e, vars)
                     for e, c in items)
-
-
-# ---------------------------------------------------------------- gcd ----
-
-def _to_univariate(f, j):
-    """View f as a dense coefficient list in x_j, coefficients MPolys with
-    exponent 0 in slot j."""
-    deg = f.degree_in(j)
-    out = [dict() for _ in range(deg + 1)]
-    for e, c in f.terms.items():
-        rest = tuple(0 if i == j else x for i, x in enumerate(e))
-        out[e[j]][rest] = c
-    return [MPoly(f.field, f.nvars, d) for d in out]
-
-
-def _from_univariate(coeffs, field, nvars, j):
-    terms = {}
-    for d, c in enumerate(coeffs):
-        for e, v in c.terms.items():
-            terms[tuple(d if i == j else x for i, x in enumerate(e))] = v
-    return MPoly(field, nvars, terms)
-
-
-def _utrim(cs):
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _uscale(a, c):
-    return _utrim([x * c for x in a])
-
-
-def _usub(a, b, field, nvars):
-    n = max(len(a), len(b))
-    zero = MPoly.const(field, nvars, 0)
-    a = a + [zero] * (n - len(a))
-    b = b + [zero] * (n - len(b))
-    return _utrim([x - y for x, y in zip(a, b)])
-
-
-def _pseudo_rem(a, b, field, nvars):
-    """Pseudo-remainder of a by b (dense lists of MPoly coefficients)."""
-    if not b:
-        raise DivisionByZero("pseudo-division by zero")
-    lb = b[-1]
-    r = list(a)
-    while len(r) >= len(b):
-        lr = r[-1]
-        shift = len(r) - len(b)
-        zero = MPoly.const(field, nvars, 0)
-        prev = len(r)
-        r = _usub(_uscale(r, lb), [zero] * shift + _uscale(b, lr),
-                  field, nvars)
-        if len(r) >= prev:
-            raise IntegralityViolation("pseudo-remainder degree did not drop")
-    return r
-
-
-def mpoly_gcd(f, g):
-    """GCD, normalized graded-lex monic."""
-    F = f.field
-    if f.is_zero():
-        return g.monic_grlex()
-    if g.is_zero():
-        return f.monic_grlex()
-    if f.is_const() or g.is_const():
-        return MPoly.const(F, f.nvars, 1)
-    active = [j for j in range(f.nvars)
-              if f.degree_in(j) > 0 or g.degree_in(j) > 0]
-    if len(active) == 1:
-        return _gcd_univar(f, g, active[0])
-    if len(active) == 2:
-        return _gcd_bivariate(f, g, active[0], active[1])
-    return _gcd_rec(f, g, active[-1])
-
-
-def _gcd_univar(f, g, j):
-    """Both polynomials effectively univariate in x_j: Euclid on codes."""
-    F = f.field
-    d = _code_gcd(_to_codes(f, j), _to_codes(g, j), F.tables)
-    return MPoly(F, f.nvars, {
-        tuple(deg if i == j else 0 for i in range(f.nvars)): F.from_code(c)
-        for deg, c in enumerate(d) if c})
-
-
-def _content_pp(u, field, nvars):
-    """Content (gcd of coefficients) and primitive part of a dense list."""
-    one = MPoly.const(field, nvars, 1)
-    cont = MPoly.const(field, nvars, 0)
-    for c in u:
-        cont = mpoly_gcd(cont, c)
-        if cont.is_const() and not cont.is_zero():
-            return one, u
-    return cont, [exact_div(c, cont) for c in u]
 
 
 # -- dense univariate arithmetic on element codes --
@@ -341,79 +295,129 @@ def _code_exact_div(a, b, T):
     return q
 
 
-# -- dense bivariate gcd on codes --
-# A bivariate polynomial is a list of rows, index = degree in y, each row a
-# code polynomial in x; the last row is nonzero.  Evaluation in x at points
-# of an extension field and interpolation (Brown, JACM 1971); a candidate
-# that fails the exact-division check proves its image degree unlucky, and
-# evaluation goes on below that degree.
+# -- sparse arithmetic on code dicts --
+# A polynomial is a dict {exponent tuple: nonzero element code}, as in
+# ``MPoly.terms``; T is the field's ``tables``.
 
-def _to_codes(f, j):
-    """f, in which only x_j occurs, as a code polynomial in x_j."""
-    out = [0] * (f.degree_in(j) + 1)
-    for e, c in f.terms.items():
-        out[e[j]] = c.idx
-    return out
+def _monic(a, T):
+    """The nonzero code dict a scaled so its graded-lex leading code is 1."""
+    lc = a[max(a, key=_grlex)]
+    if lc == 1:
+        return a
+    row = T[1][T[3][lc]]
+    return {e: row[c] for e, c in a.items()}
 
 
-def _to_rows(f, jx, jy):
-    by_y = {}
-    for e, c in f.terms.items():
-        by_y.setdefault(e[jy], {})[e[jx]] = c.idx
-    rows = []
-    for dy in range(max(by_y) + 1):
-        terms = by_y.get(dy, {})
-        row = [0] * (max(terms, default=-1) + 1)
-        for dx, c in terms.items():
-            row[dx] = c
-        rows.append(row)
+def _code_divexact(a, b, T):
+    """The quotient dict a / b for a nonzero b that divides a exactly; None
+    otherwise.  One pass, reducing a copy of a in place."""
+    add, mul, neg, inv = T
+    lb = max(b, key=_grlex)
+    linv = inv[b[lb]]
+    rest = [(e, neg[c]) for e, c in b.items() if e != lb]
+    rem = dict(a)
+    quot = {}
+    while rem:
+        le = max(rem, key=_grlex)
+        qe = tuple(map(_exp_sub, le, lb))
+        if min(qe, default=0) < 0:
+            return None
+        qc = quot[qe] = mul[rem.pop(le)][linv]
+        row = mul[qc]
+        for e, c in rest:
+            e = tuple(map(_exp_add, qe, e))
+            s = rem.get(e)
+            if s is None:
+                rem[e] = row[c]
+            else:
+                s = add[s][row[c]]
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]
+    return quot
+
+
+# ---------------------------------------------------------------- gcd ----
+# Rows of a code dict with respect to x_j: {monomial in the other variables,
+# slot j zero: code polynomial in x_j}.
+
+def _rows(a, j):
+    rows = {}
+    for e, c in a.items():
+        k = e[j]
+        row = rows.setdefault(e[:j] + (0,) + e[j + 1:], [])
+        if len(row) <= k:
+            row += [0] * (k + 1 - len(row))
+        row[k] = c
     return rows
 
 
-def _from_rows(rows, F, nvars, jx, jy):
-    terms = {}
-    for dy, row in enumerate(rows):
-        for dx, c in enumerate(row):
-            if c:
-                e = [0] * nvars
-                e[jx], e[jy] = dx, dy
-                terms[tuple(e)] = F.from_code(c)
-    return MPoly(F, nvars, terms)
+def _from_rows(rows, j):
+    return {m[:j] + (k,) + m[j + 1:]: c
+            for m, r in rows.items() for k, c in enumerate(r) if c}
 
 
 def _rows_content_pp(rows, T):
+    """The content, a monic code polynomial in x_j, and the primitive
+    part."""
     cont = []
-    for r in rows:
+    for r in rows.values():
         cont = _code_gcd(cont, r, T)
         if len(cont) == 1:
             return cont, rows
-    return cont, [_code_exact_div(r, cont, T) for r in rows]
+    return cont, {m: _code_exact_div(r, cont, T) for m, r in rows.items()}
 
 
-def _rows_divide(d, a, T):
-    """Whether d divides a exactly."""
-    neg = T[2]
-    r = list(a)
-    n = len(d) - 1
-    while len(r) > n:
-        q, rem = _code_divmod(r[-1], d[-1], T)
-        if rem:
-            return False
-        nq = [neg[c] for c in q]
-        shift = len(r) - 1 - n
-        for k in range(n):
-            r[shift + k] = _code_addmul(r[shift + k], d[k], nq, T)
-        r.pop()
-        while r and not r[-1]:
-            r.pop()
-    return not r
+def _active(a, b):
+    """The variables that occur in the code dict a or b."""
+    return [j for j, col in enumerate(zip(*a, *b)) if any(col)]
+
+
+def mpoly_gcd(f, g):
+    """GCD, normalized graded-lex monic."""
+    F = f.field
+    f._terms_of(g)
+    if f.is_zero():
+        return g.monic_grlex()
+    if g.is_zero():
+        return f.monic_grlex()
+    if f.is_const() or g.is_const():
+        return MPoly.const(F, f.nvars, 1)
+    active = _active(f.terms, g.terms)
+    if len(active) > 1:
+        return _gcd_bivariate(f, g, active)
+    return MPoly._from_codes(F, f.nvars,
+                             _euclid(f.terms, g.terms, active[0], F.tables))
+
+
+def _gcd_codes(a, b, F):
+    """Graded-lex monic gcd of the nonzero code dicts a, b over F."""
+    active = _active(a, b)
+    if len(active) > 1:
+        return _brown(a, b, active, F)
+    return _euclid(a, b, active[0] if active else 0, F.tables)
+
+
+def _euclid(a, b, j, T):
+    """Euclid on nonzero code dicts in which no variable but x_j occurs."""
+    (m, ra), = _rows(a, j).items()
+    (_, rb), = _rows(b, j).items()
+    return _from_rows({m: _code_gcd(ra, rb, T)}, j)
+
+
+def _gcd_bivariate(f, g, active):
+    """GCD of f and g, in which the variables ``active`` occur, by Brown's
+    loop; it serves any number of them from two on."""
+    F = f.field
+    return MPoly._from_codes(F, f.nvars, _brown(f.terms, g.terms, active, F))
 
 
 def _rows_interpolate(points, images, T):
-    """Rows in y of the polynomials in x of degree < n = len(points) that
-    take the value images[k] (a code polynomial in y) at x = points[k]:
-    Newton's divided differences, then Horner in the Newton basis, O(n^2)
-    per row."""
+    """Rows {monomial: code polynomial in x of degree < n = len(points)}
+    taking the value images[k].get(monomial, 0) at x = points[k]: Newton's
+    divided differences, then Horner in the Newton basis, O(n^2) per
+    monomial."""
     add, mul, neg, inv = T
     n = len(points)
     negp = [neg[a] for a in points]
@@ -421,9 +425,9 @@ def _rows_interpolate(points, images, T):
     dinv = [None] + [[None] * j + [inv[add[points[k]][negp[k - j]]]
                                    for k in range(j, n)]
                      for j in range(1, n)]
-    rows = []
-    for dy in range(len(images[0])):
-        c = [img[dy] for img in images]
+    rows = {}
+    for mono in set().union(*images):
+        c = [img.get(mono, 0) for img in images]
         for j in range(1, n):
             dj = dinv[j]
             for k in range(n - 1, j - 1, -1):
@@ -435,33 +439,26 @@ def _rows_interpolate(points, images, T):
                     + [add[poly[i - 1]][mna[poly[i]]]
                        for i in range(1, len(poly))]
                     + [poly[-1]])
-        rows.append(_code_trim(poly))
-    return _code_trim(rows)
+        if _code_trim(poly):
+            rows[mono] = poly
+    return rows
 
 
-def _gcd_bivariate(f, g, jx, jy):
-    F = f.field
-    T = F.tables
-    ca, A = _rows_content_pp(_to_rows(f, jx, jy), T)
-    cb, B = _rows_content_pp(_to_rows(g, jx, jy), T)
-    cont = _code_gcd(ca, cb, T)
-    if len(A) == 1 or len(B) == 1:
-        # a primitive part free of y is 1, so the gcd is the content gcd
-        rows = [cont]
-    else:
-        if len(A) < len(B):
-            A, B = B, A
-        rows = [_code_mul(r, cont, T) for r in _brown_pp_gcd(A, B, F, T)]
-    return _from_rows(rows, F, f.nvars, jx, jy).monic_grlex()
+def _brown(a, b, active, F):
+    """Graded-lex monic gcd of nonzero code dicts a, b over F in which the
+    variables ``active``, two or more, occur.  After the contents in F[x]
+    (x the first active variable) are split off, the primitive parts A, B
+    are evaluated at x = t over GF(p, e*m), m growing as points run out,
+    and their gcds in the other variables are taken by ``_gcd_codes``.
 
-
-def _brown_pp_gcd(A, B, F, T):
-    """GCD of primitive bivariate polynomials of positive degree in y over
-    F, by evaluation at x = a and interpolation over GF(p, e*m), with m
-    growing as points run out.  At a point where gamma = gcd of the leading
-    rows does not vanish, the image gcd has y-degree at least that of the
-    true gcd, so the least image degree seen bounds it, and images of
-    higher degree are unlucky.
+    Leading monomials are graded-lex in the other variables.  At a point
+    where gamma = gcd of the leading coefficients of A and B (in F[x]) does
+    not vanish, the image of the true gcd G keeps its leading monomial and
+    divides the image gcd, so an image whose leading monomial is larger
+    than the least one seen is unlucky.  The images gamma(t) * (monic image
+    gcd) interpolate, per monomial, to gamma / lc(G) * G, whose x-degree
+    is below npoints; a candidate that fails the exact-division check
+    proves G's leading monomial strictly below its own.
 
     Raises ResourceLimit when GF(p, e*m) would pass the field-size bound of
     ``gf`` (2^24): over a base field of more than 2^12 elements, a GCD that
@@ -469,14 +466,24 @@ def _brown_pp_gcd(A, B, F, T):
     in it, cannot move on to an extension."""
     from .embed import subfield_codes
     from .gf import gf
-    gamma = _code_gcd(A[-1], B[-1], T)
+    T = F.tables
+    j = active[0]
+    ca, A = _rows_content_pp(_rows(a, j), T)
+    cb, B = _rows_content_pp(_rows(b, j), T)
+    cont = _code_gcd(ca, cb, T)
+    zero = (0,) * len(next(iter(a)))
+    if A.keys() == {zero} or B.keys() == {zero}:
+        # a primitive part free of the other variables is 1
+        return _from_rows({zero: cont}, j)
+    gamma = _code_gcd(A[max(A, key=_grlex)], B[max(B, key=_grlex)], T)
     gdeg = len(gamma) - 1
-    npoints = min(max(map(len, A)), max(map(len, B))) + gdeg
+    npoints = min(max(map(len, A.values())), max(map(len, B.values()))) \
+        + gdeg
     m = 1
     while F.order ** m < npoints + gdeg + 2:
         m += 1
-    # deg bounds the y-degree of the gcd; collected images all have degree deg
-    deg = len(B) - 1
+    least = None   # graded-lex key of the images collected
+    above = None   # G's leading monomial lies strictly below this key
     while True:
         E = gf(F.p, F.e * m)
         TE = E.tables
@@ -484,60 +491,45 @@ def _brown_pp_gcd(A, B, F, T):
             Al, Bl, gl, drop = A, B, gamma, None
         else:
             lift, drop = subfield_codes(F, E)
-            Al = [[lift[c] for c in r] for r in A]
-            Bl = [[lift[c] for c in r] for r in B]
+            Al = {k: [lift[c] for c in r] for k, r in A.items()}
+            Bl = {k: [lift[c] for c in r] for k, r in B.items()}
             gl = [lift[c] for c in gamma]
         mul = TE[1]
         points, images = [], []
-        for a in range(E.order):
-            ga = _code_eval(gl, a, TE)
-            if not ga:
+        for t in range(E.order):
+            gt = _code_eval(gl, t, TE)
+            if not gt:
                 continue
-            h = _code_gcd(_code_trim([_code_eval(r, a, TE) for r in Al]),
-                          _code_trim([_code_eval(r, a, TE) for r in Bl]), TE)
-            if len(h) == 1:
-                return [[1]]
-            if len(h) - 1 > deg:
+            h = _gcd_codes(
+                {k: v for k, r in Al.items() if (v := _code_eval(r, t, TE))},
+                {k: v for k, r in Bl.items() if (v := _code_eval(r, t, TE))},
+                E)
+            key = _grlex(max(h, key=_grlex))
+            if not key[0]:
+                return _from_rows({zero: cont}, j)
+            if above is not None and key >= above \
+                    or least is not None and key > least:
                 continue
-            if len(h) - 1 < deg:
-                deg, points, images = len(h) - 1, [], []
-            points.append(a)
-            row = mul[ga]
-            images.append([row[c] for c in h])
+            if least is None or key < least:
+                least, points, images = key, [], []
+            points.append(t)
+            row = mul[gt]
+            images.append({k: row[c] for k, c in h.items()})
             if len(points) < npoints:
                 continue
             cand = _rows_interpolate(points, images, TE)
             if drop is not None:
                 try:
-                    cand = [[drop[c] for c in r] for r in cand]
+                    cand = {k: [drop[c] for c in r] for k, r in cand.items()}
                 except KeyError:   # a coefficient outside F
                     cand = None
             if cand is not None:
                 _, cand = _rows_content_pp(cand, T)
-                if _rows_divide(cand, A, T) and _rows_divide(cand, B, T):
-                    return cand
-            deg, points, images = deg - 1, [], []
+                c = _from_rows(cand, j)
+                if _code_divexact(a, c, T) is not None \
+                        and _code_divexact(b, c, T) is not None:
+                    return _monic(_from_rows(
+                        {k: _code_mul(r, cont, T) for k, r in cand.items()},
+                        j), T)
+            above, least, points, images = least, None, [], []
         m += 1
-
-
-def _gcd_rec(f, g, j):
-    """Primitive PRS in the main variable x_j."""
-    F = f.field
-    nv = f.nvars
-    a, b = _to_univariate(f, j), _to_univariate(g, j)
-    if len(a) < len(b):
-        a, b = b, a
-    ca, a = _content_pp(a, F, nv)
-    cb, b = _content_pp(b, F, nv)
-    cont = mpoly_gcd(ca, cb)
-    while b:
-        r = _pseudo_rem(a, b, F, nv)
-        if not r:
-            break
-        _, r = _content_pp(r, F, nv)
-        a, b = b, r
-    if b:
-        a = b
-    _, a = _content_pp(a, F, nv)
-    h = _from_univariate(a, F, nv, j) * cont
-    return h.monic_grlex()

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .embed import least_root, subfield_embedding
 from .errors import ConfigMismatch, IntegralityViolation, UnsupportedField
 from .laurent import _series_div
-from .poly import Poly, factor, is_irreducible, to_dense
+from .poly import Poly, factor_ratfunc, is_irreducible, to_dense
 
 
 class Place:
@@ -145,15 +145,8 @@ def residue_at(g, place):
 
 def support_places(r):
     """Finite places where r has a zero or pole (parts of its factorization)."""
-    out = set()
-    base = r.field.base
     var = r.field.vars[0]
-    for mp in (r.num, r.den):
-        dense = to_dense(mp, base)
-        if dense.degree >= 1:
-            for f, _ in factor(dense):
-                out.add(Place(f, var))
-    return out
+    return {Place(f, var) for f, _ in factor_ratfunc(r)}
 
 
 def place_order(r, place):

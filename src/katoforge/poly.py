@@ -322,12 +322,24 @@ def to_dense(mp, base):
     """Univariate MPoly -> dense Poly over the base field."""
     out = [0] * (mp.degree_in(0) + 1)
     for e, c in mp.terms.items():
-        out[e[0]] = c.idx
+        out[e[0]] = c
     return Poly._from_codes(base, out)
 
 
 def to_mpoly(f):
     """Dense Poly -> univariate MPoly, the inverse of to_dense."""
-    F = f.field
-    return MPoly(F, 1, {(d,): F.from_code(c)
-                        for d, c in enumerate(f._codes) if c})
+    return MPoly._from_codes(f.field, 1, {(d,): c for d, c in
+                                          enumerate(f._codes) if c})
+
+
+def factor_ratfunc(r):
+    """[(f, m)]: the monic irreducible factors f (Polys) of the numerator
+    of a univariate RatFunc r with m > 0, then those of its denominator
+    with m < 0, each in ``factor`` order."""
+    base = r.field.base
+    out = []
+    for mp, sgn in ((r.num, 1), (r.den, -1)):
+        dense = to_dense(mp, base)
+        if dense.degree >= 1:
+            out += [(f, sgn * m) for f, m in factor(dense)]
+    return out

@@ -176,10 +176,10 @@ class RatFunc:
 
     def subs(self, var, value):
         """Substitute a RatFunc of the same field for a variable."""
-        j = self.field.vars.index(var) if isinstance(var, str) else var
-        num = _subs_poly(self.num, j, value)
-        den = _subs_poly(self.den, j, value)
-        return num / den
+        F = self.field
+        j = F.vars.index(var) if isinstance(var, str) else var
+        return self.map_to(F, [value if i == j else F.var(name)
+                               for i, name in enumerate(F.vars)])
 
     def map_to(self, other_field, var_images):
         """Ring map sending variable i to var_images[i] (RatFuncs over
@@ -215,24 +215,10 @@ def _cancel(a, g):
     return a if g.is_const() else exact_div(a, g)
 
 
-def _subs_poly(f, j, value):
-    field = value.field
-    out = field.zero
-    for e, c in f.terms.items():
-        term = field.const(c)
-        for i, exp in enumerate(e):
-            if exp == 0:
-                continue
-            base = field.var(field.vars[i]) if i != j else value
-            term = term * base ** exp
-        out = out + term
-    return out
-
-
 def _map_poly(f, field, var_images):
     out = field.zero
     for e, c in f.terms.items():
-        term = field.const(c)
+        term = field.const(f.field.from_code(c))
         for i, exp in enumerate(e):
             if exp:
                 term = term * var_images[i] ** exp
@@ -242,19 +228,21 @@ def _map_poly(f, field, var_images):
 
 def _p_power_split(f, pattern=None):
     """{e: {m: c^(1/p)}} over the terms c x^(p m + e) of num * den^(p-1),
-    restricted to e == pattern when a pattern is given.
+    c and c^(1/p) element codes, restricted to e == pattern when a pattern
+    is given.
 
     Since f = (num * den^(p-1)) / den^p, the component g_e of f is the
     polynomial with these terms over den.
     """
     base = f.field.base
     p = base.p
+    n = p ** (base.e - 1)     # c^(1/p) = c^(p^(e-1)) in GF(p^e)
     parts = {}
     for mono, c in (f.num * f.den ** (p - 1)).terms.items():
         e = tuple(x % p for x in mono)
         if pattern is None or e == pattern:
             root = tuple(x // p for x in mono)
-            parts.setdefault(e, {})[root] = base.pth_root(c)
+            parts.setdefault(e, {})[root] = base._code_pow(c, n)
     return parts
 
 
@@ -267,7 +255,8 @@ def p_power_decompose(f):
     """
     F = f.field
     parts = _p_power_split(f)
-    return {e: RatFunc(F, MPoly(F.base, F.k, parts.get(e, {})), f.den)
+    return {e: RatFunc(F, MPoly._from_codes(F.base, F.k, parts.get(e, {})),
+                       f.den)
             for e in product(range(F.base.p), repeat=F.k)}
 
 
@@ -275,7 +264,7 @@ def p_power_component(f, e):
     """The component g_e of p_power_decompose(f), computed alone."""
     F = f.field
     terms = _p_power_split(f, e).get(e, {})
-    return RatFunc(F, MPoly(F.base, F.k, terms), f.den)
+    return RatFunc(F, MPoly._from_codes(F.base, F.k, terms), f.den)
 
 
 def p_power_rebuild(parts, field):

@@ -17,7 +17,7 @@ settings.load_profile("katoforge")
 
 
 # F_2(t), F_3(t), F_4(t), F_{2,3,4}(x,y), F_{2,3}(x,y,z) as (p, e, vars); the
-# 3-variable fields reach the primitive-PRS gcd (mpoly._gcd_rec)
+# 3-variable fields reach Brown's loop with a recursive image gcd
 ORACLE_FIELDS = [(2, 1, ("t",)), (3, 1, ("t",)), (2, 2, ("t",)),
                  (2, 1, ("x", "y")), (3, 1, ("x", "y")), (2, 2, ("x", "y")),
                  (2, 1, ("x", "y", "z")), (3, 1, ("x", "y", "z"))]

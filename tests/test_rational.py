@@ -7,10 +7,11 @@ from katoforge import (DivisionByZero, IntegralityViolation, MPoly,
                        NotConstant, RatFunc, ResourceLimit, func_field, gf,
                        p_power_component, p_power_decompose, p_power_rebuild)
 from katoforge.mpoly import (_code_divmod, _code_eval, _code_gcd, _code_mul,
-                             _gcd_bivariate, _gcd_rec, exact_div, mpoly_gcd)
+                             _gcd_bivariate, exact_div, mpoly_gcd)
 from katoforge.poly import Poly
 
 from conftest import ORACLE_FIELDS, random_ratfunc
+from prs_oracle import prs_gcd
 
 
 @st.composite
@@ -120,7 +121,7 @@ def test_gcd_bivariate_matches_prs(data):
     b = data.draw(mpolys(K, min_terms=1))
     c = data.draw(mpolys(K, min_terms=1))
     f, g = a * c, b * c
-    assert _gcd_bivariate(f, g, 0, 1) == _gcd_rec(f, g, 1)
+    assert _gcd_bivariate(f, g, [0, 1]) == prs_gcd(f, g)
 
 
 def _xy(F, terms):
@@ -143,7 +144,7 @@ def test_gcd_bivariate_unlucky_and_large(p, e, a, b, c):
     F = gf(p, e)
     a, b, c = _xy(F, a), _xy(F, b), _xy(F, c)
     f, g = a * c, b * c
-    assert _gcd_bivariate(f, g, 0, 1) == _gcd_rec(f, g, 1) == c.monic_grlex()
+    assert _gcd_bivariate(f, g, [0, 1]) == prs_gcd(f, g) == c.monic_grlex()
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
@@ -154,11 +155,11 @@ def test_gcd_bivariate_content_only(p, e):
     f = _xy(F, {(2, 0): 1, (1, 0): 1, (0, 0): 1})
     g = _xy(F, {(0, 3): 1, (0, 1): -1, (0, 0): 1})
     one = MPoly.const(F, 2, 1)
-    assert _gcd_bivariate(f, g, 0, 1) == _gcd_rec(f, g, 1) == one
+    assert _gcd_bivariate(f, g, [0, 1]) == prs_gcd(f, g) == one
     c = _xy(F, {(1, 0): 1, (0, 0): 1})
     h = _xy(F, {(0, 2): 1, (1, 1): 1, (0, 0): 1})
-    assert _gcd_bivariate(f * c, h * c, 0, 1) == c
-    assert _gcd_bivariate(h * c, c, 0, 1) == c
+    assert _gcd_bivariate(f * c, h * c, [0, 1]) == c
+    assert _gcd_bivariate(h * c, c, [0, 1]) == c
 
 
 # F_2, F_4, F_9, and past the table bound F_512, F_{2^17} (not interned)
@@ -256,7 +257,7 @@ def test_gcd_bivariate_needs_too_large_extension():
     f = _xy(F, {(0, 1): 1, (8191, 0): 1})
     g = _xy(F, {(0, 2): 1, (8191, 0): 1})
     with pytest.raises(ResourceLimit):
-        _gcd_bivariate(f, g, 0, 1)
+        _gcd_bivariate(f, g, [0, 1])
 
 
 def test_field_laws_random():
