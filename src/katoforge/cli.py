@@ -130,6 +130,13 @@ class Parser:
     def done(self):
         return self.pos >= len(self.toks)
 
+    def whole(self, parse):
+        """parse(), which must consume the rest of the statement."""
+        v = parse()
+        if not self.done():
+            raise ScriptError("trailing tokens after expression", self.lineno)
+        return v
+
     # -- value coercion inside the current field --
 
     def _const(self, n):
@@ -400,9 +407,8 @@ class Parser:
 
 # ------------------------------------------------------------ runner ----
 
-def _field_spec(parser_tokens, session, lineno):
-    """Parse GF(p[,e]) [(vars) | ((var))] starting at the current position."""
-    toks = parser_tokens
+def _field_spec(toks, lineno):
+    """Parse GF(p[,e]) [(vars) | ((t))], which must fill toks."""
     def nxt():
         nonlocal idx
         if idx >= len(toks):
@@ -443,19 +449,37 @@ def _field_spec(parser_tokens, session, lineno):
         if nxt()[0] != ")" or idx >= len(toks) or nxt()[0] != ")":
             raise ScriptError("expected '))' closing the Laurent field",
                               lineno)
-        return laurent_field(base, var[1])
-    vars = []
-    while True:
-        v = nxt()
-        if v[0] != "name":
-            raise ScriptError("expected a variable name", lineno)
-        vars.append(v[1])
-        t = nxt()
-        if t[0] == ")":
-            break
-        if t[0] != ",":
-            raise ScriptError("expected ',' or ')'", lineno)
-    return func_field(base, tuple(vars))
+        if var[1] != "t":
+            # series print in t, so values in another name would not parse
+            raise ScriptError("the Laurent field's variable must be t",
+                              lineno)
+        fld = laurent_field(base, var[1])
+    else:
+        vars = []
+        while True:
+            v = nxt()
+            if v[0] != "name":
+                raise ScriptError("expected a variable name", lineno)
+            vars.append(v[1])
+            t = nxt()
+            if t[0] == ")":
+                break
+            if t[0] != ",":
+                raise ScriptError("expected ',' or ')'", lineno)
+        fld = func_field(base, tuple(vars))
+    if idx < len(toks):
+        raise ScriptError("trailing tokens after field declaration", lineno)
+    return fld
+
+
+def _operand(toks, session, lineno, stmt, kind, what, fieldname=None):
+    """The value of toks read as one whole expression; ScriptError
+    "<stmt> needs <what>" unless it is an instance of kind."""
+    p = Parser(toks, session, lineno, fieldname)
+    v = p.whole(p.expr)
+    if not isinstance(v, kind):
+        raise ScriptError(f"{stmt} needs {what}", lineno)
+    return v
 
 
 def run_statement(line, lineno, session, emit):
@@ -472,7 +496,7 @@ def run_statement(line, lineno, session, emit):
             raise ScriptError("usage: field <name> = GF(p[,e])[(vars)]",
                               lineno)
         name = rest[0][1]
-        fld = _field_spec(rest[2:], session, lineno)
+        fld = _field_spec(rest[2:], lineno)
         session.fields[name] = fld
         session.current = name
         emit("field", {"name": name}, repr(fld), session)
@@ -490,9 +514,7 @@ def run_statement(line, lineno, session, emit):
             raise ScriptError("usage: let <name> = <expr>", lineno)
         name = rest[0][1]
         p = Parser(rest[2:], session, lineno)
-        v = p._coerce(p.expr())
-        if not p.done():
-            raise ScriptError("trailing tokens after expression", lineno)
+        v = p._coerce(p.whole(p.expr))
         if isinstance(v, Laurent) and v.prec > session.precision:
             v = v.truncate(session.precision)
         session.values[name] = (session.current, v)
@@ -503,10 +525,8 @@ def run_statement(line, lineno, session, emit):
         if len(rest) >= 2 and rest[-2][0] == "name" and rest[-2][1] == "in":
             fieldname = rest[-1][1]
             rest = rest[:-2]
-        p = Parser(rest, session, lineno, fieldname)
-        s = p.expr()
-        if not isinstance(s, MilnorElement):
-            raise ScriptError("dsym needs a symbol", lineno)
+        s = _operand(rest, session, lineno, val, MilnorElement, "a symbol",
+                     fieldname)
         emit("dsym", {"symbol": repr(s)}, repr(d_symbol(s)), session)
         return
     if val == "inv":
@@ -514,21 +534,15 @@ def run_statement(line, lineno, session, emit):
                    if t[0] == "name" and t[1] == "at"), None)
         if at is None:
             raise ScriptError("usage: inv <class> at <place>", lineno)
-        p = Parser(rest[:at], session, lineno)
-        c = p.expr()
-        if not isinstance(c, HClass):
-            raise ScriptError("inv needs a class", lineno)
+        c = _operand(rest[:at], session, lineno, val, HClass, "a class")
         pp = Parser(rest[at + 1:], session, lineno)
-        place = pp.place_expr()
+        place = pp.whole(pp.place_expr)
         inv = local_invariant(c, place)
         emit("inv", {"class": repr(c), "place": repr(place)},
              inv.as_json_obj(), session)
         return
     if val == "recip":
-        p = Parser(rest, session, lineno)
-        c = p.expr()
-        if not isinstance(c, HClass):
-            raise ScriptError("recip needs a class", lineno)
+        c = _operand(rest, session, lineno, val, HClass, "a class")
         ok, table = reciprocity_check(c)
         mod = table[0].modulus if table else 0
         result = {"table": [inv.as_json_obj() for inv in table],
@@ -537,24 +551,17 @@ def run_statement(line, lineno, session, emit):
         emit("recip", {"class": repr(c)}, result, session)
         return
     if val == "zero":
-        p = Parser(rest, session, lineno)
-        c = p.expr()
-        if not isinstance(c, HClass):
-            raise ScriptError("zero needs a class", lineno)
+        c = _operand(rest, session, lineno, val, HClass, "a class")
         emit("zero", {"class": repr(c)}, h_zero_test(c), session)
         return
     if val == "cartier":
-        p = Parser(rest, session, lineno)
-        w = p.expr()
-        if not isinstance(w, DiffForm):
-            raise ScriptError("cartier needs a differential form", lineno)
+        w = _operand(rest, session, lineno, val, DiffForm,
+                     "a differential form")
         emit("cartier", {"form": repr(w)}, repr(w.cartier()), session)
         return
     if val == "nu":
-        p = Parser(rest, session, lineno)
-        w = p.expr()
-        if not isinstance(w, DiffForm):
-            raise ScriptError("nu needs a differential form", lineno)
+        w = _operand(rest, session, lineno, val, DiffForm,
+                     "a differential form")
         emit("nu", {"form": repr(w)}, w.is_logarithmic(), session)
         return
     raise ScriptError(f"unknown statement {val!r}", lineno)
@@ -584,14 +591,15 @@ def run_script(text, json_mode=False, precision=16, keep_going=False,
             run_statement(line, lineno, session, emit)
         except KatoforgeError as exc:
             errors += 1
-            msg = f"error: line {lineno}: {exc}"
             if json_mode:
                 out.write(json.dumps({"op": "error", "line": lineno,
                                       "message": str(exc)},
                                      sort_keys=True,
                                      separators=(",", ":")) + "\n")
+            elif isinstance(exc, ScriptError) and exc.line is not None:
+                out.write(f"error: {exc}\n")      # carries its location
             else:
-                out.write(msg + "\n")
+                out.write(f"error: line {lineno}: {exc}\n")
             if not keep_going:
                 return 1
     return 1 if errors else 0

@@ -9,12 +9,16 @@ equality is decided through invariants on the supported field classes
 (finite constants; F_q(t) at n = 1; F_q((t)) at n <= 1).
 
 The local invariant at a place is the Schmid-Witt residue: coordinates and
-entry are expanded in the completion k(v)((pi)), lifted coefficient-wise by
-Teichmueller representatives into the Galois ring W_i(k(v)), and the ghost
-components of w pair with dlog b by the ordinary series residue; ghost
-inversion (all divisions by p-powers exact) lands back in W_i(k(v)), and the
-Witt trace reads the value in Z/p^i.  At level 1 this collapses to the
-classical Tr Res(a dlog b).
+entry are expanded in the completion k(v)((pi)) and lifted coefficient-wise
+by Teichmueller representatives into the Galois ring W_i(k(v)); the top ghost
+component g = sum_j p^j [a_j]^(p^(i-1-j)) pairs with dlog b by the ordinary
+series residue, and the trace to Z/p^i of that one residue is the invariant.
+Ghost inversion of all i residues would give lifts x_j of the Witt vector
+(x_j mod p) with ghost component w_{i-1}(x) equal to the top residue; since
+x = y (mod p) implies x^(p^k) = y^(p^k) (mod p^(k+1)), that residue is
+congruent mod p^i to a Frobenius conjugate of the Witt vector's image in
+W_i(k(v)), and the trace does not see Frobenius.  At level 1 this collapses
+to the classical Tr Res(a dlog b).
 
 Completeness of the zero test over F_q(t) at n = 1 rests on the classical
 injectivity of the total local-invariant map on p-power-torsion Brauer
@@ -29,9 +33,9 @@ from .errors import (ConfigMismatch, LevelDecrease, PrecisionExhausted,
 from .gf import GF, GFElem
 from .gring import galois_ring
 from .laurent import Laurent
-from .milnor import MilnorElement
+from .milnor import MilnorElement, _entry_factors, multilinear_expansion
 from .places import Place, place_context, place_order, support_places
-from .poly import factor, factor_ratfunc, to_dense, to_mpoly
+from .poly import factor, to_dense
 from .rational import FuncField
 from .witt import WittVector
 
@@ -87,12 +91,6 @@ def _field_kind(field):
     raise UnsupportedField(f"unsupported field descriptor {field!r}")
 
 
-def _is_one_entry(field, b):
-    if _field_kind(field) == "local":
-        return b.val == 0 and b.coeffs == (field.base.one,)
-    return b == field.one
-
-
 def _expand_entry(field, b):
     """[(factor, multiplicity)]: the multilinear expansion of one b-slot."""
     kind = _field_kind(field)
@@ -105,20 +103,14 @@ def _expand_entry(field, b):
             out.append((Laurent.monomial(field.base, field.base.one, 1,
                                          prec=b.prec - v + 1), v))
         unit = b.shift(-v)
-        if not _is_one_entry(field, unit):
+        if unit.coeffs != (field.base.one,):
             out.append((unit, 1))
         return out
-    out = [(field.from_poly(to_mpoly(f)), m) for f, m in factor_ratfunc(b)]
-    lead = _leading_constant(b)
+    out = _entry_factors(b)
+    _, lead = b.num.leading()       # the constant the factors leave out
     if lead != field.base.one:
         out.append((field.const(lead), 1))
     return out
-
-
-def _leading_constant(r):
-    """r / (monic factorization part): the leading coefficient of num."""
-    _, lc = r.num.leading()
-    return lc
 
 
 def _witt_is_zero(w):
@@ -138,26 +130,18 @@ def _teich_match(w, entries):
     return any(a == b for b in entries)
 
 
-def _entry_key(field, b):
-    kind = _field_kind(field)
-    if kind == "const":
-        return b.coeffs
-    if kind == "local":
-        return (b.val, tuple(c.coeffs for c in b.coeffs), b.prec)
-    return b.sort_key()
+def _entry_key(x):
+    """Sort key of a field element, rational function or series."""
+    if isinstance(x, GFElem):
+        return ("g", x.coeffs)
+    if isinstance(x, Laurent):
+        return ("l", x.val, tuple(c.coeffs for c in x.coeffs), x.prec)
+    return ("r", x.sort_key())
 
 
-def _term_key(field, w, entries):
-    return (tuple(_entry_key_any(c) for c in w.coords),
-            tuple(_entry_key(field, b) for b in entries))
-
-
-def _entry_key_any(c):
-    if isinstance(c, GFElem):
-        return ("g", c.coeffs)
-    if isinstance(c, Laurent):
-        return ("l", c.val, tuple(x.coeffs for x in c.coeffs), c.prec)
-    return ("r", c.sort_key())
+def _term_key(w, entries):
+    return (tuple(_entry_key(c) for c in w.coords),
+            tuple(_entry_key(b) for b in entries))
 
 
 class HClass:
@@ -220,25 +204,17 @@ def _normalize_terms(field, degree, level, terms):
         for b in entries:
             if _is_zero(b):
                 raise ConfigMismatch("zero entry in a Witt symbol")
-        expansions = [([], 1)]
-        for b in entries:
-            factors = _expand_entry(field, b)
-            nxt = []
-            for prefix, m in expansions:
-                for f, mult in factors:
-                    nxt.append((prefix + [f], m * mult))
-            expansions = nxt
-        for ent, m in expansions:
+        for ent, m in multilinear_expansion(
+                entries, lambda b: _expand_entry(field, b)):
             wm = w.int_mul(m)
             if _witt_is_zero(wm):
                 continue
-            keys = [_entry_key(field, b) for b in ent]
-            if len(set(keys)) != len(keys):
+            if len(set(map(_entry_key, ent))) != len(ent):
                 continue                    # repeated slot relation
             if _teich_match(wm, ent):
                 continue                    # Teichmueller-Steinberg relation
-            out.append((wm, tuple(ent)))
-    out.sort(key=lambda t: _term_key(field, *t))
+            out.append((wm, ent))
+    out.sort(key=lambda t: _term_key(*t))
     return out
 
 
@@ -293,30 +269,19 @@ def colimit_equal(c1, c2):
 def local_symbol(k_field, level, w_coords, b):
     """[w, b) in Z/p^level for w, b over k_field((pi)).
 
-    Ghost components of the Teichmueller coefficient lift pair with dlog of
-    the lifted entry through the ordinary residue; ghost inversion returns to
-    W_level(k); the Witt trace reads off the invariant.
+    The top ghost component g = sum_j p^j a_j^(p^(level-1-j)) of the
+    Teichmueller coefficient lift pairs with dlog of the lifted entry through
+    the ordinary residue, and the trace of W_level(k) reads off the invariant.
     """
     p = k_field.p
     R = galois_ring(k_field, level)
-    lifted = [a.map_coeffs(R, R.teich) for a in w_coords]
-    blift = b.map_coeffs(R, R.teich)
-    dlogb = blift.dlog()
-    rhos = []
-    for n in range(level):
-        g = None
-        for j in range(n + 1):
-            term = lifted[j] ** (p ** (n - j)) * (p ** j)
-            g = term if g is None else g + term
-        rhos.append((g * dlogb).coeff(-1))
-    digits = []
-    for n in range(level):
-        acc = rhos[n]
-        for j in range(n):
-            acc = acc - (digits[j] ** (p ** (n - j))) * (p ** j)
-        digits.append(R.div_exact_p(acc, n))
-    coords = [R.reduce(x) for x in digits]
-    return WittVector(p, coords).trace_int()
+    g = None
+    for j in range(level):
+        term = w_coords[j].map_coeffs(R, R.teich) ** (p ** (level - 1 - j))
+        term = term * (p ** j)
+        g = term if g is None else g + term
+    dlogb = b.map_coeffs(R, R.teich).dlog()
+    return R.trace_int((g * dlogb).coeff(-1))
 
 
 def witt_standard_form(w, base):

@@ -12,6 +12,8 @@ multivariate entries shed their constant and monomial parts), Steinberg pairs
 a + b = 1 drop, repeated slots drop ({a,a} = {-1,a} and -1 = (-1)^p, so such
 symbols die mod p in every characteristic), and constant entries drop because
 every constant of F_q is a p-th power.  Coefficients come out reduced mod p.
+The same expansion (multilinear_expansion over _entry_factors) normalizes
+the entries of kato's Witt-symbol classes.
 
 The cyclic extensions are the rational Artin-Schreier ones: L = F_q(u) over
 F = F_q(t) with t = u^p - u and sigma(u) = u + 1, so all differential-form
@@ -129,21 +131,24 @@ def _entry_factors(a):
     return out
 
 
+def multilinear_expansion(entries, factors_of, coeff=1):
+    """[(factors, c)]: one tuple per choice of a factor in every entry, with
+    c = coeff times the product of the chosen multiplicities.  factors_of
+    maps an entry to [(factor, multiplicity)] and runs once per entry."""
+    out = [((), coeff)]
+    for a in entries:
+        factors = factors_of(a)
+        out = [(prefix + (f,), c * m) for prefix, c in out for f, m in factors]
+    return out
+
+
 def symbol_expand(s):
     """Normal form mod p: bilinear expansion, Steinberg and repeat drops."""
     F = s.field
     p = F.base.p
     out = {}
     for sym, coeff in s.terms.items():
-        expanded = [([], coeff)]
-        for a in sym:
-            factors = _entry_factors(a)
-            nxt = []
-            for prefix, c in expanded:
-                for f, m in factors:
-                    nxt.append((prefix + [f], c * m))
-            expanded = nxt
-        for entries, c in expanded:
+        for entries, c in multilinear_expansion(sym, _entry_factors, coeff):
             c %= p
             if c == 0:
                 continue
@@ -151,8 +156,7 @@ def symbol_expand(s):
                 continue   # repeated slot: dies mod p in every characteristic
             if _has_steinberg_pair(entries, F):
                 continue
-            key = tuple(entries)
-            out[key] = (out.get(key, 0) + c) % p
+            out[entries] = (out.get(entries, 0) + c) % p
     return MilnorElement(F, s.degree, {k: v for k, v in out.items() if v})
 
 

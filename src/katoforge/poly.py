@@ -13,7 +13,7 @@ from the input so identical inputs factor identically in any call order.
 import random
 
 from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
-                     ZeroPolynomial)
+                     UnsupportedField, ZeroPolynomial)
 from .mpoly import (MPoly, _code_addmul, _code_divmod, _code_eval, _code_gcd,
                     _code_mul, _code_trim)
 
@@ -320,6 +320,9 @@ def is_irreducible(f):
 
 def to_dense(mp, base):
     """Univariate MPoly -> dense Poly over the base field."""
+    if mp.nvars != 1:
+        raise UnsupportedField(
+            f"a dense polynomial needs one variable, not {mp.nvars}")
     out = [0] * (mp.degree_in(0) + 1)
     for e, c in mp.terms.items():
         out[e[0]] = c

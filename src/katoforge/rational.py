@@ -37,6 +37,8 @@ class FuncField:
         self.base = base
         self.vars = tuple(vars)
         self.k = len(self.vars)
+        if len(set(self.vars)) != self.k:
+            raise ConfigMismatch(f"repeated variable in {self.vars}")
         one = MPoly.const(base, self.k, 1)
         self.zero = RatFunc(self, MPoly.const(base, self.k, 0), one, _norm=False)
         self.one = RatFunc(self, one, one, _norm=False)

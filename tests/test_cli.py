@@ -125,6 +125,54 @@ def test_error_reporting():
     assert "let: t" in buf.getvalue()     # kept going past the error
 
 
+@pytest.mark.parametrize("line", [
+    "field G = GF(2)(t) junk here",
+    "field G = GF(2)((t)) t",
+    "recip [ [1/t] | 1+t ) junk",
+    "inv [ [1/t] | 1+t ) junk at t",
+    "inv [ [1/t] | 1+t ) at t junk",
+    "zero [ [1/t] | 1+t ) )",
+    "dsym {t} in",
+    "dsym {t} t in F",
+    "cartier dt t",
+    "nu dt 1",
+])
+def test_statements_consume_their_line(line):
+    for json_mode in (False, True):
+        buf = io.StringIO()
+        rc = run_script(f"field F = GF(2)(t)\n{line}", json_mode=json_mode,
+                        out=buf)
+        assert rc == 1
+        last = buf.getvalue().splitlines()[-1]
+        assert "line 2" in last and "trailing tokens" in last, last
+
+
+def test_field_declaration_checks():
+    buf = io.StringIO()
+    assert run_script("field F = GF(2)(t, t)", out=buf) == 1
+    assert "repeated variable" in buf.getvalue()
+    # series print in t, so a Laurent field in x could not read its output
+    buf = io.StringIO()
+    assert run_script("field G = GF(2)((x))\nlet a = x", out=buf,
+                      keep_going=True) == 1
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "error: line 1: the Laurent field's variable must be t"
+
+
+def test_error_location_printed_once():
+    buf = io.StringIO()
+    run_script("field F = GF(2)(t)\nlet a = q", out=buf)
+    assert buf.getvalue().splitlines()[-1] == \
+        "error: line 2 col 8: unknown name 'q'"
+    buf = io.StringIO()
+    run_script("field F = GF(2)(t)\nlet a = q", json_mode=True, out=buf)
+    assert json.loads(buf.getvalue().splitlines()[-1]) == {
+        "op": "error", "line": 2, "message": "line 2 col 8: unknown name 'q'"}
+    buf = io.StringIO()         # errors outside the parser gain the line
+    run_script("field F = GF(2)(t)\nlet a = 1/(t-t)", out=buf)
+    assert buf.getvalue().splitlines()[-1].startswith("error: line 2: ")
+
+
 def test_empty_input():
     buf = io.StringIO()
     assert run_script("", out=buf) == 0

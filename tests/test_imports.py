@@ -2,6 +2,8 @@
 ``__init__`` has imported the rest, so an import cycle between modules
 (such as gf -> poly -> mpoly) fails here."""
 
+import ast
+import functools
 import os
 import pathlib
 import subprocess
@@ -30,3 +32,61 @@ def test_module_imports_alone(name):
         env=dict(os.environ, PYTHONPATH=""), capture_output=True, text=True,
         timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+@functools.cache
+def _trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _loaded_names(tree):
+    """Names read in tree, as plain names or as attributes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_library_imports_are_used():
+    unused = []
+    for name, tree in _trees().items():
+        if name == "__init__":
+            continue
+        used = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, unused
+
+
+def test_private_names_are_referenced():
+    """Every private top-level def, class or assignment in the library is
+    read somewhere in it, so dead helpers do not accumulate."""
+    trees = _trees()
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{name}: {d}" for d in defined
+                     if d.startswith("_") and not d.startswith("__")
+                     and d not in referenced]
+    assert not dead, dead

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from katoforge import (HClass, Laurent, LevelDecrease, MilnorElement, Place,
                        Poly, PrecisionExhausted, ResourceLimit,
@@ -9,9 +10,11 @@ from katoforge import (HClass, Laurent, LevelDecrease, MilnorElement, Place,
                        decompose_local, func_field, gf, h_zero_test,
                        laurent_field, level_shift, local_invariant, pair,
                        reciprocity_check, witt_standard_form)
-from katoforge.kato import _t_place, class_places
+from katoforge.kato import _t_place, class_places, local_symbol
+from katoforge.milnor import _has_steinberg_pair, symbol_expand
 
 from conftest import random_ratfunc, run_optimized
+from ghost_oracle import ghost_inversion_symbol
 
 
 def _w(p, *coords):
@@ -72,6 +75,24 @@ def test_pair_and_bilinearity(K2):
     assert z.is_formally_zero()
     assert pair(w, MilnorElement.symbol(K2, [t + K2.one], 2)) \
         .is_formally_zero()             # 2w = 0 at level 1
+
+
+def test_two_variable_entries_expand():
+    # entries over F_2(x,y) split into variable powers and monic rest; they
+    # once went through one-variable factoring and vanished
+    K = func_field(gf(2), ("x", "y"))
+    x, y = K.var("x"), K.var("y")
+    w = _w(2, x)
+    c = HClass.build(K, w, (y,))
+    assert not c.is_formally_zero()
+    assert c.terms == ((w, (y,)),)
+    s = MilnorElement.symbol(K, [x * y, y + K.one])
+    got = {entries for _, entries in pair(_w(2, x + y), s).terms}
+    assert got == {(x, y + K.one), (y, y + K.one)}
+    # symbol_expand also drops the Steinberg pair {y, 1 + y}, which HClass
+    # normalization keeps
+    assert set(symbol_expand(s).terms) == \
+        {e for e in got if not _has_steinberg_pair(e, K)}
 
 
 # -------------------------------------------------------- invariants ----
@@ -198,6 +219,56 @@ def test_reciprocity_random(p, e, level, n):
         done += 1
         ok, table = reciprocity_check(c)
         assert ok, (c, [(repr(i.place), i.value) for i in table])
+
+
+@pytest.mark.parametrize("p,level", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_reciprocity_at_degree_two_places(p, level):
+    # t^2+t+1 over F_2 and t^2+1 over F_3 are irreducible: coordinates with
+    # poles there and entries vanishing there put a degree-2 place in the table
+    K = func_field(gf(p), ("t",))
+    t = K.var("t")
+    q = t * t + t + K.one if p == 2 else t * t + K.one
+    rng = random.Random(100 * p + level)
+    nonzero = 0
+    for _ in range(4):
+        w = WittVector(p, tuple(random_ratfunc(rng, K, max_deg=1) / q
+                                for _ in range(level)))
+        b = random_ratfunc(rng, K, max_deg=1) * q
+        ok, table = reciprocity_check(HClass.build(K, w, (b,)))
+        assert ok, [(repr(i.place), i.value) for i in table]
+        nonzero += sum(1 for i in table if i.place.degree == 2 and i.value)
+    assert nonzero
+
+
+GHOST_GRID = [(2, 1, 4), (2, 2, 4), (2, 3, 3), (3, 1, 3), (3, 2, 3),
+              (5, 1, 2), (7, 1, 2), (2, 6, 2)]
+
+
+@st.composite
+def _series(draw, F, lo, hi, prec):
+    """A series over F with valuation in lo..hi, known to O(t^prec)."""
+    codes = draw(st.lists(st.integers(0, F.order - 1), min_size=5,
+                          max_size=5))
+    lead = draw(st.integers(1, F.order - 1))
+    return Laurent(F, draw(st.integers(lo, hi)),
+                   [F.from_code(c) for c in [lead] + codes], prec)
+
+
+@pytest.mark.parametrize("p,e,top", GHOST_GRID)
+@given(data=st.data())
+def test_local_symbol_matches_ghost_inversion(p, e, top, data):
+    F = gf(p, e)
+    level = data.draw(st.integers(1, top))
+    prec = data.draw(st.sampled_from([3 * p ** (level - 1) + 12, 8, 4]))
+    coords = [data.draw(st.one_of(_series(F, -3, 2, prec),
+                                  st.just(Laurent.zero(F, prec))))
+              for _ in range(level)]
+    b = data.draw(_series(F, -3, 3, prec))
+    try:
+        want = ghost_inversion_symbol(F, level, coords, b)
+    except PrecisionExhausted:
+        return      # a lower residue ran out; the top one may still be known
+    assert local_symbol(F, level, coords, b) == want
 
 
 # -------------------------------------------------------- level maps ----

@@ -4,7 +4,8 @@ import pytest
 
 from katoforge import (ConfigMismatch, Place, Poly, UnsupportedField,
                        func_field, gf, place_order, residue_at, residue_table)
-from katoforge.places import place_context
+from katoforge.places import place_context, support_places
+from katoforge.poly import factor_ratfunc
 
 from conftest import random_mpoly, run_optimized
 
@@ -99,6 +100,21 @@ def test_place_order():
     assert place_order(r, Place.infinity()) == 2
     with pytest.raises(ConfigMismatch):
         place_order(r, _t_place(gf(3)))       # a place of F_3(t)
+
+
+def test_two_variable_input_is_refused():
+    # places belong to F_q(t); reading a two-variable polynomial as dense
+    # once lost y from x*y + y and gave y^2 order 0 at t
+    F2 = gf(2)
+    K = func_field(F2, ("x", "y"))
+    x, y = K.var("x"), K.var("y")
+    with pytest.raises(UnsupportedField):
+        support_places(x * y + y)
+    for place in (_t_place(F2), Place.infinity()):
+        with pytest.raises(UnsupportedField):
+            place_order(y * y, place)
+    with pytest.raises(UnsupportedField):
+        factor_ratfunc(x / (y + K.one))
 
 
 def test_place_polynomial_checks():

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from katoforge import (DivisionByZero, IntegralityViolation, MPoly,
-                       NotConstant, RatFunc, ResourceLimit, func_field, gf,
-                       p_power_component, p_power_decompose, p_power_rebuild)
+from katoforge import (ConfigMismatch, DivisionByZero, IntegralityViolation,
+                       MPoly, NotConstant, RatFunc, ResourceLimit, func_field,
+                       gf, p_power_component, p_power_decompose,
+                       p_power_rebuild)
 from katoforge.mpoly import (_code_divmod, _code_eval, _code_gcd, _code_mul,
                              _gcd_bivariate, exact_div, mpoly_gcd)
 from katoforge.poly import Poly
@@ -46,6 +47,13 @@ def test_normalization():
     assert (t + K.zero) == t
     r = random_ratfunc(random.Random(1), K)
     assert K.one / (K.one / r) == r or r.is_zero()
+
+
+def test_repeated_variable_names_refused():
+    with pytest.raises(ConfigMismatch):
+        func_field(gf(2), ("t", "t"))
+    with pytest.raises(ConfigMismatch):
+        func_field(gf(3), ("x", "y", "x"))
 
 
 def test_division_by_zero():
