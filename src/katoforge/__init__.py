@@ -23,12 +23,12 @@ from .kato import (ColimitClass, HClass, LaurentField, LocalInvariant,
                    colimit_equal, decompose_local, h_zero_test, laurent_field,
                    level_shift, local_invariant, local_symbol, pair,
                    reciprocity_check, witt_standard_form)
-from .laurent import Laurent, from_rational
+from .laurent import Laurent
 from .milnor import (ASExtension, MilnorElement, d_symbol, kn_equal,
                      symbol_expand)
 from .mpoly import MPoly, mpoly_gcd
-from .places import (Place, place_context, place_order, residue_at,
-                     residue_table, support_places)
+from .places import (Place, from_rational, place_context, place_order,
+                     residue_at, residue_table, support_places)
 from .poly import Poly, factor, is_irreducible, squarefree_decomposition
 from .rational import (FuncField, RatFunc, func_field, p_power_component,
                        p_power_decompose, p_power_rebuild)

@@ -21,6 +21,7 @@ symbols ``{a, b}``, classes ``[ w | b1, b2 )``, differential forms written
 
 import argparse
 import json
+import operator
 import os
 import sys
 
@@ -33,7 +34,7 @@ from .kato import (HClass, LaurentField, laurent_field, level_shift,
 from .laurent import Laurent
 from .milnor import MilnorElement, d_symbol
 from .places import Place
-from .poly import to_dense
+from .poly import Poly, to_dense
 from .rational import FuncField, RatFunc, func_field
 from .witt import (WittVector, _cache_filename, set_cache_dir,
                    verify_cache_file, witt_structure)
@@ -80,6 +81,19 @@ def tokenize(line, lineno):
 
 
 # ----------------------------------------------------------- session ----
+
+_KINDS = ((MilnorElement, "a symbol"), (HClass, "a class"),
+          (WittVector, "a Witt vector"), (DiffForm, "a differential form"))
+_ELEMENT = "a field element"
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+
+def _kind(v):
+    """The kind of a value, as error messages name it."""
+    return next((name for cls, name in _KINDS if isinstance(v, cls)),
+                _ELEMENT)
+
 
 class Session:
     def __init__(self, precision=16):
@@ -195,9 +209,7 @@ class Parser:
         v = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            w = self.term()
-            a, b = self._pair(v, w)
-            v = a + b if op == "+" else a - b
+            v = self._binary(op, v, self.term())
         return v
 
     def term(self):
@@ -206,36 +218,41 @@ class Parser:
             kind = self.peek()[0]
             if kind in ("*", "/"):
                 self.next()
-                w = self.unary()
-                if kind == "*":
-                    v = self._mul(v, w)
-                else:
-                    a, b = self._pair(v, w)
-                    v = a / b
+                v = self._binary(kind, v, self.unary())
             elif self._is_diff_start():
-                form = self.diff_product()
-                v = form.scale(self._coerce(v))
+                if isinstance(v, DiffForm):
+                    raise ScriptError("juxtaposed differentials: write "
+                                      "dx^dy for their wedge", self.lineno,
+                                      self.peek()[2] + 1)
+                v = self._binary("*", v, self.diff_product())
             else:
                 return v
 
-    def _mul(self, a, b):
-        structured = (MilnorElement, HClass, WittVector)
-        if isinstance(a, int) and isinstance(b, structured):
-            return b.int_mul(a)
-        if isinstance(b, int) and isinstance(a, structured):
-            return a.int_mul(b)
-        if isinstance(a, DiffForm) and not isinstance(b, DiffForm):
-            return a.scale(self._coerce(b))
-        if isinstance(b, DiffForm) and not isinstance(a, DiffForm):
-            return b.scale(self._coerce(a))
-        aa, bb = self._pair(a, b)
-        return aa * bb
+    def _binary(self, op, a, b):
+        """a op b for op in + - * /; ScriptError naming the operation
+        unless the kinds of a and b support it.  Integers multiply
+        symbols, classes and Witt vectors; field elements multiply forms."""
+        ka, kb = _kind(a), _kind(b)
+        if ka == kb == _ELEMENT:
+            return _OPS[op](self._coerce(a), self._coerce(b))
+        if ka == kb and (op in "+-" or op == "*" and ka == "a Witt vector"):
+            return _OPS[op](a, b)
+        if op == "*" and _ELEMENT in (ka, kb):
+            x, c = (b, a) if ka == _ELEMENT else (a, b)
+            if isinstance(x, DiffForm):
+                return x.scale(self._coerce(c))
+            if isinstance(c, int):
+                return x.int_mul(c)
+        verb = {"+": f"add {ka} and {kb}", "-": f"subtract {kb} from {ka}",
+                "*": f"multiply {ka} by {kb}", "/": f"divide {ka} by {kb}"}
+        raise ScriptError(f"cannot {verb[op]}", self.lineno)
 
-    def _pair(self, a, b):
-        structured = (MilnorElement, HClass, WittVector, DiffForm)
-        if isinstance(a, structured) or isinstance(b, structured):
-            return a, b
-        return self._coerce(a), self._coerce(b)
+    def _element(self, v, what):
+        """v coerced into the field; ScriptError unless it is an element."""
+        if _kind(v) != _ELEMENT:
+            raise ScriptError(f"{what} needs field elements, not {_kind(v)}",
+                              self.lineno)
+        return self._coerce(v)
 
     def unary(self):
         if self.peek()[0] == "-":
@@ -259,6 +276,9 @@ class Parser:
                 self.next()
                 sign = -1
             e = self.expect("int")[1] * sign
+            if _kind(v) != _ELEMENT:
+                raise ScriptError(f"cannot raise {_kind(v)} to a power",
+                                  self.lineno)
             if isinstance(v, int):
                 v = v ** e if e >= 0 else self._coerce(v) ** e
             else:
@@ -285,7 +305,7 @@ class Parser:
             if self._is_diff_start():
                 return self.diff_product()
             self.next()
-            return self._name_value(val, col)
+            return self._name_value(val, col + 1)
         raise ScriptError(f"unexpected token {val!r}", self.lineno,
                           col + 1 if col is not None else None)
 
@@ -338,10 +358,10 @@ class Parser:
 
     def symbol_lit(self):
         self.expect("{")
-        entries = [self._coerce(self.expr())]
+        entries = [self._element(self.expr(), "a symbol")]
         while self.peek()[0] == ",":
             self.next()
-            entries.append(self._coerce(self.expr()))
+            entries.append(self._element(self.expr(), "a symbol"))
         self.expect("}")
         if not isinstance(self.field, FuncField):
             raise ScriptError("symbols need a function field", self.lineno)
@@ -360,10 +380,10 @@ class Parser:
         if kind == "|":
             self.next()
             w = self._witt_value(entries)
-            bs = [self._coerce(self.expr())]
+            bs = [self._element(self.expr(), "a class")]
             while self.peek()[0] == ",":
                 self.next()
-                bs.append(self._coerce(self.expr()))
+                bs.append(self._element(self.expr(), "a class"))
             self.expect(")")
             h = HClass.build(self.field, w, bs)
             if self.session.level > h.level:
@@ -375,7 +395,8 @@ class Parser:
     def _witt_from(self, entries):
         f = self.field
         p = f.p if isinstance(f, GF) else f.base.p
-        return WittVector(p, [self._coerce(e) for e in entries])
+        return WittVector(p, [self._element(e, "a Witt vector")
+                              for e in entries])
 
     def _witt_value(self, entries):
         if len(entries) == 1 and isinstance(entries[0], WittVector):
@@ -389,20 +410,19 @@ class Parser:
             return Place.infinity()
         v = self._coerce(self.expr())
         if isinstance(v, Laurent):
-            from .poly import Poly
             if v.val == 1 and v.coeffs == (v.ring.one,):
                 return Place(Poly.x(v.ring), self.field.var)
             raise ScriptError("the Laurent field carries the place (t) only",
-                              self.lineno, col)
+                              self.lineno, col + 1)
         if not isinstance(v, RatFunc) or not v.den.is_const():
             raise ScriptError("a place is a monic irreducible polynomial "
-                              "or 'inf'", self.lineno, col)
+                              "or 'inf'", self.lineno, col + 1)
         try:
             return Place.finite(to_dense(v.num, v.field.base),
                                 v.field.vars[0])
         except ConfigMismatch:
             raise ScriptError(f"{v!r} is not irreducible", self.lineno,
-                              col) from None
+                              col + 1) from None
 
 
 # ------------------------------------------------------------ runner ----
@@ -453,7 +473,7 @@ def _field_spec(toks, lineno):
             # series print in t, so values in another name would not parse
             raise ScriptError("the Laurent field's variable must be t",
                               lineno)
-        fld = laurent_field(base, var[1])
+        fld = laurent_field(base)
     else:
         vars = []
         while True:
@@ -506,6 +526,8 @@ def run_statement(line, lineno, session, emit):
                 or rest[0][1] not in ("level", "precision")
                 or rest[1][0] != "int"):
             raise ScriptError("usage: set level|precision <int>", lineno)
+        if rest[0][1] == "precision" and rest[1][1] < 1:
+            raise ScriptError("set precision needs N >= 1", lineno)
         setattr(session, rest[0][1], rest[1][1])
         emit("set", {rest[0][1]: rest[1][1]}, "ok", session)
         return
@@ -721,6 +743,18 @@ def _parse_pairs(text):
     return pairs
 
 
+def _precision(text):
+    """A series precision N >= 1; anything else is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"precision must be an integer N >= 1, not {text!r}")
+    return n
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     common = argparse.ArgumentParser(add_help=False)
@@ -728,7 +762,8 @@ def main(argv=None):
     common.add_argument("--script", metavar="FILE")
     common.add_argument("--cache-dir", metavar="DIR",
                         default=os.environ.get("KATOFORGE_CACHE"))
-    common.add_argument("--precision", type=int, default=16)
+    common.add_argument("--precision", type=_precision, default=16,
+                        metavar="N")
     common.add_argument("--keep-going", action="store_true")
     common.add_argument("--seed", type=int, default=0)
     ap = argparse.ArgumentParser(
@@ -792,8 +827,13 @@ def main(argv=None):
 
     path = args.script or (args.file if args.command == "run" else None)
     if path:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            print(f"katoforge: cannot read {path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
     else:
         text = sys.stdin.read()
     return run_script(text, json_mode=args.json, precision=args.precision,

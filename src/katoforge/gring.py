@@ -127,7 +127,7 @@ class GaloisRing:
 
     def reduce(self, x):
         """Reduction GR -> GF(p^e)."""
-        return self.field.elem([c % self.p for c in x.coeffs])
+        return self.field._make(tuple(c % self.p for c in x.coeffs))
 
     def teich(self, a):
         """Teichmueller lift: the unique lift that is a (q-1)-th root of unity

@@ -41,19 +41,20 @@ from .witt import WittVector
 
 
 class LaurentField:
-    """Descriptor of F_q((t))."""
+    """Descriptor of F_q((t)); series print in t, so the variable is t."""
 
-    def __init__(self, base, var="t"):
+    var = "t"
+
+    def __init__(self, base):
         self.base = base
-        self.var = var
 
     def __repr__(self):
-        return f"{self.base!r}(({self.var}))"
+        return f"{self.base!r}((t))"
 
 
 @lru_cache(maxsize=None)
-def laurent_field(base, var="t"):
-    return LaurentField(base, var)
+def laurent_field(base):
+    return LaurentField(base)
 
 
 class LocalInvariant:

@@ -20,15 +20,19 @@ into byte-aligned slots of one integer, 2e-1 slots per power of t, so a
 series product is one bigint multiplication.  Reduction by the modulus is
 e-1 more shifts and multiplications of that integer; then only the slots of
 the coefficients the result keeps are unpacked and reduced mod M.
+
+A quotient a/b, b with a unit leading coefficient, has valuation val a - val b
+and relative precision min(prec - val) over a and b: what they determine.
+`_divide`, the power-series recurrence, is the one division loop: `inverse` is
+1/b, `dlog` is b'/b, and `_series_div` expands a quotient of polynomials to
+exactly the precision asked for, with no padding.
 """
 
 import sys
 from array import array
 from functools import lru_cache
 
-from .errors import (ConfigMismatch, DivisionByZero, PrecisionExhausted,
-                     UnsupportedField)
-from .poly import to_dense
+from .errors import ConfigMismatch, DivisionByZero, PrecisionExhausted
 
 DEFAULT_PREC = 16
 
@@ -206,21 +210,17 @@ class Laurent:
         return Laurent(self.ring, self.val + n, self.coeffs, self.prec + n)
 
     def inverse(self):
-        if self.is_zero():
-            raise DivisionByZero("inverse of a series that is zero to precision")
-        rel = self.prec - self.val  # relative precision of the unit part
-        u = self.coeffs
-        inv0 = self.ring.inv(u[0])
-        out = [inv0]
-        for n in range(1, rel):
-            s = self.ring.zero
-            for j in range(1, min(n, len(u) - 1) + 1):
-                s = s + u[j] * out[n - j]
-            out.append(-(inv0 * s))
-        return Laurent(self.ring, -self.val, out, rel - self.val)
+        return Laurent.one(self.ring, self.prec - self.val) / self
 
     def __truediv__(self, other):
-        return self * other.inverse()
+        self._check(other)
+        if other.is_zero():
+            raise DivisionByZero("division by a series zero to precision")
+        val = self.val - other.val
+        rel = min(self.prec - self.val, other.prec - other.val)
+        return Laurent(self.ring, val,
+                       _divide(self.ring, self.coeffs, other.coeffs, rel),
+                       val + rel)
 
     def __pow__(self, n):
         if n < 0:
@@ -239,9 +239,7 @@ class Laurent:
         return result
 
     def derivative(self):
-        coeffs = []
-        for j, c in enumerate(self.coeffs):
-            coeffs.append(c * (self.val + j))
+        coeffs = [c * (self.val + j) for j, c in enumerate(self.coeffs)]
         return Laurent(self.ring, self.val - 1, coeffs, self.prec - 1)
 
     def dlog(self):
@@ -275,25 +273,26 @@ class Laurent:
         return " + ".join(parts)
 
 
-def from_rational(r, prec=DEFAULT_PREC):
-    """Expand a univariate RatFunc at t = 0 to the requested precision."""
-    F = r.field
-    if F.k != 1:
-        raise UnsupportedField(
-            f"series expansion at t = 0 needs one variable, not {F.k}")
-    base = F.base
-    num = to_dense(r.num, base).coeffs
-    den = to_dense(r.den, base).coeffs
-    return _series_div(num, den, base, prec)
+def _divide(ring, num, den, count):
+    """The first count coefficients of num/den, den[0] a unit: q_n = den[0]^-1
+    (num[n] - sum_{1<=j<=min(n, deg den)} den[j] q_(n-j)), num[n] = 0 past
+    its end (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1)."""
+    inv0 = ring.inv(den[0])
+    out = []
+    for n in range(count):
+        s = num[n] if n < len(num) else ring.zero
+        for j in range(1, min(n, len(den) - 1) + 1):
+            s = s - den[j] * out[n - j]
+        out.append(inv0 * s)
+    return out
 
 
 def _series_div(num, den, ring, prec):
-    """num(t)/den(t) as a Laurent series over a field, to precision prec."""
+    """num(t)/den(t) for coefficient lists over a field, to precision prec."""
     nv = next((i for i, c in enumerate(num) if c), None)
     if nv is None:
         return Laurent.zero(ring, prec)
     dv = next(i for i, c in enumerate(den) if c)
-    big = prec + 2 * dv + abs(nv) + len(num) + len(den) + 2
-    n = Laurent(ring, 0, num, big)
-    d = Laurent(ring, 0, den, big)
-    return (n / d).truncate(prec)  # PrecisionExhausted if n / d fell short
+    val = nv - dv
+    return Laurent(ring, val, _divide(ring, num[nv:], den[dv:], prec - val),
+                   prec)

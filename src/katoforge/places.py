@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .embed import least_root, subfield_embedding
 from .errors import ConfigMismatch, IntegralityViolation, UnsupportedField
-from .laurent import _series_div
+from .laurent import DEFAULT_PREC, _series_div
 from .poly import Poly, factor_ratfunc, is_irreducible, to_dense
 
 
@@ -99,25 +99,20 @@ class PlaceContext:
         num = to_dense(r.num, base)
         den = to_dense(r.den, base)
         if self.place.is_infinite:
-            nrev = num.reverse()
-            drev = den.reverse()
             shift = den.degree - num.degree
-            q = _series_div(list(nrev.coeffs), list(drev.coeffs), base,
-                            prec - shift)
-            return q.shift(shift)
+            return _series_div(num.coeffs[::-1], den.coeffs[::-1], base,
+                               prec - shift).shift(shift)
         big = self.res_field
-        nsh = num.shift(self.theta, big, self.embed)
-        dsh = den.shift(self.theta, big, self.embed)
-        return _series_div(list(nsh.coeffs), list(dsh.coeffs), big, prec)
+        return _series_div(num.shift(self.theta, big, self.embed).coeffs,
+                           den.shift(self.theta, big, self.embed).coeffs,
+                           big, prec)
 
     def residue(self, g):
         """Residue of the 1-form g dt at this place, in the residue field."""
         if self.place.is_infinite:
             # dt = -s^-2 ds
-            s = self.expand(g, 2)
-            return -(s.coeff(1) if s.prec > 1 else s.ring.zero)
-        s = self.expand(g, 1)
-        return s.coeff(-1)
+            return -self.expand(g, 2).coeff(1)
+        return self.expand(g, 1).coeff(-1)
 
     def trace_to_base(self, x):
         """Tr_{k(v)/F_q}, landing back in the base field."""
@@ -141,6 +136,11 @@ def place_context(field, place):
 def residue_at(g, place):
     """Res_place(g dt) as an element of the residue field of the place."""
     return place_context(g.field, place).residue(g)
+
+
+def from_rational(r, prec=DEFAULT_PREC):
+    """The expansion of a one-variable RatFunc at the place t."""
+    return place_context(r.field, Place(Poly.x(r.field.base))).expand(r, prec)
 
 
 def support_places(r):

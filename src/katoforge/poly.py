@@ -181,9 +181,6 @@ class Poly:
         return Poly._from_codes(F, [F._code_pow(c, n)
                                     for c in self._codes[::p]])
 
-    def reverse(self):
-        return Poly._from_codes(self.field, list(reversed(self._codes)))
-
     def __repr__(self):
         from .render import format_poly
         return format_poly(self, "t")

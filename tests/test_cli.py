@@ -147,6 +147,57 @@ def test_statements_consume_their_line(line):
         assert "line 2" in last and "trailing tokens" in last, last
 
 
+@pytest.mark.parametrize("spec,line,message", [
+    ("GF(2)(x,y)", "dsym {dx, x}",
+     "a symbol needs field elements, not a differential form"),
+    ("GF(2)(x,y)", "let a = {x, y} * {x, y}",
+     "cannot multiply a symbol by a symbol"),
+    ("GF(2)(x,y)", "let a = dx*dy",
+     "cannot multiply a differential form by a differential form"),
+    ("GF(2)(x,y)", "let a = dx/dy",
+     "cannot divide a differential form by a differential form"),
+    ("GF(2)(x,y)", "let a = dx/x",
+     "cannot divide a differential form by a field element"),
+    ("GF(2)(x,y)", "let a = [dx]",
+     "a Witt vector needs field elements, not a differential form"),
+    ("GF(2)((t))", "let k = [t] ^ 2", "cannot raise a Witt vector to a power"),
+    ("GF(2)(t)", "cartier dt dt",
+     "col 12: juxtaposed differentials: write dx^dy for their wedge"),
+    ("GF(2)(x,y)", "cartier x dx dy",
+     "col 14: juxtaposed differentials: write dx^dy for their wedge"),
+    ("GF(2)(t)", "set precision 0", "set precision needs N >= 1"),
+])
+def test_operation_errors_are_script_errors(spec, line, message):
+    text = f"field F = {spec}\n{line}\nlet ok = 1"
+    buf = io.StringIO()
+    assert run_script(text, keep_going=True, out=buf) == 1
+    err, ok = buf.getvalue().splitlines()[1:]
+    sep = " " if message.startswith("col") else ": "
+    assert err == f"error: line 2{sep}{message}" and ok.startswith("let: 1")
+    buf = io.StringIO()
+    assert run_script(text, json_mode=True, keep_going=True, out=buf) == 1
+    err, ok = (json.loads(ln) for ln in buf.getvalue().splitlines()[1:])
+    assert err["op"] == "error" and err["line"] == 2
+    assert err["message"].endswith(message) and ok["op"] == "let"
+
+
+def test_script_file_and_precision_checks(tmp_path, capsys):
+    assert main(["run", str(tmp_path / "missing.kf")]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read" in err and "missing.kf" in err
+    assert "Traceback" not in err
+    script = tmp_path / "s.kf"
+    script.write_text("field F = GF(2)((t))\nlet a = 1/(1+t)\n")
+    for bad in ("-3", "0", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--precision", bad, str(script)])
+        assert exc.value.code == 2
+        assert "N >= 1" in capsys.readouterr().err
+    assert main(["--precision", "3", str(script)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "let: 1 + t + t^2 + O(t^3)"
+
+
 def test_field_declaration_checks():
     buf = io.StringIO()
     assert run_script("field F = GF(2)(t, t)", out=buf) == 1
@@ -162,12 +213,13 @@ def test_field_declaration_checks():
 def test_error_location_printed_once():
     buf = io.StringIO()
     run_script("field F = GF(2)(t)\nlet a = q", out=buf)
+    # columns count from 1: q is the ninth character
     assert buf.getvalue().splitlines()[-1] == \
-        "error: line 2 col 8: unknown name 'q'"
+        "error: line 2 col 9: unknown name 'q'"
     buf = io.StringIO()
     run_script("field F = GF(2)(t)\nlet a = q", json_mode=True, out=buf)
     assert json.loads(buf.getvalue().splitlines()[-1]) == {
-        "op": "error", "line": 2, "message": "line 2 col 8: unknown name 'q'"}
+        "op": "error", "line": 2, "message": "line 2 col 9: unknown name 'q'"}
     buf = io.StringIO()         # errors outside the parser gain the line
     run_script("field F = GF(2)(t)\nlet a = 1/(t-t)", out=buf)
     assert buf.getvalue().splitlines()[-1].startswith("error: line 2: ")

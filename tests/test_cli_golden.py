@@ -1,6 +1,8 @@
-"""The CLI's stdout on demos/session.kf (text and --json) and on
-``selftest --seed 0``, byte for byte, against tests/golden/cli: a refactor
-below the CLI must leave every printed value unchanged."""
+"""The CLI's stdout on demos/session.kf (text and --json), on
+``selftest --seed 0`` and on the error script tests/golden/cli/errors.kf
+(--keep-going, text and --json), byte for byte, against tests/golden/cli:
+a refactor below the CLI must leave every printed value and error
+unchanged."""
 
 import os
 import pathlib
@@ -15,6 +17,7 @@ from katoforge.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SESSION = str(ROOT / "demos" / "session.kf")
 GOLDEN = ROOT / "tests" / "golden" / "cli"
+ERRORS = str(GOLDEN / "errors.kf")
 
 
 @pytest.mark.parametrize("golden,argv", [
@@ -24,6 +27,15 @@ GOLDEN = ROOT / "tests" / "golden" / "cli"
 ])
 def test_cli_stdout_matches_golden(capsys, golden, argv):
     assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("errors.txt", ["--keep-going", ERRORS]),
+    ("errors_json.txt", ["--keep-going", "--json", ERRORS]),
+])
+def test_cli_errors_match_golden(capsys, golden, argv):
+    assert main(argv) == 1
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 

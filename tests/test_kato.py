@@ -373,6 +373,15 @@ def test_zero_test_unsupported(K2):
 
 # ------------------------------------------------ local decomposition ----
 
+def test_laurent_field_is_in_t():
+    # series print in t, so the field has no other variable to offer
+    LF = laurent_field(gf(2))
+    assert LF.var == "t" and repr(LF) == "GF(2)((t))"
+    assert laurent_field(gf(2)) is LF
+    with pytest.raises(TypeError):
+        laurent_field(gf(2), "x")
+
+
 def test_decompose_examples():
     F2 = gf(2)
     LF = laurent_field(F2)

@@ -8,6 +8,7 @@ from katoforge import (DivisionByZero, GaloisRing, Laurent,
                        func_field, gf, galois_ring)
 from katoforge.laurent import _series_div
 
+import series_oracle
 from conftest import random_ratfunc, run_optimized
 
 # GF(p^e) and GR(p^i, e) = galois_ring(gf(p, e), i); GR(2^40, 2) has slots
@@ -180,17 +181,66 @@ def test_from_rational_needs_one_variable():
             from_rational(r, 5)
 
 
-def test_series_div_short_quotient_raises(monkeypatch):
+def _is_unit(ring, c):
+    return bool(ring.reduce(c)) if isinstance(ring, GaloisRing) else bool(c)
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
+@given(data=st.data())
+def test_division_matches_oracle(ring, data):
+    a = data.draw(series(ring))
+    b = data.draw(series(ring))
+    if b.is_zero() or not _is_unit(ring, b.coeffs[0]):
+        # zero to precision, or a GR divisor with a non-unit leading term
+        for fn in (lambda: a / b, b.inverse, b.dlog,
+                   lambda: series_oracle.inverse(b)):
+            with pytest.raises(DivisionByZero):
+                fn()
+        b = b + Laurent.monomial(ring, ring.one, b.val - 1, b.prec)
+    assert a / b == series_oracle.divide(a, b)
+    assert b.inverse() == series_oracle.inverse(b)
+    assert b.dlog() == series_oracle.dlog(b)
+    zero = Laurent.zero(ring, a.prec)
+    assert zero / b == series_oracle.divide(zero, b)
+    # operands of other valuations and precisions
+    k = data.draw(st.integers(-4, 4))
+    shorter = b.shift(k).truncate(min(b.prec + k, b.val + k + 3))
+    assert a / shorter == series_oracle.divide(a, shorter)
+    assert shorter / b == series_oracle.divide(shorter, b)
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS[:5], ids=repr)
+@given(data=st.data())
+def test_series_div_matches_oracle(ring, data):
+    def poly():
+        return [ring._make(tuple(data.draw(st.integers(0, ring.p - 1))
+                                 for _ in range(ring.e)))
+                for _ in range(data.draw(st.integers(1, 8)))]
+    num, den = poly(), poly()
+    if not any(den):
+        den[-1] = ring.one
+    prec = data.draw(st.integers(-6, 20))
+    q = _series_div(num, den, ring, prec)
+    assert q == series_oracle.series_div(num, den, ring, prec)
+    assert q.prec == prec
+
+
+def test_series_div_has_requested_precision():
     F2 = gf(2)
-    monkeypatch.setattr(Laurent, "__truediv__",
-                        lambda a, b: Laurent.zero(F2, 1))
-    with pytest.raises(PrecisionExhausted):
-        _series_div([F2.one], [F2.one, F2.one], F2, 5)
+    one, zero = F2.one, F2.zero
+    for num, prec in (([one], 5), ([zero, zero, one], 1),
+                      ([zero, zero, one], 2), ([zero, one], -3),
+                      ([zero], 4)):
+        q = _series_div(num, [one, one], F2, prec)
+        assert q.prec == prec
+        assert q == series_oracle.series_div(num, [one, one], F2, prec)
+    # prec <= val: zero to that precision
+    assert _series_div([zero, zero, one], [one], F2, 1) == \
+        Laurent.zero(F2, 1)
 
 
 def test_series_checks_survive_optimized_mode():
-    code = ("from katoforge import (Laurent, PrecisionExhausted,\n"
-            "                       UnsupportedField, from_rational,\n"
+    code = ("from katoforge import (UnsupportedField, from_rational,\n"
             "                       func_field, gf)\n"
             "from katoforge.laurent import _series_div\n"
             "K = func_field(gf(2), ('x', 'y'))\n"
@@ -201,9 +251,6 @@ def test_series_checks_survive_optimized_mode():
             "    except UnsupportedField:\n"
             "        print('refused')\n"
             "F = gf(2)\n"
-            "Laurent.__truediv__ = lambda a, b: Laurent.zero(F, 1)\n"
-            "try:\n"
-            "    print(_series_div([F.one], [F.one, F.one], F, 5))\n"
-            "except PrecisionExhausted:\n"
-            "    print('refused')\n")
-    assert run_optimized(code) == "refused\nrefused\nrefused\n"
+            "for num, prec in (([F.one], 5), ([F.zero, F.zero, F.one], 1)):\n"
+            "    print(_series_div(num, [F.one, F.one], F, prec).prec)\n")
+    assert run_optimized(code) == "refused\nrefused\n5\n1\n"

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from katoforge import (ConfigMismatch, Place, Poly, UnsupportedField,
-                       func_field, gf, place_order, residue_at, residue_table)
+                       from_rational, func_field, gf, is_irreducible,
+                       place_order, residue_at, residue_table)
 from katoforge.places import place_context, support_places
 from katoforge.poly import factor_ratfunc
 
-from conftest import random_mpoly, run_optimized
+import series_oracle
+from conftest import random_mpoly, random_ratfunc, run_optimized
 
 
 def _t_place(F):
@@ -153,3 +155,26 @@ def test_degree_one_residue_is_not_twisted():
     K = func_field(F8, ("t",))
     z = F8.gen
     assert residue_at(K.const(z) / K.var("t"), _t_place(F8)) == z
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_expansions_match_oracle(p, e):
+    F = gf(p, e)
+    K = func_field(F, ("t",))
+    quadratics = (Poly(F, [c0, c1, F.one]) for c1 in F.elements()
+                  for c0 in F.elements())
+    quadratic = next(f for f in quadratics if is_irreducible(f))
+    places = [_t_place(F), Place(Poly(F, [F.one, F.one])), Place(quadratic),
+              Place.infinity()]
+    rng = random.Random(31)
+    for _ in range(12):
+        r = random_ratfunc(rng, K)
+        for pl in places:
+            ctx = place_context(K, pl)
+            for prec in (-4, -1, 0, 1, 3, 9):
+                s = ctx.expand(r, prec)
+                assert s == series_oracle.expand(ctx, r, prec)
+                assert s.prec == prec
+        for prec in (-2, 0, 6):
+            assert from_rational(r, prec) == \
+                place_context(K, _t_place(F)).expand(r, prec)
