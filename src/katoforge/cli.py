@@ -260,6 +260,13 @@ class Parser:
             return -self.unary()
         return self.power()
 
+    def signed_int(self):
+        sign = 1
+        if self.peek()[0] == "-":
+            self.next()
+            sign = -1
+        return self.expect("int")[1] * sign
+
     def power(self):
         v = self.atom()
         while self.peek()[0] == "^":
@@ -271,11 +278,7 @@ class Parser:
                                       self.lineno)
                 v = v.wedge(w)
                 continue
-            sign = 1
-            if self.peek()[0] == "-":
-                self.next()
-                sign = -1
-            e = self.expect("int")[1] * sign
+            e = self.signed_int()
             if _kind(v) != _ELEMENT:
                 raise ScriptError(f"cannot raise {_kind(v)} to a power",
                                   self.lineno)
@@ -322,7 +325,7 @@ class Parser:
         n = 1
         if self.peek()[0] == "^":
             self.next()
-            n = self.expect("int")[1]
+            n = self.signed_int()
         self.expect(")")
         return Laurent.zero(f.base, n)
 
@@ -526,8 +529,9 @@ def run_statement(line, lineno, session, emit):
                 or rest[0][1] not in ("level", "precision")
                 or rest[1][0] != "int"):
             raise ScriptError("usage: set level|precision <int>", lineno)
-        if rest[0][1] == "precision" and rest[1][1] < 1:
-            raise ScriptError("set precision needs N >= 1", lineno)
+        if rest[1][1] < 1:
+            bound = "N" if rest[0][1] == "precision" else "i"
+            raise ScriptError(f"set {rest[0][1]} needs {bound} >= 1", lineno)
         setattr(session, rest[0][1], rest[1][1])
         emit("set", {rest[0][1]: rest[1][1]}, "ok", session)
         return

@@ -13,8 +13,6 @@ forms are the logarithmic forms; the kernel is the exact forms, which gives
 both the exactness test and the membership test for the span of dlog wedges.
 """
 
-from itertools import combinations
-
 from .errors import (ConfigMismatch, DegreeOverflow, DlogOfZero, NotClosed)
 from .rational import RatFunc, p_power_component
 from .render import parenthesize_if_sum
@@ -225,14 +223,3 @@ def form_from_terms(field, degree, assignments):
         K, sign = merged
         out = out + DiffForm(field, degree, {K: c * sign})
     return out
-
-
-def random_form(field, degree, rng, rand_func, max_terms=3):
-    """Test helper: a random form with rational coefficients."""
-    idx = list(combinations(range(field.k), degree))
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        I = rng.choice(idx)
-        c = rand_func()
-        terms[I] = terms[I] + c if I in terms else c
-    return DiffForm(field, degree, terms)

@@ -2,12 +2,13 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
 
 import katoforge
-from katoforge import MPoly, func_field, gf
+from katoforge import DiffForm, MPoly, func_field, gf
 
 # Property tests draw the same examples on every run and never time out, so
 # the suite stays deterministic; max_examples keeps it fast.
@@ -51,6 +52,17 @@ def random_ratfunc(rng, field, max_deg=3, max_terms=3):
     while den.is_zero():
         den = random_mpoly(rng, base, field.k, max_deg, max_terms)
     return field.from_poly(num, den)
+
+
+def random_form(field, degree, rng, rand_func, max_terms=3):
+    """A random form with coefficients from rand_func."""
+    idx = list(combinations(range(field.k), degree))
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        I = rng.choice(idx)
+        c = rand_func()
+        terms[I] = terms[I] + c if I in terms else c
+    return DiffForm(field, degree, terms)
 
 
 @pytest.fixture

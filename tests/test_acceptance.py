@@ -19,11 +19,11 @@ from katoforge import (ASExtension, HClass, Laurent, MilnorElement, Place,
                        local_invariant, reciprocity_check, symbol_expand,
                        verify_ghost_identities, witt_as_solve,
                        witt_standard_form)
-from katoforge.forms import d_of_function, random_form
+from katoforge.forms import d_of_function
 from katoforge.kato import _t_place, class_places
 from katoforge.cli import cache_verify, cache_warm, run_script
 
-from conftest import random_ratfunc
+from conftest import random_form, random_ratfunc
 
 
 def _report(criterion, name, ok):

@@ -8,7 +8,8 @@ import pytest
 from katoforge import (DiffForm, HClass, Laurent, MilnorElement, WittVector,
                        dlog, gf)
 from katoforge.cli import (Parser, Session, cache_clear, cache_verify,
-                           cache_warm, main, run_script, tokenize)
+                           cache_warm, main, run_script, run_statement,
+                           tokenize)
 
 from conftest import random_ratfunc
 
@@ -28,7 +29,6 @@ def _session_with(*specs):
     # rebuild: run_script uses its own session, so declare again by hand
     s = Session()
     for n, spec in specs:
-        from katoforge.cli import run_statement
         run_statement(f"field {n} = {spec}", 1, s, lambda *a: None)
     return s
 
@@ -166,6 +166,7 @@ def test_statements_consume_their_line(line):
     ("GF(2)(x,y)", "cartier x dx dy",
      "col 14: juxtaposed differentials: write dx^dy for their wedge"),
     ("GF(2)(t)", "set precision 0", "set precision needs N >= 1"),
+    ("GF(2)(t)", "set level 0", "set level needs i >= 1"),
 ])
 def test_operation_errors_are_script_errors(spec, line, message):
     text = f"field F = {spec}\n{line}\nlet ok = 1"
@@ -179,6 +180,30 @@ def test_operation_errors_are_script_errors(spec, line, message):
     err, ok = (json.loads(ln) for ln in buf.getvalue().splitlines()[1:])
     assert err["op"] == "error" and err["line"] == 2
     assert err["message"].endswith(message) and ok["op"] == "let"
+
+
+def _let_results(text, json_mode):
+    buf = io.StringIO()
+    assert run_script(text, json_mode=json_mode, out=buf) == 0
+    if json_mode:
+        return [json.loads(ln)["result"] for ln in buf.getvalue().splitlines()]
+    return [ln.split(": ", 1)[1] for ln in buf.getvalue().splitlines()]
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_negative_precision_parses_back(json_mode):
+    # a series known only modulo t^N with N < 0 prints as O(t^N)
+    head = "field L = GF(2)((t))\nlet d = (t^-40 + O(t^2))^3"
+    printed = _let_results(head, json_mode)[-1]
+    assert printed == "t^-120 + O(t^-78)"
+    script = f"{head}\nlet e = {printed}\nlet z = O(t^-3)"
+    assert _let_results(script, json_mode)[1:] == [printed, printed,
+                                                   "O(t^-3)"]
+    s = Session()
+    for n, line in enumerate(script.splitlines(), 1):
+        run_statement(line, n, s, lambda *a: None)
+    assert s.values["e"] == s.values["d"]
+    assert s.values["z"][1].prec == -3
 
 
 def test_script_file_and_precision_checks(tmp_path, capsys):

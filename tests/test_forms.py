@@ -4,9 +4,8 @@ import pytest
 
 from katoforge import (DiffForm, NotClosed, d_of_function, dlog, func_field,
                        gf)
-from katoforge.forms import random_form
 
-from conftest import ORACLE_FIELDS, random_ratfunc
+from conftest import ORACLE_FIELDS, random_form, random_ratfunc
 
 
 def test_dlog_examples():

@@ -1,14 +1,17 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from katoforge import (CorruptCache, DivisionByZero, HClass, ResourceLimit,
-                       WittStructure, WittVector, func_field, gf, int_to_witt,
+from katoforge import (CorruptCache, DivisionByZero, HClass,
+                       IntegralityViolation, ResourceLimit, WittStructure,
+                       WittVector, func_field, gf, int_to_witt,
                        verify_ghost_identities, witt, witt_as_solve,
                        witt_structure, witt_to_int)
 from katoforge.gring import galois_ring
-from katoforge.witt import _eval_terms, from_galois_ring, max_structure_level
+from katoforge.witt import (_eval_terms, _generate, _invert_ghost,
+                            from_galois_ring, max_structure_level)
 
 from conftest import random_ratfunc, run_optimized
 
@@ -21,10 +24,78 @@ def test_structure_polynomials():
     assert st.sums[1] == {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1, (1, 0, 1, 0): -1}
 
 
-@pytest.mark.parametrize("p,i", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
-                                 (3, 3)])
+# sha256 of WittStructure(p, i, *_generate(p, i)).to_text() for every
+# (p, i) within max_structure_level, as the Fraction-coefficient solver of
+# the ghost equations produced them
+STRUCTURE_SHA256 = {
+    (2, 1): "55f5a2ba0d44aced73da0d32c6ecca0a"
+        "a8a2a94e31c84e933727ae9eb7010cf1",
+    (2, 2): "d2ab8d976f5ede8df616c8687404befb"
+        "9849ad98ea030703dfb48345a035609c",
+    (2, 3): "1112f11492c8437901509c46d8af1ea0"
+        "059555e3c030c36cffcec4e30425341e",
+    (2, 4): "918f698bd005d48044dd0e236b80b5a2"
+        "a299317bc87f77bc19c0dee9aa434842",
+    (2, 5): "3281727ace77de7bcfcadcb6994b5627"
+        "7b8f09ac1c3e00e577887c7130dab9e7",
+    (3, 1): "ef7bec3d633bec1d4cc4df0eae7303e9"
+        "312dc46c9d454969e11e91d073c99df4",
+    (3, 2): "3c57509cdcaa882568bdc087e59f06a4"
+        "598105ded3e9700bdbdf43da32676cbd",
+    (3, 3): "d5c4ca42cc249ba133b4b895a00bdc9a"
+        "b010a8a4fa7fd97e66de12930c79478d",
+    (3, 4): "cd22e5df190588628acb595bf35e6a4f"
+        "f9584deed807175098c75bce9ef9fe9e",
+    (5, 1): "330c57d6fd3514713204a945111c28ce"
+        "fa0b927e539c398e266bd6713fab3d3b",
+    (5, 2): "82881a6db3e15ca4145eba1975bc7e0d"
+        "8fd7fede22d36dfd7cf24299cd021f48",
+    (5, 3): "af6cbbfa75f391fb95f014b6a9510513"
+        "227048776d711be27139e10d9c6e79d7",
+    (7, 1): "beb64000546196e86c9f56db885710b1"
+        "862fc5efa04821b07a9c3bf15bf9de06",
+    (7, 2): "c4bb82b085e9e658696a3d0e337bf20b"
+        "a5c9cdf1ece5d29a775a2c64a1b5798f",
+    (7, 3): "3fdbed1c63658a2ec30ea3c289fc0534"
+        "daeada116a7852c8c8eb8293f0b2e90b",
+    (11, 1): "b351c00bc17c1d88a14ade1d9a70099e"
+        "3bd7f562d8f87f7aa54f00cd7d2f3c9e",
+    (11, 2): "7406ef82ffce6c4203c14eda3eda0c2e"
+        "8dd7ea5ef52281821fdd4c4ddbed9d52",
+    (13, 1): "55c29862b817fc336a005eb2563d6daa"
+        "504aeabf8071a4cae9d66e64d20358d3",
+    (13, 2): "680b19f07281c3b2b97c47037c3a0f50"
+        "9c98ac1b9e449368ffc09e3f1a5a1390",
+}
+WITHIN_BOUND = [(p, i) for p in (2, 3, 5, 7, 11, 13)
+                for i in range(1, max_structure_level(p) + 1)]
+
+
+def test_structure_digests_pinned():
+    assert sorted(STRUCTURE_SHA256) == WITHIN_BOUND
+    for (p, i), digest in STRUCTURE_SHA256.items():
+        text = WittStructure(p, i, *_generate(p, i)).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (p, i)
+
+
+@pytest.mark.parametrize("p,i", WITHIN_BOUND)
 def test_ghost_identities(p, i):
     assert verify_ghost_identities(p, i)
+
+
+def test_invert_ghost_rejects_non_integral_target():
+    # (x, 0) is no ghost vector for p = 2: X_1 = (0 - x^2) / 2
+    x = {(1,): 1}
+    assert _invert_ghost(2, [x, {(2,): 1}]) == [x, {}]
+    with pytest.raises(IntegralityViolation):
+        _invert_ghost(2, [x, {}])
+    code = ("from katoforge import IntegralityViolation\n"
+            "from katoforge.witt import _invert_ghost\n"
+            "try:\n"
+            "    _invert_ghost(2, [{(1,): 1}, {}])\n"
+            "except IntegralityViolation:\n"
+            "    print('refused')\n")
+    assert run_optimized(code) == "refused\n"
 
 
 def test_resource_bound():
@@ -281,7 +352,8 @@ def test_max_structure_level_table():
 
 
 def test_level_beyond_bound_fails_fast():
-    # generating W_6 over F_2 takes minutes; the bound refuses it up front
+    # one + or * at W_6 over F_2(t) takes seconds; the bound refuses it
+    # up front
     K = func_field(gf(2), ("t",))
     t = K.var("t")
     w = WittVector(2, (K.one / t,) + (K.zero,) * 5)
