@@ -11,10 +11,12 @@ at most 256 elements keeps one set of operation tables indexed by code
 (add, mul, neg, inv and Frobenius; entries are codes, built from the powers
 of a primitive element), and its GFElem operations are lookups in them.
 ``GF.tables`` gives (add, mul, neg, inv) for every field, larger ones
-computing each entry when it is read: a product multiplies the two digit
-vectors with the univariate code kernels of ``mpoly`` over GF(p) and reduces
-by the modulus, an inverse is a power.  So code-level kernels such as
-``Poly`` and the GCDs in ``mpoly`` run over any field.
+computing each entry when it is read: a product is ``_digit_mul``, the
+schoolbook product of the two digit vectors on plain ints, folded down by
+the modulus and reduced mod p once (the Galois ring product is the same
+function mod p^i), and an inverse is a^(q-2) by binary powering.  So
+code-level kernels such as ``Poly`` and the GCDs in ``mpoly`` run over any
+field.
 
 Everything is immutable; a ``GF`` object is both the configuration and the
 element factory.
@@ -23,10 +25,10 @@ element factory.
 from functools import lru_cache
 from itertools import product
 
-from . import mpoly
 from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
                      NonPrime, ResourceLimit)
 from .poly import Poly, is_irreducible
+from .power import binary_power
 
 _MAX_FIELD_ORDER = 2 ** 24
 
@@ -68,6 +70,27 @@ def _code(coeffs, p):
     for d in reversed(coeffs):
         c = c * p + d
     return c
+
+
+def _digit_mul(a, b, modulus, m):
+    """The digits of a * b in (Z/m)[z] / (modulus): a and b are length-e
+    digit vectors and modulus the e + 1 integer coefficients of a monic
+    polynomial.  Schoolbook product, then the terms of degree >= e are
+    folded down from the top; digits are reduced mod m once, at the end.
+    GF(p^e) products (m = p) and Galois ring products (m = p^i) run here."""
+    e = len(a)
+    res = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                res[i + j] += ai * bj
+    for top in range(2 * e - 2, e - 1, -1):
+        lead = res[top] % m
+        if lead:
+            off = top - e
+            for j in range(e):
+                res[off + j] -= lead * modulus[j]
+    return [c % m for c in res[:e]]
 
 
 def _digits(code, p, e):
@@ -176,14 +199,7 @@ class GFElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n) if n else self.field.one
 
     def inverse(self):
         if not self:
@@ -273,25 +289,16 @@ class GF:
         return _code([-x % p for x in _digits(a, p, self.e)], p)
 
     def _code_mul(self, a, b):
-        """Digit vectors multiplied by the code kernels over GF(p), then
-        reduced by the modulus."""
         p, e = self.p, self.e
         if e == 1:
             return a * b % p
-        T = gf(p).tables
-        prod = mpoly._code_mul(_digits(a, p, e), _digits(b, p, e), T)
-        return _code(mpoly._code_divmod(prod, self.modulus, T)[1], p)
+        return _code(_digit_mul(_digits(a, p, e), _digits(b, p, e),
+                               self.modulus, p), p)
 
     def _code_pow(self, a, n):
-        """The code of a^n, by square and multiply on ``tables``."""
+        """The code of a^n for n >= 1, by binary powering on ``tables``."""
         mul = self.tables[1]
-        r = 1
-        while n:
-            if n & 1:
-                r = mul[r][a]
-            a = mul[a][a]
-            n >>= 1
-        return r
+        return binary_power(a, n, lambda x, y: mul[x][y])
 
     def _code_inv(self, a):
         if not a:

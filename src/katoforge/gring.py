@@ -11,6 +11,8 @@ coefficient ring of the lifted series in level-i local invariants.
 from functools import cached_property, lru_cache
 
 from .errors import ConfigMismatch, DivisionByZero, IntegralityViolation
+from .gf import _digit_mul
+from .power import binary_power
 
 
 class GRElem:
@@ -62,14 +64,7 @@ class GRElem:
     def __pow__(self, n):
         if n < 0:
             return self.ring.inv(self) ** (-n)
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n) if n else self.ring.one
 
     def __repr__(self):
         return f"GR{self.coeffs}"
@@ -104,22 +99,8 @@ class GaloisRing:
         return GRElem(self, coeffs)
 
     def _mul(self, a, b):
-        m = self.digit_modulus
-        e = self.e
-        res = [0] * (2 * e - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    res[i + j] = (res[i + j] + ai * bj) % m
-        # reduce by the monic lifted modulus
-        for top in range(2 * e - 2, e - 1, -1):
-            lead = res[top]
-            if lead:
-                off = top - e
-                for j in range(e):
-                    res[off + j] = (res[off + j] - lead * self.modulus[j]) % m
-                res[top] = 0
-        return GRElem(self, tuple(res[:e]))
+        return GRElem(self, tuple(_digit_mul(a.coeffs, b.coeffs, self.modulus,
+                                             self.digit_modulus)))
 
     def lift(self, a):
         """Naive coefficient lift GF(p^e) -> GR (not Teichmueller)."""

@@ -33,6 +33,7 @@ from array import array
 from functools import lru_cache
 
 from .errors import ConfigMismatch, DivisionByZero, PrecisionExhausted
+from .power import binary_power
 
 DEFAULT_PREC = 16
 
@@ -229,14 +230,7 @@ class Laurent:
             return Laurent.one(self.ring, prec=max(self.prec - self.val, 1))
         if self.is_zero():
             return Laurent.zero(self.ring, n * self.prec)
-        result = Laurent.one(self.ring, prec=self.prec - self.val)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n)
 
     def derivative(self):
         coeffs = [c * (self.val + j) for j, c in enumerate(self.coeffs)]

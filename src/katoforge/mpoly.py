@@ -9,8 +9,8 @@ The public constructor takes GFElem coefficients, and ``leading``,
 This module also holds the library's one dense univariate arithmetic: the
 kernels ``_code_trim``, ``_code_eval``, ``_code_addmul``, ``_code_mul``,
 ``_code_divmod``, ``_code_gcd`` and ``_code_exact_div`` on lists of element
-codes.  ``poly.Poly`` and the multiplication of large fields in ``gf`` run
-on them; this module imports neither at load time.
+codes.  ``poly.Poly`` runs on them; this module imports neither ``poly``
+nor ``gf`` at load time.
 
 The GCD is Euclid on these kernels when one variable occurs, and otherwise
 one loop of evaluation and interpolation (Brown, JACM 1971, section 4) that
@@ -23,6 +23,7 @@ exact division checks the interpolated candidate.
 from operator import add as _exp_add, sub as _exp_sub
 
 from .errors import ConfigMismatch, DivisionByZero, IntegralityViolation
+from .power import binary_power
 
 
 def _grlex(e):
@@ -150,14 +151,9 @@ class MPoly:
                                  {e: row[a] for e, a in self.terms.items()})
 
     def __pow__(self, n):
-        result = MPoly.const(self.field, self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not n:
+            return MPoly.const(self.field, self.nvars, 1)
+        return binary_power(self, n)
 
     def leading(self):
         """(exponent, coeff) in graded-lex order."""

@@ -16,6 +16,7 @@ from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
                      UnsupportedField, ZeroPolynomial)
 from .mpoly import (MPoly, _code_addmul, _code_divmod, _code_eval, _code_gcd,
                     _code_mul, _code_trim)
+from .power import binary_power
 
 
 class Poly:
@@ -129,24 +130,12 @@ class Poly:
                                              enumerate(self._codes)][1:])
 
     def powmod(self, n, mod):
-        result = Poly.const(self.field, 1) % mod
-        base = self % mod
-        while n:
-            if n & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            n >>= 1
-        return result
+        if not n:
+            return Poly.const(self.field, 1) % mod
+        return binary_power(self % mod, n, lambda a, b: (a * b) % mod)
 
     def __pow__(self, n):
-        result = Poly.const(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n) if n else Poly.const(self.field, 1)
 
     def eval(self, x):
         F = self.field

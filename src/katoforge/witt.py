@@ -37,6 +37,7 @@ from .errors import (ConfigMismatch, CorruptCache, IntegralityViolation,
                      VerifyMismatch)
 from .gf import GFElem, gf, is_prime
 from .gring import galois_ring
+from .power import binary_power
 
 _CACHE_DIR = os.environ.get("KATOFORGE_CACHE")
 _RING_OPS = {"S": operator.add, "P": operator.mul, "D": operator.sub}
@@ -73,24 +74,12 @@ def _mul(f, g):
     return {e: c for e, c in out.items() if c}
 
 
-def _pow(f, k):
-    """f**k for k >= 1, by squaring; no square after the last bit."""
-    result = None
-    while True:
-        if k & 1:
-            result = f if result is None else _mul(result, f)
-        k >>= 1
-        if not k:
-            return result
-        f = _mul(f, f)
-
-
 def _ghost(p, polys, n):
     """w_n = sum_{j<=n} p^j polys[j]^(p^(n-j)); a partial sum when polys
     has n entries or fewer."""
     out = {}
     for j, f in enumerate(polys[:n + 1]):
-        out = _add(out, _pow(f, p ** (n - j)), p ** j)
+        out = _add(out, binary_power(f, p ** (n - j), _mul), p ** j)
     return out
 
 
@@ -404,14 +393,11 @@ class WittVector:
         m %= self.p ** self.level   # additive order divides p^i
         if self.is_finite_coeffs():
             return self._via_ring(lambda x: x * m)
-        result = WittVector(self.p, [c * 0 for c in self.coords])
-        base = self
-        while m:
-            if m & 1:
-                result = result + base
-            base = base + base
-            m >>= 1
-        return result
+        if not m:
+            return WittVector(self.p, [c * 0 for c in self.coords])
+        # m = 1 does no arithmetic, but the level bound holds all the same
+        _check_request(self.p, self.level)
+        return binary_power(self, m, operator.add)
 
     # -- the standard maps --
 

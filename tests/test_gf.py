@@ -177,6 +177,25 @@ def test_tables_match_polymulmod(p, e):
             assert digits[add[a][b]] == [(x + y) % p for x, y in zip(da, db)]
 
 
+@pytest.mark.parametrize("p,e", [(257, 2), (2, 17)])
+def test_large_field_products_match_polymulmod(p, e):
+    """Past the tables each product and inverse is computed on digit
+    vectors; random elements against the schoolbook oracle."""
+    F = gf(p, e)
+    mod = list(F.modulus)
+    rng = random.Random(p + e)
+    for _ in range(40):
+        da = [rng.randrange(p) for _ in range(e)]
+        db = [rng.randrange(p) for _ in range(e)]
+        a, b = F.elem(da), F.elem(db)
+        prod = _polymulmod(da, db, mod, p)
+        assert list((a * b).coeffs) == prod + [0] * (e - len(prod))
+        assert F.tables[1][a.idx][b.idx] == (a * b).idx
+        if a:
+            assert _polymulmod(da, list(a.inverse().coeffs), mod, p) == [1]
+            assert F.tables[3][a.idx] == a.inverse().idx
+
+
 def test_printing():
     F4 = gf(2, 2)
     assert repr(F4.elem([1, 1])) == "z+1"

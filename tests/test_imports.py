@@ -90,3 +90,21 @@ def test_private_names_are_referenced():
                      if d.startswith("_") and not d.startswith("__")
                      and d not in referenced]
     assert not dead, dead
+
+
+def test_one_binary_powering_loop():
+    """binary_power is the only library function that right-shifts a value
+    in a loop, so every ring's powers and multiples go through it."""
+    shifting = []
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for loop in ast.walk(func):
+                if isinstance(loop, (ast.While, ast.For)) and any(
+                        isinstance(node, ast.AugAssign)
+                        and isinstance(node.op, ast.RShift)
+                        for node in ast.walk(loop)):
+                    shifting.append(f"{name}.{func.name}")
+                    break
+    assert shifting == ["power.binary_power"], shifting

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from katoforge import (ConfigMismatch, Poly, ZeroPolynomial, factor, gf,
-                       is_irreducible)
+from katoforge import (ConfigMismatch, MPoly, Poly, ResourceLimit,
+                       ZeroPolynomial, factor, gf, is_irreducible)
 from katoforge.poly import squarefree_decomposition
+
+from conftest import run_optimized
 
 
 def _poly(field, ints):
@@ -116,3 +118,30 @@ def test_fields_do_not_mix():
                lambda: f.eval(F3.one), lambda: f.scale(F3.one)):
         with pytest.raises(ConfigMismatch):
             op()
+
+
+def test_negative_exponents_raise():
+    # polynomials have no inverses; a negative exponent used to loop forever
+    F = gf(3)
+    f = _poly(F, [1, 1])
+    g = MPoly(F, 2, {(1, 0): F.one, (0, 1): F.one})
+    for op in (lambda: f ** -1, lambda: f.powmod(-1, _poly(F, [1, 0, 1])),
+               lambda: g ** -2):
+        with pytest.raises(ResourceLimit):
+            op()
+    assert f ** 0 == _poly(F, [1]) and f ** 1 == f
+    assert f.powmod(0, _poly(F, [1, 0, 1])) == _poly(F, [1])
+
+
+def test_negative_exponents_raise_in_optimized_mode():
+    code = ("from katoforge import MPoly, Poly, ResourceLimit, gf\n"
+            "F = gf(3)\n"
+            "f = Poly(F, [F.one, F.one])\n"
+            "g = MPoly(F, 2, {(1, 0): F.one})\n"
+            "for op in (lambda: f ** -1, lambda: f.powmod(-1, f * f),\n"
+            "           lambda: g ** -1):\n"
+            "    try:\n"
+            "        op()\n"
+            "    except ResourceLimit:\n"
+            "        print('refused')\n")
+    assert run_optimized(code) == "refused\nrefused\nrefused\n"

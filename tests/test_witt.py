@@ -3,9 +3,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from katoforge import (CorruptCache, DivisionByZero, HClass,
-                       IntegralityViolation, ResourceLimit, WittStructure,
+                       IntegralityViolation, Laurent, ResourceLimit,
+                       WittStructure,
                        WittVector, func_field, gf, int_to_witt,
                        verify_ghost_identities, witt, witt_as_solve,
                        witt_structure, witt_to_int)
@@ -342,6 +344,37 @@ def test_witt_over_function_field():
         assert u + v == v + u
         assert (u + v) - v == u
         assert u.wp() == u.frobenius() - u
+
+
+@pytest.mark.parametrize("p,e,level", [(2, 1, 2), (2, 1, 3), (3, 1, 2),
+                                         (3, 1, 3), (2, 2, 2), (2, 2, 3)])
+@given(data=st.data())
+def test_int_mul_on_laurent_coordinates(p, e, level, data):
+    """w.int_mul(m) equals m-fold + up to the lower of the two precisions,
+    and inputs known to 6 more coefficients (any values there) agree with
+    it up to its precision, so that precision is sound."""
+    F = gf(p, e)
+    elems = st.sampled_from(list(F.elements()))
+    low, high = [], []
+    for _ in range(level):
+        val = data.draw(st.integers(-3, 2))
+        prec = val + data.draw(st.integers(1, 8))
+        known = data.draw(st.lists(elems, min_size=prec - val,
+                                   max_size=prec - val))
+        tail = data.draw(st.lists(elems, min_size=6, max_size=6))
+        low.append(Laurent(F, val, known, prec))
+        high.append(Laurent(F, val, known + tail, prec + 6))
+    w = WittVector(p, low)
+    m = data.draw(st.integers(1, 9))
+    got = w.int_mul(m)
+    added = w
+    for _ in range(m - 1):
+        added = added + w
+    for x, y in zip(got.coords, added.coords):
+        prec = min(x.prec, y.prec)
+        assert x.truncate(prec) == y.truncate(prec)
+    for x, y in zip(got.coords, WittVector(p, high).int_mul(m).coords):
+        assert y.truncate(x.prec) == x
 
 
 def test_max_structure_level_table():
