@@ -761,15 +761,21 @@ def _precision(text):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    common = argparse.ArgumentParser(add_help=False)
+    # the flags may stand before or after a sub-command; only the namespace
+    # passed to parse_args holds defaults, so the sub-command's copy of the
+    # flags cannot overwrite a value given before it
+    common = argparse.ArgumentParser(prog="katoforge", add_help=False,
+                                     exit_on_error=False,
+                                     argument_default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true")
     common.add_argument("--script", metavar="FILE")
-    common.add_argument("--cache-dir", metavar="DIR",
-                        default=os.environ.get("KATOFORGE_CACHE"))
-    common.add_argument("--precision", type=_precision, default=16,
-                        metavar="N")
+    common.add_argument("--cache-dir", metavar="DIR")
+    common.add_argument("--precision", type=_precision, metavar="N")
     common.add_argument("--keep-going", action="store_true")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int)
+    defaults = argparse.Namespace(
+        json=False, script=None, cache_dir=os.environ.get("KATOFORGE_CACHE"),
+        precision=16, keep_going=False, seed=0)
     ap = argparse.ArgumentParser(
         prog="katoforge",
         description="exact characteristic-p computer algebra",
@@ -786,24 +792,16 @@ def main(argv=None):
     sub.add_parser("selftest", help="run the randomized self test",
                    parents=[common])
 
-    value_flags = {"--script", "--cache-dir", "--precision", "--seed",
-                   "--pairs"}
-    first = None
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok in value_flags:
-            skip = True
-            continue
-        if tok.startswith("-"):
-            continue
-        first = tok
-        break
+    # the first word that is no flag or flag value names the sub-command;
+    # any other word is a script, so the sub-command is an implicit run
+    try:
+        rest = common.parse_known_args(argv)[1]
+    except argparse.ArgumentError as exc:
+        ap.error(str(exc))
+    first = next((tok for tok in rest if not tok.startswith("-")), None)
     if first is not None and first not in ("run", "cache", "selftest"):
         argv = ["run"] + argv
-    args = ap.parse_args(argv)
+    args = ap.parse_args(argv, defaults)
     if args.cache_dir:
         set_cache_dir(args.cache_dir)
 

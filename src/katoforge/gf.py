@@ -6,17 +6,16 @@ irreducible polynomial of degree e, ordered by the coefficient sequence
 (c_0, ..., c_{e-1}).  That choice needs no tables and is reproducible; the
 search tests candidates with ``poly.is_irreducible`` over GF(p).
 
-Every element also has an integer code sum c_i p^i in [0, p^e).  A field of
-at most 256 elements keeps one set of operation tables indexed by code
-(add, mul, neg, inv and Frobenius; entries are codes, built from the powers
-of a primitive element), and its GFElem operations are lookups in them.
-``GF.tables`` gives (add, mul, neg, inv) for every field, larger ones
-computing each entry when it is read: a product is ``_digit_mul``, the
-schoolbook product of the two digit vectors on plain ints, folded down by
-the modulus and reduced mod p once (the Galois ring product is the same
-function mod p^i), and an inverse is a^(q-2) by binary powering.  So
-code-level kernels such as ``Poly`` and the GCDs in ``mpoly`` run over any
-field.
+Every element also has an integer code sum c_i p^i in [0, p^e).  The
+field's operation tables on codes (add, mul, neg, inv and Frobenius) are the
+one definition of GFElem arithmetic, for every field size.  A field of at
+most 256 elements stores them as lists, built from the powers of a primitive
+element; a larger field computes each entry when it is read: a product is
+``_digit_mul``, the schoolbook product of the two digit vectors on plain
+ints, folded down by the modulus and reduced mod p once (the Galois ring
+product is the same function mod p^i), and an inverse is a^(q-2) by binary
+powering.  ``GF.tables`` gives (add, mul, neg, inv), so code-level kernels
+such as ``Poly`` and the GCDs in ``mpoly`` run on the same tables.
 
 Everything is immutable; a ``GF`` object is both the configuration and the
 element factory.
@@ -62,6 +61,7 @@ def _canonical_modulus(p, e):
 
 _TABLE_MAX_ORDER = 256     # operation tables up to this field size
 _INTERN_MAX_ORDER = 65536  # one object per element up to this field size
+_MIXED = "elements of different fields"
 
 
 def _code(coeffs, p):
@@ -117,10 +117,10 @@ class _Computed:
 class GFElem:
     """Element of GF(p^e) as a coefficient tuple in the power basis of z.
 
-    ``idx`` is the element's code sum c_i p^i, an int in [0, p^e).  Elements
-    of small fields are interned (one object per value) and their ring
-    operations are lookups in the field's code tables; everything stays
-    immutable either way.
+    ``idx`` is the element's code sum c_i p^i, an int in [0, p^e).  Every
+    ring operation is a read of the field's code tables, stored or computed
+    (see ``GF``).  Elements of small fields are interned (one object per
+    value); everything stays immutable either way.
     """
 
     __slots__ = ("field", "coeffs", "idx", "_hash", "_nonzero")
@@ -136,7 +136,7 @@ class GFElem:
         if self is other:
             return True
         return (isinstance(other, GFElem) and self.field is other.field
-                and self.coeffs == other.coeffs)
+                and self.idx == other.idx)
 
     def __hash__(self):
         return self._hash
@@ -144,56 +144,38 @@ class GFElem:
     def __bool__(self):
         return self._nonzero
 
-    def _check(self, other):
-        if not isinstance(other, GFElem) or other.field is not self.field:
-            raise ConfigMismatch("elements of different fields")
-
     def __add__(self, other):
         F = self.field
-        els = F._elems
-        if els is not None and isinstance(other, GFElem) \
-                and other.field is F:
-            return els[F._add_table[self.idx][other.idx]]
-        self._check(other)
-        p = F.p
-        return F._make(tuple((a + b) % p for a, b in
-                             zip(self.coeffs, other.coeffs)))
+        if not isinstance(other, GFElem) or other.field is not F:
+            raise ConfigMismatch(_MIXED)
+        return F._elems[F._add_table[self.idx][other.idx]]
 
     def __sub__(self, other):
         F = self.field
-        els = F._elems
-        if els is not None and isinstance(other, GFElem) \
-                and other.field is F:
-            return els[F._add_table[self.idx][F._neg_table[other.idx]]]
-        self._check(other)
-        p = F.p
-        return F._make(tuple((a - b) % p for a, b in
-                             zip(self.coeffs, other.coeffs)))
+        if not isinstance(other, GFElem) or other.field is not F:
+            raise ConfigMismatch(_MIXED)
+        return F._elems[F._add_table[self.idx][F._neg_table[other.idx]]]
 
     def __neg__(self):
         F = self.field
-        if F._elems is not None:
-            return F._elems[F._neg_table[self.idx]]
-        return F._make(tuple((-a) % F.p for a in self.coeffs))
+        return F._elems[F._neg_table[self.idx]]
 
     def __mul__(self, other):
         F = self.field
-        els = F._elems
         if isinstance(other, int):
-            other %= F.p
-            if els is not None:
-                # the code of an element of the prime field is its value
-                return els[F._mul_table[self.idx][other]]
-            return F._make(tuple((a * other) % F.p for a in self.coeffs))
-        if els is not None and isinstance(other, GFElem) and other.field is F:
-            return els[F._mul_table[self.idx][other.idx]]
-        self._check(other)
-        return F.from_code(F._code_mul(self.idx, other.idx))
+            # the code of an element of the prime field is its value
+            b = other % F.p
+        elif isinstance(other, GFElem) and other.field is F:
+            b = other.idx
+        else:
+            raise ConfigMismatch(_MIXED)
+        return F._elems[F._mul_table[self.idx][b]]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        self._check(other)
+        if not isinstance(other, GFElem) or other.field is not self.field:
+            raise ConfigMismatch(_MIXED)
         return self * other.inverse()
 
     def __pow__(self, n):
@@ -205,15 +187,11 @@ class GFElem:
         if not self:
             raise DivisionByZero("inverse of zero")
         F = self.field
-        if F._elems is not None:
-            return F._elems[F._inv_table[self.idx]]
-        return F.from_code(F._code_inv(self.idx))
+        return F._elems[F._inv_table[self.idx]]
 
     def frobenius(self):
         F = self.field
-        if F._elems is not None:
-            return F._elems[F._frob_table[self.idx]]
-        return self ** F.p
+        return F._elems[F._frob_table[self.idx]]
 
     def __repr__(self):
         return self.field.format_elem(self)
@@ -224,9 +202,11 @@ class GF:
 
     ``tables`` is (add, mul, neg, inv) on element codes: add[a][b] is the
     code of a + b, mul[a][b] of a * b, neg[a] of -a and inv[a] of 1/a (a
-    nonzero).  Up to _TABLE_MAX_ORDER elements they are lists, built once,
-    and GFElem operations read them too (``_elems`` maps a code back to
-    its element); past it they compute each entry when it is read.
+    nonzero).  With ``_frob_table`` (the code of a^p) and ``_elems`` (the
+    element of a code) they are the one definition of GFElem arithmetic.
+    Up to _TABLE_MAX_ORDER elements they are lists, built once; past it
+    each entry is computed when it is read.  Only ``__init__`` tells the
+    two apart.
     """
 
     def __init__(self, p, e=1):
@@ -242,25 +222,24 @@ class GF:
         self.order = p ** e
         self.modulus = _canonical_modulus(p, e)
         self._interned = {} if self.order <= _INTERN_MAX_ORDER else None
-        self._elems = None
-        self._add_table = self._mul_table = None
-        self._neg_table = self._inv_table = self._frob_table = None
         self.zero = self._make((0,) * e)
         self.one = self._make((1,) + (0,) * (e - 1))
         self.gen = self._make(tuple(1 if i == 1 else 0 for i in range(e))) \
             if e > 1 else self.one
         if self.order <= _TABLE_MAX_ORDER:
             self._build_tables()
-            self.tables = (self._add_table, self._mul_table,
-                           self._neg_table, self._inv_table)
         else:
-            self.tables = (
-                _Computed(lambda a: _Computed(
-                    lambda b: self._code_add(a, b))),
-                _Computed(lambda a: _Computed(
-                    lambda b: self._code_mul(a, b))),
-                _Computed(self._code_neg),
-                _Computed(self._code_inv))
+            self._elems = _Computed(
+                lambda c: self._make(tuple(_digits(c, p, e))))
+            self._add_table = _Computed(lambda a: _Computed(
+                lambda b: self._code_add(a, b)))
+            self._mul_table = _Computed(lambda a: _Computed(
+                lambda b: self._code_mul(a, b)))
+            self._neg_table = _Computed(self._code_neg)
+            self._inv_table = _Computed(self._code_inv)
+            self._frob_table = _Computed(lambda a: self._code_pow(a, p))
+        self.tables = (self._add_table, self._mul_table, self._neg_table,
+                       self._inv_table)
 
     def _make(self, coeffs):
         if self._interned is None:
@@ -273,11 +252,9 @@ class GF:
 
     def from_code(self, code):
         """The element whose code is sum c_i p^i = code."""
-        if self._elems is not None:
-            return self._elems[code]
-        return self._make(tuple(_digits(code, self.p, self.e)))
+        return self._elems[code]
 
-    # -- code arithmetic from the modulus, for the tables and past them --
+    # -- code arithmetic from the modulus: the tables' entries --
 
     def _code_add(self, a, b):
         p = self.p
@@ -358,15 +335,7 @@ class GF:
 
     def elements(self):
         """All field elements, lexicographic in the coefficient sequence."""
-        def rec(i):
-            if i == self.e:
-                yield ()
-                return
-            for c in range(self.p):
-                for rest in rec(i + 1):
-                    yield (c,) + rest
-        for tup in rec(0):
-            yield self._make(tup)
+        return map(self._make, product(range(self.p), repeat=self.e))
 
     def inv(self, a):
         return a.inverse()
@@ -389,7 +358,7 @@ class GF:
 
     def pth_root(self, a):
         """The unique b with b^p = a (inverse of Frobenius)."""
-        return a ** (self.p ** (self.e - 1))
+        return self.elem(a) ** (self.p ** (self.e - 1))
 
     def artin_schreier_solve(self, c):
         """Some x with x^p - x = c, or None.

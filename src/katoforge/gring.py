@@ -11,7 +11,7 @@ coefficient ring of the lifted series in level-i local invariants.
 from functools import cached_property, lru_cache
 
 from .errors import ConfigMismatch, DivisionByZero, IntegralityViolation
-from .gf import _digit_mul
+from .gf import GFElem, _digit_mul
 from .power import binary_power
 
 
@@ -102,18 +102,30 @@ class GaloisRing:
         return GRElem(self, tuple(_digit_mul(a.coeffs, b.coeffs, self.modulus,
                                              self.digit_modulus)))
 
+    def _residue(self, a):
+        """a itself, if it is an element of the residue field."""
+        if not isinstance(a, GFElem) or a.field is not self.field:
+            raise ConfigMismatch(f"{a!r} is not an element of {self.field}")
+        return a
+
+    def _own(self, x):
+        """x itself, if it is an element of this ring."""
+        if not isinstance(x, GRElem) or x.ring is not self:
+            raise ConfigMismatch(f"{x!r} is not an element of {self}")
+        return x
+
     def lift(self, a):
         """Naive coefficient lift GF(p^e) -> GR (not Teichmueller)."""
-        return GRElem(self, tuple(int(c) for c in a.coeffs))
+        return GRElem(self, self._residue(a).coeffs)
 
     def reduce(self, x):
         """Reduction GR -> GF(p^e)."""
-        return self.field._make(tuple(c % self.p for c in x.coeffs))
+        return self.field._make(tuple(c % self.p for c in self._own(x).coeffs))
 
     def teich(self, a):
         """Teichmueller lift: the unique lift that is a (q-1)-th root of unity
         (or 0), computed as lift(a)^(q^length)."""
-        t = self._teich_cache.get(a.coeffs)
+        t = self._teich_cache.get(self._residue(a).coeffs)
         if t is None:
             t = self.lift(a) ** (self.field.order ** self.length)
             self._teich_cache[a.coeffs] = t
@@ -145,7 +157,8 @@ class GaloisRing:
     def trace_int(self, x):
         """The trace to Z/p^length, sum x_k Tr(z^k): the trace of
         multiplication by x on the basis 1, z, ..., z^(e-1)."""
-        return sum(c * t for c, t in zip(x.coeffs, self._basis_traces)) \
+        return sum(c * t for c, t in zip(self._own(x).coeffs,
+                                         self._basis_traces)) \
             % self.digit_modulus
 
     @cached_property

@@ -2,11 +2,12 @@ import io
 import json
 import os
 import random
+import shutil
 
 import pytest
 
 from katoforge import (DiffForm, HClass, Laurent, MilnorElement, WittVector,
-                       dlog, gf)
+                       dlog, gf, laurent_field)
 from katoforge.cli import (Parser, Session, cache_clear, cache_verify,
                            cache_warm, main, run_script, run_statement,
                            tokenize)
@@ -85,6 +86,58 @@ def test_roundtrip_milnor_and_forms(rng):
     assert _parse_value(repr(w), s, "G") == w
     f = DiffForm(G, 1, {(0,): x / (y + G.one)})
     assert _parse_value(repr(f), s, "G") == f
+
+
+def _random_series(rng, F, nonzero=False):
+    """A series over F with valuation in [-6, 3]; its precision may be
+    negative, and it may be zero to that precision unless nonzero is set."""
+    els = list(F.elements())
+    n = rng.randint(1 if nonzero else 0, 6)
+    coeffs = [rng.choice(els) for _ in range(n)]
+    if nonzero:
+        coeffs[0] = rng.choice(els[1:])
+    val = rng.randint(-6, 3)
+    return Laurent(F, val, coeffs, val + rng.randint(n if nonzero else 0,
+                                                     n + 2))
+
+
+@pytest.mark.parametrize("spec,p,e,local", [
+    ("GF(2,2)", 2, 2, False), ("GF(3,2)", 3, 2, False),
+    ("GF(2,3)", 2, 3, False), ("GF(2,2)((t))", 2, 2, True),
+    ("GF(3)((t))", 3, 1, True),
+])
+def test_printed_values_read_back(spec, p, e, local):
+    """``let x = <printed value>`` rebuilds the value and prints it again,
+    for constants, series, Witt vectors and classes."""
+    rng = random.Random(spec)
+    F = gf(p, e)
+    K = laurent_field(F) if local else F
+
+    def element(nonzero=False):
+        if local:
+            return _random_series(rng, F, nonzero)
+        els = list(F.elements())
+        return rng.choice(els[1:] if nonzero else els)
+
+    values = []
+    for _ in range(12):
+        values.append(element())
+        w = WittVector(p, tuple(element() for _ in range(rng.randint(1, 2))))
+        values.append(w)
+        c = HClass.build(K, w, (element(nonzero=True),))
+        # a zero class prints as 0, which reads back as a field element
+        if c.terms:
+            values.append(c)
+    script = "\n".join([f"field F = {spec}"]
+                       + [f"let x{n} = {v!r}" for n, v in enumerate(values)])
+    assert _let_results(script, False)[1:] == [repr(v) for v in values]
+    s = Session()
+    for n, line in enumerate(script.splitlines(), 1):
+        run_statement(line, n, s, lambda *a: None)
+    for n, v in enumerate(values):
+        got = s.values[f"x{n}"][1]
+        assert (got.terms == v.terms if isinstance(v, HClass)
+                else got == v), (v, got)
 
 
 def test_json_deterministic():
@@ -312,3 +365,31 @@ def test_main_entry(tmp_path, capsys):
     assert objs[-1]["result"] == {"place": "t", "inv": 1, "mod": 2}
     rc = main(["selftest", "--seed", "5"])
     assert rc == 0
+
+
+
+@pytest.mark.parametrize("flag,command,check", [
+    (["--json"], ["run", "s.kf"], lambda out: out.startswith('{"field"')),
+    (["--precision", "3"], ["run", "s.kf"],
+     lambda out: out.endswith("let: 1 + t + t^2 + O(t^3)\n")),
+    (["--seed", "7"], ["selftest"], lambda out: out == "seed 7\n"),
+    (["--cache-dir", "cache"], ["cache", "warm", "--pairs", "2:1"],
+     lambda out: out == "wittpoly-v1-p2-i1.txt\n"),
+], ids=["json", "precision", "seed", "cache-dir"])
+def test_flags_before_and_after_the_subcommand(flag, command, check, tmp_path,
+                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KATOFORGE_CACHE", raising=False)
+    monkeypatch.setattr("katoforge.witt._CACHE_DIR", None)    # main sets it
+    monkeypatch.setattr("katoforge.cli.selftest",
+                        lambda seed: print("seed", seed) or 0)
+    (tmp_path / "s.kf").write_text("field F = GF(2)((t))\nlet a = 1/(1+t)\n")
+    runs = [flag + command, command[:1] + flag + command[1:]]
+    if command[0] == "run":
+        runs.append(flag + command[1:])
+    outs = set()
+    for argv in runs:
+        shutil.rmtree("cache", ignore_errors=True)
+        assert main(argv) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1 and check(outs.pop())

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from katoforge import IntegralityViolation, NonPrime, gf
-from katoforge.gf import GF
+from katoforge import ConfigMismatch, IntegralityViolation, NonPrime, gf
+from katoforge.gf import _TABLE_MAX_ORDER, GF
+
+from conftest import run_optimized
 
 
 def _polymulmod(a, b, mod, p):
@@ -194,6 +196,91 @@ def test_large_field_products_match_polymulmod(p, e):
         if a:
             assert _polymulmod(da, list(a.inverse().coeffs), mod, p) == [1]
             assert F.tables[3][a.idx] == a.inverse().idx
+
+
+def _oracle_pow(da, n, mod, p):
+    """da^n for n >= 0 by repeated schoolbook products."""
+    out = [1]
+    for _ in range(n):
+        out = _polymulmod(out, da, mod, p)
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(2, 9), (3, 6), (257, 2)])
+def test_computed_tables_match_polymulmod(p, e):
+    """Past _TABLE_MAX_ORDER every GFElem operation reads computed tables;
+    random elements against the digit-vector oracle."""
+    F = gf(p, e)
+    assert F.order > _TABLE_MAX_ORDER
+    mod = list(F.modulus)
+    rng = random.Random(10 * p + e)
+
+    def digits(x):
+        d = list(x.coeffs)
+        while len(d) > 1 and d[-1] == 0:
+            d.pop()
+        return d
+
+    for _ in range(12):
+        da = [rng.randrange(p) for _ in range(e)]
+        db = [rng.randrange(p) for _ in range(e)]
+        a, b = F.elem(da), F.elem(db)
+        k = rng.randrange(-p, 2 * p)
+        assert list((a + b).coeffs) == [(x + y) % p for x, y in zip(da, db)]
+        assert list((a - b).coeffs) == [(x - y) % p for x, y in zip(da, db)]
+        assert list((-a).coeffs) == [-x % p for x in da]
+        assert digits(a * b) == _polymulmod(da, db, mod, p)
+        assert list((a * k).coeffs) == [x * k % p for x in da]
+        assert k * a == a * k
+        assert digits(a ** 3) == _oracle_pow(da, 3, mod, p)
+        assert digits(a.frobenius()) == _oracle_pow(da, p, mod, p)
+        assert F.from_code(a.idx).coeffs == a.coeffs
+        if b:
+            assert _polymulmod(digits(b.inverse()), db, mod, p) == [1]
+            assert _polymulmod(digits(a / b), db, mod, p) == digits(a)
+            assert a * b ** -2 * b * b == a
+        root = F.pth_root(a)
+        assert _oracle_pow(digits(root), p, mod, p) == digits(a)
+        trace = [0]
+        for j in range(e):
+            trace = [(x + y) % p for x, y in zip(
+                trace + [0] * e, _oracle_pow(da, p ** j, mod, p) + [0] * e)]
+        assert F.trace_int(a) == trace[0] and not any(trace[1:])
+    assert F.trace_int(F.one) == e % p
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 3), (3, 2), (5, 2), (2, 6),
+                                 (2, 9)])
+def test_elements_order(p, e):
+    """elements() runs through the coefficient sequences (c_0, ...,
+    c_{e-1}) in lexicographic order, so c_{e-1} changes fastest."""
+    got = [x.coeffs for x in gf(p, e).elements()]
+    want = []
+    for code in range(p ** e):
+        want.append(tuple(code // p ** (e - 1 - i) % p for i in range(e)))
+    assert got == want
+
+
+def test_elements_of_another_field_raise():
+    F4, F16 = gf(2, 2), gf(2, 4)
+    calls = [lambda: F4.pth_root(F16.gen), lambda: F4.trace_int(F16.gen),
+             lambda: F4.gen + F16.gen, lambda: F4.gen - F16.gen,
+             lambda: F4.gen * F16.gen, lambda: F4.gen / F16.gen,
+             lambda: F4.gen + 1, lambda: F4.gen / 1]
+    for call in calls:
+        with pytest.raises(ConfigMismatch):
+            call()
+
+
+def test_elements_of_another_field_raise_when_optimized():
+    code = ("from katoforge import ConfigMismatch, gf\n"
+            "F4, F16 = gf(2, 2), gf(2, 4)\n"
+            "for call in (F4.pth_root, F4.trace_int):\n"
+            "    try:\n"
+            "        print(call(F16.gen))\n"
+            "    except ConfigMismatch:\n"
+            "        print('refused')\n")
+    assert run_optimized(code) == "refused\nrefused\n"
 
 
 def test_printing():

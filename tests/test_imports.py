@@ -108,3 +108,18 @@ def test_one_binary_powering_loop():
                     shifting.append(f"{name}.{func.name}")
                     break
     assert shifting == ["power.binary_power"], shifting
+
+
+def test_field_elements_compute_through_the_tables():
+    """GFElem reads no coefficient vector: every operation is a read of the
+    field's code tables, so there is no second, digit-by-digit path."""
+    tree = _trees()["gf"]
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "GFElem")
+    readers = sorted({func.name for func in cls.body
+                      if isinstance(func, ast.FunctionDef)
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "coeffs"
+                      and isinstance(node.ctx, ast.Load)})
+    assert not readers, readers

@@ -306,6 +306,27 @@ def test_level_shift_additive_and_injective(K2):
             assert local_invariant(level_shift(a, 2), pt).value != 0
 
 
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 2)])
+def test_level_shift_multiplies_invariants(p, e):
+    """Every invariant of level_shift(c, i + d) is p^d times that of c."""
+    K = func_field(gf(p, e), ("t",))
+    rng = random.Random(73)
+    nonzero = 0
+    for level in (1, 2):
+        for _ in range(10):
+            c = _rnd_class(rng, K, level)
+            for d in (1, 2):
+                shifted = level_shift(c, level + d)
+                for pl in class_places(c):
+                    inv = local_invariant(c, pl).value
+                    got = local_invariant(shifted, pl)
+                    assert got.modulus == p ** (level + d)
+                    assert got.value == p ** d * inv % got.modulus
+                    nonzero += inv != 0
+    assert nonzero >= 20
+
+
 def test_torsion_fragment(K2):
     # p^i * (level-i class shifted to level i+1) vanishes
     rng = random.Random(71)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from katoforge import (CorruptCache, DivisionByZero, HClass,
+from katoforge import (ConfigMismatch, CorruptCache, DivisionByZero, HClass,
                        IntegralityViolation, Laurent, ResourceLimit,
                        WittStructure,
                        WittVector, func_field, gf, int_to_witt,
@@ -332,6 +332,34 @@ def test_galois_ring_power_survives_optimized_mode():
             "except DivisionByZero:\n"
             "    print('refused')\n")
     assert run_optimized(code) == "GR(3,)\nrefused\n"
+
+
+def test_galois_ring_refuses_elements_of_another_field():
+    F4 = gf(2, 2)
+    R = galois_ring(F4, 2)
+    # the residue field GF(2^3) and the rings GR(2^3, 2) and GR(2^2, 1)
+    # differ from R in one parameter each
+    foreign = [gf(2, 3).gen, galois_ring(F4, 3).one, galois_ring(gf(2), 2).one]
+    calls = [R.lift, R.teich, R.reduce, R.trace_int]
+    for call in calls:
+        for x in foreign:
+            with pytest.raises(ConfigMismatch):
+                call(x)
+    assert R.reduce(R.teich(F4.gen)) == F4.gen
+    assert R.trace_int(R.lift(F4.one)) == 2
+
+
+def test_galois_ring_refuses_elements_of_another_field_when_optimized():
+    code = ("from katoforge import ConfigMismatch, galois_ring, gf\n"
+            "R = galois_ring(gf(2, 2), 2)\n"
+            "S = galois_ring(gf(2, 3), 2)\n"
+            "for call, x in ((R.lift, S.field.gen), (R.teich, S.field.gen),\n"
+            "                (R.reduce, S.one), (R.trace_int, S.one)):\n"
+            "    try:\n"
+            "        print(call(x))\n"
+            "    except ConfigMismatch:\n"
+            "        print('refused')\n")
+    assert run_optimized(code) == "refused\n" * 4
 
 
 def test_witt_over_function_field():
