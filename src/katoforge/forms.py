@@ -14,7 +14,8 @@ both the exactness test and the membership test for the span of dlog wedges.
 """
 
 from .errors import (ConfigMismatch, DegreeOverflow, DlogOfZero, NotClosed)
-from .rational import RatFunc, p_power_component
+from .mpoly import MPoly, mpoly_gcd
+from .rational import RatFunc, _cancel, _monic_den, p_power_component
 from .render import parenthesize_if_sum
 
 
@@ -123,9 +124,9 @@ class DiffForm:
         p = F.base.p
         out = {}
         for I, c in self.terms.items():
-            mult = F.one
-            for j in I:
-                mult = mult * F.var(F.vars[j]) ** (p - 1)
+            e = tuple(p - 1 if j in I else 0 for j in range(F.k))
+            mult = RatFunc(F, MPoly._from_codes(F.base, F.k, {e: 1}),
+                           F.one.den, _norm=False)
             out[I] = c ** p * mult
         return DiffForm(F, self.degree, out)
 
@@ -133,6 +134,10 @@ class DiffForm:
         """Cartier operator on closed forms; kernel = exact forms."""
         if not self.is_closed():
             raise NotClosed(self)
+        return self._cartier_closed()
+
+    def _cartier_closed(self):
+        """cartier() for a form already known to be closed."""
         F = self.field
         p = F.base.p
         out = {}
@@ -145,13 +150,13 @@ class DiffForm:
         """Membership in the image of d (Cartier-kernel characterization)."""
         if not self.is_closed():
             return False
-        return self.cartier().is_zero()
+        return self._cartier_closed().is_zero()
 
     def is_logarithmic(self):
         """Membership in the span of dlog wedges: closed + Cartier-fixed."""
         if not self.is_closed():
             return False
-        return self.cartier() == self
+        return self._cartier_closed() == self
 
     def __repr__(self):
         if self.is_zero():
@@ -199,7 +204,11 @@ def d_of_function(f):
 
 
 def dlog(f):
-    """df/f for a nonzero rational function."""
+    """df/f for a nonzero rational function.
+
+    The coefficient of dx_j is (n'd - nd')/(nd) for f = n/d, ' the partial
+    in x_j.  As gcd(n, d) = 1, gcd(n'd - nd', nd) = gcd(n, n') gcd(d, d'),
+    so two small GCDs put it in lowest terms."""
     if f.is_zero():
         raise DlogOfZero("dlog of zero")
     F = f.field
@@ -207,9 +216,12 @@ def dlog(f):
     nd = n * d
     terms = {}
     for j in range(F.k):
-        top = n.derivative(j) * d - n * d.derivative(j)
+        dn, dd = n.derivative(j), d.derivative(j)
+        top = dn * d - n * dd
         if not top.is_zero():
-            terms[(j,)] = RatFunc(F, top, nd)
+            g = mpoly_gcd(n, dn) * mpoly_gcd(d, dd)
+            num, den = _monic_den(_cancel(top, g), _cancel(nd, g))
+            terms[(j,)] = RatFunc(F, num, den, _norm=False)
     return DiffForm(F, 1, terms)
 
 

@@ -162,20 +162,24 @@ def symbol_expand(s):
 
 def _has_steinberg_pair(entries, F):
     for i in range(len(entries)):
-        for j in range(len(entries)):
-            if i != j and (entries[i] + entries[j]) == F.one:
+        for j in range(i + 1, len(entries)):
+            if entries[i] + entries[j] == F.one:
                 return True
     return False
 
 
 def d_symbol(s):
-    """{a_1,...,a_n} -> dlog a_1 ^ ... ^ dlog a_n, extended additively."""
+    """{a_1,...,a_n} -> dlog a_1 ^ ... ^ dlog a_n, extended additively.
+
+    Each distinct entry's dlog is computed once, and a symbol with a
+    repeated entry maps to 0 (w ^ w = 0 for a 1-form w)."""
     F = s.field
     p = F.base.p
     n = s.degree
     if n > F.k:
         return DiffForm.zero(F, F.k)   # the target module is zero
     out = DiffForm.zero(F, n)
+    dlogs = {}
     for sym, c in s.terms.items():
         c %= p
         if c == 0:
@@ -183,9 +187,13 @@ def d_symbol(s):
         if not sym:        # degree 0: the empty symbol contributes c * 1
             out = out + DiffForm.from_function(F.const(c))
             continue
+        if len(set(sym)) != len(sym):
+            continue
         form = None
         for a in sym:
-            la = dlog(a)
+            la = dlogs.get(a)
+            if la is None:
+                la = dlogs[a] = dlog(a)
             form = la if form is None else form.wedge(la)
         out = out + form.scale(F.const(c))
     return out

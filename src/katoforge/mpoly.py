@@ -12,12 +12,13 @@ kernels ``_code_trim``, ``_code_eval``, ``_code_addmul``, ``_code_mul``,
 codes.  ``poly.Poly`` runs on them; this module imports neither ``poly``
 nor ``gf`` at load time.
 
-The GCD is Euclid on these kernels when one variable occurs, and otherwise
-one loop of evaluation and interpolation (Brown, JACM 1971, section 4) that
-recurses in the variables: the first variable is evaluated at points of an
-extension field that grows until enough of them are lucky, the image GCDs
-in the other variables come from the same two algorithms on code dicts, and
-exact division checks the interpolated candidate.
+``mpoly_gcd`` answers equal operands and a one-term operand directly.  For
+other operands the GCD is Euclid on these kernels when one variable occurs,
+and otherwise one loop of evaluation and interpolation (Brown, JACM 1971,
+section 4) that recurses in the variables: the first variable is evaluated
+at points of an extension field that grows until enough of them are lucky,
+the image GCDs in the other variables come from the same two algorithms on
+code dicts, and exact division checks the interpolated candidate.
 """
 
 from operator import add as _exp_add, sub as _exp_sub
@@ -371,7 +372,13 @@ def _active(a, b):
 
 
 def mpoly_gcd(f, g):
-    """GCD, normalized graded-lex monic."""
+    """GCD, normalized graded-lex monic.
+
+    Two cases are answered without a GCD loop: equal operands give the
+    monic operand, and when either operand is one term the GCD is the
+    monomial x^m, m the componentwise minimum of every exponent of f and g
+    (the divisors of a monomial are monomials, and x^m divides a polynomial
+    exactly when m is below each of its exponents)."""
     F = f.field
     f._terms_of(g)
     if f.is_zero():
@@ -380,6 +387,11 @@ def mpoly_gcd(f, g):
         return f.monic_grlex()
     if f.is_const() or g.is_const():
         return MPoly.const(F, f.nvars, 1)
+    if f.terms == g.terms:
+        return f.monic_grlex()
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        m = tuple(map(min, zip(*f.terms, *g.terms)))
+        return MPoly._from_codes(F, f.nvars, {m: 1})
     active = _active(f.terms, g.terms)
     if len(active) > 1:
         return _gcd_bivariate(f, g, active)

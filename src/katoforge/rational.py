@@ -12,9 +12,11 @@ the GCD of the whole result (Henrici, JACM 1956; Knuth, TAOCP 2, 4.5.1):
 * powers, inverses, negation, integer multiples and zero operands run no
   GCD, only the rescale that keeps the denominator monic.
 
-Only construction from outside (RatFunc(field, num, den)), derivative, dlog
-and the p-power components run the full normalization, one GCD of num and
-den.
+Only construction from outside (RatFunc(field, num, den)), derivative and
+the p-power components run the full normalization, one GCD of num and den.
+forms.dlog does not: for n/d in lowest terms the coefficient
+(n'd - nd')/(nd) has gcd(n, n') gcd(d, d') as its common factor, and those
+two GCDs are small.
 
 The p-power decomposition f = sum_e g_e^p * x^e over e in {0..p-1}^k is the
 workhorse behind the Cartier operator: denominators are cleared by den^p, the

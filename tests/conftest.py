@@ -5,7 +5,7 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import katoforge
 from katoforge import DiffForm, MPoly, func_field, gf
@@ -41,6 +41,17 @@ def random_mpoly(rng, base, nvars, max_deg=3, max_terms=3):
         mono = tuple(rng.randint(0, max_deg) for _ in range(nvars))
         terms[mono] = rng.choice(els)
     return MPoly(base, nvars, terms)
+
+
+@st.composite
+def mpolys(draw, K, min_terms=0):
+    base = K.base
+    nonzero = [c for c in base.elements() if c]
+    max_deg = 3 if K.k < 3 else 1
+    monos = st.tuples(*[st.integers(0, max_deg)] * K.k)
+    terms = draw(st.dictionaries(monos, st.sampled_from(nonzero),
+                                 min_size=min_terms, max_size=3))
+    return MPoly(base, K.k, terms)
 
 
 def random_ratfunc(rng, field, max_deg=3, max_terms=3):

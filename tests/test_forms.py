@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from katoforge import (DiffForm, NotClosed, d_of_function, dlog, func_field,
-                       gf)
+from katoforge import (DiffForm, MilnorElement, NotClosed, RatFunc,
+                       d_of_function, d_symbol, dlog, func_field, gf, milnor)
 
-from conftest import ORACLE_FIELDS, random_form, random_ratfunc
+from conftest import (ORACLE_FIELDS, mpolys, random_form, random_ratfunc,
+                      run_optimized)
 
 
 def test_dlog_examples():
@@ -26,6 +28,49 @@ def test_dlog_matches_df_over_f(p, e, vars):
     for _ in range(10):
         f = random_ratfunc(rng, K, max_deg=2)
         assert dlog(f) == d_of_function(f).scale(f.inverse())
+
+
+def _dlog_full(f):
+    """dlog f with each coefficient normalized by one full GCD."""
+    K, n, d = f.field, f.num, f.den
+    terms = {}
+    for j in range(K.k):
+        top = n.derivative(j) * d - n * d.derivative(j)
+        if not top.is_zero():
+            terms[(j,)] = RatFunc(K, top, n * d)
+    return DiffForm(K, 1, terms)
+
+
+@pytest.mark.parametrize("p,e,vars", ORACLE_FIELDS)
+@given(data=st.data())
+def test_dlog_matches_full_normalization(p, e, vars, data):
+    """dlog cancels only gcd(n, n') gcd(d, d'); numerator and denominator
+    carry a square and a p-th power, so those GCDs are not 1."""
+    K = func_field(gf(p, e), vars)
+    a, b, c, u, v, w = (data.draw(mpolys(K, min_terms=1)) for _ in range(6))
+    f = RatFunc(K, a * b ** 2 * c ** p, u * v ** 2 * w ** p)
+    assert dlog(f) == _dlog_full(f)
+
+
+@pytest.mark.parametrize("p,e,vars", ORACLE_FIELDS)
+def test_dlog_full_normalization_examples(p, e, vars):
+    """A variable absent from f, constant numerator or denominator, and a
+    constant f, against the full normalization."""
+    K = func_field(gf(p, e), vars)
+    t = K.var(vars[0])
+    c = K.const(K.base.from_code(K.base.order - 1))
+    one = K.one
+    examples = [t ** 2 / (t + one) ** p,          # other variables absent
+                c / (t ** 2 * (t + one) ** p),     # constant numerator
+                c * t * (t + one) ** 2,            # constant denominator
+                t ** p / (t + one), c]
+    if K.k > 1:
+        s = K.var(vars[1])
+        examples += [(t * s + one) ** 2 / (s ** p * (t + s)),
+                     c / (s ** 2 * (t + one))]
+    for f in examples:
+        assert dlog(f) == _dlog_full(f)
+    assert dlog(c).is_zero()
 
 
 def test_cartier_inverse_examples():
@@ -173,3 +218,49 @@ def test_nu_accepts_dlog_combinations():
                 continue
             w = w + dlog(a).wedge(dlog(b))
         assert w.is_logarithmic() or w.is_zero()
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name to count its calls; returns the one-item counter."""
+    calls = [0]
+    orig = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_closedness_and_dlog_computed_once(monkeypatch):
+    """is_exact and is_logarithmic take d once; d_symbol takes one dlog per
+    distinct entry and none for a symbol with a repeated entry."""
+    L = func_field(gf(3), ("x", "y"))
+    x, y = L.var("x"), L.var("y")
+    w = dlog(x + y)                  # closed, logarithmic, not exact
+    d_calls = _count_calls(monkeypatch, DiffForm, "d")
+    assert not w.is_exact()
+    assert d_calls == [1]
+    assert w.is_logarithmic()
+    assert d_calls == [2]
+    a, b = x + y * y, y + L.one
+
+    def sym(*entries):
+        return MilnorElement.symbol(L, entries)
+    dlog_calls = _count_calls(monkeypatch, milnor, "dlog")
+    assert d_symbol(sym(a * b, b) - sym(a, b) - sym(b, b)).is_zero()
+    assert dlog_calls == [3]         # a*b, a, b
+    assert d_symbol(sym(b, b)).is_zero()
+    assert dlog_calls == [3]
+
+
+def test_cartier_of_non_closed_form_raises_under_optimize():
+    """cartier() checks closedness with a typed error, not an assert."""
+    code = ("from katoforge import DiffForm, NotClosed, func_field, gf\n"
+            "L = func_field(gf(3), ('x', 'y'))\n"
+            "w = DiffForm(L, 1, {(0,): L.var('y')})\n"
+            "try:\n"
+            "    w.cartier()\n"
+            "except NotClosed:\n"
+            "    print('refused')\n")
+    assert run_optimized(code) == "refused\n"

@@ -11,19 +11,8 @@ from katoforge.mpoly import (_code_divmod, _code_eval, _code_gcd, _code_mul,
                              _gcd_bivariate, exact_div, mpoly_gcd)
 from katoforge.poly import Poly
 
-from conftest import ORACLE_FIELDS, random_ratfunc
+from conftest import ORACLE_FIELDS, mpolys, random_ratfunc
 from prs_oracle import prs_gcd
-
-
-@st.composite
-def mpolys(draw, K, min_terms=0):
-    base = K.base
-    nonzero = [c for c in base.elements() if c]
-    max_deg = 3 if K.k < 3 else 1
-    monos = st.tuples(*[st.integers(0, max_deg)] * K.k)
-    terms = draw(st.dictionaries(monos, st.sampled_from(nonzero),
-                                 min_size=min_terms, max_size=3))
-    return MPoly(base, K.k, terms)
 
 
 @st.composite
@@ -103,6 +92,36 @@ def test_arithmetic_matches_full_normalization(p, e, vars, data):
         assert a ** k == RatFunc(K, d1 ** -k, n1 ** -k)
     m = data.draw(st.integers(-7, 7))
     assert a * m == m * a == RatFunc(K, n1 * m, d1)
+
+
+@st.composite
+def monomials(draw, K):
+    """c x^e with c != 0; e = 0 is allowed."""
+    e = draw(st.tuples(*[st.integers(0, 3)] * K.k))
+    c = draw(st.sampled_from([c for c in K.base.elements() if c]))
+    return MPoly(K.base, K.k, {e: c})
+
+
+@pytest.mark.parametrize("p,e,vars", ORACLE_FIELDS)
+@given(data=st.data())
+def test_gcd_shortcuts_match_prs(p, e, vars, data):
+    """mpoly_gcd answers equal operands and one-term operands without a
+    GCD loop; both answers against the primitive PRS."""
+    K = func_field(gf(p, e), vars)
+    base, nv = K.base, K.k
+    f = data.draw(mpolys(K, min_terms=1))
+    m, m2, x_b = (data.draw(monomials(K)) for _ in range(3))
+    twin = MPoly._from_codes(base, nv, dict(f.terms))
+    assert mpoly_gcd(f, twin) == prs_gcd(f, twin) == f.monic_grlex()
+    # g has the monomial factor x_b, so gcd(m, g) is usually not 1
+    g = f * x_b
+    for a, b in [(m, g), (g, m), (m, m2), (m2, m), (m, m)]:
+        assert mpoly_gcd(a, b) == prs_gcd(a, b)
+    # a constant term leaves no common monomial: the gcd is 1
+    coprime = MPoly._from_codes(base, nv, {**g.terms, (0,) * nv: 1})
+    one = MPoly.const(base, nv, 1)
+    assert mpoly_gcd(m, coprime) == mpoly_gcd(coprime, m) == one
+    assert prs_gcd(m, coprime) == one
 
 
 def test_gcd_bivariate():
