@@ -20,6 +20,19 @@ congruent mod p^i to a Frobenius conjugate of the Witt vector's image in
 W_i(k(v)), and the trace does not see Frobenius.  At level 1 this collapses
 to the classical Tr Res(a dlog b).
 
+The residue (g * dlog b)_{-1} = sum_{k<=0} g_k (dlog b)_{-1-k} reads g only
+through t^0, since dlog b has valuation >= -1, and reads dlog b only below
+t^(-val g); each input is expanded and lifted exactly that far
+(`_precision_needs`).  Coordinate j enters g as its n_j-th power,
+n_j = p^(i-1-j), and the product rule (a series of valuation v known to
+O(t^P) has its n-th power known to O(t^(P + (n-1) v))) makes O(t^1) of that
+power need O(t^N_j) of the coordinate, N_j = 1 - (n_j - 1) min(v_j, 0).
+The min(., 0) matters: a coordinate of valuation >= 1 still needs O(t^1);
+cut to O(t^P) with P < 1 it is zero to precision, and its power is known to
+O(t^(n_j P)) only.  dlog b is
+known to O(t^(r-1)) when b is known to relative precision r, so b needs
+r = 1 - val g, and val g >= min_j n_j v_j.
+
 Completeness of the zero test over F_q(t) at n = 1 rests on the classical
 injectivity of the total local-invariant map on p-power-torsion Brauer
 classes; that assumption is recorded here and in the README.
@@ -27,9 +40,9 @@ classes; that assumption is recorded here and in the README.
 
 from functools import lru_cache
 
-from .errors import (ConfigMismatch, LevelDecrease, PrecisionExhausted,
-                     ResourceLimit, UnsupportedDegree, UnsupportedField,
-                     WildClass)
+from .errors import (ConfigMismatch, DivisionByZero, LevelDecrease,
+                     PrecisionExhausted, ResourceLimit, UnsupportedDegree,
+                     UnsupportedField, WildClass)
 from .gf import GF, GFElem
 from .gring import galois_ring
 from .laurent import Laurent
@@ -267,20 +280,49 @@ def colimit_equal(c1, c2):
 
 # ------------------------------------------- the Schmid-Witt residue ----
 
+def _precision_needs(p, level, vals):
+    """(needs, rel) for coordinates of valuations vals: the residue reads
+    coordinate j to O(t^needs[j]) and b to relative precision rel (module
+    docstring).  A zero series known to O(t^P) counts as valuation P."""
+    powers = [p ** (level - 1 - j) for j in range(level)]
+    needs = [1 - (n - 1) * min(v, 0) for n, v in zip(powers, vals)]
+    rel = 1 - min(0, min(n * v for n, v in zip(powers, vals)))
+    return needs, rel
+
+
 def local_symbol(k_field, level, w_coords, b):
     """[w, b) in Z/p^level for w, b over k_field((pi)).
 
     The top ghost component g = sum_j p^j a_j^(p^(level-1-j)) of the
     Teichmueller coefficient lift pairs with dlog of the lifted entry through
     the ordinary residue, and the trace of W_level(k) reads off the invariant.
+    The residue reads g through t^0 and dlog b below t^(-val g), so
+    coordinate j of valuation v_j is cut to O(t^N_j),
+    N_j = 1 - (p^(level-1-j) - 1) min(v_j, 0): by the product rule its
+    p^(level-1-j)-th power is then known to O(t^1).  b is cut to relative
+    precision 1 - val g, which knows dlog b to O(t^(-val g)).  Inputs known
+    to less are used as they are; PrecisionExhausted if the residue is then
+    out of reach.
     """
+    if level < 1:
+        raise ResourceLimit(f"level must be >= 1, got {level}")
+    if len(w_coords) != level:
+        raise ConfigMismatch(
+            f"{len(w_coords)} Witt coordinates for level {level}")
+    if b.is_zero():
+        raise DivisionByZero("dlog of a series zero to precision")
     p = k_field.p
     R = galois_ring(k_field, level)
+    needs, _ = _precision_needs(p, level, [a.val for a in w_coords])
     g = None
-    for j in range(level):
-        term = w_coords[j].map_coeffs(R, R.teich) ** (p ** (level - 1 - j))
+    for j, (a, need) in enumerate(zip(w_coords, needs)):
+        a = a.truncate(min(a.prec, need))
+        term = a.map_coeffs(R, R.teich) ** (p ** (level - 1 - j))
         term = term * (p ** j)
         g = term if g is None else g + term
+    if g.val >= 1:
+        return 0    # g_k = 0 for every k <= 0
+    b = b.truncate(min(b.prec, b.val + 1 - g.val))
     dlogb = b.map_coeffs(R, R.teich).dlog()
     return R.trace_int((g * dlogb).coeff(-1))
 
@@ -331,7 +373,8 @@ def witt_standard_form(w, base):
 # ------------------------------------------------------- invariants ----
 
 def _local_series_inputs(c, place):
-    """Expand every term of a global class at a place; yields
+    """Expand every term of a global class at a place, each series to the
+    precision the residue reads (`_precision_needs`); yields
     (k_field, [coord series], b series) per term."""
     field = c.field
     ctx = place_context(field, place)
@@ -339,12 +382,11 @@ def _local_series_inputs(c, place):
     p = field.base.p
     for w, entries in c.terms:
         b = entries[0]
-        pole = max((max(0, -place_order(a, place))
-                    for a in w.coords if not a.is_zero()), default=0)
-        bord = abs(place_order(b, place))
-        prec = p ** (c.level - 1) * pole + 2 * bord + c.level + 8
-        coords = [ctx.expand(a, prec) for a in w.coords]
-        bseries = ctx.expand(b, prec)
+        # a zero coordinate is read as zero to O(t^1), valuation 1
+        vals = [1 if a.is_zero() else place_order(a, place) for a in w.coords]
+        needs, rel = _precision_needs(p, c.level, vals)
+        coords = [ctx.expand(a, need) for a, need in zip(w.coords, needs)]
+        bseries = ctx.expand(b, place_order(b, place) + rel)
         yield k_field, coords, bseries
 
 

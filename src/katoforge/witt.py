@@ -25,6 +25,13 @@ GR(p^i, e) (Serre, Local Fields II 5-6): every operation on GFElem
 coordinates runs there through the canonical digit isomorphism, so it is not
 bounded by ``max_structure_level`` and generates no structures.  The
 polynomials stay the tests' oracle for that engine.
+
+On coordinates of characteristic p a term whose coefficient p divides is
+zero, yet evaluating it would cost products and, on Laurent series, could
+lower the tracked precision of the sum.  Evaluation therefore reads
+``WittStructure.reduced``: the terms with their coefficients taken mod p,
+the zero ones dropped.  The text format, its digests and the ghost checks
+stay on the integer polynomials.
 """
 
 import operator
@@ -135,6 +142,21 @@ class WittStructure:
         self.sums = sums
         self.prods = prods
         self.negs = negs
+        self._reduced = {}
+
+    def reduced(self, tag):
+        """The polynomials of tag S, P or N as evaluated in characteristic
+        p: per coordinate, the (exponent, c mod p) pairs with c mod p
+        nonzero, in exponent order.  Derived at first use, so generating or
+        loading a structure does not pay for it."""
+        out = self._reduced.get(tag)
+        if out is None:
+            polys = {"S": self.sums, "P": self.prods, "N": self.negs}[tag]
+            out = self._reduced[tag] = [
+                [(e, c % self.p) for e, c in sorted(terms.items())
+                 if c % self.p]
+                for terms in polys]
+        return out
 
     def __repr__(self):
         return f"WittStructure(p={self.p}, i={self.i})"
@@ -281,8 +303,9 @@ def verify_ghost_identities(p, i):
 # ------------------------------------------------------ witt vectors ----
 
 def _eval_terms(terms, xs):
-    zero = xs[0] * 0
-    acc = zero
+    """sum of c * prod_j xs[j]^e_j over the (e, c) pairs of terms, in their
+    order; a product by c = 1 is skipped."""
+    acc = xs[0] * 0
     powcache = [dict() for _ in xs]
 
     def power(j, e):
@@ -292,8 +315,7 @@ def _eval_terms(terms, xs):
             powcache[j][e] = v
         return v
 
-    for e in sorted(terms):
-        c = terms[e]
+    for e, c in terms:
         m = None
         for j, exp in enumerate(e):
             if exp:
@@ -301,7 +323,7 @@ def _eval_terms(terms, xs):
                 m = v if m is None else m * v
         if m is None:
             m = xs[0] ** 0
-        acc = acc + m * c
+        acc = acc + (m if c == 1 else m * c)
     return acc
 
 
@@ -359,16 +381,11 @@ class WittVector:
         if self.is_finite_coeffs():
             return self._via_ring(_RING_OPS[tag], other)
         struct = witt_structure(self.p, self.level)
+        if tag == "D":
+            other, tag = -other, "S"
         xs = list(self.coords) + list(other.coords)
-        if tag == "S":
-            polys = struct.sums
-        elif tag == "P":
-            polys = struct.prods
-        else:
-            other = -other
-            xs = list(self.coords) + list(other.coords)
-            polys = struct.sums
-        return WittVector(self.p, [_eval_terms(t, xs) for t in polys])
+        return WittVector(self.p, [_eval_terms(t, xs)
+                                   for t in struct.reduced(tag)])
 
     def __add__(self, other):
         return self._binop(other, "S")
@@ -387,7 +404,7 @@ class WittVector:
         struct = witt_structure(self.p, self.level)
         return WittVector(self.p,
                           [_eval_terms(t, list(self.coords))
-                           for t in struct.negs])
+                           for t in struct.reduced("N")])
 
     def int_mul(self, m):
         m %= self.p ** self.level   # additive order divides p^i

@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from katoforge import (HClass, Laurent, LevelDecrease, MilnorElement, Place,
-                       Poly, PrecisionExhausted, ResourceLimit,
+from katoforge import (ConfigMismatch, DivisionByZero, HClass, Laurent,
+                       LevelDecrease, MilnorElement, Place, Poly,
+                       PrecisionExhausted, ResourceLimit,
                        UnsupportedDegree, UnsupportedField, WildClass,
                        WittVector, colimit_equal, ColimitClass,
                        decompose_local, func_field, gf, h_zero_test,
@@ -12,9 +14,12 @@ from katoforge import (HClass, Laurent, LevelDecrease, MilnorElement, Place,
                        reciprocity_check, witt_standard_form)
 from katoforge.kato import _t_place, class_places, local_symbol
 from katoforge.milnor import _has_steinberg_pair, symbol_expand
+from katoforge.places import PlaceContext
+from katoforge.poly import is_irreducible, to_dense
 
 from conftest import random_ratfunc, run_optimized
-from ghost_oracle import ghost_inversion_symbol
+from ghost_oracle import (ghost_inversion_symbol, uniform_precision,
+                          uniform_series_inputs)
 
 
 def _w(p, *coords):
@@ -269,6 +274,150 @@ def test_local_symbol_matches_ghost_inversion(p, e, top, data):
     except PrecisionExhausted:
         return      # a lower residue ran out; the top one may still be known
     assert local_symbol(F, level, coords, b) == want
+
+
+def _irreducible(K, d):
+    """The first monic irreducible of degree d in t, enumerating the lower
+    coefficients in the field's element order."""
+    F = K.base
+    t = K.var("t")
+    for tail in itertools.product(list(F.elements()), repeat=d):
+        f = t ** d
+        for k, c in enumerate(tail):
+            f = f + K.const(c) * t ** k
+        if is_irreducible(to_dense(f.num, F)):
+            return f
+
+
+def _oracle_classes(p, e, level):
+    """Degree-1 classes over F_q(t) whose tables meet places of degree 1-3
+    and infinity.  In w, coordinate 0 has poles at t and at a degree-2
+    place, coordinate 1 is zero and the others vanish at t; in v,
+    coordinate 0 vanishes at t.  One entry is
+    rational with a denominator (kept by building without normalization),
+    the others are irreducible of degree 2 and 3."""
+    K = func_field(gf(p, e), ("t",))
+    t, one = K.var("t"), K.one
+    q2, q3 = _irreducible(K, 2), _irreducible(K, 3)
+    rng = random.Random(1000 * p + 10 * e + level)
+
+    def lin():
+        a, b = (K.const(c) for c in rng.sample(list(K.base.elements()), 2))
+        return a * t + b if not a.is_zero() else t + b
+
+    coords = [lin() / (t * q2)] + [t * lin() for _ in range(level - 1)]
+    if level >= 2:
+        coords[1] = K.zero
+    w = WittVector(p, tuple(coords))
+    v = WittVector(p, tuple(t * lin() / (t + one) if j == 0 else lin()
+                            for j in range(level)))
+    rational = HClass(K, 1, level, [(w, ((t + one) * q3 / q2,))],
+                      normalize=False)
+    return [rational, HClass.build(K, w, (q3,)) + HClass.build(K, v, (q2,))]
+
+
+ORACLE_CELLS = ([(2, 1, level) for level in range(1, 5)]
+                + [(3, 1, level) for level in range(1, 4)]
+                + [(2, 2, level) for level in range(1, 4)])
+
+
+@pytest.mark.parametrize("p,e,level", ORACLE_CELLS)
+def test_local_invariant_matches_uniform_ghost_oracle(p, e, level):
+    """Each coordinate expanded only as far as the residue reads it gives
+    the invariant that full ghost inversion gives on expansions to one
+    generous uniform precision."""
+    classes = _oracle_classes(p, e, level)
+    degrees, nonzero = set(), 0
+    for c in classes:
+        for place in class_places(c):
+            want = sum(ghost_inversion_symbol(k, level, coords, b)
+                       for k, coords, b in uniform_series_inputs(c, place))
+            got = local_invariant(c, place).value
+            assert got == want % p ** level, (c, place)
+            degrees.add(0 if place.is_infinite else place.degree)
+            nonzero += bool(got)
+    assert degrees == {0, 1, 2, 3}
+    assert nonzero
+
+
+@pytest.mark.parametrize("p,e,level", ORACLE_CELLS)
+def test_expansions_ask_no_more_than_uniform_precision(p, e, level,
+                                                       monkeypatch):
+    asked = []
+    expand = PlaceContext.expand
+
+    def spy(self, r, prec):
+        asked.append(prec)
+        return expand(self, r, prec)
+
+    monkeypatch.setattr(PlaceContext, "expand", spy)
+    classes = _oracle_classes(p, e, level)
+    smaller = False
+    for c in classes:
+        for w, (b,) in c.terms:
+            one_term = HClass(c.field, 1, level, [(w, (b,))], normalize=False)
+            for place in class_places(one_term):
+                asked.clear()
+                local_invariant(one_term, place)
+                bound = uniform_precision(level, w, b, place)
+                assert asked and max(asked) <= bound
+                smaller |= min(asked) < bound
+    assert smaller
+
+
+@pytest.mark.parametrize("p,e,level", [(2, 1, 1), (2, 1, 2), (2, 1, 3),
+                                       (2, 1, 4), (3, 1, 2), (3, 1, 3),
+                                       (2, 2, 2), (2, 2, 3)])
+def test_local_symbol_answers_at_exact_precision(p, e, level):
+    """Coordinate j of valuation v_j known to exactly
+    O(t^(1 - (p^(level-1-j) - 1) min(v_j, 0))), and b to relative precision
+    1 - min(0, min_j p^(level-1-j) v_j): the symbol is the one read from 16
+    more coefficients of every series, and the ghost oracle's."""
+    F = gf(p, e)
+    rng = random.Random(50 * p + 5 * e + level)
+    powers = [p ** (level - 1 - j) for j in range(level)]
+
+    def series(val, prec):
+        lead = F.from_code(rng.randrange(1, F.order))
+        rest = [F.from_code(rng.randrange(F.order))
+                for _ in range(prec - val - 1)]
+        return Laurent(F, val, [lead] + rest, prec)
+
+    for _ in range(8):
+        vals = [rng.randint(-3, 2) for _ in range(level)]
+        needs = [1 - (n - 1) * min(v, 0) for n, v in zip(powers, vals)]
+        rel = 1 - min(0, min(n * v for n, v in zip(powers, vals)))
+        full = [series(v, need + 16) for v, need in zip(vals, needs)]
+        exact = [a.truncate(need) for a, need in zip(full, needs)]
+        bval = rng.randint(-2, 3)
+        b = series(bval, bval + rel + 16)
+        want = local_symbol(F, level, full, b)
+        assert local_symbol(F, level, exact, b.truncate(bval + rel)) == want
+        assert want == ghost_inversion_symbol(F, level, full, b)
+
+
+@pytest.mark.parametrize("level,ncoords,error", [
+    (3, 2, ConfigMismatch),      # more levels than coordinates
+    (1, 2, ConfigMismatch),      # coordinates past the level
+    (0, 0, ResourceLimit),       # no level at all
+    (0, 1, ResourceLimit),
+], ids=["level-above-length", "level-below-length", "level-0-empty",
+        "level-0"])
+def test_local_symbol_rejects_malformed_arguments(level, ncoords, error):
+    F = gf(2)
+    inv_t = Laurent.monomial(F, F.one, -1, 8)
+    tt = Laurent.monomial(F, F.one, 1, 8)
+    with pytest.raises(error):
+        local_symbol(F, level, [inv_t] * ncoords, tt)
+
+
+def test_local_symbol_zero_entry_raises():
+    # g = t^2 + O(t^3) alone would give residue 0; dlog of b = 0 is still
+    # refused
+    F = gf(2)
+    with pytest.raises(DivisionByZero):
+        local_symbol(F, 1, [Laurent.monomial(F, F.one, 2, 8)],
+                     Laurent.zero(F, 8))
 
 
 # -------------------------------------------------------- level maps ----

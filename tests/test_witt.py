@@ -227,9 +227,14 @@ def test_int_conversion_roundtrip():
 ORACLE_PE = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
 
+def _eval_integer(terms, xs):
+    """A polynomial {exponent: int} evaluated with its integer coefficients."""
+    return _eval_terms(sorted(terms.items()), xs)
+
+
 def _oracle_add(struct, u, v):
     xs = list(u.coords) + list(v.coords)
-    return WittVector(u.p, [_eval_terms(t, xs) for t in struct.sums])
+    return WittVector(u.p, [_eval_integer(t, xs) for t in struct.sums])
 
 
 def test_galois_ring_agrees_with_universal():
@@ -243,14 +248,43 @@ def test_galois_ring_agrees_with_universal():
             for _ in range(8 if i < 5 else 2):
                 u = WittVector(p, tuple(rng.choice(els) for _ in range(i)))
                 v = WittVector(p, tuple(rng.choice(els) for _ in range(i)))
-                neg_v = WittVector(p, [_eval_terms(t, list(v.coords))
+                neg_v = WittVector(p, [_eval_integer(t, list(v.coords))
                                        for t in struct.negs])
                 xs = list(u.coords) + list(v.coords)
                 assert u + v == _oracle_add(struct, u, v)
-                assert u * v == WittVector(p, [_eval_terms(t, xs)
+                assert u * v == WittVector(p, [_eval_integer(t, xs)
                                                for t in struct.prods])
                 assert -v == neg_v
                 assert u - v == _oracle_add(struct, u, neg_v)
+
+
+def test_reduced_evaluation_on_laurent():
+    """Terms whose coefficient p divides are dropped from evaluation: on
+    Laurent coordinates the reduced polynomials agree with the integer ones
+    to the lower of the two precisions, their precision is never lower, and
+    somewhere it is higher."""
+    higher = False
+    for p, i in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
+        F = gf(p)
+        struct = witt_structure(p, i)
+        rng = random.Random(10 * p + i)
+        for _ in range(3):
+            xs = []
+            for _ in range(2 * i):
+                prec = rng.randint(4, 9)
+                val = rng.randint(-2, 1)
+                xs.append(Laurent(F, val, [F.from_code(rng.randrange(p))
+                                           for _ in range(prec - val)], prec))
+            for tag, polys, args in (("S", struct.sums, xs),
+                                     ("P", struct.prods, xs),
+                                     ("N", struct.negs, xs[:i])):
+                for terms, pairs in zip(polys, struct.reduced(tag)):
+                    whole = _eval_integer(terms, args)
+                    reduced = _eval_terms(pairs, args)
+                    assert reduced.prec >= whole.prec
+                    assert reduced.truncate(whole.prec) == whole
+                    higher |= reduced.prec > whole.prec
+    assert higher
 
 
 def _oracle_trace_int(struct, w):
