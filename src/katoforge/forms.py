@@ -115,8 +115,44 @@ class DiffForm:
         return out
 
     def is_closed(self):
-        d = self.d()
-        return d.is_zero()
+        """Whether d(self) = 0, decided without normalizing it.
+
+        For c_I = n_I/d_I the coefficient of dx_K in d(self) is
+        sum sign (d/dx_j n_I d_I - n_I d/dx_j d_I)/d_I^2 over the I, j with
+        {j} + I = K; it is zero exactly when the numerator over the common
+        denominator, the product of the distinct d_I^2, is.  Polynomial
+        products only, no GCD."""
+        F = self.field
+        if self.degree >= F.k:
+            return True
+        parts = {}       # K -> [(signed numerator, d_I)]
+        for I, c in self.terms.items():
+            n, d = c.num, c.den
+            for j in range(F.k):
+                if j in I:
+                    continue
+                top = n.derivative(j) * d - n * d.derivative(j)
+                if top.is_zero():
+                    continue
+                K, sign = _merge_indices((j,), I)
+                parts.setdefault(K, []).append((top if sign > 0 else -top, d))
+        for pieces in sorted(parts.values(), key=len):
+            if len(pieces) == 1:
+                return False
+            dens = []
+            for _, d in pieces:
+                if d not in dens:
+                    dens.append(d)
+            squares = [d * d for d in dens]
+            total = None
+            for top, d in pieces:
+                for e, sq in zip(dens, squares):
+                    if e != d:
+                        top = top * sq
+                total = top if total is None else total + top
+            if not total.is_zero():
+                return False
+        return True
 
     def cartier_inv(self):
         """Inverse Cartier: f dx_I -> f^p x^((p-1)1_I) dx_I, termwise."""

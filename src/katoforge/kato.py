@@ -409,9 +409,25 @@ def local_invariant(c, place):
     base = c.field.base
     for w, entries in c.terms:
         b = entries[0]
-        _require_precision(list(w.coords) + [b])
+        _require_residue_precision(p, c.level, w.coords, b)
         total += local_symbol(base, c.level, list(w.coords), b)
     return LocalInvariant(total, place, c.level, p)
+
+
+def _require_residue_precision(p, level, coords, b):
+    """PrecisionExhausted unless coordinate j is known to O(t^N_j) and b to
+    the relative precision rel that the residue reads
+    (`_precision_needs`); a b zero to precision is left to local_symbol."""
+    needs, rel = _precision_needs(p, level, [a.val for a in coords])
+    for j, (a, need) in enumerate(zip(coords, needs)):
+        if a.prec < need:
+            raise PrecisionExhausted(
+                f"Witt coordinate {j} known to O(t^{a.prec}); the level-"
+                f"{level} residue reads it to O(t^{need})")
+    if not b.is_zero() and b.prec - b.val < rel:
+        raise PrecisionExhausted(
+            f"entry known to relative precision {b.prec - b.val}; the "
+            f"level-{level} residue reads it to relative precision {rel}")
 
 
 def _require_precision(series_list):

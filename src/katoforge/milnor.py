@@ -6,6 +6,14 @@ dlog a_1 ^ ... ^ dlog a_n exactly; the symbol map is injective mod p with
 image the logarithmic forms, so this comparison is a sound and complete
 normal form for k_n = K_n/p (integral equality is not decidable here).
 
+The image is a determinant: for a_i = n_i/d_i and
+T_a[j] = (d/dx_j n) d - n (d/dx_j d), the coefficient of dx_K in
+dlog a_1 ^ ... ^ dlog a_n is det(T_{a_i}[K_j]) / prod n_i d_i.  d_symbol
+takes these determinants as polynomials, and decides whether a sum of
+symbols vanishes at K over the common denominator prod_a n_a d_a of its
+entries, so a zero image (a Steinberg or bilinearity relation, kn_equal on
+equal elements) runs no GCD; only nonzero coefficients are normalized.
+
 symbol_expand is a k_n-level normalization: bilinearity splits entries along
 a fixed factorization strategy (univariate entries factor into irreducibles,
 multivariate entries shed their constant and monomial parts), Steinberg pairs
@@ -20,13 +28,15 @@ F = F_q(t) with t = u^p - u and sigma(u) = u + 1, so all differential-form
 machinery applies verbatim over L.
 """
 
+from itertools import combinations
+
 from .errors import (ConfigMismatch, DegreeMismatch, DlogOfZero,
                      IntegralityViolation, NormShapeUnsupported,
                      UnsupportedField)
 from .forms import DiffForm, dlog
 from .mpoly import MPoly
 from .poly import factor_ratfunc, to_dense, to_mpoly
-from .rational import func_field
+from .rational import RatFunc, func_field
 
 
 class MilnorElement:
@@ -168,35 +178,113 @@ def _has_steinberg_pair(entries, F):
     return False
 
 
+def _dlog_rows(a):
+    """(T, n d) for a = n/d, T[j] = (d/dx_j n) d - n (d/dx_j d): dlog a is
+    sum_j T[j]/(n d) dx_j.  Polynomial products only, no GCD."""
+    n, d = a.num, a.den
+    return ([n.derivative(j) * d - n * d.derivative(j)
+             for j in range(a.field.k)], n * d)
+
+
+def _det(rows, cols, zero):
+    """det(rows[i][cols[j]]) by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][cols[0]]
+    out = zero
+    for j, col in enumerate(cols):
+        a = rows[0][col]
+        if a.is_zero():
+            continue
+        minor = _det(rows[1:], cols[:j] + cols[j + 1:], zero)
+        if not minor.is_zero():
+            out = out - a * minor if j % 2 else out + a * minor
+    return out
+
+
+def _product(polys, one):
+    out = None
+    for f in polys:
+        out = f if out is None else out * f
+    return one if out is None else out
+
+
 def d_symbol(s):
     """{a_1,...,a_n} -> dlog a_1 ^ ... ^ dlog a_n, extended additively.
 
-    Each distinct entry's dlog is computed once, and a symbol with a
-    repeated entry maps to 0 (w ^ w = 0 for a 1-form w)."""
+    Degree 0 is the constant and degree 1 a sum of dlogs.  From degree 2
+    on, with a_i = n_i/d_i and T_i the rows of `_dlog_rows`, the
+    coefficient of dx_K is det(T_i[K_j]) / prod n_i d_i: a polynomial
+    determinant per index set K, and a symbol with a repeated entry maps
+    to 0 (w ^ w = 0 for a 1-form w).  The element's coefficient at K is
+    zero exactly when sum_sym c det_K(sym) prod_{a not in sym} n_a d_a is,
+    the numerator over the common denominator prod_a n_a d_a of its
+    entries; only a nonzero coefficient is put in lowest terms, one
+    RatFunc per symbol, summed.  A zero image runs no GCD."""
     F = s.field
     p = F.base.p
     n = s.degree
     if n > F.k:
         return DiffForm.zero(F, F.k)   # the target module is zero
-    out = DiffForm.zero(F, n)
-    dlogs = {}
+    if n <= 1:
+        out = DiffForm.zero(F, n)
+        for sym, c in s.terms.items():
+            c %= p
+            if c == 0:
+                continue
+            if sym:
+                out = out + dlog(sym[0]).scale(F.const(c))
+            else:      # degree 0: the empty symbol contributes c * 1
+                out = out + DiffForm.from_function(F.const(c))
+        return out
+    zero, one = F.zero.num, F.one.num
+    index_sets = list(combinations(range(F.k), n))
+    pos = {}            # entry -> position; rows are read by position
+    rows, nds = {}, {}  # T and n d of the entry at a position
+    live = []           # (idx, {K: c det_K}) for symbols with a nonzero det
     for sym, c in s.terms.items():
         c %= p
         if c == 0:
             continue
-        if not sym:        # degree 0: the empty symbol contributes c * 1
-            out = out + DiffForm.from_function(F.const(c))
+        idx = tuple(pos.setdefault(a, len(pos)) for a in sym)
+        if len(set(idx)) < n:
             continue
-        if len(set(sym)) != len(sym):
+        for a, i in zip(sym, idx):
+            if i not in rows:
+                rows[i], nds[i] = _dlog_rows(a)
+        mat = [rows[i] for i in idx]
+        dets = {}
+        for K in index_sets:
+            det = _det(mat, K, zero)
+            if not det.is_zero():
+                dets[K] = det.scale(F.base.elem(c))
+        if dets:
+            live.append((idx, dets))
+    # the factor that brings each symbol to the common denominator
+    mults = None
+    if len(live) > 1:
+        used = {i for idx, _ in live for i in idx}
+        mults = [_product((nds[i] for i in used if i not in idx), one)
+                 for idx, _ in live]
+    dens = {}
+    out = {}
+    for K in index_sets:
+        terms = [(m, dets[K]) for m, (_, dets) in enumerate(live)
+                 if K in dets]
+        if not terms:
             continue
-        form = None
-        for a in sym:
-            la = dlogs.get(a)
-            if la is None:
-                la = dlogs[a] = dlog(a)
-            form = la if form is None else form.wedge(la)
-        out = out + form.scale(F.const(c))
-    return out
+        if mults:
+            top = zero
+            for m, det in terms:
+                top = top + det * mults[m]
+            if top.is_zero():
+                continue
+        coeff = F.zero
+        for m, det in terms:
+            if m not in dens:
+                dens[m] = _product((nds[i] for i in live[m][0]), one)
+            coeff = coeff + RatFunc(F, det, dens[m])
+        out[K] = coeff
+    return DiffForm(F, n, out)
 
 
 def kn_equal(s1, s2):

@@ -14,9 +14,12 @@ the GCD of the whole result (Henrici, JACM 1956; Knuth, TAOCP 2, 4.5.1):
 
 Only construction from outside (RatFunc(field, num, den)), derivative and
 the p-power components run the full normalization, one GCD of num and den.
-forms.dlog does not: for n/d in lowest terms the coefficient
-(n'd - nd')/(nd) has gcd(n, n') gcd(d, d') as its common factor, and those
-two GCDs are small.
+Among the forms and symbols, that means DiffForm.d, the Cartier operator,
+and one RatFunc per symbol and index set of a nonzero milnor.d_symbol
+coefficient.  The rest does not: forms.dlog reduces (n'd - nd')/(nd), for
+n/d in lowest terms, by its common factor gcd(n, n') gcd(d, d'), two small
+GCDs; DiffForm.is_closed and a zero d_symbol coefficient are decided over
+a common denominator by polynomial products, with no GCD at all.
 
 The p-power decomposition f = sum_e g_e^p * x^e over e in {0..p-1}^k is the
 workhorse behind the Cartier operator: denominators are cleared by den^p, the

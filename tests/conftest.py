@@ -54,6 +54,14 @@ def mpolys(draw, K, min_terms=0):
     return MPoly(base, K.k, terms)
 
 
+@st.composite
+def ratfuncs(draw, K):
+    """A nonzero rational function with numerator and denominator from
+    ``mpolys``."""
+    return K.from_poly(draw(mpolys(K, min_terms=1)),
+                       draw(mpolys(K, min_terms=1)))
+
+
 def random_ratfunc(rng, field, max_deg=3, max_terms=3):
     base = field.base
     num = random_mpoly(rng, base, field.k, max_deg, max_terms)

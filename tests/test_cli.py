@@ -2,12 +2,14 @@ import io
 import json
 import os
 import random
+import re
 import shutil
+from itertools import combinations
 
 import pytest
 
 from katoforge import (DiffForm, HClass, Laurent, MilnorElement, WittVector,
-                       dlog, gf, laurent_field)
+                       dlog, func_field, gf, laurent_field)
 from katoforge.cli import (Parser, Session, cache_clear, cache_verify,
                            cache_warm, main, run_script, run_statement,
                            tokenize)
@@ -101,17 +103,47 @@ def _random_series(rng, F, nonzero=False):
                                                      n + 2))
 
 
+def _function_field_values(rng, K):
+    """Rational functions, forms of every degree (sums of 1-forms, dlog
+    wedges, f dx^dy) and Milnor sums with integer coefficients over K."""
+    def rf():
+        return random_ratfunc(rng, K, max_deg=2, max_terms=2)
+    values = [rf()]
+    for degree in range(1, K.k + 1):
+        indices = list(combinations(range(K.k), degree))
+        chosen = rng.sample(indices, rng.randint(1, len(indices)))
+        values.append(DiffForm(K, degree, {I: rf() for I in chosen}))
+    a, b = rf(), rf()
+    if not (a.is_zero() or b.is_zero()):
+        values.append(dlog(a).wedge(dlog(b)))
+        values.append(MilnorElement.symbol(K, [a, b], rng.randint(2, 5))
+                      - MilnorElement.symbol(K, [b, K.var(K.vars[0])],
+                                             rng.randint(1, 3)))
+        values.append(MilnorElement.symbol(K, [a], -1)
+                      + MilnorElement.symbol(K, [b], rng.randint(1, 4)))
+    # a zero form or Milnor sum prints as 0, which reads back as a function
+    return [v for v in values if repr(v) != "0"]
+
+
 @pytest.mark.parametrize("spec,p,e,local", [
     ("GF(2,2)", 2, 2, False), ("GF(3,2)", 3, 2, False),
     ("GF(2,3)", 2, 3, False), ("GF(2,2)((t))", 2, 2, True),
-    ("GF(3)((t))", 3, 1, True),
+    ("GF(3)((t))", 3, 1, True), ("GF(2)(x,y)", 2, 1, False),
+    ("GF(3)(x,y)", 3, 1, False), ("GF(2,2)(x,y,w)", 2, 2, False),
 ])
 def test_printed_values_read_back(spec, p, e, local):
     """``let x = <printed value>`` rebuilds the value and prints it again,
-    for constants, series, Witt vectors and classes."""
+    for constants, series, Witt vectors and classes, and over F_q(x, ...)
+    for rational functions, differential forms and Milnor symbols."""
     rng = random.Random(spec)
     F = gf(p, e)
     K = laurent_field(F) if local else F
+    vars = re.fullmatch(r"GF\([\d,]+\)\(([a-z,]+)\)", spec)
+    values = []
+    if vars:
+        K = func_field(F, tuple(vars[1].split(",")))
+        for _ in range(6):
+            values += _function_field_values(rng, K)
 
     def element(nonzero=False):
         if local:
@@ -119,8 +151,7 @@ def test_printed_values_read_back(spec, p, e, local):
         els = list(F.elements())
         return rng.choice(els[1:] if nonzero else els)
 
-    values = []
-    for _ in range(12):
+    for _ in range(0 if values else 12):
         values.append(element())
         w = WittVector(p, tuple(element() for _ in range(rng.randint(1, 2))))
         values.append(w)
@@ -136,7 +167,7 @@ def test_printed_values_read_back(spec, p, e, local):
         run_statement(line, n, s, lambda *a: None)
     for n, v in enumerate(values):
         got = s.values[f"x{n}"][1]
-        assert (got.terms == v.terms if isinstance(v, HClass)
+        assert (got.terms == v.terms if isinstance(v, (HClass, MilnorElement))
                 else got == v), (v, got)
 
 

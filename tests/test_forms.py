@@ -1,13 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from katoforge import (DiffForm, MilnorElement, NotClosed, RatFunc,
-                       d_of_function, d_symbol, dlog, func_field, gf, milnor)
+                       d_of_function, d_symbol, dlog, forms, func_field, gf,
+                       milnor, rational)
 
 from conftest import (ORACLE_FIELDS, mpolys, random_form, random_ratfunc,
-                      run_optimized)
+                      ratfuncs, run_optimized)
 
 
 def test_dlog_examples():
@@ -220,6 +222,31 @@ def test_nu_accepts_dlog_combinations():
         assert w.is_logarithmic() or w.is_zero()
 
 
+@pytest.mark.parametrize("p,e,vars", ORACLE_FIELDS)
+@given(data=st.data())
+def test_is_closed_matches_d(p, e, vars, data):
+    """is_closed() == d().is_zero() on forms of every degree: random forms,
+    and the closed forms cartier_inv(w), d(w) and dlog f + dg."""
+    K = func_field(gf(p, e), vars)
+    degree = data.draw(st.integers(0, K.k))
+    indices = st.sampled_from(list(combinations(range(K.k), degree)))
+    terms = data.draw(st.dictionaries(indices, ratfuncs(K), max_size=3))
+    w = DiffForm(K, degree, terms)
+    kind = data.draw(st.sampled_from(["plain", "cartier_inv", "d", "dlog"]))
+    if kind == "cartier_inv":
+        w = w.cartier_inv()
+    elif kind == "d" and degree > 0:
+        w = DiffForm(K, degree - 1, {I[1:]: c for I, c in terms.items()}).d()
+    elif kind == "dlog" and degree == 1:
+        f, g = data.draw(ratfuncs(K)), data.draw(ratfuncs(K))
+        w = dlog(f) + d_of_function(g)
+    else:
+        kind = "plain"
+    closed = w.is_closed()
+    assert closed == w.d().is_zero()
+    assert closed or kind == "plain"
+
+
 def _count_calls(monkeypatch, owner, name):
     """Wrap owner.name to count its calls; returns the one-item counter."""
     calls = [0]
@@ -233,25 +260,36 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_closedness_and_dlog_computed_once(monkeypatch):
-    """is_exact and is_logarithmic take d once; d_symbol takes one dlog per
-    distinct entry and none for a symbol with a repeated entry."""
+    """is_exact and is_logarithmic check closedness once; d_symbol builds
+    the dlog rows once per distinct entry and none for a symbol with a
+    repeated entry; a zero image of degree 2 and the closedness test of a
+    closed form run no GCD."""
     L = func_field(gf(3), ("x", "y"))
     x, y = L.var("x"), L.var("y")
     w = dlog(x + y)                  # closed, logarithmic, not exact
-    d_calls = _count_calls(monkeypatch, DiffForm, "d")
+    closed_calls = _count_calls(monkeypatch, DiffForm, "is_closed")
     assert not w.is_exact()
-    assert d_calls == [1]
+    assert closed_calls == [1]
     assert w.is_logarithmic()
-    assert d_calls == [2]
+    assert closed_calls == [2]
     a, b = x + y * y, y + L.one
+    steinberg = MilnorElement.symbol(L, [a, L.one - a])
+    # closed, with coefficients over different denominators
+    v = DiffForm(L, 1, {(0,): x / b}).cartier_inv() + d_of_function(a / b)
 
     def sym(*entries):
         return MilnorElement.symbol(L, entries)
-    dlog_calls = _count_calls(monkeypatch, milnor, "dlog")
-    assert d_symbol(sym(a * b, b) - sym(a, b) - sym(b, b)).is_zero()
-    assert dlog_calls == [3]         # a*b, a, b
+    bilinear = sym(a * b, b) - sym(a, b) - sym(b, b)
+    rows = _count_calls(monkeypatch, milnor, "_dlog_rows")
+    gcds = [_count_calls(monkeypatch, module, "mpoly_gcd")
+            for module in (rational, forms)]
+    assert d_symbol(bilinear).is_zero()
+    assert rows == [3]               # a*b, a, b
     assert d_symbol(sym(b, b)).is_zero()
-    assert dlog_calls == [3]
+    assert rows == [3]
+    assert d_symbol(steinberg).is_zero()
+    assert w.is_closed() and v.is_closed()
+    assert gcds == [[0], [0]]
 
 
 def test_cartier_of_non_closed_form_raises_under_optimize():

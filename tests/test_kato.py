@@ -689,3 +689,63 @@ def test_precision_guard():
     c = HClass.build(LF, WittVector(2, (deep,)), (tt,))
     with pytest.raises(PrecisionExhausted):
         local_invariant(c, _t_place(LF))
+
+
+@pytest.mark.parametrize("p,e,level", [(2, 1, 2), (2, 1, 3), (3, 1, 2),
+                                       (2, 2, 3)])
+def test_local_invariant_precision_guard_boundary(p, e, level):
+    """Over F_q((t)) local_invariant answers when coordinate j is known to
+    exactly O(t^N_j) and b to exactly the relative precision rel of
+    _precision_needs, and one coefficient short of either raises
+    PrecisionExhausted at the guard, naming that input."""
+    F = gf(p, e)
+    LF = laurent_field(F)
+    place = _t_place(LF)
+    rng = random.Random(70 * p + 7 * e + level)
+    powers = [p ** (level - 1 - j) for j in range(level)]
+
+    def series(val, prec):
+        lead = F.from_code(rng.randrange(1, F.order))
+        rest = [F.from_code(rng.randrange(F.order))
+                for _ in range(prec - val - 1)]
+        return Laurent(F, val, [lead] + rest, prec)
+
+    def invariant(coords, b):
+        c = HClass(LF, 1, level, [(WittVector(p, coords), (b,))],
+                   normalize=False)
+        return local_invariant(c, place).value
+
+    for _ in range(6):
+        vals = [rng.randint(-2, 1) for _ in range(level)]
+        needs = [1 - (n - 1) * min(v, 0) for n, v in zip(powers, vals)]
+        rel = 1 - min(0, min(n * v for n, v in zip(powers, vals)))
+        full = [series(v, need + 12) for v, need in zip(vals, needs)]
+        exact = [a.truncate(need) for a, need in zip(full, needs)]
+        bval = rng.randint(-2, 2)
+        b = series(bval, bval + rel + 12)
+        want = invariant(full, b)
+        assert invariant(exact, b.truncate(bval + rel)) == want
+        for j in range(level):
+            short = list(exact)
+            short[j] = exact[j].truncate(needs[j] - 1)
+            with pytest.raises(PrecisionExhausted,
+                               match=f"Witt coordinate {j} known"):
+                invariant(short, b)
+        if rel > 1:     # relative precision 0 is zero, local_symbol's case
+            with pytest.raises(PrecisionExhausted, match="entry known"):
+                invariant(exact, b.truncate(bval + rel - 1))
+
+
+def test_precision_guard_names_the_input():
+    """t^-1 + O(t^2) as coordinate 0 of a level-3 class over F_2((t)) is
+    read to O(t^4): the guard says so, instead of a product series failing
+    inside the residue."""
+    F2 = gf(2)
+    LF = laurent_field(F2)
+    zero = Laurent.zero(F2, 8)
+    w = WittVector(2, (Laurent(F2, -1, [F2.one], 2), zero, zero))
+    c = HClass.build(LF, w, (Laurent.monomial(F2, F2.one, 1, 8),))
+    with pytest.raises(PrecisionExhausted, match=r"coordinate 0 known to "
+                       r"O\(t\^2\); the level-3 residue reads it to "
+                       r"O\(t\^4\)"):
+        local_invariant(c, _t_place(LF))

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from katoforge import (ASExtension, DegreeMismatch, MilnorElement,
                        NormShapeUnsupported, d_symbol, dlog, func_field, gf,
                        kn_equal, symbol_expand)
 
-from conftest import random_ratfunc
+from conftest import ORACLE_FIELDS, random_ratfunc, ratfuncs
+from forms_oracle import wedge_of_dlogs
 
 
 def _sym(field, entries, coeff=1):
@@ -76,6 +78,74 @@ def test_expand_preserves_d_symbol():
             assert d_symbol(symbol_expand(s)) == d_symbol(s)
             img = d_symbol(s)
             assert img.is_zero() or img.is_logarithmic()
+
+
+@st.composite
+def milnor_elements(draw, K):
+    """An element of degree 0 to k+1 with one to four symbols over a small
+    pool of entries, so entries repeat; the pool holds a constant, and the
+    coefficients include multiples of p.  From degree 2 on, a Steinberg
+    symbol {a, 1-a, ...} and the bilinearity relation
+    {ab, b, ...} - {a, b, ...} - {b, b, ...} may be added: sums whose
+    image is zero."""
+    p = K.base.p
+    n = draw(st.integers(0, K.k + 1))
+    pool = [draw(ratfuncs(K)) for _ in range(draw(st.integers(1, 3)))]
+    pool.append(K.const(K.base.from_code(K.base.order - 1)))
+    entry = st.sampled_from(pool)
+    s = MilnorElement.zero(K, n)
+    for _ in range(draw(st.integers(1, 4))):
+        entries = draw(st.lists(entry, min_size=n, max_size=n))
+        s = s + _sym(K, entries, draw(st.integers(-p - 1, 2 * p)))
+    if n >= 2:
+        a, b = draw(entry), draw(entry)
+        rest = draw(st.lists(entry, min_size=n - 2, max_size=n - 2))
+        if draw(st.booleans()) and a != K.one:
+            s = s + _sym(K, [a, K.one - a] + rest)
+        if draw(st.booleans()):
+            s = s + _sym(K, [a * b, b] + rest) - _sym(K, [a, b] + rest) \
+                - _sym(K, [b, b] + rest)
+    return s
+
+
+@pytest.mark.parametrize("p,e,vars", ORACLE_FIELDS)
+@given(data=st.data())
+def test_d_symbol_matches_wedge_of_dlogs(p, e, vars, data):
+    K = func_field(gf(p, e), vars)
+    s = data.draw(milnor_elements(K))
+    assert d_symbol(s) == wedge_of_dlogs(s)
+
+
+@pytest.mark.parametrize("p,e,vars", [(2, 1, ("x", "y")), (3, 1, ("x", "y")),
+                                      (2, 2, ("x", "y", "z"))])
+def test_d_symbol_examples_against_wedge_of_dlogs(p, e, vars):
+    """Zero sums, nonzero sums of several symbols, and two symbols with
+    equal determinants over different denominators, in 2 and 3
+    variables."""
+    K = func_field(gf(p, e), vars)
+    x, y = K.var(vars[0]), K.var(vars[1])
+    one = K.one
+    a, b, c = x + y * y, (y + one) / (x + one), x * y + one
+    elements = [
+        _sym(K, [a, one - a]),
+        _sym(K, [a * b, b]) - _sym(K, [a, b]) - _sym(K, [b, b]),
+        _sym(K, [a, b]) + _sym(K, [b, a]),          # zero in char 2 only
+        _sym(K, [a, b], 2) - _sym(K, [c, b]) + _sym(K, [x, c], p + 1),
+        _sym(K, [a * c, b]) - _sym(K, [a, b]),      # equals {c, b}
+        # equal determinants over different denominators: not zero
+        _sym(K, [x, y]) - _sym(K, [x + one, y]),
+    ]
+    if K.k == 3:
+        z = K.var(vars[2])
+        elements += [_sym(K, [a, b, z + one]) - _sym(K, [b, a, c]),
+                     _sym(K, [a * z, b, c]) - _sym(K, [a, b, c])
+                     - _sym(K, [z, b, c]),
+                     _sym(K, [x, y, z]) + _sym(K, [a, z, one - z])]
+    for s in elements:
+        assert d_symbol(s) == wedge_of_dlogs(s)
+    assert d_symbol(elements[4]) == d_symbol(_sym(K, [c, b]))
+    assert not d_symbol(elements[3]).is_zero()
+    assert not d_symbol(elements[5]).is_zero()
 
 
 def test_as_extension_basics():
