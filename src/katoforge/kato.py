@@ -430,14 +430,6 @@ def _require_residue_precision(p, level, coords, b):
             f"level-{level} residue reads it to relative precision {rel}")
 
 
-def _require_precision(series_list):
-    for s in series_list:
-        need = 1 + max(0, -s.val)
-        if s.prec < need:
-            raise PrecisionExhausted(
-                f"precision O(t^{s.prec}) below required O(t^{need})")
-
-
 def class_places(c):
     """Places that can carry a nonzero invariant: poles of the Witt
     coordinates, zeros and poles of the entries, and infinity.  (Where every
@@ -487,7 +479,6 @@ def decompose_local(c):
     resid = HClass.zero(base, 0, c.level)
     for w, entries in c.terms:
         b = entries[0]
-        _require_precision(list(w.coords) + [b])
         red, wild = witt_standard_form(w, base)
         if wild:
             raise WildClass(red)

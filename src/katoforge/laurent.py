@@ -246,9 +246,9 @@ class Laurent:
                 f"cannot extend precision O(t^{self.prec}) to O(t^{prec})")
         return Laurent(self.ring, self.val, self.coeffs, prec)
 
-    def map_coeffs(self, ring, fn, val_shift=0):
-        return Laurent(ring, self.val + val_shift,
-                       [fn(c) for c in self.coeffs], self.prec + val_shift)
+    def map_coeffs(self, ring, fn):
+        return Laurent(ring, self.val, [fn(c) for c in self.coeffs],
+                       self.prec)
 
     def __repr__(self):
         from .render import format_gf_coeff

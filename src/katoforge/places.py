@@ -1,10 +1,11 @@
 """Places of F_q(t), local expansions, and residues of rational 1-forms.
 
 A finite place is a monic irreducible f(t); its residue field F_q[t]/(f) is
-realized as the canonical GF(p, e*deg f), into which the base field maps by
-``embed.subfield_embedding`` (the identity at places of degree 1), and t maps
-to theta + pi with theta the lexicographically least root of f there.  The
-infinite place uses the substitution s = 1/t (and dt = -s^-2 ds).
+realized as the canonical GF(p, e*deg f), into which the base field maps on
+element codes by ``embed.subfield_codes`` (the identity at places of degree
+1), and t maps to theta + pi with theta the lexicographically least root of
+f there.  The infinite place uses the substitution s = 1/t (and
+dt = -s^-2 ds).
 
 Residues are read off the exact local Laurent expansion; this stays valid for
 every pole order in characteristic p (order-reduction tricks that divide by
@@ -13,7 +14,7 @@ every pole order in characteristic p (order-reduction tricks that divide by
 
 from functools import lru_cache
 
-from .embed import least_root, subfield_embedding
+from .embed import least_root, subfield_codes
 from .errors import ConfigMismatch, IntegralityViolation, UnsupportedField
 from .laurent import DEFAULT_PREC, _series_div
 from .poly import Poly, factor_ratfunc, is_irreducible, to_dense
@@ -81,12 +82,11 @@ class PlaceContext:
         base = field.base
         from .gf import gf
         self.res_field = gf(base.p, base.e * place.degree)
-        self.embed, self._phi_inv = subfield_embedding(base, self.res_field)
+        self.lift, self.drop = subfield_codes(base, self.res_field)
         self.theta = None
         if not place.is_infinite:
-            fbig = Poly(self.res_field,
-                        [self.embed(c) for c in place.poly.coeffs])
-            self.theta = least_root(fbig)
+            self.theta = least_root(Poly._from_codes(
+                self.res_field, [self.lift[c] for c in place.poly._codes]))
             if self.theta is None:
                 raise IntegralityViolation(
                     "place polynomial has no root in its residue field")
@@ -102,10 +102,9 @@ class PlaceContext:
             shift = den.degree - num.degree
             return _series_div(num.coeffs[::-1], den.coeffs[::-1], base,
                                prec - shift).shift(shift)
-        big = self.res_field
-        return _series_div(num.shift(self.theta, big, self.embed).coeffs,
-                           den.shift(self.theta, big, self.embed).coeffs,
-                           big, prec)
+        return _series_div(num.shift(self.theta, self.lift).coeffs,
+                           den.shift(self.theta, self.lift).coeffs,
+                           self.res_field, prec)
 
     def residue(self, g):
         """Residue of the 1-form g dt at this place, in the residue field."""
@@ -122,10 +121,10 @@ class PlaceContext:
         for _ in range(self.place.degree):
             acc = acc + y
             y = y ** q
-        out = self._phi_inv(acc)
+        out = self.drop.get(acc.idx)
         if out is None:
             raise IntegralityViolation("trace escaped the base field")
-        return out
+        return self.field.base.from_code(out)
 
 
 @lru_cache(maxsize=None)

@@ -143,14 +143,14 @@ class Poly:
             raise ConfigMismatch("evaluation point in a different field")
         return F.from_code(_code_eval(self._codes, x.idx, F.tables))
 
-    def shift(self, theta, target_field=None, embed=None):
+    def shift(self, theta, lift=None):
         """Coefficients of self(theta + pi) as a Poly over theta's field;
-        ``embed`` maps this polynomial's coefficients into it."""
-        F = target_field or self.field
-        if theta.field is not F or (embed is None and F is not self.field):
+        the list ``lift`` maps this polynomial's coefficient codes into it
+        (``embed.subfield_codes``), and without it the fields must agree."""
+        F = theta.field
+        if lift is None and F is not self.field:
             raise ConfigMismatch("shift into a different field")
-        cs = self._codes if embed is None else \
-            [embed(c).idx for c in self.coeffs]
+        cs = self._codes if lift is None else [lift[c] for c in self._codes]
         T = F.tables
         lin = [theta.idx, 1]
         out = []

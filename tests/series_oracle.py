@@ -56,6 +56,6 @@ def expand(ctx, r, prec):
         shift = den.degree - num.degree
         return series_div(num.coeffs[::-1], den.coeffs[::-1], base,
                           prec - shift).shift(shift)
-    big = ctx.res_field
-    return series_div(num.shift(ctx.theta, big, ctx.embed).coeffs,
-                      den.shift(ctx.theta, big, ctx.embed).coeffs, big, prec)
+    return series_div(num.shift(ctx.theta, ctx.lift).coeffs,
+                      den.shift(ctx.theta, ctx.lift).coeffs, ctx.res_field,
+                      prec)

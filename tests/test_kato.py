@@ -691,6 +691,32 @@ def test_precision_guard():
         local_invariant(c, _t_place(LF))
 
 
+def test_decompose_local_reads_precision_through_coeff():
+    """decompose_local has no precision guard of its own: series precision
+    decides.  An input the standard form can answer is answered as at full
+    precision, and a coordinate cut below what it reads raises
+    PrecisionExhausted."""
+    F2 = gf(2)
+    LF = laurent_field(F2)
+    o = F2.one
+
+    def decompose(coords, b):
+        c = HClass(LF, 1, len(coords), [(WittVector(2, coords), (b,))],
+                   normalize=False)
+        return decompose_local(c)
+
+    w = [o, o, o, o]        # t^-2 + t^-1 + 1 + t
+    short = decompose((Laurent(F2, -2, w, 2),), Laurent(F2, 1, [o, o], 3))
+    full = decompose((Laurent(F2, -2, w, 12),), Laurent(F2, 1, [o, o], 12))
+    assert repr(short) == repr(full) == "(0, [ [1] | ))"
+    # t^-2 = t^-1 + (t^-1)^2 - t^-1: a pole of order 1 is left, so wild
+    with pytest.raises(WildClass):
+        decompose((Laurent(F2, -2, [o], 0), Laurent.zero(F2, 8)),
+                  Laurent(F2, 1, [o], 8))
+    with pytest.raises(PrecisionExhausted):
+        decompose((Laurent(F2, -2, [o], -1),), Laurent(F2, 1, [o, o], 3))
+
+
 @pytest.mark.parametrize("p,e,level", [(2, 1, 2), (2, 1, 3), (3, 1, 2),
                                        (2, 2, 3)])
 def test_local_invariant_precision_guard_boundary(p, e, level):
