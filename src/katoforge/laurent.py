@@ -21,6 +21,19 @@ series product is one bigint multiplication.  Reduction by the modulus is
 e-1 more shifts and multiplications of that integer; then only the slots of
 the coefficients the result keeps are unpacked and reduced mod M.
 
+A sum a + b is known to min(prec) and is built only over the span
+[min val, min(prec, max end)) of the operands' known coefficients: the lower
+operand's coefficients are copied and the other's nonzero ones added in.  An
+operand that starts at or past min(prec), zero among them, leaves the other
+cut to min(prec).  Zeros appear only where the spans overlap and cancel.
+
+A power x^n over GF(p^e) with n = m p^k, k >= 1, is x^m followed by
+c -> c^(p^k) on each coefficient, placed at exponents p^k (val + j): the
+Frobenius is a ring map in characteristic p.  Its precision is the product
+rule's over any multiplication chain, prec + (n-1) val, and only the
+coefficients below it are built.  Over a Galois ring x -> x^p is not a ring
+map, so powers there are products.
+
 A quotient a/b, b with a unit leading coefficient, has valuation val a - val b
 and relative precision min(prec - val) over a and b: what they determine.
 `_divide`, the power-series recurrence, is the one division loop: `inverse` is
@@ -33,6 +46,7 @@ from array import array
 from functools import lru_cache
 
 from .errors import ConfigMismatch, DivisionByZero, PrecisionExhausted
+from .gf import GF
 from .power import binary_power
 
 DEFAULT_PREC = 16
@@ -174,14 +188,18 @@ class Laurent:
     def __add__(self, other):
         self._check(other)
         prec = min(self.prec, other.prec)
-        lo = min(self.val, other.val, prec)
-        out = [self.ring.zero] * (prec - lo)
-        for src in (self, other):
-            for j, c in enumerate(src.coeffs):
-                n = src.val + j
-                if n < prec:
-                    out[n - lo] = out[n - lo] + c
-        return Laurent(self.ring, lo, out, prec)
+        # a is the operand that starts lower; an operand starting at or past
+        # prec (zero among them) leaves the other one cut to prec
+        a, b = (self, other) if self.val <= other.val else (other, self)
+        if b.val >= prec:
+            return a if a.prec == prec else a.truncate(prec)
+        end = min(prec, max(a.val + len(a.coeffs), b.val + len(b.coeffs)))
+        out = list(a.coeffs[:end - a.val])
+        out.extend([self.ring.zero] * (end - a.val - len(out)))
+        for j, c in enumerate(b.coeffs[:end - b.val], b.val - a.val):
+            if c:
+                out[j] = out[j] + c
+        return Laurent(self.ring, a.val, out, prec)
 
     def __neg__(self):
         return Laurent(self.ring, self.val, [-c for c in self.coeffs],
@@ -230,7 +248,27 @@ class Laurent:
             return Laurent.one(self.ring, prec=max(self.prec - self.val, 1))
         if self.is_zero():
             return Laurent.zero(self.ring, n * self.prec)
-        return binary_power(self, n)
+        ring = self.ring
+        if not isinstance(ring, GF) or n % ring.p:
+            return binary_power(self, n)
+        # n = m q with q = p^k: the m-th power, then c -> c^q on each
+        # coefficient, spread q apart; the product rule's precision
+        prec = self.prec + (n - 1) * self.val
+        m, k = n, 0
+        while m % ring.p == 0:
+            m //= ring.p
+            k += 1
+        q = n // m
+        base = binary_power(self, m)
+        val = q * base.val
+        # the coefficients at val + q j below prec
+        coeffs = base.coeffs[:-((val - prec) // q)]
+        # c^(p^e) = c in GF(p^e)
+        for _ in range(k % ring.e):
+            coeffs = [c.frobenius() for c in coeffs]
+        out = [ring.zero] * ((len(coeffs) - 1) * q + 1)
+        out[::q] = coeffs
+        return Laurent(ring, val, out, prec)
 
     def derivative(self):
         coeffs = [c * (self.val + j) for j, c in enumerate(self.coeffs)]

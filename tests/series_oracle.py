@@ -1,13 +1,29 @@
-"""Slow series division: the oracle for ``laurent._divide`` and its callers.
+"""Slow series arithmetic: the oracle for ``Laurent.__add__`` and for
+``laurent._divide`` and its callers.
 
-The inverse is its own recurrence, a quotient is a product with the inverse,
-and ``series_div`` pads both polynomials to a generous precision, divides,
-and truncates, checking that the padding was enough.  Expansions at places
-run the library's substitutions through this division.
+``dense_sum`` adds every slot of both operands over the whole range up to
+the precision.  The inverse is its own recurrence, a quotient is a product
+with the inverse, and ``series_div`` pads both polynomials to a generous
+precision, divides, and truncates, checking that the padding was enough.
+Expansions at places run the library's substitutions through this division.
 """
 
 from katoforge import DivisionByZero, Laurent, PrecisionExhausted
 from katoforge.poly import to_dense
+
+
+def dense_sum(a, b):
+    """a + b on a list of zeros from the lowest valuation to min(prec),
+    every coefficient of both operands added in."""
+    prec = min(a.prec, b.prec)
+    lo = min(a.val, b.val, prec)
+    out = [a.ring.zero] * (prec - lo)
+    for src in (a, b):
+        for j, c in enumerate(src.coeffs):
+            n = src.val + j
+            if n < prec:
+                out[n - lo] = out[n - lo] + c
+    return Laurent(a.ring, lo, out, prec)
 
 
 def inverse(s):

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from katoforge import (ConfigMismatch, DivisionByZero, HClass, Laurent,
+from katoforge import (ConfigMismatch, DivisionByZero, HClass,
+                       KatoforgeError, Laurent,
                        LevelDecrease, MilnorElement, Place, Poly,
                        PrecisionExhausted, ResourceLimit,
                        UnsupportedDegree, UnsupportedField, WildClass,
@@ -775,3 +777,64 @@ def test_precision_guard_names_the_input():
                        r"O\(t\^2\); the level-3 residue reads it to "
                        r"O\(t\^4\)"):
         local_invariant(c, _t_place(LF))
+
+
+# (p, e, level) over F_q((t)); eight classes each, every fourth one wild
+LOCAL_PIN_CELLS = ([(2, 1, level) for level in (1, 2, 3, 4)]
+                   + [(3, 1, 1), (3, 1, 2), (2, 2, 1), (2, 2, 2), (2, 2, 3),
+                      (2, 3, 1), (2, 3, 2), (2, 3, 3)])
+# sha256 of the answers of _local_pin_answers, as the dense series sum and
+# the product-only powers gave them; a change of series precision must
+# change it on purpose
+LOCAL_PIN_SHA256 = ("3a8573f827074ed4b572d76a4c7ccc4f"
+                    "73498c170220bd1d20ab70316f2bdb3f")
+
+
+def _local_pin_classes():
+    """(u + wp(y) | t^j unit) with u integral and y a simple pole, some with
+    a pole of order prime to p added to coordinate 0."""
+    rng = random.Random(18)
+    for p, e, level in LOCAL_PIN_CELLS:
+        F = gf(p, e)
+        elems = list(F.elements())
+        prec = 12 + 4 * p ** level
+
+        def series(val, n):
+            return Laurent(F, val, [rng.choice(elems[1:])]
+                           + [rng.choice(elems) for _ in range(n - 1)], prec)
+        for k in range(8):
+            u = WittVector(p, [series(rng.randint(0, 1), 3)
+                               for _ in range(level)])
+            y = WittVector(p, [series(-1, 1)]
+                           + [Laurent.zero(F, prec)] * (level - 1))
+            w = u + y.wp()
+            if k % 4 == 3:
+                m = rng.choice([m for m in range(1, 2 * p + 1) if m % p])
+                w = WittVector(p, (w.coords[0] + series(-m, 1),)
+                               + w.coords[1:])
+            yield w, series(0, 4).shift(rng.randint(-2, 2))
+
+
+def _local_pin_answers():
+    """decompose_local, local_invariant and (val, prec) of every
+    standard-form coordinate, one line each, errors by type and message."""
+    for w, b in _local_pin_classes():
+        LF = laurent_field(b.ring)
+        c = HClass.build(LF, w, (b,))
+        for read in (lambda: decompose_local(c),
+                     lambda: local_invariant(c, _t_place(LF)),
+                     lambda: [[(a.val, a.prec) for a in
+                               witt_standard_form(v, LF.base)[0].coords]
+                              for v, _ in c.terms]):
+            try:
+                yield repr(read())
+            except KatoforgeError as exc:
+                yield f"{type(exc).__name__}: {exc}"
+
+
+def test_local_answers_pinned():
+    answers = list(_local_pin_answers())
+    assert len(answers) == 3 * 8 * len(LOCAL_PIN_CELLS)
+    assert sum(a.startswith("WildClass") for a in answers) == 24
+    text = "\n".join(answers)
+    assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_PIN_SHA256

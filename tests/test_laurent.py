@@ -1,4 +1,7 @@
+import io
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +9,7 @@ from hypothesis import given, strategies as st
 from katoforge import (DivisionByZero, GaloisRing, Laurent,
                        PrecisionExhausted, UnsupportedField, from_rational,
                        func_field, gf, galois_ring)
+from katoforge.cli import run_script
 from katoforge.laurent import _series_div
 
 import series_oracle
@@ -62,6 +66,84 @@ def test_product_matches_schoolbook(ring, data):
     k = data.draw(st.integers(-5, 5))
     scaled = Laurent(ring, a.val, [c * k for c in a.coeffs], a.prec)
     assert a * k == scaled and k * a == scaled
+
+
+def _parts(s):
+    return s.val, s.coeffs, s.prec
+
+
+def _assert_sums(a, b):
+    """a + b, b + a and a - b against the dense sum."""
+    assert _parts(a + b) == _parts(series_oracle.dense_sum(a, b))
+    assert _parts(b + a) == _parts(series_oracle.dense_sum(b, a))
+    assert _parts(a - b) == _parts(series_oracle.dense_sum(a, -b))
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
+@given(data=st.data())
+def test_sum_matches_dense_sum(ring, data):
+    a = data.draw(series(ring))
+    b = data.draw(series(ring))
+    _assert_sums(a, b)
+    # everything cancels: zero to the precision
+    assert _parts(a - a) == (a.prec, (), a.prec)
+    _assert_sums(a, a)
+    if not a.is_zero():
+        lead = Laurent.monomial(ring, a.coeffs[0], a.val, a.prec)
+        tail = Laurent.monomial(ring, a.coeffs[-1],
+                                a.val + len(a.coeffs) - 1, a.prec)
+        # cancellation at the leading end, with and without b above it
+        _assert_sums(a, lead)
+        _assert_sums(a, lead + b.shift(a.val + 1 - b.val))
+        # cancellation at the trailing end
+        _assert_sums(a, tail)
+    # disjoint spans, either one below
+    end = a.val + len(a.coeffs)
+    gap = data.draw(st.integers(0, 5))
+    long_a = Laurent(ring, a.val, a.coeffs, end + len(b.coeffs) + 10)
+    above = Laurent(ring, end + gap, b.coeffs, end + gap + len(b.coeffs) + 2)
+    _assert_sums(long_a, above)
+    # an operand at or past the other's precision, and a zero operand of
+    # lower precision
+    _assert_sums(a, b.shift(a.prec - b.val + data.draw(st.integers(0, 3))))
+    _assert_sums(a, Laurent.zero(ring, a.prec - data.draw(st.integers(0, 3))))
+
+
+@pytest.mark.parametrize("ring", [gf(2), gf(3), gf(2, 2), gf(2, 3),
+                                  gf(3, 2)], ids=repr)
+@given(data=st.data())
+def test_frobenius_power_matches_products(ring, data):
+    """x ** n with p | n reads c^(p^k) off x^m; the repeated product is the
+    oracle, over negative, zero and positive valuations."""
+    p = ring.p
+    s = data.draw(series(ring))
+    for val in (-3, 0, 2):
+        x = s.shift(val - s.val)
+        for n in (p, p ** 2, p ** 3, 2 * p, 3 * p):
+            assert _parts(x ** n) == _parts(reduce(operator.mul, [x] * n))
+
+
+@pytest.mark.parametrize("ring", [galois_ring(gf(2), 3),
+                                  galois_ring(gf(3), 2)], ids=repr)
+@given(data=st.data())
+def test_galois_ring_power_is_the_product(ring, data):
+    x = data.draw(series(ring))
+    assert _parts(x ** ring.p) == _parts(reduce(operator.mul, [x] * ring.p))
+
+
+def test_huge_powers_stay_cheap():
+    # 2^40 coefficients spread 2^40 apart would not fit in memory; only the
+    # ones below the precision are built
+    script = ("field K = GF(2)((t))\n"
+              "let s = (1 + t + O(t^5))^1099511627776\n"
+              "let a = (t^-1 + 1 + O(t^3))^1024\n"
+              "let b = (t + t^2 + O(t^4))^8\n")
+    buf = io.StringIO()
+    assert run_script(script, out=buf) == 0
+    assert buf.getvalue() == ("field: GF(2)((t))\n"
+                              "let: 1 + O(t^5)\n"
+                              "let: t^-1024 + O(t^-1020)\n"
+                              "let: t^8 + O(t^11)\n")
 
 
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
