@@ -33,6 +33,15 @@ O(t^(n_j P)) only.  dlog b is
 known to O(t^(r-1)) when b is known to relative precision r, so b needs
 r = 1 - val g, and val g >= min_j n_j v_j.
 
+So the residue reads only min(v_j, 0) of each coordinate and ord b of the
+entry.  A reciprocity table takes them from one factorization per class:
+each distinct coordinate denominator and entry is factored once, and at a
+finite place f, min(v_j, 0) is minus the multiplicity of f in the
+denominator of coordinate j and ord b the signed multiplicity of f in b (at
+infinity both are deg den - deg num).  The places of the table are the
+places of those factors.  local_invariant at a single place computes the
+orders with place_order, which is cheaper there than factoring.
+
 Completeness of the zero test over F_q(t) at n = 1 rests on the classical
 injectivity of the total local-invariant map on p-power-torsion Brauer
 classes; that assumption is recorded here and in the README.
@@ -47,8 +56,8 @@ from .gf import GF, GFElem
 from .gring import galois_ring
 from .laurent import Laurent
 from .milnor import MilnorElement, _entry_factors, multilinear_expansion
-from .places import Place, place_context, place_order, support_places
-from .poly import factor, to_dense
+from .places import Place, place_context, place_order
+from .poly import factor, factor_ratfunc, to_dense
 from .rational import FuncField
 from .witt import WittVector
 
@@ -372,35 +381,46 @@ def witt_standard_form(w, base):
 
 # ------------------------------------------------------- invariants ----
 
-def _local_series_inputs(c, place):
+def _local_series_inputs(c, place, orders=None):
     """Expand every term of a global class at a place, each series to the
-    precision the residue reads (`_precision_needs`); yields
+    precision the residue reads (`_precision_needs`); orders gives, per
+    term, the coordinate valuations the residue reads (the zero coordinate
+    at 1) and the entry's order, by default from place_order.  Yields
     (k_field, [coord series], b series) per term."""
     field = c.field
     ctx = place_context(field, place)
     k_field = ctx.res_field
     p = field.base.p
-    for w, entries in c.terms:
-        b = entries[0]
+    if orders is None:
         # a zero coordinate is read as zero to O(t^1), valuation 1
-        vals = [1 if a.is_zero() else place_order(a, place) for a in w.coords]
+        orders = [([1 if a.is_zero() else place_order(a, place)
+                    for a in w.coords], place_order(entries[0], place))
+                  for w, entries in c.terms]
+    for (w, entries), (vals, ord_b) in zip(c.terms, orders):
         needs, rel = _precision_needs(p, c.level, vals)
         coords = [ctx.expand(a, need) for a, need in zip(w.coords, needs)]
-        bseries = ctx.expand(b, place_order(b, place) + rel)
-        yield k_field, coords, bseries
+        yield k_field, coords, ctx.expand(entries[0], ord_b + rel)
 
 
-def local_invariant(c, place):
-    """The local invariant of a degree-1 class at a place, in Z/p^level."""
+def _require_degree_one(c):
     if c.degree != 1 or any(len(entries) != 1 for _, entries in c.terms):
         raise UnsupportedDegree("local invariants exist for degree 1 only")
+
+
+def local_invariant(c, place, orders=None):
+    """The local invariant of a degree-1 class at a place, in Z/p^level.
+
+    Over F_q(t), orders is the list of (vals, ord b) per term that the
+    residue reads at this place (`reciprocity_check` reads them off its
+    factorizations); by default place_order computes them."""
+    _require_degree_one(c)
     kind = _field_kind(c.field)
     p = c.field.base.p if kind != "const" else c.field.p
     if kind == "const":
         raise UnsupportedField("constants have no places")
     total = 0
     if kind == "global":
-        for k_field, coords, b in _local_series_inputs(c, place):
+        for k_field, coords, b in _local_series_inputs(c, place, orders):
             total += local_symbol(k_field, c.level, coords, b)
         return LocalInvariant(total, place, c.level, p)
     # local field class: the only place is (t)
@@ -430,30 +450,73 @@ def _require_residue_precision(p, level, coords, b):
             f"level-{level} residue reads it to relative precision {rel}")
 
 
-def class_places(c):
-    """Places that can carry a nonzero invariant: poles of the Witt
-    coordinates, zeros and poles of the entries, and infinity.  (Where every
-    coordinate is integral and every entry is a unit the symbol vanishes.)"""
+def _infinite_order(r):
+    return r.den.degree_in(0) - r.num.degree_in(0)
+
+
+def _factor_pass(c):
+    """(places, orders) from one factorization of each distinct coordinate
+    denominator and each distinct entry of a class over F_q(t) (module
+    docstring).  places are the finite places where a coordinate has a pole
+    or an entry a zero or a pole, in Place order, then infinity;
+    orders(place) is the [(vals, ord b)] per term that
+    `_local_series_inputs` takes."""
     if _field_kind(c.field) != "global":
         raise UnsupportedField("places belong to classes over F_q(t)")
-    out = set()
     base = c.field.base
+    # orders at a place are read from {place polynomial: valuation} dicts,
+    # in which None, the polynomial of infinity, keys deg den - deg num
+    den_factors, entry_orders = {}, {}
+    polys = set()
+    terms = []
     for w, entries in c.terms:
+        vals = []
         for a in w.coords:
-            den = to_dense(a.den, base)
-            if den.degree >= 1:
-                for f, _ in factor(den):
-                    out.add(Place(f, c.field.vars[0]))
+            if a.is_zero():
+                vals.append(None)
+                continue
+            if a.den not in den_factors:
+                den = to_dense(a.den, base)
+                den_factors[a.den] = factor(den) if den.degree >= 1 else []
+                polys.update(f for f, _ in den_factors[a.den])
+            v = {f: -m for f, m in den_factors[a.den]}
+            v[None] = _infinite_order(a)
+            vals.append(v)
         for b in entries:
-            out |= support_places(b)
-    places = sorted(out, key=Place.sort_key)
+            if b not in entry_orders:
+                v = entry_orders[b] = dict(factor_ratfunc(b))
+                polys.update(v)
+                v[None] = _infinite_order(b)
+        terms.append((vals, entries))
+    var = c.field.vars[0]
+    places = sorted((Place(f, var) for f in polys), key=Place.sort_key)
     places.append(Place.infinity())
-    return places
+
+    def orders(place):
+        return [([1 if v is None else v.get(place.poly, 0) for v in vals],
+                 entry_orders[entries[0]].get(place.poly, 0))
+                for vals, entries in terms]
+    return places, orders
+
+
+def class_places(c):
+    """Places that can carry a nonzero invariant: poles of the Witt
+    coordinates, zeros and poles of the entries, and infinity, read off the
+    same factorizations as `reciprocity_check`.  (Where every coordinate is
+    integral and every entry is a unit the symbol vanishes.)"""
+    return _factor_pass(c)[0]
 
 
 def reciprocity_check(c):
-    """(sum of all local invariants == 0, the invariant table)."""
-    table = [local_invariant(c, pl) for pl in class_places(c)]
+    """(sum of all local invariants == 0, the invariant table).
+
+    A class of degree other than 1 is refused before anything is factored.
+    Each distinct coordinate denominator and entry is factored once; the
+    places and every order the residue reads come from those factors, with
+    no place_order per place."""
+    _require_degree_one(c)
+    places, orders = _factor_pass(c)
+    table = [local_invariant(c, pl, orders(pl)) for pl in places]
     mod = c.field.base.p ** c.level
     total = sum(inv.value for inv in table) % mod
     return total == 0, table

@@ -80,6 +80,10 @@ class PlaceContext:
         self.field = field
         self.place = place
         base = field.base
+        if not place.is_infinite and place.poly.field is not base:
+            raise ConfigMismatch(
+                f"place {place!r} is over {place.poly.field!r}, "
+                f"not over {base!r}")
         from .gf import gf
         self.res_field = gf(base.p, base.e * place.degree)
         self.lift, self.drop = subfield_codes(base, self.res_field)

@@ -7,7 +7,8 @@ arithmetic runs on the code kernels in ``mpoly`` (``_code_mul``,
 ``_code_divmod``, ...) over the field's ``tables``.  Factorization is
 squarefree decomposition (with p-th-root descent for the inseparable step),
 then distinct-degree, then equal-degree splitting seeded deterministically
-from the input so identical inputs factor identically in any call order.
+from the input so identical inputs factor identically in any call order; a
+polynomial of degree 1, the base case, is its own factor.
 """
 
 import random
@@ -272,10 +273,14 @@ def _seed_for(f):
 def factor(f):
     """Monic irreducible factors with multiplicities; prod * lc == f.
 
+    A polynomial of degree 1 is its own factor, [(f.monic(), 1)]; any other
+    goes through the squarefree, distinct-degree and equal-degree stages.
     Deterministic: the equal-degree stage derives its RNG seed from the input.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
+    if f.degree == 1:
+        return [(f.monic(), 1)]
     factors = {}
     for g, mult in squarefree_decomposition(f):
         for h, d in _distinct_degree(g):

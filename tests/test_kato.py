@@ -13,7 +13,8 @@ from katoforge import (ConfigMismatch, DivisionByZero, HClass,
                        WittVector, colimit_equal, ColimitClass,
                        decompose_local, func_field, gf, h_zero_test,
                        laurent_field, level_shift, local_invariant, pair,
-                       reciprocity_check, witt_standard_form)
+                       reciprocity_check, residue_at, witt_standard_form)
+from katoforge import kato as kato_module, poly as poly_module
 from katoforge.kato import _t_place, class_places, local_symbol
 from katoforge.milnor import _has_steinberg_pair, symbol_expand
 from katoforge.places import PlaceContext
@@ -291,6 +292,13 @@ def _irreducible(K, d):
             return f
 
 
+def _linear(rng, K):
+    """a t + b with a, b distinct random constants; t + b when a is 0."""
+    t = K.var("t")
+    a, b = (K.const(c) for c in rng.sample(list(K.base.elements()), 2))
+    return a * t + b if not a.is_zero() else t + b
+
+
 def _oracle_classes(p, e, level):
     """Degree-1 classes over F_q(t) whose tables meet places of degree 1-3
     and infinity.  In w, coordinate 0 has poles at t and at a degree-2
@@ -304,8 +312,7 @@ def _oracle_classes(p, e, level):
     rng = random.Random(1000 * p + 10 * e + level)
 
     def lin():
-        a, b = (K.const(c) for c in rng.sample(list(K.base.elements()), 2))
-        return a * t + b if not a.is_zero() else t + b
+        return _linear(rng, K)
 
     coords = [lin() / (t * q2)] + [t * lin() for _ in range(level - 1)]
     if level >= 2:
@@ -340,6 +347,84 @@ def test_local_invariant_matches_uniform_ghost_oracle(p, e, level):
             nonzero += bool(got)
     assert degrees == {0, 1, 2, 3}
     assert nonzero
+
+
+def _factor_pass_classes(p, e, level):
+    """Classes built without normalization whose tables read every order
+    the factor pass gives: entries with denominators, squared and cubed
+    factors and a constant; coordinate 0 with poles of order 1 and 2 at
+    places of degree 1 and 2, coordinate 1 zero or vanishing where an entry
+    does, at a place of degree 3."""
+    K = func_field(gf(p, e), ("t",))
+    t, one = K.var("t"), K.one
+    s = t + one
+    q2, q3 = _irreducible(K, 2), _irreducible(K, 3)
+    rng = random.Random(2000 * p + 10 * e + level)
+    const = K.const(max(K.base.elements(), key=lambda c: c.idx))
+
+    def lin():
+        return _linear(rng, K)
+
+    def w(c0, c1):
+        return WittVector(p, tuple([c0, c1] + [t * lin()
+                                               for _ in range(level)])[:level])
+
+    terms = [(w(lin() / (t * t * q2), t * q3 * lin()),
+              (s * s * q3 / (t * q2 * q2),)),
+             (w(lin() / (s * q3), K.zero), (const,)),
+             (w(lin() / (s * s), lin()), (t ** 3 * q2 / (q3 * q3),)),
+             (WittVector(p, (K.zero,) * level), (t / s,))]
+    return [HClass(K, 1, level, terms, normalize=False),
+            HClass(K, 1, level, terms[2:], normalize=False),
+            HClass.build(K, terms[0][0], (q3 * q3,))]
+
+
+@pytest.mark.parametrize("p,e,level", ORACLE_CELLS)
+def test_table_orders_match_place_order(p, e, level):
+    """reciprocity_check reads the orders off one factorization per class;
+    local_invariant at a single place computes them with place_order.  The
+    two agree at every place of the table, which is class_places."""
+    degrees, nonzero = set(), 0
+    for c in _factor_pass_classes(p, e, level) + _oracle_classes(p, e, level):
+        ok, table = reciprocity_check(c)
+        assert ok, c
+        assert [inv.place for inv in table] == class_places(c)
+        for inv in table:
+            assert inv == local_invariant(c, inv.place), (c, inv.place)
+            degrees.add(0 if inv.place.is_infinite else inv.place.degree)
+            nonzero += bool(inv.value)
+    assert degrees == {0, 1, 2, 3}
+    assert nonzero
+
+
+@pytest.mark.parametrize("degree,entries", [(0, 0), (2, 2), (1, 2)])
+def test_reciprocity_refuses_other_degrees_before_factoring(
+        K2, degree, entries, monkeypatch):
+    t = K2.var("t")
+    b = (t, t + K2.one)[:entries]
+    c = HClass(K2, degree, 1, [(_w(2, K2.one / (t * t + t + K2.one)), b)],
+               normalize=False)
+
+    def no_factoring(*args):
+        raise AssertionError("factored a class it refuses")
+
+    for module, name in ((kato_module, "factor"),
+                         (kato_module, "factor_ratfunc"),
+                         (poly_module, "factor")):
+        monkeypatch.setattr(module, name, no_factoring)
+    with pytest.raises(UnsupportedDegree):
+        reciprocity_check(c)
+
+
+def test_place_over_another_field_is_refused(K2):
+    F4 = gf(2, 2)
+    place = Place(Poly(F4, [F4.gen, F4.one]))          # t + z over GF(4)
+    t = K2.var("t")
+    c = HClass.build(K2, _w(2, K2.one / t), (t + K2.one,))
+    with pytest.raises(ConfigMismatch, match=r"GF\(2\^2\).*GF\(2\)"):
+        local_invariant(c, place)
+    with pytest.raises(ConfigMismatch, match=r"GF\(2\^2\).*GF\(2\)"):
+        residue_at(K2.one / t, place)
 
 
 @pytest.mark.parametrize("p,e,level", ORACLE_CELLS)

@@ -5,7 +5,8 @@ import pytest
 
 from katoforge import (ConfigMismatch, MPoly, Poly, ResourceLimit,
                        ZeroPolynomial, factor, gf, is_irreducible)
-from katoforge.poly import squarefree_decomposition
+from katoforge.poly import (_distinct_degree, _equal_degree_split, _poly_key,
+                            _seed_for, squarefree_decomposition)
 
 from conftest import run_optimized
 
@@ -145,3 +146,52 @@ def test_negative_exponents_raise_in_optimized_mode():
             "    except ResourceLimit:\n"
             "        print('refused')\n")
     assert run_optimized(code) == "refused\nrefused\nrefused\n"
+
+
+def _staged_factor(f):
+    """factor's squarefree, distinct-degree and equal-degree stages with no
+    degree-1 base case: the reference the base case must agree with."""
+    factors = {}
+    for g, mult in squarefree_decomposition(f):
+        for h, d in _distinct_degree(g):
+            for irr in _equal_degree_split(h, d, random.Random(_seed_for(h))):
+                factors[irr] = factors.get(irr, 0) + mult
+    return sorted(factors.items(),
+                  key=lambda gm: (gm[0].degree, _poly_key(gm[0])))
+
+
+def _degree_one_codes(F):
+    """(a, b) codes of a*x + b: all of them over fields of order <= 9;
+    over GF(2^9), whose inverses are computed when read (a^(q-2), about
+    0.2 ms each), every a with five b and every b with a = 1 and a = z."""
+    if F.order <= 9:
+        return itertools.product(range(1, F.order), range(F.order))
+    rng = random.Random(F.order)
+    pairs = {(a, b) for a in range(1, F.order)
+             for b in [0, 1, a] + rng.sample(range(F.order), 2)}
+    pairs |= {(a, b) for a in (1, F.gen.idx) for b in range(F.order)}
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2),
+                                 (2, 9)])
+def test_factor_degree_one_is_its_own_factor(p, e):
+    F = gf(p, e)
+    for a, b in _degree_one_codes(F):
+        f = Poly._from_codes(F, [b, a])
+        fs = factor(f)
+        assert fs == [(f.monic(), 1)], f
+        assert Poly._from_codes(F, [a]) * fs[0][0] == f
+        if F.order <= 9:
+            assert fs == _staged_factor(f), f
+
+
+@pytest.mark.parametrize("p,e,degrees", [(2, 1, (2, 3, 4)), (3, 1, (2, 3, 4)),
+                                         (2, 2, (2, 3))])
+def test_factor_matches_the_staged_path(p, e, degrees):
+    F = gf(p, e)
+    for d in degrees:
+        for codes in itertools.product(range(F.order), repeat=d):
+            for lead in (1, F.order - 1):
+                f = Poly._from_codes(F, list(codes) + [lead])
+                assert factor(f) == _staged_factor(f), f
