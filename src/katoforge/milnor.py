@@ -48,16 +48,27 @@ class MilnorElement:
         self.terms = {s: c for s, c in terms.items() if c}
 
     @classmethod
+    def _from_terms(cls, field, degree, terms):
+        """The element whose terms are the dict ``terms`` of nonzero
+        coefficients, taken as it is."""
+        x = cls.__new__(cls)
+        x.field = field
+        x.degree = degree
+        x.terms = terms
+        return x
+
+    @classmethod
     def symbol(cls, field, entries, coeff=1):
         entries = tuple(entries)
         for a in entries:
             if a.is_zero():
                 raise DlogOfZero("symbol entries must be nonzero")
-        return cls(field, len(entries), {entries: coeff})
+        return cls._from_terms(field, len(entries),
+                               {entries: coeff} if coeff else {})
 
     @classmethod
     def zero(cls, field, degree):
-        return cls(field, degree, {})
+        return cls._from_terms(field, degree, {})
 
     def is_formally_zero(self):
         return not self.terms
@@ -69,23 +80,32 @@ class MilnorElement:
             raise DegreeMismatch(
                 f"degree {self.degree} vs {other.degree}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other; a term whose sum is 0 is deleted in place."""
         self._check(other)
         t = dict(self.terms)
         for s, c in other.terms.items():
-            t[s] = t.get(s, 0) + c
-        return MilnorElement(self.field, self.degree, t)
+            c = t.get(s, 0) + sign * c
+            if c:
+                t[s] = c
+            else:
+                del t[s]
+        return MilnorElement._from_terms(self.field, self.degree, t)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __neg__(self):
-        return MilnorElement(self.field, self.degree,
-                             {s: -c for s, c in self.terms.items()})
+        return MilnorElement._from_terms(
+            self.field, self.degree, {s: -c for s, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def int_mul(self, m):
-        return MilnorElement(self.field, self.degree,
-                             {s: m * c for s, c in self.terms.items()})
+        return MilnorElement._from_terms(
+            self.field, self.degree,
+            {s: m * c for s, c in self.terms.items()} if m else {})
 
     def map_entries(self, fn, field=None):
         out = MilnorElement.zero(field or self.field, self.degree)
@@ -167,7 +187,8 @@ def symbol_expand(s):
             if _has_steinberg_pair(entries, F):
                 continue
             out[entries] = (out.get(entries, 0) + c) % p
-    return MilnorElement(F, s.degree, {k: v for k, v in out.items() if v})
+    return MilnorElement._from_terms(F, s.degree,
+                                     {k: v for k, v in out.items() if v})
 
 
 def _has_steinberg_pair(entries, F):

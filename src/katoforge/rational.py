@@ -13,7 +13,8 @@ the GCD of the whole result (Henrici, JACM 1956; Knuth, TAOCP 2, 4.5.1):
   GCD, only the rescale that keeps the denominator monic.
 
 Only construction from outside (RatFunc(field, num, den)), derivative and
-the p-power components run the full normalization, one GCD of num and den.
+the p-power components run the full normalization, one GCD of num and den;
+for a component that den is x^t R S below, not f's own denominator.
 Among the forms and symbols, that means DiffForm.d, the Cartier operator,
 and one RatFunc per symbol and index set of a nonzero milnor.d_symbol
 coefficient.  The rest does not: forms.dlog reduces (n'd - nd')/(nd), for
@@ -22,13 +23,19 @@ GCDs; DiffForm.is_closed and a zero d_symbol coefficient are decided over
 a common denominator by polynomial products, with no GCD at all.
 
 The p-power decomposition f = sum_e g_e^p * x^e over e in {0..p-1}^k is the
-workhorse behind the Cartier operator: denominators are cleared by den^p, the
-polynomial part splits coefficient-wise using p-th roots, and den divides
-back out.
+workhorse behind the Cartier operator.  The denominator den = x^a D1 (a its
+componentwise minimum exponent) is cleared by the p-th power (x^t R S)^p,
+t = ceil(a/p): R = D1^(1/p), read off coefficient-wise, when every exponent
+of D1 is a multiple of p, and S = D1 otherwise (the other one is 1).  The
+polynomial num x^(pt - a) S^(p-1) splits coefficient-wise using p-th roots,
+and each component is its part over x^t R S.  For the den = d^p of an
+inverse Cartier image that takes no polynomial product, and the normalizing
+GCD runs against d, not d^p.
 """
 
 from functools import lru_cache
 from itertools import product
+from operator import add as _exp_add, sub as _exp_sub
 
 from .errors import ConfigMismatch, DivisionByZero, NotConstant
 from .mpoly import MPoly, exact_div, format_mpoly, mpoly_gcd
@@ -234,44 +241,63 @@ def _map_poly(f, field, var_images):
 
 
 def _p_power_split(f, pattern=None):
-    """{e: {m: c^(1/p)}} over the terms c x^(p m + e) of num * den^(p-1),
-    c and c^(1/p) element codes, restricted to e == pattern when a pattern
-    is given.
+    """({e: {m: c^(1/p)}}, x^t R S): f = P / (x^t R S)^p for the polynomial
+    P with the terms c x^(p m + e), c and c^(1/p) element codes, restricted
+    to e == pattern when a pattern is given.
 
-    Since f = (num * den^(p-1)) / den^p, the component g_e of f is the
-    polynomial with these terms over den.
+    For den = x^a D1, a the componentwise minimum exponent of den, and
+    t = ceil(a / p): when every exponent of D1 is a multiple of p, D1 = R^p
+    with R read off coefficient-wise and S = 1; otherwise R = 1 and S = D1.
+    Then f = num x^(pt - a) S^(p-1) / (x^t R S)^p, so the component g_e of
+    f is the polynomial with these terms over x^t R S.  The monomials are
+    exponent shifts, and R is monic because den is.
     """
     base = f.field.base
     p = base.p
     n = p ** (base.e - 1)     # c^(1/p) = c^(p^(e-1)) in GF(p^e)
+    den = f.den.terms
+    a = tuple(map(min, zip(*den)))
+    t = tuple(-(-x // p) for x in a)
+    d1 = [(tuple(map(_exp_sub, m, a)), c) for m, c in den.items()]
+    if all(x % p == 0 for m, _ in d1 for x in m):
+        top = f.num.terms
+        bottom = {tuple(x // p + y for x, y in zip(m, t)): base._code_pow(c, n)
+                  for m, c in d1}
+    else:
+        S = MPoly._from_codes(base, f.field.k, dict(d1))
+        top = (f.num * S ** (p - 1)).terms
+        bottom = {tuple(map(_exp_add, m, t)): c for m, c in d1}
+    shift = tuple(p * y - x for x, y in zip(a, t))
     parts = {}
-    for mono, c in (f.num * f.den ** (p - 1)).terms.items():
+    for mono, c in top.items():
+        mono = tuple(map(_exp_add, mono, shift))
         e = tuple(x % p for x in mono)
         if pattern is None or e == pattern:
             root = tuple(x // p for x in mono)
             parts.setdefault(e, {})[root] = base._code_pow(c, n)
-    return parts
+    return parts, MPoly._from_codes(base, f.field.k, bottom)
 
 
 def p_power_decompose(f):
     """{e in {0..p-1}^k: g_e} with f = sum_e g_e^p * x^e, exactly and uniquely.
 
-    Denominators are cleared with den^p: f = (num * den^(p-1)) / den^p, the
-    polynomial splits term-by-term via p-th roots of coefficients and exponent
-    residues, then den divides back out of each component.
+    Denominators are cleared with the p-th power (x^t R S)^p of
+    `_p_power_split`: the polynomial num x^(pt - a) S^(p-1) splits
+    term-by-term via p-th roots of coefficients and exponent residues, and
+    each component is that part over x^t R S, normalized.
     """
     F = f.field
-    parts = _p_power_split(f)
+    parts, den = _p_power_split(f)
     return {e: RatFunc(F, MPoly._from_codes(F.base, F.k, parts.get(e, {})),
-                       f.den)
+                       den)
             for e in product(range(F.base.p), repeat=F.k)}
 
 
 def p_power_component(f, e):
     """The component g_e of p_power_decompose(f), computed alone."""
     F = f.field
-    terms = _p_power_split(f, e).get(e, {})
-    return RatFunc(F, MPoly._from_codes(F.base, F.k, terms), f.den)
+    parts, den = _p_power_split(f, e)
+    return RatFunc(F, MPoly._from_codes(F.base, F.k, parts.get(e, {})), den)
 
 
 def p_power_rebuild(parts, field):

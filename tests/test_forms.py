@@ -292,6 +292,33 @@ def test_closedness_and_dlog_computed_once(monkeypatch):
     assert gcds == [[0], [0]]
 
 
+def test_p_power_component_reads_the_pth_root(monkeypatch):
+    """For a denominator x^a R^p, p_power_component takes no polynomial
+    product, and its one GCD is against x^t R, t = ceil(a/p), not den."""
+    L = func_field(gf(3), ("x", "y"))
+    x, y = L.var("x"), L.var("y")
+    r = x + y * y
+    cases = [  # (f, pattern, x^t R, component)
+        ((x ** 7 * y + x ** 4 * y ** 7 + L.one) / r ** 3, (1, 1), r, x),
+        ((x * y + L.one) / (x * x * r ** 3), (2, 1), x * r, L.one / (x * r)),
+        ((x * y + L.one) / (x * x * r ** 3), (1, 0), x * r, L.one / (x * r)),
+    ]
+    muls = _count_calls(monkeypatch, rational.MPoly, "__mul__")
+    operands = []
+    orig = rational.mpoly_gcd
+
+    def recorded(f, g):
+        operands.append((f, g))
+        return orig(f, g)
+    monkeypatch.setattr(rational, "mpoly_gcd", recorded)
+    for f, pattern, root, g in cases:
+        operands.clear()
+        assert rational.p_power_component(f, pattern) == g
+        assert muls == [0]
+        assert len(operands) == 1 and root.num in operands[0]
+        assert f.den not in operands[0]
+
+
 def test_cartier_of_non_closed_form_raises_under_optimize():
     """cartier() checks closedness with a typed error, not an assert."""
     code = ("from katoforge import DiffForm, NotClosed, func_field, gf\n"

@@ -28,6 +28,22 @@ def test_steinberg_and_bilinearity():
     assert expanded.terms == {(tm, ym): 2}
 
 
+def test_terms_hold_no_zero_coefficient():
+    """Sums, differences, multiples and symbols drop a zero coefficient, so
+    a cancelled element is formally zero."""
+    K = func_field(gf(3), ("x", "y"))
+    x, y = K.var("x"), K.var("y")
+    a, b = _sym(K, [x, y]), _sym(K, [y, x + y], 2)
+    assert (a - a).is_formally_zero()
+    assert (a + a.int_mul(-1)).is_formally_zero()
+    assert a.int_mul(0).is_formally_zero()
+    assert _sym(K, [x, y], 0).is_formally_zero()
+    assert MilnorElement(K, 2, {(x, y): 0}).is_formally_zero()
+    assert ((a + b) - a).terms == b.terms
+    assert (a - b + b).terms == {(x, y): 1}
+    assert (-(a - b)).terms == {(x, y): -1, (y, x + y): 2}
+
+
 def test_repeated_slot_drops():
     K = func_field(gf(2), ("x", "y"))
     x = K.var("x")

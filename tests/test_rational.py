@@ -12,6 +12,7 @@ from katoforge.mpoly import (_code_divmod, _code_eval, _code_gcd, _code_mul,
 from katoforge.poly import Poly
 
 from conftest import ORACLE_FIELDS, mpolys, random_ratfunc
+from p_power_oracle import p_power_component_full
 from prs_oracle import prs_gcd
 
 
@@ -327,6 +328,63 @@ def test_p_power_roundtrip(p, e, vars):
         assert len(parts) == p ** len(vars)
         for pattern, g in parts.items():
             assert p_power_component(f, pattern) == g
+
+
+# GF(2), GF(3), GF(4), GF(5), GF(8), GF(9) in one, two and three variables
+P_POWER_FIELDS = [(p, e, vars) for p, e in [(2, 1), (3, 1), (2, 2), (5, 1),
+                                            (2, 3), (3, 2)]
+                  for vars in [("t",), ("x", "y"), ("x", "y", "z")]]
+
+
+@st.composite
+def p_power_inputs(draw, K):
+    """f whose denominator is drawn as a p-th power, a monomial times one,
+    any polynomial or a constant; or f = g^p x^e, the shape cartier_inv
+    makes.  Normalization may cancel part of the drawn denominator."""
+    p = K.base.p
+    shape = draw(st.sampled_from(["power", "monomial_power", "other",
+                                  "const", "fp_xe"]))
+    num = draw(mpolys(K, min_terms=1))
+    d = draw(mpolys(K, min_terms=1))
+    if shape == "power":
+        den = d ** p
+    elif shape == "monomial_power":
+        den = draw(monomials(K)) * d ** p
+    elif shape == "const":
+        den = MPoly.const(K.base, K.k, draw(st.sampled_from(
+            [c for c in K.base.elements() if c])))
+    else:
+        den = d
+    f = K.from_poly(num, den)
+    if shape == "fp_xe":
+        e = draw(st.tuples(*[st.integers(0, p - 1)] * K.k))
+        f = f ** p * K.from_poly(MPoly(K.base, K.k, {e: K.base.one}))
+    return f
+
+
+@pytest.mark.parametrize("p,e,vars", P_POWER_FIELDS)
+@given(data=st.data())
+def test_p_power_components_match_full_denominator(p, e, vars, data):
+    """Every component, alone and in the decomposition, equals the one read
+    off num den^(p-1) over den."""
+    K = func_field(gf(p, e), vars)
+    f = data.draw(p_power_inputs(K))
+    for pattern, g in p_power_decompose(f).items():
+        assert g == p_power_component_full(f, pattern)
+        assert p_power_component(f, pattern) == g
+
+
+def test_p_power_component_normalizing_gcd():
+    """Over x^t R = x + y the components of (x^3 + x y^2 + 1)/(x + y)^2
+    cancel a common factor x + y."""
+    K = func_field(gf(2), ("x", "y"))
+    x, y = K.var("x"), K.var("y")
+    f = (x ** 3 + x * y * y + K.one) / (x + y) ** 2
+    assert p_power_component(f, (1, 0)) == K.one
+    assert p_power_component(f, (0, 0)) == K.one / (x + y)
+    parts = p_power_decompose(f)
+    assert parts[(1, 0)] == K.one and parts[(0, 0)] == K.one / (x + y)
+    assert parts[(0, 1)].is_zero() and parts[(1, 1)].is_zero()
 
 
 def test_derivative_quotient_rule():
