@@ -23,10 +23,12 @@ import argparse
 import json
 import operator
 import os
+import re
 import sys
+import tempfile
 
-from .errors import (ConfigMismatch, KatoforgeError, ScriptError,
-                     UnknownName)
+from .errors import (ConfigMismatch, CorruptCache, KatoforgeError,
+                     ScriptError, UnknownName, VerifyMismatch)
 from .forms import DiffForm, d_of_function
 from .gf import GF, gf
 from .kato import (HClass, LaurentField, laurent_field, level_shift,
@@ -36,8 +38,7 @@ from .milnor import MilnorElement, d_symbol
 from .places import Place
 from .poly import Poly, to_dense
 from .rational import FuncField, RatFunc, func_field
-from .witt import (WittVector, _cache_filename, set_cache_dir,
-                   verify_cache_file, witt_structure)
+from .witt import WittStructure, WittVector, witt_structure
 
 # ------------------------------------------------------------ lexer ----
 
@@ -633,13 +634,67 @@ def run_script(text, json_mode=False, precision=16, keep_going=False,
 
 # ------------------------------------------------------------- cache ----
 
+# The library generates Witt structures in memory and reads no file; this
+# sub-command alone writes, checks and deletes their text form
+# (``WittStructure.to_text``), one file ``wittpoly-v1-p{p}-i{i}.txt`` each:
+#
+#     WITTPOLY v1 p=<p> i=<i>
+#     POLY S 0
+#     <coefficient> <2i exponents: a_0..a_{i-1} b_0..b_{i-1}>
+#     ...
+#     POLY P 0
+#     ...
+#     POLY N 0        (negation; derived, stored for completeness)
+
+_CACHE_NAME = re.compile(r"wittpoly-v1-p(\d+)-i(\d+)\.txt")
+
+
+def _cache_filename(p, i):
+    return f"wittpoly-v1-p{p}-i{i}.txt"
+
+
+def _atomic_write(path, text):
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=".wittpoly-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def verify_cache_file(path):
+    """Check a structure file against the generated structure for the
+    (p, i) its name gives: CorruptCache if the name or the file is
+    malformed, VerifyMismatch if the file differs from the generated
+    text."""
+    name = _CACHE_NAME.fullmatch(os.path.basename(path))
+    if name is None:
+        raise CorruptCache(f"not a structure file name: {path}")
+    p, i = int(name[1]), int(name[2])
+    expected = witt_structure(p, i).to_text()
+    with open(path, errors="replace") as fh:
+        text = fh.read()
+    try:
+        WittStructure.from_text(text, p, i)
+    except CorruptCache as exc:
+        raise CorruptCache(f"{path}: {exc}") from None
+    if text != expected:
+        raise VerifyMismatch(path)
+
+
 def cache_warm(cdir, pairs):
     os.makedirs(cdir, exist_ok=True)
     report = []
     for p, imax in pairs:
         for i in range(1, imax + 1):
-            witt_structure(p, i, cache_dir=cdir)
-            report.append(_cache_filename(p, i))
+            name = _cache_filename(p, i)
+            _atomic_write(os.path.join(cdir, name),
+                          witt_structure(p, i).to_text())
+            report.append(name)
     return report
 
 
@@ -802,8 +857,6 @@ def main(argv=None):
     if first is not None and first not in ("run", "cache", "selftest"):
         argv = ["run"] + argv
     args = ap.parse_args(argv, defaults)
-    if args.cache_dir:
-        set_cache_dir(args.cache_dir)
 
     if args.command == "cache":
         cdir = args.cache_dir
@@ -821,6 +874,10 @@ def main(argv=None):
                     print(f"{name}: removed")
         except KatoforgeError as exc:
             print(exc, file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"katoforge: cache: {exc.filename or cdir}: {exc.strerror}",
+                  file=sys.stderr)
             return 1
         return 0
 

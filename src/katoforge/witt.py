@@ -5,19 +5,9 @@ universal sum/product polynomials.  They have integer coefficients and are
 solved from the ghost equations w_n(X) = G_n one coordinate at a time, each
 by one exact division by p^n of an integer polynomial
 (IntegralityViolation otherwise, which would mean a bug).
-Structures are cached in memory and, when a cache directory is configured,
-on disk as ``wittpoly-v1-p{p}-i{i}.txt``:
-
-    WITTPOLY v1 p=<p> i=<i>
-    POLY S 0
-    <coefficient> <2i exponents: a_0..a_{i-1} b_0..b_{i-1}>
-    ...
-    POLY P 0
-    ...
-    POLY N 0        (negation; derived, stored for completeness)
-
-A cache file that does not parse, or whose header names another (p, i), is
-regenerated and overwritten.
+Structures are generated at first use and memoized; no file is read or
+written.  ``WittStructure.to_text`` is their text form, which the CLI's
+``cache`` sub-command writes and checks.
 
 Those coordinate universes only need +, -, * (including by int) and ** with
 int exponents.  Over a finite field GF(p^e), W_i *is* the Galois ring
@@ -35,25 +25,20 @@ stay on the integer polynomials.
 """
 
 import operator
-import os
-import re
-import tempfile
 
 from .errors import (ConfigMismatch, CorruptCache, IntegralityViolation,
-                     NonPrime, ResourceLimit, UnsupportedField,
-                     VerifyMismatch)
+                     NonPrime, ResourceLimit, UnsupportedField)
 from .gf import GFElem, gf, is_prime
 from .gring import galois_ring
 from .power import binary_power
 
-_CACHE_DIR = os.environ.get("KATOFORGE_CACHE")
 _RING_OPS = {"S": operator.add, "P": operator.mul, "D": operator.sub}
 _memory_cache = {}
 
 
 def set_cache_dir(path):
-    global _CACHE_DIR
-    _CACHE_DIR = path
+    """Does nothing: Witt structures are generated in memory, and no
+    directory is read or written."""
 
 
 # ------------------------------------------------ integer polynomials ----
@@ -147,8 +132,8 @@ class WittStructure:
     def reduced(self, tag):
         """The polynomials of tag S, P or N as evaluated in characteristic
         p: per coordinate, the (exponent, c mod p) pairs with c mod p
-        nonzero, in exponent order.  Derived at first use, so generating or
-        loading a structure does not pay for it."""
+        nonzero, in exponent order.  Derived at first use, so generating a
+        structure does not pay for it."""
         out = self._reduced.get(tag)
         if out is None:
             polys = {"S": self.sums, "P": self.prods, "N": self.negs}[tag]
@@ -200,13 +185,6 @@ def _header(p, i):
     return f"WITTPOLY v1 p={p} i={i}"
 
 
-def _cache_filename(p, i):
-    return f"wittpoly-v1-p{p}-i{i}.txt"
-
-
-_CACHE_NAME = re.compile(r"wittpoly-v1-p(\d+)-i(\d+)\.txt")
-
-
 def _check_request(p, i):
     if not is_prime(p):
         raise NonPrime(p)
@@ -218,75 +196,13 @@ def _check_request(p, i):
             f"(max i={max_structure_level(p)})")
 
 
-def witt_structure(p, i, cache_dir=None):
-    """The structure for W_i over char p, generated or loaded from cache."""
+def witt_structure(p, i):
+    """The structure for W_i over char p, generated at first use."""
     _check_request(p, i)
-    key = (p, i)
-    cdir = cache_dir or _CACHE_DIR
-    if key in _memory_cache:
-        struct = _memory_cache[key]
-        if cdir and not os.path.exists(os.path.join(cdir,
-                                                    _cache_filename(p, i))):
-            _atomic_write(os.path.join(cdir, _cache_filename(p, i)),
-                          struct.to_text())
-        return struct
-    struct = _read_cached(cdir, p, i) if cdir else None
+    struct = _memory_cache.get((p, i))
     if struct is None:
-        struct = WittStructure(p, i, *_generate(p, i))
-        if cdir:
-            _atomic_write(os.path.join(cdir, _cache_filename(p, i)),
-                          struct.to_text())
-    _memory_cache[key] = struct
+        struct = _memory_cache[p, i] = WittStructure(p, i, *_generate(p, i))
     return struct
-
-
-def _read_text(path):
-    with open(path, errors="replace") as fh:
-        return fh.read()
-
-
-def _read_cached(cdir, p, i):
-    """The cached structure for (p, i), or None when the file is missing or
-    corrupt: unparsable, or its header names another structure."""
-    path = os.path.join(cdir, _cache_filename(p, i))
-    if not os.path.exists(path):
-        return None
-    try:
-        return WittStructure.from_text(_read_text(path), p, i)
-    except CorruptCache:
-        return None
-
-
-def verify_cache_file(path):
-    """Check a structure file against a fresh generation of the (p, i) its
-    name gives: CorruptCache if the name or the file is malformed,
-    VerifyMismatch if the file differs from the generated text."""
-    name = _CACHE_NAME.fullmatch(os.path.basename(path))
-    if name is None:
-        raise CorruptCache(f"not a structure file name: {path}")
-    p, i = int(name[1]), int(name[2])
-    _check_request(p, i)
-    text = _read_text(path)
-    try:
-        WittStructure.from_text(text, p, i)
-    except CorruptCache as exc:
-        raise CorruptCache(f"{path}: {exc}") from None
-    if WittStructure(p, i, *_generate(p, i)).to_text() != text:
-        raise VerifyMismatch(path)
-
-
-def _atomic_write(path, text):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=".wittpoly-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def verify_ghost_identities(p, i):

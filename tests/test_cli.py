@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -362,9 +363,8 @@ def test_cache_cycle(tmp_path):
     assert os.listdir(cdir) == []
 
 
-def test_cache_errors_are_reported(tmp_path, monkeypatch, capsys):
-    from katoforge import CorruptCache, witt
-    monkeypatch.setattr(witt, "_CACHE_DIR", None)    # main sets it
+def test_cache_errors_are_reported(tmp_path, capsys):
+    from katoforge import CorruptCache
     cdir = str(tmp_path)
     # W_3 over F_11 is past max_structure_level(11)
     assert main(["cache", "warm", "--cache-dir", cdir, "--pairs", "11:3"]) == 1
@@ -374,6 +374,20 @@ def test_cache_errors_are_reported(tmp_path, monkeypatch, capsys):
         cache_verify(cdir)
     assert main(["cache", "verify", "--cache-dir", cdir]) == 1
     assert "wittpoly-v1-p2-i1.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action,is_file,err", [
+    ("verify", False, errno.ENOENT),
+    ("clear", False, errno.ENOENT),
+    ("warm", True, errno.EEXIST),
+], ids=["verify-missing", "clear-missing", "warm-on-a-file"])
+def test_cache_on_a_bad_directory(tmp_path, capsys, action, is_file, err):
+    path = tmp_path / "cache"
+    if is_file:
+        path.write_text("")
+    assert main(["cache", action, "--cache-dir", str(path)]) == 1
+    assert capsys.readouterr().err \
+        == f"katoforge: cache: {path}: {os.strerror(err)}\n"
 
 
 @pytest.mark.parametrize("pairs,bad", [("2", "2"), ("2:x", "2:x"),
@@ -411,7 +425,6 @@ def test_flags_before_and_after_the_subcommand(flag, command, check, tmp_path,
                                                monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("KATOFORGE_CACHE", raising=False)
-    monkeypatch.setattr("katoforge.witt._CACHE_DIR", None)    # main sets it
     monkeypatch.setattr("katoforge.cli.selftest",
                         lambda seed: print("seed", seed) or 0)
     (tmp_path / "s.kf").write_text("field F = GF(2)((t))\nlet a = 1/(1+t)\n")

@@ -39,9 +39,12 @@ def test_cli_errors_match_golden(capsys, golden, argv):
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
-def test_python_dash_m_runs_the_cli():
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # KATOFORGE_CACHE names only the cache sub-command's directory: a run
+    # leaves it empty
     src = os.path.dirname(os.path.dirname(katoforge.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, KATOFORGE_CACHE=str(tmp_path))
     out = subprocess.run([sys.executable, "-m", "katoforge", SESSION],
                          env=env, capture_output=True, check=True, timeout=120)
     assert out.stdout == (GOLDEN / "session.txt").read_bytes()
+    assert os.listdir(tmp_path) == []

@@ -1,16 +1,21 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import katoforge
 from katoforge import (ConfigMismatch, CorruptCache, DivisionByZero, HClass,
                        IntegralityViolation, Laurent, ResourceLimit,
                        WittStructure,
                        WittVector, func_field, gf, int_to_witt,
                        verify_ghost_identities, witt, witt_as_solve,
                        witt_structure, witt_to_int)
+from katoforge.cli import main, verify_cache_file
 from katoforge.gring import galois_ring
 from katoforge.witt import (_eval_terms, _generate, _invert_ghost,
                             from_galois_ring, max_structure_level)
@@ -327,7 +332,6 @@ def test_finite_arithmetic_never_generates_structures(monkeypatch):
         raise AssertionError(f"generated the structure for p={p}, i={i}")
     monkeypatch.setattr(witt, "_generate", refuse)
     monkeypatch.setattr(witt, "_memory_cache", {})
-    monkeypatch.setattr(witt, "_CACHE_DIR", None)
     for (p, e, i) in [(2, 1, 4), (3, 1, 4), (2, 2, 3)]:
         F = gf(p, e)
         rng = random.Random(p + e + i)
@@ -463,14 +467,56 @@ def test_level_beyond_bound_fails_fast():
     b"WITTPOLY v1 p=2 i=10000000000000000000\n",  # a length too large to
                                                  # allocate
 ], ids=["other-p", "short-term-line", "garbage", "huge-i"])
-def test_corrupt_cache_file_is_regenerated(tmp_path, monkeypatch, data):
-    monkeypatch.setattr(witt, "_memory_cache", {})
+def test_corrupt_cache_file_is_refused(tmp_path, capsys, data):
     path = tmp_path / "wittpoly-v1-p2-i2.txt"
     path.write_bytes(data)
-    st = witt_structure(2, 2, cache_dir=str(tmp_path))
-    assert (st.p, st.i) == (2, 2)
-    assert st.sums[1] == {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1, (1, 0, 1, 0): -1}
-    assert path.read_text() == st.to_text()
+    with pytest.raises(CorruptCache):
+        verify_cache_file(str(path))
+    assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
+_SUM_OVER_F2T = """
+from katoforge import WittVector, func_field, gf
+K = func_field(gf(2), ("t",))
+t = K.var("t")
+w = WittVector(2, (K.one / t, K.zero))
+print(w + w)
+"""
+
+
+def _fresh_stdout(code, **env):
+    """stdout of code run in a new interpreter, env added to its
+    environment."""
+    src = os.path.dirname(os.path.dirname(katoforge.__file__))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src, **env),
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    return out.stdout
+
+
+def test_structure_files_are_never_read(tmp_path):
+    # S_1 = a_1 + b_1 - a_0 b_0 with -2 for -1 still parses; read, it
+    # would make [1/t, 0] + [1/t, 0] over F_2(t) come out [0, 0]
+    text = witt_structure(2, 2).to_text()
+    tampered = text.replace("\n-1 1 0 1 0\n", "\n-2 1 0 1 0\n")
+    assert tampered != text
+    WittStructure.from_text(tampered, 2, 2)
+    (tmp_path / "wittpoly-v1-p2-i2.txt").write_text(tampered)
+    cdir = str(tmp_path)
+    script = tmp_path / "sum.kf"
+    script.write_text("field F = GF(2)(t)\nlet s = [1/t, 0] + [1/t, 0]\n")
+    expected = "[0, 1/t^2]"
+    through_setter = _fresh_stdout(
+        f"import katoforge\nkatoforge.set_cache_dir({cdir!r})"
+        + _SUM_OVER_F2T)
+    through_env = _fresh_stdout(_SUM_OVER_F2T, KATOFORGE_CACHE=cdir)
+    through_main = _fresh_stdout(
+        "from katoforge.cli import main\n"
+        f"main(['--cache-dir', {cdir!r}, 'run', {str(script)!r}])")
+    assert through_setter == through_env == expected + "\n"
+    assert through_main == f"field: GF(2)(t)\nlet: {expected}\n"
 
 
 def test_from_text_raises_typed_error():
