@@ -210,12 +210,12 @@ class GF:
     """
 
     def __init__(self, p, e=1):
-        if not is_prime(p):
-            raise NonPrime(p)
         if e < 1:
             raise ResourceLimit(f"extension degree must be >= 1, got {e}")
-        if p ** e > _MAX_FIELD_ORDER:
+        if p ** e > _MAX_FIELD_ORDER:   # before is_prime, which is slow there
             raise ResourceLimit(f"field order {p}^{e} exceeds the bound")
+        if not is_prime(p):
+            raise NonPrime(p)
         self.p = p
         self.e = e
         self.digit_modulus = p  # coefficients live in Z/p
@@ -368,17 +368,24 @@ class GF:
         """
         if self.trace_int(c) != 0:
             return None
-        # x -> x^p - x is F_p-linear; solve the e x e system over Z/p.
-        basis = [self.elem([1 if i == j else 0 for i in range(self.e)])
-                 for j in range(self.e)]
-        cols = [(b.frobenius() - b).coeffs for b in basis]
-        sol = _solve_mod_p(cols, list(c.coeffs), self.p)
-        if sol is None:
-            return None
-        x = self.elem(sol)
+        # theta = z^k / Tr(z^k), the first k with Tr(z^k) != 0, has trace 1,
+        # and x = sum_{0<i<e} (sum_{j<i} theta^(p^j)) c^(p^i) then has
+        # x^p - x = c - theta Tr(c) = c
+        for k in range(self.e):
+            zk = self.elem([0] * k + [1])
+            tr = self.trace_int(zk)
+            if tr:
+                break
+        theta = zk * pow(tr, -1, self.p)
+        x = s = self.zero
+        cp = c
+        for _ in range(1, self.e):
+            s = s + theta
+            theta = theta.frobenius()
+            cp = cp.frobenius()
+            x = x + s * cp
         # the p solutions differ by constants; least c_0 wins the lex order
-        candidates = [x + self.elem(t) for t in range(self.p)]
-        return min(candidates, key=lambda v: v.coeffs)
+        return x - self.elem(x.coeffs[0])
 
     def format_elem(self, a):
         if self.e == 1:
@@ -394,37 +401,6 @@ class GF:
                 var = "z" if d == 1 else f"z^{d}"
                 terms.append(var if c == 1 else f"{c}*{var}")
         return "+".join(terms) if terms else "0"
-
-
-def _solve_mod_p(cols, rhs, p):
-    """Solve M x = rhs over Z/p where M has the given columns."""
-    n = len(rhs)
-    m = len(cols)
-    aug = [[cols[j][i] % p for j in range(m)] + [rhs[i] % p] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        sel = next((r for r in range(row, n) if aug[r][col] % p), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
-        aug[row] = [(v * inv) % p for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if aug[r][m] % p:
-            return None
-    x = [0] * m
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][m]
-    return x
 
 
 @lru_cache(maxsize=None)

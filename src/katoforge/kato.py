@@ -3,10 +3,14 @@
 An HClass is a formal sum of terms (w | b_1, ..., b_n) with w a length-i Witt
 vector and nonzero field entries b_k, taken modulo the relation families
   (F(w) - w | b...),   ((a,0,..,0) | a, b...),   (w | ..b..b..).
-No confluent rewriting is attempted: construction applies multilinear
-expansion along a factorization strategy and drops syntactic relation matches;
-equality is decided through invariants on the supported field classes
-(finite constants; F_q(t) at n = 1; F_q((t)) at n <= 1).
+Every HClass is in normal form: each entry is expanded along a fixed
+factorization strategy (`_expand_entry`; over F_q(t) a monic irreducible or a
+constant other than 1, over F_q((t)) t or a unit other than 1), no term has a
+zero vector, a repeated entry or a Teichmueller match, and the terms are
+sorted.  Only HClass(field, degree, level, terms) expands; the other
+operations take the canonical step alone.  No confluent rewriting is
+attempted: equality is decided through invariants on the supported field
+classes (finite constants; F_q(t) at n = 1; F_q((t)) at n <= 1).
 
 The local invariant at a place is the Schmid-Witt residue: coordinates and
 entry are expanded in the completion k(v)((pi)) and lifted coefficient-wise
@@ -35,12 +39,13 @@ r = 1 - val g, and val g >= min_j n_j v_j.
 
 So the residue reads only min(v_j, 0) of each coordinate and ord b of the
 entry.  A reciprocity table takes them from one factorization per class:
-each distinct coordinate denominator and entry is factored once, and at a
-finite place f, min(v_j, 0) is minus the multiplicity of f in the
-denominator of coordinate j and ord b the signed multiplicity of f in b (at
-infinity both are deg den - deg num).  The places of the table are the
-places of those factors.  local_invariant at a single place computes the
-orders with place_order, which is cheaper there than factoring.
+each distinct coordinate denominator is factored once, and at a finite
+place f, min(v_j, 0) is minus the multiplicity of f in the denominator of
+coordinate j (at infinity, deg den - deg num).  `_factor_pass` relies on the
+normal form for ord b: a monic irreducible entry f has order 1 at f and
+-deg f at infinity, a constant order 0.  The places of the table are the
+places of those polynomials.  local_invariant at a single place computes
+the orders with place_order, which is cheaper there than factoring.
 
 Completeness of the zero test over F_q(t) at n = 1 rests on the classical
 injectivity of the total local-invariant map on p-power-torsion Brauer
@@ -57,7 +62,7 @@ from .gring import galois_ring
 from .laurent import Laurent
 from .milnor import MilnorElement, _entry_factors, multilinear_expansion
 from .places import Place, place_context, place_order
-from .poly import factor, factor_ratfunc, to_dense
+from .poly import factor, to_dense
 from .rational import FuncField
 from .witt import WittVector
 
@@ -136,10 +141,6 @@ def _expand_entry(field, b):
     return out
 
 
-def _witt_is_zero(w):
-    return all(_is_zero(c) for c in w.coords)
-
-
 def _is_zero(x):
     """Zero test for a field element, rational function or series."""
     return not x if isinstance(x, GFElem) else x.is_zero()
@@ -168,19 +169,27 @@ def _term_key(w, entries):
 
 
 class HClass:
+    """A class in normal form (module docstring)."""
+
     __slots__ = ("field", "degree", "level", "terms")
 
-    def __init__(self, field, degree, level, terms, normalize=True):
+    def __init__(self, field, degree, level, terms):
         self.field = field
         self.degree = degree
         self.level = level
-        if normalize:
-            terms = _normalize_terms(field, degree, level, terms)
-        self.terms = tuple(terms)
+        self.terms = _canonical(_expanded_terms(field, terms))
+
+    @classmethod
+    def _normal(cls, field, degree, level, terms):
+        """The class of expanded terms: the canonical step, no expansion."""
+        c = cls.__new__(cls)
+        c.field, c.degree, c.level = field, degree, level
+        c.terms = _canonical(terms)
+        return c
 
     @classmethod
     def zero(cls, field, degree, level):
-        return cls(field, degree, level, ())
+        return cls._normal(field, degree, level, ())
 
     @classmethod
     def build(cls, field, w, entries):
@@ -195,21 +204,21 @@ class HClass:
                 or other.degree != self.degree or other.level != self.level):
             raise ConfigMismatch("classes of different spaces")
 
+    def _with_terms(self, terms):
+        return HClass._normal(self.field, self.degree, self.level, terms)
+
     def __add__(self, other):
         self._check(other)
-        return HClass(self.field, self.degree, self.level,
-                      self.terms + other.terms)
+        return self._with_terms(self.terms + other.terms)
 
     def __neg__(self):
-        return HClass(self.field, self.degree, self.level,
-                      [(-w, b) for w, b in self.terms], normalize=False)
+        return self._with_terms([(-w, b) for w, b in self.terms])
 
     def __sub__(self, other):
         return self + (-other)
 
     def int_mul(self, m):
-        return HClass(self.field, self.degree, self.level,
-                      [(w.int_mul(m), b) for w, b in self.terms])
+        return self._with_terms([(w.int_mul(m), b) for w, b in self.terms])
 
     def __repr__(self):
         if not self.terms:
@@ -221,7 +230,9 @@ class HClass:
         return " + ".join(parts)
 
 
-def _normalize_terms(field, degree, level, terms):
+def _expanded_terms(field, terms):
+    """The multilinear expansion of every entry: (m w | factors) for each
+    choice of factors, m the product of their multiplicities."""
     out = []
     for w, entries in terms:
         for b in entries:
@@ -229,28 +240,27 @@ def _normalize_terms(field, degree, level, terms):
                 raise ConfigMismatch("zero entry in a Witt symbol")
         for ent, m in multilinear_expansion(
                 entries, lambda b: _expand_entry(field, b)):
-            wm = w.int_mul(m)
-            if _witt_is_zero(wm):
-                continue
-            if len(set(map(_entry_key, ent))) != len(ent):
-                continue                    # repeated slot relation
-            if _teich_match(wm, ent):
-                continue                    # Teichmueller-Steinberg relation
-            out.append((wm, ent))
-    out.sort(key=lambda t: _term_key(*t))
+            out.append((w.int_mul(m), ent))
     return out
+
+
+def _canonical(terms):
+    """Expanded terms in normal form: zero vectors, repeated slots and
+    Teichmueller-Steinberg matches dropped, the rest sorted."""
+    out = [(w, ent) for w, ent in terms
+           if not all(map(_is_zero, w.coords))
+           and len(set(map(_entry_key, ent))) == len(ent)
+           and not _teich_match(w, ent)]
+    out.sort(key=lambda t: _term_key(*t))
+    return tuple(out)
 
 
 def pair(w, s):
     """The pairing (w, {b_1,...,b_n}) -> sum of Witt symbols."""
     if not isinstance(s, MilnorElement):
         raise ConfigMismatch("pair expects a Milnor element")
-    field = s.field
-    out = HClass.zero(field, s.degree, w.level)
-    for sym, c in s.terms.items():
-        out = out + HClass(field, s.degree, w.level,
-                           [(w.int_mul(c), sym)])
-    return out
+    return HClass(s.field, s.degree, w.level,
+                  [(w.int_mul(c), sym) for sym, c in s.terms.items()])
 
 
 def level_shift(c, new_level):
@@ -260,8 +270,8 @@ def level_shift(c, new_level):
     if new_level == c.level:
         return c
     d = new_level - c.level
-    return HClass(c.field, c.degree, new_level,
-                  [(w.vshift(d), b) for w, b in c.terms], normalize=False)
+    return HClass._normal(c.field, c.degree, new_level,
+                          [(w.vshift(d), b) for w, b in c.terms])
 
 
 class ColimitClass:
@@ -456,9 +466,10 @@ def _infinite_order(r):
 
 def _factor_pass(c):
     """(places, orders) from one factorization of each distinct coordinate
-    denominator and each distinct entry of a class over F_q(t) (module
+    denominator of a class over F_q(t), with each entry's orders read off
+    the entry, which the normal form leaves irreducible or constant (module
     docstring).  places are the finite places where a coordinate has a pole
-    or an entry a zero or a pole, in Place order, then infinity;
+    or an entry a zero, in Place order, then infinity;
     orders(place) is the [(vals, ord b)] per term that
     `_local_series_inputs` takes."""
     if _field_kind(c.field) != "global":
@@ -484,9 +495,11 @@ def _factor_pass(c):
             vals.append(v)
         for b in entries:
             if b not in entry_orders:
-                v = entry_orders[b] = dict(factor_ratfunc(b))
-                polys.update(v)
-                v[None] = _infinite_order(b)
+                v = entry_orders[b] = {None: _infinite_order(b)}
+                if not b.num.is_const():
+                    f = to_dense(b.num, base)
+                    v[f] = 1
+                    polys.add(f)
         terms.append((vals, entries))
     var = c.field.vars[0]
     places = sorted((Place(f, var) for f in polys), key=Place.sort_key)
@@ -501,8 +514,8 @@ def _factor_pass(c):
 
 def class_places(c):
     """Places that can carry a nonzero invariant: poles of the Witt
-    coordinates, zeros and poles of the entries, and infinity, read off the
-    same factorizations as `reciprocity_check`.  (Where every coordinate is
+    coordinates, zeros of the entries, and infinity, read off the same
+    factorizations as `reciprocity_check`.  (Where every coordinate is
     integral and every entry is a unit the symbol vanishes.)"""
     return _factor_pass(c)[0]
 
@@ -511,9 +524,9 @@ def reciprocity_check(c):
     """(sum of all local invariants == 0, the invariant table).
 
     A class of degree other than 1 is refused before anything is factored.
-    Each distinct coordinate denominator and entry is factored once; the
-    places and every order the residue reads come from those factors, with
-    no place_order per place."""
+    Each distinct coordinate denominator is factored once and no entry is;
+    the places and every order the residue reads come from those factors
+    and the entries, with no place_order per place."""
     _require_degree_one(c)
     places, orders = _factor_pass(c)
     table = [local_invariant(c, pl, orders(pl)) for pl in places]
@@ -538,8 +551,7 @@ def decompose_local(c):
         raise UnsupportedDegree("decomposition implemented for degree 1")
     base = c.field.base
     p = base.p
-    spec = HClass.zero(base, 1, c.level)
-    resid = HClass.zero(base, 0, c.level)
+    spec, resid = [], []
     for w, entries in c.terms:
         b = entries[0]
         red, wild = witt_standard_form(w, base)
@@ -548,10 +560,12 @@ def decompose_local(c):
         j = b.val
         u0 = b.coeff(b.val)
         w0 = WittVector(p, [a.coeff(0) for a in red.coords])
-        resid = resid + HClass(base, 0, c.level, [(w0.int_mul(j), ())])
+        resid.append((w0.int_mul(j), ()))
         if u0 != base.one:
-            spec = spec + HClass(base, 1, c.level, [(w0, (u0,))])
-    return spec, resid
+            spec.append((w0, (u0,)))
+    # entries of a class over a finite field are expanded as they are
+    return (HClass._normal(base, 1, c.level, spec),
+            HClass._normal(base, 0, c.level, resid))
 
 
 def h_zero_test(c):

@@ -28,7 +28,7 @@ import operator
 
 from .errors import (ConfigMismatch, CorruptCache, IntegralityViolation,
                      NonPrime, ResourceLimit, UnsupportedField)
-from .gf import GFElem, gf, is_prime
+from .gf import _MAX_FIELD_ORDER, GFElem, gf, is_prime
 from .gring import galois_ring
 from .power import binary_power
 
@@ -186,6 +186,8 @@ def _header(p, i):
 
 
 def _check_request(p, i):
+    if p > _MAX_FIELD_ORDER:    # no field of such a characteristic exists
+        raise ResourceLimit(f"characteristic {p} exceeds the bound 2^24")
     if not is_prime(p):
         raise NonPrime(p)
     if i < 1:
@@ -325,7 +327,7 @@ class WittVector:
     def int_mul(self, m):
         m %= self.p ** self.level   # additive order divides p^i
         if self.is_finite_coeffs():
-            return self._via_ring(lambda x: x * m)
+            return self if m == 1 else self._via_ring(lambda x: x * m)
         if not m:
             return WittVector(self.p, [c * 0 for c in self.coords])
         # m = 1 does no arithmetic, but the level bound holds all the same

@@ -158,8 +158,8 @@ def test_printed_values_read_back(spec, p, e, local):
         values.append(w)
         c = HClass.build(K, w, (element(nonzero=True),))
         # a zero class prints as 0, which reads back as a field element
-        if c.terms:
-            values.append(c)
+        values += [x for x in (c, -c, c.int_mul(rng.randint(2, p * p)))
+                   if x.terms]
     script = "\n".join([f"field F = {spec}"]
                        + [f"let x{n} = {v!r}" for n, v in enumerate(values)])
     assert _let_results(script, False)[1:] == [repr(v) for v in values]
@@ -170,6 +170,18 @@ def test_printed_values_read_back(spec, p, e, local):
         got = s.values[f"x{n}"][1]
         assert (got.terms == v.terms if isinstance(v, (HClass, MilnorElement))
                 else got == v), (v, got)
+
+
+def test_negated_teichmueller_match_prints_zero():
+    """-[ [2*t] | t ) over GF(3)(t) is [ [t] | t ), a Teichmueller match:
+    it prints 0, as the class typed in directly and 0*c - c do."""
+    script = ("field F = GF(3)(t)\n"
+              "let c = [ [2*t] | t )\n"
+              "let x = -[ [2*t] | t )\n"
+              "let y = [ [t] | t )\n"
+              "let z = 0*c - c\n")
+    assert _let_results(script, False)[1:] == ["[ [2*t] | t )", "0", "0",
+                                               "0"]
 
 
 def test_json_deterministic():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from katoforge import ConfigMismatch, IntegralityViolation, NonPrime, gf
-from katoforge.gf import _TABLE_MAX_ORDER, GF
+from katoforge.gf import _TABLE_MAX_ORDER, GF, is_prime
 
 from conftest import run_optimized
 
@@ -142,6 +142,22 @@ def test_as_solve_exhaustive(p, e):
             solvable += 1
             assert x ** p - x == c
     assert solvable == F.order // p
+
+
+def test_artin_schreier_roots_match_a_scan():
+    """On every field with at most 256 elements, artin_schreier_solve(c) is
+    the lexicographically least x with x^p - x = c, or None when there is
+    none, as a scan over all x finds it."""
+    fields = [(p, e) for p in range(2, 257) if is_prime(p)
+              for e in range(1, 9) if p ** e <= 256]
+    assert len(fields) == 70
+    for p, e in fields:
+        F = gf(p, e)
+        least = {}
+        for x in F.elements():          # lexicographic order
+            least.setdefault(x ** p - x, x)
+        for c in F.elements():
+            assert F.artin_schreier_solve(c) == least.get(c), (F, c)
 
 
 def test_pth_root():

@@ -14,10 +14,11 @@ from katoforge import (ConfigMismatch, DivisionByZero, HClass,
                        decompose_local, func_field, gf, h_zero_test,
                        laurent_field, level_shift, local_invariant, pair,
                        reciprocity_check, residue_at, witt_standard_form)
-from katoforge import kato as kato_module, poly as poly_module
+from katoforge import (kato as kato_module, milnor as milnor_module,
+                       places as places_module, poly as poly_module)
 from katoforge.kato import _t_place, class_places, local_symbol
 from katoforge.milnor import _has_steinberg_pair, symbol_expand
-from katoforge.places import PlaceContext
+from katoforge.places import PlaceContext, support_places
 from katoforge.poly import is_irreducible, to_dense
 
 from conftest import random_ratfunc, run_optimized
@@ -34,6 +35,30 @@ def K2():
     return func_field(gf(2), ("t",))
 
 
+def _raw_class(field, degree, level, terms):
+    """A class whose terms are taken as they are, outside the normal form.
+    Only the single-place local_invariant and local_symbol read such a
+    class; the table path relies on the normal form."""
+    c = HClass.__new__(HClass)
+    c.field, c.degree, c.level, c.terms = field, degree, level, tuple(terms)
+    return c
+
+
+def _raw_places(c):
+    """The finite places where a coordinate of a term of c has a pole or an
+    entry a zero or a pole, in Place order, then infinity."""
+    found = set()
+    for w, entries in c.terms:
+        for x in entries + tuple(a.field.from_poly(a.den) for a in w.coords):
+            found |= support_places(x)
+    return sorted(found, key=Place.sort_key) + [Place.infinity()]
+
+
+def _normal_places(c):
+    """The places of the table of c's terms in normal form."""
+    return class_places(HClass(c.field, c.degree, c.level, c.terms))
+
+
 def _rnd_class(rng, K, level, nterms=1):
     terms = []
     for _ in range(nterms):
@@ -47,6 +72,74 @@ def _rnd_class(rng, K, level, nterms=1):
 
 
 # ----------------------------------------------------- normalization ----
+
+def _is_normal(c):
+    """The expanding constructor leaves c's terms as they are."""
+    return HClass(c.field, c.degree, c.level, c.terms).terms == c.terms
+
+
+def _normal_form_inputs(kind, rng):
+    """(field, p, element, entry): element() is a random nonzero entry or
+    coordinate, over F_2((t)) of valuation >= 0 when integral=True; entry
+    is an expanded entry."""
+    if kind == "GF(4)":
+        F = gf(2, 2)
+        nonzero = list(F.elements())[1:]
+        return F, 2, lambda integral=False: rng.choice(nonzero), F.gen
+    if kind == "F_2((t))":
+        F = gf(2)
+
+        def series(integral=False):
+            val = rng.randint(0 if integral else -2, 2)
+            coeffs = [F.one] + [rng.choice([F.zero, F.one]) for _ in range(5)]
+            return Laurent(F, val, coeffs, val + 8)
+        return laurent_field(F), 2, series, Laurent.monomial(F, F.one, 1, 8)
+    p = 3 if kind == "F_3(t)" else 2
+    K = func_field(gf(p), ("t",))
+
+    def ratfunc(integral=False):
+        r = random_ratfunc(rng, K, max_deg=2, max_terms=2)
+        while r.is_zero():
+            r = random_ratfunc(rng, K, max_deg=2, max_terms=2)
+        return r
+    return K, p, ratfunc, K.var("t")
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["GF(4)", "F_2(t)", "F_3(t)", "F_2((t))"])
+def test_every_operation_returns_the_normal_form(kind, level):
+    """Every class that build, +, -, int_mul, level_shift, pair and
+    decompose_local return is in normal form: the expanding constructor,
+    run on its terms, returns them unchanged."""
+    rng = random.Random(f"{kind}:{level}")
+    field, p, elem, e = _normal_form_inputs(kind, rng)
+    classes = []
+    for _ in range(3):
+        w = WittVector(p, tuple(elem() for _ in range(level)))
+        classes.append(HClass.build(field, w, (elem(),)))
+    # the negative of (-[e] | e) is a Teichmueller match
+    classes.insert(1, HClass.build(
+        field, -WittVector.teichmuller(p, e, level), (e,)))
+    out = list(classes)
+    for c, d in zip(classes, classes[1:]):
+        out += [c + d, c - d, -c, c.int_mul(rng.randint(0, p ** level)),
+                c.int_mul(p ** level - 1), level_shift(c, level + 1)]
+    if kind in ("F_2(t)", "F_3(t)"):
+        sym = MilnorElement.symbol
+        for _ in range(2):
+            w = WittVector(p, tuple(elem() for _ in range(level)))
+            a, b = elem(), elem()
+            out += [pair(w, sym(field, [a]) + sym(field, [b], 2)),
+                    pair(w, sym(field, [a, b]))]
+    if kind == "F_2((t))":
+        for _ in range(3):
+            w = WittVector(p, tuple(elem(integral=True) for _ in range(level)))
+            out += decompose_local(HClass.build(field, w, (elem(),))
+                                   + classes[0].int_mul(0))
+    assert any(c.terms for c in out)
+    for c in out:
+        assert _is_normal(c), c
+
 
 def test_j_generators_drop_syntactically(K2):
     t = K2.var("t")
@@ -154,10 +247,9 @@ def test_j_relations_killed_by_invariants(p, e, level):
         a = random_ratfunc(rng, K, max_deg=2)
         if a.is_zero():
             continue
-        c2 = HClass(K, 1, level,
-                    [(WittVector.teichmuller(p, a, level), (a,))],
-                    normalize=False)
-        for pl in class_places(c2):
+        c2 = _raw_class(K, 1, level,
+                        [(WittVector.teichmuller(p, a, level), (a,))])
+        for pl in _raw_places(c2):
             assert local_invariant(c2, pl).value == 0
 
 
@@ -304,8 +396,8 @@ def _oracle_classes(p, e, level):
     and infinity.  In w, coordinate 0 has poles at t and at a degree-2
     place, coordinate 1 is zero and the others vanish at t; in v,
     coordinate 0 vanishes at t.  One entry is
-    rational with a denominator (kept by building without normalization),
-    the others are irreducible of degree 2 and 3."""
+    rational with a denominator (kept in a raw class, outside the normal
+    form), the others are irreducible of degree 2 and 3."""
     K = func_field(gf(p, e), ("t",))
     t, one = K.var("t"), K.one
     q2, q3 = _irreducible(K, 2), _irreducible(K, 3)
@@ -320,8 +412,7 @@ def _oracle_classes(p, e, level):
     w = WittVector(p, tuple(coords))
     v = WittVector(p, tuple(t * lin() / (t + one) if j == 0 else lin()
                             for j in range(level)))
-    rational = HClass(K, 1, level, [(w, ((t + one) * q3 / q2,))],
-                      normalize=False)
+    rational = _raw_class(K, 1, level, [(w, ((t + one) * q3 / q2,))])
     return [rational, HClass.build(K, w, (q3,)) + HClass.build(K, v, (q2,))]
 
 
@@ -338,7 +429,7 @@ def test_local_invariant_matches_uniform_ghost_oracle(p, e, level):
     classes = _oracle_classes(p, e, level)
     degrees, nonzero = set(), 0
     for c in classes:
-        for place in class_places(c):
+        for place in _normal_places(c):
             want = sum(ghost_inversion_symbol(k, level, coords, b)
                        for k, coords, b in uniform_series_inputs(c, place))
             got = local_invariant(c, place).value
@@ -350,9 +441,9 @@ def test_local_invariant_matches_uniform_ghost_oracle(p, e, level):
 
 
 def _factor_pass_classes(p, e, level):
-    """Classes built without normalization whose tables read every order
-    the factor pass gives: entries with denominators, squared and cubed
-    factors and a constant; coordinate 0 with poles of order 1 and 2 at
+    """Classes whose normal forms' tables read every order the factor pass
+    gives; the first two are raw: entries with denominators, squared and
+    cubed factors and a constant; coordinate 0 with poles of order 1 and 2 at
     places of degree 1 and 2, coordinate 1 zero or vanishing where an entry
     does, at a place of degree 3."""
     K = func_field(gf(p, e), ("t",))
@@ -374,25 +465,31 @@ def _factor_pass_classes(p, e, level):
              (w(lin() / (s * q3), K.zero), (const,)),
              (w(lin() / (s * s), lin()), (t ** 3 * q2 / (q3 * q3),)),
              (WittVector(p, (K.zero,) * level), (t / s,))]
-    return [HClass(K, 1, level, terms, normalize=False),
-            HClass(K, 1, level, terms[2:], normalize=False),
+    return [_raw_class(K, 1, level, terms),
+            _raw_class(K, 1, level, terms[2:]),
             HClass.build(K, terms[0][0], (q3 * q3,))]
 
 
 @pytest.mark.parametrize("p,e,level", ORACLE_CELLS)
 def test_table_orders_match_place_order(p, e, level):
-    """reciprocity_check reads the orders off one factorization per class;
-    local_invariant at a single place computes them with place_order.  The
-    two agree at every place of the table, which is class_places."""
+    """reciprocity_check reads the orders of the normal form: coordinate
+    orders off one factorization per class, entry orders off the entries.
+    local_invariant at a single place computes them with place_order, on
+    the terms as they are.  The table of the normal form and the raw
+    class's single-place invariants agree at every place of either, where
+    the raw class's places are those of its entries and coordinates."""
     degrees, nonzero = set(), 0
     for c in _factor_pass_classes(p, e, level) + _oracle_classes(p, e, level):
-        ok, table = reciprocity_check(c)
-        assert ok, c
-        assert [inv.place for inv in table] == class_places(c)
-        for inv in table:
-            assert inv == local_invariant(c, inv.place), (c, inv.place)
-            degrees.add(0 if inv.place.is_infinite else inv.place.degree)
-            nonzero += bool(inv.value)
+        normal = HClass(c.field, 1, level, c.terms)
+        ok, table = reciprocity_check(normal)
+        assert ok, normal
+        assert [inv.place for inv in table] == class_places(normal)
+        got = {inv.place: inv.value for inv in table}
+        for place in set(got) | set(_raw_places(c)):
+            value = local_invariant(c, place).value
+            assert got.get(place, 0) == value, (c, place)
+            degrees.add(0 if place.is_infinite else place.degree)
+            nonzero += bool(value)
     assert degrees == {0, 1, 2, 3}
     assert nonzero
 
@@ -402,18 +499,43 @@ def test_reciprocity_refuses_other_degrees_before_factoring(
         K2, degree, entries, monkeypatch):
     t = K2.var("t")
     b = (t, t + K2.one)[:entries]
-    c = HClass(K2, degree, 1, [(_w(2, K2.one / (t * t + t + K2.one)), b)],
-               normalize=False)
+    c = HClass(K2, degree, 1, [(_w(2, K2.one / (t * t + t + K2.one)), b)])
 
     def no_factoring(*args):
         raise AssertionError("factored a class it refuses")
 
     for module, name in ((kato_module, "factor"),
-                         (kato_module, "factor_ratfunc"),
+                         (poly_module, "factor_ratfunc"),
                          (poly_module, "factor")):
         monkeypatch.setattr(module, name, no_factoring)
     with pytest.raises(UnsupportedDegree):
         reciprocity_check(c)
+
+
+def test_reciprocity_reads_entries_off_the_normal_form(monkeypatch):
+    """kato does not import factor_ratfunc, and a table takes no
+    factor_ratfunc call: each entry of the normal form is a monic
+    irreducible or a constant, and its orders are read off it."""
+    assert not hasattr(kato_module, "factor_ratfunc")
+    classes = []
+    for p, e, level in [(2, 1, 2), (3, 1, 1), (2, 2, 2)]:
+        raw = _factor_pass_classes(p, e, level) + _oracle_classes(p, e, level)
+        classes += [HClass(c.field, 1, level, c.terms) for c in raw]
+    calls = []
+    factor_ratfunc = poly_module.factor_ratfunc
+
+    def counting(r):
+        calls.append(r)
+        return factor_ratfunc(r)
+
+    for module in (poly_module, milnor_module, places_module):
+        monkeypatch.setattr(module, "factor_ratfunc", counting)
+    for c in classes:
+        assert reciprocity_check(c)[0], c
+    assert calls == []
+    K = classes[0].field
+    support_places(K.var("t"))
+    assert len(calls) == 1          # the counter sees the calls there are
 
 
 def test_place_over_another_field_is_refused(K2):
@@ -442,8 +564,8 @@ def test_expansions_ask_no_more_than_uniform_precision(p, e, level,
     smaller = False
     for c in classes:
         for w, (b,) in c.terms:
-            one_term = HClass(c.field, 1, level, [(w, (b,))], normalize=False)
-            for place in class_places(one_term):
+            one_term = _raw_class(c.field, 1, level, [(w, (b,))])
+            for place in _normal_places(one_term):
                 asked.clear()
                 local_invariant(one_term, place)
                 bound = uniform_precision(level, w, b, place)
@@ -683,16 +805,14 @@ def test_local_path_raises_typed_errors(K2, monkeypatch):
     # degree-1 classes whose term carries two entries, over F_2(t) and
     # F_2((t))
     t = K2.var("t")
-    two = HClass(K2, 1, 1, [(WittVector(2, (t.inverse(),)), (t, t + K2.one))],
-                 normalize=False)
+    two = HClass(K2, 1, 1, [(WittVector(2, (t.inverse(),)), (t, t + K2.one))])
     with pytest.raises(UnsupportedDegree):
         local_invariant(two, Place.infinity())
     F2 = gf(2)
     LF = laurent_field(F2)
     s = Laurent.monomial(F2, F2.one, 1, 20)
     two = HClass(LF, 1, 1, [(WittVector(2, (s.inverse(),)),
-                             (s, Laurent(F2, 0, [F2.one, F2.one], 20)))],
-                 normalize=False)
+                             (s, Laurent(F2, 0, [F2.one, F2.one], 20)))])
     with pytest.raises(UnsupportedDegree):
         local_invariant(two, _t_place(LF))
     # a reduction step that removes nothing would never terminate
@@ -788,8 +908,7 @@ def test_decompose_local_reads_precision_through_coeff():
     o = F2.one
 
     def decompose(coords, b):
-        c = HClass(LF, 1, len(coords), [(WittVector(2, coords), (b,))],
-                   normalize=False)
+        c = HClass(LF, 1, len(coords), [(WittVector(2, coords), (b,))])
         return decompose_local(c)
 
     w = [o, o, o, o]        # t^-2 + t^-1 + 1 + t
@@ -824,8 +943,7 @@ def test_local_invariant_precision_guard_boundary(p, e, level):
         return Laurent(F, val, [lead] + rest, prec)
 
     def invariant(coords, b):
-        c = HClass(LF, 1, level, [(WittVector(p, coords), (b,))],
-                   normalize=False)
+        c = _raw_class(LF, 1, level, [(WittVector(p, coords), (b,))])
         return local_invariant(c, place).value
 
     for _ in range(6):

@@ -548,3 +548,51 @@ def test_finite_arithmetic_past_polynomial_bound(p, e, i):
         assert -u == from_galois_ring(R, -x, p, i)
         w = witt_as_solve(u)
         assert w is None or w.wp() == u
+
+
+def test_int_mul_by_one_returns_the_operand(monkeypatch):
+    """m = 1 (mod p^level) returns a finite vector itself, with no Galois
+    ring round trip; on F_q(t) coordinates the level check stays."""
+    def refuse(*args):
+        raise AssertionError("took a Galois ring round trip")
+
+    monkeypatch.setattr(witt, "galois_ring", refuse)
+    for p, e, level in [(2, 1, 1), (2, 2, 3), (3, 1, 2), (5, 1, 4)]:
+        w = WittVector(p, (gf(p, e).gen,) * level)
+        for m in (1, 1 + p ** level, 1 - 3 * p ** level):
+            assert w.int_mul(m) is w
+    with pytest.raises(AssertionError, match="round trip"):
+        w.int_mul(2)
+    K = func_field(gf(2), ("t",))
+    t = K.var("t")
+    with pytest.raises(ResourceLimit):
+        WittVector(2, (K.one / t,) + (K.zero,) * 5).int_mul(1)
+
+
+HUGE_PRIME = 2 ** 61 - 1     # trial division to its square root takes hours
+
+
+@pytest.mark.parametrize("case", ["gf", "witt_structure", "cache-warm",
+                                  "cache-verify"])
+def test_huge_primes_are_refused_quickly(case, tmp_path):
+    """A characteristic past the field-order bound 2^24 is refused with a
+    typed error before any primality test.  Each case runs in a new
+    interpreter under a timeout, so a regression fails, not hangs."""
+    (tmp_path / f"wittpoly-v1-p{HUGE_PRIME}-i1.txt").write_text("")
+    cache = ["--cache-dir", str(tmp_path), "cache"]
+    call = {"gf": f"katoforge.gf({HUGE_PRIME})",
+            "witt_structure": f"katoforge.witt_structure({HUGE_PRIME}, 1)",
+            "cache-warm": f"main({cache + ['warm', '--pairs']}"
+                          f" + ['{HUGE_PRIME}:1'])",
+            "cache-verify": f"main({cache + ['verify']})"}[case]
+    code = ("import katoforge\n"
+            "from katoforge.cli import main\n"
+            "try:\n"
+            f"    print({call})\n"
+            "except katoforge.ResourceLimit as exc:\n"
+            "    print(exc)\n")
+    out = _fresh_stdout(code)
+    if case.startswith("cache"):
+        assert out == "1\n"         # the exit status; the message on stderr
+    else:
+        assert "exceeds the bound" in out
