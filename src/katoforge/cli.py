@@ -17,12 +17,19 @@ Expressions cover field arithmetic (+ - * / ^), Witt literals ``[a0, a1]``,
 symbols ``{a, b}``, classes ``[ w | b1, b2 )``, differential forms written
 ``f dt`` / ``x/(y+1) dx^dy``, and Laurent literals ``t^-2 + 1 + O(t^5)``.
 ``--json`` turns every result into one deterministic JSON object per line.
+
+A line is cut into tokens by one pattern (``_TOKEN``) and each statement
+reads its tokens through one ``Cursor``; ``Parser`` is the cursor that
+knows the grammar.  Brackets nest at most ``MAX_NESTING`` deep.  Bad input
+raises a ``KatoforgeError``, which ``run_script`` prints as one line
+``error: line N ...``.
 """
 
 import argparse
 import json
 import operator
 import os
+import random
 import re
 import sys
 import tempfile
@@ -35,50 +42,97 @@ from .kato import (HClass, LaurentField, laurent_field, level_shift,
                    local_invariant, reciprocity_check, h_zero_test)
 from .laurent import Laurent
 from .milnor import MilnorElement, d_symbol
-from .places import Place
+from .mpoly import MPoly
+from .places import Place, residue_table
 from .poly import Poly, to_dense
 from .rational import FuncField, RatFunc, func_field
 from .witt import WittStructure, WittVector, witt_structure
 
-# ------------------------------------------------------------ lexer ----
+# ----------------------------------------------------- lexer, cursor ----
 
-_PUNCT = ("(", ")", "[", "]", "{", "}", ",", "|", "+", "-", "*", "/",
-          "^", "=")
+# a digit is what int() reads, any Unicode decimal digit; a name is a run of
+# word characters that does not start with one, so '²' and 't²' are names;
+# whitespace is space and tab, and any other character is an error
+_TOKEN = re.compile(r"""[ \t]+ | (?P<int>\d+) | (?P<name>[^\W\d]\w*)
+                        | (?P<punct>[][(){},|+*/^=-]) | (?P<comment>\#)
+                        | (?P<bad>.)""", re.S | re.X)
 
 
 def tokenize(line, lineno):
+    """The (kind, value, column from 0) tokens of line before any comment;
+    a punctuation token is its own kind."""
     out = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
+    for m in _TOKEN.finditer(line):
+        kind, text, col = m.lastgroup, m.group(), m.start()
+        if kind == "comment":
             break
-        if ch.isdigit():
-            j = i
-            while j < n and line[j].isdigit():
-                j += 1
-            out.append(("int", int(line[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            out.append(("name", line[i:j], i))
-            i = j
-            continue
-        for p in _PUNCT:
-            if line.startswith(p, i):
-                out.append((p, p, i))
-                i += len(p)
-                break
-        else:
-            raise ScriptError(f"unexpected character {ch!r}", lineno, i + 1)
+        if kind == "bad":
+            raise ScriptError(f"unexpected character {text!r}", lineno,
+                              col + 1)
+        if kind == "int":
+            out.append(("int", int(text), col))
+        elif kind == "name":
+            out.append(("name", text, col))
+        elif kind == "punct":
+            out.append((text, text, col))
     return out
+
+
+class Cursor:
+    """Reads a statement's tokens front to back."""
+
+    what = "statement"      # running out of tokens: "unexpected end of <what>"
+
+    def __init__(self, tokens, lineno):
+        self.toks = tokens
+        self.pos = 0
+        self.lineno = lineno
+
+    def peek(self, k=0):
+        if self.pos + k < len(self.toks):
+            return self.toks[self.pos + k]
+        return (None, None, None)
+
+    def next(self):
+        t = self.peek()
+        if t[0] is None:
+            raise ScriptError(f"unexpected end of {self.what}", self.lineno)
+        self.pos += 1
+        return t
+
+    def take(self, kind):
+        """The next token, consumed, if it is of kind; None otherwise."""
+        t = self.peek()
+        if t[0] != kind:
+            return None
+        self.pos += 1
+        return t
+
+    def expect(self, kind, message=None):
+        """The next token, which must be of kind: ScriptError otherwise,
+        with message if given, else naming the token at its column."""
+        t = self.next()
+        if t[0] != kind:
+            if message:
+                raise ScriptError(message, self.lineno)
+            raise ScriptError(f"expected {kind!r}, got {t[1]!r}",
+                              self.lineno, t[2] + 1)
+        return t
+
+    def rest(self):
+        """The unread tokens, all consumed."""
+        toks, self.pos = self.toks[self.pos:], len(self.toks)
+        return toks
+
+    def done(self):
+        return self.pos >= len(self.toks)
+
+    def whole(self, parse):
+        """parse(), which must consume the rest of the statement."""
+        v = parse()
+        if not self.done():
+            raise ScriptError("trailing tokens after expression", self.lineno)
+        return v
 
 
 # ----------------------------------------------------------- session ----
@@ -88,6 +142,12 @@ _KINDS = ((MilnorElement, "a symbol"), (HClass, "a class"),
 _ELEMENT = "a field element"
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv}
+
+# how deep (...), [...] and {...} may nest.  A level costs the parser five
+# interpreter frames, seven for [ and {, so 100 levels of [ run under a
+# recursion limit of about 720 and leave the rest of the default 1000 to
+# the caller and to the arithmetic of the innermost level
+MAX_NESTING = 100
 
 
 def _kind(v):
@@ -110,49 +170,23 @@ class Session:
         return self.fields[name]
 
 
-class Parser:
+class Parser(Cursor):
     def __init__(self, tokens, session, lineno, fieldname=None):
-        self.toks = tokens
-        self.pos = 0
+        super().__init__(tokens, lineno)
         self.session = session
-        self.lineno = lineno
+        self.depth = 0             # brackets open around the next token
         self.fieldname = fieldname or session.current
         if self.fieldname is None:
             raise ScriptError("no field declared yet", lineno)
         self.field = session.field(self.fieldname, lineno)
 
-    # -- token helpers --
-
-    def peek(self, k=0):
-        if self.pos + k < len(self.toks):
-            return self.toks[self.pos + k]
-        return (None, None, None)
-
-    def next(self):
-        t = self.peek()
-        if t[0] is None:
-            raise ScriptError("unexpected end of statement", self.lineno)
-        self.pos += 1
-        return t
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise ScriptError(f"expected {kind!r}, got {t[1]!r}",
-                              self.lineno, t[2] + 1 if t[2] is not None else None)
-        return t
-
-    def done(self):
-        return self.pos >= len(self.toks)
-
-    def whole(self, parse):
-        """parse(), which must consume the rest of the statement."""
-        v = parse()
-        if not self.done():
-            raise ScriptError("trailing tokens after expression", self.lineno)
-        return v
-
     # -- value coercion inside the current field --
+
+    def _series(self, c, n):
+        """c t^n in the Laurent field at a generous working precision;
+        `let` truncates to the session's."""
+        return Laurent.monomial(self.field.base, c, n,
+                                4 * self.session.precision + 8)
 
     def _const(self, n):
         f = self.field
@@ -160,10 +194,7 @@ class Parser:
             return f.elem(n)
         if isinstance(f, FuncField):
             return f.const(n)
-        base = f.base
-        big = 4 * self.session.precision + 8
-        return Laurent.monomial(base, base.elem(n), 0, big) \
-            if n % base.p else Laurent.zero(base, big)
+        return self._series(f.base.elem(n), 0)
 
     def _coerce(self, v):
         if isinstance(v, int):
@@ -186,19 +217,19 @@ class Parser:
         if isinstance(f, GF) and name == "z" and f.e > 1:
             return f.gen
         if isinstance(f, LaurentField):
-            # generous working precision; `let` truncates to the session's
-            big = 4 * self.session.precision + 8
             if name == f.var:
-                return Laurent.monomial(f.base, f.base.one, 1, big)
+                return self._series(f.base.one, 1)
             if name == "z" and f.base.e > 1:
-                return Laurent.monomial(f.base, f.base.gen, 0, big)
+                return self._series(f.base.gen, 0)
         raise UnknownName(f"unknown name {name!r}", self.lineno, col)
 
-    def _is_diff_start(self):
-        kind, val, _ = self.peek()
+    def _is_diff_start(self, k=0):
+        """Whether a differential (d(x), or dx for a variable x) starts
+        k tokens ahead."""
+        kind, val, _ = self.peek(k)
         if kind != "name":
             return False
-        if val == "d" and self.peek(1)[0] == "(":
+        if val == "d" and self.peek(k + 1)[0] == "(":
             return True
         return (len(val) > 1 and val[0] == "d"
                 and isinstance(self.field, FuncField)
@@ -255,23 +286,31 @@ class Parser:
                               self.lineno)
         return self._coerce(v)
 
+    def _exprs(self, what=None):
+        """One or more comma-separated expressions, each a field element
+        of `what` if that is given."""
+        vs = []
+        while not vs or self.take(","):
+            v = self.expr()
+            vs.append(v if what is None else self._element(v, what))
+        return vs
+
     def unary(self):
-        if self.peek()[0] == "-":
-            self.next()
-            return -self.unary()
-        return self.power()
+        minus = 0
+        while self.take("-"):
+            minus += 1
+        v = self.power()
+        for _ in range(minus):
+            v = -v
+        return v
 
     def signed_int(self):
-        sign = 1
-        if self.peek()[0] == "-":
-            self.next()
-            sign = -1
+        sign = -1 if self.take("-") else 1
         return self.expect("int")[1] * sign
 
     def power(self):
         v = self.atom()
-        while self.peek()[0] == "^":
-            self.next()
+        while self.take("^"):
             if isinstance(v, DiffForm):
                 w = self.atom()
                 if not isinstance(w, DiffForm):
@@ -294,15 +333,19 @@ class Parser:
         if kind == "int":
             self.next()
             return val
-        if kind == "(":
-            self.next()
-            v = self.expr()
-            self.expect(")")
+        if kind in ("(", "{", "["):
+            if self.depth == MAX_NESTING:
+                raise ScriptError(f"brackets nest deeper than {MAX_NESTING}",
+                                  self.lineno, col + 1)
+            self.depth += 1
+            if kind == "(":
+                self.next()
+                v = self.expr()
+                self.expect(")")
+            else:
+                v = self.symbol_lit() if kind == "{" else self.bracket_lit()
+            self.depth -= 1
             return v
-        if kind == "{":
-            return self.symbol_lit()
-        if kind == "[":
-            return self.bracket_lit()
         if kind == "name":
             if val == "O" and self.peek(1)[0] == "(":
                 return self.precision_lit()
@@ -323,26 +366,16 @@ class Parser:
         nm = self.expect("name")
         if nm[1] != f.var:
             raise ScriptError(f"expected {f.var!r} inside O(...)", self.lineno)
-        n = 1
-        if self.peek()[0] == "^":
-            self.next()
-            n = self.signed_int()
+        n = self.signed_int() if self.take("^") else 1
         self.expect(")")
         return Laurent.zero(f.base, n)
 
     def diff_product(self):
         form = self.diff_atom()
-        while self.peek()[0] == "^" and self._diff_follows():
+        while self.peek()[0] == "^" and self._is_diff_start(1):
             self.next()
             form = form.wedge(self.diff_atom())
         return form
-
-    def _diff_follows(self):
-        save = self.pos
-        self.pos += 1
-        ok = self._is_diff_start()
-        self.pos = save
-        return ok
 
     def diff_atom(self):
         kind, val, col = self.next()
@@ -350,8 +383,7 @@ class Parser:
         if not isinstance(f, FuncField):
             raise ScriptError("differentials need a function field",
                               self.lineno, col + 1)
-        if val == "d" and self.peek()[0] == "(":
-            self.next()
+        if val == "d" and self.take("("):
             var = self.expect("name")[1]
             self.expect(")")
         else:
@@ -362,10 +394,7 @@ class Parser:
 
     def symbol_lit(self):
         self.expect("{")
-        entries = [self._element(self.expr(), "a symbol")]
-        while self.peek()[0] == ",":
-            self.next()
-            entries.append(self._element(self.expr(), "a symbol"))
+        entries = self._exprs("a symbol")
         self.expect("}")
         if not isinstance(self.field, FuncField):
             raise ScriptError("symbols need a function field", self.lineno)
@@ -373,21 +402,12 @@ class Parser:
 
     def bracket_lit(self):
         self.expect("[")
-        entries = [self.expr()]
-        while self.peek()[0] == ",":
-            self.next()
-            entries.append(self.expr())
-        kind = self.peek()[0]
-        if kind == "]":
-            self.next()
+        entries = self._exprs()
+        if self.take("]"):
             return self._witt_from(entries)
-        if kind == "|":
-            self.next()
+        if self.take("|"):
             w = self._witt_value(entries)
-            bs = [self._element(self.expr(), "a class")]
-            while self.peek()[0] == ",":
-                self.next()
-                bs.append(self._element(self.expr(), "a class"))
+            bs = self._exprs("a class")
             self.expect(")")
             h = HClass.build(self.field, w, bs)
             if self.session.level > h.level:
@@ -431,69 +451,72 @@ class Parser:
 
 # ------------------------------------------------------------ runner ----
 
-def _field_spec(toks, lineno):
-    """Parse GF(p[,e]) [(vars) | ((t))], which must fill toks."""
-    def nxt():
-        nonlocal idx
-        if idx >= len(toks):
-            raise ScriptError("unexpected end of field declaration", lineno)
-        t = toks[idx]
-        idx += 1
-        return t
-    idx = 0
-    t = nxt()
-    if t[0] != "name" or t[1] != "GF":
-        raise ScriptError("field declarations start with GF", lineno)
-    if nxt()[0] != "(":
-        raise ScriptError("expected '(' after GF", lineno)
-    p = nxt()
-    if p[0] != "int":
-        raise ScriptError("GF needs a prime", lineno)
-    e = 1
-    t = nxt()
-    if t[0] == ",":
-        e_t = nxt()
-        if e_t[0] != "int":
-            raise ScriptError("GF(p, e) needs an integer degree", lineno)
-        e = e_t[1]
-        t = nxt()
-    if t[0] != ")":
-        raise ScriptError("expected ')' in GF(...)", lineno)
-    base = gf(p[1], e)
-    if idx >= len(toks):
+def _field_spec(cur):
+    """Read GF(p[,e]) [(vars) | ((t))] off cur, which it must empty."""
+    cur.what = "field declaration"
+    if cur.next()[:2] != ("name", "GF"):
+        raise ScriptError("field declarations start with GF", cur.lineno)
+    cur.expect("(", "expected '(' after GF")
+    p = cur.expect("int", "GF needs a prime")[1]
+    e = cur.expect("int", "GF(p, e) needs an integer degree")[1] \
+        if cur.take(",") else 1
+    cur.expect(")", "expected ')' in GF(...)")
+    base = gf(p, e)
+    if cur.done():
         return base
-    if toks[idx][0] != "(":
-        raise ScriptError("expected '(' for variables", lineno)
-    idx += 1
-    if idx < len(toks) and toks[idx][0] == "(":
-        idx += 1
-        var = nxt()
-        if var[0] != "name":
-            raise ScriptError("expected a variable name", lineno)
-        if nxt()[0] != ")" or idx >= len(toks) or nxt()[0] != ")":
+    cur.expect("(", "expected '(' for variables")
+    if cur.take("("):
+        var = cur.expect("name", "expected a variable name")[1]
+        if cur.next()[0] != ")" or not cur.take(")"):
             raise ScriptError("expected '))' closing the Laurent field",
-                              lineno)
-        if var[1] != "t":
+                              cur.lineno)
+        if var != "t":
             # series print in t, so values in another name would not parse
             raise ScriptError("the Laurent field's variable must be t",
-                              lineno)
+                              cur.lineno)
         fld = laurent_field(base)
     else:
-        vars = []
-        while True:
-            v = nxt()
-            if v[0] != "name":
-                raise ScriptError("expected a variable name", lineno)
-            vars.append(v[1])
-            t = nxt()
-            if t[0] == ")":
-                break
-            if t[0] != ",":
-                raise ScriptError("expected ',' or ')'", lineno)
+        vars = [cur.expect("name", "expected a variable name")[1]]
+        while not cur.take(")"):
+            cur.expect(",", "expected ',' or ')'")
+            vars.append(cur.expect("name", "expected a variable name")[1])
         fld = func_field(base, tuple(vars))
-    if idx < len(toks):
-        raise ScriptError("trailing tokens after field declaration", lineno)
+    if not cur.done():
+        raise ScriptError("trailing tokens after field declaration",
+                          cur.lineno)
     return fld
+
+
+def _binding(cur, usage):
+    """The name in `<name> = <something>`, read off cur; ScriptError usage
+    unless a name, '=' and at least one more token follow."""
+    name = cur.take("name")
+    if not name or not cur.take("=") or cur.done():
+        raise ScriptError(usage, cur.lineno)
+    return name[1]
+
+
+def _recip_result(c):
+    ok, table = reciprocity_check(c)
+    mod = table[0].modulus if table else 0
+    return {"table": [inv.as_json_obj() for inv in table],
+            "sum": sum(i.value for i in table) % mod if table else 0,
+            "ok": ok}
+
+
+# statement -> (kind of its operand, what messages call that kind, the
+# operand's key among the inputs, the result); the results call the library
+# through this module's globals, where a wrapper around them takes effect
+_OPERAND_STATEMENTS = {
+    "dsym": (MilnorElement, "a symbol", "symbol",
+             lambda s: repr(d_symbol(s))),
+    "recip": (HClass, "a class", "class", _recip_result),
+    "zero": (HClass, "a class", "class", lambda c: h_zero_test(c)),
+    "cartier": (DiffForm, "a differential form", "form",
+                lambda w: repr(w.cartier())),
+    "nu": (DiffForm, "a differential form", "form",
+           lambda w: w.is_logarithmic()),
+}
 
 
 def _operand(toks, session, lineno, stmt, kind, what, fieldname=None):
@@ -507,91 +530,61 @@ def _operand(toks, session, lineno, stmt, kind, what, fieldname=None):
 
 
 def run_statement(line, lineno, session, emit):
-    tokens = tokenize(line, lineno)
-    if not tokens:
+    cur = Cursor(tokenize(line, lineno), lineno)
+    if cur.done():
         return
-    kind, val, _ = tokens[0]
+    kind, val, _ = cur.next()
     if kind != "name":
         raise ScriptError(f"statements start with a keyword, got {val!r}",
                           lineno)
-    rest = tokens[1:]
     if val == "field":
-        if len(rest) < 3 or rest[0][0] != "name" or rest[1][0] != "=":
-            raise ScriptError("usage: field <name> = GF(p[,e])[(vars)]",
-                              lineno)
-        name = rest[0][1]
-        fld = _field_spec(rest[2:], lineno)
+        name = _binding(cur, "usage: field <name> = GF(p[,e])[(vars)]")
+        fld = _field_spec(cur)
         session.fields[name] = fld
         session.current = name
         emit("field", {"name": name}, repr(fld), session)
         return
     if val == "set":
-        if (len(rest) != 2 or rest[0][0] != "name"
-                or rest[0][1] not in ("level", "precision")
-                or rest[1][0] != "int"):
+        setting, n = cur.take("name"), cur.take("int")
+        if (not setting or setting[1] not in ("level", "precision") or not n
+                or not cur.done()):
             raise ScriptError("usage: set level|precision <int>", lineno)
-        if rest[1][1] < 1:
-            bound = "N" if rest[0][1] == "precision" else "i"
-            raise ScriptError(f"set {rest[0][1]} needs {bound} >= 1", lineno)
-        setattr(session, rest[0][1], rest[1][1])
-        emit("set", {rest[0][1]: rest[1][1]}, "ok", session)
+        setting, n = setting[1], n[1]
+        if n < 1:
+            bound = "N" if setting == "precision" else "i"
+            raise ScriptError(f"set {setting} needs {bound} >= 1", lineno)
+        setattr(session, setting, n)
+        emit("set", {setting: n}, "ok", session)
         return
     if val == "let":
-        if len(rest) < 3 or rest[0][0] != "name" or rest[1][0] != "=":
-            raise ScriptError("usage: let <name> = <expr>", lineno)
-        name = rest[0][1]
-        p = Parser(rest[2:], session, lineno)
+        name = _binding(cur, "usage: let <name> = <expr>")
+        p = Parser(cur.rest(), session, lineno)
         v = p._coerce(p.whole(p.expr))
         if isinstance(v, Laurent) and v.prec > session.precision:
             v = v.truncate(session.precision)
         session.values[name] = (session.current, v)
         emit("let", {"name": name}, repr(v), session)
         return
-    if val == "dsym":
-        fieldname = None
-        if len(rest) >= 2 and rest[-2][0] == "name" and rest[-2][1] == "in":
-            fieldname = rest[-1][1]
-            rest = rest[:-2]
-        s = _operand(rest, session, lineno, val, MilnorElement, "a symbol",
-                     fieldname)
-        emit("dsym", {"symbol": repr(s)}, repr(d_symbol(s)), session)
-        return
+    toks = cur.rest()
     if val == "inv":
-        at = next((k for k, t in enumerate(rest)
-                   if t[0] == "name" and t[1] == "at"), None)
+        at = next((k for k, t in enumerate(toks) if t[:2] == ("name", "at")),
+                  None)
         if at is None:
             raise ScriptError("usage: inv <class> at <place>", lineno)
-        c = _operand(rest[:at], session, lineno, val, HClass, "a class")
-        pp = Parser(rest[at + 1:], session, lineno)
+        c = _operand(toks[:at], session, lineno, val, HClass, "a class")
+        pp = Parser(toks[at + 1:], session, lineno)
         place = pp.whole(pp.place_expr)
-        inv = local_invariant(c, place)
         emit("inv", {"class": repr(c), "place": repr(place)},
-             inv.as_json_obj(), session)
+             local_invariant(c, place).as_json_obj(), session)
         return
-    if val == "recip":
-        c = _operand(rest, session, lineno, val, HClass, "a class")
-        ok, table = reciprocity_check(c)
-        mod = table[0].modulus if table else 0
-        result = {"table": [inv.as_json_obj() for inv in table],
-                  "sum": sum(i.value for i in table) % mod if table else 0,
-                  "ok": ok}
-        emit("recip", {"class": repr(c)}, result, session)
-        return
-    if val == "zero":
-        c = _operand(rest, session, lineno, val, HClass, "a class")
-        emit("zero", {"class": repr(c)}, h_zero_test(c), session)
-        return
-    if val == "cartier":
-        w = _operand(rest, session, lineno, val, DiffForm,
-                     "a differential form")
-        emit("cartier", {"form": repr(w)}, repr(w.cartier()), session)
-        return
-    if val == "nu":
-        w = _operand(rest, session, lineno, val, DiffForm,
-                     "a differential form")
-        emit("nu", {"form": repr(w)}, w.is_logarithmic(), session)
-        return
-    raise ScriptError(f"unknown statement {val!r}", lineno)
+    if val not in _OPERAND_STATEMENTS:
+        raise ScriptError(f"unknown statement {val!r}", lineno)
+    cls, what, key, result = _OPERAND_STATEMENTS[val]
+    fieldname = None
+    if val == "dsym" and len(toks) >= 2 and toks[-2][:2] == ("name", "in"):
+        fieldname, toks = toks[-1][1], toks[:-2]
+    v = _operand(toks, session, lineno, val, cls, what, fieldname)
+    emit(val, {key: repr(v)}, result(v), session)
 
 
 def run_script(text, json_mode=False, precision=16, keep_going=False,
@@ -718,11 +711,14 @@ def cache_clear(cdir):
 
 # ---------------------------------------------------------- selftest ----
 
+def _random_poly(rng, F, max_deg, terms):
+    """A random univariate MPoly over the prime field F, possibly zero."""
+    return MPoly(F, 1, {(rng.randint(0, max_deg),): rng.choice([F.zero, F.one])
+                        for _ in range(terms)})
+
+
 def selftest(seed=0, out=None):
     out = out or sys.stdout
-    import random
-    from .rational import func_field
-    from .mpoly import MPoly
     rng = random.Random(seed)
     failures = 0
 
@@ -753,13 +749,9 @@ def selftest(seed=0, out=None):
     K = func_field(F2, ("t",))
     ok = True
     for _ in range(10):
-        def rp():
-            return MPoly(F2, 1, {(rng.randint(0, 3),): rng.choice([F2.zero, F2.one])
-                                 for _ in range(3)})
-        num, den = rp(), rp()
+        num, den = _random_poly(rng, F2, 3, 3), _random_poly(rng, F2, 3, 3)
         if num.is_zero() or den.is_zero():
             continue
-        from .places import residue_table
         tot = F2.zero
         for _, v in residue_table(K.from_poly(num, den)):
             tot = tot + v
@@ -768,12 +760,9 @@ def selftest(seed=0, out=None):
 
     ok = True
     for _ in range(5):
-        def rp():
-            return MPoly(F2, 1, {(rng.randint(0, 2),): rng.choice([F2.zero, F2.one])
-                                 for _ in range(2)})
         pieces = []
         for _ in range(2):
-            num, den = rp(), rp()
+            num, den = _random_poly(rng, F2, 2, 2), _random_poly(rng, F2, 2, 2)
             if num.is_zero() or den.is_zero():
                 continue
             pieces.append(K.from_poly(num, den))

@@ -107,10 +107,15 @@ def _ghost_targets(p, i):
 # one * 10-12 s (Python 3.11 on a 2-vCPU Xeon VM, three random pairs)
 _MAX_STRUCTURE_LEVEL = {2: 5, 3: 4, 5: 3, 7: 3}
 
+# W_2's sum polynomial has p + 1 terms and generating it costs about p^2:
+# 0.35 s at p = 1021, where one + and one * of F_p(t) vectors take 1.6 s
+# end to end (Python 3.11, 2-vCPU VM); past this bound only W_1 is offered
+_LEVEL_2_PRIME_BOUND = 1024
+
 
 def max_structure_level(p):
     """Largest supported length for universal polynomial generation."""
-    return _MAX_STRUCTURE_LEVEL.get(p, 2)
+    return _MAX_STRUCTURE_LEVEL.get(p, 2 if p < _LEVEL_2_PRIME_BOUND else 1)
 
 
 def _generate(p, i):

@@ -10,10 +10,10 @@ from itertools import combinations
 import pytest
 
 from katoforge import (DiffForm, HClass, Laurent, MilnorElement, WittVector,
-                       dlog, func_field, gf, laurent_field)
-from katoforge.cli import (Parser, Session, cache_clear, cache_verify,
-                           cache_warm, main, run_script, run_statement,
-                           tokenize)
+                       dlog, func_field, gf, laurent_field, witt)
+from katoforge.cli import (MAX_NESTING, Parser, Session, cache_clear,
+                           cache_verify, cache_warm, main, run_script,
+                           run_statement, tokenize)
 
 from conftest import random_ratfunc
 
@@ -330,6 +330,130 @@ def test_field_declaration_checks():
                       keep_going=True) == 1
     lines = buf.getvalue().splitlines()
     assert lines[0] == "error: line 1: the Laurent field's variable must be t"
+
+
+# one case per branch of the field declaration, then the usage errors of
+# the statements that check their own shape
+@pytest.mark.parametrize("line,message", [
+    ('field F = GF', ': unexpected end of field declaration'),
+    ('field F = Gf(2)', ': field declarations start with GF'),
+    ('field F = GF[2]', ": expected '(' after GF"),
+    ('field F = GF(x)', ': GF needs a prime'),
+    ('field F = GF(2, x)', ': GF(p, e) needs an integer degree'),
+    ('field F = GF(2]', ": expected ')' in GF(...)"),
+    ('field F = GF(2)[t]', ": expected '(' for variables"),
+    ('field F = GF(2)((1))', ': expected a variable name'),
+    ('field F = GF(2)((t)', ": expected '))' closing the Laurent field"),
+    ('field F = GF(2)((t]', ": expected '))' closing the Laurent field"),
+    ('field F = GF(2)((t)]', ": expected '))' closing the Laurent field"),
+    ('field F = GF(2)(1)', ': expected a variable name'),
+    ('field F = GF(2)(t u)', ": expected ',' or ')'"),
+    ('field F = GF(2)(t, u', ': unexpected end of field declaration'),
+    ('field F = GF(2)(t) u', ': trailing tokens after field declaration'),
+    ('field F = GF(2)((t)) u', ': trailing tokens after field declaration'),
+    ('field', ': usage: field <name> = GF(p[,e])[(vars)]'),
+    ('field F', ': usage: field <name> = GF(p[,e])[(vars)]'),
+    ('field F =', ': usage: field <name> = GF(p[,e])[(vars)]'),
+    ('field F GF(2)', ': usage: field <name> = GF(p[,e])[(vars)]'),
+    ('field = GF(2)', ': usage: field <name> = GF(p[,e])[(vars)]'),
+    ('field 1 = GF(2)', ': usage: field <name> = GF(p[,e])[(vars)]'),
+    ('set', ': usage: set level|precision <int>'),
+    ('set level', ': usage: set level|precision <int>'),
+    ('set level x', ': usage: set level|precision <int>'),
+    ('set foo 1', ': usage: set level|precision <int>'),
+    ('set level 1 2', ': usage: set level|precision <int>'),
+    ('set 2 level', ': usage: set level|precision <int>'),
+    ('let', ': usage: let <name> = <expr>'),
+    ('let a', ': usage: let <name> = <expr>'),
+    ('let a =', ': usage: let <name> = <expr>'),
+    ('let 1 = 2', ': usage: let <name> = <expr>'),
+    ('let a b = 3', ': usage: let <name> = <expr>'),
+    ('inv [ [1/t] | 1+t )', ': usage: inv <class> at <place>'),
+    ('inv', ': usage: inv <class> at <place>'),
+    ('1 + t', ': statements start with a keyword, got 1'),
+    ('frobnicate t', ": unknown statement 'frobnicate'"),
+])
+def test_declaration_and_usage_errors(line, message):
+    text = f"field F = GF(2)(t)\n{line}\nlet ok = 1"
+    for json_mode in (False, True):
+        buf = io.StringIO()
+        assert run_script(text, json_mode=json_mode, keep_going=True,
+                          out=buf) == 1
+        err, ok = buf.getvalue().splitlines()[1:]
+        if json_mode:
+            assert json.loads(err) == {"op": "error", "line": 2,
+                                       "message": "line 2" + message}
+            assert json.loads(ok)["result"] == "1"
+        else:
+            assert (err, ok) == ("error: line 2" + message, "let: 1")
+
+
+# '²' is a digit to str.isdigit but not to int, and '½' numeric: both
+# start names, as they continue one in 't²'; '٣' is an Arabic-Indic 3
+@pytest.mark.parametrize("line,printed", [
+    ("let a = ²", "error: line 2 col 9: unknown name '²'"),
+    ("let a = 2²", "error: line 2: trailing tokens after expression"),
+    ("let a = ½", "error: line 2 col 9: unknown name '½'"),
+    ("let a = ٣", "let: 1"),
+    ("let a = é", "error: line 2 col 9: unknown name 'é'"),
+    ("let a =\u00a0t", "error: line 2 col 8: unexpected character '\\xa0'"),
+])
+def test_odd_characters_print_errors(line, printed):
+    text = f"field F = GF(2)(t)\n{line}"
+    buf = io.StringIO()
+    run_script(text, out=buf)
+    assert buf.getvalue().splitlines()[1] == printed
+    buf = io.StringIO()
+    run_script(text, json_mode=True, out=buf)
+    obj = json.loads(buf.getvalue().splitlines()[1])
+    if printed.startswith("error: "):
+        assert obj == {"op": "error", "line": 2,
+                       "message": printed[len("error: "):]}
+    else:
+        assert obj["result"] == printed[len("let: "):]
+
+
+@pytest.mark.parametrize("opener,closer,answer", [
+    ("(", ")", "let: t"),
+    ("[", "]", "error: line 2: a Witt vector needs field elements, "
+               "not a Witt vector"),
+    ("{", "}", "error: line 2: a symbol needs field elements, not a symbol"),
+])
+def test_nesting_is_bounded(opener, closer, answer):
+    def last_line(depth):
+        buf = io.StringIO()
+        run_script(f"field F = GF(2)(t)\nlet a = "
+                   f"{opener * depth}t{closer * depth}", out=buf)
+        return buf.getvalue().splitlines()[-1]
+
+    assert last_line(MAX_NESTING) == answer
+    # the opener one level too deep is character 9 + MAX_NESTING
+    assert last_line(MAX_NESTING + 1) == \
+        f"error: line 2 col {9 + MAX_NESTING}: brackets nest deeper " \
+        f"than {MAX_NESTING}"
+    assert last_line(3000).endswith(f"brackets nest deeper than "
+                                    f"{MAX_NESTING}")
+
+
+def test_minus_signs_do_not_recurse():
+    buf = io.StringIO()
+    text = "field F = GF(3)(t)\n" + "\n".join(
+        f"let a{n} = {'-' * n}t" for n in (2, 3000, 3001))
+    assert run_script(text, out=buf) == 0
+    assert buf.getvalue().splitlines()[1:] == ["let: t", "let: t",
+                                               "let: 2*t"]
+
+
+def test_level_2_past_the_prime_bound_is_refused(monkeypatch):
+    def refuse(p, i):
+        raise AssertionError(f"generated W_{i} over F_{p}")
+
+    monkeypatch.setattr(witt, "_generate", refuse)
+    buf = io.StringIO()
+    run_script("field F = GF(1000003)(t)\nlet w = [t, t] + [t, t]", out=buf)
+    assert buf.getvalue().splitlines()[-1] == (
+        "error: line 2: universal polynomials for p=1000003, i=2 exceed "
+        "the bound (max i=1)")
 
 
 def test_error_location_printed_once():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -448,6 +449,23 @@ def test_max_structure_level_table():
         == [5, 4, 3, 3, 2, 2]
     with pytest.raises(ResourceLimit):
         witt_structure(2, 6)
+
+
+def test_level_2_stops_at_the_prime_bound(monkeypatch):
+    """Generating W_2 costs about p^2, so past p = 1021 only W_1 is
+    offered, and a longer request is refused before any generation."""
+    assert [max_structure_level(p) for p in (1021, 1031, 16777213)] \
+        == [2, 1, 1]
+
+    def refuse(p, i):
+        raise AssertionError(f"generated W_{i} over F_{p}")
+
+    monkeypatch.setattr(witt, "_generate", refuse)
+    for p in (1031, 16777213):          # both prime
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="max i=1"):
+            witt_structure(p, 2)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_level_beyond_bound_fails_fast():
