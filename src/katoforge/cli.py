@@ -20,13 +20,15 @@ symbols ``{a, b}``, classes ``[ w | b1, b2 )``, differential forms written
 
 A line is cut into tokens by one pattern (``_TOKEN``) and each statement
 reads its tokens through one ``Cursor``; ``Parser`` is the cursor that
-knows the grammar.  Brackets nest at most ``MAX_NESTING`` deep.  Bad input
+knows the grammar.  Brackets nest at most ``MAX_NESTING`` deep, and powers
+are bounded by ``MAX_POWER_BITS`` and ``MAX_POWER_TERMS``.  Bad input
 raises a ``KatoforgeError``, which ``run_script`` prints as one line
 ``error: line N ...``.
 """
 
 import argparse
 import json
+import math
 import operator
 import os
 import random
@@ -148,6 +150,24 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 # recursion limit of about 720 and leave the rest of the default 1000 to
 # the caller and to the arithmetic of the innermost level
 MAX_NESTING = 100
+
+# how large a power may get.  An integer power is computed in Z (it may
+# multiply a symbol or a class, whose coefficient prints exactly), so it
+# stays below 2^MAX_POWER_BITS, well inside the digits Python converts to a
+# string.  A power of a rational function in k variables is refused when
+# its numerator or denominator can have more than MAX_POWER_TERMS terms,
+# the product over the variables of (degree in it + 1): in one variable a
+# degree below MAX_POWER_TERMS, which schoolbook products reach in about
+# 0.2 s, and in two a degree near 45 in each
+MAX_POWER_BITS = 4096
+MAX_POWER_TERMS = 2048
+
+
+def _power_terms(r, e):
+    """The most terms the numerator or denominator of r^e can have: the
+    product over the variables of (|e| times the degree in it, + 1)."""
+    return max(math.prod(abs(e) * f.degree_in(j) + 1 for j in range(f.nvars))
+               for f in (r.num, r.den))
 
 
 def _kind(v):
@@ -322,10 +342,17 @@ class Parser(Cursor):
             if _kind(v) != _ELEMENT:
                 raise ScriptError(f"cannot raise {_kind(v)} to a power",
                                   self.lineno)
-            if isinstance(v, int):
-                v = v ** e if e >= 0 else self._coerce(v) ** e
-            else:
-                v = self._coerce(v) ** e
+            if isinstance(v, int) and e >= 0:
+                if abs(v) > 1 and e * math.log2(abs(v)) >= MAX_POWER_BITS:
+                    raise ScriptError(f"integer power of {MAX_POWER_BITS} "
+                                      f"bits or more", self.lineno)
+                v = v ** e
+                continue
+            v = self._coerce(v)
+            if isinstance(v, RatFunc) and _power_terms(v, e) > MAX_POWER_TERMS:
+                raise ScriptError(f"power with more than {MAX_POWER_TERMS} "
+                                  f"terms", self.lineno)
+            v = v ** e
         return v
 
     def atom(self):
@@ -442,8 +469,7 @@ class Parser(Cursor):
             raise ScriptError("a place is a monic irreducible polynomial "
                               "or 'inf'", self.lineno, col + 1)
         try:
-            return Place.finite(to_dense(v.num, v.field.base),
-                                v.field.vars[0])
+            return Place.finite(to_dense(v.num), v.field.vars[0])
         except ConfigMismatch:
             raise ScriptError(f"{v!r} is not irreducible", self.lineno,
                               col + 1) from None

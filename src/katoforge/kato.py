@@ -6,11 +6,12 @@ vector and nonzero field entries b_k, taken modulo the relation families
 Every HClass is in normal form: each entry is expanded along a fixed
 factorization strategy (`_expand_entry`; over F_q(t) a monic irreducible or a
 constant other than 1, over F_q((t)) t or a unit other than 1), no term has a
-zero vector, a repeated entry or a Teichmueller match, and the terms are
-sorted.  Only HClass(field, degree, level, terms) expands; the other
-operations take the canonical step alone.  No confluent rewriting is
-attempted: equality is decided through invariants on the supported field
-classes (finite constants; F_q(t) at n = 1; F_q((t)) at n <= 1).
+zero vector, a repeated entry (t counts once at every precision) or a
+Teichmueller match, and the terms are sorted.  Only HClass(field, degree,
+level, terms) expands; the other operations take the canonical step alone.
+No confluent rewriting is attempted: equality is decided through
+invariants on the supported field classes (finite constants; F_q(t) at
+n = 1; F_q((t)) at n <= 1).
 
 The local invariant at a place is the Schmid-Witt residue: coordinates and
 entry are expanded in the completion k(v)((pi)) and lifted coefficient-wise
@@ -62,7 +63,7 @@ from .gring import galois_ring
 from .laurent import Laurent
 from .milnor import MilnorElement, _entry_factors, multilinear_expansion
 from .places import Place, place_context, place_order
-from .poly import factor, to_dense
+from .poly import Poly, factor, to_dense
 from .rational import FuncField
 from .witt import WittVector
 
@@ -163,6 +164,15 @@ def _entry_key(x):
     return ("r", x.sort_key())
 
 
+def _slot_key(x):
+    """`_entry_key` without the precision of the uniformizer t, which
+    `_expand_entry` records at the precision of the entry it came from:
+    two uniformizer entries fill one slot."""
+    if isinstance(x, Laurent) and x.val == 1 and x.coeffs == (x.ring.one,):
+        return "t"
+    return _entry_key(x)
+
+
 def _term_key(w, entries):
     return (tuple(_entry_key(c) for c in w.coords),
             tuple(_entry_key(b) for b in entries))
@@ -249,7 +259,7 @@ def _canonical(terms):
     Teichmueller-Steinberg matches dropped, the rest sorted."""
     out = [(w, ent) for w, ent in terms
            if not all(map(_is_zero, w.coords))
-           and len(set(map(_entry_key, ent))) == len(ent)
+           and len(set(map(_slot_key, ent))) == len(ent)
            and not _teich_match(w, ent)]
     out.sort(key=lambda t: _term_key(*t))
     return tuple(out)
@@ -392,15 +402,22 @@ def witt_standard_form(w, base):
 # ------------------------------------------------------- invariants ----
 
 def _local_series_inputs(c, place, orders=None):
-    """Expand every term of a global class at a place, each series to the
-    precision the residue reads (`_precision_needs`); orders gives, per
-    term, the coordinate valuations the residue reads (the zero coordinate
-    at 1) and the entry's order, by default from place_order.  Yields
-    (k_field, [coord series], b series) per term."""
+    """(k_field, [coord series], b series) per term of a degree-1 class at
+    a place.  Over F_q(t) each series is expanded at the place as far as
+    the residue reads it (`_precision_needs`); orders gives, per term, the
+    coordinate valuations read (a zero coordinate at 1) and the entry's
+    order, by default from place_order.  Over F_q((t)), whose one place is
+    (t), the terms are the series, checked to be known that far."""
     field = c.field
-    ctx = place_context(field, place)
-    k_field = ctx.res_field
     p = field.base.p
+    if _field_kind(field) == "local":
+        if place != _t_place(field):
+            raise UnsupportedField("F_q((t)) carries the single place (t)")
+        for w, entries in c.terms:
+            _require_residue_precision(p, c.level, w.coords, entries[0])
+            yield field.base, list(w.coords), entries[0]
+        return
+    ctx = place_context(field, place)
     if orders is None:
         # a zero coordinate is read as zero to O(t^1), valuation 1
         orders = [([1 if a.is_zero() else place_order(a, place)
@@ -409,7 +426,7 @@ def _local_series_inputs(c, place, orders=None):
     for (w, entries), (vals, ord_b) in zip(c.terms, orders):
         needs, rel = _precision_needs(p, c.level, vals)
         coords = [ctx.expand(a, need) for a, need in zip(w.coords, needs)]
-        yield k_field, coords, ctx.expand(entries[0], ord_b + rel)
+        yield ctx.res_field, coords, ctx.expand(entries[0], ord_b + rel)
 
 
 def _require_degree_one(c):
@@ -424,24 +441,12 @@ def local_invariant(c, place, orders=None):
     residue reads at this place (`reciprocity_check` reads them off its
     factorizations); by default place_order computes them."""
     _require_degree_one(c)
-    kind = _field_kind(c.field)
-    p = c.field.base.p if kind != "const" else c.field.p
-    if kind == "const":
+    if _field_kind(c.field) == "const":
         raise UnsupportedField("constants have no places")
-    total = 0
-    if kind == "global":
-        for k_field, coords, b in _local_series_inputs(c, place, orders):
-            total += local_symbol(k_field, c.level, coords, b)
-        return LocalInvariant(total, place, c.level, p)
-    # local field class: the only place is (t)
-    if place.is_infinite or place.poly.degree != 1 or place.poly.coeffs[0]:
-        raise UnsupportedField("F_q((t)) carries the single place (t)")
-    base = c.field.base
-    for w, entries in c.terms:
-        b = entries[0]
-        _require_residue_precision(p, c.level, w.coords, b)
-        total += local_symbol(base, c.level, list(w.coords), b)
-    return LocalInvariant(total, place, c.level, p)
+    total = sum(local_symbol(k_field, c.level, coords, b)
+                for k_field, coords, b in _local_series_inputs(c, place,
+                                                               orders))
+    return LocalInvariant(total, place, c.level, c.field.base.p)
 
 
 def _require_residue_precision(p, level, coords, b):
@@ -474,7 +479,6 @@ def _factor_pass(c):
     `_local_series_inputs` takes."""
     if _field_kind(c.field) != "global":
         raise UnsupportedField("places belong to classes over F_q(t)")
-    base = c.field.base
     # orders at a place are read from {place polynomial: valuation} dicts,
     # in which None, the polynomial of infinity, keys deg den - deg num
     den_factors, entry_orders = {}, {}
@@ -487,7 +491,7 @@ def _factor_pass(c):
                 vals.append(None)
                 continue
             if a.den not in den_factors:
-                den = to_dense(a.den, base)
+                den = to_dense(a.den)
                 den_factors[a.den] = factor(den) if den.degree >= 1 else []
                 polys.update(f for f, _ in den_factors[a.den])
             v = {f: -m for f, m in den_factors[a.den]}
@@ -497,7 +501,7 @@ def _factor_pass(c):
             if b not in entry_orders:
                 v = entry_orders[b] = {None: _infinite_order(b)}
                 if not b.num.is_const():
-                    f = to_dense(b.num, base)
+                    f = to_dense(b.num)
                     v[f] = 1
                     polys.add(f)
         terms.append((vals, entries))
@@ -603,5 +607,4 @@ def h_zero_test(c):
 
 
 def _t_place(lfield):
-    from .poly import Poly
     return Place(Poly.x(lfield.base), lfield.var)

@@ -33,7 +33,7 @@ from itertools import combinations
 from .errors import (ConfigMismatch, DegreeMismatch, DlogOfZero,
                      IntegralityViolation, NormShapeUnsupported,
                      UnsupportedField)
-from .forms import DiffForm, dlog
+from .forms import DiffForm
 from .mpoly import MPoly
 from .poly import factor_ratfunc, to_dense, to_mpoly
 from .rational import RatFunc, func_field
@@ -207,8 +207,11 @@ def _dlog_rows(a):
              for j in range(a.field.k)], n * d)
 
 
-def _det(rows, cols, zero):
-    """det(rows[i][cols[j]]) by cofactor expansion along the first row."""
+def _det(rows, cols, zero, one):
+    """det(rows[i][cols[j]]) by cofactor expansion along the first row; the
+    empty matrix has determinant one."""
+    if not rows:
+        return one
     if len(rows) == 1:
         return rows[0][cols[0]]
     out = zero
@@ -216,7 +219,7 @@ def _det(rows, cols, zero):
         a = rows[0][col]
         if a.is_zero():
             continue
-        minor = _det(rows[1:], cols[:j] + cols[j + 1:], zero)
+        minor = _det(rows[1:], cols[:j] + cols[j + 1:], zero, one)
         if not minor.is_zero():
             out = out - a * minor if j % 2 else out + a * minor
     return out
@@ -232,9 +235,9 @@ def _product(polys, one):
 def d_symbol(s):
     """{a_1,...,a_n} -> dlog a_1 ^ ... ^ dlog a_n, extended additively.
 
-    Degree 0 is the constant and degree 1 a sum of dlogs.  From degree 2
-    on, with a_i = n_i/d_i and T_i the rows of `_dlog_rows`, the
-    coefficient of dx_K is det(T_i[K_j]) / prod n_i d_i: a polynomial
+    With a_i = n_i/d_i and T_i the rows of `_dlog_rows`, the coefficient
+    of dx_K is det(T_i[K_j]) / prod n_i d_i in every degree (degree 0 has
+    the one index set K = () and the empty determinant 1): a polynomial
     determinant per index set K, and a symbol with a repeated entry maps
     to 0 (w ^ w = 0 for a 1-form w).  The element's coefficient at K is
     zero exactly when sum_sym c det_K(sym) prod_{a not in sym} n_a d_a is,
@@ -246,17 +249,6 @@ def d_symbol(s):
     n = s.degree
     if n > F.k:
         return DiffForm.zero(F, F.k)   # the target module is zero
-    if n <= 1:
-        out = DiffForm.zero(F, n)
-        for sym, c in s.terms.items():
-            c %= p
-            if c == 0:
-                continue
-            if sym:
-                out = out + dlog(sym[0]).scale(F.const(c))
-            else:      # degree 0: the empty symbol contributes c * 1
-                out = out + DiffForm.from_function(F.const(c))
-        return out
     zero, one = F.zero.num, F.one.num
     index_sets = list(combinations(range(F.k), n))
     pos = {}            # entry -> position; rows are read by position
@@ -275,7 +267,7 @@ def d_symbol(s):
         mat = [rows[i] for i in idx]
         dets = {}
         for K in index_sets:
-            det = _det(mat, K, zero)
+            det = _det(mat, K, zero, one)
             if not det.is_zero():
                 dets[K] = det.scale(F.base.elem(c))
         if dets:
@@ -360,9 +352,9 @@ class ASExtension:
     def _descend_poly(self, mp):
         """Invariant polynomial in u -> polynomial in t = u^p - u."""
         base = self.F.base
-        cur = to_dense(mp, base)
+        cur = to_dense(mp)
         out = self.F.zero
-        tau = to_dense(self.t_image.num, base)
+        tau = to_dense(self.t_image.num)
         tvar = self.F.var(self.F.vars[0])
         while cur.degree >= 1:
             m = cur.degree

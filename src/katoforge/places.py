@@ -99,13 +99,12 @@ class PlaceContext:
         """Local Laurent expansion of a RatFunc, to absolute precision prec."""
         if r.field is not self.field:
             raise ConfigMismatch("rational function over a different field")
-        base = self.field.base
-        num = to_dense(r.num, base)
-        den = to_dense(r.den, base)
+        num = to_dense(r.num)
+        den = to_dense(r.den)
         if self.place.is_infinite:
             shift = den.degree - num.degree
-            return _series_div(num.coeffs[::-1], den.coeffs[::-1], base,
-                               prec - shift).shift(shift)
+            return _series_div(num.coeffs[::-1], den.coeffs[::-1],
+                               self.field.base, prec - shift).shift(shift)
         return _series_div(num.shift(self.theta, self.lift).coeffs,
                            den.shift(self.theta, self.lift).coeffs,
                            self.res_field, prec)
@@ -156,12 +155,11 @@ def place_order(r, place):
     """Valuation of a rational function at a place."""
     if r.is_zero():
         raise ConfigMismatch("valuation of zero is undefined")
-    base = r.field.base
     if place.is_infinite:
-        return (to_dense(r.den, base).degree - to_dense(r.num, base).degree)
+        return to_dense(r.den).degree - to_dense(r.num).degree
     out = 0
     for mp, sgn in ((r.num, 1), (r.den, -1)):
-        dense = to_dense(mp, base)
+        dense = to_dense(mp)
         while True:
             q, rem = dense.divmod(place.poly)
             if not rem.is_zero():

@@ -309,15 +309,15 @@ def is_irreducible(f):
     return True
 
 
-def to_dense(mp, base):
-    """Univariate MPoly -> dense Poly over the base field."""
+def to_dense(mp):
+    """Univariate MPoly -> dense Poly over its field."""
     if mp.nvars != 1:
         raise UnsupportedField(
             f"a dense polynomial needs one variable, not {mp.nvars}")
     out = [0] * (mp.degree_in(0) + 1)
     for e, c in mp.terms.items():
         out[e[0]] = c
-    return Poly._from_codes(base, out)
+    return Poly._from_codes(mp.field, out)
 
 
 def to_mpoly(f):
@@ -330,10 +330,9 @@ def factor_ratfunc(r):
     """[(f, m)]: the monic irreducible factors f (Polys) of the numerator
     of a univariate RatFunc r with m > 0, then those of its denominator
     with m < 0, each in ``factor`` order."""
-    base = r.field.base
     out = []
     for mp, sgn in ((r.num, 1), (r.den, -1)):
-        dense = to_dense(mp, base)
+        dense = to_dense(mp)
         if dense.degree >= 1:
             out += [(f, sgn * m) for f, m in factor(dense)]
     return out

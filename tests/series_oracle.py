@@ -67,7 +67,7 @@ def series_div(num, den, ring, prec):
 def expand(ctx, r, prec):
     """The expansion of r at the place of the context ctx."""
     base = ctx.field.base
-    num, den = to_dense(r.num, base), to_dense(r.den, base)
+    num, den = to_dense(r.num), to_dense(r.den)
     if ctx.place.is_infinite:
         shift = den.degree - num.degree
         return series_div(num.coeffs[::-1], den.coeffs[::-1], base,

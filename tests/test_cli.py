@@ -11,9 +11,10 @@ import pytest
 
 from katoforge import (DiffForm, HClass, Laurent, MilnorElement, WittVector,
                        dlog, func_field, gf, laurent_field, witt)
-from katoforge.cli import (MAX_NESTING, Parser, Session, cache_clear,
-                           cache_verify, cache_warm, main, run_script,
-                           run_statement, tokenize)
+from katoforge.cli import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
+                           Parser, Session, cache_clear, cache_verify,
+                           cache_warm, main, run_script, run_statement,
+                           tokenize)
 
 from conftest import random_ratfunc
 
@@ -442,6 +443,49 @@ def test_minus_signs_do_not_recurse():
     assert run_script(text, out=buf) == 0
     assert buf.getvalue().splitlines()[1:] == ["let: t", "let: t",
                                                "let: 2*t"]
+
+
+def test_powers_are_bounded():
+    """An integer power stays an exact integer below 2^MAX_POWER_BITS; a
+    power of a rational function is refused when its numerator or
+    denominator could pass MAX_POWER_TERMS terms.  Refusals are one error
+    line each and answer at once, whatever the exponent's size; powers of
+    field elements and series are not bounded."""
+    assert (MAX_POWER_BITS, MAX_POWER_TERMS) == (4096, 2048)
+    # 3^2584 < 2^4096 <= 3^2585; (t^2+t+2)^1023 has degree 2046
+    text = ("field F = GF(3)(t)\n"
+            "let s = 3^2584 * {t, t+1}\n"
+            "let a = 3^2585 * {t, t+1}\n"
+            "let b = 3^999999999999\n"
+            "let c = (t^2+t+2)^1023\n"
+            "let d = (t^2+t+2)^1024\n"
+            "let e = (t/(t^2+t+2))^-1024\n"
+            "let f = (-1)^999999999999 + 0^999999999999 + 1^999999999999\n"
+            "let g = 2^-999999999999\n"
+            "field G = GF(101)(x, y)\n"
+            "let h = (x+y+1)^44\n"
+            "let i = (x+y+1)^45\n"
+            "field L = GF(2)((t))\n"
+            "let j = (t^-1+t)^1048576\n"
+            "field K = GF(2,2)(t)\n"
+            "let k = z^1000000000000")
+    buf = io.StringIO()
+    assert run_script(text, out=buf, keep_going=True) == 1
+    lines = buf.getvalue().splitlines()
+    assert lines[1] == f"let: {3 ** 2584}*{{t, t+1}}"
+    too_big = "integer power of 4096 bits or more"
+    too_many = "power with more than 2048 terms"
+    assert lines[2:4] == [f"error: line 3: {too_big}",
+                          f"error: line 4: {too_big}"]
+    assert lines[4].startswith("let: t^2046+")
+    assert lines[5:7] == [f"error: line 6: {too_many}",
+                          f"error: line 7: {too_many}"]
+    assert lines[7:9] == ["let: 0", "let: 2"]
+    assert lines[10].startswith("let: x^44+")
+    assert lines[11] == f"error: line 12: {too_many}"
+    assert lines[13] == "let: t^-1048576 + O(t^-1048505)"
+    assert lines[15] == "let: z"
+    assert len(lines) == 16
 
 
 def test_level_2_past_the_prime_bound_is_refused(monkeypatch):

@@ -16,9 +16,11 @@ from katoforge import (ConfigMismatch, DivisionByZero, HClass,
                        reciprocity_check, residue_at, witt_standard_form)
 from katoforge import (kato as kato_module, milnor as milnor_module,
                        places as places_module, poly as poly_module)
-from katoforge.kato import _t_place, class_places, local_symbol
+from katoforge.kato import (_precision_needs, _t_place, class_places,
+                            local_symbol)
 from katoforge.milnor import _has_steinberg_pair, symbol_expand
-from katoforge.places import PlaceContext, support_places
+from katoforge.places import (PlaceContext, from_rational, place_order,
+                              support_places)
 from katoforge.poly import is_irreducible, to_dense
 
 from conftest import random_ratfunc, run_optimized
@@ -380,7 +382,7 @@ def _irreducible(K, d):
         f = t ** d
         for k, c in enumerate(tail):
             f = f + K.const(c) * t ** k
-        if is_irreducible(to_dense(f.num, F)):
+        if is_irreducible(to_dense(f.num)):
             return f
 
 
@@ -547,6 +549,96 @@ def test_place_over_another_field_is_refused(K2):
         local_invariant(c, place)
     with pytest.raises(ConfigMismatch, match=r"GF\(2\^2\).*GF\(2\)"):
         residue_at(K2.one / t, place)
+
+
+def _laurent_class(c, pad):
+    """The class over F_q((t)) whose terms are those of c over F_q(t),
+    each coordinate and entry expanded at t (from_rational) pad
+    coefficients past the precision `_precision_needs` asks for."""
+    place = Place(Poly.x(c.field.base))
+    terms = []
+    for w, (b,) in c.terms:
+        vals = [1 if a.is_zero() else place_order(a, place)
+                for a in w.coords]
+        needs, rel = _precision_needs(c.field.base.p, c.level, vals)
+        coords = tuple(from_rational(a, need + pad)
+                       for a, need in zip(w.coords, needs))
+        b = from_rational(b, place_order(b, place) + rel + pad)
+        terms.append((WittVector(w.p, coords), (b,)))
+    return HClass(laurent_field(c.field.base), 1, c.level, terms)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_invariant_at_t_matches_the_class_over_laurent_series(p, e, level):
+    """The invariant of a class over F_q(t) at the place t is the invariant
+    at (t) of the same class over F_q((t)), its coordinates and entries
+    expanded exactly as far as the residue reads them, or further.  The
+    random classes come in pairs: c, and c with its coordinates divided by
+    t, so that most of them are ramified at t."""
+    K = func_field(gf(p, e), ("t",))
+    t = K.var("t")
+    place = Place(Poly.x(K.base))
+    rng = random.Random(f"laurent:{p}:{e}:{level}")
+    classes = [HClass(K, 1, level, c.terms)
+               for c in _oracle_classes(p, e, level)]
+    for _ in range(4):
+        c = _rnd_class(rng, K, level, nterms=3)
+        classes += [c, HClass(K, 1, level, [
+            (WittVector(p, tuple(a / t for a in w.coords)), b)
+            for w, b in c.terms])]
+    nonzero = 0
+    for c in classes:
+        want = local_invariant(c, place).value
+        for pad in (0, 3):
+            local = _laurent_class(c, pad)
+            assert local_invariant(local, _t_place(local.field)).value \
+                == want, (c, pad)
+        nonzero += bool(want)
+    assert nonzero >= 2
+
+
+def test_laurent_class_at_another_place_is_refused():
+    """A class over F_q((t)) has the one place (t) of its own base field:
+    the place t over another field, t + 1 and infinity are refused, after
+    the degree check."""
+    F2 = gf(2)
+    LF = laurent_field(F2)
+    t = Laurent.monomial(F2, F2.one, 1, 12)
+    c = HClass.build(LF, WittVector(2, (t.inverse(),)),
+                     (t + Laurent.one(F2, 12),))
+    assert local_invariant(c, Place(Poly.x(F2))).value == 1
+    F4 = gf(2, 2)
+    for place in (Place(Poly.x(F4)), Place(Poly(F2, [F2.one, F2.one])),
+                  Place.infinity()):
+        with pytest.raises(UnsupportedField, match="single place"):
+            local_invariant(c, place)
+        with pytest.raises(UnsupportedField, match="single place"):
+            local_invariant(HClass.zero(LF, 1, 1), place)
+    two = _raw_class(LF, 1, 1, [(c.terms[0][0], (t, t))])
+    with pytest.raises(UnsupportedDegree):
+        local_invariant(two, Place(Poly.x(F4)))
+
+
+def test_repeated_uniformizer_slot_drops():
+    """Over F_q((t)) the uniformizer t fills one slot whatever precision
+    each entry records: (w | t + O(t^5), t + t^2 + O(t^9)) expands to
+    (w | t, 1 + t) + (w | t, t), and the second term is a relation.  Units
+    known to different precisions stay different slots."""
+    F2 = gf(2)
+    LF = laurent_field(F2)
+    o = F2.one
+    w = WittVector(2, (Laurent(F2, -1, [o], 70),))
+    c = HClass.build(LF, w, (Laurent(F2, 1, [o], 5),
+                             Laurent(F2, 1, [o, o], 9)))
+    assert repr(c) == ("[ [t^-1 + O(t^70)] | t + O(t^5), "
+                       "1 + t + O(t^8) )")
+    assert HClass.build(LF, w, (Laurent(F2, 1, [o], 5),
+                                Laurent(F2, 1, [o], 9))).is_formally_zero()
+    units = HClass.build(LF, w, (Laurent(F2, 0, [o, o], 5),
+                                 Laurent(F2, 0, [o, o], 9)))
+    assert len(units.terms) == 1
+    assert _is_normal(c) and _is_normal(units)
 
 
 @pytest.mark.parametrize("p,e,level", ORACLE_CELLS)

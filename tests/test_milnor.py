@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from katoforge import (ASExtension, DegreeMismatch, MilnorElement,
+from katoforge import (ASExtension, DegreeMismatch, DiffForm, MilnorElement,
                        NormShapeUnsupported, d_symbol, dlog, func_field, gf,
-                       kn_equal, symbol_expand)
+                       kn_equal, milnor, symbol_expand)
 
 from conftest import ORACLE_FIELDS, random_ratfunc, ratfuncs
 from forms_oracle import wedge_of_dlogs
@@ -130,6 +130,49 @@ def test_d_symbol_matches_wedge_of_dlogs(p, e, vars, data):
     K = func_field(gf(p, e), vars)
     s = data.draw(milnor_elements(K))
     assert d_symbol(s) == wedge_of_dlogs(s)
+
+
+def _dlog_sum(s):
+    """The image of an element of degree 0 or 1 read off directly: the
+    constant c for c{}, and sum c dlog a over the symbols c{a}."""
+    F = s.field
+    out = DiffForm.zero(F, s.degree)
+    for sym, c in s.terms.items():
+        c %= F.base.p
+        if c and sym:
+            out = out + dlog(sym[0]).scale(F.const(c))
+        elif c:
+            out = out + DiffForm.from_function(F.const(c))
+    return out
+
+
+@pytest.mark.parametrize("p,e,vars", [(2, 1, ("t",)), (3, 1, ("t",)),
+                                      (2, 1, ("x", "y")), (3, 1, ("x", "y")),
+                                      (2, 2, ("x", "y", "z"))])
+def test_d_symbol_in_degrees_zero_and_one(p, e, vars):
+    """Degrees 0 and 1 take the determinant path of every degree (the
+    empty determinant is 1): c{} maps to the constant c, and a sum of
+    symbols c{a} to sum c dlog a, coefficients 0..p and constants among
+    the entries."""
+    assert not hasattr(milnor, "dlog")
+    K = func_field(gf(p, e), vars)
+    rng = random.Random(f"{p}:{e}:{len(vars)}")
+    for c in range(p + 1):
+        s = MilnorElement(K, 0, {(): c})
+        assert d_symbol(s) == _dlog_sum(s)
+        assert d_symbol(s) == (DiffForm.from_function(K.const(c)) if c % p
+                               else DiffForm.zero(K, 0))
+    pool = [random_ratfunc(rng, K, max_deg=2) for _ in range(6)]
+    pool = [a for a in pool if not a.is_zero()]
+    pool += [K.const(K.base.from_code(K.base.order - 1)), K.one]
+    nonzero = 0
+    for _ in range(12):
+        s = MilnorElement.zero(K, 1)
+        for _ in range(rng.randint(1, 4)):
+            s = s + _sym(K, [rng.choice(pool)], rng.randint(0, p))
+        assert d_symbol(s) == _dlog_sum(s), s
+        nonzero += not d_symbol(s).is_zero()
+    assert nonzero
 
 
 @pytest.mark.parametrize("p,e,vars", [(2, 1, ("x", "y")), (3, 1, ("x", "y")),
