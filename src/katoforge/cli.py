@@ -20,8 +20,9 @@ symbols ``{a, b}``, classes ``[ w | b1, b2 )``, differential forms written
 
 A line is cut into tokens by one pattern (``_TOKEN``) and each statement
 reads its tokens through one ``Cursor``; ``Parser`` is the cursor that
-knows the grammar.  Brackets nest at most ``MAX_NESTING`` deep, and powers
-are bounded by ``MAX_POWER_BITS`` and ``MAX_POWER_TERMS``.  Bad input
+knows the grammar.  Brackets nest at most ``MAX_NESTING`` deep, integer
+literals and powers are bounded by ``MAX_POWER_BITS``, and powers also by
+``MAX_POWER_TERMS``.  Bad input
 raises a ``KatoforgeError``, which ``run_script`` prints as one line
 ``error: line N ...``.
 """
@@ -72,7 +73,13 @@ def tokenize(line, lineno):
             raise ScriptError(f"unexpected character {text!r}", lineno,
                               col + 1)
         if kind == "int":
-            out.append(("int", int(text), col))
+            # a literal stays below 2^MAX_POWER_BITS, as an integer power
+            # does; a run of more digits than that has bits is not read
+            n = int(text) if len(text) <= MAX_POWER_BITS else None
+            if n is None or n.bit_length() > MAX_POWER_BITS:
+                raise ScriptError(f"integer of {MAX_POWER_BITS} bits or "
+                                  f"more", lineno, col + 1)
+            out.append(("int", n, col))
         elif kind == "name":
             out.append(("name", text, col))
         elif kind == "punct":

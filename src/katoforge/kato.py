@@ -39,7 +39,19 @@ known to O(t^(r-1)) when b is known to relative precision r, so b needs
 r = 1 - val g, and val g >= min_j n_j v_j.
 
 So the residue reads only min(v_j, 0) of each coordinate and ord b of the
-entry.  A reciprocity table takes them from one factorization per class:
+entry, and a term whose coordinates are all integral (every v_j >= 0; a zero
+coordinate reads 1 over F_q(t), its precision over F_q((t))) needs no series
+at all.  Its g is integral and the lift of b = pi^(ord b) u has dlog
+ord b / pi plus an integral series, so (g * dlog b)_{-1} = g_0 * ord b with
+g_0 = sum_j p^j [a_j(v)]^(p^(i-1-j)), a_j(v) the constant term of
+coordinate j.  [a]^p is the Frobenius of [a], which the trace does not
+see, so Tr g_0 = Tr sum_j p^j [a_j(v)], the element with p-adic digits
+w(v) (`GaloisRing.from_digits`): the classical unramified invariant
+ord b * Tr(w(v)).  Such a term contributes 0 when ord b = 0 and is
+otherwise read off the residue field; local_symbol sees only the terms
+with a pole.
+
+A reciprocity table takes the orders from one factorization per class:
 each distinct coordinate denominator is factored once, and at a finite
 place f, min(v_j, 0) is minus the multiplicity of f in the denominator of
 coordinate j (at infinity, deg den - deg num).  `_factor_pass` relies on the
@@ -148,11 +160,13 @@ def _is_zero(x):
 
 
 def _teich_match(w, entries):
-    """True when w = (a,0,...,0) with a equal to some entry."""
+    """True when w = (a,0,...,0) with a equal to some entry; as in
+    `_slot_key`, the uniformizer t is one value at every precision."""
     if any(not _is_zero(c) for c in w.coords[1:]):
         return False
     a = w.coords[0]
-    return any(a == b for b in entries)
+    return any(a == b or _is_uniformizer(a) and _is_uniformizer(b)
+               for b in entries)
 
 
 def _entry_key(x):
@@ -164,13 +178,16 @@ def _entry_key(x):
     return ("r", x.sort_key())
 
 
+def _is_uniformizer(x):
+    """True when x is the series t, known to any precision."""
+    return isinstance(x, Laurent) and x.val == 1 and x.coeffs == (x.ring.one,)
+
+
 def _slot_key(x):
     """`_entry_key` without the precision of the uniformizer t, which
     `_expand_entry` records at the precision of the entry it came from:
     two uniformizer entries fill one slot."""
-    if isinstance(x, Laurent) and x.val == 1 and x.coeffs == (x.ring.one,):
-        return "t"
-    return _entry_key(x)
+    return "t" if _is_uniformizer(x) else _entry_key(x)
 
 
 def _term_key(w, entries):
@@ -401,32 +418,31 @@ def witt_standard_form(w, base):
 
 # ------------------------------------------------------- invariants ----
 
-def _local_series_inputs(c, place, orders=None):
-    """(k_field, [coord series], b series) per term of a degree-1 class at
-    a place.  Over F_q(t) each series is expanded at the place as far as
-    the residue reads it (`_precision_needs`); orders gives, per term, the
-    coordinate valuations read (a zero coordinate at 1) and the entry's
-    order, by default from place_order.  Over F_q((t)), whose one place is
-    (t), the terms are the series, checked to be known that far."""
+def _local_terms(c, place, orders=None):
+    """(k_field, w, b, vals, ord b, at) per term of a degree-1 class at a
+    place: vals and ord b are the coordinate valuations and the entry order
+    the residue reads (`_precision_needs`), and at(x, prec) is x's series
+    over k_field known to O(t^prec) at least.  Over F_q(t) orders gives
+    (vals, ord b) per term, by default from place_order (a zero coordinate
+    at 1), and at expands at the place.  Over F_q((t)), whose one place is
+    (t), the terms are series, checked to be known as far as the residue
+    reads them, and at returns them as they are."""
     field = c.field
-    p = field.base.p
     if _field_kind(field) == "local":
         if place != _t_place(field):
             raise UnsupportedField("F_q((t)) carries the single place (t)")
-        for w, entries in c.terms:
-            _require_residue_precision(p, c.level, w.coords, entries[0])
-            yield field.base, list(w.coords), entries[0]
+        for w, (b,) in c.terms:
+            _require_residue_precision(field.base.p, c.level, w.coords, b)
+            yield (field.base, w, b, [a.val for a in w.coords], b.val,
+                   lambda x, prec: x)
         return
     ctx = place_context(field, place)
     if orders is None:
-        # a zero coordinate is read as zero to O(t^1), valuation 1
         orders = [([1 if a.is_zero() else place_order(a, place)
-                    for a in w.coords], place_order(entries[0], place))
-                  for w, entries in c.terms]
-    for (w, entries), (vals, ord_b) in zip(c.terms, orders):
-        needs, rel = _precision_needs(p, c.level, vals)
-        coords = [ctx.expand(a, need) for a, need in zip(w.coords, needs)]
-        yield ctx.res_field, coords, ctx.expand(entries[0], ord_b + rel)
+                    for a in w.coords], place_order(b, place))
+                  for w, (b,) in c.terms]
+    for (w, (b,)), (vals, ord_b) in zip(c.terms, orders):
+        yield ctx.res_field, w, b, vals, ord_b, ctx.expand
 
 
 def _require_degree_one(c):
@@ -439,14 +455,25 @@ def local_invariant(c, place, orders=None):
 
     Over F_q(t), orders is the list of (vals, ord b) per term that the
     residue reads at this place (`reciprocity_check` reads them off its
-    factorizations); by default place_order computes them."""
+    factorizations); by default place_order computes them.  A term whose
+    coordinates are integral there reads its residue off the residue field
+    (module docstring); the others go through local_symbol."""
     _require_degree_one(c)
     if _field_kind(c.field) == "const":
         raise UnsupportedField("constants have no places")
-    total = sum(local_symbol(k_field, c.level, coords, b)
-                for k_field, coords, b in _local_series_inputs(c, place,
-                                                               orders))
-    return LocalInvariant(total, place, c.level, c.field.base.p)
+    level, p = c.level, c.field.base.p
+    total = 0
+    for k_field, w, b, vals, ord_b, at in _local_terms(c, place, orders):
+        if min(vals) < 0 or _is_zero(b):
+            needs, rel = _precision_needs(p, level, vals)
+            total += local_symbol(
+                k_field, level, [at(a, n) for a, n in zip(w.coords, needs)],
+                at(b, ord_b + rel))
+        elif ord_b:
+            R = galois_ring(k_field, level)
+            total += ord_b * R.trace_int(R.from_digits(
+                [at(a, 1).coeff(0) for a in w.coords]))
+    return LocalInvariant(total, place, level, p)
 
 
 def _require_residue_precision(p, level, coords, b):
@@ -476,7 +503,7 @@ def _factor_pass(c):
     docstring).  places are the finite places where a coordinate has a pole
     or an entry a zero, in Place order, then infinity;
     orders(place) is the [(vals, ord b)] per term that
-    `_local_series_inputs` takes."""
+    `_local_terms` takes."""
     if _field_kind(c.field) != "global":
         raise UnsupportedField("places belong to classes over F_q(t)")
     # orders at a place are read from {place polynomial: valuation} dicts,

@@ -488,6 +488,51 @@ def test_powers_are_bounded():
     assert len(lines) == 16
 
 
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_integer_literals_are_bounded(json_mode):
+    """An integer literal stays below 2^MAX_POWER_BITS, as an integer power
+    does, so every integer a script prints reads back; a run of 4,301
+    digits, past what int() converts, is one error line, not a
+    traceback."""
+    big = str(2 ** MAX_POWER_BITS - 1)
+    text = ("field F = GF(2)(t)\n"
+            f"let a = {'1' * 4301}\n"
+            f"let b = {2 ** MAX_POWER_BITS}\n"
+            f"let c = {big} * {{t, t+1}}\n"
+            "let d = 7")
+    buf = io.StringIO()
+    assert run_script(text, json_mode=json_mode, keep_going=True,
+                      out=buf) == 1
+    lines = buf.getvalue().splitlines()
+    message = "col 9: integer of 4096 bits or more"
+    if json_mode:
+        rows = [json.loads(ln) for ln in lines]
+        assert rows[1:3] == [{"op": "error", "line": n,
+                              "message": f"line {n} {message}"}
+                             for n in (2, 3)]
+        assert [r["result"] for r in rows[3:]] == [f"{big}*{{t, t+1}}",
+                                                   "1"]
+    else:
+        assert lines[1:] == [f"error: line 2 {message}",
+                             f"error: line 3 {message}",
+                             f"let: {big}*{{t, t+1}}", "let: 1"]
+
+
+def test_teichmueller_relation_drops_the_uniformizer_at_any_precision():
+    """Over F_q((t)) the coordinate t + O(t^5) and the entry t + O(t^9)
+    are the one uniformizer t, so [t | t) is a relation and prints 0; a
+    unit known to different precisions stays a term."""
+    buf = io.StringIO()
+    assert run_script("field L = GF(2)((t))\n"
+                      "let c = [ [t + O(t^5)] | t + O(t^9) )\n"
+                      "zero c\n"
+                      "let u = [ [1 + t + O(t^5)] | 1 + t + O(t^9) )",
+                      out=buf) == 0
+    assert buf.getvalue().splitlines()[1:] == [
+        "let: 0", "zero: True",
+        "let: [ [1 + t + O(t^5)] | 1 + t + O(t^9) )"]
+
+
 def test_level_2_past_the_prime_bound_is_refused(monkeypatch):
     def refuse(p, i):
         raise AssertionError(f"generated W_{i} over F_{p}")

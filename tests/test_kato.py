@@ -22,8 +22,9 @@ from katoforge.milnor import _has_steinberg_pair, symbol_expand
 from katoforge.places import (PlaceContext, from_rational, place_order,
                               support_places)
 from katoforge.poly import is_irreducible, to_dense
+from katoforge.witt import max_structure_level
 
-from conftest import random_ratfunc, run_optimized
+from conftest import random_mpoly, random_ratfunc, run_optimized
 from ghost_oracle import (ghost_inversion_symbol, uniform_precision,
                           uniform_series_inputs)
 
@@ -540,6 +541,142 @@ def test_reciprocity_reads_entries_off_the_normal_form(monkeypatch):
     assert len(calls) == 1          # the counter sees the calls there are
 
 
+# ------------------------------------------------ integral-term rule ----
+
+RULE_CELLS = [(p, e, level)
+              for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+              for level in range(1, min(4, max_structure_level(p)) + 1)]
+
+
+def _counting_local_symbol(monkeypatch):
+    """The list that records each call of kato's module-global
+    local_symbol from here on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return local_symbol(*args)
+
+    monkeypatch.setattr(kato_module, "local_symbol", counting)
+    return calls
+
+
+def _rule_shapes(rng, level, integral, zero, polar, entry):
+    """(coords, b, integral?) two per shape: every coordinate integral,
+    with a zero coordinate in each slot or with none, and a pole in each
+    slot, each once with ord b = 0 and once with ord b != 0."""
+    out = []
+    for slot in [None] + list(range(level)):
+        for k in (0, rng.choice([-1, 1, 2])):
+            out.append(([zero() if j == slot else integral()
+                         for j in range(level)], entry(k), True))
+    for slot in range(level):
+        for k in (0, rng.choice([-1, 1])):
+            out.append(([polar() if j == slot else integral()
+                         for j in range(level)], entry(k), False))
+    return out
+
+
+def _global_rule_shapes(rng, K, level, f):
+    """`_rule_shapes` over F_q(t) at the place of the monic irreducible f,
+    or at infinity when f is None: pi has order 1 there, unit and
+    unit / other order 0."""
+    t, one = K.var("t"), K.one
+    F = K.base
+    if f is None:
+        pi, unit, other = one / t, t * t + t + one, t * t + one
+    else:
+        pi, unit, other = f, f + one, one
+
+    def const():
+        return K.const(F.from_code(rng.randrange(1, F.order)))
+
+    def integral():
+        return K.from_poly(random_mpoly(rng, F, 1, max_deg=2)) / unit
+
+    return _rule_shapes(rng, level, integral, lambda: K.zero,
+                        lambda: integral() + const() / pi,
+                        lambda k: pi ** k * const() * unit / other)
+
+
+def _local_rule_shapes(rng, F, level):
+    """`_rule_shapes` over F_q((t)), every series known far past what the
+    residue reads; a zero coordinate is zero to that precision."""
+    prec = F.p ** (level - 1) + level + 8
+
+    def series(val):
+        return Laurent(F, val, [F.from_code(rng.randrange(1, F.order))]
+                       + [F.from_code(rng.randrange(F.order))
+                          for _ in range(prec)], val + prec)
+
+    return _rule_shapes(rng, level, lambda: series(rng.randint(0, 2)),
+                        lambda: Laurent.zero(F, prec),
+                        lambda: series(-1), series)
+
+
+@pytest.mark.parametrize("p,e,level", RULE_CELLS)
+def test_integral_terms_match_the_series_residue(p, e, level,
+                                                 monkeypatch):
+    """Term by term, at places of degree 1-3, at infinity and over
+    F_q((t)): the invariant of a term whose coordinates are integral is
+    read off the residue field with no local_symbol call, and equals the
+    series residue (local_symbol on expansions to one generous
+    precision); a term with a pole takes one local_symbol call."""
+    K = func_field(gf(p, e), ("t",))
+    LF = laurent_field(K.base)
+    rng = random.Random(f"rule:{p}:{e}:{level}")
+    cases = []
+    for f in (K.var("t") + K.const(K.base.from_code(rng.randrange(p ** e))),
+              _irreducible(K, 2), _irreducible(K, 3), None):
+        place = Place(to_dense(f.num)) if f is not None else Place.infinity()
+        for coords, b, is_integral in _global_rule_shapes(rng, K, level, f):
+            c = _raw_class(K, 1, level, [(WittVector(p, coords), (b,))])
+            assert is_integral == all(place_order(a, place) >= 0
+                                      for a in coords if not a.is_zero())
+            want = sum(local_symbol(k, level, series, b)
+                       for k, series, b in uniform_series_inputs(c, place))
+            cases.append((c, place, want, is_integral,
+                          place_order(b, place)))
+    for coords, b, is_integral in _local_rule_shapes(rng, K.base, level):
+        c = _raw_class(LF, 1, level, [(WittVector(p, coords), (b,))])
+        cases.append((c, _t_place(LF), local_symbol(K.base, level, coords, b),
+                      is_integral, b.val))
+    calls = _counting_local_symbol(monkeypatch)
+    unramified = 0
+    for c, place, want, is_integral, ord_b in cases:
+        calls.clear()
+        assert local_invariant(c, place).value == want % p ** level, \
+            (c, place)
+        assert len(calls) == (0 if is_integral else 1), (c, place)
+        unramified += is_integral and ord_b != 0 and want % p ** level != 0
+    assert unramified
+
+
+def test_reciprocity_calls_local_symbol_only_at_poles(K2, monkeypatch):
+    """A table takes local_symbol only for the (term, place) pairs where a
+    coordinate has a pole: [1/t, 1 | q) at t, [t, 0 | t+1) at infinity
+    and [1/q, t | t) at q and at infinity, 4 of the 12 pairs, q =
+    t^2+t+1."""
+    t, one = K2.var("t"), K2.one
+    q = t * t + t + one
+    c = (HClass.build(K2, _w(2, one / t, one), (q,))
+         + HClass.build(K2, _w(2, t, K2.zero), (t + one,))
+         + HClass.build(K2, _w(2, one / q, t), (t,)))
+    places = class_places(c)
+    assert [repr(pl) for pl in places] == ["t", "t+1", "t^2+t+1", "inf"]
+    polar = sum(any(not a.is_zero() and place_order(a, pl) < 0
+                    for a in w.coords)
+                for w, _ in c.terms for pl in places)
+    assert (len(c.terms), polar) == (3, 4)
+    want = [sum(local_symbol(k, 2, series, b)
+                for k, series, b in uniform_series_inputs(c, pl)) % 4
+            for pl in places]
+    calls = _counting_local_symbol(monkeypatch)
+    ok, table = reciprocity_check(c)
+    assert len(calls) == 4
+    assert ok and [inv.value for inv in table] == want
+
+
 def test_place_over_another_field_is_refused(K2):
     F4 = gf(2, 2)
     place = Place(Poly(F4, [F4.gen, F4.one]))          # t + z over GF(4)
@@ -719,6 +856,20 @@ def test_local_symbol_zero_entry_raises():
     with pytest.raises(DivisionByZero):
         local_symbol(F, 1, [Laurent.monomial(F, F.one, 2, 8)],
                      Laurent.zero(F, 8))
+
+
+@pytest.mark.parametrize("prec", [0, 3])
+def test_zero_entry_of_an_integral_term_raises(prec):
+    """An entry zero to precision has no order, so a term over F_q((t))
+    with integral coordinates and such an entry is not read off the
+    residue field: local_invariant refuses it as local_symbol does."""
+    F = gf(2)
+    LF = laurent_field(F)
+    c = _raw_class(LF, 1, 2, [(WittVector(2, (Laurent.one(F, 8),
+                                              Laurent.zero(F, 8))),
+                               (Laurent.zero(F, prec),))])
+    with pytest.raises(DivisionByZero):
+        local_invariant(c, _t_place(LF))
 
 
 # -------------------------------------------------------- level maps ----
