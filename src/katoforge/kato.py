@@ -7,11 +7,15 @@ Every HClass is in normal form: each entry is expanded along a fixed
 factorization strategy (`_expand_entry`; over F_q(t) a monic irreducible or a
 constant other than 1, over F_q((t)) t or a unit other than 1), no term has a
 zero vector, a repeated entry (t counts once at every precision) or a
-Teichmueller match, and the terms are sorted.  Only HClass(field, degree,
-level, terms) expands; the other operations take the canonical step alone.
-No confluent rewriting is attempted: equality is decided through
-invariants on the supported field classes (finite constants; F_q(t) at
-n = 1; F_q((t)) at n <= 1).
+Teichmueller match, and the terms are sorted.  A series coordinate counts as
+zero there only when it is known to O(t^1), as far as the residue reads a
+zero coordinate; zero to a lower precision, its term stays and the residue
+refuses it.  Only HClass(field, degree, level, terms) expands; the other
+operations take the canonical step alone.  No confluent rewriting is
+attempted: equality is decided through invariants on the supported field
+classes (finite constants; F_q(t) at n = 1; F_q((t)) at n <= 1).  Classes
+over F_q(x, y, ...) are built and added, but have no invariant and no zero
+test.
 
 The local invariant at a place is the Schmid-Witt residue: coordinates and
 entry are expanded in the completion k(v)((pi)) and lifted coefficient-wise
@@ -50,6 +54,31 @@ w(v) (`GaloisRing.from_digits`): the classical unramified invariant
 ord b * Tr(w(v)).  Such a term contributes 0 when ord b = 0 and is
 otherwise read off the residue field; local_symbol sees only the terms
 with a pole.
+
+The standard form over F_q((t)) (Brylinski, Ann. Inst. Fourier 33, 1983)
+removes each pole term c t^(-m), p | m, of coordinate j by the step
+cur - wp(V^j [d]), d = c^(1/p) t^(-m/p).  F and V commute in characteristic
+p, so that is cur + V^j([d] - [d^p]); and since
+(x_0, .., x_{j-1}, 0, ..) + V^j(y) = (x_0, .., x_{j-1}, y) with V additive,
+only the tail (cur_j, .., cur_{i-1}) moves: it becomes
+(tail + [d]) + (-[d^p]) in W_{i-j}, with -[x] from
+`WittVector.neg_teichmuller`, and no negation polynomial is evaluated.
+
+decompose_local reads the reduced coordinates through t^0, and checks
+before any Witt arithmetic that the input determines them: with
+mu = min(0, min_k v_k / p^k) (a zero coordinate counts as valuation its
+precision), coordinate k must be known to O(t^M_k),
+M_k = ceil(1 + (p^(i-1) - p^k) |mu|).  The sum, negation and product
+polynomials are isobaric of weight p^n in coordinate n when coordinate k
+weighs p^k, so a vector whose coordinate k has valuation >= p^k mu and is
+known to O(t^M_k) keeps both bounds through every sum: a monomial of
+coordinate n takes its precision from one factor, M_k, plus the valuation
+of the others, >= (p^n - p^k) mu.  The [d] and -[d^p] of a step satisfy
+both: d has valuation -m/p with m <= p^j |mu|, and is known m p + 4 past
+every input coordinate, so past M_0 = M_{j+k} + (p^(j+k) - 1) |mu|; that
+covers the (p 2^k - 1) m / p which the power (d^p)^(2^k) in coordinate
+j + k of -[d^p] loses at p = 2.  So every reduced coordinate is known to
+O(t^M_k), M_k >= 1.
 
 A reciprocity table takes the orders from one factorization per class:
 each distinct coordinate denominator is factored once, and at a finite
@@ -123,13 +152,27 @@ class LocalInvariant:
 # ----------------------------------------------------------- classes ----
 
 def _field_kind(field):
+    """"const" (GF(q)), "global" (F_q(t)), "local" (F_q((t))) or
+    "multivariate" (F_q(x, y, ...)), whose classes are built and added
+    but have no invariant (`_invariant_field_kind`)."""
     if isinstance(field, GF):
         return "const"
     if isinstance(field, FuncField):
-        return "global"
+        return "global" if field.k == 1 else "multivariate"
     if isinstance(field, LaurentField):
         return "local"
     raise UnsupportedField(f"unsupported field descriptor {field!r}")
+
+
+def _invariant_field_kind(field):
+    """`_field_kind` of a field whose classes have invariants and a zero
+    test; UnsupportedField, naming those fields, otherwise."""
+    kind = _field_kind(field)
+    if kind == "multivariate":
+        raise UnsupportedField(
+            f"classes over {field!r} have no invariants; invariants and "
+            f"zero tests cover GF(q), F_q(t) and F_q((t))")
+    return kind
 
 
 def _expand_entry(field, b):
@@ -159,10 +202,18 @@ def _is_zero(x):
     return not x if isinstance(x, GFElem) else x.is_zero()
 
 
+def _known_zero(x):
+    """x is zero, a series known to O(t^1) at least: as far as the residue
+    reads a zero coordinate (`_precision_needs`).  A series zero only to a
+    lower precision is kept, so the residue refuses it."""
+    return _is_zero(x) and (not isinstance(x, Laurent) or x.prec >= 1)
+
+
 def _teich_match(w, entries):
-    """True when w = (a,0,...,0) with a equal to some entry; as in
-    `_slot_key`, the uniformizer t is one value at every precision."""
-    if any(not _is_zero(c) for c in w.coords[1:]):
+    """True when w = (a,0,...,0) with a equal to some entry and each 0 a
+    `_known_zero`; as in `_slot_key`, the uniformizer t is one value at
+    every precision."""
+    if not all(map(_known_zero, w.coords[1:])):
         return False
     a = w.coords[0]
     return any(a == b or _is_uniformizer(a) and _is_uniformizer(b)
@@ -272,10 +323,11 @@ def _expanded_terms(field, terms):
 
 
 def _canonical(terms):
-    """Expanded terms in normal form: zero vectors, repeated slots and
-    Teichmueller-Steinberg matches dropped, the rest sorted."""
+    """Expanded terms in normal form: vectors of `_known_zero` coordinates,
+    repeated slots and Teichmueller-Steinberg matches dropped, the rest
+    sorted."""
     out = [(w, ent) for w, ent in terms
-           if not all(map(_is_zero, w.coords))
+           if not all(map(_known_zero, w.coords))
            and len(set(map(_slot_key, ent))) == len(ent)
            and not _teich_match(w, ent)]
     out.sort(key=lambda t: _term_key(*t))
@@ -376,8 +428,10 @@ def local_symbol(k_field, level, w_coords, b):
 def witt_standard_form(w, base):
     """Reduce Laurent-coordinate w modulo wp-images of integral-direction
     vectors: pole terms of order divisible by p cancel against coordinate-wise
-    p-th roots, coordinate by coordinate.  Returns (reduced, wild) where wild
-    lists the (coordinate, order) pole terms that survive (order prime to p).
+    p-th roots, coordinate by coordinate, each step on the tail of the vector
+    from its coordinate (module docstring).  Returns (reduced, wild) where
+    wild lists the (coordinate, order) pole terms that survive (order prime
+    to p).
     """
     p = w.p
     cur = w
@@ -403,10 +457,13 @@ def witt_standard_form(w, base):
             root = base.pth_root(c)
             d = Laurent.monomial(base, root, -(m // p),
                                  prec=maxprec + m * p + 4)
-            z = d * 0
-            y = WittVector(p, tuple(z if k != j else d
-                                    for k in range(w.level)))
-            cur = cur - y.wp()
+            # cur - wp(V^j [d]) = cur + V^j([d] - [d^p]): only the tail
+            # from coordinate j moves (module docstring)
+            level = w.level - j
+            tail = (WittVector(p, cur.coords[j:])
+                    + WittVector.teichmuller(p, d, level)
+                    + WittVector.neg_teichmuller(p, d ** p, level))
+            cur = WittVector(p, cur.coords[:j] + tail.coords)
     wild = []
     for j, a in enumerate(cur.coords):
         if not a.is_zero() and a.val < 0:
@@ -414,6 +471,24 @@ def witt_standard_form(w, base):
                 if a.coeff(idx):
                     wild.append((j, -idx))
     return cur, wild
+
+
+def _require_standard_form_precision(p, coords):
+    """PrecisionExhausted unless coordinate k is known to O(t^M_k),
+    M_k = ceil(1 + (p^(i-1) - p^k) |mu|), mu = min(0, min_k v_k / p^k):
+    then `witt_standard_form` knows every reduced coordinate through t^0
+    (module docstring).  A zero series known to O(t^P) counts as
+    valuation P.  In integers, with top = p^(i-1) and the integer
+    mu_top = mu * top, M_k = 1 - floor((top - p^k) mu_top / top)."""
+    level = len(coords)
+    top = p ** (level - 1)
+    mu_top = min(0, min(a.val * (top // p ** k) for k, a in enumerate(coords)))
+    for k, a in enumerate(coords):
+        need = 1 - (top - p ** k) * mu_top // top
+        if a.prec < need:
+            raise PrecisionExhausted(
+                f"Witt coordinate {k} known to O(t^{a.prec}); the level-"
+                f"{level} standard form reads it to O(t^{need})")
 
 
 # ------------------------------------------------------- invariants ----
@@ -459,7 +534,7 @@ def local_invariant(c, place, orders=None):
     coordinates are integral there reads its residue off the residue field
     (module docstring); the others go through local_symbol."""
     _require_degree_one(c)
-    if _field_kind(c.field) == "const":
+    if _invariant_field_kind(c.field) == "const":
         raise UnsupportedField("constants have no places")
     level, p = c.level, c.field.base.p
     total = 0
@@ -504,7 +579,7 @@ def _factor_pass(c):
     or an entry a zero, in Place order, then infinity;
     orders(place) is the [(vals, ord b)] per term that
     `_local_terms` takes."""
-    if _field_kind(c.field) != "global":
+    if _invariant_field_kind(c.field) != "global":
         raise UnsupportedField("places belong to classes over F_q(t)")
     # orders at a place are read from {place polynomial: valuation} dicts,
     # in which None, the polynomial of infinity, keys deg den - deg num
@@ -573,7 +648,9 @@ def decompose_local(c):
     (specialization at degree n, residue at degree n-1).
 
     Terms must reduce to integral standard form; a surviving pole of order
-    prime to p raises WildClass with the reduced vector attached.  Only
+    prime to p raises WildClass with the reduced vector attached.  A
+    coordinate known to less than the precision rule of the module
+    docstring asks raises PrecisionExhausted before any Witt arithmetic.  Only
     degree 1 carries the full decomposition (degree 0 has no residue slot).
     """
     if _field_kind(c.field) != "local":
@@ -582,6 +659,8 @@ def decompose_local(c):
         raise UnsupportedDegree("decomposition implemented for degree 1")
     base = c.field.base
     p = base.p
+    for w, _ in c.terms:
+        _require_standard_form_precision(p, w.coords)
     spec, resid = [], []
     for w, entries in c.terms:
         b = entries[0]
@@ -601,7 +680,7 @@ def decompose_local(c):
 
 def h_zero_test(c):
     """Sound and complete zero test on the supported field classes."""
-    kind = _field_kind(c.field)
+    kind = _invariant_field_kind(c.field)
     if kind == "const":
         if c.degree >= 1:
             return True      # Omega^n of a perfect constant field vanishes

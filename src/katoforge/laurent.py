@@ -19,7 +19,10 @@ multipoint Kronecker substitution", JSC 2009): every coefficient's digits go
 into byte-aligned slots of one integer, 2e-1 slots per power of t, so a
 series product is one bigint multiplication.  Reduction by the modulus is
 e-1 more shifts and multiplications of that integer; then only the slots of
-the coefficients the result keeps are unpacked and reduced mod M.
+the coefficients the result keeps are unpacked and reduced mod M.  A
+one-term operand c t^v is not packed: the other operand's coefficients are
+cut to the product's precision, min(prec - val) over the operands, and
+multiplied by c, or taken as they are when c is one, at valuation val + v.
 
 A sum a + b is known to min(prec) and is built only over the span
 [min val, min(prec, max end)) of the operands' known coefficients: the lower
@@ -218,9 +221,18 @@ class Laurent:
         if self.is_zero() or other.is_zero():
             return Laurent.zero(self.ring, prec)
         lo = self.val + other.val
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # c t^v: scale the other operand, or shift it when c is one
+            c = b[0]
+            a = a[:prec - lo]
+            return Laurent(self.ring, lo,
+                           a if c == self.ring.one else [x * c for x in a],
+                           prec)
         return Laurent(self.ring, lo,
-                       _packed_product(self.ring, self.coeffs, other.coeffs,
-                                       prec - lo), prec)
+                       _packed_product(self.ring, a, b, prec - lo), prec)
 
     __rmul__ = __mul__
 

@@ -22,6 +22,12 @@ lower the tracked precision of the sum.  Evaluation therefore reads
 ``WittStructure.reduced``: the terms with their coefficients taken mod p,
 the zero ones dropped.  The text format, its digests and the ghost checks
 stay on the integer polynomials.
+
+A Teichmueller representative [a] = (a, 0, ..., 0) is multiplicative,
+and [a] (x_0, x_1, ...) = (a x_0, a^p x_1, a^(p^2) x_2, ...).  For odd p,
+-1 is a (p-1)-th root of unity, so -1 = [-1] and -[a] = [-a].  For p = 2,
+-1 = (1, 1, 1, ...), so -[a] = (a, a^2, a^4, ...) (Serre, Local Fields
+II 6).  ``WittVector.neg_teichmuller`` builds it coordinate-wise.
 """
 
 import operator
@@ -265,6 +271,13 @@ class WittVector:
     def teichmuller(cls, p, a, level):
         z = a * 0
         return cls(p, (a,) + (z,) * (level - 1))
+
+    @classmethod
+    def neg_teichmuller(cls, p, a, level):
+        """-[a], with no negation polynomial (module docstring)."""
+        if p != 2:
+            return cls.teichmuller(p, -a, level)
+        return cls(p, [a ** (2 ** k) for k in range(level)])
 
     @classmethod
     def zeros(cls, p, zero_elem, level):

@@ -533,6 +533,29 @@ def test_teichmueller_relation_drops_the_uniformizer_at_any_precision():
         "let: [ [1 + t + O(t^5)] | 1 + t + O(t^9) )"]
 
 
+def test_zero_coordinates_known_below_the_residue_keep_their_term():
+    """A coordinate zero only to O(t^0) is no evidence of a zero term:
+    the term prints, and inv and zero refuse it alike; zero to O(t^1) it
+    is dropped.  recip on a class over F_2(x, y) is refused by name."""
+    buf = io.StringIO()
+    assert run_script("field L = GF(3)((t))\n"
+                      "let c = [ [O(t^0)] | t + O(t^3) )\n"
+                      "inv c at t\n"
+                      "zero c\n"
+                      "let d = [ [O(t^1)] | t + O(t^3) )\n"
+                      "field K = GF(2)(x, y)\n"
+                      "recip [ [1/x] | y )",
+                      keep_going=True, out=buf) == 1
+    short = ("Witt coordinate 0 known to O(t^0); the level-1 residue reads "
+             "it to O(t^1)")
+    assert buf.getvalue().splitlines()[1:] == [
+        "let: [ [O(t^0)] | t + O(t^3) )",
+        f"error: line 3: {short}", f"error: line 4: {short}", "let: 0",
+        "field: GF(2)(x, y)",
+        "error: line 7: classes over GF(2)(x, y) have no invariants; "
+        "invariants and zero tests cover GF(q), F_q(t) and F_q((t))"]
+
+
 def test_level_2_past_the_prime_bound_is_refused(monkeypatch):
     def refuse(p, i):
         raise AssertionError(f"generated W_{i} over F_{p}")

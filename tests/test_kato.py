@@ -1058,8 +1058,12 @@ def test_local_path_raises_typed_errors(K2, monkeypatch):
                              (s, Laurent(F2, 0, [F2.one, F2.one], 20)))])
     with pytest.raises(UnsupportedDegree):
         local_invariant(two, _t_place(LF))
-    # a reduction step that removes nothing would never terminate
-    monkeypatch.setattr(WittVector, "wp", lambda w: w.int_mul(0))
+    # a reduction step that removes nothing would never terminate: [d] and
+    # -[d^p] both zero
+    def nothing(cls, p, a, level):
+        return cls.zeros(p, a * 0, level)
+    monkeypatch.setattr(WittVector, "teichmuller", classmethod(nothing))
+    monkeypatch.setattr(WittVector, "neg_teichmuller", classmethod(nothing))
     with pytest.raises(ResourceLimit):
         witt_standard_form(WittVector(2, (Laurent(F2, -2, [F2.one], 8),)),
                            F2)
@@ -1142,10 +1146,9 @@ def test_precision_guard():
 
 
 def test_decompose_local_reads_precision_through_coeff():
-    """decompose_local has no precision guard of its own: series precision
-    decides.  An input the standard form can answer is answered as at full
-    precision, and a coordinate cut below what it reads raises
-    PrecisionExhausted."""
+    """An input known as far as decompose_local's precision rule asks is
+    answered as at full precision, and a coordinate cut below it raises
+    PrecisionExhausted before any Witt arithmetic."""
     F2 = gf(2)
     LF = laurent_field(F2)
     o = F2.one
@@ -1158,8 +1161,14 @@ def test_decompose_local_reads_precision_through_coeff():
     short = decompose((Laurent(F2, -2, w, 2),), Laurent(F2, 1, [o, o], 3))
     full = decompose((Laurent(F2, -2, w, 12),), Laurent(F2, 1, [o, o], 12))
     assert repr(short) == repr(full) == "(0, [ [1] | ))"
-    # t^-2 = t^-1 + (t^-1)^2 - t^-1: a pole of order 1 is left, so wild
+    # t^-2 = t^-1 + (t^-1)^2 - t^-1: a pole of order 1 is left, so wild;
+    # mu = -2 asks O(t^3) of coordinate 0
     with pytest.raises(WildClass):
+        decompose((Laurent(F2, -2, [o], 3), Laurent.zero(F2, 8)),
+                  Laurent(F2, 1, [o], 8))
+    with pytest.raises(PrecisionExhausted, match=r"coordinate 0 known to "
+                       r"O\(t\^0\); the level-2 standard form reads it to "
+                       r"O\(t\^3\)"):
         decompose((Laurent(F2, -2, [o], 0), Laurent.zero(F2, 8)),
                   Laurent(F2, 1, [o], 8))
     with pytest.raises(PrecisionExhausted):
@@ -1284,3 +1293,160 @@ def test_local_answers_pinned():
     assert sum(a.startswith("WildClass") for a in answers) == 24
     text = "\n".join(answers)
     assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_PIN_SHA256
+
+
+# ------------------------------------------ standard form and guards ----
+
+def _wp_standard_form(w, base, steps):
+    """The standard form with each step cur - wp(V^j [d]) taken through the
+    universal polynomials on the whole vector: witt_standard_form's
+    oracle.  The coordinate j of each step is appended to steps."""
+    p = w.p
+    cur = w
+    maxprec = max(c.prec for c in w.coords)
+    for j in range(w.level):
+        while True:
+            a = cur.coords[j]
+            target = next((n for n in range(a.val, 0)
+                           if a.coeff(n) and n % p == 0), None)
+            if target is None:
+                break
+            m = -target
+            d = Laurent.monomial(base, base.pth_root(a.coeff(target)),
+                                 -(m // p), prec=maxprec + m * p + 4)
+            y = WittVector(p, tuple(d if k == j else d * 0
+                                    for k in range(w.level)))
+            cur = cur - y.wp()
+            steps.append(j)
+    wild = [(j, -n) for j, a in enumerate(cur.coords)
+            for n in range(a.val, 0) if a.coeff(n)]
+    return cur, wild
+
+
+# (p, e, level): GF(2), GF(3), GF(4), GF(8)
+STANDARD_FORM_CELLS = ([(2, 1, level) for level in (1, 2, 3, 4)]
+                       + [(3, 1, 1), (3, 1, 2)]
+                       + [(2, e, level) for e in (2, 3)
+                          for level in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("p,e,level", STANDARD_FORM_CELLS)
+def test_standard_form_matches_the_universal_polynomial_step(p, e, level):
+    """Reduced vectors, coordinates with their precisions, and wild lists
+    agree with the oracle on u + wp(y), u integral and y a simple pole in
+    every coordinate (so steps at j > 0 occur), and in one class of three
+    a pole of order prime to p added to a coordinate (wild)."""
+    rng = random.Random(f"standard-form:{p}:{e}:{level}")
+    F = gf(p, e)
+    elems = list(F.elements())
+    prec = 8 + 4 * p ** level
+    steps = []
+
+    def series(val, n):
+        return Laurent(F, val, [rng.choice(elems[1:])]
+                       + [rng.choice(elems) for _ in range(n - 1)], prec)
+    for k in range(3):
+        u = WittVector(p, [series(rng.randint(0, 2), 3)
+                           for _ in range(level)])
+        y = WittVector(p, [series(-1, 1) for _ in range(level)])
+        w = u + y.wp()
+        if k == 2:
+            m = rng.choice([m for m in range(1, 2 * p + 1) if m % p])
+            j = rng.randrange(level)
+            w = WittVector(p, [a + series(-m, 1) if n == j else a
+                               for n, a in enumerate(w.coords)])
+        red, wild = witt_standard_form(w, F)
+        want, want_wild = _wp_standard_form(w, F, steps)
+        assert red.coords == want.coords
+        assert [(a.val, a.prec) for a in red.coords] == \
+            [(a.val, a.prec) for a in want.coords]
+        assert wild == want_wild
+        assert bool(wild) == (k == 2)
+    assert (max(steps) > 0) == (level > 1)
+
+
+@pytest.mark.parametrize("vals,needs", [
+    # mu = -2: O(t^(1 + 3*2)), O(t^(1 + 2*2)), O(t^1)
+    ((-2, None, -4), (7, 5, 1)),
+    # mu = -1/2 from coordinate 2: ceil(1 + 3/2), ceil(1 + 2/2), 1
+    ((0, None, -2), (3, 2, 1))])
+def test_decompose_local_precision_rule_boundary(vals, needs):
+    """Over GF(2)((t)) at level 3 decompose_local answers when coordinate k
+    is known to exactly O(t^M_k), M_k = ceil(1 + (p^2 - p^k)|mu|), and
+    refuses one coefficient short, naming the coordinate, the level and
+    the precision, before any Witt arithmetic."""
+    F2 = gf(2)
+    LF = laurent_field(F2)
+    entry = Laurent(F2, 1, [F2.one, F2.one], 12)
+
+    def coords(cut):
+        return [Laurent.zero(F2, n) if v is None
+                else Laurent(F2, v, [F2.one], n)
+                for v, n in zip(vals, cut)]
+    # the poles are wild: WildClass is the answer
+    with pytest.raises(WildClass):
+        decompose_local(
+            HClass.build(LF, WittVector(2, coords(needs)), (entry,)))
+    for k, need in enumerate(needs):
+        short = list(needs)
+        short[k] -= 1
+        c = HClass.build(LF, WittVector(2, coords(short)), (entry,))
+        with pytest.raises(PrecisionExhausted, match=(
+                rf"coordinate {k} known to O\(t\^{need - 1}\); the level-3 "
+                rf"standard form reads it to O\(t\^{need}\)")):
+            decompose_local(c)
+
+
+def test_zero_vector_known_below_the_residue_is_kept():
+    """The normal form drops a vector of zero coordinates, and a
+    Teichmueller match's zeros, only when every series is known to O(t^1),
+    as far as the residue reads a zero coordinate; known to less, the term
+    stays, and local_invariant and h_zero_test both refuse it."""
+    F3 = gf(3)
+    LF3 = laurent_field(F3)
+    t3 = Laurent(F3, 1, [F3.one], 3)
+    kept = HClass.build(LF3, _w(3, Laurent.zero(F3, 0)), (t3,))
+    assert repr(kept) == "[ [O(t^0)] | t + O(t^3) )"
+    for read in (lambda: local_invariant(kept, _t_place(LF3)),
+                 lambda: h_zero_test(kept)):
+        with pytest.raises(PrecisionExhausted):
+            read()
+    assert HClass.build(LF3, _w(3, Laurent.zero(F3, 1)),
+                        (t3,)).is_formally_zero()
+    # level 2: (t, 0 + O(t^P) | t) is a Teichmueller match only for P >= 1
+    F2 = gf(2)
+    LF2 = laurent_field(F2)
+    t2 = Laurent(F2, 1, [F2.one], 9)
+    kept, dropped = (HClass.build(LF2, _w(2, Laurent(F2, 1, [F2.one], 5),
+                                          Laurent.zero(F2, P)), (t2,))
+                     for P in (0, 1))
+    assert not kept.is_formally_zero() and dropped.is_formally_zero()
+    with pytest.raises(PrecisionExhausted):
+        h_zero_test(kept)
+    # exact zeros over F_q(t) and GF(q) are dropped as before
+    K = func_field(F2, ("t",))
+    assert HClass.build(K, _w(2, K.zero), (K.var("t"),)).is_formally_zero()
+    assert HClass.build(F2, _w(2, F2.zero), (F2.one,)).is_formally_zero()
+
+
+def test_two_variable_classes_are_refused_by_name(monkeypatch):
+    """Classes over F_2(x, y) are built, but local_invariant,
+    reciprocity_check, class_places and h_zero_test refuse them where the
+    field kind is decided, before any polynomial is made dense."""
+    K = func_field(gf(2), ("x", "y"))
+    x, y = K.var("x"), K.var("y")
+    c = HClass.build(K, _w(2, K.one / x), (y,))
+    assert not c.is_formally_zero()
+
+    def dense(f):
+        raise AssertionError("to_dense reached")
+    monkeypatch.setattr(kato_module, "to_dense", dense)
+    monkeypatch.setattr(places_module, "to_dense", dense)
+    message = (r"classes over GF\(2\)\(x, y\) have no invariants; "
+               r"invariants and zero tests cover GF\(q\), F_q\(t\) and "
+               r"F_q\(\(t\)\)")
+    for read in (lambda: local_invariant(c, Place.infinity()),
+                 lambda: reciprocity_check(c), lambda: class_places(c),
+                 lambda: h_zero_test(c)):
+        with pytest.raises(UnsupportedField, match=message):
+            read()

@@ -53,6 +53,12 @@ def series(draw, ring):
     return Laurent(ring, val, coeffs, max(prec, val + 1))
 
 
+def _nonzero(data, ring):
+    return ring._make(tuple(data.draw(
+        st.lists(st.integers(0, ring.digit_modulus - 1), min_size=ring.e,
+                 max_size=ring.e).filter(any))))
+
+
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=repr)
 @given(data=st.data())
 def test_product_matches_schoolbook(ring, data):
@@ -63,6 +69,19 @@ def test_product_matches_schoolbook(ring, data):
     # one operand far longer than the product's precision
     short = b.truncate(min(b.prec, b.val + 2))
     assert a * short == schoolbook(a, short)
+    # one-term operands c t^v, c one or another nonzero element, against
+    # longer operands and a one-term one (1 x 1); known to O(t^(v+1)), c t^v
+    # leaves one coefficient of the product, and the other operand is
+    # longer than that
+    coef = data.draw(st.sampled_from([ring.one, _nonzero(data, ring)]))
+    v = data.draw(st.integers(-6, 6))
+    for mono in (Laurent.monomial(ring, coef, v,
+                                  v + data.draw(st.integers(1, 45))),
+                 Laurent.monomial(ring, coef, v, v + 1)):
+        for x in (a, b, short, Laurent.monomial(
+                ring, _nonzero(data, ring), a.val, a.prec)):
+            assert mono * x == schoolbook(mono, x)
+            assert x * mono == schoolbook(x, mono)
     k = data.draw(st.integers(-5, 5))
     scaled = Laurent(ring, a.val, [c * k for c in a.coeffs], a.prec)
     assert a * k == scaled and k * a == scaled

@@ -413,6 +413,35 @@ def test_witt_over_function_field():
         assert u.wp() == u.frobenius() - u
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+def test_neg_teichmuller_matches_the_negation_polynomials(p, e):
+    """-[a] built coordinate-wise equals -[a] through the N polynomials at
+    every level up to max_structure_level(p): exactly over F_q(t), and over
+    F_q((t)) up to the oracle's precision, which it never falls below; a
+    series known further gives the same coordinates to their precision."""
+    F = gf(p, e)
+    K = func_field(F, ("t",))
+    elems = list(F.elements())
+    rng = random.Random(f"neg-teich:{p}:{e}")
+    for level in range(1, max_structure_level(p) + 1):
+        for val in (-3, 0, 2):
+            known = [rng.choice(elems[1:])] + [rng.choice(elems)
+                                               for _ in range(4)]
+            a = Laurent(F, val, known, val + 5)
+            long_a = Laurent(F, val, known + [rng.choice(elems)] * 3,
+                             val + 8)
+            got = WittVector.neg_teichmuller(p, a, level)
+            want = -WittVector.teichmuller(p, a, level)
+            longer = WittVector.neg_teichmuller(p, long_a, level)
+            for x, y, z in zip(got.coords, want.coords, longer.coords):
+                assert x.prec >= y.prec
+                assert x.truncate(y.prec) == y
+                assert z.truncate(x.prec) == x
+        r = random_ratfunc(rng, K)
+        assert WittVector.neg_teichmuller(p, r, level) == \
+            -WittVector.teichmuller(p, r, level)
+
+
 @pytest.mark.parametrize("p,e,level", [(2, 1, 2), (2, 1, 3), (3, 1, 2),
                                          (3, 1, 3), (2, 2, 2), (2, 2, 3)])
 @given(data=st.data())
