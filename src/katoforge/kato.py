@@ -12,10 +12,20 @@ zero there only when it is known to O(t^1), as far as the residue reads a
 zero coordinate; zero to a lower precision, its term stays and the residue
 refuses it.  Only HClass(field, degree, level, terms) expands; the other
 operations take the canonical step alone.  No confluent rewriting is
-attempted: equality is decided through invariants on the supported field
-classes (finite constants; F_q(t) at n = 1; F_q((t)) at n <= 1).  Classes
-over F_q(x, y, ...) are built and added, but have no invariant and no zero
-test.
+attempted: h_zero_test decides equality by the p-rank r of the field,
+[F : F^p] = p^r, which is 0 for GF(q), 1 for F_q(t) and F_q((t)) and k for
+F_q(x_1..x_k).  K_n(F)/p^i embeds in W_i Omega^n_F (Bloch-Kato-Gabber;
+Bloch-Kato, Publ. IHES 63, 1986), H^{n+1}_{p^i}(F) is described through
+W_i Omega^n_F, and Omega^n_F = 0 for n > r: every class of degree n > r is
+zero, and is answered before any term is read.  At degree r the invariants
+decide: the trace of the summed vector over GF(q), the reciprocity table
+over F_q(t), the invariant at t over F_q((t)).  Degree 0 over F_q((t))
+reduces the summed vector to its standard form: a surviving pole of order
+prime to p makes the class nonzero, and otherwise the trace of the constant
+terms, the residue vector decompose_local reads too, decides.  Two cases are
+refused with UnsupportedField: degree 0 over F_q(t), which needs a global
+standard form, and degree n <= k over F_q(x_1..x_k), whose classes are
+built and added but have no invariant.
 
 The local invariant at a place is the Schmid-Witt residue: coordinates and
 entry are expanded in the completion k(v)((pi)) and lifted coefficient-wise
@@ -165,14 +175,23 @@ def _field_kind(field):
 
 
 def _invariant_field_kind(field):
-    """`_field_kind` of a field whose classes have invariants and a zero
-    test; UnsupportedField, naming those fields, otherwise."""
+    """`_field_kind` of a field whose classes have invariants;
+    UnsupportedField, naming those fields, otherwise."""
     kind = _field_kind(field)
     if kind == "multivariate":
         raise UnsupportedField(
             f"classes over {field!r} have no invariants; invariants and "
             f"zero tests cover GF(q), F_q(t) and F_q((t))")
     return kind
+
+
+def _p_rank(field):
+    """r with [F : F^p] = p^r: 0 for GF(q), 1 for F_q(t) and F_q((t)), k
+    for F_q(x_1..x_k).  Classes of degree above r are zero (module
+    docstring)."""
+    if isinstance(field, FuncField):
+        return field.k
+    return int(_field_kind(field) == "local")
 
 
 def _expand_entry(field, b):
@@ -491,6 +510,16 @@ def _require_standard_form_precision(p, coords):
                 f"{level} standard form reads it to O(t^{need})")
 
 
+def _residue_vector(w, base):
+    """The constant terms of w's standard form over F_q((t)); WildClass,
+    with the reduced vector attached, when a pole of order prime to p
+    survives.  The caller checks `_require_standard_form_precision`."""
+    red, wild = witt_standard_form(w, base)
+    if wild:
+        raise WildClass(red)
+    return WittVector(base.p, [a.coeff(0) for a in red.coords])
+
+
 # ------------------------------------------------------- invariants ----
 
 def _local_terms(c, place, orders=None):
@@ -664,13 +693,9 @@ def decompose_local(c):
     spec, resid = [], []
     for w, entries in c.terms:
         b = entries[0]
-        red, wild = witt_standard_form(w, base)
-        if wild:
-            raise WildClass(red)
-        j = b.val
+        w0 = _residue_vector(w, base)
+        resid.append((w0.int_mul(b.val), ()))
         u0 = b.coeff(b.val)
-        w0 = WittVector(p, [a.coeff(0) for a in red.coords])
-        resid.append((w0.int_mul(j), ()))
         if u0 != base.one:
             spec.append((w0, (u0,)))
     # entries of a class over a finite field are expanded as they are
@@ -679,37 +704,36 @@ def decompose_local(c):
 
 
 def h_zero_test(c):
-    """Sound and complete zero test on the supported field classes."""
+    """Sound and complete zero test, decided by the p-rank r of the field
+    (module docstring).  A class of degree above r is zero, by the
+    vanishing of Omega^n_F for n > r, and nothing of it is read.  At
+    degree r the invariants decide: over GF(q) the trace of the summed
+    vector, over F_q(t) the reciprocity table, over F_q((t)) the invariant
+    at t.  Degree 0 over F_q((t)) checks the summed vector against the
+    precision rule of the standard form, then answers False for a wild
+    vector and otherwise traces its residue vector.  UnsupportedField for
+    degree 0 over F_q(t) and for degree n <= k over F_q(x_1..x_k)."""
+    if c.degree > _p_rank(c.field):
+        return True
     kind = _invariant_field_kind(c.field)
-    if kind == "const":
-        if c.degree >= 1:
-            return True      # Omega^n of a perfect constant field vanishes
-        # the trace is additive, so the terms' traces are summed in Z/p^i
-        return sum(w.trace_int() for w, _ in c.terms) \
-            % c.field.p ** c.level == 0
-    if kind == "global":
-        if c.degree != 1:
-            raise UnsupportedField(
-                "zero test over F_q(t) is available at degree 1 only")
-        ok, table = reciprocity_check(c)
-        return all(inv.value == 0 for inv in table)
-    # local
     if c.degree == 1:
-        t_place = _t_place(c.field)
-        return local_invariant(c, t_place).value == 0
-    if c.degree == 0:
-        total = None
-        for w, _ in c.terms:
-            total = w if total is None else total + w
-        if total is None:
-            return True
-        red, wild = witt_standard_form(total, c.field.base)
-        if wild:
+        if kind == "global":
+            return all(inv.value == 0 for inv in reciprocity_check(c)[1])
+        return local_invariant(c, _t_place(c.field)).value == 0
+    if kind == "global":
+        raise UnsupportedField(
+            "zero test over F_q(t) at degree 0 needs a global standard form")
+    if not c.terms:
+        return True
+    first, *rest = (w for w, _ in c.terms)
+    total = sum(rest, first)
+    if kind == "local":
+        _require_standard_form_precision(total.p, total.coords)
+        try:
+            total = _residue_vector(total, c.field.base)
+        except WildClass:
             return False
-        w0 = WittVector(c.field.base.p,
-                        [a.coeff(0) for a in red.coords])
-        return w0.trace_int() == 0
-    raise UnsupportedField("zero test over F_q((t)) covers degrees 0 and 1")
+    return total.trace_int() == 0
 
 
 def _t_place(lfield):

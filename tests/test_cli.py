@@ -556,6 +556,28 @@ def test_zero_coordinates_known_below_the_residue_keep_their_term():
         "invariants and zero tests cover GF(q), F_q(t) and F_q((t))"]
 
 
+ABOVE_THE_P_RANK = ("field F = GF(2)(t)\n"
+                    "zero [ [t] | t, t+1 )\n"
+                    "field L = GF(2)((t))\n"
+                    "zero [ [1] | t, 1+t )\n"
+                    "field K = GF(2)(x, y)\n"
+                    "zero [ [1/x] | x, y, x+y )\n")
+
+
+def test_zero_tests_above_the_p_rank_answer():
+    """Degree 2 over F_2(t) and F_2((t)), whose p-rank is 1, and degree 3
+    over F_2(x, y), whose p-rank is 2, are zero by theorem."""
+    buf = io.StringIO()
+    assert run_script(ABOVE_THE_P_RANK, out=buf) == 0
+    lines = buf.getvalue().splitlines()
+    assert lines[1::2] == ["zero: True"] * 3
+    buf = io.StringIO()
+    assert run_script(ABOVE_THE_P_RANK, json_mode=True, out=buf) == 0
+    rows = [json.loads(ln) for ln in buf.getvalue().splitlines()]
+    assert [row["result"] for row in rows if row["op"] == "zero"] == \
+        [True] * 3
+
+
 def test_level_2_past_the_prime_bound_is_refused(monkeypatch):
     def refuse(p, i):
         raise AssertionError(f"generated W_{i} over F_{p}")

@@ -16,8 +16,8 @@ from katoforge import (ConfigMismatch, DivisionByZero, HClass,
                        reciprocity_check, residue_at, witt_standard_form)
 from katoforge import (kato as kato_module, milnor as milnor_module,
                        places as places_module, poly as poly_module)
-from katoforge.kato import (_precision_needs, _t_place, class_places,
-                            local_symbol)
+from katoforge.kato import (LaurentField, _precision_needs, _t_place,
+                            class_places, local_symbol)
 from katoforge.milnor import _has_steinberg_pair, symbol_expand
 from katoforge.places import (PlaceContext, from_rational, place_order,
                               support_places)
@@ -987,10 +987,71 @@ def test_zero_test_function_field(K2):
 
 
 def test_zero_test_unsupported(K2):
+    """Degree 0 over F_q(t), below the p-rank 1, needs a global standard
+    form and is refused."""
     t = K2.var("t")
-    c = HClass.build(K2, _w(2, t), (t, t + K2.one))
-    with pytest.raises(UnsupportedField):
+    c = HClass(K2, 0, 1, [(_w(2, K2.one / t), ())])
+    with pytest.raises(UnsupportedField, match="degree 0"):
         h_zero_test(c)
+
+
+def _above_rank_entry(rng, field):
+    """A nonzero entry over F_q(t), F_q(x, y) or F_q((t))."""
+    if isinstance(field, LaurentField):
+        F = field.base
+        els = list(F.elements())
+        return Laurent(F, rng.randint(-1, 2),
+                       [rng.choice(els[1:])] + [rng.choice(els)
+                                                for _ in range(3)], 8)
+    return random_ratfunc(rng, field, max_deg=2)
+
+
+def _above_rank_class(rng, field, level, degree):
+    """A seeded class of the given degree over field, with a pole in every
+    coordinate, drawn again while its normal form has no term."""
+    p = field.base.p
+    while True:
+        if isinstance(field, LaurentField):
+            w = WittVector(p, [_above_rank_entry(rng, field).shift(-3)
+                               for _ in range(level)])
+        else:
+            w = WittVector(p, [field.one / _above_rank_entry(rng, field)
+                               for _ in range(level)])
+        c = HClass.build(field, w, [_above_rank_entry(rng, field)
+                                    for _ in range(degree)])
+        if not c.is_formally_zero():
+            return c
+
+
+def test_classes_above_the_p_rank_are_zero(monkeypatch):
+    """Omega^n_F = 0 for n above the p-rank r of F, so every class of
+    degree r + 1 or r + 2 is zero, answered with no invariant and no
+    standard form: F_q(t) and F_q((t)) have r = 1, F_2(x, y) r = 2, and
+    degree 2 over F_2(x, y) is still refused."""
+    rng = random.Random(74)
+    fields = [func_field(gf(2), ("t",)), func_field(gf(3), ("t",)),
+              func_field(gf(2, 2), ("t",)), laurent_field(gf(2)),
+              laurent_field(gf(3))]
+    classes = [_above_rank_class(rng, K, level, degree)
+               for K in fields
+               for level in range(1, min(3, max_structure_level(K.base.p))
+                                  + 1)
+               for degree in (2, 3)]
+    K2xy = func_field(gf(2), ("x", "y"))
+    classes.append(_above_rank_class(rng, K2xy, 2, 3))
+    with pytest.raises(UnsupportedField, match="no invariants"):
+        h_zero_test(_above_rank_class(rng, K2xy, 2, 2))    # 2 = k, not above
+
+    def reached(*args, **kwargs):
+        raise AssertionError("an invariant or a standard form was read")
+    for name in ("reciprocity_check", "local_invariant",
+                 "witt_standard_form"):
+        monkeypatch.setattr(kato_module, name, reached)
+    for c in classes:
+        assert h_zero_test(c)
+    K = fields[0]
+    c1, c2 = (_above_rank_class(rng, K, level, 2) for level in (1, 2))
+    assert colimit_equal(ColimitClass(c1), ColimitClass(c2))
 
 
 # ------------------------------------------------ local decomposition ----
@@ -1369,32 +1430,42 @@ def test_standard_form_matches_the_universal_polynomial_step(p, e, level):
     # mu = -2: O(t^(1 + 3*2)), O(t^(1 + 2*2)), O(t^1)
     ((-2, None, -4), (7, 5, 1)),
     # mu = -1/2 from coordinate 2: ceil(1 + 3/2), ceil(1 + 2/2), 1
-    ((0, None, -2), (3, 2, 1))])
+    ((0, None, -2), (3, 2, 1)),
+    # level 1: t^-4 reduces to the wild t^-1, read to O(t^1); known only
+    # to O(t^-1), two short, it used to fail inside the standard form
+    ((-4,), (1,))])
 def test_decompose_local_precision_rule_boundary(vals, needs):
-    """Over GF(2)((t)) at level 3 decompose_local answers when coordinate k
-    is known to exactly O(t^M_k), M_k = ceil(1 + (p^2 - p^k)|mu|), and
-    refuses one coefficient short, naming the coordinate, the level and
-    the precision, before any Witt arithmetic."""
+    """Over GF(2)((t)) decompose_local and the degree-0 zero test of (w | )
+    answer when coordinate k is known to exactly O(t^M_k),
+    M_k = ceil(1 + (p^(i-1) - p^k)|mu|), and refuse one or two
+    coefficients short, naming the coordinate, the level and the
+    precision, before any Witt arithmetic."""
     F2 = gf(2)
     LF = laurent_field(F2)
     entry = Laurent(F2, 1, [F2.one, F2.one], 12)
+    level = len(vals)
 
     def coords(cut):
         return [Laurent.zero(F2, n) if v is None
                 else Laurent(F2, v, [F2.one], n)
                 for v, n in zip(vals, cut)]
-    # the poles are wild: WildClass is the answer
+    # the poles are wild: WildClass is the answer, and the class is not zero
+    w = WittVector(2, coords(needs))
     with pytest.raises(WildClass):
-        decompose_local(
-            HClass.build(LF, WittVector(2, coords(needs)), (entry,)))
-    for k, need in enumerate(needs):
+        decompose_local(HClass.build(LF, w, (entry,)))
+    assert not h_zero_test(HClass(LF, 0, level, [(w, ())]))
+    for (k, need), gap in itertools.product(enumerate(needs), (1, 2)):
         short = list(needs)
-        short[k] -= 1
-        c = HClass.build(LF, WittVector(2, coords(short)), (entry,))
-        with pytest.raises(PrecisionExhausted, match=(
-                rf"coordinate {k} known to O\(t\^{need - 1}\); the level-3 "
-                rf"standard form reads it to O\(t\^{need}\)")):
-            decompose_local(c)
+        short[k] -= gap
+        w = WittVector(2, coords(short))
+        message = (rf"Witt coordinate {k} known to O\(t\^{need - gap}\); the "
+                   rf"level-{level} standard form reads it to "
+                   rf"O\(t\^{need}\)")
+        for read in (
+                lambda: decompose_local(HClass.build(LF, w, (entry,))),
+                lambda: h_zero_test(HClass(LF, 0, level, [(w, ())]))):
+            with pytest.raises(PrecisionExhausted, match=message):
+                read()
 
 
 def test_zero_vector_known_below_the_residue_is_kept():
