@@ -441,7 +441,8 @@ class Parser(Cursor):
             return self._witt_from(entries)
         if self.take("|"):
             w = self._witt_value(entries)
-            bs = self._exprs("a class")
+            # an immediate ')' is a degree-0 class, as HClass prints it
+            bs = [] if self.peek()[0] == ")" else self._exprs("a class")
             self.expect(")")
             h = HClass.build(self.field, w, bs)
             if self.session.level > h.level:

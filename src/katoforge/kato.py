@@ -22,10 +22,22 @@ decide: the trace of the summed vector over GF(q), the reciprocity table
 over F_q(t), the invariant at t over F_q((t)).  Degree 0 over F_q((t))
 reduces the summed vector to its standard form: a surviving pole of order
 prime to p makes the class nonzero, and otherwise the trace of the constant
-terms, the residue vector decompose_local reads too, decides.  Two cases are
-refused with UnsupportedField: degree 0 over F_q(t), which needs a global
-standard form, and degree n <= k over F_q(x_1..x_k), whose classes are
-built and added but have no invariant.
+terms, the residue vector decompose_local reads too, decides.  Degree 0
+over F_q(t) needs no global standard form.  A character of F_q(t) is
+ramified at a place exactly when the local standard form of its vector
+keeps a pole there (Brylinski, Ann. Inst. Fourier 33, 1983), and one
+unramified at every place is constant, since Pic(P^1) = Z by degree
+(Rosen, Number Theory in Function Fields, GTM 210, ch. 9): then w = u +
+wp(y) with u over F_q, and the residue vector at infinity, of degree 1, is
+u modulo wp W_i(F_q), which the trace to Z/p^i detects.  So the summed
+vector is expanded at each coordinate pole and at infinity, last, as far
+as the standard form reads it, and reduced there: a pole surviving at any
+place answers False, and the trace of infinity's residue vector decides.
+At a place v of degree d the expansion at t - theta over k(v) is the
+completion of k(v)(t), an unramified base change of F_q(t) of degree d,
+which keeps the pole orders and so the ramification.  Only degree
+n <= k over F_q(x_1..x_k), whose classes are built and added but have no
+invariant, is refused with UnsupportedField.
 
 The local invariant at a place is the Schmid-Witt residue: coordinates and
 entry are expanded in the completion k(v)((pi)) and lifted coefficient-wise
@@ -180,8 +192,8 @@ def _invariant_field_kind(field):
     kind = _field_kind(field)
     if kind == "multivariate":
         raise UnsupportedField(
-            f"classes over {field!r} have no invariants; invariants and "
-            f"zero tests cover GF(q), F_q(t) and F_q((t))")
+            f"classes over {field!r} have no invariants, which cover GF(q), "
+            f"F_q(t) and F_q((t)); zero tests answer above degree {field.k}")
     return kind
 
 
@@ -492,22 +504,33 @@ def witt_standard_form(w, base):
     return cur, wild
 
 
-def _require_standard_form_precision(p, coords):
-    """PrecisionExhausted unless coordinate k is known to O(t^M_k),
-    M_k = ceil(1 + (p^(i-1) - p^k) |mu|), mu = min(0, min_k v_k / p^k):
-    then `witt_standard_form` knows every reduced coordinate through t^0
-    (module docstring).  A zero series known to O(t^P) counts as
-    valuation P.  In integers, with top = p^(i-1) and the integer
-    mu_top = mu * top, M_k = 1 - floor((top - p^k) mu_top / top)."""
-    level = len(coords)
-    top = p ** (level - 1)
-    mu_top = min(0, min(a.val * (top // p ** k) for k, a in enumerate(coords)))
-    for k, a in enumerate(coords):
-        need = 1 - (top - p ** k) * mu_top // top
+def _standard_form_needs(p, vals):
+    """[M_k] for coordinates of valuations vals: coordinate k known to
+    O(t^M_k), M_k = ceil(1 + (p^(i-1) - p^k) |mu|) with
+    mu = min(0, min_k v_k / p^k), lets `witt_standard_form` know every
+    reduced coordinate through t^0 (module docstring).  In integers, with
+    top = p^(i-1) and the integer mu_top = mu * top,
+    M_k = 1 - floor((top - p^k) mu_top / top)."""
+    top = p ** (len(vals) - 1)
+    mu_top = min(0, min(v * (top // p ** k) for k, v in enumerate(vals)))
+    return [1 - (top - p ** k) * mu_top // top for k in range(len(vals))]
+
+
+def _require_known(reader, coords, needs):
+    """PrecisionExhausted, naming the coordinate and its reader, unless
+    coordinate j is known to O(t^needs[j])."""
+    for j, (a, need) in enumerate(zip(coords, needs)):
         if a.prec < need:
             raise PrecisionExhausted(
-                f"Witt coordinate {k} known to O(t^{a.prec}); the level-"
-                f"{level} standard form reads it to O(t^{need})")
+                f"Witt coordinate {j} known to O(t^{a.prec}); the level-"
+                f"{len(coords)} {reader} reads it to O(t^{need})")
+
+
+def _require_standard_form_precision(p, coords):
+    """`_require_known` for the standard form; a zero series known to
+    O(t^P) counts as valuation P."""
+    _require_known("standard form", coords,
+                   _standard_form_needs(p, [a.val for a in coords]))
 
 
 def _residue_vector(w, base):
@@ -521,6 +544,12 @@ def _residue_vector(w, base):
 
 
 # ------------------------------------------------------- invariants ----
+
+def _place_vals(coords, place):
+    """place_order of each coordinate, a zero coordinate at 1: as far as
+    the residue and the standard form read it."""
+    return [1 if a.is_zero() else place_order(a, place) for a in coords]
+
 
 def _local_terms(c, place, orders=None):
     """(k_field, w, b, vals, ord b, at) per term of a degree-1 class at a
@@ -542,8 +571,7 @@ def _local_terms(c, place, orders=None):
         return
     ctx = place_context(field, place)
     if orders is None:
-        orders = [([1 if a.is_zero() else place_order(a, place)
-                    for a in w.coords], place_order(b, place))
+        orders = [(_place_vals(w.coords, place), place_order(b, place))
                   for w, (b,) in c.terms]
     for (w, (b,)), (vals, ord_b) in zip(c.terms, orders):
         yield ctx.res_field, w, b, vals, ord_b, ctx.expand
@@ -585,11 +613,7 @@ def _require_residue_precision(p, level, coords, b):
     the relative precision rel that the residue reads
     (`_precision_needs`); a b zero to precision is left to local_symbol."""
     needs, rel = _precision_needs(p, level, [a.val for a in coords])
-    for j, (a, need) in enumerate(zip(coords, needs)):
-        if a.prec < need:
-            raise PrecisionExhausted(
-                f"Witt coordinate {j} known to O(t^{a.prec}); the level-"
-                f"{level} residue reads it to O(t^{need})")
+    _require_known("residue", coords, needs)
     if not b.is_zero() and b.prec - b.val < rel:
         raise PrecisionExhausted(
             f"entry known to relative precision {b.prec - b.val}; the "
@@ -649,9 +673,10 @@ def _factor_pass(c):
 
 def class_places(c):
     """Places that can carry a nonzero invariant: poles of the Witt
-    coordinates, zeros of the entries, and infinity, read off the same
-    factorizations as `reciprocity_check`.  (Where every coordinate is
-    integral and every entry is a unit the symbol vanishes.)"""
+    coordinates, zeros of the entries, in Place order, and infinity last,
+    read off the same factorizations as `reciprocity_check`.  (Where every
+    coordinate is integral and every entry is a unit the symbol
+    vanishes.)"""
     return _factor_pass(c)[0]
 
 
@@ -687,9 +712,8 @@ def decompose_local(c):
     if c.degree != 1:
         raise UnsupportedDegree("decomposition implemented for degree 1")
     base = c.field.base
-    p = base.p
     for w, _ in c.terms:
-        _require_standard_form_precision(p, w.coords)
+        _require_standard_form_precision(base.p, w.coords)
     spec, resid = [], []
     for w, entries in c.terms:
         b = entries[0]
@@ -711,8 +735,11 @@ def h_zero_test(c):
     vector, over F_q(t) the reciprocity table, over F_q((t)) the invariant
     at t.  Degree 0 over F_q((t)) checks the summed vector against the
     precision rule of the standard form, then answers False for a wild
-    vector and otherwise traces its residue vector.  UnsupportedField for
-    degree 0 over F_q(t) and for degree n <= k over F_q(x_1..x_k)."""
+    vector and otherwise traces its residue vector.  Degree 0 over F_q(t)
+    expands the summed vector at each place of class_places, infinity
+    last, exactly as far as that rule reads it, answers False when it is
+    wild at any of them and otherwise traces infinity's residue vector.
+    UnsupportedField for degree n <= k over F_q(x_1..x_k)."""
     if c.degree > _p_rank(c.field):
         return True
     kind = _invariant_field_kind(c.field)
@@ -720,20 +747,26 @@ def h_zero_test(c):
         if kind == "global":
             return all(inv.value == 0 for inv in reciprocity_check(c)[1])
         return local_invariant(c, _t_place(c.field)).value == 0
-    if kind == "global":
-        raise UnsupportedField(
-            "zero test over F_q(t) at degree 0 needs a global standard form")
     if not c.terms:
         return True
     first, *rest = (w for w, _ in c.terms)
-    total = sum(rest, first)
-    if kind == "local":
-        _require_standard_form_precision(total.p, total.coords)
-        try:
-            total = _residue_vector(total, c.field.base)
-        except WildClass:
-            return False
-    return total.trace_int() == 0
+    red = w = sum(rest, first)
+    p = w.p
+    try:
+        if kind == "local":
+            _require_standard_form_precision(p, w.coords)
+            red = _residue_vector(w, c.field.base)
+        elif kind == "global":
+            # class_places ends at infinity, whose residue vector decides
+            for place in class_places(c):
+                ctx = place_context(c.field, place)
+                needs = _standard_form_needs(p, _place_vals(w.coords, place))
+                red = _residue_vector(WittVector(p, [
+                    ctx.expand(a, n) for a, n in zip(w.coords, needs)]),
+                    ctx.res_field)
+    except WildClass:
+        return False
+    return red.trace_int() == 0
 
 
 def _t_place(lfield):

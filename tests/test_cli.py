@@ -72,10 +72,11 @@ def test_roundtrip_witt_and_class(rng):
         b = random_ratfunc(rng, K)
         if b.is_zero():
             continue
-        c = HClass.build(K, w, (b,))
-        got = _parse_value(repr(c), s, "F")
-        if c.terms:
-            assert got.terms == c.terms
+        # degree 1, and degree 0, which prints as [ w | )
+        for c in (HClass.build(K, w, (b,)), HClass.build(K, w, ())):
+            got = _parse_value(repr(c), s, "F")
+            if c.terms:
+                assert (got.degree, got.terms) == (c.degree, c.terms)
 
 
 def test_roundtrip_milnor_and_forms(rng):
@@ -552,8 +553,9 @@ def test_zero_coordinates_known_below_the_residue_keep_their_term():
         "let: [ [O(t^0)] | t + O(t^3) )",
         f"error: line 3: {short}", f"error: line 4: {short}", "let: 0",
         "field: GF(2)(x, y)",
-        "error: line 7: classes over GF(2)(x, y) have no invariants; "
-        "invariants and zero tests cover GF(q), F_q(t) and F_q((t))"]
+        "error: line 7: classes over GF(2)(x, y) have no invariants, "
+        "which cover GF(q), F_q(t) and F_q((t)); zero tests answer above "
+        "degree 2"]
 
 
 ABOVE_THE_P_RANK = ("field F = GF(2)(t)\n"
@@ -576,6 +578,43 @@ def test_zero_tests_above_the_p_rank_answer():
     rows = [json.loads(ln) for ln in buf.getvalue().splitlines()]
     assert [row["result"] for row in rows if row["op"] == "zero"] == \
         [True] * 3
+
+
+DEGREE_ZERO = ("field F = GF(2)(t)\n"
+               "zero [ [1/t] | )\n"
+               "zero [ [1/t^2 + 1/t] | )\n"
+               "zero [ [1] | )\n"
+               "zero [ [1/(t^2+t+1)^2 + 1/(t^2+t+1)] | )\n"
+               "field G = GF(2, 2)(t)\n"
+               "zero [ [1] | )\n"
+               "zero [ [z] | )\n"
+               "field L = GF(2)((t))\n"
+               "zero [ [t^-1 + O(t^4)] | )\n"
+               "zero [ [t^-2 + t^-1 + O(t^4)] | )\n")
+
+
+def test_degree_zero_classes_are_written_and_tested():
+    """[ w | ) is a degree-0 class: a simple pole is wild, a wp-image
+    (1/t^2 + 1/t = wp(1/t), at t and at the degree-2 place t^2+t+1) is
+    zero, and a constant is zero when its trace is: Tr 1 = 1 over F_2,
+    0 over F_4, and Tr z = 1."""
+    buf = io.StringIO()
+    assert run_script(DEGREE_ZERO, out=buf) == 0
+    answers = [ln for ln in buf.getvalue().splitlines() if ln[:5] == "zero:"]
+    assert answers == [f"zero: {x}" for x in (False, True, False, True,
+                                                True, False, False, True)]
+
+
+def test_demo_05_residue_part_reads_back():
+    """The residue part demo 05 prints over GF(4) is a class literal."""
+    golden = os.path.join(os.path.dirname(__file__), "golden", "demos",
+                          "05_local_field_decomposition.txt")
+    with open(golden) as fh:
+        line = next(ln for ln in fh if ln.startswith("residue part:"))
+    text = line.split(":", 1)[1].strip()
+    assert text == "[ [0, z+1] | )"
+    got = _parse_value(text, _session_with(("F", "GF(2,2)")), "F")
+    assert (got.degree, repr(got)) == (0, text)
 
 
 def test_level_2_past_the_prime_bound_is_refused(monkeypatch):

@@ -986,13 +986,52 @@ def test_zero_test_function_field(K2):
     assert h_zero_test(HClass.build(K2, w.wp(), (b,)))
 
 
-def test_zero_test_unsupported(K2):
-    """Degree 0 over F_q(t), below the p-rank 1, needs a global standard
-    form and is refused."""
-    t = K2.var("t")
-    c = HClass(K2, 0, 1, [(_w(2, K2.one / t), ())])
-    with pytest.raises(UnsupportedField, match="degree 0"):
-        h_zero_test(c)
+def test_zero_test_unsupported():
+    """The one refusal left: degree n <= k over F_q(x_1..x_k), here degrees
+    0, 1 and 2 over F_2(x, y).  Degree 0 over F_q(t), refused before, is
+    answered (`test_degree_zero_over_fqt_is_zero_iff_the_trace_vanishes`)."""
+    K = func_field(gf(2), ("x", "y"))
+    x, y = K.var("x"), K.var("y")
+    for entries in ((), (y,), (x, y)):
+        with pytest.raises(UnsupportedField, match="above degree 2"):
+            h_zero_test(HClass.build(K, _w(2, K.one / x), entries))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_degree_zero_over_fqt_is_zero_iff_the_trace_vanishes(p, e):
+    """u + wp(y), for a constant vector u and y whose coordinates have
+    simple poles at places of degree 1-3 and at infinity, is zero exactly
+    when Tr(u) = 0: an everywhere unramified character of F_q(t) is
+    constant.  A pole c/f added to coordinate 0, f of degree 1 or 2, is
+    wild there, so the class is nonzero.  A class zero over F_q(t) is zero
+    over F_q((t)) at the place t."""
+    rng = random.Random(f"degree-0 {p} {e}")
+    F = gf(p, e)
+    K, L = func_field(F, ("t",)), laurent_field(F)
+    t = K.var("t")
+    polys = [t, t + K.one, _irreducible(K, 2), _irreducible(K, 3)]
+    units = [K.const(a) for a in F.elements() if a]
+    top = min(3 if p < 5 else 2, max_structure_level(p))
+    for level, n in itertools.product(range(1, top + 1), range(8)):
+        while True:     # traces 0 and nonzero alternate
+            u = [rng.choice(list(F.elements())) for _ in range(level)]
+            if (WittVector(p, u).trace_int() == 0) == (n % 2 == 0):
+                break
+        u = WittVector(p, [K.const(a) for a in u])
+        y = WittVector(p, [rng.choice(units) / rng.choice(polys)
+                           + rng.choice(units) * t for _ in range(level)])
+        c = HClass(K, 0, level, [(y.frobenius(), ()), (-y, ()), (u, ())])
+        assert h_zero_test(c) == (n % 2 == 0)
+        w = u + y.wp()
+        wild = WittVector(p, (w.coords[0] + rng.choice(units)
+                              / rng.choice(polys[:3]),) + w.coords[1:])
+        assert not h_zero_test(HClass(K, 0, level, [(wild, ())]))
+        if n % 2 == 0:
+            poles = [place_order(a, _t_place(L)) for a in w.coords
+                     if not a.is_zero()]
+            prec = 1 - p ** level * min(0, *poles)
+            local = WittVector(p, [from_rational(a, prec) for a in w.coords])
+            assert h_zero_test(HClass(L, 0, level, [(local, ())]))
 
 
 def _above_rank_entry(rng, field):
@@ -1513,9 +1552,9 @@ def test_two_variable_classes_are_refused_by_name(monkeypatch):
         raise AssertionError("to_dense reached")
     monkeypatch.setattr(kato_module, "to_dense", dense)
     monkeypatch.setattr(places_module, "to_dense", dense)
-    message = (r"classes over GF\(2\)\(x, y\) have no invariants; "
-               r"invariants and zero tests cover GF\(q\), F_q\(t\) and "
-               r"F_q\(\(t\)\)")
+    message = (r"classes over GF\(2\)\(x, y\) have no invariants, which "
+               r"cover GF\(q\), F_q\(t\) and F_q\(\(t\)\); zero tests "
+               r"answer above degree 2")
     for read in (lambda: local_invariant(c, Place.infinity()),
                  lambda: reciprocity_check(c), lambda: class_places(c),
                  lambda: h_zero_test(c)):
