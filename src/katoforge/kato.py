@@ -29,10 +29,13 @@ keeps a pole there (Brylinski, Ann. Inst. Fourier 33, 1983), and one
 unramified at every place is constant, since Pic(P^1) = Z by degree
 (Rosen, Number Theory in Function Fields, GTM 210, ch. 9): then w = u +
 wp(y) with u over F_q, and the residue vector at infinity, of degree 1, is
-u modulo wp W_i(F_q), which the trace to Z/p^i detects.  So the summed
-vector is expanded at each coordinate pole and at infinity, last, as far
-as the standard form reads it, and reduced there: a pole surviving at any
-place answers False, and the trace of infinity's residue vector decides.
+u modulo wp W_i(F_q), which the trace to Z/p^i detects.  So at each
+coordinate pole and at infinity, last, every term's vector is expanded as
+far as the standard form reads the termwise minimum valuations, the
+expansions are summed over k(v)((t)), and the sum is reduced: by the
+isobaric bound below the sum is known that far, so no Witt sum of
+rational functions is taken.  A pole surviving at any place answers
+False, and the trace of infinity's residue vector decides.
 At a place v of degree d the expansion at t - theta over k(v) is the
 completion of k(v)(t), an unramified base change of F_q(t) of degree d,
 which keeps the pole orders and so the ramification.  Only degree
@@ -116,7 +119,8 @@ injectivity of the total local-invariant map on p-power-torsion Brauer
 classes; that assumption is recorded here and in the README.
 """
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
 from .errors import (ConfigMismatch, DivisionByZero, LevelDecrease,
                      PrecisionExhausted, ResourceLimit, UnsupportedDegree,
@@ -736,9 +740,10 @@ def h_zero_test(c):
     at t.  Degree 0 over F_q((t)) checks the summed vector against the
     precision rule of the standard form, then answers False for a wild
     vector and otherwise traces its residue vector.  Degree 0 over F_q(t)
-    expands the summed vector at each place of class_places, infinity
-    last, exactly as far as that rule reads it, answers False when it is
-    wild at any of them and otherwise traces infinity's residue vector.
+    expands each term's vector at each place of class_places, infinity
+    last, as far as that rule reads the termwise minimum valuations, sums
+    the expansions, answers False when the sum is wild at any place and
+    otherwise traces infinity's residue vector.
     UnsupportedField for degree n <= k over F_q(x_1..x_k)."""
     if c.degree > _p_rank(c.field):
         return True
@@ -749,21 +754,27 @@ def h_zero_test(c):
         return local_invariant(c, _t_place(c.field)).value == 0
     if not c.terms:
         return True
-    first, *rest = (w for w, _ in c.terms)
-    red = w = sum(rest, first)
-    p = w.p
+    vectors = [w for w, _ in c.terms]
+    p = vectors[0].p
     try:
-        if kind == "local":
-            _require_standard_form_precision(p, w.coords)
-            red = _residue_vector(w, c.field.base)
-        elif kind == "global":
-            # class_places ends at infinity, whose residue vector decides
+        if kind == "global":
+            # the sum of expansions is known as far as the termwise minimum
+            # valuations ask (module docstring); class_places ends at
+            # infinity, whose residue vector decides
             for place in class_places(c):
                 ctx = place_context(c.field, place)
-                needs = _standard_form_needs(p, _place_vals(w.coords, place))
-                red = _residue_vector(WittVector(p, [
-                    ctx.expand(a, n) for a, n in zip(w.coords, needs)]),
-                    ctx.res_field)
+                vals = map(min, zip(*(_place_vals(w.coords, place)
+                                      for w in vectors)))
+                needs = _standard_form_needs(p, list(vals))
+                red = _residue_vector(reduce(operator.add, (
+                    WittVector(p, [ctx.expand(a, n)
+                                   for a, n in zip(w.coords, needs)])
+                    for w in vectors)), ctx.res_field)
+        else:
+            red = reduce(operator.add, vectors)
+            if kind == "local":
+                _require_standard_form_precision(p, red.coords)
+                red = _residue_vector(red, c.field.base)
     except WildClass:
         return False
     return red.trace_int() == 0

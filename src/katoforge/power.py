@@ -1,8 +1,8 @@
 """Binary powering: the one square-and-multiply loop of the library.
 
 Every ring's ``**`` (field elements and codes, Galois rings, series,
-polynomials, integer polynomials), ``Poly.powmod`` and the multiples of a
-Witt vector call ``binary_power``; each caller handles n = 0 and n < 0
+polynomials, integer polynomials), ``Poly.powmod`` and the unit part u w
+of a Witt multiple call ``binary_power``; each caller handles n = 0 and n < 0
 itself, with its own identity or inverse.
 """
 

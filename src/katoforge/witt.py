@@ -23,6 +23,19 @@ lower the tracked precision of the sum.  Evaluation therefore reads
 the zero ones dropped.  The text format, its digests and the ghost checks
 stay on the integer polynomials.
 
+In characteristic p, p = V F on W_i (Serre, Local Fields II 6), so a
+multiple m w with m = p^k u, p not dividing u, is V^k F^k(u w).
+``WittVector.int_mul`` takes u as its signed residue modulo p^(i-k),
+computes u w on the first i - k coordinates by binary powering of + (one
+negation when u < 0), and returns k zero coordinates followed by the
+p^k-th powers of those of u w; m = 0 (mod p^i) gives the zero vector at
+once, and over a finite field other multiples run in the Galois ring.  Over
+series the k zeros are known to coordinate 0's precision, as
+``verschiebung`` gives them, and coordinate k + j to the precision the
+product rule gives the p^k-th power of coordinate j of u w
+(``Laurent.__pow__``).  The tests check the values against the m-fold sum,
+and that no precision falls below the sum's.
+
 A Teichmueller representative [a] = (a, 0, ..., 0) is multiplicative,
 and [a] (x_0, x_1, ...) = (a x_0, a^p x_1, a^(p^2) x_2, ...).  For odd p,
 -1 is a (p-1)-th root of unity, so -1 = [-1] and -[a] = [-a].  For p = 2,
@@ -343,14 +356,30 @@ class WittVector:
                            for t in struct.reduced("N")])
 
     def int_mul(self, m):
-        m %= self.p ** self.level   # additive order divides p^i
+        """m * self: V^k F^k(u * self) for m = p^k u (module docstring)."""
+        p, level = self.p, self.level
+        m %= p ** level     # additive order divides p^i
+        if not m:
+            return WittVector(p, [c * 0 for c in self.coords])
         if self.is_finite_coeffs():
             return self if m == 1 else self._via_ring(lambda x: x * m)
-        if not m:
-            return WittVector(self.p, [c * 0 for c in self.coords])
         # m = 1 does no arithmetic, but the level bound holds all the same
-        _check_request(self.p, self.level)
-        return binary_power(self, m, operator.add)
+        _check_request(p, level)
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        # u = m as its signed residue modulo p^(level-k), where u w lives
+        mod = p ** (level - k)
+        u = m - mod if 2 * m > mod else m
+        x = binary_power(self.truncate(level - k), abs(u), operator.add)
+        if u < 0:
+            x = -x
+        if k:
+            q = p ** k
+            x = WittVector(p, (self.coords[0] * 0,) * k
+                           + tuple(c ** q for c in x.coords))
+        return x
 
     # -- the standard maps --
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from katoforge import (ConfigMismatch, DivisionByZero, HClass,
                        KatoforgeError, Laurent,
                        LevelDecrease, MilnorElement, Place, Poly,
-                       PrecisionExhausted, ResourceLimit,
+                       PrecisionExhausted, RatFunc, ResourceLimit,
                        UnsupportedDegree, UnsupportedField, WildClass,
                        WittVector, colimit_equal, ColimitClass,
                        decompose_local, func_field, gf, h_zero_test,
@@ -997,14 +997,26 @@ def test_zero_test_unsupported():
             h_zero_test(HClass.build(K, _w(2, K.one / x), entries))
 
 
+_WITT_BINOP = WittVector._binop
+
+
+def _binop_off_rational(self, other, tag):
+    """WittVector._binop, failing on F_q(t) coordinates."""
+    if isinstance(self.coords[0], RatFunc):
+        raise AssertionError("a Witt sum or product over F_q(t)")
+    return _WITT_BINOP(self, other, tag)
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
-def test_degree_zero_over_fqt_is_zero_iff_the_trace_vanishes(p, e):
+def test_degree_zero_over_fqt_is_zero_iff_the_trace_vanishes(p, e,
+                                                             monkeypatch):
     """u + wp(y), for a constant vector u and y whose coordinates have
     simple poles at places of degree 1-3 and at infinity, is zero exactly
     when Tr(u) = 0: an everywhere unramified character of F_q(t) is
     constant.  A pole c/f added to coordinate 0, f of degree 1 or 2, is
-    wild there, so the class is nonzero.  A class zero over F_q(t) is zero
-    over F_q((t)) at the place t."""
+    wild there, so the class is nonzero.  The zero test takes no Witt sum
+    of rational functions: it sums the terms' expansions at each place.  A
+    class zero over F_q(t) is zero over F_q((t)) at the place t."""
     rng = random.Random(f"degree-0 {p} {e}")
     F = gf(p, e)
     K, L = func_field(F, ("t",)), laurent_field(F)
@@ -1021,17 +1033,40 @@ def test_degree_zero_over_fqt_is_zero_iff_the_trace_vanishes(p, e):
         y = WittVector(p, [rng.choice(units) / rng.choice(polys)
                            + rng.choice(units) * t for _ in range(level)])
         c = HClass(K, 0, level, [(y.frobenius(), ()), (-y, ()), (u, ())])
-        assert h_zero_test(c) == (n % 2 == 0)
         w = u + y.wp()
         wild = WittVector(p, (w.coords[0] + rng.choice(units)
                               / rng.choice(polys[:3]),) + w.coords[1:])
-        assert not h_zero_test(HClass(K, 0, level, [(wild, ())]))
+        wild = HClass(K, 0, level, [(wild, ())])
+        with monkeypatch.context() as patch:
+            patch.setattr(WittVector, "_binop", _binop_off_rational)
+            assert h_zero_test(c) == (n % 2 == 0)
+            assert not h_zero_test(wild)
         if n % 2 == 0:
             poles = [place_order(a, _t_place(L)) for a in w.coords
                      if not a.is_zero()]
             prec = 1 - p ** level * min(0, *poles)
             local = WittVector(p, [from_rational(a, prec) for a in w.coords])
             assert h_zero_test(HClass(L, 0, level, [(local, ())]))
+
+
+def test_degree_zero_over_fqt_reads_each_term_as_far_as_all_need(
+        monkeypatch):
+    """At level 3 over GF(5)(t), y = (2/f^2 + t, 1/f, 3/f), f a cubic: the
+    terms F(y) and -y have poles of different orders at f and at infinity,
+    so each is expanded as far as the termwise minimum valuations ask
+    before the expansions are summed.  F(y) - y is zero, and with (1, 0, 0)
+    added it is not, since its trace is 1 in Z/125."""
+    F = gf(5)
+    K = func_field(F, ("t",))
+    t = K.var("t")
+    f = _irreducible(K, 3)
+    y = WittVector(5, (K.const(F.elem(2)) / f ** 2 + t, K.one / f,
+                       K.const(F.elem(3)) / f))
+    terms = [(y.frobenius(), ()), (-y, ())]
+    one = WittVector(5, (K.one, K.zero, K.zero))
+    monkeypatch.setattr(WittVector, "_binop", _binop_off_rational)
+    assert h_zero_test(HClass(K, 0, 3, terms))
+    assert not h_zero_test(HClass(K, 0, 3, terms + [(one, ())]))
 
 
 def _above_rank_entry(rng, field):

@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import katoforge
 from katoforge import (ConfigMismatch, CorruptCache, DivisionByZero, HClass,
@@ -22,6 +22,7 @@ from katoforge.witt import (_eval_terms, _generate, _invert_ghost,
                             from_galois_ring, max_structure_level)
 
 from conftest import random_ratfunc, run_optimized
+from witt_oracle import check_int_mul
 
 
 def test_structure_polynomials():
@@ -442,35 +443,64 @@ def test_neg_teichmuller_matches_the_negation_polynomials(p, e):
             -WittVector.teichmuller(p, r, level)
 
 
-@pytest.mark.parametrize("p,e,level", [(2, 1, 2), (2, 1, 3), (3, 1, 2),
-                                         (3, 1, 3), (2, 2, 2), (2, 2, 3)])
+@pytest.mark.parametrize("p,e,level", [(2, 1, 1), (2, 1, 2), (2, 1, 3),
+                                         (2, 1, 4), (3, 1, 2), (3, 1, 3),
+                                         (2, 2, 2), (2, 2, 3), (5, 1, 2)])
+@settings(max_examples=10)   # each example runs all p^level residues
 @given(data=st.data())
 def test_int_mul_on_laurent_coordinates(p, e, level, data):
-    """w.int_mul(m) equals m-fold + up to the lower of the two precisions,
-    and inputs known to 6 more coefficients (any values there) agree with
-    it up to its precision, so that precision is sound."""
+    """w.int_mul(m), for every residue m mod p^level, negative m and
+    m >= p^level, against the m-fold sum (`witt_oracle.check_int_mul`):
+    equal up to the lower precision, never less precise, and inputs known
+    to 6 more coefficients (any values there) agree with it up to its
+    precision, so that precision is sound."""
     F = gf(p, e)
     elems = st.sampled_from(list(F.elements()))
     low, high = [], []
     for _ in range(level):
         val = data.draw(st.integers(-3, 2))
-        prec = val + data.draw(st.integers(1, 8))
+        prec = val + data.draw(st.integers(0, 8))
         known = data.draw(st.lists(elems, min_size=prec - val,
                                    max_size=prec - val))
         tail = data.draw(st.lists(elems, min_size=6, max_size=6))
         low.append(Laurent(F, val, known, prec))
         high.append(Laurent(F, val, known + tail, prec + 6))
-    w = WittVector(p, low)
-    m = data.draw(st.integers(1, 9))
-    got = w.int_mul(m)
-    added = w
-    for _ in range(m - 1):
-        added = added + w
-    for x, y in zip(got.coords, added.coords):
-        prec = min(x.prec, y.prec)
-        assert x.truncate(prec) == y.truncate(prec)
-    for x, y in zip(got.coords, WittVector(p, high).int_mul(m).coords):
-        assert y.truncate(x.prec) == x
+    check_int_mul(WittVector(p, low), WittVector(p, high))
+
+
+@pytest.mark.parametrize("p,e,level", [(2, 1, 2), (2, 1, 3), (2, 1, 4),
+                                         (3, 1, 2), (2, 2, 3), (5, 1, 2)])
+def test_int_mul_on_rational_coordinates(p, e, level):
+    """Over F_q(t), w.int_mul(m) equals the m-fold sum exactly, for every
+    residue m mod p^level, negative m and m >= p^level."""
+    rng = random.Random(f"int_mul {p} {e} {level}")
+    K = func_field(gf(p, e), ("t",))
+    for _ in range(2):
+        check_int_mul(WittVector(p, [
+            random_ratfunc(rng, K, max_deg=2) if rng.random() < 0.8
+            else K.zero for _ in range(level)]))
+
+
+def test_p_power_multiples_take_no_witt_sum(monkeypatch):
+    """p^k w and -p^k w are V^k F^k(w) and V^k F^k(-w): Frobenius powers,
+    a shift and at most one negation, with no sum or product, over F_q(t)
+    and F_q((t)).  The values are checked against the m-fold sum by the
+    two tests above."""
+    K2, K3 = func_field(gf(2), ("t",)), func_field(gf(3), ("t",))
+    t, s = K2.var("t"), K3.var("t")
+    vectors = [WittVector(2, [K2.one / t + t, t * t, K2.one / (t + K2.one),
+                              K2.one]),
+               WittVector(3, [K3.one / s, s, s * s]),
+               WittVector(2, [Laurent(gf(2), -3, [gf(2).one] * 5, 4)] * 4)]
+
+    def refuse(*args):
+        raise AssertionError("took a Witt sum or product")
+
+    monkeypatch.setattr(WittVector, "_binop", refuse)
+    for w in vectors:
+        for k in range(w.level):
+            for m in (w.p ** k, -w.p ** k):
+                assert w.int_mul(m).level == w.level
 
 
 def test_max_structure_level_table():
@@ -598,16 +628,20 @@ def test_finite_arithmetic_past_polynomial_bound(p, e, i):
 
 
 def test_int_mul_by_one_returns_the_operand(monkeypatch):
-    """m = 1 (mod p^level) returns a finite vector itself, with no Galois
-    ring round trip; on F_q(t) coordinates the level check stays."""
+    """m = 1 (mod p^level) returns a finite vector itself, and
+    m = 0 (mod p^level) the zero vector, with no Galois ring round trip; on
+    F_q(t) coordinates the level check stays."""
     def refuse(*args):
         raise AssertionError("took a Galois ring round trip")
 
     monkeypatch.setattr(witt, "galois_ring", refuse)
     for p, e, level in [(2, 1, 1), (2, 2, 3), (3, 1, 2), (5, 1, 4)]:
-        w = WittVector(p, (gf(p, e).gen,) * level)
+        F = gf(p, e)
+        w = WittVector(p, (F.gen,) * level)
         for m in (1, 1 + p ** level, 1 - 3 * p ** level):
             assert w.int_mul(m) is w
+        for m in (0, p ** level, -2 * p ** level):
+            assert w.int_mul(m) == WittVector.zeros(p, F.zero, level)
     with pytest.raises(AssertionError, match="round trip"):
         w.int_mul(2)
     K = func_field(gf(2), ("t",))
