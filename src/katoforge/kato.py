@@ -31,7 +31,8 @@ unramified at every place is constant, since Pic(P^1) = Z by degree
 wp(y) with u over F_q, and the residue vector at infinity, of degree 1, is
 u modulo wp W_i(F_q), which the trace to Z/p^i detects.  So at each
 coordinate pole and at infinity, last, every term's vector is expanded as
-far as the standard form reads the termwise minimum valuations, the
+far as the standard form reads the termwise minimum valuations, which the
+factorization that finds the poles gives (`_factor_pass`), the
 expansions are summed over k(v)((t)), and the sum is reduced: by the
 isobaric bound below the sum is known that far, so no Witt sum of
 rational functions is taken.  A pole surviving at any place answers
@@ -88,6 +89,15 @@ p, so that is cur + V^j([d] - [d^p]); and since
 only the tail (cur_j, .., cur_{i-1}) moves: it becomes
 (tail + [d]) + (-[d^p]) in W_{i-j}, with -[x] from
 `WittVector.neg_teichmuller`, and no negation polynomial is evaluated.
+Coordinate j of the tail sum is cur_j + d - d^p: the step cancels c t^(-m),
+adds c^(1/p) t^(-m/p) above it and nothing below, and leaves the precision
+of cur_j as it is, since d and d^p are known further.  So one pass upward
+from the valuation of coordinate j meets every pole, the added ones too:
+a pole of order prime to p is wild and stays, one of order divisible by p
+takes a step.  The pass ends at t^0, or where a step leaves the coordinate
+zero to precision (t^-6 + O(t^-3) at p = 2: the t^-3 it adds lies beyond
+O(t^-3)).  Later steps move only coordinates after j, so the wild poles of
+coordinate j are final when its pass ends.
 
 decompose_local reads the reduced coordinates through t^0, and checks
 before any Witt arithmetic that the input determines them: with
@@ -111,8 +121,9 @@ place f, min(v_j, 0) is minus the multiplicity of f in the denominator of
 coordinate j (at infinity, deg den - deg num).  `_factor_pass` relies on the
 normal form for ord b: a monic irreducible entry f has order 1 at f and
 -deg f at infinity, a constant order 0.  The places of the table are the
-places of those polynomials.  local_invariant at a single place computes
-the orders with place_order, which is cheaper there than factoring.
+places of those polynomials.  The degree-0 zero test takes its places and
+orders from the same pass.  local_invariant at a single place computes the
+orders with place_order, which is cheaper there than factoring.
 
 Completeness of the zero test over F_q(t) at n = 1 rests on the classical
 injectivity of the total local-invariant map on p-power-torsion Brauer
@@ -463,48 +474,41 @@ def local_symbol(k_field, level, w_coords, b):
 def witt_standard_form(w, base):
     """Reduce Laurent-coordinate w modulo wp-images of integral-direction
     vectors: pole terms of order divisible by p cancel against coordinate-wise
-    p-th roots, coordinate by coordinate, each step on the tail of the vector
-    from its coordinate (module docstring).  Returns (reduced, wild) where
-    wild lists the (coordinate, order) pole terms that survive (order prime
-    to p).
+    p-th roots, in one ascending pass over the poles of each coordinate,
+    each step on the tail of the vector from its coordinate (module
+    docstring).  Returns (reduced, wild) where wild lists the
+    (coordinate, order) pole terms that survive (order prime to p).
+    ResourceLimit, naming the order and the coordinate, if a step leaves
+    its pole term in place.
     """
     p = w.p
     cur = w
     maxprec = max((c.prec for c in w.coords), default=4)
-    for j in range(w.level):
-        guard = 0
-        while True:
-            guard += 1
-            if guard >= 10000:
-                raise ResourceLimit(
-                    "standard-form reduction did not terminate")
-            a = cur.coords[j]
-            target = None
-            if not a.is_zero():
-                for idx in range(a.val, 0):
-                    if a.coeff(idx) and (-idx) % p == 0:
-                        target = idx
-                        break
-            if target is None:
-                break
-            m = -target
-            c = a.coeff(target)
-            root = base.pth_root(c)
-            d = Laurent.monomial(base, root, -(m // p),
-                                 prec=maxprec + m * p + 4)
-            # cur - wp(V^j [d]) = cur + V^j([d] - [d^p]): only the tail
-            # from coordinate j moves (module docstring)
-            level = w.level - j
-            tail = (WittVector(p, cur.coords[j:])
-                    + WittVector.teichmuller(p, d, level)
-                    + WittVector.neg_teichmuller(p, d ** p, level))
-            cur = WittVector(p, cur.coords[:j] + tail.coords)
     wild = []
-    for j, a in enumerate(cur.coords):
-        if not a.is_zero() and a.val < 0:
-            for idx in range(a.val, 0):
-                if a.coeff(idx):
-                    wild.append((j, -idx))
+    for j in range(w.level):
+        a = cur.coords[j]
+        idx = a.val
+        while idx < 0 and not a.is_zero():
+            c = a.coeff(idx)
+            if c and idx % p:
+                wild.append((j, -idx))
+            elif c:
+                m = -idx
+                d = Laurent.monomial(base, base.pth_root(c), -(m // p),
+                                     prec=maxprec + m * p + 4)
+                # cur - wp(V^j [d]) = cur + V^j([d] - [d^p]): only the tail
+                # from coordinate j moves (module docstring)
+                level = w.level - j
+                tail = (WittVector(p, cur.coords[j:])
+                        + WittVector.teichmuller(p, d, level)
+                        + WittVector.neg_teichmuller(p, d ** p, level))
+                cur = WittVector(p, cur.coords[:j] + tail.coords)
+                a = cur.coords[j]
+                if not a.is_zero() and a.coeff(idx):
+                    raise ResourceLimit(
+                        f"the standard-form step left the pole of order {m} "
+                        f"in Witt coordinate {j}")
+            idx += 1
     return cur, wild
 
 
@@ -549,36 +553,33 @@ def _residue_vector(w, base):
 
 # ------------------------------------------------------- invariants ----
 
-def _place_vals(coords, place):
-    """place_order of each coordinate, a zero coordinate at 1: as far as
-    the residue and the standard form read it."""
-    return [1 if a.is_zero() else place_order(a, place) for a in coords]
-
-
 def _local_terms(c, place, orders=None):
     """(k_field, w, b, vals, ord b, at) per term of a degree-1 class at a
     place: vals and ord b are the coordinate valuations and the entry order
     the residue reads (`_precision_needs`), and at(x, prec) is x's series
     over k_field known to O(t^prec) at least.  Over F_q(t) orders gives
     (vals, ord b) per term, by default from place_order (a zero coordinate
-    at 1), and at expands at the place.  Over F_q((t)), whose one place is
-    (t), the terms are series, checked to be known as far as the residue
-    reads them, and at returns them as they are."""
+    at 1, as far as the residue reads it), and at expands at the place.
+    Over F_q((t)), whose one place is (t), the terms are series, every one
+    checked to be known as far as the residue reads it before the first
+    is yielded, and at returns them as they are."""
     field = c.field
     if _field_kind(field) == "local":
         if place != _t_place(field):
             raise UnsupportedField("F_q((t)) carries the single place (t)")
         for w, (b,) in c.terms:
             _require_residue_precision(field.base.p, c.level, w.coords, b)
-            yield (field.base, w, b, [a.val for a in w.coords], b.val,
-                   lambda x, prec: x)
-        return
-    ctx = place_context(field, place)
-    if orders is None:
-        orders = [(_place_vals(w.coords, place), place_order(b, place))
-                  for w, (b,) in c.terms]
+        k_field, at = field.base, lambda x, prec: x
+        orders = [([a.val for a in w.coords], b.val) for w, (b,) in c.terms]
+    else:
+        ctx = place_context(field, place)
+        k_field, at = ctx.res_field, ctx.expand
+        if orders is None:
+            orders = [([1 if a.is_zero() else place_order(a, place)
+                        for a in w.coords], place_order(b, place))
+                      for w, (b,) in c.terms]
     for (w, (b,)), (vals, ord_b) in zip(c.terms, orders):
-        yield ctx.res_field, w, b, vals, ord_b, ctx.expand
+        yield k_field, w, b, vals, ord_b, at
 
 
 def _require_degree_one(c):
@@ -635,7 +636,9 @@ def _factor_pass(c):
     docstring).  places are the finite places where a coordinate has a pole
     or an entry a zero, in Place order, then infinity;
     orders(place) is the [(vals, ord b)] per term that
-    `_local_terms` takes."""
+    `_local_terms` takes, with ord b = 0 for a term with no entry.  vals
+    are exact where negative, and a zero coordinate counts 1: all that the
+    residue and the standard form read."""
     if _invariant_field_kind(c.field) != "global":
         raise UnsupportedField("places belong to classes over F_q(t)")
     # orders at a place are read from {place polynomial: valuation} dicts,
@@ -663,15 +666,16 @@ def _factor_pass(c):
                     f = to_dense(b.num)
                     v[f] = 1
                     polys.add(f)
-        terms.append((vals, entries))
+        # a degree-1 term reads its one entry, a degree-0 term none
+        terms.append((vals, entry_orders[entries[0]] if entries else {}))
     var = c.field.vars[0]
     places = sorted((Place(f, var) for f in polys), key=Place.sort_key)
     places.append(Place.infinity())
 
     def orders(place):
         return [([1 if v is None else v.get(place.poly, 0) for v in vals],
-                 entry_orders[entries[0]].get(place.poly, 0))
-                for vals, entries in terms]
+                 ent.get(place.poly, 0))
+                for vals, ent in terms]
     return places, orders
 
 
@@ -740,10 +744,12 @@ def h_zero_test(c):
     at t.  Degree 0 over F_q((t)) checks the summed vector against the
     precision rule of the standard form, then answers False for a wild
     vector and otherwise traces its residue vector.  Degree 0 over F_q(t)
-    expands each term's vector at each place of class_places, infinity
-    last, as far as that rule reads the termwise minimum valuations, sums
-    the expansions, answers False when the sum is wild at any place and
-    otherwise traces infinity's residue vector.
+    takes the places (infinity last) and the termwise orders from one
+    factorization of the coordinate denominators (`_factor_pass`), expands
+    each term's vector at each place as far as that rule reads the
+    termwise minimum valuations, sums the expansions, answers False when
+    the sum is wild at any place and otherwise traces infinity's residue
+    vector.
     UnsupportedField for degree n <= k over F_q(x_1..x_k)."""
     if c.degree > _p_rank(c.field):
         return True
@@ -759,12 +765,12 @@ def h_zero_test(c):
     try:
         if kind == "global":
             # the sum of expansions is known as far as the termwise minimum
-            # valuations ask (module docstring); class_places ends at
+            # valuations ask (module docstring); the places end at
             # infinity, whose residue vector decides
-            for place in class_places(c):
+            places, orders = _factor_pass(c)
+            for place in places:
                 ctx = place_context(c.field, place)
-                vals = map(min, zip(*(_place_vals(w.coords, place)
-                                      for w in vectors)))
+                vals = map(min, zip(*(v for v, _ in orders(place))))
                 needs = _standard_form_needs(p, list(vals))
                 red = _residue_vector(reduce(operator.add, (
                     WittVector(p, [ctx.expand(a, n)

@@ -12,9 +12,9 @@ import pytest
 from katoforge import (DiffForm, HClass, Laurent, MilnorElement, WittVector,
                        dlog, func_field, gf, laurent_field, witt)
 from katoforge.cli import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
-                           Parser, Session, cache_clear, cache_verify,
-                           cache_warm, main, run_script, run_statement,
-                           tokenize)
+                           MAX_PRECISION, Parser, Session, cache_clear,
+                           cache_verify, cache_warm, main, run_script,
+                           run_statement, tokenize)
 
 from conftest import random_ratfunc
 
@@ -266,6 +266,7 @@ def test_statements_consume_their_line(line):
      "col 14: juxtaposed differentials: write dx^dy for their wedge"),
     ("GF(2)(t)", "set precision 0", "set precision needs N >= 1"),
     ("GF(2)(t)", "set level 0", "set level needs i >= 1"),
+    ("GF(2)(x,y)", "cartier x dx^2", "wedge needs a differential"),
 ])
 def test_operation_errors_are_script_errors(spec, line, message):
     text = f"field F = {spec}\n{line}\nlet ok = 1"
@@ -320,6 +321,44 @@ def test_script_file_and_precision_checks(tmp_path, capsys):
     assert main(["--precision", "3", str(script)]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "let: 1 + t + t^2 + O(t^3)"
+
+
+def test_precision_is_bounded_in_scripts_and_flags(tmp_path, capsys):
+    """set precision and --precision accept N = MAX_PRECISION and refuse
+    MAX_PRECISION + 1: one error line in a script, which goes on at the
+    precision it had, and a usage error with exit status 2 for the flag."""
+    assert MAX_PRECISION == 65536
+    text = (f"field L = GF(2)((t))\nset precision {MAX_PRECISION}\n"
+            f"set precision {MAX_PRECISION + 1}\nlet c = 1/t + O(t^2)")
+    buf = io.StringIO()
+    assert run_script(text, keep_going=True, out=buf) == 1
+    assert buf.getvalue().splitlines()[1:] == [
+        "set: ok", f"error: line 3: set precision needs N <= {MAX_PRECISION}",
+        "let: t^-1 + O(t^2)"]
+    script = tmp_path / "s.kf"
+    script.write_text("field F = GF(2)((t))\nlet a = 1 + t\n")
+    assert main(["--precision", str(MAX_PRECISION), str(script)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"let: 1 + t + O(t^{MAX_PRECISION})"
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision", str(MAX_PRECISION + 1), str(script)])
+    assert exc.value.code == 2
+    assert f"at most {MAX_PRECISION}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_wedge_of_a_bracketed_differential(json_mode):
+    """x dx^(dy) reads as (x dx)^dy, juxtaposed or not: one wedge path."""
+    lines = ["nu x dx^(dy)", "nu (x dx)^dy", "let v = x dx^(dy)",
+             "let w = x dx^dy"]
+    buf = io.StringIO()
+    text = "field K = GF(2)(x, y)\n" + "\n".join(lines)
+    assert run_script(text, json_mode=json_mode, out=buf) == 0
+    out = buf.getvalue().splitlines()[1:]
+    if json_mode:
+        out = [json.loads(ln)["result"] for ln in out]
+    assert out[0] == out[1] and out[2] == out[3]
+    assert out[2].endswith("x dx^dy")
 
 
 def test_field_declaration_checks():

@@ -27,6 +27,8 @@ from katoforge.witt import max_structure_level
 from conftest import random_mpoly, random_ratfunc, run_optimized
 from ghost_oracle import (ghost_inversion_symbol, uniform_precision,
                           uniform_series_inputs)
+from standard_form_oracle import (answer, restart_standard_form,
+                                  standard_form_inputs)
 
 
 def _w(p, *coords):
@@ -1069,6 +1071,46 @@ def test_degree_zero_over_fqt_reads_each_term_as_far_as_all_need(
     assert not h_zero_test(HClass(K, 0, 3, terms + [(one, ())]))
 
 
+def _place_order_unread(r, place):
+    raise AssertionError("place_order reached")
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1)])
+def test_degree_zero_over_fqt_reads_orders_off_the_factorization(
+        p, e, monkeypatch):
+    """The degree-0 zero test over F_q(t) takes its places and the
+    termwise orders from the one factorization of the class
+    (`_factor_pass`): with place_order failing it gives the answers it
+    gives without, on u + wp(y) classes (zero exactly when Tr(u) = 0),
+    with and without a seeded term added."""
+    rng = random.Random(f"degree-0 orders {p} {e}")
+    F = gf(p, e)
+    K = func_field(F, ("t",))
+    t = K.var("t")
+    polys = [t, t + K.one, _irreducible(K, 2)]
+    units = [K.const(a) for a in F.elements() if a]
+    classes = []
+    for level, n in itertools.product((1, 2), range(4)):
+        while True:     # traces 0 for n < 2, nonzero for n >= 2
+            u = WittVector(p, [rng.choice(list(F.elements()))
+                               for _ in range(level)])
+            if (u.trace_int() == 0) == (n < 2):
+                break
+        u = WittVector(p, [K.const(a) for a in u.coords])
+        y = WittVector(p, [rng.choice(units) / rng.choice(polys) ** 2
+                           + rng.choice(units) * t for _ in range(level)])
+        terms = [(y.frobenius(), ()), (-y, ()), (u, ())]
+        if n % 2:
+            terms.append((WittVector(p, [random_ratfunc(rng, K, max_deg=2)
+                                         for _ in range(level)]), ()))
+        classes.append(HClass(K, 0, level, terms))
+    answers = [h_zero_test(c) for c in classes]
+    assert answers[::4] == [True] * (len(classes) // 4)
+    assert not any(answers[2::4])
+    monkeypatch.setattr(kato_module, "place_order", _place_order_unread)
+    assert [h_zero_test(c) for c in classes] == answers
+
+
 def _above_rank_entry(rng, field):
     """A nonzero entry over F_q(t), F_q(x, y) or F_q((t))."""
     if isinstance(field, LaurentField):
@@ -1498,6 +1540,36 @@ def test_standard_form_matches_the_universal_polynomial_step(p, e, level):
         assert wild == want_wild
         assert bool(wild) == (k == 2)
     assert (max(steps) > 0) == (level > 1)
+
+
+def test_standard_form_matches_the_restart_loop(monkeypatch):
+    """One ascending pass per coordinate answers as the loop that scanned
+    coordinate j again after every step (`restart_standard_form`): the
+    same reduced coordinates with their precisions, wild list and error
+    type and message, on 400 seeded vectors.  Among them a step leaves
+    t^-6 + O(t^-3) zero to precision, where the pass stops, and scans that
+    run past the precision raise.  A step that cancels nothing raises
+    ResourceLimit naming the order and the coordinate."""
+    inputs = standard_form_inputs(400, "restart loop")
+    answers = [answer(witt_standard_form, w, base) for w, base in inputs]
+    assert answers == [answer(restart_standard_form, w, base)
+                       for w, base in inputs]
+    assert answers[0] == "((O(t^-3), O(t^-9)), [(-3, -3), (-9, -9)], [])"
+    raised = sum(a.startswith("PrecisionExhausted") for a in answers)
+    wild = sum(a.startswith("(") and not a.endswith(", [])")
+               for a in answers)
+    assert raised > 40 and wild > 40
+
+    def nothing(cls, p, a, level):
+        return cls.zeros(p, a * 0, level)
+    monkeypatch.setattr(WittVector, "teichmuller", classmethod(nothing))
+    monkeypatch.setattr(WittVector, "neg_teichmuller", classmethod(nothing))
+    F2 = gf(2)
+    w = WittVector(2, (Laurent(F2, -1, [F2.one], 8),
+                       Laurent(F2, -4, [F2.one], 8)))
+    with pytest.raises(ResourceLimit, match="the standard-form step left "
+                       "the pole of order 4 in Witt coordinate 1"):
+        witt_standard_form(w, F2)
 
 
 @pytest.mark.parametrize("vals,needs", [

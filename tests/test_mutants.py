@@ -13,9 +13,14 @@ import textwrap
 
 import pytest
 
-from katoforge import Laurent, WittVector, func_field, gf, witt
+from katoforge import (KatoforgeError, Laurent, WittVector, func_field, gf,
+                       kato, laurent_field, witt)
 
 from conftest import random_ratfunc
+from ghost_oracle import ghost_inversion_symbol
+from series_oracle import dense_sum
+from standard_form_oracle import (answer, check_standard_form,
+                                  standard_form_inputs)
 from witt_oracle import check_int_mul
 
 
@@ -74,3 +79,173 @@ def test_int_mul_mutants_fail_the_sum_oracle(name, monkeypatch):
     with pytest.raises(AssertionError):
         for w, longer in inputs:
             check_int_mul(w, longer)
+
+
+# ------------------------------------------------------ standard form ----
+
+STANDARD_FORM_MUTANTS = {
+    "cancellation check dropped": [
+        ("if not a.is_zero() and a.coeff(idx):", "if False:")],
+    "zero-to-precision stop dropped": [
+        ("while idx < 0 and not a.is_zero():", "while idx < 0:")],
+    "wild poles not recorded": [("wild.append((j, -idx))", "pass")],
+}
+
+
+def _check_standard_form(standard_form, monkeypatch):
+    """AssertionError unless standard_form answers as the restart loop on
+    40 seeded vectors, the first of them left zero to precision by a step,
+    and raises ResourceLimit when a step cancels nothing."""
+    check_standard_form(standard_form_inputs(40, "standard-form mutants"),
+                        standard_form)
+    F2 = gf(2)
+    w = WittVector(2, (Laurent(F2, -2, [F2.one], 8),))
+
+    def nothing(cls, p, a, level):
+        return cls.zeros(p, a * 0, level)
+    with monkeypatch.context() as patch:
+        patch.setattr(WittVector, "teichmuller", classmethod(nothing))
+        patch.setattr(WittVector, "neg_teichmuller", classmethod(nothing))
+        assert answer(standard_form, w, F2).startswith("ResourceLimit")
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_FORM_MUTANTS))
+def test_standard_form_mutants_fail_the_restart_oracle(name, monkeypatch):
+    _check_standard_form(kato.witt_standard_form, monkeypatch)
+    mutant = _mutant(kato.witt_standard_form, STANDARD_FORM_MUTANTS[name])
+    with pytest.raises(AssertionError):
+        _check_standard_form(mutant, monkeypatch)
+
+
+# ----------------------------------------------- the residue's reads ----
+
+PRECISION_NEEDS_MUTANTS = {
+    "coordinates read one short": [("needs = [1 - (n - 1)",
+                                    "needs = [-(n - 1)")],
+    "coordinates read one further": [("needs = [1 - (n - 1)",
+                                      "needs = [2 - (n - 1)")],
+    "entry read one short": [("rel = 1 - min(", "rel = -min(")],
+}
+
+
+def _residue_inputs():
+    """(F, level, full coords, full b, needs, rel) over GF(2)((t)) at
+    level 3 and GF(3)((t)) at level 2, with needs and rel written out from
+    the product rule: N_j = 1 - (p^(level-1-j) - 1) min(v_j, 0) and
+    rel = 1 - min(0, min_j p^(level-1-j) v_j).  Every series is known 8
+    coefficients past what the residue reads."""
+    rng = random.Random("precision-needs mutants")
+    out = []
+    for p, level in [(2, 3), (3, 2)]:
+        F = gf(p)
+        powers = [p ** (level - 1 - j) for j in range(level)]
+
+        def series(val, prec):
+            return Laurent(F, val, [F.from_code(rng.randrange(1, p))]
+                           + [F.from_code(rng.randrange(p))
+                              for _ in range(prec - val - 1)], prec)
+        for vals in ([-1] * level, [-2] + [0] * (level - 1),
+                     [1] * (level - 1) + [-2]):
+            needs = [1 - (n - 1) * min(v, 0) for n, v in zip(powers, vals)]
+            rel = 1 - min(0, min(n * v for n, v in zip(powers, vals)))
+            bval = rng.randint(-1, 1)
+            out.append((F, level,
+                        [series(v, n + 8) for v, n in zip(vals, needs)],
+                        series(bval, bval + rel + 8), needs, rel))
+    return out
+
+
+def _invariant(F, level, coords, b):
+    """local_invariant of (coords | b) over F((t)), taken as it is, or the
+    type and message of the KatoforgeError raised."""
+    LF = laurent_field(F)
+    c = kato.HClass.__new__(kato.HClass)
+    c.field, c.degree, c.level = LF, 1, level
+    c.terms = ((WittVector(F.p, coords), (b,)),)
+    try:
+        return kato.local_invariant(c, kato._t_place(LF)).value
+    except KatoforgeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _check_residue_reads(inputs):
+    """AssertionError unless local_invariant gives the ghost oracle's
+    symbol on inputs known exactly as far as the residue reads them, and
+    refuses each coordinate and the entry one coefficient short."""
+    for F, level, full, b, needs, rel in inputs:
+        exact = [a.truncate(n) for a, n in zip(full, needs)]
+        b_exact = b.truncate(b.val + rel)
+        want = ghost_inversion_symbol(F, level, full, b)
+        assert _invariant(F, level, exact, b_exact) == want
+        for j, n in enumerate(needs):
+            short = exact[:j] + [exact[j].truncate(n - 1)] + exact[j + 1:]
+            assert str(_invariant(F, level, short, b_exact)).startswith(
+                f"PrecisionExhausted: Witt coordinate {j} known")
+        if rel > 1:
+            assert str(_invariant(F, level, exact, b.truncate(
+                b.val + rel - 1))).startswith(
+                    "PrecisionExhausted: entry known")
+
+
+@pytest.mark.parametrize("name", sorted(PRECISION_NEEDS_MUTANTS))
+def test_precision_needs_mutants_fail_the_ghost_oracle(name, monkeypatch):
+    inputs = _residue_inputs()
+    _check_residue_reads(inputs)
+    monkeypatch.setattr(kato, "_precision_needs",
+                        _mutant(kato._precision_needs,
+                                PRECISION_NEEDS_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_residue_reads(inputs)
+
+
+# ------------------------------------------------------- series sums ----
+
+LAURENT_ADD_MUTANTS = {
+    "span ends with the lower operand": [
+        ("max(a.val + len(a.coeffs), b.val + len(b.coeffs))",
+         "a.val + len(a.coeffs)")],
+    "last coefficient of the upper operand dropped": [
+        ("b.coeffs[:end - b.val]", "b.coeffs[:end - b.val - 1]")],
+    "operand past the precision not cut": [
+        ("return a if a.prec == prec else a.truncate(prec)", "return a")],
+}
+
+
+def _sum_inputs():
+    """Seeded pairs of series over GF(4) and GF(3): valuations -4..4, up
+    to 8 coefficients, precisions from 2 below the last coefficient to 4
+    past it, so spans overlap, nest, lie apart and pass the precision."""
+    rng = random.Random("Laurent.__add__ mutants")
+    out = []
+    for F in (gf(2, 2), gf(3)):
+        elems = list(F.elements())
+
+        def series():
+            val, size = rng.randint(-4, 4), rng.randint(0, 8)
+            coeffs = [rng.choice(elems) for _ in range(size)]
+            return Laurent(F, val, coeffs,
+                           max(val + 1, val + size + rng.randint(-2, 4)))
+        out.extend((series(), series()) for _ in range(30))
+    return out
+
+
+def _check_sums(inputs):
+    """AssertionError unless a + b and b + a agree with the dense sum, in
+    valuation, coefficients and precision."""
+    def parts(s):
+        return s.val, s.coeffs, s.prec
+    for a, b in inputs:
+        assert parts(a + b) == parts(dense_sum(a, b)), (a, b)
+        assert parts(b + a) == parts(dense_sum(b, a)), (b, a)
+
+
+@pytest.mark.parametrize("name", sorted(LAURENT_ADD_MUTANTS))
+def test_laurent_add_mutants_fail_the_dense_sum(name, monkeypatch):
+    inputs = _sum_inputs()
+    _check_sums(inputs)
+    monkeypatch.setattr(Laurent, "__add__",
+                        _mutant(Laurent.__add__, LAURENT_ADD_MUTANTS[name]))
+    # a span short of the upper operand's start slices its coefficients
+    # from the end, and the sum fails outright
+    with pytest.raises((AssertionError, IndexError)):
+        _check_sums(inputs)
