@@ -25,6 +25,11 @@ literals and powers are bounded by ``MAX_POWER_BITS``, powers also by
 ``MAX_POWER_TERMS``, and series precisions by ``MAX_PRECISION``.  Bad input
 raises a ``KatoforgeError``, which ``run_script`` prints as one line
 ``error: line N ...``.
+
+Over F_q(vars) a literal is polynomial arithmetic (``MPoly``, no GCD) until
+a ``/``, which builds one normalized ``RatFunc``, a name bound by ``let``,
+a negative power or the end of the expression; ``MAX_POWER_TERMS`` counts
+a polynomial's terms as it counts a numerator's.
 """
 
 import argparse
@@ -41,8 +46,9 @@ from .errors import (ConfigMismatch, CorruptCache, KatoforgeError,
                      ScriptError, UnknownName, VerifyMismatch)
 from .forms import DiffForm, d_of_function
 from .gf import GF, gf
-from .kato import (HClass, LaurentField, laurent_field, level_shift,
-                   local_invariant, reciprocity_check, h_zero_test)
+from .kato import (HClass, LaurentField, _invariant_field_kind, laurent_field,
+                   level_shift, local_invariant, reciprocity_check,
+                   h_zero_test)
 from .laurent import Laurent
 from .milnor import MilnorElement, d_symbol
 from .mpoly import MPoly
@@ -180,10 +186,10 @@ MAX_PRECISION = 65536
 
 
 def _power_terms(r, e):
-    """The most terms the numerator or denominator of r^e can have: the
+    """The most terms r^e, or its numerator or denominator, can have: the
     product over the variables of (|e| times the degree in it, + 1)."""
     return max(math.prod(abs(e) * f.degree_in(j) + 1 for j in range(f.nvars))
-               for f in (r.num, r.den))
+               for f in ((r.num, r.den) if isinstance(r, RatFunc) else (r,)))
 
 
 def _kind(v):
@@ -215,6 +221,8 @@ class Parser(Cursor):
         if self.fieldname is None:
             raise ScriptError("no field declared yet", lineno)
         self.field = session.field(self.fieldname, lineno)
+        # the coefficient field: GF(q) itself, or that of F_q(vars), F_q((t))
+        self.base = getattr(self.field, "base", self.field)
 
     # -- value coercion inside the current field --
 
@@ -224,17 +232,21 @@ class Parser(Cursor):
         return Laurent.monomial(self.field.base, c, n,
                                 4 * self.session.precision + 8)
 
-    def _const(self, n):
+    def _const(self, c):
+        """c, an integer or a base field element, in the field."""
         f = self.field
-        if isinstance(f, GF):
-            return f.elem(n)
         if isinstance(f, FuncField):
-            return f.const(n)
-        return self._series(f.base.elem(n), 0)
+            return MPoly.const(f.base, f.k, c)
+        if isinstance(f, GF):
+            return f.elem(c)
+        return self._series(f.base.elem(c), 0)
 
     def _coerce(self, v):
+        """v in the field, where a polynomial is a RatFunc."""
         if isinstance(v, int):
-            return self._const(v)
+            v = self._const(v)
+        if isinstance(v, MPoly):
+            return RatFunc(self.field, v, self.field.one.den, _norm=False)
         return v
 
     def _name_value(self, name, col):
@@ -245,48 +257,33 @@ class Parser(Cursor):
                 raise ScriptError(
                     f"{name!r} belongs to field {fname!r}", self.lineno, col)
             return v
-        if isinstance(f, FuncField):
-            if name in f.vars:
-                return f.var(name)
-            if name == "z" and f.base.e > 1:
-                return f.const(f.base.gen)
-        if isinstance(f, GF) and name == "z" and f.e > 1:
-            return f.gen
-        if isinstance(f, LaurentField):
-            if name == f.var:
-                return self._series(f.base.one, 1)
-            if name == "z" and f.base.e > 1:
-                return self._series(f.base.gen, 0)
+        if isinstance(f, FuncField) and name in f.vars:
+            return MPoly.var(f.base, f.k, f.vars.index(name))
+        if name == "z" and self.base.e > 1:
+            return self._const(self.base.gen)
+        if isinstance(f, LaurentField) and name == f.var:
+            return self._series(f.base.one, 1)
         raise UnknownName(f"unknown name {name!r}", self.lineno, col)
 
     def _is_diff_start(self):
         """Whether a differential (d(x), or dx for a variable x) starts
         at the next token."""
         kind, val, _ = self.peek()
-        if kind != "name":
-            return False
-        if val == "d" and self.peek(1)[0] == "(":
-            return True
-        return (len(val) > 1 and val[0] == "d"
-                and isinstance(self.field, FuncField)
-                and val[1:] in self.field.vars)
+        return kind == "name" and val[0] == "d" and (
+            val == "d" and self.peek(1)[0] == "(" or
+            isinstance(self.field, FuncField) and val[1:] in self.field.vars)
 
     # -- grammar --
 
-    def expr(self):
-        v = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            v = self._binary(op, v, self.term())
-        return v
-
-    def term(self):
+    def expr(self, sums=True):
+        """A sum of terms, or with sums false one term."""
         v = self.unary()
         while True:
             kind = self.peek()[0]
-            if kind in ("*", "/"):
+            if kind in ("*", "/") or sums and kind in ("+", "-"):
                 self.next()
-                v = self._binary(kind, v, self.unary())
+                v = self._binary(kind, v, self.unary() if kind in ("*", "/")
+                                 else self.expr(False))
             elif self._is_diff_start():
                 if isinstance(v, DiffForm):
                     raise ScriptError("juxtaposed differentials: write "
@@ -302,7 +299,17 @@ class Parser(Cursor):
         symbols, classes and Witt vectors; field elements multiply forms."""
         ka, kb = _kind(a), _kind(b)
         if ka == kb == _ELEMENT:
-            return _OPS[op](self._coerce(a), self._coerce(b))
+            # integers are constants of the field, and polynomials stay
+            # polynomials, with no GCD, until a division; a zero divisor is
+            # left to RatFunc's own refusal
+            x, y = (self._const(v) if isinstance(v, int) else v
+                    for v in (a, b))
+            if isinstance(x, MPoly) and isinstance(y, MPoly):
+                if op != "/":
+                    return _OPS[op](x, y)
+                if not y.is_zero():
+                    return RatFunc(self.field, x, y)
+            return _OPS[op](self._coerce(x), self._coerce(y))
         if ka == kb and (op in "+-" or op == "*" and ka == "a Witt vector"):
             return _OPS[op](a, b)
         if op == "*" and _ELEMENT in (ka, kb):
@@ -364,8 +371,9 @@ class Parser(Cursor):
                                       f"bits or more", self.lineno)
                 v = v ** e
                 continue
-            v = self._coerce(v)
-            if isinstance(v, RatFunc) and _power_terms(v, e) > MAX_POWER_TERMS:
+            v = self._coerce(v) if e < 0 else v
+            if isinstance(v, (RatFunc, MPoly)) and \
+                    _power_terms(v, e) > MAX_POWER_TERMS:
                 raise ScriptError(f"power with more than {MAX_POWER_TERMS} "
                                   f"terms", self.lineno)
             v = v ** e
@@ -442,7 +450,8 @@ class Parser(Cursor):
         if self.take("]"):
             return self._witt_from(entries)
         if self.take("|"):
-            w = self._witt_value(entries)
+            w = entries[0] if len(entries) == 1 and isinstance(
+                entries[0], WittVector) else self._witt_from(entries)
             # an immediate ')' is a degree-0 class, as HClass prints it
             bs = [] if self.peek()[0] == ")" else self._exprs("a class")
             self.expect(")")
@@ -454,17 +463,11 @@ class Parser(Cursor):
                           self.lineno)
 
     def _witt_from(self, entries):
-        f = self.field
-        p = f.p if isinstance(f, GF) else f.base.p
-        return WittVector(p, [self._element(e, "a Witt vector")
-                              for e in entries])
-
-    def _witt_value(self, entries):
-        if len(entries) == 1 and isinstance(entries[0], WittVector):
-            return entries[0]
-        return self._witt_from(entries)
+        return WittVector(self.base.p, [self._element(e, "a Witt vector")
+                                        for e in entries])
 
     def place_expr(self):
+        _invariant_field_kind(self.field)    # F_q(x_1..x_k), k > 1: no places
         kind, val, col = self.peek()
         if kind == "name" and val == "inf":
             self.next()

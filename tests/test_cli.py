@@ -17,6 +17,7 @@ from katoforge.cli import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
                            run_statement, tokenize)
 
 from conftest import random_ratfunc
+from literal_oracle import check_literals, literal_inputs
 
 
 def _parse_value(text, session, fieldname=None):
@@ -359,6 +360,63 @@ def test_wedge_of_a_bracketed_differential(json_mode):
         out = [json.loads(ln)["result"] for ln in out]
     assert out[0] == out[1] and out[2] == out[3]
     assert out[2].endswith("x dx^dy")
+
+
+def _error_lines(text, json_mode):
+    """The error lines run_script prints for text, with --keep-going; in
+    JSON mode each as "line N: message"."""
+    buf = io.StringIO()
+    assert run_script(text, json_mode=json_mode, keep_going=True,
+                      out=buf) == 1
+    rows = buf.getvalue().splitlines()
+    if json_mode:
+        rows = [json.loads(ln) for ln in rows]
+        return [f"line {r['line']}: {r['message']}" for r in rows
+                if r["op"] == "error"]
+    return [ln[len("error: "):] for ln in rows if ln.startswith("error: ")]
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_division_by_zero_prints_one_message(json_mode):
+    """A zero divisor, a zero polynomial among them, and a zero to a
+    negative power print RatFunc's own refusal."""
+    text = ("field F = GF(2)(t)\n"
+            "let a = t/(t-t)\n"
+            "let b = t/0\n"
+            "let c = (t-t)^-1\n"
+            "field G = GF(3)(x, y)\n"
+            "let d = x/(x*y-x*y)\n"
+            "let e = x/y")
+    assert _error_lines(text, json_mode) == [
+        f"line {n}: division by zero rational function" for n in (2, 3, 4, 6)]
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_places_over_several_variables_are_refused_by_name(json_mode):
+    """Classes over F_q(x_1..x_k), k > 1, have no invariants: at a finite
+    place as at infinity, and as recip, one line names the fields that
+    do."""
+    text = ("field K = GF(2)(x, y)\n"
+            "inv [ [1/x] | y ) at x\n"
+            "inv [ [1/x] | y ) at inf\n"
+            "recip [ [1/x] | y )")
+    message = ("classes over GF(2)(x, y) have no invariants, which cover "
+               "GF(q), F_q(t) and F_q((t)); zero tests answer above degree 2")
+    assert _error_lines(text, json_mode) == [f"line {n}: {message}"
+                                             for n in (2, 3, 4)]
+
+
+def test_literals_match_ratfunc_arithmetic():
+    """Literals over F_q(vars) read as polynomials until a division; every
+    value equals RatFunc's own arithmetic on the same expression tree, and
+    every refusal prints the library's message."""
+    inputs = literal_inputs(150, "literals against RatFunc")
+    check_literals(inputs)
+    trees = [t for _, _, ts in inputs for t in ts]
+    assert len(trees) == 600
+    assert sum(isinstance(want, str) for _, want in trees) >= 20
+    assert sum("^-" in text for text, _ in trees) >= 50
+    assert sum("/" in text for text, _ in trees) >= 300
 
 
 def test_field_declaration_checks():

@@ -15,9 +15,11 @@ import pytest
 
 from katoforge import (KatoforgeError, Laurent, WittVector, func_field, gf,
                        kato, laurent_field, witt)
+from katoforge.cli import Parser
 
 from conftest import random_ratfunc
 from ghost_oracle import ghost_inversion_symbol
+from literal_oracle import check_literals, literal_inputs
 from series_oracle import dense_sum
 from standard_form_oracle import (answer, check_standard_form,
                                   standard_form_inputs)
@@ -249,3 +251,30 @@ def test_laurent_add_mutants_fail_the_dense_sum(name, monkeypatch):
     # from the end, and the sum fails outright
     with pytest.raises((AssertionError, IndexError)):
         _check_sums(inputs)
+
+
+# ------------------------------------------------------- CLI literals ----
+
+PARSER_MUTANTS = {
+    "division of polynomials not normalized": (Parser._binary, [
+        ("return RatFunc(self.field, x, y)",
+         "return RatFunc(self.field, x, y, _norm=False)")]),
+    "zero polynomial divisor not left to RatFunc": (Parser._binary, [
+        ("if not y.is_zero():", "if True:")]),
+    "polynomial minus read as plus": (Parser._binary, [
+        ("return _OPS[op](x, y)",
+         'return _OPS["+" if op == "-" else op](x, y)')]),
+    "polynomial given the denominator 2": (Parser._coerce, [
+        ("self.field.one.den, _norm=False)",
+         "self.field.one.den * 2, _norm=False)")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_MUTANTS))
+def test_parser_mutants_fail_the_literal_oracle(name, monkeypatch):
+    inputs = literal_inputs(60, "parser mutants")
+    check_literals(inputs)
+    method, edits = PARSER_MUTANTS[name]
+    monkeypatch.setattr(Parser, method.__name__, _mutant(method, edits))
+    with pytest.raises(AssertionError):
+        check_literals(inputs)
