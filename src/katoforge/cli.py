@@ -29,7 +29,9 @@ raises a ``KatoforgeError``, which ``run_script`` prints as one line
 Over F_q(vars) a literal is polynomial arithmetic (``MPoly``, no GCD) until
 a ``/``, which builds one normalized ``RatFunc``, a name bound by ``let``,
 a negative power or the end of the expression; ``MAX_POWER_TERMS`` counts
-a polynomial's terms as it counts a numerator's.
+a polynomial's terms as it counts a numerator's.  A variable of the current
+field reads as that variable before any name bound by ``let``, and ``let``
+refuses to bind it, so printed values read back.
 """
 
 import argparse
@@ -249,20 +251,28 @@ class Parser(Cursor):
             return RatFunc(self.field, v, self.field.one.den, _norm=False)
         return v
 
-    def _name_value(self, name, col):
+    def variable(self, name):
+        """name as a variable of the field, or None if it is not one."""
         f = self.field
+        if isinstance(f, FuncField) and name in f.vars:
+            return MPoly.var(f.base, f.k, f.vars.index(name))
+        if isinstance(f, LaurentField) and name == f.var:
+            return self._series(f.base.one, 1)
+        return None
+
+    def _name_value(self, name, col):
+        """A variable of the field, else a value bound by `let`, else z."""
+        v = self.variable(name)
+        if v is not None:
+            return v
         if name in self.session.values:
             fname, v = self.session.values[name]
             if fname != self.fieldname:
                 raise ScriptError(
                     f"{name!r} belongs to field {fname!r}", self.lineno, col)
             return v
-        if isinstance(f, FuncField) and name in f.vars:
-            return MPoly.var(f.base, f.k, f.vars.index(name))
         if name == "z" and self.base.e > 1:
             return self._const(self.base.gen)
-        if isinstance(f, LaurentField) and name == f.var:
-            return self._series(f.base.one, 1)
         raise UnknownName(f"unknown name {name!r}", self.lineno, col)
 
     def _is_diff_start(self):
@@ -404,8 +414,9 @@ class Parser(Cursor):
                 return self.diff_atom()
             self.next()
             return self._name_value(val, col + 1)
-        raise ScriptError(f"unexpected token {val!r}", self.lineno,
-                          col + 1 if col is not None else None)
+        if kind is None:
+            self.next()     # raises: unexpected end of statement
+        raise ScriptError(f"unexpected token {val!r}", self.lineno, col + 1)
 
     def precision_lit(self):
         # O(t^N): the zero element known modulo t^N
@@ -601,6 +612,9 @@ def run_statement(line, lineno, session, emit):
     if val == "let":
         name = _binding(cur, "usage: let <name> = <expr>")
         p = Parser(cur.rest(), session, lineno)
+        if p.variable(name) is not None:
+            raise ScriptError(f"let cannot bind {name!r}, a variable of "
+                              f"field {session.current!r}", lineno)
         v = p._coerce(p.whole(p.expr))
         if isinstance(v, Laurent) and v.prec > session.precision:
             v = v.truncate(session.precision)

@@ -23,6 +23,8 @@ the coefficients the result keeps are unpacked and reduced mod M.  A
 one-term operand c t^v is not packed: the other operand's coefficients are
 cut to the product's precision, min(prec - val) over the operands, and
 multiplied by c, or taken as they are when c is one, at valuation val + v.
+An integer multiple m s reads m mod M: 0 gives zero to s's precision and 1
+gives s, with no coefficient product.
 
 A sum a + b is known to min(prec) and is built only over the span
 [min val, min(prec, max end)) of the operands' known coefficients: the lower
@@ -213,6 +215,11 @@ class Laurent:
 
     def __mul__(self, other):
         if isinstance(other, int):
+            other %= self.ring.digit_modulus
+            if not other:
+                return Laurent.zero(self.ring, self.prec)
+            if other == 1:
+                return self
             return Laurent(self.ring, self.val,
                            [c * other for c in self.coeffs], self.prec)
         self._check(other)

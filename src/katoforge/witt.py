@@ -41,6 +41,15 @@ and [a] (x_0, x_1, ...) = (a x_0, a^p x_1, a^(p^2) x_2, ...).  For odd p,
 -1 is a (p-1)-th root of unity, so -1 = [-1] and -[a] = [-a].  For p = 2,
 -1 = (1, 1, 1, ...), so -[a] = (a, a^2, a^4, ...) (Serre, Local Fields
 II 6).  ``WittVector.neg_teichmuller`` builds it coordinate-wise.
+
+``witt_as_solve`` solves F(w) - w = v over GF(q) in one pass through
+R = GR(p^i, e), where F is the ring Frobenius sigma.  Its invariant: s_k is
+sigma^(-k) of the image of the level-k problem, the vector left to solve
+once the first k coordinates of w are fixed (s_0 is the image of v).
+Step k takes y_k, the canonical Artin-Schreier root of reduce(s_k)^(p^k),
+sets x = y_k^(p^-k), and s_(k+1) = (s_k - [x^p] + [x]) / p.  Since every
+vector is [a_0] + V(a_1, ...), the roots y_0, ..., y_(i-1) are the
+coordinates of w.
 """
 
 import operator
@@ -461,22 +470,20 @@ def int_to_witt(p, m, level):
 def witt_as_solve(v):
     """Some w with F(w) - w = v over a finite field, or None.
 
-    Coordinate 0 is an Artin-Schreier equation; subtracting the lifted
-    solution pushes the problem down the V-filtration, one length at a time.
-    Each level takes the canonical Artin-Schreier root, so the answer is
-    deterministic.
+    One pass in the Galois ring (module docstring): step k solves one
+    Artin-Schreier equation for the canonical root y_k, the k-th
+    coordinate of w, and divides what is left by p.
     """
-    x0 = _finite_field(v).artin_schreier_solve(v.coords[0])
-    if x0 is None:
-        return None
-    t = WittVector.teichmuller(v.p, x0, v.level)
-    rest = v - t.wp()
-    if rest.coords[0]:
-        raise IntegralityViolation("coordinate 0 did not cancel")
-    if v.level == 1:
-        return t
-    tail = WittVector(v.p, rest.coords[1:])
-    w1 = witt_as_solve(tail)
-    if w1 is None:
-        return None
-    return t + w1.vshift()
+    F = _finite_field(v)
+    R = galois_ring(F, v.level)
+    s = v.to_galois_ring(R)
+    roots = []
+    for k in range(v.level):
+        y = F.artin_schreier_solve(_frobenius_power(R.reduce(s), k % F.e))
+        if y is None:
+            return None
+        roots.append(y)
+        if k + 1 < v.level:
+            x = _frobenius_power(y, -k % F.e)
+            s = R.div_exact_p(s - R.teich(x.frobenius()) + R.teich(x), 1)
+    return WittVector(v.p, roots)

@@ -187,6 +187,31 @@ def test_negated_teichmueller_match_prints_zero():
                                                "0"]
 
 
+def test_field_variables_are_not_shadowed():
+    """A variable of the current field reads as that variable before any
+    `let` value, and `let` refuses to bind one: values that print a
+    variable read back, and a name bound in one field does not hide
+    another field's variable."""
+    script = ("field F = GF(5)(a, b)\n"
+              "let a = b+1\n"
+              "let x = a*a\n"
+              "let t = a\n"
+              "field G = GF(2)(t)\n"
+              "let u = t\n"
+              "field L = GF(2)((t))\n"
+              "let t = 1\n"
+              "let v = t\n")
+    buf = io.StringIO()
+    assert run_script(script, keep_going=True, out=buf) == 1
+    assert buf.getvalue().splitlines() == [
+        "field: GF(5)(a, b)",
+        "error: line 2: let cannot bind 'a', a variable of field 'F'",
+        "let: a^2", "let: a", "field: GF(2)(t)", "let: t",
+        "field: GF(2)((t))",
+        "error: line 8: let cannot bind 't', a variable of field 'L'",
+        "let: t + O(t^16)"]
+
+
 def test_json_deterministic():
     script = """
 field F = GF(2)(t)
@@ -469,6 +494,8 @@ def test_field_declaration_checks():
     ('let a b = 3', ': usage: let <name> = <expr>'),
     ('inv [ [1/t] | 1+t )', ': usage: inv <class> at <place>'),
     ('inv', ': usage: inv <class> at <place>'),
+    ('let a = t +', ': unexpected end of statement'),
+    ('inv [ [1/t] | t ) at', ': unexpected end of statement'),
     ('1 + t', ': statements start with a keyword, got 1'),
     ('frobnicate t', ": unknown statement 'frobnicate'"),
 ])

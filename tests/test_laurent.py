@@ -187,6 +187,28 @@ def test_galois_ring_inverse_round_trip(ring, data):
     assert s * s.inverse() == Laurent.one(ring, s.prec - s.val)
 
 
+@pytest.mark.parametrize("ring", [gf(2, 2), galois_ring(gf(2, 2), 3)],
+                         ids=repr)
+def test_integer_multiple_is_the_coefficientwise_product(ring):
+    """s * m and m * s, for m in 0, 1, -1, 2, p, p^i, p^i + 1 (i = 3),
+    equal the coefficient-wise products through the constructor, in val,
+    coefficients and precision; 0 and 1 skip the products."""
+    rng = random.Random("integer multiples")
+    elems = [ring._make(tuple(rng.randrange(ring.digit_modulus)
+                              for _ in range(ring.e))) for _ in range(12)]
+    operands = [Laurent.zero(ring, 5), Laurent.zero(ring, -3),
+                Laurent.monomial(ring, elems[0], -2, 4),
+                Laurent.monomial(ring, ring.one, 3, 4),
+                Laurent(ring, -4, elems, 9)]
+    p = ring.p
+    for s in operands:
+        for m in (0, 1, -1, 2, p, p ** 3, p ** 3 + 1):
+            want = Laurent(ring, s.val, [c * m for c in s.coeffs], s.prec)
+            for got in (s * m, m * s):
+                assert (got.val, got.coeffs, got.prec) == \
+                    (want.val, want.coeffs, want.prec), (s, m)
+
+
 def test_char2_square():
     F2 = gf(2)
     a = Laurent(F2, 0, [F2.one, F2.one], 5)

@@ -23,7 +23,8 @@ from literal_oracle import check_literals, literal_inputs
 from series_oracle import dense_sum
 from standard_form_oracle import (answer, check_standard_form,
                                   standard_form_inputs)
-from witt_oracle import check_int_mul
+from witt_oracle import (all_vectors, as_solve_inputs, check_as_solve,
+                         check_int_mul)
 
 
 def _mutant(func, edits):
@@ -81,6 +82,35 @@ def test_int_mul_mutants_fail_the_sum_oracle(name, monkeypatch):
     with pytest.raises(AssertionError):
         for w, longer in inputs:
             check_int_mul(w, longer)
+
+
+# --------------------------------------------------- ASW solving ----
+
+# over GF(p) the Frobenius twists are the identity, so the inputs hold
+# fields with e >= 2 for the first two mutants to show
+AS_SOLVE_MUTANTS = {
+    "twist on the residue dropped": [
+        ("_frobenius_power(R.reduce(s), k % F.e)", "R.reduce(s)")],
+    "inverse twist on the root dropped": [
+        ("x = _frobenius_power(y, -k % F.e)", "x = y")],
+    "teich(x^p) read as teich(x)": [
+        ("R.teich(x.frobenius())", "R.teich(x)")],
+}
+
+
+def _as_solve_mutant_inputs():
+    """All of W_3(F_4) and W_2(F_9), and 100 seeded vectors."""
+    return (all_vectors(2, 2, 3) + all_vectors(3, 2, 2)
+            + as_solve_inputs(100, "as_solve mutants"))
+
+
+@pytest.mark.parametrize("name", sorted(AS_SOLVE_MUTANTS))
+def test_as_solve_mutants_fail_the_coordinate_oracle(name):
+    inputs = _as_solve_mutant_inputs()
+    check_as_solve(inputs, witt.witt_as_solve)
+    mutant = _mutant(witt.witt_as_solve, AS_SOLVE_MUTANTS[name])
+    with pytest.raises(AssertionError):
+        check_as_solve(inputs, mutant)
 
 
 # ------------------------------------------------------ standard form ----

@@ -22,7 +22,8 @@ from katoforge.witt import (_eval_terms, _generate, _invert_ghost,
                             from_galois_ring, max_structure_level)
 
 from conftest import random_ratfunc, run_optimized
-from witt_oracle import check_int_mul
+from witt_oracle import (all_vectors, as_solve_inputs, check_as_solve,
+                         check_int_mul)
 
 
 def test_structure_polynomials():
@@ -221,6 +222,18 @@ def test_as_solve_exhaustive(q, e, i):
     total = F.order ** i
     assert len(classes) == p ** i            # the quotient has p^i classes
     assert solvable == total // p ** i
+
+
+@pytest.mark.parametrize("p,e,level", [(2, 2, 3), (3, 1, 3), (2, 3, 2),
+                                         (3, 2, 2)])
+def test_as_solve_matches_the_coordinate_oracle_exhaustive(p, e, level):
+    """The Galois-ring pass gives the recursion's canonical vector, or
+    None, on all of W_3(F_4), W_3(F_3), W_2(F_8) and W_2(F_9)."""
+    check_as_solve(all_vectors(p, e, level), witt_as_solve)
+
+
+def test_as_solve_matches_the_coordinate_oracle_seeded():
+    check_as_solve(as_solve_inputs(600, "as_solve oracle"), witt_as_solve)
 
 
 def test_int_conversion_roundtrip():
