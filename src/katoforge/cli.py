@@ -261,18 +261,19 @@ class Parser(Cursor):
         return None
 
     def _name_value(self, name, col):
-        """A variable of the field, else a value bound by `let`, else z."""
+        """A variable of the field, else z, the generator of GF(p^e) for
+        e > 1, else a value bound by `let`."""
         v = self.variable(name)
         if v is not None:
             return v
+        if name == "z" and self.base.e > 1:
+            return self._const(self.base.gen)
         if name in self.session.values:
             fname, v = self.session.values[name]
             if fname != self.fieldname:
                 raise ScriptError(
                     f"{name!r} belongs to field {fname!r}", self.lineno, col)
             return v
-        if name == "z" and self.base.e > 1:
-            return self._const(self.base.gen)
         raise UnknownName(f"unknown name {name!r}", self.lineno, col)
 
     def _is_diff_start(self):
@@ -615,6 +616,9 @@ def run_statement(line, lineno, session, emit):
         if p.variable(name) is not None:
             raise ScriptError(f"let cannot bind {name!r}, a variable of "
                               f"field {session.current!r}", lineno)
+        if name == "z" and p.base.e > 1:
+            raise ScriptError(f"let cannot bind 'z', the generator of "
+                              f"{p.base!r}", lineno)
         v = p._coerce(p.whole(p.expr))
         if isinstance(v, Laurent) and v.prec > session.precision:
             v = v.truncate(session.precision)

@@ -83,6 +83,7 @@ class GaloisRing:
         self.zero = GRElem(self, (0,) * self.e)
         self.one = GRElem(self, (1,) + (0,) * (self.e - 1))
         self._teich_cache = {}
+        self._inv_cache = {}
 
     def __repr__(self):
         return f"GR({self.p}^{self.length}, {self.e})"
@@ -132,16 +133,23 @@ class GaloisRing:
         return t
 
     def inv(self, u):
-        """Inverse of a unit, by Newton lifting from the residue field."""
-        u0 = self.reduce(u)
-        if not u0:
-            raise DivisionByZero("not a unit in the Galois ring")
-        x = self.lift(u0.inverse())
-        two = self.one + self.one
-        k = 1
-        while k < self.length:
-            x = x * (two - u * x)
-            k *= 2
+        """Inverse of a unit, by Newton lifting from the residue field,
+        memoized per ring on the unit's digits.  The memo holds at most the
+        ring's (q-1) q^(length-1) units; every divisor the library inverts
+        has a Teichmueller leading coefficient, so in practice at most q - 1.
+        A non-unit raises DivisionByZero and is not stored."""
+        x = self._inv_cache.get(self._own(u).coeffs)
+        if x is None:
+            u0 = self.reduce(u)
+            if not u0:
+                raise DivisionByZero("not a unit in the Galois ring")
+            x = self.lift(u0.inverse())
+            two = self.one + self.one
+            k = 1
+            while k < self.length:
+                x = x * (two - u * x)
+                k *= 2
+            self._inv_cache[u.coeffs] = x
         return x
 
     def div_exact_p(self, x, n):

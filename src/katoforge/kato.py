@@ -18,14 +18,16 @@ F_q(x_1..x_k).  K_n(F)/p^i embeds in W_i Omega^n_F (Bloch-Kato-Gabber;
 Bloch-Kato, Publ. IHES 63, 1986), H^{n+1}_{p^i}(F) is described through
 W_i Omega^n_F, and Omega^n_F = 0 for n > r: every class of degree n > r is
 zero, and is answered before any term is read.  At degree r the invariants
-decide: the trace of the summed vector over GF(q), the reciprocity table
-over F_q(t), the invariant at t over F_q((t)).  Degree 0 over F_q((t))
-reduces the summed vector to its standard form: a surviving pole of order
-prime to p makes the class nonzero, and otherwise the trace of the constant
-terms, the residue vector decompose_local reads too, decides.  Degree 0
-over F_q(t) needs no global standard form.  A character of F_q(t) is
-ramified at a place exactly when the local standard form of its vector
-keeps a pole there (Brylinski, Ann. Inst. Fourier 33, 1983), and one
+decide: the trace of the summed vector over GF(q), the invariants at the
+finite places of the reciprocity table over F_q(t) (they and the one at
+infinity sum to 0, so infinity is not read), the invariant at t over
+F_q((t)).  Degree 0 over F_q((t)) reduces the summed vector to its
+standard form: a surviving pole of order prime to p makes the class
+nonzero, and otherwise the trace of the constant terms, the residue vector
+decompose_local reads too, decides.  Degree 0 over F_q(t) needs no
+global standard form.  A character of F_q(t) is ramified at a place
+exactly when the local standard form of its vector keeps a pole there
+(Brylinski, Ann. Inst. Fourier 33, 1983), and one
 unramified at every place is constant, since Pic(P^1) = Z by degree
 (Rosen, Number Theory in Function Fields, GTM 210, ch. 9): then w = u +
 wp(y) with u over F_q, and the residue vector at infinity, of degree 1, is
@@ -121,13 +123,15 @@ place f, min(v_j, 0) is minus the multiplicity of f in the denominator of
 coordinate j (at infinity, deg den - deg num).  `_factor_pass` relies on the
 normal form for ord b: a monic irreducible entry f has order 1 at f and
 -deg f at infinity, a constant order 0.  The places of the table are the
-places of those polynomials.  The degree-0 zero test takes its places and
-orders from the same pass.  local_invariant at a single place computes the
+places of those polynomials.  The zero test takes its places and orders
+from the same pass, at degree 0 and at degree 1, where it reads the
+finite places only.  local_invariant at a single place computes the
 orders with place_order, which is cheaper there than factoring.
 
 Completeness of the zero test over F_q(t) at n = 1 rests on the classical
 injectivity of the total local-invariant map on p-power-torsion Brauer
-classes; that assumption is recorded here and in the README.
+classes; that assumption is recorded here and in the README.  With the
+reciprocity law (the invariants sum to 0) the finite places alone decide.
 """
 
 import operator
@@ -740,23 +744,28 @@ def h_zero_test(c):
     (module docstring).  A class of degree above r is zero, by the
     vanishing of Omega^n_F for n > r, and nothing of it is read.  At
     degree r the invariants decide: over GF(q) the trace of the summed
-    vector, over F_q(t) the reciprocity table, over F_q((t)) the invariant
-    at t.  Degree 0 over F_q((t)) checks the summed vector against the
-    precision rule of the standard form, then answers False for a wild
-    vector and otherwise traces its residue vector.  Degree 0 over F_q(t)
-    takes the places (infinity last) and the termwise orders from one
-    factorization of the coordinate denominators (`_factor_pass`), expands
-    each term's vector at each place as far as that rule reads the
-    termwise minimum valuations, sums the expansions, answers False when
-    the sum is wild at any place and otherwise traces infinity's residue
-    vector.
+    vector, over F_q(t) the invariants at the finite places of the
+    reciprocity table, up to the first nonzero one (by the reciprocity law
+    the invariant at infinity is minus their sum), over F_q((t)) the
+    invariant at t.  Degree 0 over F_q((t)) checks the summed vector
+    against the precision rule of the standard form, then answers False
+    for a wild vector and otherwise traces its residue vector.  Degree 0
+    over F_q(t) takes the places (infinity last) and the termwise orders
+    from one factorization of the coordinate denominators
+    (`_factor_pass`), expands each term's vector at each place as far as
+    that rule reads the termwise minimum valuations, sums the expansions,
+    answers False when the sum is wild at any place and otherwise traces
+    infinity's residue vector.
     UnsupportedField for degree n <= k over F_q(x_1..x_k)."""
     if c.degree > _p_rank(c.field):
         return True
     kind = _invariant_field_kind(c.field)
     if c.degree == 1:
         if kind == "global":
-            return all(inv.value == 0 for inv in reciprocity_check(c)[1])
+            # the invariants sum to 0, so infinity, last, adds nothing
+            places, orders = _factor_pass(c)
+            return not any(local_invariant(c, pl, orders(pl)).value
+                           for pl in places[:-1])
         return local_invariant(c, _t_place(c.field)).value == 0
     if not c.terms:
         return True

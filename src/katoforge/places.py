@@ -7,6 +7,11 @@ element codes by ``embed.subfield_codes`` (the identity at places of degree
 f there.  The infinite place uses the substitution s = 1/t (and
 dt = -s^-2 ds).
 
+A polynomial's expansion is its Taylor shift, its coefficients at t = theta +
+pi, with no series division; at infinity it is its coefficients reversed, at
+valuation -deg.  A quotient with a nonconstant denominator is the series
+division of the two shifted (or reversed) polynomials.
+
 Residues are read off the exact local Laurent expansion; this stays valid for
 every pole order in characteristic p (order-reduction tricks that divide by
 (order - 1) do not).
@@ -16,7 +21,7 @@ from functools import lru_cache
 
 from .embed import least_root, subfield_codes
 from .errors import ConfigMismatch, IntegralityViolation, UnsupportedField
-from .laurent import DEFAULT_PREC, _series_div
+from .laurent import DEFAULT_PREC, Laurent, _series_div
 from .poly import Poly, factor_ratfunc, is_irreducible, to_dense
 
 
@@ -100,6 +105,13 @@ class PlaceContext:
         if r.field is not self.field:
             raise ConfigMismatch("rational function over a different field")
         num = to_dense(r.num)
+        if r.den.is_const():
+            # the denominator is monic, so 1: a polynomial divides by nothing
+            if self.place.is_infinite:
+                return Laurent(self.field.base, -num.degree, num.coeffs[::-1],
+                               prec)
+            return Laurent(self.res_field, 0,
+                           num.shift(self.theta, self.lift).coeffs, prec)
         den = to_dense(r.den)
         if self.place.is_infinite:
             shift = den.degree - num.degree

@@ -5,10 +5,15 @@
 the precision.  The inverse is its own recurrence, a quotient is a product
 with the inverse, and ``series_div`` pads both polynomials to a generous
 precision, divides, and truncates, checking that the padding was enough.
-Expansions at places run the library's substitutions through this division.
+Expansions at places run the library's substitutions through this division,
+polynomials among them; ``check_expansions`` compares ``PlaceContext.expand``
+with it.
 """
 
-from katoforge import DivisionByZero, Laurent, PrecisionExhausted
+from katoforge import (DivisionByZero, Laurent, Place, Poly,
+                       PrecisionExhausted, is_irreducible)
+from katoforge.mpoly import MPoly
+from katoforge.places import place_context
 from katoforge.poly import to_dense
 
 
@@ -75,3 +80,40 @@ def expand(ctx, r, prec):
     return series_div(num.shift(ctx.theta, ctx.lift).coeffs,
                       den.shift(ctx.theta, ctx.lift).coeffs, ctx.res_field,
                       prec)
+
+
+def expansion_places(F):
+    """t, t+1, the least monic irreducible quadratic over F, infinity."""
+    quadratics = (Poly(F, [c0, c1, F.one]) for c1 in F.elements()
+                  for c0 in F.elements())
+    quadratic = next(f for f in quadratics if is_irreducible(f))
+    return [Place(Poly.x(F)), Place(Poly(F, [F.one, F.one])),
+            Place(quadratic), Place.infinity()]
+
+
+def polynomials(rng, K):
+    """Polynomials of K = F(t), denominator 1: zero, every nonzero
+    constant, and two of each degree 1-4 with seeded coefficients."""
+    F = K.base
+    codes = range(F.order)
+    out = [K.zero] + [K.const(c) for c in F.elements() if c]
+    for d in range(1, 5):
+        for _ in range(2):
+            cs = [rng.choice(codes) for _ in range(d)]
+            cs.append(rng.randrange(1, F.order))
+            out.append(K.from_poly(MPoly._from_codes(
+                F, 1, {(j,): c for j, c in enumerate(cs) if c})))
+    return out
+
+
+def check_expansions(K, rs, places):
+    """AssertionError unless the expansion of each of rs at each place
+    agrees with the oracle's at precisions -4, -1, 0, 1, 3 and 9, in
+    valuation, coefficients and precision."""
+    for r in rs:
+        for pl in places:
+            ctx = place_context(K, pl)
+            for prec in (-4, -1, 0, 1, 3, 9):
+                s = ctx.expand(r, prec)
+                assert s == expand(ctx, r, prec), (r, pl, prec)
+                assert s.prec == prec

@@ -212,6 +212,31 @@ def test_field_variables_are_not_shadowed():
         "let: t + O(t^16)"]
 
 
+def test_generator_z_is_not_shadowed():
+    """Over GF(p^e), e > 1, z is the generator: `let` refuses to bind it,
+    and a z bound over another field does not hide it.  Over GF(p) z is an
+    ordinary name."""
+    script = ("field F = GF(2, 2)(t)\n"
+              "let c = z*t\n"
+              "let z = t\n"
+              "let d = z*t\n"
+              "field G = GF(3)(t)\n"
+              "let z = t+1\n"
+              "let e = z*t\n"
+              "field L = GF(3, 2)((t))\n"
+              "let z = 1\n"
+              "let f = z*t\n")
+    buf = io.StringIO()
+    assert run_script(script, keep_going=True, out=buf) == 1
+    assert buf.getvalue().splitlines() == [
+        "field: GF(2^2)(t)", "let: z*t",
+        "error: line 3: let cannot bind 'z', the generator of GF(2^2)",
+        "let: z*t", "field: GF(3)(t)", "let: t+1", "let: t^2+t",
+        "field: GF(3^2)((t))",
+        "error: line 9: let cannot bind 'z', the generator of GF(3^2)",
+        "let: z*t + O(t^16)"]
+
+
 def test_json_deterministic():
     script = """
 field F = GF(2)(t)

@@ -988,6 +988,29 @@ def test_zero_test_function_field(K2):
     assert h_zero_test(HClass.build(K2, w.wp(), (b,)))
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_degree_one_zero_test_reads_the_table(p, e):
+    """Degree 1 over F_q(t) reads the invariants at the finite places only;
+    its answer is the whole table's, on seeded classes at levels 1-3: one
+    or two random terms, a wp(y) term, zero by construction, and their
+    sum."""
+    K = func_field(gf(p, e), ("t",))
+    rng = random.Random(f"degree-1 zero test over GF({p}, {e})")
+    answers = []
+    for level in (1, 2, 3):
+        for _ in range(4):
+            c = _rnd_class(rng, K, level, nterms=rng.randint(1, 2))
+            y = WittVector(p, tuple(random_ratfunc(rng, K, max_deg=1)
+                                    for _ in range(level)))
+            wp = HClass.build(K, y.wp(), (random_ratfunc(rng, K, max_deg=2),))
+            for cls in (c, wp, c + wp):
+                want = all(inv.value == 0 for inv in reciprocity_check(cls)[1])
+                assert h_zero_test(cls) == want, cls
+                answers.append(want)
+            assert h_zero_test(wp)
+    assert not all(answers)
+
+
 def test_zero_test_unsupported():
     """The one refusal left: degree n <= k over F_q(x_1..x_k), here degrees
     0, 1 and 2 over F_2(x, y).  Degree 0 over F_q(t), refused before, is

@@ -16,11 +16,13 @@ import pytest
 from katoforge import (KatoforgeError, Laurent, WittVector, func_field, gf,
                        kato, laurent_field, witt)
 from katoforge.cli import Parser
+from katoforge.places import PlaceContext
 
 from conftest import random_ratfunc
 from ghost_oracle import ghost_inversion_symbol
 from literal_oracle import check_literals, literal_inputs
-from series_oracle import dense_sum
+from series_oracle import (check_expansions, dense_sum, expansion_places,
+                           polynomials)
 from standard_form_oracle import (answer, check_standard_form,
                                   standard_form_inputs)
 from witt_oracle import (all_vectors, as_solve_inputs, check_as_solve,
@@ -281,6 +283,45 @@ def test_laurent_add_mutants_fail_the_dense_sum(name, monkeypatch):
     # from the end, and the sum fails outright
     with pytest.raises((AssertionError, IndexError)):
         _check_sums(inputs)
+
+
+# ----------------------------------------------- polynomial expansions ----
+
+EXPAND_MUTANTS = {
+    "valuation at infinity off by one": [("-num.degree, ",
+                                          "1 - num.degree, ")],
+    "coefficients not reversed": [("-num.degree, num.coeffs[::-1]",
+                                   "-num.degree, num.coeffs")],
+    "Taylor shift skipped": [
+        ("num.shift(self.theta, self.lift).coeffs, prec)",
+         "num.shift(self.theta.field.zero, self.lift).coeffs, prec)")],
+}
+
+
+def _polynomial_inputs():
+    """(K, polynomials, places) over GF(2), GF(3) and GF(4): zero, the
+    constants and degrees 1-4, at t, t+1, a quadratic place and infinity."""
+    rng = random.Random("expand mutants")
+    out = []
+    for F in (gf(2), gf(3), gf(2, 2)):
+        K = func_field(F, ("t",))
+        out.append((K, polynomials(rng, K), expansion_places(F)))
+    return out
+
+
+def _check_polynomial_expansions(inputs):
+    for K, rs, places in inputs:
+        check_expansions(K, rs, places)
+
+
+@pytest.mark.parametrize("name", sorted(EXPAND_MUTANTS))
+def test_expand_mutants_fail_the_series_oracle(name, monkeypatch):
+    inputs = _polynomial_inputs()
+    _check_polynomial_expansions(inputs)
+    monkeypatch.setattr(PlaceContext, "expand",
+                        _mutant(PlaceContext.expand, EXPAND_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_polynomial_expansions(inputs)
 
 
 # ------------------------------------------------------- CLI literals ----

@@ -17,7 +17,7 @@ from katoforge import (ConfigMismatch, CorruptCache, DivisionByZero, HClass,
                        verify_ghost_identities, witt, witt_as_solve,
                        witt_structure, witt_to_int)
 from katoforge.cli import main, verify_cache_file
-from katoforge.gring import galois_ring
+from katoforge.gring import GaloisRing, galois_ring
 from katoforge.witt import (_eval_terms, _generate, _invert_ghost,
                             from_galois_ring, max_structure_level)
 
@@ -376,6 +376,26 @@ def test_galois_ring_negative_power():
             non_unit ** -1
 
 
+@pytest.mark.parametrize("p,i,e", [(2, 3, 2), (3, 2, 1), (2, 4, 1)])
+def test_galois_ring_inverses_are_memoized(p, i, e):
+    """Every unit of a new GR(p^i, e) has its inverse on the first call and
+    on the repeated one, which the memo answers; every non-unit raises
+    DivisionByZero both times and is not stored."""
+    R = GaloisRing(gf(p, e), i)
+    elems = [R.elem(list(c))
+             for c in itertools.product(range(p ** i), repeat=e)]
+    units = [u for u in elems if R.reduce(u)]
+    assert len(units) == (p ** e - 1) * p ** (e * (i - 1))
+    for _ in range(2):
+        for u in units:
+            assert u * R.inv(u) == R.one
+        for x in elems:
+            if not R.reduce(x):
+                with pytest.raises(DivisionByZero):
+                    R.inv(x)
+    assert len(R._inv_cache) == len(units)
+
+
 def test_galois_ring_power_survives_optimized_mode():
     code = ("from katoforge import DivisionByZero, galois_ring, gf\n"
             "R = galois_ring(gf(2), 3)\n"
@@ -393,7 +413,7 @@ def test_galois_ring_refuses_elements_of_another_field():
     # the residue field GF(2^3) and the rings GR(2^3, 2) and GR(2^2, 1)
     # differ from R in one parameter each
     foreign = [gf(2, 3).gen, galois_ring(F4, 3).one, galois_ring(gf(2), 2).one]
-    calls = [R.lift, R.teich, R.reduce, R.trace_int]
+    calls = [R.lift, R.teich, R.reduce, R.trace_int, R.inv]
     for call in calls:
         for x in foreign:
             with pytest.raises(ConfigMismatch):
