@@ -202,6 +202,10 @@ def _kind(v):
 
 class Session:
     def __init__(self, precision=16):
+        if not (isinstance(precision, int)
+                and 1 <= precision <= MAX_PRECISION):
+            raise ScriptError(f"precision must be an integer N >= 1 and at "
+                              f"most {MAX_PRECISION}, not {precision!r}")
         self.fields = {}
         self.values = {}           # name -> (field name, value)
         self.current = None
@@ -531,6 +535,11 @@ def _field_spec(cur):
         while not cur.take(")"):
             cur.expect(",", "expected ',' or ')'")
             vars.append(cur.expect("name", "expected a variable name")[1])
+        if e > 1 and "z" in vars:
+            # z prints elements of GF(p^e), so values in a variable z
+            # would not read back
+            raise ScriptError(f"a field variable cannot be 'z', the "
+                              f"generator of GF({p}^{e})", cur.lineno)
         fld = func_field(base, tuple(vars))
     if not cur.done():
         raise ScriptError("trailing tokens after field declaration",

@@ -4,6 +4,12 @@ The variables are a p-basis, so a degree-n form is a finite map from strictly
 increasing index sets I (|I| = n) to rational-function coefficients, and all
 of d, wedge, dlog, and the two Cartier directions are finite linear algebra.
 
+The exterior derivative is computed in one pass, `_d_parts`: for each index
+set K the signed quotient-rule numerators of its coefficient, each with the
+d_I of the coefficient it came from.  d normalizes and sums them,
+d_of_function is d of the 0-form, and is_closed hands them to the one
+common-denominator zero test, rational._fractions_vanish, with no GCD.
+
 cartier_inv sends f dx_I to f^p x^((p-1)1_I) dx_I; that representative is
 closed, so the inverse direction is total on it.  cartier demands a closed
 argument, splits every coefficient into p-th-power components, keeps the
@@ -13,9 +19,12 @@ forms are the logarithmic forms; the kernel is the exact forms, which gives
 both the exactness test and the membership test for the span of dlog wedges.
 """
 
+from functools import lru_cache
+
 from .errors import (ConfigMismatch, DegreeOverflow, DlogOfZero, NotClosed)
 from .mpoly import MPoly, mpoly_gcd
-from .rational import RatFunc, _cancel, _monic_den, p_power_component
+from .rational import (RatFunc, _cancel, _fractions_vanish, _monic_den,
+                       _quotient_rule, p_power_component)
 from .render import parenthesize_if_sum
 
 
@@ -93,66 +102,45 @@ class DiffForm:
         if not isinstance(other, DiffForm) or other.field is not self.field:
             raise ConfigMismatch("forms over different fields")
 
-    def d(self):
-        """Exterior derivative; top-degree forms map into the zero space."""
-        F = self.field
-        if self.degree >= F.k:
-            return DiffForm.zero(F, F.k)
-        out = DiffForm.zero(F, self.degree + 1)
+    def _d_parts(self):
+        """{K: [(t, (d_I,))]}: the coefficient of dx_K in d(self) is the
+        sum of t / d_I^2, where c_I = n_I/d_I and t is the sign of
+        {j} + I = K times `_quotient_rule` of n_I, d_I in x_j, over the I
+        and j with j not in I; a zero t is left out."""
+        parts = {}
         for I, c in self.terms.items():
-            for j in range(F.k):
+            for j in range(self.field.k):
                 if j in I:
                     continue
-                dc = c.derivative(j)
-                if dc.is_zero():
-                    continue
-                merged = _merge_indices((j,), I)
-                if merged is None:
-                    continue
-                K, sign = merged
-                piece = DiffForm(F, self.degree + 1, {K: dc * sign})
-                out = out + piece
-        return out
-
-    def is_closed(self):
-        """Whether d(self) = 0, decided without normalizing it.
-
-        For c_I = n_I/d_I the coefficient of dx_K in d(self) is
-        sum sign (d/dx_j n_I d_I - n_I d/dx_j d_I)/d_I^2 over the I, j with
-        {j} + I = K; it is zero exactly when the numerator over the common
-        denominator, the product of the distinct d_I^2, is.  Polynomial
-        products only, no GCD."""
-        F = self.field
-        if self.degree >= F.k:
-            return True
-        parts = {}       # K -> [(signed numerator, d_I)]
-        for I, c in self.terms.items():
-            n, d = c.num, c.den
-            for j in range(F.k):
-                if j in I:
-                    continue
-                top = n.derivative(j) * d - n * d.derivative(j)
+                top = _quotient_rule(c.num, c.den, j)
                 if top.is_zero():
                     continue
                 K, sign = _merge_indices((j,), I)
-                parts.setdefault(K, []).append((top if sign > 0 else -top, d))
-        for pieces in sorted(parts.values(), key=len):
-            if len(pieces) == 1:
-                return False
-            dens = []
-            for _, d in pieces:
-                if d not in dens:
-                    dens.append(d)
-            squares = [d * d for d in dens]
-            total = None
-            for top, d in pieces:
-                for e, sq in zip(dens, squares):
-                    if e != d:
-                        top = top * sq
-                total = top if total is None else total + top
-            if not total.is_zero():
-                return False
-        return True
+                parts.setdefault(K, []).append(
+                    (top if sign > 0 else -top, (c.den,)))
+        return parts
+
+    def d(self):
+        """Exterior derivative; top-degree forms map into the zero space.
+        Each piece of `_d_parts` is normalized, and summed at its K."""
+        F = self.field
+        if self.degree >= F.k:
+            return DiffForm.zero(F, F.k)
+        out = {}
+        for K, pieces in self._d_parts().items():
+            for t, (d,) in pieces:
+                c = RatFunc(F, t, d * d)
+                out[K] = out[K] + c if K in out else c
+        return DiffForm(F, self.degree + 1, out)
+
+    def is_closed(self):
+        """Whether d(self) = 0, decided without normalizing it: the pieces
+        of `_d_parts` at each K go to `_fractions_vanish`, keyed by their
+        d_I, so equal d_I share one square in the common denominator.
+        Index sets with one piece come first and answer False before any
+        product; no GCD."""
+        return all(_fractions_vanish(pieces, lambda d: d * d)
+                   for pieces in sorted(self._d_parts().values(), key=len))
 
     def cartier_inv(self):
         """Inverse Cartier: f dx_I -> f^p x^((p-1)1_I) dx_I, termwise."""
@@ -212,9 +200,11 @@ class DiffForm:
         return " + ".join(parts)
 
 
+@lru_cache(maxsize=1024)
 def _merge_indices(I, J):
     """The sorted concatenation of I and J and the sign of the permutation
-    that sorts it; None if an index repeats."""
+    that sorts it; None if an index repeats.  Memoized, since d and wedge
+    merge the same few small index sets over and over."""
     if len(set(I + J)) < len(I) + len(J):
         return None
     merged = tuple(sorted(I + J))
@@ -229,14 +219,8 @@ def _merge_indices(I, J):
 
 
 def d_of_function(f):
-    """df for a rational function, as a 1-form."""
-    F = f.field
-    terms = {}
-    for j in range(F.k):
-        dc = f.derivative(j)
-        if not dc.is_zero():
-            terms[(j,)] = dc
-    return DiffForm(F, 1, terms)
+    """df for a rational function, as a 1-form: d of the 0-form f."""
+    return DiffForm.from_function(f).d()
 
 
 def dlog(f):

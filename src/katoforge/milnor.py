@@ -7,12 +7,14 @@ image the logarithmic forms, so this comparison is a sound and complete
 normal form for k_n = K_n/p (integral equality is not decidable here).
 
 The image is a determinant: for a_i = n_i/d_i and
-T_a[j] = (d/dx_j n) d - n (d/dx_j d), the coefficient of dx_K in
-dlog a_1 ^ ... ^ dlog a_n is det(T_{a_i}[K_j]) / prod n_i d_i.  d_symbol
-takes these determinants as polynomials, and decides whether a sum of
-symbols vanishes at K over the common denominator prod_a n_a d_a of its
-entries, so a zero image (a Steinberg or bilinearity relation, kn_equal on
-equal elements) runs no GCD; only nonzero coefficients are normalized.
+T_a[j] = (d/dx_j n) d - n (d/dx_j d), rational's one quotient-rule
+numerator, the coefficient of dx_K in dlog a_1 ^ ... ^ dlog a_n is
+det(T_{a_i}[K_j]) / prod n_i d_i.  d_symbol takes these determinants as
+polynomials, and decides whether a sum of symbols vanishes at K with the
+one common-denominator zero test, rational._fractions_vanish, which
+DiffForm.is_closed uses too, so a zero image (a Steinberg or bilinearity
+relation, kn_equal on equal elements) runs no GCD; only nonzero
+coefficients are normalized.
 
 symbol_expand is a k_n-level normalization: bilinearity splits entries along
 a fixed factorization strategy (univariate entries factor into irreducibles,
@@ -36,7 +38,7 @@ from .errors import (ConfigMismatch, DegreeMismatch, DlogOfZero,
 from .forms import DiffForm
 from .mpoly import MPoly
 from .poly import factor_ratfunc, to_dense, to_mpoly
-from .rational import RatFunc, func_field
+from .rational import RatFunc, _fractions_vanish, _quotient_rule, func_field
 
 
 class MilnorElement:
@@ -200,11 +202,10 @@ def _has_steinberg_pair(entries, F):
 
 
 def _dlog_rows(a):
-    """(T, n d) for a = n/d, T[j] = (d/dx_j n) d - n (d/dx_j d): dlog a is
-    sum_j T[j]/(n d) dx_j.  Polynomial products only, no GCD."""
+    """(T, n d) for a = n/d, T[j] = `_quotient_rule` of n, d in x_j: dlog a
+    is sum_j T[j]/(n d) dx_j.  Polynomial products only, no GCD."""
     n, d = a.num, a.den
-    return ([n.derivative(j) * d - n * d.derivative(j)
-             for j in range(a.field.k)], n * d)
+    return [_quotient_rule(n, d, j) for j in range(a.field.k)], n * d
 
 
 def _det(rows, cols, zero, one):
@@ -239,10 +240,10 @@ def d_symbol(s):
     of dx_K is det(T_i[K_j]) / prod n_i d_i in every degree (degree 0 has
     the one index set K = () and the empty determinant 1): a polynomial
     determinant per index set K, and a symbol with a repeated entry maps
-    to 0 (w ^ w = 0 for a 1-form w).  The element's coefficient at K is
-    zero exactly when sum_sym c det_K(sym) prod_{a not in sym} n_a d_a is,
-    the numerator over the common denominator prod_a n_a d_a of its
-    entries; only a nonzero coefficient is put in lowest terms, one
+    to 0 (w ^ w = 0 for a 1-form w).  The element's coefficient at K, the
+    sum of c det_K(sym) over the n_a d_a of the entries of each symbol, is
+    decided by `_fractions_vanish`, keyed by entry, so equal entries share
+    one factor; only a nonzero coefficient is put in lowest terms, one
     RatFunc per symbol, summed.  A zero image runs no GCD."""
     F = s.field
     p = F.base.p
@@ -253,7 +254,7 @@ def d_symbol(s):
     index_sets = list(combinations(range(F.k), n))
     pos = {}            # entry -> position; rows are read by position
     rows, nds = {}, {}  # T and n d of the entry at a position
-    live = []           # (idx, {K: c det_K}) for symbols with a nonzero det
+    parts = {}          # K -> [(c det_K, positions of the entries)]
     for sym, c in s.terms.items():
         c %= p
         if c == 0:
@@ -265,38 +266,21 @@ def d_symbol(s):
             if i not in rows:
                 rows[i], nds[i] = _dlog_rows(a)
         mat = [rows[i] for i in idx]
-        dets = {}
         for K in index_sets:
             det = _det(mat, K, zero, one)
             if not det.is_zero():
-                dets[K] = det.scale(F.base.elem(c))
-        if dets:
-            live.append((idx, dets))
-    # the factor that brings each symbol to the common denominator
-    mults = None
-    if len(live) > 1:
-        used = {i for idx, _ in live for i in idx}
-        mults = [_product((nds[i] for i in used if i not in idx), one)
-                 for idx, _ in live]
-    dens = {}
+                parts.setdefault(K, []).append(
+                    (det.scale(F.base.elem(c)), idx))
+    dens = {}           # positions of a symbol's entries -> prod n_i d_i
     out = {}
-    for K in index_sets:
-        terms = [(m, dets[K]) for m, (_, dets) in enumerate(live)
-                 if K in dets]
-        if not terms:
+    for K, pieces in parts.items():
+        if _fractions_vanish(pieces, nds.__getitem__):
             continue
-        if mults:
-            top = zero
-            for m, det in terms:
-                top = top + det * mults[m]
-            if top.is_zero():
-                continue
-        coeff = F.zero
-        for m, det in terms:
-            if m not in dens:
-                dens[m] = _product((nds[i] for i in live[m][0]), one)
-            coeff = coeff + RatFunc(F, det, dens[m])
-        out[K] = coeff
+        for _, idx in pieces:
+            if idx not in dens:
+                dens[idx] = _product((nds[i] for i in idx), one)
+        out[K] = sum((RatFunc(F, det, dens[idx]) for det, idx in pieces),
+                     F.zero)
     return DiffForm(F, n, out)
 
 

@@ -19,8 +19,11 @@ Among the forms and symbols, that means DiffForm.d, the Cartier operator,
 and one RatFunc per symbol and index set of a nonzero milnor.d_symbol
 coefficient.  The rest does not: forms.dlog reduces (n'd - nd')/(nd), for
 n/d in lowest terms, by its common factor gcd(n, n') gcd(d, d'), two small
-GCDs; DiffForm.is_closed and a zero d_symbol coefficient are decided over
-a common denominator by polynomial products, with no GCD at all.
+GCDs; DiffForm.is_closed and a zero d_symbol coefficient are decided by
+`_fractions_vanish`, over a common denominator by polynomial products,
+with no GCD at all.  The numerator n'd - nd' of a partial derivative is
+written once, in `_quotient_rule`, for RatFunc.derivative, DiffForm.d and
+its closedness test, and the dlog rows of milnor.d_symbol.
 
 The p-power decomposition f = sum_e g_e^p * x^e over e in {0..p-1}^k is the
 workhorse behind the Cartier operator.  The denominator den = x^a D1 (a its
@@ -183,9 +186,7 @@ class RatFunc:
 
     def derivative(self, var):
         j = self.field.vars.index(var) if isinstance(var, str) else var
-        dn = self.num.derivative(j)
-        dd = self.den.derivative(j)
-        return RatFunc(self.field, dn * self.den - self.num * dd,
+        return RatFunc(self.field, _quotient_rule(self.num, self.den, j),
                        self.den * self.den)
 
     def subs(self, var, value):
@@ -227,6 +228,33 @@ def _monic_den(num, den):
 def _cancel(a, g):
     """a / g for a factor g (graded-lex monic) of a."""
     return a if g.is_const() else exact_div(a, g)
+
+
+def _quotient_rule(num, den, j):
+    """(d/dx_j num) den - num (d/dx_j den): the partial derivative of
+    num/den in x_j is this over den^2."""
+    return num.derivative(j) * den - num * den.derivative(j)
+
+
+def _fractions_vanish(pieces, factor):
+    """Whether the sum of top / prod_{k in keys} factor(k) over the pieces
+    (top, keys) is zero, for nonzero tops and keys without repeats.
+
+    It is exactly when the numerator over the common denominator, the
+    product of factor(k) over the distinct keys, is: each top times the
+    factors of the keys it lacks, summed.  A single piece is not zero and
+    is answered before any product; polynomial products only, no GCD."""
+    if len(pieces) == 1:
+        return False
+    keys = list(dict.fromkeys(k for _, ks in pieces for k in ks))
+    factors = [factor(k) for k in keys]
+    total = None
+    for top, ks in pieces:
+        for k, f in zip(keys, factors):
+            if k not in ks:
+                top = top * f
+        total = top if total is None else total + top
+    return total.is_zero()
 
 
 def _map_poly(f, field, var_images):

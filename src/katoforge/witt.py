@@ -255,7 +255,9 @@ def verify_ghost_identities(p, i):
 
 def _eval_terms(terms, xs):
     """sum of c * prod_j xs[j]^e_j over the (e, c) pairs of terms, in their
-    order; a product by c = 1 is skipped."""
+    order; a product by c = 1 is skipped.  No e is zero: the sum, product
+    and negation polynomials have no constant term, as every ghost target
+    is homogeneous of positive degree."""
     acc = xs[0] * 0
     powcache = [dict() for _ in xs]
 
@@ -272,8 +274,6 @@ def _eval_terms(terms, xs):
             if exp:
                 v = power(j, exp)
                 m = v if m is None else m * v
-        if m is None:
-            m = xs[0] ** 0
         acc = acc + (m if c == 1 else m * c)
     return acc
 

@@ -9,8 +9,8 @@ from itertools import combinations
 
 import pytest
 
-from katoforge import (DiffForm, HClass, Laurent, MilnorElement, WittVector,
-                       dlog, func_field, gf, laurent_field, witt)
+from katoforge import (DiffForm, HClass, Laurent, MilnorElement, ScriptError,
+                       WittVector, dlog, func_field, gf, laurent_field, witt)
 from katoforge.cli import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
                            MAX_PRECISION, Parser, Session, cache_clear,
                            cache_verify, cache_warm, main, run_script,
@@ -237,6 +237,28 @@ def test_generator_z_is_not_shadowed():
         "let: z*t + O(t^16)"]
 
 
+def test_field_variable_cannot_be_the_generator():
+    """Over GF(p^e), e > 1, a field variable named z would print like the
+    generator z, so the declaration is refused with one error line and
+    the field before it stays current; over GF(p) z is a variable."""
+    script = ("field F = GF(2, 2)(t)\n"
+              "field K = GF(2, 2)(z)\n"
+              "let a = z*t\n"
+              "field M = GF(3, 2)(x, z)\n"
+              "field G = GF(2)(z)\n"
+              "let b = z\n")
+    buf = io.StringIO()
+    assert run_script(script, keep_going=True, out=buf) == 1
+    assert buf.getvalue().splitlines() == [
+        "field: GF(2^2)(t)",
+        "error: line 2: a field variable cannot be 'z', the generator of "
+        "GF(2^2)",
+        "let: z*t",
+        "error: line 4: a field variable cannot be 'z', the generator of "
+        "GF(3^2)",
+        "field: GF(2)(z)", "let: z"]
+
+
 def test_json_deterministic():
     script = """
 field F = GF(2)(t)
@@ -395,6 +417,22 @@ def test_precision_is_bounded_in_scripts_and_flags(tmp_path, capsys):
         main(["--precision", str(MAX_PRECISION + 1), str(script)])
     assert exc.value.code == 2
     assert f"at most {MAX_PRECISION}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", [0, -1, MAX_PRECISION + 1, 10 ** 7,
+                                       "16", 16.0])
+def test_run_script_precision_is_bounded(precision):
+    """run_script and Session refuse a precision outside 1..MAX_PRECISION
+    with a typed error before any statement runs; both bounds are kept."""
+    buf = io.StringIO()
+    with pytest.raises(ScriptError, match=f"at most {MAX_PRECISION}"):
+        run_script("field L = GF(2)((t))\nlet a = 1/(1+t)",
+                   precision=precision, out=buf)
+    assert buf.getvalue() == ""
+    with pytest.raises(ScriptError):
+        Session(precision=precision)
+    for n in (1, MAX_PRECISION):
+        assert Session(precision=n).precision == n
 
 
 @pytest.mark.parametrize("json_mode", [False, True])

@@ -10,6 +10,7 @@ from katoforge import (DiffForm, MilnorElement, NotClosed, RatFunc,
 
 from conftest import (ORACLE_FIELDS, mpolys, random_form, random_ratfunc,
                       ratfuncs, run_optimized)
+from forms_oracle import d_termwise
 
 
 def test_dlog_examples():
@@ -149,6 +150,8 @@ def test_wedge_graded_anticommutative():
 
 
 def test_d_squared_zero_and_leibniz():
+    """d d f = 0 and the Leibniz rule over GF(2)(x, y), with df and
+    d(df) against the term-by-term oracle."""
     F2 = gf(2)
     L = func_field(F2, ("x", "y"))
     rng = random.Random(6)
@@ -158,7 +161,10 @@ def test_d_squared_zero_and_leibniz():
     for _ in range(10):
         f = rf()
         g = rf()
-        assert d_of_function(f).d().is_zero()
+        df = d_of_function(f)
+        assert df == d_termwise(DiffForm.from_function(f))
+        assert df.d() == d_termwise(df)
+        assert df.d().is_zero() and df.is_closed()
         assert d_of_function(f * g) == \
             d_of_function(f).scale(g) + d_of_function(g).scale(f)
 
@@ -225,8 +231,9 @@ def test_nu_accepts_dlog_combinations():
 @pytest.mark.parametrize("p,e,vars", ORACLE_FIELDS)
 @given(data=st.data())
 def test_is_closed_matches_d(p, e, vars, data):
-    """is_closed() == d().is_zero() on forms of every degree: random forms,
-    and the closed forms cartier_inv(w), d(w) and dlog f + dg."""
+    """d() equals the term-by-term oracle, and is_closed() == d().is_zero(),
+    on forms of every degree: random forms, and the closed forms
+    cartier_inv(w), d(w) and dlog f + dg."""
     K = func_field(gf(p, e), vars)
     degree = data.draw(st.integers(0, K.k))
     indices = st.sampled_from(list(combinations(range(K.k), degree)))
@@ -242,9 +249,14 @@ def test_is_closed_matches_d(p, e, vars, data):
         w = dlog(f) + d_of_function(g)
     else:
         kind = "plain"
+    dw = d_termwise(w)
+    assert w.d() == dw
     closed = w.is_closed()
-    assert closed == w.d().is_zero()
+    assert closed == dw.is_zero()
     assert closed or kind == "plain"
+    if degree == 0:
+        f = terms.get((), K.zero)
+        assert d_of_function(f) == d_termwise(DiffForm.from_function(f))
 
 
 def _count_calls(monkeypatch, owner, name):

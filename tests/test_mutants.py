@@ -10,17 +10,23 @@ fails here instead of passing unmutated.
 import inspect
 import random
 import textwrap
+from itertools import product
 
 import pytest
 
-from katoforge import (KatoforgeError, Laurent, WittVector, func_field, gf,
-                       kato, laurent_field, witt)
+from katoforge import (DiffForm, KatoforgeError, Laurent, MilnorElement,
+                       MPoly, WittVector, d_of_function, d_symbol, dlog,
+                       forms, func_field, gf, kato, laurent_field, milnor,
+                       mpoly, rational, witt)
 from katoforge.cli import Parser
 from katoforge.places import PlaceContext
 
-from conftest import random_ratfunc
+from conftest import random_form, random_mpoly, random_ratfunc
+from forms_oracle import d_termwise, wedge_of_dlogs
 from ghost_oracle import ghost_inversion_symbol
 from literal_oracle import check_literals, literal_inputs
+from p_power_oracle import p_power_component_full
+from prs_oracle import prs_gcd
 from series_oracle import (check_expansions, dense_sum, expansion_places,
                            polynomials)
 from standard_form_oracle import (answer, check_standard_form,
@@ -349,3 +355,149 @@ def test_parser_mutants_fail_the_literal_oracle(name, monkeypatch):
     monkeypatch.setattr(Parser, method.__name__, _mutant(method, edits))
     with pytest.raises(AssertionError):
         check_literals(inputs)
+
+
+# ------------------ the zero test of forms, p-th powers and the Brown GCD ----
+
+FRACTIONS_VANISH_MUTANTS = {
+    "multiplier of one factor dropped": [
+        ("factors = [factor(k) for k in keys]",
+         "factors = [factor(k) for k in keys[:-1]]")],
+    "single piece read as zero": [
+        ("if len(pieces) == 1:\n        return False",
+         "if len(pieces) == 1:\n        return True")],
+}
+
+
+def _forms_and_symbols():
+    """Seeded forms over GF(2)(x, y) and GF(3)(x, y): plain 1-forms, the
+    closed forms cartier_inv(w) and dlog f + dg, and 2-forms; and
+    symbols of degrees 1 and 2, with a bilinearity relation among them."""
+    rng = random.Random("fractions_vanish mutants")
+    ws, symbols = [], []
+    for p in (2, 3):
+        K = func_field(gf(p), ("x", "y"))
+
+        def rf():
+            return random_ratfunc(rng, K, max_deg=2, max_terms=2)
+        for _ in range(4):
+            w = random_form(K, 1, rng, rf)
+            ws += [w, w.cartier_inv(), dlog(rf()) + d_of_function(rf()),
+                   random_form(K, 2, rng, rf)]
+            a, b, c = rf(), rf(), rf()
+            symbols += [MilnorElement.symbol(K, [a]),
+                        MilnorElement.symbol(K, [a, b])
+                        + MilnorElement.symbol(K, [c, b], 2),
+                        MilnorElement.symbol(K, [a * c, b])
+                        - MilnorElement.symbol(K, [a, b])
+                        - MilnorElement.symbol(K, [c, b])]
+    return ws, symbols
+
+
+def _check_forms_and_symbols(inputs):
+    """AssertionError unless d and is_closed agree with the term-by-term
+    oracle and d_symbol with the wedge of dlogs."""
+    ws, symbols = inputs
+    for w in ws:
+        dw = d_termwise(w)
+        assert w.d() == dw
+        assert w.is_closed() == dw.is_zero()
+    for s in symbols:
+        assert d_symbol(s) == wedge_of_dlogs(s)
+
+
+@pytest.mark.parametrize("name", sorted(FRACTIONS_VANISH_MUTANTS))
+def test_fractions_vanish_mutants_fail_the_forms_oracles(name, monkeypatch):
+    inputs = _forms_and_symbols()
+    _check_forms_and_symbols(inputs)
+    mutant = _mutant(rational._fractions_vanish,
+                     FRACTIONS_VANISH_MUTANTS[name])
+    monkeypatch.setattr(forms, "_fractions_vanish", mutant)
+    monkeypatch.setattr(milnor, "_fractions_vanish", mutant)
+    with pytest.raises(AssertionError):
+        _check_forms_and_symbols(inputs)
+
+
+P_POWER_SPLIT_MUTANTS = {
+    "every denominator read as a p-th power": [
+        ("if all(x % p == 0 for m, _ in d1 for x in m):", "if True:")],
+}
+
+
+def _p_power_inputs():
+    """Seeded f over GF(2)(x, y), GF(3)(x, y) and GF(4)(x, y) with
+    denominators d, d^p and x d^p, d a drawn polynomial plus x + 1, so
+    that d is no monomial times a p-th power."""
+    rng = random.Random("p-power split mutants")
+    out = []
+    for p, e in [(2, 1), (3, 1), (2, 2)]:
+        K = func_field(gf(p, e), ("x", "y"))
+        x, one = MPoly.var(K.base, 2, 0), MPoly.const(K.base, 2, 1)
+        for _ in range(3):
+            num = random_mpoly(rng, K.base, 2, 2, 3)
+            d = random_mpoly(rng, K.base, 2, 2, 3) + x + one
+            if num.is_zero() or d.is_zero():
+                continue
+            for den in (d, d ** p, x * d ** p):
+                out.append(K.from_poly(num, den))
+    return out
+
+
+def _check_p_power_components(inputs):
+    for f in inputs:
+        p, k = f.field.base.p, f.field.k
+        for pattern in product(range(p), repeat=k):
+            assert rational.p_power_component(f, pattern) == \
+                p_power_component_full(f, pattern)
+
+
+@pytest.mark.parametrize("name", sorted(P_POWER_SPLIT_MUTANTS))
+def test_p_power_split_mutants_fail_the_full_denominator(name, monkeypatch):
+    inputs = _p_power_inputs()
+    _check_p_power_components(inputs)
+    monkeypatch.setattr(rational, "_p_power_split",
+                        _mutant(rational._p_power_split,
+                                P_POWER_SPLIT_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_p_power_components(inputs)
+
+
+BROWN_MUTANTS = {
+    "exact-division check of the candidate dropped": [
+        ("_code_divexact(a, c, T) is not None", "True"),
+        ("_code_divexact(b, c, T) is not None", "True")],
+}
+
+
+def _gcd_inputs():
+    """(f, g) over GF(3): (x^3 + y^3)(y + 1) and y^2 (y + 1), whose first
+    and only point x = 0 is unlucky; and seeded a c, b c in two and three
+    variables over GF(2), GF(3) and GF(4)."""
+    F3 = gf(3)
+    x, y = MPoly.var(F3, 2, 0), MPoly.var(F3, 2, 1)
+    c = y + MPoly.const(F3, 2, 1)
+    out = [((x ** 3 + y ** 3) * c, y ** 2 * c)]
+    rng = random.Random("brown mutants")
+    for p, e in [(2, 1), (3, 1), (2, 2)]:
+        for nv in (2, 3):
+            for _ in range(3):
+                a, b, c = (random_mpoly(rng, gf(p, e), nv, 2, 3)
+                           for _ in range(3))
+                if not (a.is_zero() or b.is_zero() or c.is_zero()):
+                    out.append((a * c, b * c))
+    return out
+
+
+def _check_gcds(inputs):
+    for f, g in inputs:
+        assert mpoly.mpoly_gcd(f, g) == prs_gcd(f, g)
+
+
+@pytest.mark.parametrize("name", sorted(BROWN_MUTANTS))
+def test_brown_mutants_fail_the_prs_oracle(name, monkeypatch):
+    inputs = _gcd_inputs()
+    _check_gcds(inputs)
+    monkeypatch.setattr(mpoly, "_brown",
+                        _mutant(mpoly._brown, BROWN_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_gcds(inputs)
