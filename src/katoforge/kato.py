@@ -88,10 +88,20 @@ removes each pole term c t^(-m), p | m, of coordinate j by the step
 cur - wp(V^j [d]), d = c^(1/p) t^(-m/p).  F and V commute in characteristic
 p, so that is cur + V^j([d] - [d^p]); and since
 (x_0, .., x_{j-1}, 0, ..) + V^j(y) = (x_0, .., x_{j-1}, y) with V additive,
-only the tail (cur_j, .., cur_{i-1}) moves: it becomes
-(tail + [d]) + (-[d^p]) in W_{i-j}, with -[x] from
-`WittVector.neg_teichmuller`, and no negation polynomial is evaluated.
-Coordinate j of the tail sum is cur_j + d - d^p: the step cancels c t^(-m),
+only the tail a = (cur_j, .., cur_{i-1}) moves: it becomes
+a + [d] - [d^p] in W_{i-j} (`_standard_form_step`), and no Witt sum is
+taken.  Through p = 7 that is one pass of `_add_one_term` over the
+family a + [y] - [y^p] of `witt._one_term_sum` at y = d.  Past p = 7,
+where that family has about p^2/2 terms, it is two passes of the family
+a + [y], at y = d and then at y = -d^p, since -[x] = [-x] for odd p.
+A pass sums each coordinate into one list of coefficient codes.  Every
+a-monomial m(a) is computed once per pass, from cached powers of the
+coordinates, and a term c m(a) y^k adds m's coefficients times c c_y^k
+at offset k v, where y = c_y t^v.  The term is known as far as the
+product rule gives m y^k, min(val m + prec(y^k), prec m + k v) with
+prec(y^k) = prec y + (k-1) v, and the sum starts from the precision of
+a_0, as an empty sum would.
+Coordinate j of the tail becomes cur_j + d - d^p: the step cancels c t^(-m),
 adds c^(1/p) t^(-m/p) above it and nothing below, and leaves the precision
 of cur_j as it is, since d and d^p are known further.  So one pass upward
 from the valuation of coordinate j meets every pole, the added ones too:
@@ -114,8 +124,10 @@ of the others, >= (p^n - p^k) mu.  The [d] and -[d^p] of a step satisfy
 both: d has valuation -m/p with m <= p^j |mu|, and is known m p + 4 past
 every input coordinate, so past M_0 = M_{j+k} + (p^(j+k) - 1) |mu|; that
 covers the (p 2^k - 1) m / p which the power (d^p)^(2^k) in coordinate
-j + k of -[d^p] loses at p = 2.  So every reduced coordinate is known to
-O(t^M_k), M_k >= 1.
+j + k of -[d^p] loses at p = 2.  A pass is the sums S_n(a, b) with
+b = [d] - [d^p], or b = [d] or [-d^p], expanded in y, and the bounds
+hold term by term, so it keeps them as the sums do.  So every reduced
+coordinate is known to O(t^M_k), M_k >= 1.
 
 A reciprocity table takes the orders from one factorization per class:
 each distinct coordinate denominator is factored once, and at a finite
@@ -134,6 +146,7 @@ classes; that assumption is recorded here and in the README.  With the
 reciprocity law (the invariants sum to 0) the finite places alone decide.
 """
 
+import math
 import operator
 from functools import lru_cache, reduce
 
@@ -147,7 +160,7 @@ from .milnor import MilnorElement, _entry_factors, multilinear_expansion
 from .places import Place, place_context, place_order
 from .poly import Poly, factor, to_dense
 from .rational import FuncField
-from .witt import WittVector
+from .witt import WittVector, _one_term_sum
 
 
 class LaurentField:
@@ -502,11 +515,8 @@ def witt_standard_form(w, base):
                                      prec=maxprec + m * p + 4)
                 # cur - wp(V^j [d]) = cur + V^j([d] - [d^p]): only the tail
                 # from coordinate j moves (module docstring)
-                level = w.level - j
-                tail = (WittVector(p, cur.coords[j:])
-                        + WittVector.teichmuller(p, d, level)
-                        + WittVector.neg_teichmuller(p, d ** p, level))
-                cur = WittVector(p, cur.coords[:j] + tail.coords)
+                cur = WittVector(p, cur.coords[:j] + _standard_form_step(
+                    p, cur.coords[j:], d))
                 a = cur.coords[j]
                 if not a.is_zero() and a.coeff(idx):
                     raise ResourceLimit(
@@ -514,6 +524,81 @@ def witt_standard_form(w, base):
                         f"in Witt coordinate {j}")
             idx += 1
     return cur, wild
+
+
+# through p = 7 the step's own family has at most 2,872 terms and one pass
+# of it beats two of a + [y]; past p = 7 it has about p^2/2 terms at W_2,
+# generated in about p^4 (witt module docstring), and a + [y] has p + 2
+_ONE_PASS_STEP_MAX_PRIME = 7
+
+
+def _standard_form_step(p, tail, d):
+    """The coordinates of tail + [d] - [d^p] in W_L, L = len(tail), for a
+    one-term series d: one pass of the step's family through p = 7, and
+    past it tail + [d] + [-d^p], since -1 = [-1] for odd p (module
+    docstring)."""
+    if p <= _ONE_PASS_STEP_MAX_PRIME:
+        return _add_one_term(tail, d, _one_term_sum(p, len(tail),
+                                                    ((1, 1), (p, -1))))
+    polys = _one_term_sum(p, len(tail), ((1, 1),))
+    return _add_one_term(_add_one_term(tail, d, polys), -(d ** p), polys)
+
+
+def _add_one_term(tail, y, polys):
+    """The coordinates of the family polys of ``witt._one_term_sum`` at
+    a = tail and a one-term series y = c_y t^v, each summed in one pass
+    into one list of element codes (module docstring)."""
+    F = y.ring
+    add, mul = F.tables[:2]
+    cy, v, yprec = y.coeffs[0], y.val, y.prec
+    powers = [{} for _ in tail]
+    # (val, coefficients, precision) of each a-monomial; the empty one is 1
+    monomials = {(0,) * len(tail): (0, (F.one,), math.inf)}
+    scalars = {}
+
+    def monomial(e):
+        m = monomials.get(e)
+        if m is None:
+            x = None
+            for a, cache, n in zip(tail, powers, e):
+                if n:
+                    an = cache.get(n)
+                    if an is None:
+                        an = cache[n] = a ** n if n > 1 else a
+                    x = an if x is None else x * an
+            m = monomials[e] = (x.val, x.coeffs, x.prec)
+        return m
+
+    out = []
+    for terms in polys:
+        # the sum starts from tail[0]'s precision, as an empty sum would
+        prec = tail[0].prec
+        parts = []
+        for e, c in terms:
+            k = e[-1]
+            val, coeffs, mprec = monomial(e[:-1])
+            prec = min(prec, mprec + k * v,
+                       val + yprec + (k - 1) * v if k else mprec)
+            if coeffs:
+                parts.append((val + k * v, coeffs, k, c))
+        parts = [part for part in parts if part[0] < prec]
+        lo = min([part[0] for part in parts], default=prec)
+        acc = [0] * (prec - lo)
+        for off, coeffs, k, c in parts:
+            s = scalars.get(k)
+            if s is None:
+                s = scalars[k] = (cy ** k).idx
+            row = mul[mul[s][c]]
+            for j, x in enumerate(coeffs[:prec - off], off - lo):
+                acc[j] = add[acc[j]][row[x.idx]]
+        # cancelled terms leave zeros at either end: drop them as codes
+        start = next((j for j, x in enumerate(acc) if x), len(acc))
+        end = len(acc)
+        while end > start and not acc[end - 1]:
+            end -= 1
+        out.append(Laurent(F, lo + start,
+                           list(map(F.from_code, acc[start:end])), prec))
+    return tuple(out)
 
 
 def _standard_form_needs(p, vals):

@@ -35,11 +35,13 @@ def run_optimized(code):
 
 
 def random_mpoly(rng, base, nvars, max_deg=3, max_terms=3):
+    """Up to max_terms terms with nonzero coefficients; a repeated monomial
+    keeps its last draw."""
     terms = {}
-    els = list(base.elements())
+    nonzero = [c for c in base.elements() if c]
     for _ in range(rng.randint(1, max_terms)):
         mono = tuple(rng.randint(0, max_deg) for _ in range(nvars))
-        terms[mono] = rng.choice(els)
+        terms[mono] = rng.choice(nonzero)
     return MPoly(base, nvars, terms)
 
 

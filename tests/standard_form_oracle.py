@@ -5,15 +5,35 @@ coordinate once, upward.
 ``restart_standard_form`` is the loop the library ran before: after each
 step it scans coordinate j again from its valuation for the lowest pole of
 order divisible by p, gives up after 10,000 steps, and lists the wild
-poles in a second scan of every coordinate.  ``check_standard_form``
-compares the two on the reduced coordinates, their precisions, the wild
-list, and the type and message of any error.
+poles in a second scan of every coordinate.  Each of its steps takes two
+Witt sums, tail + [d] and then + (-[d^p]), with -[x] from
+``neg_teichmuller``.  ``check_standard_form`` compares the two on the
+reduced coordinates, their precisions, the wild list, and the type and
+message of any error.
 """
 
 import random
 
 from katoforge import KatoforgeError, Laurent, ResourceLimit, WittVector, gf
 from katoforge.witt import max_structure_level
+
+
+def neg_teichmuller(p, a, level):
+    """-[a], with no negation polynomial.  For odd p, -1 is a (p-1)-th
+    root of unity, so -1 = [-1] and -[a] = [-a].  For p = 2,
+    -1 = (1, 1, 1, ...), so -[a] = (a, a^2, a^4, ...) (Serre, Local Fields
+    II 6)."""
+    if p != 2:
+        return WittVector.teichmuller(p, -a, level)
+    return WittVector(p, [a ** (2 ** k) for k in range(level)])
+
+
+def two_sum_step(p, tail, d):
+    """The coordinates of tail + [d] - [d^p] by two Witt sums: the step
+    ``restart_standard_form`` takes."""
+    level = len(tail)
+    return (WittVector(p, tail) + WittVector.teichmuller(p, d, level)
+            + neg_teichmuller(p, d ** p, level)).coords
 
 
 def restart_standard_form(w, base):
@@ -41,11 +61,8 @@ def restart_standard_form(w, base):
             root = base.pth_root(a.coeff(target))
             d = Laurent.monomial(base, root, -(m // p),
                                  prec=maxprec + m * p + 4)
-            level = w.level - j
-            tail = (WittVector(p, cur.coords[j:])
-                    + WittVector.teichmuller(p, d, level)
-                    + WittVector.neg_teichmuller(p, d ** p, level))
-            cur = WittVector(p, cur.coords[:j] + tail.coords)
+            cur = WittVector(p, cur.coords[:j]
+                             + two_sum_step(p, cur.coords[j:], d))
     wild = []
     for j, a in enumerate(cur.coords):
         if not a.is_zero() and a.val < 0:
@@ -65,9 +82,10 @@ def answer(standard_form, w, base):
     return repr((red.coords, [(a.val, a.prec) for a in red.coords], wild))
 
 
-def standard_form_inputs(n, seed):
-    """n seeded (w, base) over GF(p^e), p in 2, 3, 5, e <= 3 (e <= 2 at
-    p = 5), at levels up to 4, 3 and 2.  Every other vector is
+def standard_form_inputs(n, seed, tops=None):
+    """n seeded (w, base) over GF(p^e), p in 2, 3, 5, e <= 3 (e <= 2 from
+    p = 5), at levels up to 4, 3 and 2, or at the primes and top levels of
+    the dict tops.  Every other vector is
     u + wp(y) + (a pole of order prime to p, one time in three), so steps
     at j > 0 occur; the rest have valuations -12..2 and precisions from
     below the valuation to 8 past the last coefficient, so some coordinates
@@ -76,15 +94,15 @@ def standard_form_inputs(n, seed):
     The first input is (t^-6 + O(t^-3), t^-1 + O(t^4)) over GF(2): the step
     at t^-6 adds t^-3, which lies beyond O(t^-3)."""
     rng = random.Random(seed)
+    tops = tops or {2: 4, 3: 3, 5: 2}
     F2 = gf(2)
     out = [(WittVector(2, (Laurent(F2, -6, [F2.one], -3),
                            Laurent(F2, -1, [F2.one], 4))), F2)]
     while len(out) < n:
-        p = rng.choice([2, 3, 5])
+        p = rng.choice(sorted(tops))
         F = gf(p, rng.randint(1, 3 if p < 5 else 2))
         elems = list(F.elements())
-        level = rng.randint(1, min({2: 4, 3: 3, 5: 2}[p],
-                                   max_structure_level(p)))
+        level = rng.randint(1, min(tops[p], max_structure_level(p)))
 
         def series(val, size, prec):
             coeffs = [rng.choice(elems[1:])] + [rng.choice(elems)
@@ -119,3 +137,11 @@ def check_standard_form(inputs, standard_form):
     for w, base in inputs:
         want = answer(restart_standard_form, w, base)
         assert answer(standard_form, w, base) == want, (w, want)
+
+
+def check_step(step, steps):
+    """AssertionError unless step gives the coordinates of ``two_sum_step``,
+    with their valuations and precisions, on every (p, tail, d) of
+    steps."""
+    for p, tail, d in steps:
+        assert step(p, tail, d) == two_sum_step(p, tail, d), (p, tail, d)

@@ -141,11 +141,10 @@ def _check_standard_form(standard_form, monkeypatch):
     F2 = gf(2)
     w = WittVector(2, (Laurent(F2, -2, [F2.one], 8),))
 
-    def nothing(cls, p, a, level):
-        return cls.zeros(p, a * 0, level)
     with monkeypatch.context() as patch:
-        patch.setattr(WittVector, "teichmuller", classmethod(nothing))
-        patch.setattr(WittVector, "neg_teichmuller", classmethod(nothing))
+        # in the globals standard_form reads, a mutant's copy among them
+        patch.setitem(standard_form.__globals__, "_standard_form_step",
+                      lambda p, tail, d: tail)
         assert answer(standard_form, w, F2).startswith("ResourceLimit")
 
 
@@ -155,6 +154,29 @@ def test_standard_form_mutants_fail_the_restart_oracle(name, monkeypatch):
     mutant = _mutant(kato.witt_standard_form, STANDARD_FORM_MUTANTS[name])
     with pytest.raises(AssertionError):
         _check_standard_form(mutant, monkeypatch)
+
+
+# the one pass that sums a one-term family, patched in where the step
+# reads it
+STEP_MUTANTS = {
+    "c_y^k scalar dropped": [("scalars[k] = (cy ** k).idx",
+                              "scalars[k] = 1")],
+    "term precision from m alone": [
+        ("mprec + k * v,", "mprec,"),
+        ("val + yprec + (k - 1) * v if k else mprec)", "mprec)")],
+    "offset k v read as (k - 1) v": [("(val + k * v, coeffs",
+                                      "(val + (k - 1) * v, coeffs")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_MUTANTS))
+def test_standard_form_step_mutants_fail_the_restart_oracle(name,
+                                                            monkeypatch):
+    _check_standard_form(kato.witt_standard_form, monkeypatch)
+    monkeypatch.setattr(kato, "_add_one_term",
+                        _mutant(kato._add_one_term, STEP_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_standard_form(kato.witt_standard_form, monkeypatch)
 
 
 # ----------------------------------------------- the residue's reads ----

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -14,14 +15,17 @@ from katoforge import (ConfigMismatch, CorruptCache, DivisionByZero, HClass,
                        IntegralityViolation, Laurent, ResourceLimit,
                        WittStructure,
                        WittVector, func_field, gf, int_to_witt,
-                       verify_ghost_identities, witt, witt_as_solve,
+                       kato, verify_ghost_identities, witt, witt_as_solve,
                        witt_structure, witt_to_int)
 from katoforge.cli import main, verify_cache_file
 from katoforge.gring import GaloisRing, galois_ring
 from katoforge.witt import (_eval_terms, _generate, _invert_ghost,
+                            _one_term_sum, _one_term_targets,
                             from_galois_ring, max_structure_level)
 
 from conftest import random_ratfunc, run_optimized
+from standard_form_oracle import (check_step, neg_teichmuller,
+                                  standard_form_inputs, two_sum_step)
 from witt_oracle import (all_vectors, as_solve_inputs, check_as_solve,
                          check_int_mul)
 
@@ -91,6 +95,123 @@ def test_structure_digests_pinned():
 @pytest.mark.parametrize("p,i", WITHIN_BOUND)
 def test_ghost_identities(p, i):
     assert verify_ghost_identities(p, i)
+
+
+def _ghost_at(p, xs, n):
+    """w_n of the integer vector xs."""
+    return sum(p ** j * x ** p ** (n - j) for j, x in enumerate(xs[:n + 1]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_one_term_sums_satisfy_their_ghost_identity(p):
+    """The integer polynomials X(a, y) of a + [y] - [y^p] (through p = 7)
+    and of a + [y] satisfy w_n(X) = w_n(a) + sum c y^(k p^n) at seeded
+    integer points, at every level up to max_structure_level(p), and
+    _one_term_sum is X with its coefficients taken mod p."""
+    rng = random.Random(f"one-term sums:{p}")
+    families = [((1, 1),)] + [((1, 1), (p, -1))] * (p <= 7)
+    for i, terms in itertools.product(
+            range(1, max_structure_level(p) + 1), families):
+        polys = _invert_ghost(p, _one_term_targets(p, i, terms))
+        for _ in range(3):
+            point = [rng.randint(-99, 99) for _ in range(i + 1)]
+            a, y = point[:i], point[i]
+            xs = [sum(c * math.prod(map(pow, point, e))
+                      for e, c in poly.items())
+                  for poly in polys]
+            for n in range(i):
+                assert _ghost_at(p, xs, n) == _ghost_at(p, a, n) + sum(
+                    c * y ** (k * p ** n) for k, c in terms)
+        assert _one_term_sum(p, i, terms) == [
+            [(e, c % p) for e, c in sorted(poly.items()) if c % p]
+            for poly in polys]
+
+
+def test_standard_form_step_stays_cheap_up_to_the_prime_bound():
+    """Past p = 7 the step is two passes of a + [y], which has p + 2 terms
+    at W_2, so it stays cheap for every prime that has W_2: at p = 1021,
+    the largest, the family is generated and one step on level-2 tails
+    over GF(1021)((t)) runs, equal to the two Witt sums, within seconds.
+    Past the bound the family is refused like W_2 itself."""
+    p = 1021
+    start = time.perf_counter()
+    assert sum(map(len, _one_term_sum(p, 2, ((1, 1),)))) == p + 2
+    F = gf(p)
+    tail = (Laurent(F, -3, [F.from_code(5), F.from_code(7), F.one], 2),
+            Laurent(F, -2, [F.from_code(3), F.zero, F.from_code(2)], 3))
+    d = Laurent(F, -1, [F.from_code(11)], 8)
+    assert kato._standard_form_step(p, tail, d) == two_sum_step(p, tail, d)
+    assert time.perf_counter() - start < 10
+    with pytest.raises(ResourceLimit, match="max i=1"):
+        _one_term_sum(1031, 2, ((1, 1),))
+
+
+def _steps(inputs, monkeypatch):
+    """The (p, tail, d) of every step the standard form takes on inputs,
+    which it takes with no Witt sum."""
+    steps = []
+    step = kato._standard_form_step
+
+    def record(p, tail, d):
+        steps.append((p, tail, d))
+        return step(p, tail, d)
+
+    def no_sum(u, v):
+        raise AssertionError("the standard form took a Witt sum")
+    with monkeypatch.context() as patch:
+        patch.setattr(kato, "_standard_form_step", record)
+        patch.setattr(WittVector, "__add__", no_sum)
+        for w, base in inputs:
+            try:
+                kato.witt_standard_form(w, base)
+            except katoforge.KatoforgeError:
+                pass
+    return steps
+
+
+def test_standard_form_step_matches_the_two_sums(monkeypatch):
+    """Every step the standard form takes on seeded vectors over GF(p^e),
+    p = 2, 3, 5, 7, 11, gives the coordinates, valuations and precisions
+    of tail + [d] + (-[d^p]) by two Witt sums.  The steps at p = 7 reach
+    level 3, which the restart-loop oracle's inputs never do, and those at
+    p = 11 take the two passes of a + [y]."""
+    steps = _steps(standard_form_inputs(40, "fused step 2")
+                   + standard_form_inputs(6, "p = 7", {7: 3})
+                   + standard_form_inputs(6, "p = 11", {11: 2}), monkeypatch)
+    assert {(p, len(tail)) for p, tail, _ in steps} >= {
+        (2, 4), (3, 3), (5, 2), (7, 3), (11, 2)}
+    check_step(kato._standard_form_step, steps)
+
+
+def test_standard_form_step_precision_is_sound():
+    """On seeded tails of any valuations and precisions, zero to precision
+    among them, the step agrees with the two Witt sums as far as both know
+    a coordinate, and with the two sums of the same tail known 40
+    coefficients further as far as it claims.  Its precision may exceed
+    the two sums', which track it through an intermediate vector."""
+    rng = random.Random("standard-form step precision")
+    for _ in range(80):
+        p = rng.choice([2, 3, 5, 7, 11])
+        F = gf(p, rng.randint(1, 2))
+        elems = list(F.elements())
+        level = rng.randint(1, min(4, max_structure_level(p)))
+        tail, longer = [], []
+        for _ in range(level):
+            val, size = rng.randint(-6, 2), rng.randint(1, 5)
+            a = Laurent(F, val, [rng.choice(elems[1:])]
+                        + [rng.choice(elems) for _ in range(size + 39)],
+                        val + size + 40)
+            longer.append(a)
+            tail.append(a.truncate(val + size + rng.randint(-4, 3)))
+        c, v = rng.choice(elems[1:]), -rng.randint(1, 3)
+        prec = rng.randint(4, 20)
+        got = kato._standard_form_step(p, tail, Laurent(F, v, [c], prec))
+        sums = two_sum_step(p, tail, Laurent(F, v, [c], prec))
+        full = two_sum_step(p, longer, Laurent(F, v, [c], prec + 40))
+        for x, y, z in zip(got, sums, full):
+            both = min(x.prec, y.prec)
+            assert x.truncate(both) == y.truncate(both)
+            assert z.truncate(x.prec) == x
 
 
 def test_invert_ghost_rejects_non_integral_target():
@@ -464,15 +585,15 @@ def test_neg_teichmuller_matches_the_negation_polynomials(p, e):
             a = Laurent(F, val, known, val + 5)
             long_a = Laurent(F, val, known + [rng.choice(elems)] * 3,
                              val + 8)
-            got = WittVector.neg_teichmuller(p, a, level)
+            got = neg_teichmuller(p, a, level)
             want = -WittVector.teichmuller(p, a, level)
-            longer = WittVector.neg_teichmuller(p, long_a, level)
+            longer = neg_teichmuller(p, long_a, level)
             for x, y, z in zip(got.coords, want.coords, longer.coords):
                 assert x.prec >= y.prec
                 assert x.truncate(y.prec) == y
                 assert z.truncate(x.prec) == x
         r = random_ratfunc(rng, K)
-        assert WittVector.neg_teichmuller(p, r, level) == \
+        assert neg_teichmuller(p, r, level) == \
             -WittVector.teichmuller(p, r, level)
 
 
