@@ -31,7 +31,7 @@ from .places import (Place, from_rational, place_context, place_order,
                      residue_at, residue_table, support_places)
 from .poly import Poly, factor, is_irreducible, squarefree_decomposition
 from .rational import (FuncField, RatFunc, func_field, p_power_component,
-                       p_power_decompose, p_power_rebuild)
+                       p_power_decompose)
 from .witt import (WittStructure, WittVector, int_to_witt, set_cache_dir,
                    verify_ghost_identities, witt_as_solve, witt_structure,
                    witt_to_int)

@@ -31,7 +31,9 @@ a ``/``, which builds one normalized ``RatFunc``, a name bound by ``let``,
 a negative power or the end of the expression; ``MAX_POWER_TERMS`` counts
 a polynomial's terms as it counts a numerator's.  A variable of the current
 field reads as that variable before any name bound by ``let``, and ``let``
-refuses to bind it, so printed values read back.
+refuses to bind it, so printed values read back.  A differential ``dx`` or
+``d(x)`` is the basis form dx itself, ``DiffForm(F, 1, {(j,): F.one})``,
+with no derivative taken, and ``c dx`` scales it by c.
 """
 
 import argparse
@@ -46,7 +48,7 @@ import tempfile
 
 from .errors import (ConfigMismatch, CorruptCache, KatoforgeError,
                      ScriptError, UnknownName, VerifyMismatch)
-from .forms import DiffForm, d_of_function
+from .forms import DiffForm
 from .gf import GF, gf
 from .kato import (HClass, LaurentField, _invariant_field_kind, laurent_field,
                    level_shift, local_invariant, reciprocity_check,
@@ -63,36 +65,40 @@ from .witt import WittStructure, WittVector, witt_structure
 
 # a digit is what int() reads, any Unicode decimal digit; a name is a run of
 # word characters that does not start with one, so '²' and 't²' are names;
-# whitespace is space and tab, and any other character is an error
-_TOKEN = re.compile(r"""[ \t]+ | (?P<int>\d+) | (?P<name>[^\W\d]\w*)
+# whitespace is space and tab, and any other character is an error.  A match
+# is one token and the whitespace after it, so blanks cost no match of their
+# own; tokenize skips the blanks before the first token
+_TOKEN = re.compile(r"""(?: (?P<int>\d+) | (?P<name>[^\W\d]\w*)
                         | (?P<punct>[][(){},|+*/^=-]) | (?P<comment>\#)
-                        | (?P<bad>.)""", re.S | re.X)
+                        | (?P<bad>.) ) [ \t]*""", re.S | re.X)
 
 
 def tokenize(line, lineno):
     """The (kind, value, column from 0) tokens of line before any comment;
     a punctuation token is its own kind."""
     out = []
-    for m in _TOKEN.finditer(line):
-        kind, text, col = m.lastgroup, m.group(), m.start()
+    for m in _TOKEN.finditer(line, len(line) - len(line.lstrip(" \t"))):
+        kind = m.lastgroup
+        text = m[kind]
         if kind == "comment":
             break
         if kind == "bad":
             raise ScriptError(f"unexpected character {text!r}", lineno,
-                              col + 1)
+                              m.start() + 1)
         if kind == "int":
             # a literal stays below 2^MAX_POWER_BITS, as an integer power
             # does; a run of more digits than that has bits is not read
             n = int(text) if len(text) <= MAX_POWER_BITS else None
             if n is None or n.bit_length() > MAX_POWER_BITS:
                 raise ScriptError(f"integer of {MAX_POWER_BITS} bits or "
-                                  f"more", lineno, col + 1)
-            out.append(("int", n, col))
-        elif kind == "name":
-            out.append(("name", text, col))
-        elif kind == "punct":
-            out.append((text, text, col))
+                                  f"more", lineno, m.start() + 1)
+            out.append(("int", n, m.start()))
+        else:
+            out.append((text if kind == "punct" else kind, text, m.start()))
     return out
+
+
+_END = (None, None, None)      # what peek reads past the last token
 
 
 class Cursor:
@@ -101,25 +107,25 @@ class Cursor:
     what = "statement"      # running out of tokens: "unexpected end of <what>"
 
     def __init__(self, tokens, lineno):
-        self.toks = tokens
+        # two _END entries, so peek(1) at the end reads no further
+        self.toks = tokens + [_END, _END]
+        self.end = len(tokens)
         self.pos = 0
         self.lineno = lineno
 
     def peek(self, k=0):
-        if self.pos + k < len(self.toks):
-            return self.toks[self.pos + k]
-        return (None, None, None)
+        return self.toks[self.pos + k]
 
     def next(self):
-        t = self.peek()
-        if t[0] is None:
+        t = self.toks[self.pos]
+        if t is _END:
             raise ScriptError(f"unexpected end of {self.what}", self.lineno)
         self.pos += 1
         return t
 
     def take(self, kind):
         """The next token, consumed, if it is of kind; None otherwise."""
-        t = self.peek()
+        t = self.toks[self.pos]
         if t[0] != kind:
             return None
         self.pos += 1
@@ -138,11 +144,11 @@ class Cursor:
 
     def rest(self):
         """The unread tokens, all consumed."""
-        toks, self.pos = self.toks[self.pos:], len(self.toks)
+        toks, self.pos = self.toks[self.pos:self.end], self.end
         return toks
 
     def done(self):
-        return self.pos >= len(self.toks)
+        return self.pos >= self.end
 
     def whole(self, parse):
         """parse(), which must consume the rest of the statement."""
@@ -154,8 +160,8 @@ class Cursor:
 
 # ----------------------------------------------------------- session ----
 
-_KINDS = ((MilnorElement, "a symbol"), (HClass, "a class"),
-          (WittVector, "a Witt vector"), (DiffForm, "a differential form"))
+_KINDS = {MilnorElement: "a symbol", HClass: "a class",
+          WittVector: "a Witt vector", DiffForm: "a differential form"}
 _ELEMENT = "a field element"
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv}
@@ -189,15 +195,15 @@ MAX_PRECISION = 65536
 
 def _power_terms(r, e):
     """The most terms r^e, or its numerator or denominator, can have: the
-    product over the variables of (|e| times the degree in it, + 1)."""
-    return max(math.prod(abs(e) * f.degree_in(j) + 1 for j in range(f.nvars))
+    product over the variables of (|e| times the degree in it, + 1).  The
+    degrees are the column maxima of the exponent tuples."""
+    return max(math.prod(abs(e) * d + 1 for d in map(max, zip(*f.terms)))
                for f in ((r.num, r.den) if isinstance(r, RatFunc) else (r,)))
 
 
 def _kind(v):
     """The kind of a value, as error messages name it."""
-    return next((name for cls, name in _KINDS if isinstance(v, cls)),
-                _ELEMENT)
+    return _KINDS.get(type(v), _ELEMENT)
 
 
 class Session:
@@ -280,30 +286,30 @@ class Parser(Cursor):
             return v
         raise UnknownName(f"unknown name {name!r}", self.lineno, col)
 
-    def _is_diff_start(self):
+    def _is_diff_start(self, name):
         """Whether a differential (d(x), or dx for a variable x) starts
-        at the next token."""
-        kind, val, _ = self.peek()
-        return kind == "name" and val[0] == "d" and (
-            val == "d" and self.peek(1)[0] == "(" or
-            isinstance(self.field, FuncField) and val[1:] in self.field.vars)
+        at the next token, which is the name `name`."""
+        return name[0] == "d" and (
+            name == "d" and self.peek(1)[0] == "(" or
+            isinstance(self.field, FuncField) and name[1:] in self.field.vars)
 
     # -- grammar --
 
     def expr(self, sums=True):
         """A sum of terms, or with sums false one term."""
         v = self.unary()
+        toks = self.toks
         while True:
-            kind = self.peek()[0]
+            kind, val, col = toks[self.pos]
             if kind in ("*", "/") or sums and kind in ("+", "-"):
-                self.next()
+                self.pos += 1
                 v = self._binary(kind, v, self.unary() if kind in ("*", "/")
                                  else self.expr(False))
-            elif self._is_diff_start():
+            elif kind == "name" and self._is_diff_start(val):
                 if isinstance(v, DiffForm):
                     raise ScriptError("juxtaposed differentials: write "
                                       "dx^dy for their wedge", self.lineno,
-                                      self.peek()[2] + 1)
+                                      col + 1)
                 v = self._binary("*", v, self.power())
             else:
                 return v
@@ -317,8 +323,8 @@ class Parser(Cursor):
             # integers are constants of the field, and polynomials stay
             # polynomials, with no GCD, until a division; a zero divisor is
             # left to RatFunc's own refusal
-            x, y = (self._const(v) if isinstance(v, int) else v
-                    for v in (a, b))
+            x = self._const(a) if isinstance(a, int) else a
+            y = self._const(b) if isinstance(b, int) else b
             if isinstance(x, MPoly) and isinstance(y, MPoly):
                 if op != "/":
                     return _OPS[op](x, y)
@@ -354,6 +360,8 @@ class Parser(Cursor):
         return vs
 
     def unary(self):
+        if self.toks[self.pos][0] != "-":
+            return self.power()
         minus = 0
         while self.take("-"):
             minus += 1
@@ -368,7 +376,9 @@ class Parser(Cursor):
 
     def power(self):
         v = self.atom()
-        while self.take("^"):
+        toks = self.toks
+        while toks[self.pos][0] == "^":
+            self.pos += 1
             if isinstance(v, DiffForm):
                 w = self.atom()
                 if not isinstance(w, DiffForm):
@@ -395,10 +405,17 @@ class Parser(Cursor):
         return v
 
     def atom(self):
-        kind, val, col = self.peek()
+        kind, val, col = self.toks[self.pos]
         if kind == "int":
-            self.next()
+            self.pos += 1
             return val
+        if kind == "name":
+            if val == "O" and self.peek(1)[0] == "(":
+                return self.precision_lit()
+            if self._is_diff_start(val):
+                return self.diff_atom()
+            self.pos += 1
+            return self._name_value(val, col + 1)
         if kind in ("(", "{", "["):
             if self.depth == MAX_NESTING:
                 raise ScriptError(f"brackets nest deeper than {MAX_NESTING}",
@@ -412,13 +429,6 @@ class Parser(Cursor):
                 v = self.symbol_lit() if kind == "{" else self.bracket_lit()
             self.depth -= 1
             return v
-        if kind == "name":
-            if val == "O" and self.peek(1)[0] == "(":
-                return self.precision_lit()
-            if self._is_diff_start():
-                return self.diff_atom()
-            self.next()
-            return self._name_value(val, col + 1)
         if kind is None:
             self.next()     # raises: unexpected end of statement
         raise ScriptError(f"unexpected token {val!r}", self.lineno, col + 1)
@@ -450,7 +460,7 @@ class Parser(Cursor):
             var = val[1:]
         if var not in f.vars:
             raise ScriptError(f"unknown variable {var!r}", self.lineno)
-        return d_of_function(f.var(var))
+        return DiffForm(f, 1, {(f.vars.index(var),): f.one})
 
     def symbol_lit(self):
         self.expect("{")
@@ -636,8 +646,8 @@ def run_statement(line, lineno, session, emit):
         return
     toks = cur.rest()
     if val == "inv":
-        at = next((k for k, t in enumerate(toks) if t[:2] == ("name", "at")),
-                  None)
+        at = next((k for k, t in enumerate(toks)
+                   if t[1] == "at" and t[0] == "name"), None)
         if at is None:
             raise ScriptError("usage: inv <class> at <place>", lineno)
         c = _operand(toks[:at], session, lineno, val, HClass, "a class")
@@ -656,6 +666,11 @@ def run_statement(line, lineno, session, emit):
     emit(val, {key: repr(v)}, result(v), session)
 
 
+# one --json line: what json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# writes, with the encoder built once
+_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def run_script(text, json_mode=False, precision=16, keep_going=False,
                out=None):
     out = out or sys.stdout
@@ -666,8 +681,7 @@ def run_script(text, json_mode=False, precision=16, keep_going=False,
         if json_mode:
             obj = {"op": op, "inputs": inputs, "result": result,
                    "level": session.level, "field": session.current}
-            out.write(json.dumps(obj, sort_keys=True,
-                                 separators=(",", ":")) + "\n")
+            out.write(_json_line(obj) + "\n")
         else:
             if isinstance(result, (dict, list)):
                 result = json.dumps(result, sort_keys=True)
@@ -681,10 +695,8 @@ def run_script(text, json_mode=False, precision=16, keep_going=False,
         except KatoforgeError as exc:
             errors += 1
             if json_mode:
-                out.write(json.dumps({"op": "error", "line": lineno,
-                                      "message": str(exc)},
-                                     sort_keys=True,
-                                     separators=(",", ":")) + "\n")
+                out.write(_json_line({"op": "error", "line": lineno,
+                                      "message": str(exc)}) + "\n")
             elif isinstance(exc, ScriptError) and exc.line is not None:
                 out.write(f"error: {exc}\n")      # carries its location
             else:

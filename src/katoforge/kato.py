@@ -393,7 +393,8 @@ def _canonical(terms):
            if not all(map(_known_zero, w.coords))
            and len(set(map(_slot_key, ent))) == len(ent)
            and not _teich_match(w, ent)]
-    out.sort(key=lambda t: _term_key(*t))
+    if len(out) > 1:
+        out.sort(key=lambda t: _term_key(*t))
     return tuple(out)
 
 

@@ -117,8 +117,10 @@ class MilnorElement:
         return out
 
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda sc: tuple(a.sort_key() for a in sc[0]))
+        items = list(self.terms.items())
+        if len(items) > 1:
+            items.sort(key=lambda sc: tuple(a.sort_key() for a in sc[0]))
+        return items
 
     def __repr__(self):
         if not self.terms:

@@ -25,6 +25,7 @@ from operator import add as _exp_add, sub as _exp_sub
 
 from .errors import ConfigMismatch, DivisionByZero, IntegralityViolation
 from .power import binary_power
+from .render import format_gf_coeff, format_monomial
 
 
 def _grlex(e):
@@ -68,7 +69,7 @@ class MPoly:
 
     @classmethod
     def var(cls, field, nvars, j):
-        e = tuple(1 if i == j else 0 for i in range(nvars))
+        e = (0,) * j + (1,) + (0,) * (nvars - j - 1)
         return cls._from_codes(field, nvars, {e: 1})
 
     def is_zero(self):
@@ -205,14 +206,12 @@ def exact_div(f, g):
 
 
 def format_mpoly(f, vars):
-    from .render import format_gf_coeff, format_monomial
     if f.is_zero():
         return "0"
-    items = sorted(f.terms.items(), key=lambda ec: _grlex(ec[0]),
-                   reverse=True)
-    return "+".join(format_monomial(format_gf_coeff(f.field.from_code(c)),
+    terms, from_code = f.terms, f.field.from_code
+    return "+".join(format_monomial(format_gf_coeff(from_code(terms[e])),
                                     e, vars)
-                    for e, c in items)
+                    for e in sorted(terms, key=_grlex, reverse=True))
 
 
 # -- dense univariate arithmetic on element codes --

@@ -284,7 +284,8 @@ def factor(f):
     factors = {}
     for g, mult in squarefree_decomposition(f):
         for h, d in _distinct_degree(g):
-            rng = random.Random(_seed_for(h))
+            # only a part with more than one factor draws random numbers
+            rng = random.Random(_seed_for(h)) if h.degree > d else None
             for irr in _equal_degree_split(h, d, rng):
                 factors[irr] = factors.get(irr, 0) + mult
     return sorted(factors.items(), key=lambda gm: (gm[0].degree, _poly_key(gm[0])))

@@ -10,7 +10,8 @@ the GCD of the whole result (Henrici, JACM 1956; Knuth, TAOCP 2, 4.5.1):
 * a sum takes g = gcd(d1, d2); for g = 1 the cross sum is already in lowest
   terms, otherwise one more GCD, of the cross sum with g, finishes it;
 * powers, inverses, negation, integer multiples and zero operands run no
-  GCD, only the rescale that keeps the denominator monic.
+  GCD, only the rescale that keeps the denominator monic, and a product
+  with the field's ``one`` as a factor is the other factor itself.
 
 Only construction from outside (RatFunc(field, num, den)), derivative and
 the p-power components run the full normalization, one GCD of num and den;
@@ -159,6 +160,10 @@ class RatFunc:
                 return F.zero
             return RatFunc(F, num, self.den, _norm=False)
         self._check(other)
+        if other is F.one:
+            return self
+        if self is F.one:
+            return other
         if self.is_zero() or other.is_zero():
             return F.zero
         g1 = mpoly_gcd(self.num, other.den)
@@ -327,15 +332,3 @@ def p_power_component(f, e):
     parts, den = _p_power_split(f, e)
     return RatFunc(F, MPoly._from_codes(F.base, F.k, parts.get(e, {})), den)
 
-
-def p_power_rebuild(parts, field):
-    """Inverse of p_power_decompose (test oracle)."""
-    p = field.base.p
-    out = field.zero
-    for e, g in parts.items():
-        mono = field.one
-        for i, exp in enumerate(e):
-            if exp:
-                mono = mono * field.var(field.vars[i]) ** exp
-        out = out + g ** p * mono
-    return out

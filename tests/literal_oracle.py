@@ -1,6 +1,8 @@
-"""A slow oracle for rational-function literals in scripts: seeded
-expression trees over F_q(x_1..x_k), printed as script text and evaluated
-with RatFunc's own operators.
+"""Slow oracles for literals in scripts: rational functions and
+differential forms.
+
+Rational functions: seeded expression trees over F_q(x_1..x_k), printed as
+script text and evaluated with RatFunc's own operators.
 
 The CLI evaluates a division-free subexpression as a polynomial and builds
 one normalized RatFunc at each division; the oracle never does.  Leaves are
@@ -10,13 +12,20 @@ the printed forms of random rational functions; the operators are
 fewest parentheses the grammar needs, with a few more at random, so the
 precedence of the reader is checked too.  A tree whose evaluation raises
 expects the CLI to print that message.
+
+Forms: seeded 1-forms and 2-forms built with ``form_from_terms``, some of
+them closed (``cartier_inv`` images, and every form of top degree), are
+printed and read back; the form read must equal the one printed, and
+``cartier`` and ``nu`` on the text must answer what the library answers
+on the form.  The CLI reads ``dx`` as a basis form and scales it, with no
+derivative; the library builds the form from its coefficients directly.
 """
 
 import io
 import math
 import random
 
-from katoforge import KatoforgeError, func_field, gf
+from katoforge import KatoforgeError, dlog, form_from_terms, func_field, gf
 from katoforge.cli import MAX_POWER_TERMS, Session, run_script, run_statement
 
 from conftest import random_ratfunc
@@ -118,3 +127,72 @@ def check_literals(inputs):
             run_statement(script[n - 1], n, session, lambda *a: None)
             assert session.values["value"][1] == want, (spec, text)
         assert len(printed) == len(trees), spec
+
+
+# (declaration, (p, e) of the coefficient field, variables) for forms
+FORM_FIELDS = (("GF(2)(x, y)", (2, 1), ("x", "y")),
+               ("GF(3)(x, y)", (3, 1), ("x", "y")),
+               ("GF(2,2)(x, y)", (2, 2), ("x", "y")),
+               ("GF(3)(t)", (3, 1), ("t",)))
+
+
+def form_inputs(count, seed):
+    """[(declaration, field, [form])]: count nonzero forms over each field
+    of FORM_FIELDS, of a degree from 1 to the number of variables, each
+    form_from_terms of one or two index tuples in any order.  A quarter
+    are form_from_terms of the terms of a wedge of dlogs instead, which is
+    logarithmic, and a third of the other 1-forms are replaced by their
+    closed cartier_inv image."""
+    rng = random.Random(seed)
+    out = []
+    for spec, (p, e), vars in FORM_FIELDS:
+        K = func_field(gf(p, e), vars)
+
+        def rf():
+            return random_ratfunc(rng, K, max_deg=2, max_terms=2)
+        forms = []
+        while len(forms) < count:
+            degree = rng.randint(1, K.k)
+            if rng.random() < 1 / 4:
+                log = dlog(rf())
+                for _ in range(degree - 1):
+                    log = log.wedge(dlog(rf()))
+                w = form_from_terms(K, degree, log.terms)
+            else:
+                w = form_from_terms(K, degree, {
+                    tuple(rng.sample(range(K.k), degree)): rf()
+                    for _ in range(rng.randint(1, 2))})
+                if degree == 1 and rng.random() < 1 / 3:
+                    w = w.cartier_inv()
+            if not w.is_zero():
+                forms.append(w)
+        out.append((spec, K, forms))
+    return out
+
+
+def check_forms(inputs):
+    """AssertionError unless `let w = <form>` prints the form and binds an
+    equal one, and `cartier <form>` and `nu <form>` print the library's
+    answers for it (for cartier, the message it raises on a form that is
+    not closed)."""
+    for spec, K, forms in inputs:
+        script, expected = [f"field F = {spec}"], []
+        for w in forms:
+            script += [f"let w = {w!r}", f"cartier {w!r}", f"nu {w!r}"]
+            try:
+                cartier = f"cartier: {w.cartier()!r}"
+            except KatoforgeError as exc:
+                cartier = f"error: line {len(script) - 1}: {exc}"
+            expected += [f"let: {w!r}", cartier, f"nu: {w.is_logarithmic()}"]
+        buf = io.StringIO()
+        run_script("\n".join(script), keep_going=True, out=buf)
+        printed = buf.getvalue().splitlines()[1:]
+        assert len(printed) == len(expected), spec
+        for line, want, text in zip(printed, expected, script[1:]):
+            assert line == want, (spec, text, line)
+        session = Session()
+        run_statement(script[0], 1, session, lambda *a: None)
+        for n, w in enumerate(forms):
+            run_statement(script[1 + 3 * n], 2 + 3 * n, session,
+                          lambda *a: None)
+            assert session.values["w"][1] == w, (spec, w)

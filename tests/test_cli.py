@@ -10,14 +10,16 @@ from itertools import combinations
 import pytest
 
 from katoforge import (DiffForm, HClass, Laurent, MilnorElement, ScriptError,
-                       WittVector, dlog, func_field, gf, laurent_field, witt)
+                       WittVector, d_of_function, dlog, func_field, gf,
+                       laurent_field, witt)
 from katoforge.cli import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
                            MAX_PRECISION, Parser, Session, cache_clear,
                            cache_verify, cache_warm, main, run_script,
                            run_statement, tokenize)
 
 from conftest import random_ratfunc
-from literal_oracle import check_literals, literal_inputs
+from literal_oracle import (check_forms, check_literals, form_inputs,
+                            literal_inputs)
 
 
 def _parse_value(text, session, fieldname=None):
@@ -505,6 +507,32 @@ def test_literals_match_ratfunc_arithmetic():
     assert sum(isinstance(want, str) for _, want in trees) >= 20
     assert sum("^-" in text for text, _ in trees) >= 50
     assert sum("/" in text for text, _ in trees) >= 300
+
+
+def test_forms_read_back_and_match_the_library():
+    """Printed forms read back equal, and cartier and nu on their text
+    answer as the library does on the forms."""
+    inputs = form_inputs(20, "forms against the library")
+    check_forms(inputs)
+    forms = [w for _, _, ws in inputs for w in ws]
+    assert {w.degree for w in forms} == {1, 2}
+    assert sum(w.is_logarithmic() for w in forms) >= 5
+    assert sum(not w.is_closed() for w in forms) >= 5
+
+
+@pytest.mark.parametrize("spec", ["GF(2)(x, y)", "GF(3,2)(t)",
+                                  "GF(5)(a, b, c)"])
+def test_differentials_are_basis_forms(spec):
+    """dx and d(x) read as d_of_function(x), the basis form dx, and print
+    as dx."""
+    s = _session_with(("K", spec))
+    K = s.fields["K"]
+    for x in K.vars:
+        want = d_of_function(K.var(x))
+        assert want == DiffForm(K, 1, {(K.vars.index(x),): K.one})
+        for text in (f"d{x}", f"d({x})"):
+            got = _parse_value(text, s, "K")
+            assert got == want and repr(got) == repr(want) == f"d{x}"
 
 
 def test_field_declaration_checks():

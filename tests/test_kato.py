@@ -892,6 +892,25 @@ def test_level_shift_basics(K2):
     assert i2 == (2 * i1) % 4
 
 
+def test_level_shift_sorts_the_shifted_terms():
+    """Over F_q((t)) the zero a shift prepends is known to its coordinate's
+    precision, which the term order reads, so the shifted terms are sorted
+    again: here the order of the two terms reverses at level 2."""
+    F = gf(2)
+    L = laurent_field(F)
+    c = (HClass.build(L, _w(2, Laurent(F, -3, [F.one], 9)),
+                      (Laurent(F, 0, [F.one, F.zero, F.one], 16),))
+         + HClass.build(L, _w(2, Laurent(F, -1, [F.one], 3)),
+                        (Laurent(F, 0, [F.one, F.one], 16),)))
+    shifted = level_shift(c, 2)
+    vshifted = [(w.vshift(1), b) for w, b in c.terms]
+    assert list(shifted.terms) != vshifted
+    assert shifted.terms == HClass._normal(L, 1, 2, vshifted).terms
+    assert repr(shifted) == (
+        "[ [O(t^3), t^-1 + O(t^3)] | 1 + t + O(t^16) ) + "
+        "[ [O(t^9), t^-3 + O(t^9)] | 1 + t^2 + O(t^16) )")
+
+
 def test_level_shift_additive_and_injective(K2):
     rng = random.Random(70)
     pt = Place(Poly.x(gf(2)))

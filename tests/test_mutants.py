@@ -15,16 +15,17 @@ from itertools import product
 import pytest
 
 from katoforge import (DiffForm, KatoforgeError, Laurent, MilnorElement,
-                       MPoly, WittVector, d_of_function, d_symbol, dlog,
-                       forms, func_field, gf, kato, laurent_field, milnor,
-                       mpoly, rational, witt)
+                       MPoly, RatFunc, WittVector, d_of_function, d_symbol,
+                       dlog, forms, func_field, gf, kato, laurent_field,
+                       milnor, mpoly, rational, witt)
 from katoforge.cli import Parser
 from katoforge.places import PlaceContext
 
 from conftest import random_form, random_mpoly, random_ratfunc
 from forms_oracle import d_termwise, wedge_of_dlogs
 from ghost_oracle import ghost_inversion_symbol
-from literal_oracle import check_literals, literal_inputs
+from literal_oracle import (check_forms, check_literals, form_inputs,
+                            literal_inputs)
 from p_power_oracle import p_power_component_full
 from prs_oracle import prs_gcd
 from series_oracle import (check_expansions, dense_sum, expansion_places,
@@ -377,6 +378,25 @@ def test_parser_mutants_fail_the_literal_oracle(name, monkeypatch):
     monkeypatch.setattr(Parser, method.__name__, _mutant(method, edits))
     with pytest.raises(AssertionError):
         check_literals(inputs)
+
+
+FORM_LITERAL_MUTANTS = {
+    "every differential read as dx_0": (Parser, Parser.diff_atom, [
+        ("{(f.vars.index(var),): f.one}", "{(0,): f.one}")]),
+    "product by one gives one": (RatFunc, RatFunc.__mul__, [
+        ("if self is F.one:\n        return other",
+         "if self is F.one:\n        return self")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORM_LITERAL_MUTANTS))
+def test_form_literal_mutants_fail_the_form_oracle(name, monkeypatch):
+    inputs = form_inputs(6, "form literal mutants")
+    check_forms(inputs)
+    owner, method, edits = FORM_LITERAL_MUTANTS[name]
+    monkeypatch.setattr(owner, method.__name__, _mutant(method, edits))
+    with pytest.raises(AssertionError):
+        check_forms(inputs)
 
 
 # ------------------ the zero test of forms, p-th powers and the Brown GCD ----

@@ -5,14 +5,13 @@ from hypothesis import given, strategies as st
 
 from katoforge import (ConfigMismatch, DivisionByZero, IntegralityViolation,
                        MPoly, NotConstant, RatFunc, ResourceLimit, func_field,
-                       gf, p_power_component, p_power_decompose,
-                       p_power_rebuild)
+                       gf, p_power_component, p_power_decompose)
 from katoforge.mpoly import (_code_divmod, _code_eval, _code_gcd, _code_mul,
                              _gcd_bivariate, exact_div, mpoly_gcd)
 from katoforge.poly import Poly
 
 from conftest import ORACLE_FIELDS, mpolys, random_ratfunc
-from p_power_oracle import p_power_component_full
+from p_power_oracle import p_power_component_full, p_power_rebuild
 from prs_oracle import prs_gcd
 
 
@@ -93,6 +92,8 @@ def test_arithmetic_matches_full_normalization(p, e, vars, data):
         assert a ** k == RatFunc(K, d1 ** -k, n1 ** -k)
     m = data.draw(st.integers(-7, 7))
     assert a * m == m * a == RatFunc(K, n1 * m, d1)
+    # a product with the field's one is the other factor itself
+    assert a * K.one is a and K.one * a is a
 
 
 @st.composite
