@@ -1,20 +1,20 @@
 """katoforge: exact computer algebra for characteristic-p fields.
 
 Finite fields and rational function fields with exact arithmetic; Witt
-vectors with cached universal structure polynomials; Kaehler differentials
+vectors with memoized universal structure polynomials; Kaehler differentials
 with both Cartier directions; Milnor symbols mod p through the differential
 symbol; level-i Witt-symbol classes with Schmid-Witt local invariants,
 reciprocity over F_q(t), and the residue decomposition over F_q((t)).
 """
 
-from .errors import (ConfigMismatch, CorruptCache, DegreeMismatch,
+from .errors import (ConfigMismatch, DegreeMismatch,
                      DegreeOverflow, DivisionByZero, DlogOfZero,
                      IntegralityViolation,
                      KatoforgeError, LevelDecrease, NonPrime,
                      NormShapeUnsupported, NotClosed, NotConstant,
                      PrecisionExhausted,
                      ResourceLimit, ScriptError, UnknownName,
-                     UnsupportedDegree, UnsupportedField, VerifyMismatch,
+                     UnsupportedDegree, UnsupportedField,
                      WildClass, ZeroPolynomial)
 from .forms import DiffForm, d_of_function, dlog, form_from_terms
 from .gf import GF, GFElem, gf

@@ -40,14 +40,11 @@ import argparse
 import json
 import math
 import operator
-import os
 import random
 import re
 import sys
-import tempfile
 
-from .errors import (ConfigMismatch, CorruptCache, KatoforgeError,
-                     ScriptError, UnknownName, VerifyMismatch)
+from .errors import ConfigMismatch, KatoforgeError, ScriptError, UnknownName
 from .forms import DiffForm
 from .gf import GF, gf
 from .kato import (HClass, LaurentField, _invariant_field_kind, laurent_field,
@@ -59,7 +56,7 @@ from .mpoly import MPoly
 from .places import Place, residue_table
 from .poly import Poly, to_dense
 from .rational import FuncField, RatFunc, func_field
-from .witt import WittStructure, WittVector, witt_structure
+from .witt import WittVector
 
 # ----------------------------------------------------- lexer, cursor ----
 
@@ -706,90 +703,6 @@ def run_script(text, json_mode=False, precision=16, keep_going=False,
     return 1 if errors else 0
 
 
-# ------------------------------------------------------------- cache ----
-
-# The library generates Witt structures in memory and reads no file; this
-# sub-command alone writes, checks and deletes their text form
-# (``WittStructure.to_text``), one file ``wittpoly-v1-p{p}-i{i}.txt`` each:
-#
-#     WITTPOLY v1 p=<p> i=<i>
-#     POLY S 0
-#     <coefficient> <2i exponents: a_0..a_{i-1} b_0..b_{i-1}>
-#     ...
-#     POLY P 0
-#     ...
-#     POLY N 0        (negation; derived, stored for completeness)
-
-_CACHE_NAME = re.compile(r"wittpoly-v1-p(\d+)-i(\d+)\.txt")
-
-
-def _cache_filename(p, i):
-    return f"wittpoly-v1-p{p}-i{i}.txt"
-
-
-def _atomic_write(path, text):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=".wittpoly-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def verify_cache_file(path):
-    """Check a structure file against the generated structure for the
-    (p, i) its name gives: CorruptCache if the name or the file is
-    malformed, VerifyMismatch if the file differs from the generated
-    text."""
-    name = _CACHE_NAME.fullmatch(os.path.basename(path))
-    if name is None:
-        raise CorruptCache(f"not a structure file name: {path}")
-    p, i = int(name[1]), int(name[2])
-    expected = witt_structure(p, i).to_text()
-    with open(path, errors="replace") as fh:
-        text = fh.read()
-    try:
-        WittStructure.from_text(text, p, i)
-    except CorruptCache as exc:
-        raise CorruptCache(f"{path}: {exc}") from None
-    if text != expected:
-        raise VerifyMismatch(path)
-
-
-def cache_warm(cdir, pairs):
-    os.makedirs(cdir, exist_ok=True)
-    report = []
-    for p, imax in pairs:
-        for i in range(1, imax + 1):
-            name = _cache_filename(p, i)
-            _atomic_write(os.path.join(cdir, name),
-                          witt_structure(p, i).to_text())
-            report.append(name)
-    return report
-
-
-def cache_verify(cdir):
-    report = []
-    for name in sorted(os.listdir(cdir)):
-        if name.startswith("wittpoly-v1-"):
-            verify_cache_file(os.path.join(cdir, name))
-            report.append(name)
-    return report
-
-
-def cache_clear(cdir):
-    removed = []
-    for name in sorted(os.listdir(cdir)):
-        if name.startswith("wittpoly-v1-"):
-            os.unlink(os.path.join(cdir, name))
-            removed.append(name)
-    return removed
-
-
 # ---------------------------------------------------------- selftest ----
 
 def _random_poly(rng, F, max_deg, terms):
@@ -859,19 +772,6 @@ def selftest(seed=0, out=None):
 
 # -------------------------------------------------------------- main ----
 
-def _parse_pairs(text):
-    """``p:max_i,...`` -> [(p, max_i)]; a malformed pair is a usage error."""
-    pairs = []
-    for part in text.split(","):
-        try:
-            p, imax = (int(x) for x in part.split(":"))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{part!r} is not a pair p:max_i") from None
-        pairs.append((p, imax))
-    return pairs
-
-
 def _precision(text):
     """A series precision 1 <= N <= MAX_PRECISION; anything else is a
     usage error."""
@@ -896,13 +796,11 @@ def main(argv=None):
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true")
     common.add_argument("--script", metavar="FILE")
-    common.add_argument("--cache-dir", metavar="DIR")
     common.add_argument("--precision", type=_precision, metavar="N")
     common.add_argument("--keep-going", action="store_true")
     common.add_argument("--seed", type=int)
     defaults = argparse.Namespace(
-        json=False, script=None, cache_dir=os.environ.get("KATOFORGE_CACHE"),
-        precision=16, keep_going=False, seed=0)
+        json=False, script=None, precision=16, keep_going=False, seed=0)
     ap = argparse.ArgumentParser(
         prog="katoforge",
         description="exact characteristic-p computer algebra",
@@ -911,11 +809,6 @@ def main(argv=None):
     runp = sub.add_parser("run", help="run a script (default)",
                           parents=[common])
     runp.add_argument("file", nargs="?")
-    cachep = sub.add_parser("cache", help="manage the Witt structure cache",
-                            parents=[common])
-    cachep.add_argument("action", choices=("warm", "verify", "clear"))
-    cachep.add_argument("--pairs", default="2:3,3:3", type=_parse_pairs,
-                        help="comma list of p:max_i to warm")
     sub.add_parser("selftest", help="run the randomized self test",
                    parents=[common])
 
@@ -926,32 +819,9 @@ def main(argv=None):
     except argparse.ArgumentError as exc:
         ap.error(str(exc))
     first = next((tok for tok in rest if not tok.startswith("-")), None)
-    if first is not None and first not in ("run", "cache", "selftest"):
+    if first is not None and first not in ("run", "selftest"):
         argv = ["run"] + argv
     args = ap.parse_args(argv, defaults)
-
-    if args.command == "cache":
-        cdir = args.cache_dir
-        if not cdir:
-            ap.error("cache management needs --cache-dir or KATOFORGE_CACHE")
-        try:
-            if args.action == "warm":
-                for name in cache_warm(cdir, args.pairs):
-                    print(name)
-            elif args.action == "verify":
-                for name in cache_verify(cdir):
-                    print(f"{name}: match")
-            else:
-                for name in cache_clear(cdir):
-                    print(f"{name}: removed")
-        except KatoforgeError as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"katoforge: cache: {exc.filename or cdir}: {exc.strerror}",
-                  file=sys.stderr)
-            return 1
-        return 0
 
     if args.command == "selftest":
         return selftest(seed=args.seed)

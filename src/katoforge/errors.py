@@ -105,15 +105,3 @@ class ScriptError(KatoforgeError):
 
 class UnknownName(ScriptError):
     pass
-
-
-class CorruptCache(KatoforgeError):
-    """A structure-cache file cannot be parsed."""
-
-
-class VerifyMismatch(KatoforgeError):
-    """A cache file does not match its recomputation."""
-
-    def __init__(self, path):
-        super().__init__(f"cache file differs from recomputation: {path}")
-        self.path = path

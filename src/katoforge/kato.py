@@ -362,8 +362,10 @@ class HClass:
         return self._with_terms([(w.int_mul(m), b) for w, b in self.terms])
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
+        if not self.terms:     # a literal that reads back as this class
+            zeros = ", ".join(["0"] * self.level)
+            ones = ", ".join(["1"] * self.degree)
+            return f"[ [{zeros}] | {ones} )" if ones else f"[ [{zeros}] | )"
         parts = []
         for w, b in self.terms:
             inner = ", ".join(repr(x) for x in b)

@@ -15,8 +15,8 @@ import random
 
 from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
                      UnsupportedField, ZeroPolynomial)
-from .mpoly import (MPoly, _code_addmul, _code_divmod, _code_eval, _code_gcd,
-                    _code_mul, _code_trim)
+from .mpoly import (MPoly, _code_addmul, _code_divmod, _code_gcd, _code_mul,
+                    _code_trim)
 from .power import binary_power
 
 
@@ -137,12 +137,6 @@ class Poly:
 
     def __pow__(self, n):
         return binary_power(self, n) if n else Poly.const(self.field, 1)
-
-    def eval(self, x):
-        F = self.field
-        if x.field is not F:
-            raise ConfigMismatch("evaluation point in a different field")
-        return F.from_code(_code_eval(self._codes, x.idx, F.tables))
 
     def shift(self, theta, lift=None):
         """Coefficients of self(theta + pi) as a Poly over theta's field;

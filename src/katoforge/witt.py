@@ -6,8 +6,7 @@ solved from the ghost equations w_n(X) = G_n one coordinate at a time, each
 by one exact division by p^n of an integer polynomial
 (IntegralityViolation otherwise, which would mean a bug).
 Structures are generated at first use and memoized; no file is read or
-written.  ``WittStructure.to_text`` is their text form, which the CLI's
-``cache`` sub-command writes and checks.
+written.
 
 Those coordinate universes only need +, -, * (including by int) and ** with
 int exponents.  Over a finite field GF(p^e), W_i *is* the Galois ring
@@ -20,8 +19,7 @@ On coordinates of characteristic p a term whose coefficient p divides is
 zero, yet evaluating it would cost products and, on Laurent series, could
 lower the tracked precision of the sum.  Evaluation therefore reads
 ``WittStructure.reduced``: the terms with their coefficients taken mod p,
-the zero ones dropped.  The text format, its digests and the ghost checks
-stay on the integer polynomials.
+the zero ones dropped.  The ghost checks stay on the integer polynomials.
 
 In characteristic p, p = V F on W_i (Serre, Local Fields II 6), so a
 multiple m w with m = p^k u, p not dividing u, is V^k F^k(u w).
@@ -50,8 +48,7 @@ but about p^2/2 at W_2, generated in about p^4 (0.8 s at p = 101, 17 s
 at p = 211).  a + [y], terms ((1, 1),), is S at b = (y, 0, 0, ...), the
 terms of S free of b_1, b_2, ...: p + 2 terms at W_2 for odd p,
 generated in about p^2, as S is.  Both are reduced mod p like S,
-derived at first use, bounded by ``max_structure_level``, and not part
-of the text form.
+derived at first use and bounded by ``max_structure_level``.
 
 ``witt_as_solve`` solves F(w) - w = v over GF(q) in one pass through
 R = GR(p^i, e), where F is the ring Frobenius sigma.  Its invariant: s_k is
@@ -66,8 +63,8 @@ coordinates of w.
 import operator
 from functools import lru_cache
 
-from .errors import (ConfigMismatch, CorruptCache, IntegralityViolation,
-                     NonPrime, ResourceLimit, UnsupportedField)
+from .errors import (ConfigMismatch, IntegralityViolation, NonPrime,
+                     ResourceLimit, UnsupportedField)
 from .gf import _MAX_FIELD_ORDER, GFElem, gf, is_prime
 from .gring import galois_ring
 from .power import binary_power
@@ -78,7 +75,9 @@ _memory_cache = {}
 
 def set_cache_dir(path):
     """Does nothing: Witt structures are generated in memory, and no
-    directory is read or written."""
+    directory is read or written.  It stays only for the benchmark
+    harness (``perfbench/worker.py`` and ``perfbench/probe.py``), and goes
+    together with those calls."""
 
 
 # ------------------------------------------------ integer polynomials ----
@@ -193,44 +192,6 @@ class WittStructure:
 
     def __repr__(self):
         return f"WittStructure(p={self.p}, i={self.i})"
-
-    def to_text(self):
-        lines = [_header(self.p, self.i)]
-        for tag, polys in (("S", self.sums), ("P", self.prods),
-                           ("N", self.negs)):
-            for n, terms in enumerate(polys):
-                lines.append(f"POLY {tag} {n}")
-                for e in sorted(terms):
-                    lines.append(str(terms[e]) + " " + " ".join(map(str, e)))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text, p, i):
-        """Parse ``to_text`` output of the structure for (p, i); CorruptCache
-        if it is malformed or its header names another structure."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != _header(p, i):
-            raise CorruptCache(f"not a v1 structure file for p={p}, i={i}")
-        polys = {"S": [None] * i, "P": [None] * i, "N": [None] * i}
-        cur = None
-        try:
-            for ln in lines[1:]:
-                parts = ln.split()
-                if parts[0] == "POLY":
-                    cur = polys[parts[1]][int(parts[2])] = {}
-                elif len(parts) != 2 * i + 1:
-                    raise CorruptCache("term line of the wrong length")
-                else:
-                    cur[tuple(int(x) for x in parts[1:])] = int(parts[0])
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
-            raise CorruptCache(f"unparsable structure file: {exc}") from None
-        if any(t is None for ts in polys.values() for t in ts):
-            raise CorruptCache("structure file lacks a polynomial")
-        return cls(p, i, polys["S"], polys["P"], polys["N"])
-
-
-def _header(p, i):
-    return f"WITTPOLY v1 p={p} i={i}"
 
 
 def _check_request(p, i):

@@ -1,10 +1,8 @@
-import errno
 import io
 import json
 import os
 import random
 import re
-import shutil
 from itertools import combinations
 
 import pytest
@@ -13,8 +11,7 @@ from katoforge import (DiffForm, HClass, Laurent, MilnorElement, ScriptError,
                        WittVector, d_of_function, dlog, func_field, gf,
                        laurent_field, witt)
 from katoforge.cli import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
-                           MAX_PRECISION, Parser, Session, cache_clear,
-                           cache_verify, cache_warm, main, run_script,
+                           MAX_PRECISION, Parser, Session, main, run_script,
                            run_statement, tokenize)
 
 from conftest import random_ratfunc
@@ -162,9 +159,7 @@ def test_printed_values_read_back(spec, p, e, local):
         w = WittVector(p, tuple(element() for _ in range(rng.randint(1, 2))))
         values.append(w)
         c = HClass.build(K, w, (element(nonzero=True),))
-        # a zero class prints as 0, which reads back as a field element
-        values += [x for x in (c, -c, c.int_mul(rng.randint(2, p * p)))
-                   if x.terms]
+        values += [c, -c, c.int_mul(rng.randint(2, p * p))]
     script = "\n".join([f"field F = {spec}"]
                        + [f"let x{n} = {v!r}" for n, v in enumerate(values)])
     assert _let_results(script, False)[1:] == [repr(v) for v in values]
@@ -179,14 +174,31 @@ def test_printed_values_read_back(spec, p, e, local):
 
 def test_negated_teichmueller_match_prints_zero():
     """-[ [2*t] | t ) over GF(3)(t) is [ [t] | t ), a Teichmueller match:
-    it prints 0, as the class typed in directly and 0*c - c do."""
+    it prints the zero class of level 1 and degree 1, as the class typed in
+    directly and 0*c - c do."""
     script = ("field F = GF(3)(t)\n"
               "let c = [ [2*t] | t )\n"
               "let x = -[ [2*t] | t )\n"
               "let y = [ [t] | t )\n"
               "let z = 0*c - c\n")
-    assert _let_results(script, False)[1:] == ["[ [2*t] | t )", "0", "0",
-                                               "0"]
+    assert _let_results(script, False)[1:] == ["[ [2*t] | t )"] \
+        + ["[ [0] | 1 )"] * 3
+
+
+@pytest.mark.parametrize("spec", ["GF(3)", "GF(2)(t)", "GF(2)((t))",
+                                  "GF(2)(x, y)"])
+def test_zero_classes_read_back(spec):
+    """The zero class of each level and degree prints as a literal that
+    reads back as the zero class of that level and degree."""
+    s = _session_with(("F", spec))
+    K = s.field("F")
+    for level in (1, 2):
+        for degree in (0, 1, 2):
+            zero = HClass.zero(K, degree, level)
+            got = _parse_value(repr(zero), s, "F")
+            assert (got.field, got.terms, got.degree, got.level) \
+                == (K, (), degree, level)
+            assert repr(got) == repr(zero)
 
 
 def test_field_variables_are_not_shadowed():
@@ -736,8 +748,8 @@ def test_integer_literals_are_bounded(json_mode):
 
 def test_teichmueller_relation_drops_the_uniformizer_at_any_precision():
     """Over F_q((t)) the coordinate t + O(t^5) and the entry t + O(t^9)
-    are the one uniformizer t, so [t | t) is a relation and prints 0; a
-    unit known to different precisions stays a term."""
+    are the one uniformizer t, so [t | t) is a relation and prints the
+    zero class; a unit known to different precisions stays a term."""
     buf = io.StringIO()
     assert run_script("field L = GF(2)((t))\n"
                       "let c = [ [t + O(t^5)] | t + O(t^9) )\n"
@@ -745,7 +757,7 @@ def test_teichmueller_relation_drops_the_uniformizer_at_any_precision():
                       "let u = [ [1 + t + O(t^5)] | 1 + t + O(t^9) )",
                       out=buf) == 0
     assert buf.getvalue().splitlines()[1:] == [
-        "let: 0", "zero: True",
+        "let: [ [0] | 1 )", "zero: True",
         "let: [ [1 + t + O(t^5)] | 1 + t + O(t^9) )"]
 
 
@@ -766,7 +778,8 @@ def test_zero_coordinates_known_below_the_residue_keep_their_term():
              "it to O(t^1)")
     assert buf.getvalue().splitlines()[1:] == [
         "let: [ [O(t^0)] | t + O(t^3) )",
-        f"error: line 3: {short}", f"error: line 4: {short}", "let: 0",
+        f"error: line 3: {short}", f"error: line 4: {short}",
+        "let: [ [0] | 1 )",
         "field: GF(2)(x, y)",
         "error: line 7: classes over GF(2)(x, y) have no invariants, "
         "which cover GF(q), F_q(t) and F_q((t)); zero tests answer above "
@@ -865,65 +878,6 @@ def test_empty_input():
     assert buf.getvalue() == ""
 
 
-def test_cache_cycle(tmp_path):
-    cdir = str(tmp_path)
-    names = cache_warm(cdir, [(2, 2), (3, 1)])
-    assert names == ["wittpoly-v1-p2-i1.txt", "wittpoly-v1-p2-i2.txt",
-                     "wittpoly-v1-p3-i1.txt"]
-    assert sorted(os.listdir(cdir)) == sorted(names)
-    assert cache_verify(cdir) == sorted(names)
-    # corruption is caught and named
-    path = os.path.join(cdir, names[1])
-    with open(path) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(text.replace("-1", "-3", 1))
-    from katoforge import VerifyMismatch
-    with pytest.raises(VerifyMismatch) as exc:
-        cache_verify(cdir)
-    assert names[1] in str(exc.value)
-    removed = cache_clear(cdir)
-    assert removed == sorted(names)
-    assert os.listdir(cdir) == []
-
-
-def test_cache_errors_are_reported(tmp_path, capsys):
-    from katoforge import CorruptCache
-    cdir = str(tmp_path)
-    # W_3 over F_11 is past max_structure_level(11)
-    assert main(["cache", "warm", "--cache-dir", cdir, "--pairs", "11:3"]) == 1
-    assert "exceed the bound" in capsys.readouterr().err
-    (tmp_path / "wittpoly-v1-p2-i1.txt").write_bytes(b"\x00garbage\xff\n")
-    with pytest.raises(CorruptCache):
-        cache_verify(cdir)
-    assert main(["cache", "verify", "--cache-dir", cdir]) == 1
-    assert "wittpoly-v1-p2-i1.txt" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("action,is_file,err", [
-    ("verify", False, errno.ENOENT),
-    ("clear", False, errno.ENOENT),
-    ("warm", True, errno.EEXIST),
-], ids=["verify-missing", "clear-missing", "warm-on-a-file"])
-def test_cache_on_a_bad_directory(tmp_path, capsys, action, is_file, err):
-    path = tmp_path / "cache"
-    if is_file:
-        path.write_text("")
-    assert main(["cache", action, "--cache-dir", str(path)]) == 1
-    assert capsys.readouterr().err \
-        == f"katoforge: cache: {path}: {os.strerror(err)}\n"
-
-
-@pytest.mark.parametrize("pairs,bad", [("2", "2"), ("2:x", "2:x"),
-                                       ("2:3,", ""), ("2:3,3:1:4", "3:1:4")])
-def test_malformed_pairs_are_usage_errors(tmp_path, capsys, pairs, bad):
-    with pytest.raises(SystemExit) as exc:
-        main(["cache", "warm", "--cache-dir", str(tmp_path), "--pairs", pairs])
-    assert exc.value.code == 2
-    assert f"{bad!r} is not a pair p:max_i" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
-
-
 def test_main_entry(tmp_path, capsys):
     script = tmp_path / "s.kf"
     script.write_text("field F = GF(2)(t)\ninv [ [1/t] | 1+t ) at t\n")
@@ -942,13 +896,10 @@ def test_main_entry(tmp_path, capsys):
     (["--precision", "3"], ["run", "s.kf"],
      lambda out: out.endswith("let: 1 + t + t^2 + O(t^3)\n")),
     (["--seed", "7"], ["selftest"], lambda out: out == "seed 7\n"),
-    (["--cache-dir", "cache"], ["cache", "warm", "--pairs", "2:1"],
-     lambda out: out == "wittpoly-v1-p2-i1.txt\n"),
-], ids=["json", "precision", "seed", "cache-dir"])
+], ids=["json", "precision", "seed"])
 def test_flags_before_and_after_the_subcommand(flag, command, check, tmp_path,
                                                monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("KATOFORGE_CACHE", raising=False)
     monkeypatch.setattr("katoforge.cli.selftest",
                         lambda seed: print("seed", seed) or 0)
     (tmp_path / "s.kf").write_text("field F = GF(2)((t))\nlet a = 1/(1+t)\n")
@@ -957,7 +908,6 @@ def test_flags_before_and_after_the_subcommand(flag, command, check, tmp_path,
         runs.append(flag + command[1:])
     outs = set()
     for argv in runs:
-        shutil.rmtree("cache", ignore_errors=True)
         assert main(argv) == 0
         outs.add(capsys.readouterr().out)
     assert len(outs) == 1 and check(outs.pop())

@@ -40,8 +40,8 @@ def test_cli_errors_match_golden(capsys, golden, argv):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    # KATOFORGE_CACHE names only the cache sub-command's directory: a run
-    # leaves it empty
+    # a run writes no structure files: the directory KATOFORGE_CACHE names
+    # stays empty
     src = os.path.dirname(os.path.dirname(katoforge.__file__))
     env = dict(os.environ, PYTHONPATH=src, KATOFORGE_CACHE=str(tmp_path))
     out = subprocess.run([sys.executable, "-m", "katoforge", SESSION],

@@ -14,10 +14,11 @@ from itertools import product
 
 import pytest
 
-from katoforge import (DiffForm, KatoforgeError, Laurent, MilnorElement,
-                       MPoly, RatFunc, WittVector, d_of_function, d_symbol,
-                       dlog, forms, func_field, gf, kato, laurent_field,
-                       milnor, mpoly, rational, witt)
+from katoforge import (DiffForm, GaloisRing, HClass, KatoforgeError, Laurent,
+                       MilnorElement, MPoly, RatFunc, WittVector,
+                       d_of_function, d_symbol, dlog, forms, func_field, gf,
+                       kato, laurent_field, milnor, mpoly, rational,
+                       reciprocity_check, witt)
 from katoforge.cli import Parser
 from katoforge.places import PlaceContext
 
@@ -30,7 +31,7 @@ from p_power_oracle import p_power_component_full
 from prs_oracle import prs_gcd
 from series_oracle import (check_expansions, dense_sum, expansion_places,
                            polynomials)
-from standard_form_oracle import (answer, check_standard_form,
+from standard_form_oracle import (answer, check_standard_form, check_step,
                                   standard_form_inputs)
 from witt_oracle import (all_vectors, as_solve_inputs, check_as_solve,
                          check_int_mul)
@@ -178,6 +179,39 @@ def test_standard_form_step_mutants_fail_the_restart_oracle(name,
                         _mutant(kato._add_one_term, STEP_MUTANTS[name]))
     with pytest.raises(AssertionError):
         _check_standard_form(kato.witt_standard_form, monkeypatch)
+
+
+# the step past p = 7: two passes of a + [y], by [d] and then by [-d^p]
+TWO_PASS_STEP_MUTANTS = {
+    "-[d^p] read as [d^p]": [("-(d ** p), polys)", "d ** p, polys)")],
+}
+
+
+def _two_pass_steps():
+    """(p, tail, d) at p = 11 on level-2 and level-1 tails, and at
+    p = 1021, the largest prime with W_2, on a level-1 tail (its W_2
+    family takes about a second to generate), with poles of orders 1-3
+    and one-term d of valuation -1 and -2."""
+    out = []
+    for p, levels in [(11, (2, 1)), (1021, (1,))]:
+        F = gf(p)
+        c = [F.from_code(k) for k in (5, 7, 3, 2, 10)]
+        for d_val in (-1, -2):
+            d = Laurent(F, d_val, [c[4]], 8)
+            for level in levels:
+                tail = (Laurent(F, -3, [c[0], c[1], F.one], 2),
+                        Laurent(F, -2, [c[2], F.zero, c[3]], 3))[:level]
+                out.append((p, tail, d))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TWO_PASS_STEP_MUTANTS))
+def test_two_pass_step_mutants_fail_the_two_sums(name):
+    steps = _two_pass_steps()
+    check_step(kato._standard_form_step, steps)
+    mutant = _mutant(kato._standard_form_step, TWO_PASS_STEP_MUTANTS[name])
+    with pytest.raises(AssertionError):
+        check_step(mutant, steps)
 
 
 # ----------------------------------------------- the residue's reads ----
@@ -351,6 +385,84 @@ def test_expand_mutants_fail_the_series_oracle(name, monkeypatch):
                         _mutant(PlaceContext.expand, EXPAND_MUTANTS[name]))
     with pytest.raises(AssertionError):
         _check_polynomial_expansions(inputs)
+
+
+# ------------------------------------------------- the zero tests' reads ----
+
+# degree 1 over F_q(t) reads the finite places, all but infinity, last
+DEGREE_ONE_ZERO_MUTANTS = {
+    "last finite place skipped": [("for pl in places[:-1])",
+                                   "for pl in places[:-2])")],
+}
+
+
+def _degree_one_classes():
+    """Seeded degree-1 classes over GF(2)(t), GF(3)(t) and GF(4)(t) at
+    levels 1 and 2: one term, w and its entry of degree at most 1 over at
+    most 1, so some classes have one finite place."""
+    rng = random.Random("degree-1 zero test mutants")
+    out = []
+    for p, e in [(2, 1), (3, 1), (2, 2)]:
+        K = func_field(gf(p, e), ("t",))
+        for level in (1, 2):
+            for _ in range(4):
+                w = WittVector(p, tuple(random_ratfunc(rng, K, max_deg=1)
+                                        for _ in range(level)))
+                b = random_ratfunc(rng, K, max_deg=1, max_terms=2)
+                out.append(HClass.build(K, w, (b,)))
+    return out
+
+
+def _check_degree_one_zero_test(zero_test, classes):
+    """AssertionError unless zero_test answers as the whole reciprocity
+    table, with some classes nonzero."""
+    answers = []
+    for c in classes:
+        want = all(inv.value == 0 for inv in reciprocity_check(c)[1])
+        assert zero_test(c) == want, c
+        answers.append(want)
+    assert not all(answers)
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_ONE_ZERO_MUTANTS))
+def test_degree_one_zero_test_mutants_fail_the_table(name):
+    classes = _degree_one_classes()
+    _check_degree_one_zero_test(kato.h_zero_test, classes)
+    mutant = _mutant(kato.h_zero_test, DEGREE_ONE_ZERO_MUTANTS[name])
+    with pytest.raises(AssertionError):
+        _check_degree_one_zero_test(mutant, classes)
+
+
+# ------------------------------------------------ Galois-ring inverses ----
+
+# the memo keyed on the first digit-polynomial coefficient alone; over
+# GR(p^i, 1) that is the whole unit, so the ring has e >= 2
+INVERSE_MEMO_MUTANTS = {
+    "memo keyed on the first coefficient": [
+        ("self._inv_cache.get(self._own(u).coeffs)",
+         "self._inv_cache.get(self._own(u).coeffs[:1])"),
+        ("self._inv_cache[u.coeffs] = x",
+         "self._inv_cache[u.coeffs[:1]] = x")],
+}
+
+
+def _check_inverses(R):
+    """AssertionError unless u * R.inv(u) is one for every unit of R,
+    asked twice, so the second round reads the memo."""
+    for _ in range(2):
+        for c in product(range(R.p ** R.length), repeat=R.e):
+            u = R.elem(list(c))
+            if R.reduce(u):
+                assert u * R.inv(u) == R.one, u
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_MEMO_MUTANTS))
+def test_inverse_memo_mutants_fail_the_unit_oracle(name, monkeypatch):
+    _check_inverses(GaloisRing(gf(2, 2), 3))
+    monkeypatch.setattr(GaloisRing, "inv",
+                        _mutant(GaloisRing.inv, INVERSE_MEMO_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_inverses(GaloisRing(gf(2, 2), 3))
 
 
 # ------------------------------------------------------- CLI literals ----

@@ -256,7 +256,6 @@ def test_code_kernels_match_poly(data):
     for c in reversed(ea):
         value = value * ex + c
     assert _code_eval(a, x, T) == value.idx
-    assert Poly(F, ea).eval(ex) == value
     g = _school_gcd(ea, eb, F) if ea or eb else []
     assert _code_gcd(a, b, T) == codes_of(g)
     assert Poly(F, ea).gcd(Poly(F, eb)) == Poly(F, g)
