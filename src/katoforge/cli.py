@@ -40,7 +40,6 @@ import argparse
 import json
 import math
 import operator
-import random
 import re
 import sys
 
@@ -53,7 +52,7 @@ from .kato import (HClass, LaurentField, _invariant_field_kind, laurent_field,
 from .laurent import Laurent
 from .milnor import MilnorElement, d_symbol
 from .mpoly import MPoly
-from .places import Place, residue_table
+from .places import Place
 from .poly import Poly, to_dense
 from .rational import FuncField, RatFunc, func_field
 from .witt import WittVector
@@ -703,73 +702,6 @@ def run_script(text, json_mode=False, precision=16, keep_going=False,
     return 1 if errors else 0
 
 
-# ---------------------------------------------------------- selftest ----
-
-def _random_poly(rng, F, max_deg, terms):
-    """A random univariate MPoly over the prime field F, possibly zero."""
-    return MPoly(F, 1, {(rng.randint(0, max_deg),): rng.choice([F.zero, F.one])
-                        for _ in range(terms)})
-
-
-def selftest(seed=0, out=None):
-    out = out or sys.stdout
-    rng = random.Random(seed)
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        out.write(f"selftest {name}: {'PASS' if ok else 'FAIL'}\n")
-        if not ok:
-            failures += 1
-
-    F4 = gf(2, 2)
-    ok = True
-    els = list(F4.elements())
-    for _ in range(50):
-        a, b, c = (rng.choice(els) for _ in range(3))
-        ok &= (a + b) * c == a * c + b * c
-    check("field-laws", ok)
-
-    ok = True
-    for _ in range(20):
-        u = WittVector(2, tuple(rng.choice(els) for _ in range(2)))
-        v = WittVector(2, tuple(rng.choice(els) for _ in range(2)))
-        w = WittVector(2, tuple(rng.choice(els) for _ in range(2)))
-        ok &= (u + v) + w == u + (v + w)
-        ok &= u * (v + w) == u * v + u * w
-    check("witt-laws", ok)
-
-    F2 = gf(2)
-    K = func_field(F2, ("t",))
-    ok = True
-    for _ in range(10):
-        num, den = _random_poly(rng, F2, 3, 3), _random_poly(rng, F2, 3, 3)
-        if num.is_zero() or den.is_zero():
-            continue
-        tot = F2.zero
-        for _, v in residue_table(K.from_poly(num, den)):
-            tot = tot + v
-        ok &= not tot
-    check("residue-theorem", ok)
-
-    ok = True
-    for _ in range(5):
-        pieces = []
-        for _ in range(2):
-            num, den = _random_poly(rng, F2, 2, 2), _random_poly(rng, F2, 2, 2)
-            if num.is_zero() or den.is_zero():
-                continue
-            pieces.append(K.from_poly(num, den))
-        if len(pieces) < 2:
-            continue
-        w = WittVector(2, (pieces[0],))
-        c = HClass.build(K, w, (pieces[1],))
-        okr, _ = reciprocity_check(c)
-        ok &= okr
-    check("reciprocity", ok)
-    return 1 if failures else 0
-
-
 # -------------------------------------------------------------- main ----
 
 def _precision(text):
@@ -787,52 +719,21 @@ def _precision(text):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # the flags may stand before or after a sub-command; only the namespace
-    # passed to parse_args holds defaults, so the sub-command's copy of the
-    # flags cannot overwrite a value given before it
-    common = argparse.ArgumentParser(prog="katoforge", add_help=False,
-                                     exit_on_error=False,
-                                     argument_default=argparse.SUPPRESS)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--script", metavar="FILE")
-    common.add_argument("--precision", type=_precision, metavar="N")
-    common.add_argument("--keep-going", action="store_true")
-    common.add_argument("--seed", type=int)
-    defaults = argparse.Namespace(
-        json=False, script=None, precision=16, keep_going=False, seed=0)
     ap = argparse.ArgumentParser(
         prog="katoforge",
-        description="exact characteristic-p computer algebra",
-        parents=[common])
-    sub = ap.add_subparsers(dest="command")
-    runp = sub.add_parser("run", help="run a script (default)",
-                          parents=[common])
-    runp.add_argument("file", nargs="?")
-    sub.add_parser("selftest", help="run the randomized self test",
-                   parents=[common])
+        description="exact characteristic-p computer algebra")
+    ap.add_argument("--json", action="store_true")
+    ap.add_argument("--precision", type=_precision, default=16, metavar="N")
+    ap.add_argument("--keep-going", action="store_true")
+    ap.add_argument("file", nargs="?", help="script to run (default: stdin)")
+    args = ap.parse_args(argv)
 
-    # the first word that is no flag or flag value names the sub-command;
-    # any other word is a script, so the sub-command is an implicit run
-    try:
-        rest = common.parse_known_args(argv)[1]
-    except argparse.ArgumentError as exc:
-        ap.error(str(exc))
-    first = next((tok for tok in rest if not tok.startswith("-")), None)
-    if first is not None and first not in ("run", "selftest"):
-        argv = ["run"] + argv
-    args = ap.parse_args(argv, defaults)
-
-    if args.command == "selftest":
-        return selftest(seed=args.seed)
-
-    path = args.script or (args.file if args.command == "run" else None)
-    if path:
+    if args.file:
         try:
-            with open(path) as fh:
+            with open(args.file) as fh:
                 text = fh.read()
         except OSError as exc:
-            print(f"katoforge: cannot read {path}: {exc.strerror}",
+            print(f"katoforge: cannot read {args.file}: {exc.strerror}",
                   file=sys.stderr)
             return 1
     else:

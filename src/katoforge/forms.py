@@ -183,9 +183,10 @@ class DiffForm:
         return self._cartier_closed() == self
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
         F = self.field
+        if not self.terms:     # a literal that reads back as this form
+            basis = "^".join(f"d{x}" for x in F.vars[:self.degree])
+            return f"0 {basis}" if basis else "0"
         parts = []
         for I in sorted(self.terms):
             c = self.terms[I]

@@ -123,8 +123,9 @@ class MilnorElement:
         return items
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
+        if not self.terms:     # a literal that reads back as this element
+            ones = ", ".join(["1"] * self.degree)
+            return f"0*{{{ones}}}" if ones else "0"
         parts = []
         for s, c in self.sorted_terms():
             body = "{" + ", ".join(repr(a) for a in s) + "}"

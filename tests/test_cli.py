@@ -108,14 +108,16 @@ def _random_series(rng, F, nonzero=False):
 
 def _function_field_values(rng, K):
     """Rational functions, forms of every degree (sums of 1-forms, dlog
-    wedges, f dx^dy) and Milnor sums with integer coefficients over K."""
+    wedges, f dx^dy, zero) and Milnor sums with integer coefficients
+    (zero among them) over K."""
     def rf():
         return random_ratfunc(rng, K, max_deg=2, max_terms=2)
     values = [rf()]
     for degree in range(1, K.k + 1):
         indices = list(combinations(range(K.k), degree))
         chosen = rng.sample(indices, rng.randint(1, len(indices)))
-        values.append(DiffForm(K, degree, {I: rf() for I in chosen}))
+        values += [DiffForm(K, degree, {I: rf() for I in chosen}),
+                   DiffForm.zero(K, degree), MilnorElement.zero(K, degree)]
     a, b = rf(), rf()
     if not (a.is_zero() or b.is_zero()):
         values.append(dlog(a).wedge(dlog(b)))
@@ -124,8 +126,7 @@ def _function_field_values(rng, K):
                                              rng.randint(1, 3)))
         values.append(MilnorElement.symbol(K, [a], -1)
                       + MilnorElement.symbol(K, [b], rng.randint(1, 4)))
-    # a zero form or Milnor sum prints as 0, which reads back as a function
-    return [v for v in values if repr(v) != "0"]
+    return values
 
 
 @pytest.mark.parametrize("spec,p,e,local", [
@@ -394,7 +395,7 @@ def test_negative_precision_parses_back(json_mode):
 
 
 def test_script_file_and_precision_checks(tmp_path, capsys):
-    assert main(["run", str(tmp_path / "missing.kf")]) == 1
+    assert main([str(tmp_path / "missing.kf")]) == 1
     err = capsys.readouterr().err
     assert "cannot read" in err and "missing.kf" in err
     assert "Traceback" not in err
@@ -881,33 +882,42 @@ def test_empty_input():
 def test_main_entry(tmp_path, capsys):
     script = tmp_path / "s.kf"
     script.write_text("field F = GF(2)(t)\ninv [ [1/t] | 1+t ) at t\n")
-    rc = main(["--json", "--script", str(script)])
+    rc = main(["--json", str(script)])
     out = capsys.readouterr().out
     assert rc == 0
     objs = [json.loads(ln) for ln in out.splitlines()]
     assert objs[-1]["result"] == {"place": "t", "inv": 1, "mod": 2}
-    rc = main(["selftest", "--seed", "5"])
-    assert rc == 0
 
 
-
-@pytest.mark.parametrize("flag,command,check", [
-    (["--json"], ["run", "s.kf"], lambda out: out.startswith('{"field"')),
-    (["--precision", "3"], ["run", "s.kf"],
+@pytest.mark.parametrize("flag,check", [
+    (["--json"], lambda out: out.startswith('{"field"')),
+    (["--precision", "3"],
      lambda out: out.endswith("let: 1 + t + t^2 + O(t^3)\n")),
-    (["--seed", "7"], ["selftest"], lambda out: out == "seed 7\n"),
-], ids=["json", "precision", "seed"])
-def test_flags_before_and_after_the_subcommand(flag, command, check, tmp_path,
-                                               monkeypatch, capsys):
+], ids=["json", "precision"])
+def test_flags_before_and_after_the_file(flag, check, tmp_path, monkeypatch,
+                                         capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("katoforge.cli.selftest",
-                        lambda seed: print("seed", seed) or 0)
     (tmp_path / "s.kf").write_text("field F = GF(2)((t))\nlet a = 1/(1+t)\n")
-    runs = [flag + command, command[:1] + flag + command[1:]]
-    if command[0] == "run":
-        runs.append(flag + command[1:])
     outs = set()
-    for argv in runs:
+    for argv in (flag + ["s.kf"], ["s.kf"] + flag):
         assert main(argv) == 0
         outs.add(capsys.readouterr().out)
     assert len(outs) == 1 and check(outs.pop())
+
+
+def test_removed_spellings_are_refused(tmp_path, monkeypatch, capsys):
+    """--script, --seed and the run sub-command are usage errors (exit
+    status 2), and selftest names a script that cannot be read (1); none
+    prints a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.kf").write_text("field F = GF(2)(t)\n")
+    for argv in (["--script", "s.kf"], ["--seed", "1", "s.kf"],
+                 ["run", "s.kf"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: katoforge") and "Traceback" not in err
+    assert main(["selftest"]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read selftest" in err and "Traceback" not in err

@@ -1,8 +1,7 @@
-"""The CLI's stdout on demos/session.kf (text and --json), on
-``selftest --seed 0`` and on the error script tests/golden/cli/errors.kf
-(--keep-going, text and --json), byte for byte, against tests/golden/cli:
-a refactor below the CLI must leave every printed value and error
-unchanged."""
+"""The CLI's stdout on demos/session.kf (text and --json) and on the error
+script tests/golden/cli/errors.kf (--keep-going, text and --json), byte for
+byte, against tests/golden/cli: a refactor below the CLI must leave every
+printed value and error unchanged."""
 
 import os
 import pathlib
@@ -23,7 +22,6 @@ ERRORS = str(GOLDEN / "errors.kf")
 @pytest.mark.parametrize("golden,argv", [
     ("session.txt", [SESSION]),
     ("session_json.txt", ["--json", SESSION]),
-    ("selftest_seed0.txt", ["selftest", "--seed", "0"]),
 ])
 def test_cli_stdout_matches_golden(capsys, golden, argv):
     assert main(argv) == 0

@@ -20,11 +20,12 @@ from katoforge import (DiffForm, GaloisRing, HClass, KatoforgeError, Laurent,
                        kato, laurent_field, milnor, mpoly, rational,
                        reciprocity_check, witt)
 from katoforge.cli import Parser
-from katoforge.places import PlaceContext
+from katoforge.places import Place, PlaceContext, support_places
+from katoforge.poly import to_dense
 
 from conftest import random_form, random_mpoly, random_ratfunc
 from forms_oracle import d_termwise, wedge_of_dlogs
-from ghost_oracle import ghost_inversion_symbol
+from ghost_oracle import ghost_inversion_symbol, uniform_series_inputs
 from literal_oracle import (check_forms, check_literals, form_inputs,
                             literal_inputs)
 from p_power_oracle import p_power_component_full
@@ -431,6 +432,126 @@ def test_degree_one_zero_test_mutants_fail_the_table(name):
     mutant = _mutant(kato.h_zero_test, DEGREE_ONE_ZERO_MUTANTS[name])
     with pytest.raises(AssertionError):
         _check_degree_one_zero_test(mutant, classes)
+
+
+# ------------------------------------------------ the table's reads ----
+
+# a term whose coordinates are integral at the place reads its residue
+# off the residue field: ord b times the trace of the digits
+INTEGRAL_TERM_MUTANTS = {
+    "entry order dropped": [("total += ord_b * R.trace_int(",
+                             "total += R.trace_int(")],
+    "digits reversed": [("[at(a, 1).coeff(0) for a in w.coords]",
+                         "[at(a, 1).coeff(0) for a in w.coords][::-1]")],
+}
+
+
+def _integral_term_cases():
+    """(c, place, series residue) for one-term level-2 classes over
+    GF(2)(t), GF(3)(t) and GF(4)(t), taken outside the normal form, at a
+    place t + c and at infinity: every coordinate integral there and the
+    entry of order -1, 1 or 2, so ord b is no unit that a dropped factor
+    would match."""
+    rng = random.Random("integral-term mutants")
+    out = []
+    for p, e in [(2, 1), (3, 1), (2, 2)]:
+        K = func_field(gf(p, e), ("t",))
+        F, t, one = K.base, K.var("t"), K.one
+        f = t + K.const(F.from_code(rng.randrange(F.order)))
+        for pi, unit, other, place in [
+                (f, f + one, one, Place(to_dense(f.num))),
+                (one / t, t * t + t + one, t * t + one, Place.infinity())]:
+            for k in (-1, 1, 2):
+                coords = [K.from_poly(random_mpoly(rng, F, 1, 2)) / unit
+                          for _ in range(2)]
+                b = pi ** k * K.const(F.from_code(
+                    rng.randrange(1, F.order))) * unit / other
+                c = HClass.__new__(HClass)
+                c.field, c.degree, c.level = K, 1, 2
+                c.terms = ((WittVector(p, coords), (b,)),)
+                want = sum(kato.local_symbol(k, 2, series, entry)
+                           for k, series, entry
+                           in uniform_series_inputs(c, place))
+                out.append((c, place, want % p ** 2))
+    return out
+
+
+def _check_integral_terms(local_invariant, cases):
+    """AssertionError unless local_invariant gives the series residue,
+    with some residues nonzero."""
+    for c, place, want in cases:
+        assert local_invariant(c, place).value == want, (c, place)
+    assert any(want for _, _, want in cases)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_TERM_MUTANTS))
+def test_integral_term_mutants_fail_the_series_residue(name):
+    cases = _integral_term_cases()
+    _check_integral_terms(kato.local_invariant, cases)
+    mutant = _mutant(kato.local_invariant, INTEGRAL_TERM_MUTANTS[name])
+    with pytest.raises(AssertionError):
+        _check_integral_terms(mutant, cases)
+
+
+# the table's places and orders come from one factorization per
+# coordinate denominator and the entries, read by reciprocity_check
+FACTOR_PASS_MUTANTS = {
+    "entry order read as 0": [("v[f] = 1", "v[f] = 0")],
+    "first factor of a denominator dropped": [
+        ("polys.update(f for f, _ in den_factors[a.den])",
+         "polys.update(f for f, _ in den_factors[a.den][1:])")],
+}
+
+
+def _table_classes():
+    """Seeded degree-1 classes over GF(2)(t), GF(3)(t) and GF(4)(t) at
+    levels 1 and 2, one or two terms of coordinates and entries of degree
+    at most 2 over at most 2."""
+    rng = random.Random("factor-pass mutants")
+    out = []
+    for p, e in [(2, 1), (3, 1), (2, 2)]:
+        K = func_field(gf(p, e), ("t",))
+        for level in (1, 2):
+            for nterms in (1, 2):
+                terms = []
+                for _ in range(nterms):
+                    w = WittVector(p, tuple(random_ratfunc(rng, K, max_deg=2)
+                                            for _ in range(level)))
+                    terms.append((w, (random_ratfunc(rng, K, max_deg=2),)))
+                out.append(HClass(K, 1, level, terms))
+    return out
+
+
+def _check_tables(classes):
+    """AssertionError unless reciprocity_check's table holds every nonzero
+    invariant at the places support_places finds in the coordinates and
+    entries, and infinity, each computed by local_invariant through
+    place_order, and nothing else nonzero; some invariants are nonzero."""
+    nonzero = 0
+    for c in classes:
+        found = set()
+        for w, (b,) in c.terms:
+            for x in (b,) + tuple(a for a in w.coords if not a.is_zero()):
+                found |= support_places(x)
+        want = {repr(pl): kato.local_invariant(c, pl).value
+                for pl in list(found) + [Place.infinity()]}
+        want = {pl: v for pl, v in want.items() if v}
+        ok, table = reciprocity_check(c)
+        assert {repr(inv.place): inv.value
+                for inv in table if inv.value} == want, c
+        assert ok, c
+        nonzero += bool(want)
+    assert nonzero
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_PASS_MUTANTS))
+def test_factor_pass_mutants_fail_the_place_order_table(name, monkeypatch):
+    classes = _table_classes()
+    _check_tables(classes)
+    monkeypatch.setattr(kato, "_factor_pass",
+                        _mutant(kato._factor_pass, FACTOR_PASS_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_tables(classes)
 
 
 # ------------------------------------------------ Galois-ring inverses ----

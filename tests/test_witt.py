@@ -730,7 +730,7 @@ def test_structure_files_are_never_read(tmp_path):
     through_env = _fresh_stdout(_SUM_OVER_F2T, KATOFORGE_CACHE=cdir)
     through_main = _fresh_stdout(
         "from katoforge.cli import main\n"
-        f"main(['run', {str(script)!r}])", KATOFORGE_CACHE=cdir)
+        f"main([{str(script)!r}])", KATOFORGE_CACHE=cdir)
     assert through_setter == through_env == expected + "\n"
     assert through_main == f"field: GF(2)(t)\nlet: {expected}\n"
 
