@@ -40,6 +40,7 @@ import argparse
 import json
 import math
 import operator
+import os
 import re
 import sys
 
@@ -738,8 +739,15 @@ def main(argv=None):
             return 1
     else:
         text = sys.stdin.read()
-    return run_script(text, json_mode=args.json, precision=args.precision,
-                      keep_going=args.keep_going)
+    try:
+        rc = run_script(text, json_mode=args.json, precision=args.precision,
+                        keep_going=args.keep_going)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return rc
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .errors import (ConfigMismatch, DegreeOverflow, DlogOfZero, NotClosed)
 from .mpoly import MPoly, mpoly_gcd
 from .rational import (RatFunc, _cancel, _fractions_vanish, _monic_den,
                        _quotient_rule, p_power_component)
-from .render import parenthesize_if_sum
+from .render import parenthesize
 
 
 class DiffForm:
@@ -184,14 +184,12 @@ class DiffForm:
 
     def __repr__(self):
         F = self.field
-        if not self.terms:     # a literal that reads back as this form
-            basis = "^".join(f"d{x}" for x in F.vars[:self.degree])
-            return f"0 {basis}" if basis else "0"
+        # the zero form prints as 0 on dx_1^...^dx_n, which reads back
+        terms = self.terms or {tuple(range(self.degree)): F.zero}
         parts = []
-        for I in sorted(self.terms):
-            c = self.terms[I]
+        for I in sorted(terms):
             basis = "^".join(f"d{F.vars[j]}" for j in I)
-            cs = parenthesize_if_sum(repr(c))
+            cs = parenthesize(repr(terms[I]))
             if not basis:
                 parts.append(cs)
             elif cs == "1":

@@ -28,6 +28,7 @@ from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
                      NonPrime, ResourceLimit)
 from .poly import Poly, is_irreducible
 from .power import binary_power
+from .render import format_monomial
 
 _MAX_FIELD_ORDER = 2 ** 24
 
@@ -390,17 +391,9 @@ class GF:
     def format_elem(self, a):
         if self.e == 1:
             return str(a.coeffs[0])
-        terms = []
-        for d in range(self.e - 1, -1, -1):
-            c = a.coeffs[d]
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            else:
-                var = "z" if d == 1 else f"z^{d}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return "+".join(terms) if terms else "0"
+        coeffs = a.coeffs
+        return "+".join([format_monomial(str(coeffs[d]), (d,), ("z",))
+                         for d in reversed(range(self.e)) if coeffs[d]]) or "0"
 
 
 @lru_cache(maxsize=None)

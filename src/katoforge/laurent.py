@@ -53,6 +53,7 @@ from functools import lru_cache
 from .errors import ConfigMismatch, DivisionByZero, PrecisionExhausted
 from .gf import GF
 from .power import binary_power
+from .render import format_gf_coeff, format_monomial
 
 DEFAULT_PREC = 16
 
@@ -308,20 +309,10 @@ class Laurent:
                        self.prec)
 
     def __repr__(self):
-        from .render import format_gf_coeff
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            n = self.val + j
-            cs = format_gf_coeff(c)
-            if n == 0:
-                parts.append(cs)
-            else:
-                tp = "t" if n == 1 else f"t^{n}"
-                parts.append(tp if cs == "1" else f"{cs}*{tp}")
-        parts.append(f"O(t^{self.prec})")
-        return " + ".join(parts)
+        return " + ".join([format_monomial(format_gf_coeff(c),
+                                           (self.val + j,), ("t",))
+                           for j, c in enumerate(self.coeffs) if c]
+                          + [f"O(t^{self.prec})"])
 
 
 def _divide(ring, num, den, count):

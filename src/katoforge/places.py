@@ -22,7 +22,8 @@ from functools import lru_cache
 from .embed import least_root, subfield_codes
 from .errors import ConfigMismatch, IntegralityViolation, UnsupportedField
 from .laurent import DEFAULT_PREC, Laurent, _series_div
-from .poly import Poly, factor_ratfunc, is_irreducible, to_dense
+from .mpoly import format_mpoly
+from .poly import Poly, factor_ratfunc, is_irreducible, to_dense, to_mpoly
 
 
 class Place:
@@ -71,8 +72,7 @@ class Place:
     def __repr__(self):
         if self.is_infinite:
             return "inf"
-        from .render import format_poly
-        return format_poly(self.poly, self.var)
+        return format_mpoly(to_mpoly(self.poly), (self.var,))
 
 
 class PlaceContext:

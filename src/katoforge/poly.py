@@ -16,7 +16,7 @@ import random
 from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
                      UnsupportedField, ZeroPolynomial)
 from .mpoly import (MPoly, _code_addmul, _code_divmod, _code_gcd, _code_mul,
-                    _code_trim)
+                    _code_trim, format_mpoly)
 from .power import binary_power
 
 
@@ -166,8 +166,7 @@ class Poly:
                                     for c in self._codes[::p]])
 
     def __repr__(self):
-        from .render import format_poly
-        return format_poly(self, "t")
+        return format_mpoly(to_mpoly(self), ("t",))
 
 
 def squarefree_decomposition(f):

@@ -43,7 +43,7 @@ from operator import add as _exp_add, sub as _exp_sub
 
 from .errors import ConfigMismatch, DivisionByZero, NotConstant
 from .mpoly import MPoly, exact_div, format_mpoly, mpoly_gcd
-from .render import parenthesize_factor, parenthesize_if_sum
+from .render import parenthesize
 
 
 class FuncField:
@@ -218,7 +218,7 @@ class RatFunc:
         if self.den.is_const():
             return n
         d = format_mpoly(self.den, self.field.vars)
-        return f"{parenthesize_if_sum(n)}/{parenthesize_factor(d)}"
+        return f"{parenthesize(n)}/{parenthesize(d, '+-*/')}"
 
 
 def _monic_den(num, den):

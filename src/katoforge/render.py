@@ -2,6 +2,11 @@
 
 Round-trip contract: everything printed here is parsed back to an equal value
 by the CLI grammar, so formats are deterministic and unambiguous.
+
+It owns the one term writer, ``format_monomial``, and the one
+parenthesizer, ``parenthesize``: field elements, polynomials and places
+(through ``mpoly.format_mpoly``), series, rational functions and forms all
+print through them.
 """
 
 
@@ -13,26 +18,8 @@ def format_gf_coeff(c):
     return s
 
 
-def format_poly(f, var):
-    """Dense univariate polynomial, highest degree first."""
-    if f.is_zero():
-        return "0"
-    terms = []
-    coeffs = f.coeffs
-    for d in range(f.degree, -1, -1):
-        c = coeffs[d]
-        if not c:
-            continue
-        cs = format_gf_coeff(c)
-        if d == 0:
-            terms.append(cs)
-        else:
-            v = var if d == 1 else f"{var}^{d}"
-            terms.append(v if cs == "1" else f"{cs}*{v}")
-    return "+".join(terms)
-
-
 def format_monomial(coeff_str, exps, vars):
+    """The term coeff_str*v^e*...; a power or a coefficient 1 is left out."""
     parts = []
     for v, e in zip(vars, exps):
         if e == 0:
@@ -44,26 +31,14 @@ def format_monomial(coeff_str, exps, vars):
     return body if coeff_str == "1" else f"{coeff_str}*{body}"
 
 
-def parenthesize_if_sum(s):
+def parenthesize(s, ops="+-"):
+    """s in parentheses if one of ops occurs in it outside parentheses."""
     depth = 0
     for ch in s:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch in "+-" and depth == 0:
-            return f"({s})"
-    return s
-
-
-def parenthesize_factor(s):
-    """Parenthesize anything that is not a single atom or power."""
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-*/" and depth == 0:
+        elif ch in ops and depth == 0:
             return f"({s})"
     return s

@@ -3,10 +3,13 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import katoforge
 from katoforge import (DiffForm, HClass, Laurent, MilnorElement, ScriptError,
                        WittVector, d_of_function, dlog, func_field, gf,
                        laurent_field, witt)
@@ -887,6 +890,29 @@ def test_main_entry(tmp_path, capsys):
     assert rc == 0
     objs = [json.loads(ln) for ln in out.splitlines()]
     assert objs[-1]["result"] == {"place": "t", "inv": 1, "mod": 2}
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "plain"])
+def test_closed_stdout_ends_the_run_quietly(flags, tmp_path):
+    """A reader that takes one line and closes the pipe ends the run with
+    status 1 and nothing on stderr.  The script prints about 200 KB, more
+    than a pipe and the stdout buffer hold, so a write meets the closed
+    pipe however stdout is buffered."""
+    script = tmp_path / "s.kf"
+    script.write_text("field F = GF(2)(t)\n"
+                      + "".join(f"let x = t^{i % 7}+{i % 2}\n"
+                                for i in range(3000)))
+    src = os.path.dirname(os.path.dirname(katoforge.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "katoforge", *flags, str(script)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith(("{", "field: "))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 @pytest.mark.parametrize("flag,check", [

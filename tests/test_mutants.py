@@ -8,8 +8,10 @@ fails here instead of passing unmutated.
 """
 
 import inspect
+import operator
 import random
 import textwrap
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -774,5 +776,92 @@ def test_brown_mutants_fail_the_prs_oracle(name, monkeypatch):
     _check_gcds(inputs)
     monkeypatch.setattr(mpoly, "_brown",
                         _mutant(mpoly._brown, BROWN_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_gcds(inputs)
+
+
+# ----------------------------------------------- series p-th powers ----
+
+# x ** n with p | n: the m-th power, each coefficient raised to q = n / m,
+# spread q apart
+FROBENIUS_POWER_MUTANTS = {
+    "Frobenius skipped": [("coeffs = [c.frobenius() for c in coeffs]",
+                           "coeffs = list(coeffs)")],
+    "spread by p": [("val = q * base.val", "val = ring.p * base.val")],
+}
+
+
+def _power_inputs():
+    """(x, n): seeded series over GF(2), GF(3) and GF(4) at valuations -2,
+    0 and 1, with n in p, p^2, 2p and 3p."""
+    rng = random.Random("Laurent.__pow__ mutants")
+    out = []
+    for F in (gf(2), gf(3), gf(2, 2)):
+        elems = list(F.elements())
+        for val in (-2, 0, 1):
+            x = Laurent(F, val, [F.one] + [rng.choice(elems)
+                                           for _ in range(4)], val + 6)
+            p = F.p
+            out += [(x, n) for n in (p, p * p, 2 * p, 3 * p)]
+    return out
+
+
+def _check_powers(inputs):
+    """AssertionError unless x ** n is the repeated product, in valuation,
+    coefficients and precision."""
+    for x, n in inputs:
+        want = reduce(operator.mul, [x] * n)
+        got = x ** n
+        assert (got.val, got.coeffs, got.prec) == \
+            (want.val, want.coeffs, want.prec), (x, n)
+
+
+@pytest.mark.parametrize("name", sorted(FROBENIUS_POWER_MUTANTS))
+def test_frobenius_power_mutants_fail_the_repeated_product(name,
+                                                           monkeypatch):
+    inputs = _power_inputs()
+    _check_powers(inputs)
+    monkeypatch.setattr(Laurent, "__pow__",
+                        _mutant(Laurent.__pow__,
+                                FROBENIUS_POWER_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_powers(inputs)
+
+
+# ------------------------------------------ the GCD's two short cuts ----
+
+GCD_SHORTCUT_MUTANTS = {
+    "one-term GCD reads one operand": [("zip(*f.terms, *g.terms)",
+                                        "zip(*f.terms)")],
+    "equal operands by term count": [
+        ("if f.terms == g.terms:", "if len(f.terms) == len(g.terms):")],
+}
+
+
+def _shortcut_inputs():
+    """Seeded (f, g), (m, f g), (f g, m) and (f, f), m a monomial of
+    positive degree, over GF(2), GF(3) and GF(4) in one and two
+    variables."""
+    rng = random.Random("mpoly_gcd short-cut mutants")
+    out = []
+    for p, e in [(2, 1), (3, 1), (2, 2)]:
+        F = gf(p, e)
+        nonzero = [c for c in F.elements() if c]
+        for nv in (1, 2):
+            for _ in range(3):
+                f, g = (random_mpoly(rng, F, nv, 3, 3) for _ in range(2))
+                exps = (rng.randint(1, 3),) + tuple(rng.randint(0, 3)
+                                                    for _ in range(nv - 1))
+                m = MPoly(F, nv, {exps: rng.choice(nonzero)})
+                out += [(f, g), (m, f * g), (f * g, m), (f, f)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GCD_SHORTCUT_MUTANTS))
+def test_gcd_shortcut_mutants_fail_the_prs_oracle(name, monkeypatch):
+    inputs = _shortcut_inputs()
+    _check_gcds(inputs)
+    monkeypatch.setattr(mpoly, "mpoly_gcd",
+                        _mutant(mpoly.mpoly_gcd, GCD_SHORTCUT_MUTANTS[name]))
     with pytest.raises(AssertionError):
         _check_gcds(inputs)
