@@ -81,7 +81,8 @@ see, so Tr g_0 = Tr sum_j p^j [a_j(v)], the element with p-adic digits
 w(v) (`GaloisRing.from_digits`): the classical unramified invariant
 ord b * Tr(w(v)).  Such a term contributes 0 when ord b = 0 and is
 otherwise read off the residue field; local_symbol sees only the terms
-with a pole.
+with a pole, and over F_q((t)) only those that the standard form below
+leaves wild or that are known too short for it.
 
 The standard form over F_q((t)) (Brylinski, Ann. Inst. Fourier 33, 1983)
 removes each pole term c t^(-m), p | m, of coordinate j by the step
@@ -128,6 +129,20 @@ j + k of -[d^p] loses at p = 2.  A pass is the sums S_n(a, b) with
 b = [d] - [d^p], or b = [d] or [-d^p], expanded in y, and the bounds
 hold term by term, so it keeps them as the sums do.  So every reduced
 coordinate is known to O(t^M_k), M_k >= 1.
+
+Over F_q((t)) local_invariant reduces a term with a pole and a nonzero
+entry before it reads a residue.  H^{n+1}_{p^i} is described through W_i
+modulo wp W_i, so [w | b) depends on w only modulo wp W_i, and the standard
+form is w' = w - wp(y).  When no pole of order prime to p survives, w' is
+integral, and the unramified rule above gives ord b * Tr(w'(0)) from the
+constant terms of w', known once coordinate k of w is known to O(t^M_k)
+(`_unramified_digits`); no series is lifted or divided.  A wild term, or
+one known short of some M_k, goes through local_symbol, which reads no
+further than the standard form (N_j <= M_j, since |mu| >= |min(v_j, 0)| /
+p^j), so the residue's own precision guard still decides what is refused.
+Over F_q(t) every term with a pole goes to local_symbol: the coordinate
+poles at the places a table reaches are mostly simple, hence wild, and
+the reduction would mostly be wasted there (not measured).
 
 A reciprocity table takes the orders from one factorization per class:
 each distinct coordinate denominator is factored once, and at a finite
@@ -636,11 +651,26 @@ def _require_standard_form_precision(p, coords):
 def _residue_vector(w, base):
     """The constant terms of w's standard form over F_q((t)); WildClass,
     with the reduced vector attached, when a pole of order prime to p
-    survives.  The caller checks `_require_standard_form_precision`."""
+    survives.  The caller checks that w is known as far as
+    `_standard_form_needs` asks."""
     red, wild = witt_standard_form(w, base)
     if wild:
         raise WildClass(red)
     return WittVector(base.p, [a.coeff(0) for a in red.coords])
+
+
+def _unramified_digits(w, base):
+    """The coordinates of w's `_residue_vector` over F_q((t)), or None when
+    a coordinate is known short of `_standard_form_needs` or a pole of
+    order prime to p survives."""
+    coords = w.coords
+    needs = _standard_form_needs(base.p, [a.val for a in coords])
+    if any(a.prec < need for a, need in zip(coords, needs)):
+        return None
+    try:
+        return _residue_vector(w, base).coords
+    except WildClass:
+        return None
 
 
 # ------------------------------------------------------- invariants ----
@@ -686,18 +716,34 @@ def local_invariant(c, place, orders=None):
     residue reads at this place (`reciprocity_check` reads them off its
     factorizations); by default place_order computes them.  A term whose
     coordinates are integral there reads its residue off the residue field
-    (module docstring); the others go through local_symbol."""
+    (module docstring); the others go through local_symbol.
+
+    Over F_q((t)) a term with a pole and a nonzero entry is first reduced
+    to its standard form w - wp(y), which leaves [w | b) as it is since
+    the class depends on w only modulo wp W_i.  If no pole of order prime
+    to p survives, the term adds ord b times the trace of the reduced
+    constant terms, as an integral term does; a wild term, or one known
+    short of what the standard form reads, goes through local_symbol."""
     _require_degree_one(c)
-    if _invariant_field_kind(c.field) == "const":
+    kind = _invariant_field_kind(c.field)
+    if kind == "const":
         raise UnsupportedField("constants have no places")
     level, p = c.level, c.field.base.p
     total = 0
     for k_field, w, b, vals, ord_b, at in _local_terms(c, place, orders):
         if min(vals) < 0 or _is_zero(b):
-            needs, rel = _precision_needs(p, level, vals)
-            total += local_symbol(
-                k_field, level, [at(a, n) for a, n in zip(w.coords, needs)],
-                at(b, ord_b + rel))
+            digits = None
+            if kind == "local" and not _is_zero(b):
+                digits = _unramified_digits(w, k_field)
+            if digits is None:
+                needs, rel = _precision_needs(p, level, vals)
+                total += local_symbol(
+                    k_field, level,
+                    [at(a, n) for a, n in zip(w.coords, needs)],
+                    at(b, ord_b + rel))
+            elif ord_b:
+                R = galois_ring(k_field, level)
+                total += ord_b * R.trace_int(R.from_digits(digits))
         elif ord_b:
             R = galois_ring(k_field, level)
             total += ord_b * R.trace_int(R.from_digits(

@@ -29,6 +29,8 @@ from ghost_oracle import (ghost_inversion_symbol, uniform_precision,
                           uniform_series_inputs)
 from standard_form_oracle import (answer, restart_standard_form,
                                   standard_form_inputs)
+from unramified_oracle import (classes, series_residue,
+                               short_standard_form_terms, unramified_terms)
 
 
 def _w(p, *coords):
@@ -603,27 +605,43 @@ def _global_rule_shapes(rng, K, level, f):
 
 def _local_rule_shapes(rng, F, level):
     """`_rule_shapes` over F_q((t)), every series known far past what the
-    residue reads; a zero coordinate is zero to that precision."""
-    prec = F.p ** (level - 1) + level + 8
+    residue reads; a zero coordinate is zero to that precision.  Then two
+    shapes integral + wp(series(-1)), once with ord b = 0 and once with
+    ord b != 0, known as far as the standard form reads them: their poles,
+    of order divisible by p, reduce away, so the residue field answers
+    them as it answers an integral term."""
+    p = F.p
+    prec = p ** (level - 1) + level + 8
 
-    def series(val):
+    def series(val, prec=prec):
         return Laurent(F, val, [F.from_code(rng.randrange(1, F.order))]
                        + [F.from_code(rng.randrange(F.order))
                           for _ in range(prec)], val + prec)
 
-    return _rule_shapes(rng, level, lambda: series(rng.randint(0, 2)),
-                        lambda: Laurent.zero(F, prec),
-                        lambda: series(-1), series)
+    shapes = _rule_shapes(rng, level, lambda: series(rng.randint(0, 2)),
+                          lambda: Laurent.zero(F, prec),
+                          lambda: series(-1), series)
+    # wp(y) has poles of order up to p^level, and the standard form reads
+    # coordinate 0 about that far past t^0
+    long = p ** level + level + 8
+    for k in (0, rng.choice([-1, 1])):
+        u = WittVector(p, [series(rng.randint(0, 2), long)
+                           for _ in range(level)])
+        y = WittVector(p, [series(-1, long)]
+                       + [Laurent.zero(F, long)] * (level - 1))
+        shapes.append(((u + y.wp()).coords, series(k, long), True))
+    return shapes
 
 
 @pytest.mark.parametrize("p,e,level", RULE_CELLS)
 def test_integral_terms_match_the_series_residue(p, e, level,
                                                  monkeypatch):
     """Term by term, at places of degree 1-3, at infinity and over
-    F_q((t)): the invariant of a term whose coordinates are integral is
-    read off the residue field with no local_symbol call, and equals the
-    series residue (local_symbol on expansions to one generous
-    precision); a term with a pole takes one local_symbol call."""
+    F_q((t)): the invariant of a term whose coordinates are integral, or
+    over F_q((t)) whose poles the standard form removes, is read off the
+    residue field with no local_symbol call, and equals the series
+    residue (local_symbol on expansions to one generous precision); any
+    other term with a pole, a wild one, takes one local_symbol call."""
     K = func_field(gf(p, e), ("t",))
     LF = laurent_field(K.base)
     rng = random.Random(f"rule:{p}:{e}:{level}")
@@ -639,19 +657,61 @@ def test_integral_terms_match_the_series_residue(p, e, level,
                        for k, series, b in uniform_series_inputs(c, place))
             cases.append((c, place, want, is_integral,
                           place_order(b, place)))
-    for coords, b, is_integral in _local_rule_shapes(rng, K.base, level):
+    for coords, b, unramified in _local_rule_shapes(rng, K.base, level):
         c = _raw_class(LF, 1, level, [(WittVector(p, coords), (b,))])
         cases.append((c, _t_place(LF), local_symbol(K.base, level, coords, b),
-                      is_integral, b.val))
+                      unramified, b.val))
     calls = _counting_local_symbol(monkeypatch)
-    unramified = 0
-    for c, place, want, is_integral, ord_b in cases:
+    answered = 0
+    for c, place, want, unramified, ord_b in cases:
         calls.clear()
         assert local_invariant(c, place).value == want % p ** level, \
             (c, place)
-        assert len(calls) == (0 if is_integral else 1), (c, place)
-        unramified += is_integral and ord_b != 0 and want % p ** level != 0
-    assert unramified
+        assert len(calls) == (0 if unramified else 1), (c, place)
+        answered += unramified and ord_b != 0 and want % p ** level != 0
+    assert answered
+
+
+UNRAMIFIED_CELLS = [(p, e, level)
+                    for p, e in [(2, 1), (3, 1), (2, 2), (2, 3)]
+                    for level in range(1, max_structure_level(p) + 1)]
+
+
+@pytest.mark.parametrize("p,e,level", UNRAMIFIED_CELLS)
+def test_unramified_terms_match_the_series_residue(p, e, level,
+                                                   monkeypatch):
+    """Over F_q((t)) the invariant of a class u + wp(y), u integral, is
+    read off the residue field with no local_symbol call, and a wild one,
+    c t^-m with p not dividing m added to coordinate 0, goes through
+    local_symbol; both equal local_symbol on the unreduced coordinates,
+    in normal form and with the terms taken as they are."""
+    cases = [(c, series_residue(terms), wild)
+             for terms, wild in unramified_terms(p, e, level, 6,
+                                                 "unramified")
+             for c in classes(terms)]
+    calls = _counting_local_symbol(monkeypatch)
+    for c, want, wild in cases:
+        calls.clear()
+        assert local_invariant(c, _t_place(c.field)).value == want, c
+        assert bool(calls) == wild, c
+    assert any(want for _, want, wild in cases if not wild)
+
+
+def test_short_standard_form_goes_through_the_series_residue(monkeypatch):
+    """Over GF(2)((t)) at level 3, a coordinate known as far as the
+    residue reads it but short of what the standard form reads sends its
+    term to local_symbol, which answers 7 mod 8."""
+    terms = short_standard_form_terms()
+    (w, b), = terms
+    vals = [a.val for a in w.coords]
+    assert kato_module._standard_form_needs(2, vals) == [7, 5, 1]
+    assert _precision_needs(2, 3, vals)[0] == [7, 1, 1]
+    want = series_residue(terms)
+    calls = _counting_local_symbol(monkeypatch)
+    for c in classes(terms):
+        calls.clear()
+        assert local_invariant(c, _t_place(c.field)).value == want == 7
+        assert len(calls) == 1
 
 
 def test_reciprocity_calls_local_symbol_only_at_poles(K2, monkeypatch):

@@ -36,6 +36,8 @@ from series_oracle import (check_expansions, dense_sum, expansion_places,
                            polynomials)
 from standard_form_oracle import (answer, check_standard_form, check_step,
                                   standard_form_inputs)
+from unramified_oracle import (check_unramified, short_standard_form_terms,
+                               unramified_terms)
 from witt_oracle import (all_vectors, as_solve_inputs, check_as_solve,
                          check_int_mul)
 
@@ -493,6 +495,48 @@ def test_integral_term_mutants_fail_the_series_residue(name):
     mutant = _mutant(kato.local_invariant, INTEGRAL_TERM_MUTANTS[name])
     with pytest.raises(AssertionError):
         _check_integral_terms(mutant, cases)
+
+
+# over F_q((t)) a term whose poles the standard form removes reads the
+# constant terms of its reduced vector off the residue field: each mutant
+# is (function, edits), patched in where local_invariant reads it
+UNRAMIFIED_TERM_MUTANTS = {
+    "entry order dropped": (kato.local_invariant, [
+        ("total += ord_b * R.trace_int(R.from_digits(digits))",
+         "total += R.trace_int(R.from_digits(digits))")]),
+    "reduced coordinates reversed": (kato.local_invariant, [
+        ("R.from_digits(digits)", "R.from_digits(digits[::-1])")]),
+    "wild list ignored": (kato._residue_vector, [
+        ("if wild:", "if False:")]),
+    "precision guard removed": (kato._unramified_digits, [
+        ("if any(a.prec < need for a, need in zip(coords, needs)):",
+         "if False:")]),
+}
+
+
+def _unramified_sums():
+    """Six sums of terms u + wp(y) over GF(2)((t)) at levels 1-3,
+    GF(3)((t)) and GF(4)((t)) at level 2, every third one wild, and the
+    term known short of what the standard form reads."""
+    out = [terms for p, e, level in [(2, 1, 1), (2, 1, 2), (2, 1, 3),
+                                     (3, 1, 2), (2, 2, 2)]
+           for terms, _ in unramified_terms(p, e, level, 6, "mutants")]
+    return out + [short_standard_form_terms()]
+
+
+@pytest.mark.parametrize("name", sorted(UNRAMIFIED_TERM_MUTANTS))
+def test_unramified_term_mutants_fail_the_series_residue(name, monkeypatch):
+    sums = _unramified_sums()
+    check_unramified(kato.local_invariant, sums)
+    func, edits = UNRAMIFIED_TERM_MUTANTS[name]
+    mutant = _mutant(func, edits)
+    if func is kato.local_invariant:
+        invariant = mutant
+    else:
+        monkeypatch.setattr(kato, func.__name__, mutant)
+        invariant = kato.local_invariant
+    with pytest.raises(AssertionError):
+        check_unramified(invariant, sums)
 
 
 # the table's places and orders come from one factorization per
