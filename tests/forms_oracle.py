@@ -14,9 +14,17 @@ derivatives and the normalized arithmetic of RatFunc.
 and ``DiffForm.wedge``, each coefficient a normalized RatFunc product and
 sum, so it shares nothing with the library's determinant path but the
 normalized arithmetic of RatFunc.
+
+``dlog_sum`` is the degree-0 and degree-1 oracle for ``milnor.d_symbol``:
+c{} is the constant c and c{a} is c dlog a, with no wedge and no
+determinant, and ``degree_one_sums`` gives seeded sums of such symbols.
 """
 
-from katoforge import DiffForm, dlog
+import random
+
+from katoforge import DiffForm, MilnorElement, dlog
+
+from conftest import random_ratfunc
 
 
 def d_termwise(w):
@@ -60,3 +68,36 @@ def wedge_of_dlogs(s):
             form = form.wedge(dlog(a))
         out = out + form.scale(F.const(c))
     return out
+
+
+def dlog_sum(s):
+    """The image of an element of degree 0 or 1 read off directly: the
+    constant c for c{}, and sum c dlog a over the symbols c{a}."""
+    F = s.field
+    out = DiffForm.zero(F, s.degree)
+    for sym, c in s.terms.items():
+        c %= F.base.p
+        if c and sym:
+            out = out + dlog(sym[0]).scale(F.const(c))
+        elif c:
+            out = out + DiffForm.from_function(F.const(c))
+    return out
+
+
+def degree_one_sums(K):
+    """Twelve seeded sums over K of 1-4 symbols c{a}, c in 0..p, the
+    entries drawn from six rational functions of degree at most 2, a
+    constant other than 1, and 1."""
+    p = K.base.p
+    rng = random.Random(f"{p}:{K.base.e}:{K.k}")
+    pool = [random_ratfunc(rng, K, max_deg=2) for _ in range(6)]
+    pool = [a for a in pool if not a.is_zero()]
+    pool += [K.const(K.base.from_code(K.base.order - 1)), K.one]
+    sums = []
+    for _ in range(12):
+        s = MilnorElement.zero(K, 1)
+        for _ in range(rng.randint(1, 4)):
+            s = s + MilnorElement.symbol(K, [rng.choice(pool)],
+                                         rng.randint(0, p))
+        sums.append(s)
+    return sums

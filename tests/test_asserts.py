@@ -1,15 +1,20 @@
 """``python -O`` strips asserts, so a library invariant guarded by one is
-unchecked there; the count may only go down."""
+unchecked there; the count may only go down.  Likewise the library's own
+errors: a missing answer is a ``None`` return (``katoforge.errors``), so
+outside the CLI no handler catches one of them."""
 
 import ast
 import pathlib
 
 import katoforge
+from katoforge import errors
 
 from conftest import run_optimized
 
 # asserts left in src/katoforge; lower this when one becomes a typed error
 MAX_ASSERTS = 0
+# except handlers outside cli.py that name a class of katoforge.errors
+MAX_LIBRARY_ERROR_HANDLERS = 0
 
 
 def test_assert_count_only_goes_down():
@@ -18,6 +23,26 @@ def test_assert_count_only_goes_down():
                 for path in sorted(src.glob("*.py"))
                 for node in ast.walk(ast.parse(path.read_text())))
     assert count <= MAX_ASSERTS
+
+
+def _caught_names(handler):
+    """The class names an except clause lists, bare or as attributes; a
+    bare except lists none."""
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [
+        handler.type]
+    return {k.attr if isinstance(k, ast.Attribute) else getattr(k, "id", None)
+            for k in kinds}
+
+
+def test_library_catches_none_of_its_own_errors():
+    own = {name for name, obj in vars(errors).items()
+           if isinstance(obj, type) and issubclass(obj, errors.KatoforgeError)}
+    src = pathlib.Path(katoforge.__file__).parent
+    count = sum(isinstance(node, ast.ExceptHandler)
+                and bool(_caught_names(node) & own)
+                for path in sorted(src.glob("*.py")) if path.name != "cli.py"
+                for node in ast.walk(ast.parse(path.read_text())))
+    assert count <= MAX_LIBRARY_ERROR_HANDLERS
 
 
 def test_former_asserts_raise_typed_errors_when_optimized():

@@ -26,7 +26,8 @@ from katoforge.places import Place, PlaceContext, support_places
 from katoforge.poly import to_dense
 
 from conftest import random_form, random_mpoly, random_ratfunc
-from forms_oracle import d_termwise, wedge_of_dlogs
+from forms_oracle import (d_termwise, degree_one_sums, dlog_sum,
+                          wedge_of_dlogs)
 from ghost_oracle import ghost_inversion_symbol, uniform_series_inputs
 from literal_oracle import (check_forms, check_literals, form_inputs,
                             literal_inputs)
@@ -506,11 +507,10 @@ UNRAMIFIED_TERM_MUTANTS = {
          "total += R.trace_int(R.from_digits(digits))")]),
     "reduced coordinates reversed": (kato.local_invariant, [
         ("R.from_digits(digits)", "R.from_digits(digits[::-1])")]),
-    "wild list ignored": (kato._residue_vector, [
+    "wild list ignored": (kato._unramified_residue, [
         ("if wild:", "if False:")]),
-    "precision guard removed": (kato._unramified_digits, [
-        ("if any(a.prec < need for a, need in zip(coords, needs)):",
-         "if False:")]),
+    "precision guard removed": (kato.local_invariant, [
+        ("all(a.prec >= n for", "all(True or a.prec >= n for")]),
 }
 
 
@@ -737,6 +737,38 @@ def test_fractions_vanish_mutants_fail_the_forms_oracles(name, monkeypatch):
     monkeypatch.setattr(milnor, "_fractions_vanish", mutant)
     with pytest.raises(AssertionError):
         _check_forms_and_symbols(inputs)
+
+
+# a degree-1 symbol's determinant is one row read at the column of its
+# index set; column 0 is the same in one variable, so only the sums in two
+# and three variables can kill the mutant
+DET_MUTANTS = {
+    "one-row determinant read at column 0": [
+        ("return rows[0][cols[0]]", "return rows[0][0]")],
+}
+
+
+def _degree_one_cells():
+    """The sums of `degree_one_sums` over GF(2)(x, y), GF(3)(x, y) and
+    GF(4)(x, y, z)."""
+    return [s for p, e, names in [(2, 1, ("x", "y")), (3, 1, ("x", "y")),
+                                  (2, 2, ("x", "y", "z"))]
+            for s in degree_one_sums(func_field(gf(p, e), names))]
+
+
+def _check_degree_one(sums):
+    for s in sums:
+        assert d_symbol(s) == dlog_sum(s), s
+
+
+@pytest.mark.parametrize("name", sorted(DET_MUTANTS))
+def test_det_mutants_fail_the_dlog_sum(name, monkeypatch):
+    sums = _degree_one_cells()
+    _check_degree_one(sums)
+    monkeypatch.setattr(milnor, "_det",
+                        _mutant(milnor._det, DET_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_degree_one(sums)
 
 
 P_POWER_SPLIT_MUTANTS = {
