@@ -47,14 +47,14 @@ import sys
 from .errors import ConfigMismatch, KatoforgeError, ScriptError, UnknownName
 from .forms import DiffForm
 from .gf import GF, gf
-from .kato import (HClass, LaurentField, _invariant_field_kind, laurent_field,
-                   level_shift, local_invariant, reciprocity_check,
-                   h_zero_test)
+from .kato import (HClass, LaurentField, _invariant_field_kind,
+                   _is_uniformizer, _t_place, laurent_field, level_shift,
+                   local_invariant, reciprocity_check, h_zero_test)
 from .laurent import Laurent
 from .milnor import MilnorElement, d_symbol
 from .mpoly import MPoly
 from .places import Place
-from .poly import Poly, to_dense
+from .poly import to_dense
 from .rational import FuncField, RatFunc, func_field
 from .witt import WittVector
 
@@ -497,8 +497,8 @@ class Parser(Cursor):
             return Place.infinity()
         v = self._coerce(self.expr())
         if isinstance(v, Laurent):
-            if v.val == 1 and v.coeffs == (v.ring.one,):
-                return Place(Poly.x(v.ring), self.field.var)
+            if _is_uniformizer(v):
+                return _t_place(self.field)
             raise ScriptError("the Laurent field carries the place (t) only",
                               self.lineno, col + 1)
         if not isinstance(v, RatFunc) or not v.den.is_const():

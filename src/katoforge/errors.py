@@ -78,9 +78,11 @@ class PrecisionExhausted(KatoforgeError):
 class WildClass(KatoforgeError):
     """Standard-form reduction left a pole of order prime to p.
 
-    kato.decompose_local raises it, with the reduced vector attached.
-    Inside the library wildness is read off the pair (reduced, wild) that
-    kato.witt_standard_form returns, and this error is never caught."""
+    kato.decompose_local raises it, with the reduced vector attached: the
+    class normal form keeps each degree-1 term over F_q((t)) in standard
+    form.  Inside the library wildness is read off that vector's poles or
+    off the pair (reduced, wild) that kato.witt_standard_form returns, and
+    this error is never caught."""
 
     def __init__(self, reduced):
         super().__init__(f"wildly ramified class; reduced form: {reduced}")

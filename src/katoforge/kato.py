@@ -5,13 +5,20 @@ vector and nonzero field entries b_k, taken modulo the relation families
   (F(w) - w | b...),   ((a,0,..,0) | a, b...),   (w | ..b..b..).
 Every HClass is in normal form: each entry is expanded along a fixed
 factorization strategy (`_expand_entry`; over F_q(t) a monic irreducible or a
-constant other than 1, over F_q((t)) t or a unit other than 1), no term has a
-zero vector, a repeated entry (t counts once at every precision) or a
-Teichmueller match, and the terms are sorted.  A series coordinate counts as
-zero there only when it is known to O(t^1), as far as the residue reads a
-zero coordinate; zero to a lower precision, its term stays and the residue
-refuses it.  Only HClass(field, degree, level, terms) expands; the other
-operations take the canonical step alone.  No confluent rewriting is
+constant other than 1, over F_q((t)) t or a unit other than 1), over
+F_q((t)) each degree-1 term whose vector has a pole and is known as far as
+the standard form below reads it is replaced by its standard form, no term
+has a zero vector, a repeated entry (t counts once at every precision) or a
+Teichmueller match, and the terms are sorted.  The standard form leaves the
+class as it is, since [w | b) depends on w only modulo wp W_i; degree 0
+sums its terms before it reduces, degree >= 2 is zero, and a term known
+too short stays as it is for the residue's own precision guard.  A series
+coordinate counts as zero only when it is known to O(t^1), as far as the
+residue reads a zero coordinate; zero to a lower precision, its term stays
+and the residue refuses it.  Only HClass(field, degree, level, terms)
+expands; the other operations take the canonical step alone, which
+reduces again what negation at p = 2 and int_mul (through Frobenius) move
+back into a pole of order divisible by p.  No confluent rewriting is
 attempted: h_zero_test decides equality by the p-rank r of the field,
 [F : F^p] = p^r, which is 0 for GF(q), 1 for F_q(t) and F_q((t)) and k for
 F_q(x_1..x_k).  K_n(F)/p^i embeds in W_i Omega^n_F (Bloch-Kato-Gabber;
@@ -81,8 +88,8 @@ see, so Tr g_0 = Tr sum_j p^j [a_j(v)], the element with p-adic digits
 w(v) (`GaloisRing.from_digits`): the classical unramified invariant
 ord b * Tr(w(v)).  Such a term contributes 0 when ord b = 0 and is
 otherwise read off the residue field; local_symbol sees only the terms
-with a pole, and over F_q((t)) only those that the standard form below
-leaves wild or that are known too short for it.
+with a pole, which over F_q((t)) the normal form leaves only on terms
+that are wild or known too short for the standard form.
 
 The standard form over F_q((t)) (Brylinski, Ann. Inst. Fourier 33, 1983)
 removes each pole term c t^(-m), p | m, of coordinate j by the step
@@ -112,11 +119,11 @@ zero to precision (t^-6 + O(t^-3) at p = 2: the t^-3 it adds lies beyond
 O(t^-3)).  Later steps move only coordinates after j, so the wild poles of
 coordinate j are final when its pass ends.
 
-decompose_local reads the reduced coordinates through t^0, and checks
-before any Witt arithmetic that the input determines them: with
-mu = min(0, min_k v_k / p^k) (a zero coordinate counts as valuation its
-precision), coordinate k must be known to O(t^M_k),
-M_k = ceil(1 + (p^(i-1) - p^k) |mu|).  The sum, negation and product
+The normal form reduces a term only when its vector determines the
+reduced coordinates through t^0, which decompose_local also checks before
+it reads them: with mu = min(0, min_k v_k / p^k) (a zero coordinate
+counts as valuation its precision), coordinate k must be known to
+O(t^M_k), M_k = ceil(1 + (p^(i-1) - p^k) |mu|).  The sum, negation and product
 polynomials are isobaric of weight p^n in coordinate n when coordinate k
 weighs p^k, so a vector whose coordinate k has valuation >= p^k mu and is
 known to O(t^M_k) keeps both bounds through every sum: a monomial of
@@ -130,24 +137,21 @@ b = [d] - [d^p], or b = [d] or [-d^p], expanded in y, and the bounds
 hold term by term, so it keeps them as the sums do.  So every reduced
 coordinate is known to O(t^M_k), M_k >= 1.
 
-Over F_q((t)) local_invariant reduces a term with a pole and a nonzero
-entry before it reads a residue.  H^{n+1}_{p^i} is described through W_i
-modulo wp W_i, so [w | b) depends on w only modulo wp W_i, and the standard
-form is w' = w - wp(y).  When no pole of order prime to p survives, w' is
-integral, and the unramified rule above gives ord b * Tr(w'(0)) from the
-constant terms of w', known once coordinate k of w is known to O(t^M_k);
-no series is lifted or divided.  Wildness is read off the pair that
-witt_standard_form returns, as a value: its residue vector
-(`_unramified_residue`) is None while a wild pole survives, and only
-decompose_local turns that into WildClass.  A wild term, or one known
-short of some M_k, goes through local_symbol, which reads no further than
-the standard form (N_j <= M_j, since |mu| >= |min(v_j, 0)| / p^j), so the
-residue's own precision guard still decides what is refused.  Over F_q(t)
-every term with a pole goes to local_symbol: the coordinate poles at the
-places a table reaches are mostly simple, hence wild, and the reduction
-is mostly wasted there.  On 600 seed-1 recip_global operations of
-perfbench (2 vCPUs, Python 3.11.7), 7 of 1,604 pole terms reduced to
-unramified, and the rule was 5-13 % slower than local_symbol alone.
+Over F_q((t)) the normal form thus leaves a degree-1 term known that far
+integral exactly when no pole of order prime to p survives, and the
+unramified rule above gives ord b * Tr(w'(0)) from the constant terms of
+the standard form w'; no series is lifted or divided.  A wild term, or
+one known short of some M_k, goes through local_symbol, which reads no
+further than the standard form (N_j <= M_j, since |mu| >= |min(v_j, 0)| /
+p^j), so the residue's own precision guard still decides what is
+refused.  A degree-0 zero test reads the standard form of the summed
+vector as a pair (`_unramified_residue`): its residue vector, or None
+while a wild pole survives.  Over F_q(t) every term with a pole goes to
+local_symbol: the coordinate poles at the places a table reaches are
+mostly simple, hence wild, and the reduction is mostly wasted there.  On
+600 seed-1 recip_global operations of perfbench (2 vCPUs, Python
+3.11.7), 7 of 1,604 pole terms reduced to unramified, and the rule was
+5-13 % slower than local_symbol alone.
 
 A reciprocity table takes the orders from one factorization per class:
 each distinct coordinate denominator is factored once, and at a finite
@@ -338,14 +342,14 @@ class HClass:
         self.field = field
         self.degree = degree
         self.level = level
-        self.terms = _canonical(_expanded_terms(field, terms))
+        self.terms = _canonical(field, _expanded_terms(field, terms))
 
     @classmethod
     def _normal(cls, field, degree, level, terms):
         """The class of expanded terms: the canonical step, no expansion."""
         c = cls.__new__(cls)
         c.field, c.degree, c.level = field, degree, level
-        c.terms = _canonical(terms)
+        c.terms = _canonical(field, terms)
         return c
 
     @classmethod
@@ -407,10 +411,14 @@ def _expanded_terms(field, terms):
     return out
 
 
-def _canonical(terms):
-    """Expanded terms in normal form: vectors of `_known_zero` coordinates,
-    repeated slots and Teichmueller-Steinberg matches dropped, the rest
-    sorted."""
+def _canonical(field, terms):
+    """Expanded terms in normal form: over F_q((t)) each degree-1 term in
+    standard form (`_standard_form_term`), then vectors of `_known_zero`
+    coordinates, repeated slots and Teichmueller-Steinberg matches
+    dropped, the rest sorted."""
+    if isinstance(field, LaurentField):
+        terms = [(_standard_form_term(w, field.base) if len(ent) == 1 else w,
+                  ent) for w, ent in terms]
     out = [(w, ent) for w, ent in terms
            if not all(map(_known_zero, w.coords))
            and len(set(map(_slot_key, ent))) == len(ent)
@@ -418,6 +426,17 @@ def _canonical(terms):
     if len(out) > 1:
         out.sort(key=lambda t: _term_key(*t))
     return tuple(out)
+
+
+def _standard_form_term(w, base):
+    """The standard form of w over base((t)) when w has a pole and is known
+    as far as `_standard_form_needs` asks; w as it is otherwise, so that a
+    term known too short meets local_symbol's own precision guard."""
+    vals = [a.val for a in w.coords]
+    if min(vals) >= 0 or any(a.prec < n for a, n in zip(
+            w.coords, _standard_form_needs(w.p, vals))):
+        return w
+    return witt_standard_form(w, base)[0]
 
 
 def pair(w, s):
@@ -704,44 +723,29 @@ def local_invariant(c, place, orders=None):
 
     Over F_q(t), orders is the list of (vals, ord b) per term that the
     residue reads at this place (`reciprocity_check` reads them off its
-    factorizations); by default place_order computes them.  A term whose
-    coordinates are integral there reads its residue off the residue field
-    (module docstring); the others go through local_symbol.
-
-    Over F_q((t)) a term with a pole and a nonzero entry is first reduced
-    to its standard form w - wp(y), which leaves [w | b) as it is since
-    the class depends on w only modulo wp W_i.  If no pole of order prime
-    to p survives, the term adds ord b times the trace of the reduced
-    constant terms, as an integral term does; a wild term, or one known
-    short of what the standard form reads, goes through local_symbol."""
+    factorizations); by default place_order computes them.  Over F_q(t)
+    and F_q((t)) alike, a term whose coordinates are integral at the place
+    reads its residue off the residue field (module docstring), and the
+    others go through local_symbol.  Over F_q((t)) the normal form keeps
+    each term in its standard form w - wp(y), so a term whose poles that
+    removes is integral, and only a wild term, or one known short of what
+    the standard form reads, takes local_symbol."""
     _require_degree_one(c)
-    kind = _invariant_field_kind(c.field)
-    if kind == "const":
+    if _invariant_field_kind(c.field) == "const":
         raise UnsupportedField("constants have no places")
     level, p = c.level, c.field.base.p
     total = 0
     for k_field, w, b, vals, ord_b, at in _local_terms(c, place, orders):
-        # the residue field reads an integral term and, over F_q((t)), an
-        # unramified one known as far as the standard form reads it
-        digits = None
-        if not _is_zero(b):
-            if min(vals) >= 0:
-                if not ord_b:
-                    continue    # the term adds ord b * Tr(w(v)) = 0
-                digits = [at(a, 1).coeff(0) for a in w.coords]
-            elif kind == "local" and all(a.prec >= n for a, n in zip(
-                    w.coords, _standard_form_needs(p, vals))):
-                red = _unramified_residue(*witt_standard_form(w, k_field))
-                digits = None if red is None else red.coords
-        if digits is None:
+        if min(vals) < 0 or _is_zero(b):
             needs, rel = _precision_needs(p, level, vals)
             total += local_symbol(
                 k_field, level,
                 [at(a, n) for a, n in zip(w.coords, needs)],
                 at(b, ord_b + rel))
-        elif ord_b:
+        elif ord_b:     # else the term adds ord b * Tr(w(v)) = 0
             R = galois_ring(k_field, level)
-            total += ord_b * R.trace_int(R.from_digits(digits))
+            total += ord_b * R.trace_int(R.from_digits(
+                [at(a, 1).coeff(0) for a in w.coords]))
     return LocalInvariant(total, place, level, p)
 
 
@@ -755,10 +759,6 @@ def _require_residue_precision(p, level, coords, b):
         raise PrecisionExhausted(
             f"entry known to relative precision {b.prec - b.val}; the "
             f"level-{level} residue reads it to relative precision {rel}")
-
-
-def _infinite_order(r):
-    return r.den.degree_in(0) - r.num.degree_in(0)
 
 
 def _factor_pass(c):
@@ -775,6 +775,7 @@ def _factor_pass(c):
         raise UnsupportedField("places belong to classes over F_q(t)")
     # orders at a place are read from {place polynomial: valuation} dicts,
     # in which None, the polynomial of infinity, keys deg den - deg num
+    inf = Place.infinity()
     den_factors, entry_orders = {}, {}
     polys = set()
     terms = []
@@ -789,11 +790,11 @@ def _factor_pass(c):
                 den_factors[a.den] = factor(den) if den.degree >= 1 else []
                 polys.update(f for f, _ in den_factors[a.den])
             v = {f: -m for f, m in den_factors[a.den]}
-            v[None] = _infinite_order(a)
+            v[None] = place_order(a, inf)
             vals.append(v)
         for b in entries:
             if b not in entry_orders:
-                v = entry_orders[b] = {None: _infinite_order(b)}
+                v = entry_orders[b] = {None: place_order(b, inf)}
                 if not b.num.is_const():
                     f = to_dense(b.num)
                     v[f] = 1
@@ -841,11 +842,11 @@ def decompose_local(c):
     """Split an unramified class over F_q((t)) into residue-field data:
     (specialization at degree n, residue at degree n-1).
 
-    Terms must reduce to integral standard form; a surviving pole of order
-    prime to p raises WildClass with the reduced vector attached.  A
-    coordinate known to less than the precision rule of the module
-    docstring asks raises PrecisionExhausted before any Witt arithmetic.  Only
-    degree 1 carries the full decomposition (degree 0 has no residue slot).
+    The normal form keeps each term in its standard form, and a term that
+    keeps a pole, of order prime to p, raises WildClass with that vector
+    attached.  A coordinate known to less than the precision rule of the
+    module docstring asks raises PrecisionExhausted first.  Only degree 1
+    carries the full decomposition (degree 0 has no residue slot).
     """
     if _field_kind(c.field) != "local":
         raise UnsupportedField("decomposition applies over F_q((t))")
@@ -855,12 +856,10 @@ def decompose_local(c):
     for w, _ in c.terms:
         _require_standard_form_precision(base.p, w.coords)
     spec, resid = [], []
-    for w, entries in c.terms:
-        b = entries[0]
-        red, wild = witt_standard_form(w, base)
-        w0 = _unramified_residue(red, wild)
-        if w0 is None:
-            raise WildClass(red)
+    for w, (b,) in c.terms:
+        if min(a.val for a in w.coords) < 0:
+            raise WildClass(w)
+        w0 = WittVector(w.p, [a.coeff(0) for a in w.coords])
         resid.append((w0.int_mul(b.val), ()))
         u0 = b.coeff(b.val)
         if u0 != base.one:

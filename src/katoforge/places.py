@@ -164,11 +164,14 @@ def support_places(r):
 
 
 def place_order(r, place):
-    """Valuation of a rational function at a place."""
+    """Valuation of a rational function of F_q(t) at a place: at infinity
+    deg den - deg num."""
     if r.is_zero():
         raise ConfigMismatch("valuation of zero is undefined")
+    if r.field.k != 1:
+        raise UnsupportedField(f"places belong to F_q(t), not {r.field!r}")
     if place.is_infinite:
-        return to_dense(r.den).degree - to_dense(r.num).degree
+        return r.den.degree_in(0) - r.num.degree_in(0)
     out = 0
     for mp, sgn in ((r.num, 1), (r.den, -1)):
         dense = to_dense(mp)

@@ -45,7 +45,9 @@ def K2():
 def _raw_class(field, degree, level, terms):
     """A class whose terms are taken as they are, outside the normal form.
     Only the single-place local_invariant and local_symbol read such a
-    class; the table path relies on the normal form."""
+    class; the table path relies on the normal form.  Over F_q((t)) no
+    term of it is in standard form: a term with a pole is read as given
+    and takes one local_symbol call."""
     c = HClass.__new__(HClass)
     c.field, c.degree, c.level, c.terms = field, degree, level, tuple(terms)
     return c
@@ -81,7 +83,18 @@ def _rnd_class(rng, K, level, nterms=1):
 # ----------------------------------------------------- normalization ----
 
 def _is_normal(c):
-    """The expanding constructor leaves c's terms as they are."""
+    """The expanding constructor leaves c's terms as they are, and over
+    F_q((t)) no degree-1 term known as far as the standard form reads it
+    keeps a pole of order divisible by p."""
+    if c.degree == 1 and isinstance(c.field, LaurentField):
+        p = c.field.base.p
+        for w, _ in c.terms:
+            vals = [a.val for a in w.coords]
+            needs = kato_module._standard_form_needs(p, vals)
+            if all(a.prec >= n for a, n in zip(w.coords, needs)) and any(
+                    a.coeff(n) for a in w.coords for n in range(a.val, 0)
+                    if n % p == 0):
+                return False
     return HClass(c.field, c.degree, c.level, c.terms).terms == c.terms
 
 
@@ -604,12 +617,13 @@ def _global_rule_shapes(rng, K, level, f):
 
 
 def _local_rule_shapes(rng, F, level):
-    """`_rule_shapes` over F_q((t)), every series known far past what the
-    residue reads; a zero coordinate is zero to that precision.  Then two
-    shapes integral + wp(series(-1)), once with ord b = 0 and once with
-    ord b != 0, known as far as the standard form reads them: their poles,
-    of order divisible by p, reduce away, so the residue field answers
-    them as it answers an integral term."""
+    """(shapes, reducible): `_rule_shapes` over F_q((t)), every series
+    known far past what the residue reads, a zero coordinate zero to that
+    precision; and two shapes integral + wp(series(-1)), once with
+    ord b = 0 and once with ord b != 0, known as far as the standard form
+    reads them.  Their poles, of order divisible by p, leave the class in
+    normal form, whose residue field then answers them as it answers an
+    integral term."""
     p = F.p
     prec = p ** (level - 1) + level + 8
 
@@ -624,24 +638,26 @@ def _local_rule_shapes(rng, F, level):
     # wp(y) has poles of order up to p^level, and the standard form reads
     # coordinate 0 about that far past t^0
     long = p ** level + level + 8
+    reducible = []
     for k in (0, rng.choice([-1, 1])):
         u = WittVector(p, [series(rng.randint(0, 2), long)
                            for _ in range(level)])
         y = WittVector(p, [series(-1, long)]
                        + [Laurent.zero(F, long)] * (level - 1))
-        shapes.append(((u + y.wp()).coords, series(k, long), True))
-    return shapes
+        reducible.append(((u + y.wp()).coords, series(k, long)))
+    return shapes, reducible
 
 
 @pytest.mark.parametrize("p,e,level", RULE_CELLS)
 def test_integral_terms_match_the_series_residue(p, e, level,
                                                  monkeypatch):
     """Term by term, at places of degree 1-3, at infinity and over
-    F_q((t)): the invariant of a term whose coordinates are integral, or
-    over F_q((t)) whose poles the standard form removes, is read off the
-    residue field with no local_symbol call, and equals the series
-    residue (local_symbol on expansions to one generous precision); any
-    other term with a pole, a wild one, takes one local_symbol call."""
+    F_q((t)): the invariant of a term whose coordinates are integral is
+    read off the residue field with no local_symbol call, and equals the
+    series residue (local_symbol on expansions to one generous precision);
+    any other term with a pole takes one local_symbol call.  Over F_q((t))
+    a class integral + wp(y) in normal form, whose poles the standard form
+    removes, takes none, and the same term taken as it is takes one."""
     K = func_field(gf(p, e), ("t",))
     LF = laurent_field(K.base)
     rng = random.Random(f"rule:{p}:{e}:{level}")
@@ -657,10 +673,16 @@ def test_integral_terms_match_the_series_residue(p, e, level,
                        for k, series, b in uniform_series_inputs(c, place))
             cases.append((c, place, want, is_integral,
                           place_order(b, place)))
-    for coords, b, unramified in _local_rule_shapes(rng, K.base, level):
+    shapes, reducible = _local_rule_shapes(rng, K.base, level)
+    for coords, b, is_integral in shapes + [(coords, b, False)
+                                            for coords, b in reducible]:
         c = _raw_class(LF, 1, level, [(WittVector(p, coords), (b,))])
         cases.append((c, _t_place(LF), local_symbol(K.base, level, coords, b),
-                      unramified, b.val))
+                      is_integral, b.val))
+    for coords, b in reducible:
+        c = HClass(LF, 1, level, [(WittVector(p, coords), (b,))])
+        cases.append((c, _t_place(LF), local_symbol(K.base, level, coords, b),
+                      True, b.val))
     calls = _counting_local_symbol(monkeypatch)
     answered = 0
     for c, place, want, unramified, ord_b in cases:
@@ -680,21 +702,53 @@ UNRAMIFIED_CELLS = [(p, e, level)
 @pytest.mark.parametrize("p,e,level", UNRAMIFIED_CELLS)
 def test_unramified_terms_match_the_series_residue(p, e, level,
                                                    monkeypatch):
-    """Over F_q((t)) the invariant of a class u + wp(y), u integral, is
-    read off the residue field with no local_symbol call, and a wild one,
-    c t^-m with p not dividing m added to coordinate 0, goes through
-    local_symbol; both equal local_symbol on the unreduced coordinates,
-    in normal form and with the terms taken as they are."""
-    cases = [(c, series_residue(terms), wild)
+    """Over F_q((t)) the invariant of a class u + wp(y), u integral, in
+    normal form is read off the residue field with no local_symbol call,
+    and a wild one, c t^-m with p not dividing m added to coordinate 0,
+    goes through local_symbol; with the terms taken as they are, every
+    term takes a local_symbol call.  All equal local_symbol on the
+    unreduced coordinates."""
+    cases = [(classes(terms), series_residue(terms), wild)
              for terms, wild in unramified_terms(p, e, level, 6,
-                                                 "unramified")
-             for c in classes(terms)]
+                                                 "unramified")]
     calls = _counting_local_symbol(monkeypatch)
-    for c, want, wild in cases:
+    for (normal, raw), want, wild in cases:
         calls.clear()
-        assert local_invariant(c, _t_place(c.field)).value == want, c
-        assert bool(calls) == wild, c
+        assert local_invariant(normal, _t_place(normal.field)).value == want
+        assert bool(calls) == wild, normal
+        calls.clear()
+        assert local_invariant(raw, _t_place(raw.field)).value == want
+        assert len(calls) == len(raw.terms), raw
     assert any(want for _, want, wild in cases if not wild)
+
+
+def _standard_form_unread(w, base):
+    raise AssertionError("witt_standard_form reached")
+
+
+def test_local_reads_take_the_stored_standard_form(monkeypatch):
+    """Over F_q((t)) the normal form reduces each degree-1 term once, when
+    the class is built: decompose_local and local_invariant then give the
+    answers they give with witt_standard_form failing, on unramified and
+    wild classes u + wp(y) at levels 1-3."""
+    built = [classes(terms)[0]
+             for p, e, level in [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 2)]
+             for terms, _ in unramified_terms(p, e, level, 6, "stored")]
+
+    def answers():
+        for c in built:
+            for read in (decompose_local,
+                         lambda c: local_invariant(c, _t_place(c.field))):
+                try:
+                    yield repr(read(c))
+                except WildClass as exc:
+                    yield str(exc)
+
+    want = list(answers())
+    assert sum(a.startswith("wildly") for a in want) == 8
+    monkeypatch.setattr(kato_module, "witt_standard_form",
+                        _standard_form_unread)
+    assert list(answers()) == want
 
 
 def test_short_standard_form_goes_through_the_series_residue(monkeypatch):
@@ -1174,7 +1228,11 @@ def test_degree_zero_over_fqt_reads_each_term_as_far_as_all_need(
 
 
 def _place_order_unread(r, place):
-    raise AssertionError("place_order reached")
+    """place_order at infinity, the degree difference the factorization
+    pass reads there; an AssertionError at a finite place."""
+    if not place.is_infinite:
+        raise AssertionError("place_order reached at a finite place")
+    return place_order(r, place)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1)])
@@ -1182,9 +1240,9 @@ def test_degree_zero_over_fqt_reads_orders_off_the_factorization(
         p, e, monkeypatch):
     """The degree-0 zero test over F_q(t) takes its places and the
     termwise orders from the one factorization of the class
-    (`_factor_pass`): with place_order failing it gives the answers it
-    gives without, on u + wp(y) classes (zero exactly when Tr(u) = 0),
-    with and without a seeded term added."""
+    (`_factor_pass`): with place_order failing at every finite place it
+    gives the answers it gives without, on u + wp(y) classes (zero
+    exactly when Tr(u) = 0), with and without a seeded term added."""
     rng = random.Random(f"degree-0 orders {p} {e}")
     F = gf(p, e)
     K = func_field(F, ("t",))
@@ -1413,13 +1471,22 @@ def test_local_zero_test():
 
 
 def test_precision_guard():
+    """Over GF(2)((t)), [ [t^-4 + O(t^3)] | t + O(t^3) ) has the standard
+    form t^-1 + O(t^3), whose residue reads the entry to relative
+    precision 2, and answers as the class known to O(t^20) does;
+    [ [t^-3 + O(t^3)] | t + O(t^3) ) is wild, its residue reads the entry
+    to relative precision 4, and it is refused."""
     F2 = gf(2)
     LF = laurent_field(F2)
-    deep = Laurent(F2, -4, [F2.one], 3)     # pole order 4, precision 3
-    tt = Laurent.monomial(F2, F2.one, 1, 3)
-    c = HClass.build(LF, WittVector(2, (deep,)), (tt,))
-    with pytest.raises(PrecisionExhausted):
-        local_invariant(c, _t_place(LF))
+
+    def invariant(m, prec):
+        w = WittVector(2, (Laurent(F2, -m, [F2.one], prec),))
+        c = HClass.build(LF, w, (Laurent.monomial(F2, F2.one, 1, prec),))
+        return local_invariant(c, _t_place(LF)).value
+
+    assert invariant(4, 3) == invariant(4, 20) == 0
+    with pytest.raises(PrecisionExhausted, match="relative precision 4"):
+        invariant(3, 3)
 
 
 def test_decompose_local_reads_precision_through_coeff():
@@ -1517,9 +1584,10 @@ LOCAL_PIN_CELLS = ([(2, 1, level) for level in (1, 2, 3, 4)]
                       (2, 3, 1), (2, 3, 2), (2, 3, 3)])
 # sha256 of the answers of _local_pin_answers, as the dense series sum and
 # the product-only powers gave them, with zero classes printed as literals
-# (`[ [0] | 1 )`); a change of series precision must change it on purpose
-LOCAL_PIN_SHA256 = ("f5279eee18fa251d2cf1a7f674e55050"
-                    "6b123e9fbfacefac5e0b2e1c3eafadae")
+# (`[ [0] | 1 )`) and the terms sorted by their standard forms; a change
+# of series precision must change it on purpose
+LOCAL_PIN_SHA256 = ("7b7a236360cf4c19b055f16293533d2f"
+                    "db6b8ea02e854119a082d306cc0c0804")
 
 
 def _local_pin_classes():

@@ -20,7 +20,7 @@ from katoforge import (DiffForm, GaloisRing, HClass, KatoforgeError, Laurent,
                        MilnorElement, MPoly, RatFunc, WittVector,
                        d_of_function, d_symbol, dlog, forms, func_field, gf,
                        kato, laurent_field, milnor, mpoly, rational,
-                       reciprocity_check, witt)
+                       reciprocity_check, WildClass, witt)
 from katoforge.cli import Parser
 from katoforge.places import Place, PlaceContext, support_places
 from katoforge.poly import to_dense
@@ -37,8 +37,8 @@ from series_oracle import (check_expansions, dense_sum, expansion_places,
                            polynomials)
 from standard_form_oracle import (answer, check_standard_form, check_step,
                                   standard_form_inputs)
-from unramified_oracle import (check_unramified, short_standard_form_terms,
-                               unramified_terms)
+from unramified_oracle import (check_unramified, classes,
+                               short_standard_form_terms, unramified_terms)
 from witt_oracle import (all_vectors, as_solve_inputs, check_as_solve,
                          check_int_mul)
 
@@ -498,45 +498,94 @@ def test_integral_term_mutants_fail_the_series_residue(name):
         _check_integral_terms(mutant, cases)
 
 
-# over F_q((t)) a term whose poles the standard form removes reads the
-# constant terms of its reduced vector off the residue field: each mutant
-# is (function, edits), patched in where local_invariant reads it
+# over F_q((t)) the normal form keeps a term in its standard form, whose
+# constant terms local_invariant reads off the residue field and
+# decompose_local returns: each mutant is (function, edits), patched into
+# the module
 UNRAMIFIED_TERM_MUTANTS = {
     "entry order dropped": (kato.local_invariant, [
-        ("total += ord_b * R.trace_int(R.from_digits(digits))",
-         "total += R.trace_int(R.from_digits(digits))")]),
-    "reduced coordinates reversed": (kato.local_invariant, [
-        ("R.from_digits(digits)", "R.from_digits(digits[::-1])")]),
-    "wild list ignored": (kato._unramified_residue, [
-        ("if wild:", "if False:")]),
-    "precision guard removed": (kato.local_invariant, [
-        ("all(a.prec >= n for", "all(True or a.prec >= n for")]),
+        ("total += ord_b * R.trace_int(", "total += R.trace_int(")]),
+    "reduced coordinates reversed": (kato._standard_form_term, [
+        ("return witt_standard_form(w, base)[0]",
+         "return WittVector(w.p, "
+         "witt_standard_form(w, base)[0].coords[::-1])")]),
+    "wild list ignored": (kato.decompose_local, [
+        ("if min(a.val for a in w.coords) < 0:", "if False:")]),
+    "precision guard removed": (kato._standard_form_term, [
+        ("any(a.prec < n for", "any(False and a.prec < n for")]),
+    "standard form skipped": (kato._canonical, [
+        ("if isinstance(field, LaurentField):", "if False:")]),
 }
 
 
 def _unramified_sums():
-    """Six sums of terms u + wp(y) over GF(2)((t)) at levels 1-3,
-    GF(3)((t)) and GF(4)((t)) at level 2, every third one wild, and the
-    term known short of what the standard form reads."""
-    out = [terms for p, e, level in [(2, 1, 1), (2, 1, 2), (2, 1, 3),
-                                     (3, 1, 2), (2, 2, 2)]
-           for terms, _ in unramified_terms(p, e, level, 6, "mutants")]
-    return out + [short_standard_form_terms()]
+    """[(terms, kind)]: six sums of terms u + wp(y) over GF(2)((t)) at
+    levels 1-3, GF(3)((t)) and GF(4)((t)) at level 2, every third one
+    "wild", the others "integral" in normal form; the term known "short"
+    of what the standard form reads; and over GF(2)((t)) and GF(3)((t))
+    at level 2 sums of "integral" terms (u | t^j unit), j in {-2, -1, 2},
+    whose raw class reads ord b = j."""
+    out = [(terms, "wild" if wild else "integral")
+           for p, e, level in [(2, 1, 1), (2, 1, 2), (2, 1, 3),
+                               (3, 1, 2), (2, 2, 2)]
+           for terms, wild in unramified_terms(p, e, level, 6, "mutants")]
+    out.append((short_standard_form_terms(), "short"))
+    rng = random.Random("integral local terms")
+    for p in (2, 3):
+        F = gf(p)
+
+        def series(val):
+            return Laurent(F, val, [F.from_code(rng.randrange(1, p))]
+                           + [F.from_code(rng.randrange(p))
+                              for _ in range(3)], 12)
+        for _ in range(3):
+            out.append(([(WittVector(p, [series(rng.randint(0, 1))
+                                         for _ in range(2)]),
+                          series(rng.choice((-2, -1, 2))))
+                         for _ in range(2)], "integral"))
+    return out
+
+
+def _check_unramified(sums, calls):
+    """check_unramified on kato.local_invariant; then on each integral
+    normal-form class no local_symbol call (calls records them) and a
+    residue from decompose_local that traces to the invariant, and on each
+    wild one WildClass from decompose_local."""
+    check_unramified(kato.local_invariant, [terms for terms, _ in sums])
+    for terms, kind in sums:
+        if kind == "integral":
+            c = classes(terms)[0]
+            calls.clear()
+            inv = kato.local_invariant(c, kato._t_place(c.field)).value
+            assert not calls, c
+            resid = kato.decompose_local(c)[1]
+            assert sum(w.trace_int() for w, _ in resid.terms) % (
+                c.field.base.p ** c.level) == inv, c
+        elif kind == "wild":
+            c = classes(terms)[0]
+            try:
+                kato.decompose_local(c)
+            except WildClass:
+                continue
+            raise AssertionError(f"{c!r} decomposed")
 
 
 @pytest.mark.parametrize("name", sorted(UNRAMIFIED_TERM_MUTANTS))
 def test_unramified_term_mutants_fail_the_series_residue(name, monkeypatch):
     sums = _unramified_sums()
-    check_unramified(kato.local_invariant, sums)
+    calls = []
+    local_symbol = kato.local_symbol
+
+    def counting(*args):
+        calls.append(args)
+        return local_symbol(*args)
+
+    monkeypatch.setattr(kato, "local_symbol", counting)
+    _check_unramified(sums, calls)
     func, edits = UNRAMIFIED_TERM_MUTANTS[name]
-    mutant = _mutant(func, edits)
-    if func is kato.local_invariant:
-        invariant = mutant
-    else:
-        monkeypatch.setattr(kato, func.__name__, mutant)
-        invariant = kato.local_invariant
+    monkeypatch.setattr(kato, func.__name__, _mutant(func, edits))
     with pytest.raises(AssertionError):
-        check_unramified(invariant, sums)
+        _check_unramified(sums, calls)
 
 
 # the table's places and orders come from one factorization per
