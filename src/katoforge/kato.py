@@ -3,16 +3,19 @@
 An HClass is a formal sum of terms (w | b_1, ..., b_n) with w a length-i Witt
 vector and nonzero field entries b_k, taken modulo the relation families
   (F(w) - w | b...),   ((a,0,..,0) | a, b...),   (w | ..b..b..).
-Every HClass is in normal form: each entry is expanded along a fixed
-factorization strategy (`_expand_entry`; over F_q(t) a monic irreducible or a
-constant other than 1, over F_q((t)) t or a unit other than 1), over
-F_q((t)) each degree-1 term whose vector has a pole and is known as far as
-the standard form below reads it is replaced by its standard form, no term
-has a zero vector, a repeated entry (t counts once at every precision) or a
-Teichmueller match, and the terms are sorted.  The standard form leaves the
-class as it is, since [w | b) depends on w only modulo wp W_i; degree 0
-sums its terms before it reduces, degree >= 2 is zero, and a term known
-too short stays as it is for the residue's own precision guard.  A series
+Every HClass is in normal form: a class of degree above the p-rank of its
+field (below) keeps no term, and none of its entries is expanded or
+factored.  Otherwise each entry is expanded along a fixed factorization
+strategy (`_expand_entry`; over F_q(t) a monic irreducible or a constant
+other than 1, over F_q((t)) t or a unit, a unit that reads 1 dropped only
+beside a power of t, which carries its precision), over F_q((t)) each
+degree-1 term whose vector has a pole and is known as far as the standard
+form below reads it is replaced by its standard form, no term has a zero
+vector, a repeated entry or a Teichmueller match (t counts once at every
+precision), and the terms are sorted.  The standard form leaves the class
+as it is, since [w | b) depends on w only modulo wp W_i; degree 0 sums its
+terms before it reduces, and a term known too short stays as it is for
+the residue's own precision guard.  A series
 coordinate counts as zero only when it is known to O(t^1), as far as the
 residue reads a zero coordinate; zero to a lower precision, its term stays
 and the residue refuses it.  Only HClass(field, degree, level, terms)
@@ -24,11 +27,11 @@ attempted: h_zero_test decides equality by the p-rank r of the field,
 F_q(x_1..x_k).  K_n(F)/p^i embeds in W_i Omega^n_F (Bloch-Kato-Gabber;
 Bloch-Kato, Publ. IHES 63, 1986), H^{n+1}_{p^i}(F) is described through
 W_i Omega^n_F, and Omega^n_F = 0 for n > r: every class of degree n > r is
-zero, and is answered before any term is read.  At degree r the invariants
-decide: the trace of the summed vector over GF(q), the invariants at the
-finite places of the reciprocity table over F_q(t) (they and the one at
-infinity sum to 0, so infinity is not read), the invariant at t over
-F_q((t)).  Degree 0 over F_q((t)) reduces the summed vector to its
+zero, and the normal form keeps none of its terms.  At degree r the
+invariants decide: the trace of the summed vector over GF(q), the
+invariants at the finite places of the reciprocity table over F_q(t) (they
+and the one at infinity sum to 0, so infinity is not read), the invariant
+at t over F_q((t)).  Degree 0 over F_q((t)) reduces the summed vector to its
 standard form: a surviving pole of order prime to p makes the class
 nonzero, and otherwise the trace of the constant terms, the residue vector
 decompose_local reads too, decides.  Degree 0 over F_q(t) needs no
@@ -48,9 +51,9 @@ rational functions is taken.  A pole surviving at any place answers
 False, and the trace of infinity's residue vector decides.
 At a place v of degree d the expansion at t - theta over k(v) is the
 completion of k(v)(t), an unramified base change of F_q(t) of degree d,
-which keeps the pole orders and so the ramification.  Only degree
-n <= k over F_q(x_1..x_k), whose classes are built and added but have no
-invariant, is refused with UnsupportedField.
+which keeps the pole orders and so the ramification.  Only a class with a
+term, of degree n <= k over F_q(x_1..x_k), whose classes are built and
+added but have no invariant, is refused with UnsupportedField.
 
 The local invariant at a place is the Schmid-Witt residue: coordinates and
 entry are expanded in the completion k(v)((pi)) and lifted coefficient-wise
@@ -255,26 +258,26 @@ def _invariant_field_kind(field):
 
 def _p_rank(field):
     """r with [F : F^p] = p^r: 0 for GF(q), 1 for F_q(t) and F_q((t)), k
-    for F_q(x_1..x_k).  Classes of degree above r are zero (module
-    docstring)."""
+    for F_q(x_1..x_k).  Classes of degree above r are zero and keep no
+    term (module docstring)."""
     if isinstance(field, FuncField):
         return field.k
     return int(_field_kind(field) == "local")
 
 
 def _expand_entry(field, b):
-    """[(factor, multiplicity)]: the multilinear expansion of one b-slot."""
-    kind = _field_kind(field)
-    if kind == "const":
-        return [(b, 1)]
-    if kind == "local":
+    """[(factor, multiplicity)]: the multilinear expansion of one b-slot
+    over F_q(t), F_q(x_1..x_k) or F_q((t)).  Over F_q((t)) a unit that
+    reads 1 is dropped only beside t^v, v != 0, whose precision it
+    shares; alone it is the entry's only record of its precision."""
+    if isinstance(field, LaurentField):
         v = b.val
         out = []
         if v:
             out.append((Laurent.monomial(field.base, field.base.one, 1,
                                          prec=b.prec - v + 1), v))
         unit = b.shift(-v)
-        if unit.coeffs != (field.base.one,):
+        if not v or unit.coeffs != (field.base.one,):
             out.append((unit, 1))
         return out
     out = _entry_factors(b)
@@ -298,8 +301,9 @@ def _known_zero(x):
 
 def _teich_match(w, entries):
     """True when w = (a,0,...,0) with a equal to some entry and each 0 a
-    `_known_zero`; as in `_slot_key`, the uniformizer t is one value at
-    every precision."""
+    `_known_zero`; the uniformizer t, which `_expand_entry` records at the
+    precision of the entry it came from, is one value at every
+    precision."""
     if not all(map(_known_zero, w.coords[1:])):
         return False
     a = w.coords[0]
@@ -321,13 +325,6 @@ def _is_uniformizer(x):
     return isinstance(x, Laurent) and x.val == 1 and x.coeffs == (x.ring.one,)
 
 
-def _slot_key(x):
-    """`_entry_key` without the precision of the uniformizer t, which
-    `_expand_entry` records at the precision of the entry it came from:
-    two uniformizer entries fill one slot."""
-    return "t" if _is_uniformizer(x) else _entry_key(x)
-
-
 def _term_key(w, entries):
     return (tuple(_entry_key(c) for c in w.coords),
             tuple(_entry_key(b) for b in entries))
@@ -339,10 +336,15 @@ class HClass:
     __slots__ = ("field", "degree", "level", "terms")
 
     def __init__(self, field, degree, level, terms):
+        terms = list(terms)
+        if any(_is_zero(b) for _, entries in terms for b in entries):
+            raise ConfigMismatch("zero entry in a Witt symbol")
         self.field = field
         self.degree = degree
         self.level = level
-        self.terms = _canonical(field, _expanded_terms(field, terms))
+        # Omega^n_F = 0 above the p-rank (module docstring)
+        self.terms = () if degree > _p_rank(field) else _canonical(
+            field, _expanded_terms(field, terms))
 
     @classmethod
     def _normal(cls, field, degree, level, terms):
@@ -402,9 +404,6 @@ def _expanded_terms(field, terms):
     choice of factors, m the product of their multiplicities."""
     out = []
     for w, entries in terms:
-        for b in entries:
-            if _is_zero(b):
-                raise ConfigMismatch("zero entry in a Witt symbol")
         for ent, m in multilinear_expansion(
                 entries, lambda b: _expand_entry(field, b)):
             out.append((w.int_mul(m), ent))
@@ -421,7 +420,7 @@ def _canonical(field, terms):
                   ent) for w, ent in terms]
     out = [(w, ent) for w, ent in terms
            if not all(map(_known_zero, w.coords))
-           and len(set(map(_slot_key, ent))) == len(ent)
+           and len(set(map(_entry_key, ent))) == len(ent)
            and not _teich_match(w, ent)]
     if len(out) > 1:
         out.sort(key=lambda t: _term_key(*t))
@@ -846,7 +845,9 @@ def decompose_local(c):
     keeps a pole, of order prime to p, raises WildClass with that vector
     attached.  A coordinate known to less than the precision rule of the
     module docstring asks raises PrecisionExhausted first.  Only degree 1
-    carries the full decomposition (degree 0 has no residue slot).
+    carries the full decomposition (degree 0 has no residue slot).  The
+    specialization is the zero class, since H^2 of a finite field is 0
+    (degree 1 lies above the p-rank 0 of GF(q)).
     """
     if _field_kind(c.field) != "local":
         raise UnsupportedField("decomposition applies over F_q((t))")
@@ -855,24 +856,20 @@ def decompose_local(c):
     base = c.field.base
     for w, _ in c.terms:
         _require_standard_form_precision(base.p, w.coords)
-    spec, resid = [], []
+    resid = []
     for w, (b,) in c.terms:
         if min(a.val for a in w.coords) < 0:
             raise WildClass(w)
         w0 = WittVector(w.p, [a.coeff(0) for a in w.coords])
         resid.append((w0.int_mul(b.val), ()))
-        u0 = b.coeff(b.val)
-        if u0 != base.one:
-            spec.append((w0, (u0,)))
-    # entries of a class over a finite field are expanded as they are
-    return (HClass._normal(base, 1, c.level, spec),
+    return (HClass.zero(base, 1, c.level),
             HClass._normal(base, 0, c.level, resid))
 
 
 def h_zero_test(c):
     """Sound and complete zero test, decided by the p-rank r of the field
-    (module docstring).  A class of degree above r is zero, by the
-    vanishing of Omega^n_F for n > r, and nothing of it is read.  At
+    (module docstring).  A class with no term is zero; above r, by the
+    vanishing of Omega^n_F for n > r, the normal form keeps none.  At
     degree r the invariants decide: over GF(q) the trace of the summed
     vector, over F_q(t) the invariants at the finite places of the
     reciprocity table, up to the first nonzero one (by the reciprocity law
@@ -886,8 +883,9 @@ def h_zero_test(c):
     that rule reads the termwise minimum valuations, sums the expansions,
     answers False when the sum is wild at any place and otherwise traces
     infinity's residue vector.
-    UnsupportedField for degree n <= k over F_q(x_1..x_k)."""
-    if c.degree > _p_rank(c.field):
+    UnsupportedField for a class with a term, of degree n <= k, over
+    F_q(x_1..x_k)."""
+    if not c.terms:
         return True
     kind = _invariant_field_kind(c.field)
     if c.degree == 1:
@@ -897,8 +895,6 @@ def h_zero_test(c):
             return not any(local_invariant(c, pl, orders(pl)).value
                            for pl in places[:-1])
         return local_invariant(c, _t_place(c.field)).value == 0
-    if not c.terms:
-        return True
     vectors = [w for w, _ in c.terms]
     p = vectors[0].p
     if kind == "global":

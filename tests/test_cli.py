@@ -812,6 +812,62 @@ def test_zero_tests_above_the_p_rank_answer():
         [True] * 3
 
 
+def test_classes_above_the_p_rank_print_as_the_zero_literal():
+    """Degree 2 over GF(2)(t) and GF(2)((t)) and degree 1 over GF(4) lie
+    above the p-rank, so the classes keep no term and print as the zero
+    literal; over GF(2)(x, y) a class with no term answers zero at every
+    degree, here 1, 0 and 2."""
+    buf = io.StringIO()
+    assert run_script("field F = GF(2)(t)\n"
+                      "let c = [ [1/t] | t, t+1 )\n"
+                      "zero c\n"
+                      "field L = GF(2)((t))\n"
+                      "let d = [ [t^-3 + O(t^5)] | t + O(t^5), "
+                      "1 + t + O(t^5) )\n"
+                      "field G = GF(2, 2)\n"
+                      "let e = [ [z] | z+1 )\n"
+                      "field K = GF(2)(x, y)\n"
+                      "zero [ [0] | x )\n"
+                      "zero [ [0] | )\n"
+                      "zero [ [1/x] | x+y, x+y )\n", out=buf) == 0
+    assert buf.getvalue().splitlines() == [
+        "field: GF(2)(t)", "let: [ [0] | 1, 1 )", "zero: True",
+        "field: GF(2)((t))", "let: [ [0] | 1, 1 )",
+        "field: GF(2^2)", "let: [ [0] | 1 )",
+        "field: GF(2)(x, y)"] + ["zero: True"] * 3
+
+
+def test_a_unit_entry_known_short_is_refused():
+    """Over GF(2)((t)) the entry 1 + O(t^3) is a unit the residue reads to
+    relative precision 4 against t^-3: one error line; 1 + O(t^4)
+    answers 0."""
+    buf = io.StringIO()
+    assert run_script("field L = GF(2)((t))\n"
+                      "inv [ [t^-3 + O(t^5)] | 1 + O(t^3) ) at t\n"
+                      "inv [ [t^-3 + O(t^5)] | 1 + O(t^4) ) at t\n",
+                      keep_going=True, out=buf) == 1
+    assert buf.getvalue().splitlines()[1:] == [
+        "error: line 2: entry known to relative precision 3; the level-1 "
+        "residue reads it to relative precision 4",
+        'inv: {"inv": 0, "mod": 2, "place": "t"}']
+
+
+def test_set_level_shifts_lower_level_literals():
+    """After set level 2 a level-1 literal is shifted to level 2, (w) to
+    (0, w), and its invariant doubles into Z/4; a level-2 literal is taken
+    as it is."""
+    buf = io.StringIO()
+    assert run_script("field F = GF(2)(t)\n"
+                      "set level 2\n"
+                      "let c = [ [1/t] | 1+t )\n"
+                      "inv c at t\n"
+                      "let d = [ [1/t, 1] | 1+t )\n", out=buf) == 0
+    assert buf.getvalue().splitlines()[1:] == [
+        "set: ok", "let: [ [0, 1/t] | t+1 )",
+        'inv: {"inv": 2, "mod": 4, "place": "t"}',
+        "let: [ [1/t, 1] | t+1 )"]
+
+
 DEGREE_ZERO = ("field F = GF(2)(t)\n"
                "zero [ [1/t] | )\n"
                "zero [ [1/t^2 + 1/t] | )\n"

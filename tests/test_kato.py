@@ -29,8 +29,9 @@ from ghost_oracle import (ghost_inversion_symbol, uniform_precision,
                           uniform_series_inputs)
 from standard_form_oracle import (answer, restart_standard_form,
                                   standard_form_inputs)
-from unramified_oracle import (classes, series_residue,
-                               short_standard_form_terms, unramified_terms)
+from unramified_oracle import (check_unit_completions, classes,
+                               series_residue, short_standard_form_terms,
+                               unit_entry_inputs, unramified_terms)
 
 
 def _w(p, *coords):
@@ -83,9 +84,12 @@ def _rnd_class(rng, K, level, nterms=1):
 # ----------------------------------------------------- normalization ----
 
 def _is_normal(c):
-    """The expanding constructor leaves c's terms as they are, and over
+    """The expanding constructor leaves c's terms as they are, no class
+    of degree above the p-rank of its field keeps a term, and over
     F_q((t)) no degree-1 term known as far as the standard form reads it
     keeps a pole of order divisible by p."""
+    if c.terms and c.degree > kato_module._p_rank(c.field):
+        return False
     if c.degree == 1 and isinstance(c.field, LaurentField):
         p = c.field.base.p
         for w, _ in c.terms:
@@ -125,12 +129,24 @@ def _normal_form_inputs(kind, rng):
     return K, p, ratfunc, K.var("t")
 
 
+def _operations(classes, rng, p, level):
+    """classes, then +, -, negation, int_mul and level_shift of each
+    neighbouring pair."""
+    out = list(classes)
+    for c, d in zip(classes, classes[1:]):
+        out += [c + d, c - d, -c, c.int_mul(rng.randint(0, p ** level)),
+                c.int_mul(p ** level - 1), level_shift(c, level + 1)]
+    return out
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["GF(4)", "F_2(t)", "F_3(t)", "F_2((t))"])
 def test_every_operation_returns_the_normal_form(kind, level):
     """Every class that build, +, -, int_mul, level_shift, pair and
     decompose_local return is in normal form: the expanding constructor,
-    run on its terms, returns them unchanged."""
+    run on its terms, returns them unchanged.  Over GF(4), whose p-rank is
+    0, every degree-1 class is empty and every operation keeps it so, and
+    degree 0 takes the canonical step."""
     rng = random.Random(f"{kind}:{level}")
     field, p, elem, e = _normal_form_inputs(kind, rng)
     classes = []
@@ -140,10 +156,13 @@ def test_every_operation_returns_the_normal_form(kind, level):
     # the negative of (-[e] | e) is a Teichmueller match
     classes.insert(1, HClass.build(
         field, -WittVector.teichmuller(p, e, level), (e,)))
-    out = list(classes)
-    for c, d in zip(classes, classes[1:]):
-        out += [c + d, c - d, -c, c.int_mul(rng.randint(0, p ** level)),
-                c.int_mul(p ** level - 1), level_shift(c, level + 1)]
+    out = _operations(classes, rng, p, level)
+    if kind == "GF(4)":
+        assert not any(c.terms for c in out)
+        out += _operations(
+            [HClass.build(field, WittVector(p, tuple(
+                elem() for _ in range(level))), ()) for _ in range(3)],
+            rng, p, level)
     if kind in ("F_2(t)", "F_3(t)"):
         sym = MilnorElement.symbol
         for _ in range(2):
@@ -163,13 +182,14 @@ def test_every_operation_returns_the_normal_form(kind, level):
 
 def test_j_generators_drop_syntactically(K2):
     t = K2.var("t")
-    one = K2.one
     # teichmuller-Steinberg: (a,0) x (a)
     w = WittVector.teichmuller(2, t, 2)
     assert HClass.build(K2, w, (t,)).is_formally_zero()
-    # repeated slots
-    w2 = _w(2, t, one)
-    assert HClass.build(K2, w2, (t + one, t + one)).is_formally_zero()
+    # repeated slots meet at degree 2, below the p-rank 2 of F_2(x, y)
+    Kxy = func_field(gf(2), ("x", "y"))
+    x = Kxy.var("x")
+    assert HClass.build(Kxy, _w(2, x, Kxy.one),
+                        (x + Kxy.one, x + Kxy.one)).is_formally_zero()
     # zero Witt vector
     assert HClass.build(K2, _w(2, K2.zero, K2.zero), (t,)).is_formally_zero()
 
@@ -873,25 +893,50 @@ def test_laurent_class_at_another_place_is_refused():
         local_invariant(two, Place(Poly.x(F4)))
 
 
-def test_repeated_uniformizer_slot_drops():
-    """Over F_q((t)) the uniformizer t fills one slot whatever precision
-    each entry records: (w | t + O(t^5), t + t^2 + O(t^9)) expands to
-    (w | t, 1 + t) + (w | t, t), and the second term is a relation.  Units
-    known to different precisions stay different slots."""
+def test_degree_two_over_the_laurent_field_keeps_no_term():
+    """Two entries over F_q((t)) meet only at degree 2, above its p-rank
+    1: (w | t + O(t^5), t + t^2 + O(t^9)), the uniformizer twice and one
+    unit at two precisions keep no term and print as the zero literal."""
     F2 = gf(2)
     LF = laurent_field(F2)
     o = F2.one
     w = WittVector(2, (Laurent(F2, -1, [o], 70),))
-    c = HClass.build(LF, w, (Laurent(F2, 1, [o], 5),
-                             Laurent(F2, 1, [o, o], 9)))
-    assert repr(c) == ("[ [t^-1 + O(t^70)] | t + O(t^5), "
-                       "1 + t + O(t^8) )")
-    assert HClass.build(LF, w, (Laurent(F2, 1, [o], 5),
-                                Laurent(F2, 1, [o], 9))).is_formally_zero()
-    units = HClass.build(LF, w, (Laurent(F2, 0, [o, o], 5),
-                                 Laurent(F2, 0, [o, o], 9)))
-    assert len(units.terms) == 1
-    assert _is_normal(c) and _is_normal(units)
+    for entries in [(Laurent(F2, 1, [o], 5), Laurent(F2, 1, [o, o], 9)),
+                    (Laurent(F2, 1, [o], 5), Laurent(F2, 1, [o], 9)),
+                    (Laurent(F2, 0, [o, o], 5), Laurent(F2, 0, [o, o], 9))]:
+        c = HClass.build(LF, w, entries)
+        assert c.terms == () and repr(c) == "[ [0] | 1, 1 )"
+        assert _is_normal(c)
+
+
+def test_a_unit_entry_that_reads_one_keeps_its_precision():
+    """A unit entry that reads 1 is no factor to drop when no power of t
+    carries its precision: [ [t^-3 + O(t^5)] | 1 + O(t^3) ) over
+    GF(2)((t)) keeps its term, and inv and zero refuse it, since the
+    residue reads the entry to relative precision 4 and its completion
+    1 + t^3 answers 1; known to O(t^4) it answers 0."""
+    F2 = gf(2)
+    LF = laurent_field(F2)
+    o = F2.one
+    w = WittVector(2, (Laurent(F2, -3, [o], 5),))
+    c = HClass.build(LF, w, (Laurent(F2, 0, [o], 3),))
+    assert repr(c) == "[ [t^-3 + O(t^5)] | 1 + O(t^3) )"
+    short = r"relative precision 3; the level-1 residue reads it to " \
+            r"relative precision 4"
+    with pytest.raises(PrecisionExhausted, match=short):
+        local_invariant(c, _t_place(LF))
+    with pytest.raises(PrecisionExhausted, match=short):
+        h_zero_test(c)
+    known = HClass.build(LF, w, (Laurent(F2, 0, [o], 4),))
+    assert local_invariant(known, _t_place(LF)).value == 0
+    assert h_zero_test(known)
+    z = F2.zero
+    completed = HClass.build(LF, w, (Laurent(F2, 0, [o, z, z, o], 6),))
+    assert local_invariant(completed, _t_place(LF)).value == 1
+
+
+def test_unit_entries_answer_as_every_completion():
+    check_unit_completions(unit_entry_inputs(40, "unit entries"))
 
 
 @pytest.mark.parametrize("p,e,level", ORACLE_CELLS)
@@ -1144,10 +1189,25 @@ def test_degree_one_zero_test_reads_the_table(p, e):
     assert not all(answers)
 
 
+def test_classes_with_no_term_over_two_variables_are_zero():
+    """A class with no term is zero at every degree over F_2(x, y), with
+    no invariant read: a zero vector, a Teichmueller match and repeated
+    slots leave none."""
+    K = func_field(gf(2), ("x", "y"))
+    x, y = K.var("x"), K.var("y")
+    for w, entries in [(_w(2, K.zero), ()), (_w(2, K.zero), (x,)),
+                       (_w(2, x), (x,)), (_w(2, K.one / x), (x + y, x + y)),
+                       (_w(2, K.zero), (x, y, x + y))]:
+        c = HClass.build(K, w, entries)
+        assert c.terms == () and h_zero_test(c), c
+    assert HClass.build(K, _w(2, K.one / x), (x + y, x)).terms
+
+
 def test_zero_test_unsupported():
-    """The one refusal left: degree n <= k over F_q(x_1..x_k), here degrees
-    0, 1 and 2 over F_2(x, y).  Degree 0 over F_q(t), refused before, is
-    answered (`test_degree_zero_over_fqt_is_zero_iff_the_trace_vanishes`)."""
+    """The one refusal left: a class with a term, of degree n <= k over
+    F_q(x_1..x_k), here degrees 0, 1 and 2 over F_2(x, y).  Degree 0 over
+    F_q(t), refused before, is answered
+    (`test_degree_zero_over_fqt_is_zero_iff_the_trace_vanishes`)."""
     K = func_field(gf(2), ("x", "y"))
     x, y = K.var("x"), K.var("y")
     for entries in ((), (y,), (x, y)):
@@ -1282,51 +1342,73 @@ def _above_rank_entry(rng, field):
     return random_ratfunc(rng, field, max_deg=2)
 
 
-def _above_rank_class(rng, field, level, degree):
-    """A seeded class of the given degree over field, with a pole in every
-    coordinate, drawn again while its normal form has no term."""
+def _above_rank_terms(rng, field, level, degree):
+    """One seeded term of the given degree over field, with a pole in
+    every coordinate."""
     p = field.base.p
-    while True:
-        if isinstance(field, LaurentField):
-            w = WittVector(p, [_above_rank_entry(rng, field).shift(-3)
-                               for _ in range(level)])
-        else:
-            w = WittVector(p, [field.one / _above_rank_entry(rng, field)
-                               for _ in range(level)])
-        c = HClass.build(field, w, [_above_rank_entry(rng, field)
-                                    for _ in range(degree)])
-        if not c.is_formally_zero():
-            return c
+    if isinstance(field, LaurentField):
+        w = WittVector(p, [_above_rank_entry(rng, field).shift(-3)
+                           for _ in range(level)])
+    else:
+        w = WittVector(p, [field.one / _above_rank_entry(rng, field)
+                           for _ in range(level)])
+    return [(w, tuple(_above_rank_entry(rng, field)
+                      for _ in range(degree)))]
 
 
-def test_classes_above_the_p_rank_are_zero(monkeypatch):
-    """Omega^n_F = 0 for n above the p-rank r of F, so every class of
-    degree r + 1 or r + 2 is zero, answered with no invariant and no
-    standard form: F_q(t) and F_q((t)) have r = 1, F_2(x, y) r = 2, and
-    degree 2 over F_2(x, y) is still refused."""
-    rng = random.Random(74)
+def _above_rank_classes(rng):
+    """(field, degree, level, terms) of seeded classes of degree r + 1 and
+    r + 2 over fields of p-rank r: F_q(t) and F_q((t)) have r = 1,
+    F_2(x, y) r = 2."""
     fields = [func_field(gf(2), ("t",)), func_field(gf(3), ("t",)),
               func_field(gf(2, 2), ("t",)), laurent_field(gf(2)),
               laurent_field(gf(3))]
-    classes = [_above_rank_class(rng, K, level, degree)
-               for K in fields
-               for level in range(1, min(3, max_structure_level(K.base.p))
-                                  + 1)
-               for degree in (2, 3)]
+    out = [(K, degree, level, _above_rank_terms(rng, K, level, degree))
+           for K in fields
+           for level in range(1, min(3, max_structure_level(K.base.p)) + 1)
+           for degree in (2, 3)]
     K2xy = func_field(gf(2), ("x", "y"))
-    classes.append(_above_rank_class(rng, K2xy, 2, 3))
+    out.append((K2xy, 3, 2, _above_rank_terms(rng, K2xy, 2, 3)))
+    return out
+
+
+def test_classes_above_the_p_rank_are_zero(monkeypatch):
+    """Omega^n_F = 0 for n above the p-rank r of F, so HClass and
+    HClass.build keep no term of a class of degree r + 1 or r + 2, with no
+    entry expanded or factored, and h_zero_test answers it with no
+    invariant and no standard form.  A zero entry is still refused, and
+    degree 2 over F_2(x, y) still is."""
+    rng = random.Random(74)
+    cases = _above_rank_classes(rng)
+    K2xy = func_field(gf(2), ("x", "y"))
+    at_rank = HClass(K2xy, 2, 2, _above_rank_terms(rng, K2xy, 2, 2))
+    assert at_rank.terms
     with pytest.raises(UnsupportedField, match="no invariants"):
-        h_zero_test(_above_rank_class(rng, K2xy, 2, 2))    # 2 = k, not above
+        h_zero_test(at_rank)                                # 2 = k, not above
 
     def reached(*args, **kwargs):
-        raise AssertionError("an invariant or a standard form was read")
-    for name in ("reciprocity_check", "local_invariant",
-                 "witt_standard_form"):
-        monkeypatch.setattr(kato_module, name, reached)
+        raise AssertionError("an entry was expanded or factored, or an "
+                             "invariant or a standard form read")
+    for module, name in [(kato_module, "_expand_entry"),
+                         (poly_module, "factor"), (kato_module, "factor"),
+                         (kato_module, "reciprocity_check"),
+                         (kato_module, "local_invariant"),
+                         (kato_module, "witt_standard_form")]:
+        monkeypatch.setattr(module, name, reached)
+    classes = []
+    for field, degree, level, terms in cases:
+        (w, entries), = terms
+        for c in (HClass(field, degree, level, terms),
+                  HClass.build(field, w, entries)):
+            assert c.terms == () and c.degree == degree, c
+            classes.append(c)
+        zero = entries[:-1] + (entries[-1] * 0,)
+        with pytest.raises(ConfigMismatch, match="zero entry"):
+            HClass.build(field, w, zero)
     for c in classes:
         assert h_zero_test(c)
-    K = fields[0]
-    c1, c2 = (_above_rank_class(rng, K, level, 2) for level in (1, 2))
+    # degree 2 over F_2(t) at levels 1 and 2
+    c1, c2 = (HClass(*case) for case in cases[0:3:2])
     assert colimit_equal(ColimitClass(c1), ColimitClass(c2))
 
 
@@ -1584,10 +1666,11 @@ LOCAL_PIN_CELLS = ([(2, 1, level) for level in (1, 2, 3, 4)]
                       (2, 3, 1), (2, 3, 2), (2, 3, 3)])
 # sha256 of the answers of _local_pin_answers, as the dense series sum and
 # the product-only powers gave them, with zero classes printed as literals
-# (`[ [0] | 1 )`) and the terms sorted by their standard forms; a change
-# of series precision must change it on purpose
-LOCAL_PIN_SHA256 = ("7b7a236360cf4c19b055f16293533d2f"
-                    "db6b8ea02e854119a082d306cc0c0804")
+# (`[ [0] | 1 )`), the terms sorted by their standard forms and every
+# specialization of decompose_local the zero class, since H^2 of a finite
+# field is 0; a change of series precision must change it on purpose
+LOCAL_PIN_SHA256 = ("126d5ba07ff2f6e5b5e850fdbc2288b0"
+                    "a1b5279fbc219b851c218208079680dd")
 
 
 def _local_pin_classes():

@@ -37,8 +37,9 @@ from series_oracle import (check_expansions, dense_sum, expansion_places,
                            polynomials)
 from standard_form_oracle import (answer, check_standard_form, check_step,
                                   standard_form_inputs)
-from unramified_oracle import (check_unramified, classes,
-                               short_standard_form_terms, unramified_terms)
+from unramified_oracle import (check_unit_completions, check_unramified,
+                               classes, short_standard_form_terms,
+                               unit_entry_inputs, unramified_terms)
 from witt_oracle import (all_vectors, as_solve_inputs, check_as_solve,
                          check_int_mul)
 
@@ -391,6 +392,61 @@ def test_expand_mutants_fail_the_series_oracle(name, monkeypatch):
                         _mutant(PlaceContext.expand, EXPAND_MUTANTS[name]))
     with pytest.raises(AssertionError):
         _check_polynomial_expansions(inputs)
+
+
+# ---------------------------------------------------- the normal form ----
+
+# above the p-rank of its field a class keeps no term and no entry is
+# expanded; over F_q((t)) a unit entry that reads 1 stays unless a power of
+# t carries its precision: each mutant is (owner, function, edits), the
+# function patched into its owner
+NORMAL_FORM_MUTANTS = {
+    "rank shortcut dropped": (HClass, HClass.__init__, [
+        ("degree > _p_rank(field)", "False")]),
+    "unit rule dropped": (kato, kato._expand_entry, [
+        ("if not v or unit.coeffs", "if unit.coeffs")]),
+}
+
+
+def _above_rank_inputs():
+    """(field, degree, terms) of degree 2 over GF(2)(t) and GF(3)((t)),
+    p-rank 1, and degree 3 over GF(2)(x, y), p-rank 2."""
+    K = func_field(gf(2), ("t",))
+    t = K.var("t")
+    F3 = gf(3)
+    Kxy = func_field(gf(2), ("x", "y"))
+    x, y = Kxy.var("x"), Kxy.var("y")
+    return [(K, 2, [(WittVector(2, (K.one / t,)), (t, t + K.one))]),
+            (laurent_field(F3), 2, [
+                (WittVector(3, (Laurent(F3, -1, [F3.one], 8),)),
+                 (Laurent(F3, 1, [F3.one, F3.one], 8),
+                  Laurent(F3, 0, [F3.one, F3.one], 8)))]),
+            (Kxy, 3, [(WittVector(2, (Kxy.one / x,)), (x, y, x + y))])]
+
+
+def _check_normal_form(inputs, units, monkeypatch):
+    """AssertionError unless every class of inputs keeps no term, with no
+    entry expanded, and unit entries answer as every completion of their
+    unit."""
+    def expanded(*args):
+        raise AssertionError("an entry was expanded")
+    with monkeypatch.context() as m:
+        m.setattr(kato, "_expand_entry", expanded)
+        for field, degree, terms in inputs:
+            assert HClass(field, degree, 1, terms).terms == (), terms
+    check_unit_completions(units)
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_MUTANTS))
+def test_normal_form_mutants_fail_the_rank_and_completion_checks(
+        name, monkeypatch):
+    inputs = _above_rank_inputs()
+    units = unit_entry_inputs(40, "normal-form mutants")
+    _check_normal_form(inputs, units, monkeypatch)
+    owner, func, edits = NORMAL_FORM_MUTANTS[name]
+    monkeypatch.setattr(owner, func.__name__, _mutant(func, edits))
+    with pytest.raises(AssertionError):
+        _check_normal_form(inputs, units, monkeypatch)
 
 
 # ------------------------------------------------- the zero tests' reads ----

@@ -13,12 +13,17 @@ built.  ``short_standard_form_terms`` is a term known as far as the residue
 reads it but short of what the standard form reads, which local_symbol
 answers.  ``check_unramified`` compares an invariant function with the
 oracle, an error counting as a wrong answer.
+
+``unit_entry_inputs`` builds seeded terms (w | u) with u a unit known to
+O(t^k), every other one reading 1, and ``check_unit_completions`` asks
+that whenever local_invariant answers such a class, local_symbol gives the
+same answer on every completion u + c t^k, known far past what it reads.
 """
 
 import random
 
-from katoforge import (HClass, KatoforgeError, Laurent, WittVector, gf,
-                       laurent_field)
+from katoforge import (HClass, KatoforgeError, Laurent, PrecisionExhausted,
+                       WittVector, gf, laurent_field, local_invariant)
 from katoforge.kato import _t_place, local_symbol
 
 
@@ -106,3 +111,52 @@ def check_unramified(local_invariant, sums):
         assert got == [want, want], terms
         wants.append(want)
     assert any(wants)
+
+
+def unit_entry_inputs(count, seed):
+    """[(w, u)] over GF(2), GF(3) and GF(4)((t)) at levels 1 and 2: w with
+    a pole in coordinate 0, coordinates of valuation -4..0 known to
+    O(t^24), and u a unit known to O(t^k), k in 1..5, every other one
+    reading 1."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        F = gf(*rng.choice([(2, 1), (3, 1), (2, 2)]))
+        level = rng.choice([1, 2])
+
+        def elem(nonzero=False):
+            return F.from_code(rng.randrange(1 if nonzero else 0, F.order))
+        coords = [Laurent(F, rng.randint(-4, -1) if j == 0
+                          else rng.randint(-4, 0),
+                          [elem(True)] + [elem() for _ in range(30)], 24)
+                  for j in range(level)]
+        k = rng.randint(1, 5)
+        digits = [F.one] if n % 2 else [elem(True)] + [elem()
+                                                      for _ in range(k - 1)]
+        out.append((WittVector(F.p, coords), Laurent(F, 0, digits, k)))
+    return out
+
+
+def check_unit_completions(inputs):
+    """AssertionError unless, on each (w, u) whose class local_invariant
+    answers, local_symbol gives that answer on u + c t^k for every c of
+    the residue field, with a seeded tail known to O(t^(k + 24)); some
+    classes whose u reads 1 are answered and some refused."""
+    rng = random.Random("unit completions")
+    answered, refused = 0, 0
+    for w, u in inputs:
+        F, k = u.ring, u.prec
+        c = HClass.build(laurent_field(F), w, (u,))
+        try:
+            got = local_invariant(c, _t_place(c.field)).value
+        except PrecisionExhausted:
+            refused += u.coeffs == (F.one,)
+            continue
+        answered += u.coeffs == (F.one,)
+        digits = list(u.coeffs) + [F.zero] * (k - len(u.coeffs))
+        for x in F.elements():
+            tail = [F.from_code(rng.randrange(F.order)) for _ in range(23)]
+            completion = Laurent(F, 0, digits + [x] + tail, k + 24)
+            want = local_symbol(F, w.level, w.coords, completion)
+            assert got == want % w.p ** w.level, (w, u, x)
+    assert answered and refused
