@@ -11,7 +11,7 @@ Statements (one per line, ``#`` comments):
     cartier <form>              Cartier operator of a closed form
     nu <form>                   logarithmic-form membership test
     set level <i>               level that class literals are shifted up to
-    set precision <N>           default Laurent precision
+    set precision <N>           Laurent precision N, 16 until set
 
 Expressions cover field arithmetic (+ - * / ^), Witt literals ``[a0, a1]``,
 symbols ``{a, b}``, classes ``[ w | b1, b2 )``, differential forms written
@@ -22,8 +22,10 @@ A line is cut into tokens by one pattern (``_TOKEN``) and each statement
 reads its tokens through one ``Cursor``; ``Parser`` is the cursor that
 knows the grammar.  Brackets nest at most ``MAX_NESTING`` deep, integer
 literals and powers are bounded by ``MAX_POWER_BITS``, powers also by
-``MAX_POWER_TERMS``, and series precisions by ``MAX_PRECISION``.  Bad input
-raises a ``KatoforgeError``, which ``run_script`` prints as one line
+``MAX_POWER_TERMS``, and the series precision N by ``MAX_PRECISION``.  A
+session starts at N = ``DEFAULT_PREC``; ``set precision`` is the one place
+N is set and the one check of its bound.  Bad input raises a
+``KatoforgeError``, which ``run_script`` prints as one line
 ``error: line N ...``.
 
 Over F_q(vars) a literal is polynomial arithmetic (``MPoly``, no GCD) until
@@ -50,7 +52,7 @@ from .gf import GF, gf
 from .kato import (HClass, LaurentField, _invariant_field_kind,
                    _is_uniformizer, _t_place, laurent_field, level_shift,
                    local_invariant, reciprocity_check, h_zero_test)
-from .laurent import Laurent
+from .laurent import DEFAULT_PREC, Laurent
 from .milnor import MilnorElement, d_symbol
 from .mpoly import MPoly
 from .places import Place
@@ -180,7 +182,7 @@ MAX_NESTING = 100
 MAX_POWER_BITS = 4096
 MAX_POWER_TERMS = 2048
 
-# the largest series precision `set precision` and --precision accept.
+# the largest series precision `set precision` accepts.
 # Literals are computed to 4N + 8 coefficients before `let` cuts them to N,
 # and a division runs its recurrence over all of them: over GF(2)((t)) one
 # 1/(1+t) takes 14 s at N = 5,000,000, and `let a = t^-1` at
@@ -204,16 +206,12 @@ def _kind(v):
 
 
 class Session:
-    def __init__(self, precision=16):
-        if not (isinstance(precision, int)
-                and 1 <= precision <= MAX_PRECISION):
-            raise ScriptError(f"precision must be an integer N >= 1 and at "
-                              f"most {MAX_PRECISION}, not {precision!r}")
+    def __init__(self):
         self.fields = {}
         self.values = {}           # name -> (field name, value)
         self.current = None
         self.level = 1
-        self.precision = precision
+        self.precision = DEFAULT_PREC
 
     def field(self, name, lineno=None):
         if name not in self.fields:
@@ -668,10 +666,9 @@ def run_statement(line, lineno, session, emit):
 _json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def run_script(text, json_mode=False, precision=16, keep_going=False,
-               out=None):
+def run_script(text, json_mode=False, keep_going=False, out=None):
     out = out or sys.stdout
-    session = Session(precision=precision)
+    session = Session()
     errors = 0
 
     def emit(op, inputs, result, session):
@@ -705,26 +702,11 @@ def run_script(text, json_mode=False, precision=16, keep_going=False,
 
 # -------------------------------------------------------------- main ----
 
-def _precision(text):
-    """A series precision 1 <= N <= MAX_PRECISION; anything else is a
-    usage error."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if not 1 <= n <= MAX_PRECISION:
-        raise argparse.ArgumentTypeError(
-            f"precision must be an integer N >= 1 and at most "
-            f"{MAX_PRECISION}, not {text!r}")
-    return n
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="katoforge",
         description="exact characteristic-p computer algebra")
     ap.add_argument("--json", action="store_true")
-    ap.add_argument("--precision", type=_precision, default=16, metavar="N")
     ap.add_argument("--keep-going", action="store_true")
     ap.add_argument("file", nargs="?", help="script to run (default: stdin)")
     args = ap.parse_args(argv)
@@ -740,8 +722,7 @@ def main(argv=None):
     else:
         text = sys.stdin.read()
     try:
-        rc = run_script(text, json_mode=args.json, precision=args.precision,
-                        keep_going=args.keep_going)
+        rc = run_script(text, json_mode=args.json, keep_going=args.keep_going)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; devnull takes the flush at exit

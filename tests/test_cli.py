@@ -10,12 +10,13 @@ from itertools import combinations
 import pytest
 
 import katoforge
-from katoforge import (DiffForm, HClass, Laurent, MilnorElement, ScriptError,
-                       WittVector, d_of_function, dlog, func_field, gf,
-                       laurent_field, witt)
+from katoforge import (DiffForm, HClass, Laurent, MilnorElement, WittVector,
+                       d_of_function, dlog, func_field, gf, laurent_field,
+                       witt)
 from katoforge.cli import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
                            MAX_PRECISION, Parser, Session, main, run_script,
                            run_statement, tokenize)
+from katoforge.laurent import DEFAULT_PREC
 
 from conftest import random_ratfunc
 from literal_oracle import (check_forms, check_literals, form_inputs,
@@ -403,22 +404,32 @@ def test_script_file_and_precision_checks(tmp_path, capsys):
     assert "cannot read" in err and "missing.kf" in err
     assert "Traceback" not in err
     script = tmp_path / "s.kf"
-    script.write_text("field F = GF(2)((t))\nlet a = 1/(1+t)\n")
-    for bad in ("-3", "0", "x"):
-        with pytest.raises(SystemExit) as exc:
-            main(["--precision", bad, str(script)])
-        assert exc.value.code == 2
-        assert "N >= 1" in capsys.readouterr().err
-    assert main(["--precision", "3", str(script)]) == 0
+    for bad, message in (("-3", "usage: set level|precision <int>"),
+                         ("0", "set precision needs N >= 1"),
+                         ("x", "usage: set level|precision <int>")):
+        script.write_text(f"field F = GF(2)((t))\nset precision {bad}\n"
+                          "let a = 1/(1+t)\n")
+        assert main([str(script)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            f"error: line 2: {message}"
+    script.write_text("field F = GF(2)((t))\nset precision 3\n"
+                      "let a = 1/(1+t)\n")
+    assert main([str(script)]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "let: 1 + t + t^2 + O(t^3)"
 
 
 def test_precision_is_bounded_in_scripts_and_flags(tmp_path, capsys):
-    """set precision and --precision accept N = MAX_PRECISION and refuse
-    MAX_PRECISION + 1: one error line in a script, which goes on at the
-    precision it had, and a usage error with exit status 2 for the flag."""
+    """set precision is the one setting of N: a session starts at
+    DEFAULT_PREC, and neither run_script nor Session takes a precision.
+    It accepts N = MAX_PRECISION and refuses MAX_PRECISION + 1 with one
+    error line, after which the script goes on at the precision it had."""
     assert MAX_PRECISION == 65536
+    assert Session().precision == DEFAULT_PREC == 16
+    with pytest.raises(TypeError):
+        Session(precision=3)
+    with pytest.raises(TypeError):
+        run_script("field L = GF(2)((t))", precision=3, out=io.StringIO())
     text = (f"field L = GF(2)((t))\nset precision {MAX_PRECISION}\n"
             f"set precision {MAX_PRECISION + 1}\nlet c = 1/t + O(t^2)")
     buf = io.StringIO()
@@ -427,30 +438,16 @@ def test_precision_is_bounded_in_scripts_and_flags(tmp_path, capsys):
         "set: ok", f"error: line 3: set precision needs N <= {MAX_PRECISION}",
         "let: t^-1 + O(t^2)"]
     script = tmp_path / "s.kf"
-    script.write_text("field F = GF(2)((t))\nlet a = 1 + t\n")
-    assert main(["--precision", str(MAX_PRECISION), str(script)]) == 0
+    script.write_text(f"field F = GF(2)((t))\nset precision {MAX_PRECISION}\n"
+                      "let a = 1 + t\n")
+    assert main([str(script)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == \
         f"let: 1 + t + O(t^{MAX_PRECISION})"
-    with pytest.raises(SystemExit) as exc:
-        main(["--precision", str(MAX_PRECISION + 1), str(script)])
-    assert exc.value.code == 2
-    assert f"at most {MAX_PRECISION}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("precision", [0, -1, MAX_PRECISION + 1, 10 ** 7,
-                                       "16", 16.0])
-def test_run_script_precision_is_bounded(precision):
-    """run_script and Session refuse a precision outside 1..MAX_PRECISION
-    with a typed error before any statement runs; both bounds are kept."""
-    buf = io.StringIO()
-    with pytest.raises(ScriptError, match=f"at most {MAX_PRECISION}"):
-        run_script("field L = GF(2)((t))\nlet a = 1/(1+t)",
-                   precision=precision, out=buf)
-    assert buf.getvalue() == ""
-    with pytest.raises(ScriptError):
-        Session(precision=precision)
-    for n in (1, MAX_PRECISION):
-        assert Session(precision=n).precision == n
+    script.write_text("field F = GF(2)((t))\n"
+                      f"set precision {MAX_PRECISION + 1}\nlet a = 1 + t\n")
+    assert main([str(script)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"error: line 2: set precision needs N <= {MAX_PRECISION}"
 
 
 @pytest.mark.parametrize("json_mode", [False, True])
@@ -973,9 +970,7 @@ def test_closed_stdout_ends_the_run_quietly(flags, tmp_path):
 
 @pytest.mark.parametrize("flag,check", [
     (["--json"], lambda out: out.startswith('{"field"')),
-    (["--precision", "3"],
-     lambda out: out.endswith("let: 1 + t + t^2 + O(t^3)\n")),
-], ids=["json", "precision"])
+], ids=["json"])
 def test_flags_before_and_after_the_file(flag, check, tmp_path, monkeypatch,
                                          capsys):
     monkeypatch.chdir(tmp_path)
@@ -988,12 +983,13 @@ def test_flags_before_and_after_the_file(flag, check, tmp_path, monkeypatch,
 
 
 def test_removed_spellings_are_refused(tmp_path, monkeypatch, capsys):
-    """--script, --seed and the run sub-command are usage errors (exit
-    status 2), and selftest names a script that cannot be read (1); none
-    prints a traceback."""
+    """--script, --seed, --precision and the run sub-command are usage
+    errors (exit status 2), and selftest names a script that cannot be
+    read (1); none prints a traceback."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.kf").write_text("field F = GF(2)(t)\n")
     for argv in (["--script", "s.kf"], ["--seed", "1", "s.kf"],
+                 ["--precision", "3", "s.kf"], ["s.kf", "--precision", "3"],
                  ["run", "s.kf"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 from katoforge import (DiffForm, GaloisRing, HClass, KatoforgeError, Laurent,
-                       MilnorElement, MPoly, RatFunc, WittVector,
+                       MilnorElement, MPoly, RatFunc, WittVector, cli,
                        d_of_function, d_symbol, dlog, forms, func_field, gf,
                        kato, laurent_field, milnor, mpoly, rational,
                        reciprocity_check, WildClass, witt)
@@ -25,6 +25,7 @@ from katoforge.cli import Parser
 from katoforge.places import Place, PlaceContext, support_places
 from katoforge.poly import to_dense
 
+import test_cli as cli_tests
 from conftest import random_form, random_mpoly, random_ratfunc
 from forms_oracle import (d_termwise, degree_one_sums, dlog_sum,
                           wedge_of_dlogs)
@@ -762,6 +763,25 @@ def test_parser_mutants_fail_the_literal_oracle(name, monkeypatch):
     monkeypatch.setattr(Parser, method.__name__, _mutant(method, edits))
     with pytest.raises(AssertionError):
         check_literals(inputs)
+
+
+# `set precision` is the one check of the series precision N
+PRECISION_BOUND_MUTANTS = {
+    "MAX_PRECISION + 1 accepted": [
+        ("n > MAX_PRECISION:", "n > MAX_PRECISION + 1:")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECISION_BOUND_MUTANTS))
+def test_precision_bound_mutants_fail_the_bound_test(name, tmp_path, capsys,
+                                                      monkeypatch):
+    cli_tests.test_precision_is_bounded_in_scripts_and_flags(tmp_path, capsys)
+    monkeypatch.setattr(cli, "run_statement",
+                        _mutant(cli.run_statement,
+                                PRECISION_BOUND_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        cli_tests.test_precision_is_bounded_in_scripts_and_flags(tmp_path,
+                                                                 capsys)
 
 
 FORM_LITERAL_MUTANTS = {
