@@ -19,13 +19,14 @@ import pytest
 from katoforge import (DiffForm, GaloisRing, HClass, KatoforgeError, Laurent,
                        MilnorElement, MPoly, RatFunc, WittVector, cli,
                        d_of_function, d_symbol, dlog, forms, func_field, gf,
-                       kato, laurent_field, milnor, mpoly, rational,
+                       kato, laurent_field, milnor, mpoly, poly, rational,
                        reciprocity_check, WildClass, witt)
 from katoforge.cli import Parser
 from katoforge.places import Place, PlaceContext, support_places
-from katoforge.poly import to_dense
+from katoforge.poly import Poly, to_dense
 
 import test_cli as cli_tests
+import test_poly as poly_tests
 from conftest import random_form, random_mpoly, random_ratfunc
 from forms_oracle import (d_termwise, degree_one_sums, dlog_sum,
                           wedge_of_dlogs)
@@ -1066,3 +1067,36 @@ def test_gcd_shortcut_mutants_fail_the_prs_oracle(name, monkeypatch):
                         _mutant(mpoly.mpoly_gcd, GCD_SHORTCUT_MUTANTS[name]))
     with pytest.raises(AssertionError):
         _check_gcds(inputs)
+
+
+# ------------------------------------------------ the factorization memo ----
+
+def test_a_shared_answer_fails_the_fresh_list_test():
+    """A memo that hands out its own list lets a caller's edit reach the
+    next caller."""
+    poly_tests.check_fresh_lists(poly.factor)
+    shared = _mutant(poly._factor, [("return tuple(sorted(",
+                                     "return list(sorted(")])
+    mutant = _mutant(poly.factor, [("return list(_factor(f))",
+                                    "return _factor(f)")])
+    mutant.__globals__["_factor"] = shared
+    with pytest.raises(AssertionError):
+        poly_tests.check_fresh_lists(mutant)
+
+
+def test_a_key_without_the_field_fails_the_fields_apart_test(monkeypatch):
+    """Over GF(2) and GF(3) the same codes would share one memo entry."""
+    poly_tests.test_the_memo_tells_fields_apart((2, 3), False)
+    monkeypatch.setattr(Poly, "__eq__", _mutant(
+        Poly.__eq__, [("and self.field is other.field", "")]))
+    monkeypatch.setattr(Poly, "__hash__", _mutant(
+        Poly.__hash__, [("hash((id(self.field), self._codes))",
+                         "hash(self._codes)")]))
+    try:
+        with pytest.raises(AssertionError):
+            poly_tests.test_the_memo_tells_fields_apart((2, 3), False)
+    finally:
+        # entries stored under the mutant's hash are never found again,
+        # but drop them
+        poly._factor.cache_clear()
+        poly.is_irreducible.cache_clear()

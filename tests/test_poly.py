@@ -5,6 +5,7 @@ import pytest
 
 from katoforge import (ConfigMismatch, MPoly, Poly, ResourceLimit,
                        ZeroPolynomial, factor, gf, is_irreducible)
+from katoforge import poly as poly_module
 from katoforge.mpoly import _code_eval
 from katoforge.poly import (_distinct_degree, _equal_degree_split, _poly_key,
                             _seed_for, squarefree_decomposition)
@@ -197,3 +198,72 @@ def test_factor_matches_the_staged_path(p, e, degrees):
             for lead in (1, F.order - 1):
                 f = Poly._from_codes(F, list(codes) + [lead])
                 assert factor(f) == _staged_factor(f), f
+
+
+# ------------------------------------------------------ the memo ----
+
+def check_fresh_lists(factor):
+    """AssertionError unless clearing one answer of factor, or appending to
+    the next, leaves the answer after it whole."""
+    F = gf(3)
+    f = _poly(F, [2, 0, 1, 1, 1])
+    first = factor(f)
+    first.clear()
+    second = factor(f)
+    assert second == _staged_factor(f)
+    second.append((f, 1))
+    assert factor(f) == _staged_factor(f)
+
+
+def test_factor_returns_a_fresh_list():
+    check_fresh_lists(factor)
+
+
+@pytest.mark.parametrize("order", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("irreducible_first", [False, True])
+def test_the_memo_tells_fields_apart(order, irreducible_first):
+    # the codes (1, 0, 1) are (t+1)^2 over GF(2) and irreducible over GF(3)
+    answers = {2: ([(_poly(gf(2), [1, 1]), 2)], False),
+               3: ([(_poly(gf(3), [1, 0, 1]), 1)], True)}
+    for p in order + order:
+        f = Poly._from_codes(gf(p), [1, 0, 1])
+        if irreducible_first:
+            irr = is_irreducible(f)
+            fs = factor(f)
+        else:
+            fs = factor(f)
+            irr = is_irreducible(f)
+        assert (fs, irr) == answers[p]
+
+
+def test_a_repeated_polynomial_runs_no_stage(monkeypatch):
+    F = gf(2, 2)
+    f = Poly._from_codes(F, [1, 2, 0, 3, 1, 1])
+    g = Poly._from_codes(F, [2, 1, 0, 1])
+    fs, irr = factor(f), is_irreducible(g)
+
+    def stage(*args):
+        raise AssertionError("a memoized input ran a stage")
+    for name in ("squarefree_decomposition", "_distinct_degree",
+                 "_equal_degree_split"):
+        monkeypatch.setattr(poly_module, name, stage)
+    monkeypatch.setattr(Poly, "powmod", stage)
+    assert factor(f) == fs
+    assert is_irreducible(g) == irr
+    with pytest.raises(AssertionError):
+        factor(f * g)
+    with pytest.raises(AssertionError):
+        is_irreducible(g * g)
+
+
+def test_eviction_keeps_answers():
+    # 1,100 distinct inputs overflow the 1,024 entries; the first ones come
+    # back evicted and are factored again
+    F = gf(2, 2)
+    rng = random.Random("eviction")
+    seen = {}
+    while len(seen) < 1100:
+        f = Poly._from_codes(F, [rng.randrange(4) for _ in range(6)] + [1])
+        seen.setdefault(f, factor(f))
+    for f in list(seen)[:50]:
+        assert factor(f) == seen[f] == _staged_factor(f), f
