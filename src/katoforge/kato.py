@@ -19,10 +19,13 @@ the residue's own precision guard.  A series
 coordinate counts as zero only when it is known to O(t^1), as far as the
 residue reads a zero coordinate; zero to a lower precision, its term stays
 and the residue refuses it.  Only HClass(field, degree, level, terms)
-expands; the other operations take the canonical step alone, which
-reduces again what negation at p = 2 and int_mul (through Frobenius) move
-back into a pole of order divisible by p.  No confluent rewriting is
-attempted: h_zero_test decides equality by the p-rank r of the field,
+expands, and over F_q((t)) it reduces each degree-1 source vector once,
+before the expansion, so that every multiple m w of the expansion starts
+from the reduced vector.  The canonical step, which the other operations
+take alone, re-reduces only what negation at p = 2 and int_mul (through
+Frobenius) move back into a pole of order divisible by p.  No confluent
+rewriting is attempted: h_zero_test decides equality by the p-rank r
+of the field,
 [F : F^p] = p^r, which is 0 for GF(q), 1 for F_q(t) and F_q((t)) and k for
 F_q(x_1..x_k).  K_n(F)/p^i embeds in W_i Omega^n_F (Bloch-Kato-Gabber;
 Bloch-Kato, Publ. IHES 63, 1986), H^{n+1}_{p^i}(F) is described through
@@ -401,9 +404,15 @@ class HClass:
 
 def _expanded_terms(field, terms):
     """The multilinear expansion of every entry: (m w | factors) for each
-    choice of factors, m the product of their multiplicities."""
+    choice of factors, m the product of their multiplicities.  Over
+    F_q((t)) a degree-1 w is put in standard form first
+    (`_standard_form_term`), once, so every m w starts from the reduced
+    vector and `_canonical` re-reduces only the poles that int_mul moves."""
+    local = isinstance(field, LaurentField)
     out = []
     for w, entries in terms:
+        if local and len(entries) == 1:
+            w = _standard_form_term(w, field.base)
         for ent, m in multilinear_expansion(
                 entries, lambda b: _expand_entry(field, b)):
             out.append((w.int_mul(m), ent))
@@ -412,9 +421,10 @@ def _expanded_terms(field, terms):
 
 def _canonical(field, terms):
     """Expanded terms in normal form: over F_q((t)) each degree-1 term in
-    standard form (`_standard_form_term`), then vectors of `_known_zero`
-    coordinates, repeated slots and Teichmueller-Steinberg matches
-    dropped, the rest sorted."""
+    standard form (`_standard_form_term`; a vector already reduced takes
+    no step, so this re-reduces only the poles that int_mul and negation
+    move), then vectors of `_known_zero` coordinates, repeated slots and
+    Teichmueller-Steinberg matches dropped, the rest sorted."""
     if isinstance(field, LaurentField):
         terms = [(_standard_form_term(w, field.base) if len(ent) == 1 else w,
                   ent) for w, ent in terms]

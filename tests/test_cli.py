@@ -304,6 +304,31 @@ recip [ [u] | u^2+u+1 )
     ]
 
 
+def test_a_script_run_twice_reads_its_factorizations_from_the_memo():
+    """A script whose entry and coordinate denominators have factors of
+    degree 2 and 3 runs factor's stages once: run twice in one process, it
+    prints the same bytes twice, the first run adds misses to poly's
+    factorization memo and the second adds hits and no miss."""
+    script = ("field F = GF(2)(t)\nset level 2\n"
+              "recip [ [1/(t^2+t+1)^2, 1/t] | (t^3+t+1)*(t+1)^2 )\n"
+              "zero [ [1/(t^2+t+1)] | t^2+t+1 )\n")
+    memo = katoforge.poly._factor
+    memo.cache_clear()
+    outs, infos = [], [memo.cache_info()]
+    for _ in range(2):
+        buf = io.StringIO()
+        assert run_script(script, out=buf) == 0
+        outs.append(buf.getvalue())
+        infos.append(memo.cache_info())
+    assert outs[0] == outs[1]
+    assert infos[1].misses > infos[0].misses
+    assert infos[2].misses == infos[1].misses
+    assert infos[2].hits > infos[1].hits
+    recip = json.loads(outs[0].splitlines()[2].removeprefix("recip: "))
+    assert recip["ok"] is True and recip["sum"] == 0
+    assert outs[0].splitlines()[3] == "zero: True"
+
+
 def test_error_reporting():
     buf = io.StringIO()
     rc = run_script("field F = GF(2)(t)\nlet x = (t", out=buf)

@@ -18,7 +18,8 @@ from katoforge import (kato as kato_module, milnor as milnor_module,
                        places as places_module, poly as poly_module)
 from katoforge.kato import (LaurentField, _precision_needs, _t_place,
                             class_places, local_symbol)
-from katoforge.milnor import _has_steinberg_pair, symbol_expand
+from katoforge.milnor import (_has_steinberg_pair, multilinear_expansion,
+                              symbol_expand)
 from katoforge.places import (PlaceContext, from_rational, place_order,
                               support_places)
 from katoforge.poly import is_irreducible, to_dense
@@ -1666,11 +1667,12 @@ LOCAL_PIN_CELLS = ([(2, 1, level) for level in (1, 2, 3, 4)]
                       (2, 3, 1), (2, 3, 2), (2, 3, 3)])
 # sha256 of the answers of _local_pin_answers, as the dense series sum and
 # the product-only powers gave them, with zero classes printed as literals
-# (`[ [0] | 1 )`), the terms sorted by their standard forms and every
-# specialization of decompose_local the zero class, since H^2 of a finite
-# field is 0; a change of series precision must change it on purpose
-LOCAL_PIN_SHA256 = ("126d5ba07ff2f6e5b5e850fdbc2288b0"
-                    "a1b5279fbc219b851c218208079680dd")
+# (`[ [0] | 1 )`), the terms sorted by their standard forms, each source
+# vector reduced before the expansion and every specialization of
+# decompose_local the zero class, since H^2 of a finite field is 0; a
+# change of series precision must change it on purpose
+LOCAL_PIN_SHA256 = ("524df077be336f44f87cc30cb6d9d205"
+                    "30b012283f6241e8e344a110d1ed396e")
 
 
 def _local_pin_classes():
@@ -1721,6 +1723,73 @@ def test_local_answers_pinned():
     assert sum(a.startswith("WildClass") for a in answers) == 24
     text = "\n".join(answers)
     assert hashlib.sha256(text.encode()).hexdigest() == LOCAL_PIN_SHA256
+
+
+def _expand_then_reduce(field, terms):
+    """The class of terms with no vector reduced before the expansion:
+    expand, int_mul, then the canonical step alone, which reduces each
+    multiple m w from w itself."""
+    expanded = [(w.int_mul(m), ent) for w, entries in terms
+                for ent, m in multilinear_expansion(
+                    entries, lambda b: kato_module._expand_entry(field, b))]
+    return HClass._normal(field, len(terms[0][1]), terms[0][0].level,
+                          expanded)
+
+
+def _reduction_order_inputs():
+    """Lists of (w, entries): the pinned classes, and sums of
+    unramified_terms over GF(2), GF(3), GF(4) and GF(8)((t)) at levels
+    1-3 and over GF(2)((t)) at level 4."""
+    out = [[(w, (b,))] for w, b in _local_pin_classes()]
+    cells = [(p, e, level) for p, e in [(2, 1), (3, 1), (2, 2), (2, 3)]
+             for level in (1, 2, 3)] + [(2, 1, 4)]
+    for p, e, level in cells:
+        out += [[(w, (b,)) for w, b in terms] for terms, _ in
+                unramified_terms(p, e, level, 6, "reduction order")]
+    return out
+
+
+def _val(a):
+    """The valuation of a series, None when it is zero to precision."""
+    return None if a.is_zero() else a.val
+
+
+def _local_reads(c):
+    """local_invariant at t and the trace of decompose_local's residue, or
+    the type of WildClass or PrecisionExhausted in place of either."""
+    mod = c.field.base.p ** c.level
+    out = []
+    for read in (lambda: local_invariant(c, _t_place(c.field)).value,
+                 lambda: sum(w.trace_int() for w, _ in
+                             decompose_local(c)[1].terms) % mod):
+        try:
+            out.append(read())
+        except (WildClass, PrecisionExhausted) as exc:
+            out.append(type(exc))
+    return out
+
+
+def test_reducing_before_the_expansion_keeps_every_answer():
+    """Over F_q((t)) the expanding constructor reduces each source vector
+    before the expansion; reducing only the expanded multiples, as the
+    canonical step alone does, gives the same invariant and residue, the
+    same errors, the same valuation of every stored coordinate and no
+    more precision, and both classes are in normal form."""
+    kinds = set()
+    for terms in _reduction_order_inputs():
+        field = laurent_field(terms[0][1][0].ring)
+        fast = HClass(field, 1, terms[0][0].level, terms)
+        slow = _expand_then_reduce(field, terms)
+        assert _is_normal(fast) and _is_normal(slow), terms
+        reads = _local_reads(fast)
+        assert reads == _local_reads(slow), terms
+        kinds.update(r if isinstance(r, type) else int for r in reads)
+        assert len(fast.terms) == len(slow.terms), terms
+        for (w, ent), (v, want) in zip(fast.terms, slow.terms):
+            assert ent == want, terms
+            assert [_val(a) for a in w.coords] == [_val(a) for a in v.coords]
+            assert all(a.prec >= b.prec for a, b in zip(w.coords, v.coords))
+    assert kinds == {int, WildClass}
 
 
 # ------------------------------------------ standard form and guards ----

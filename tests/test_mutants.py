@@ -26,6 +26,7 @@ from katoforge.places import Place, PlaceContext, support_places
 from katoforge.poly import Poly, to_dense
 
 import test_cli as cli_tests
+import test_kato as kato_tests
 import test_poly as poly_tests
 from conftest import random_form, random_mpoly, random_ratfunc
 from forms_oracle import (d_termwise, degree_one_sums, dlog_sum,
@@ -582,7 +583,10 @@ def _unramified_sums():
     "wild", the others "integral" in normal form; the term known "short"
     of what the standard form reads; and over GF(2)((t)) and GF(3)((t))
     at level 2 sums of "integral" terms (u | t^j unit), j in {-2, -1, 2},
-    whose raw class reads ord b = j."""
+    whose raw class reads ord b = j; and over GF(2)((t)) at level 2 the
+    term (w | t^-1 (1 + t + t^2)), w = (t^-3 + 1 + t, t), whose vector is
+    its own standard form, so only the "canonical" step reduces the pole
+    t^-6 that negation puts into coordinate 1 of its (-w | t)."""
     out = [(terms, "wild" if wild else "integral")
            for p, e, level in [(2, 1, 1), (2, 1, 2), (2, 1, 3),
                                (3, 1, 2), (2, 2, 2)]
@@ -601,14 +605,20 @@ def _unramified_sums():
                                          for _ in range(2)]),
                           series(rng.choice((-2, -1, 2))))
                          for _ in range(2)], "integral"))
+    F = gf(2)
+    o, z = F.one, F.zero
+    w = WittVector(2, (Laurent(F, -3, [o, z, z, o, o], 40),
+                       Laurent.monomial(F, o, 1, 40)))
+    out.append(([(w, Laurent(F, -1, [o, o, o], 40))], "canonical"))
     return out
 
 
 def _check_unramified(sums, calls):
     """check_unramified on kato.local_invariant; then on each integral
     normal-form class no local_symbol call (calls records them) and a
-    residue from decompose_local that traces to the invariant, and on each
-    wild one WildClass from decompose_local."""
+    residue from decompose_local that traces to the invariant, on each
+    wild one WildClass from decompose_local, and each canonical one in
+    normal form."""
     check_unramified(kato.local_invariant, [terms for terms, _ in sums])
     for terms, kind in sums:
         if kind == "integral":
@@ -626,6 +636,9 @@ def _check_unramified(sums, calls):
             except WildClass:
                 continue
             raise AssertionError(f"{c!r} decomposed")
+        elif kind == "canonical":
+            c = classes(terms)[0]
+            assert kato_tests._is_normal(c), c
 
 
 @pytest.mark.parametrize("name", sorted(UNRAMIFIED_TERM_MUTANTS))
@@ -644,6 +657,69 @@ def test_unramified_term_mutants_fail_the_series_residue(name, monkeypatch):
     monkeypatch.setattr(kato, func.__name__, _mutant(func, edits))
     with pytest.raises(AssertionError):
         _check_unramified(sums, calls)
+
+
+# over F_q((t)) the expanding constructor reduces each degree-1 source
+# vector once, before the expansion, so that every multiple of it starts
+# from the reduced vector
+SOURCE_VECTOR_MUTANTS = {
+    "source vector not reduced": [
+        ("w = _standard_form_term(w, field.base)", "pass")],
+}
+
+
+def _source_vector_inputs():
+    """(field, w, b): w = u + wp(y) over GF(2)((t)) at levels 1-3 and over
+    GF(3)((t)) and GF(4)((t)) at level 2, u integral and y = (y_0, 0, ..)
+    a pole of order 1 or 2, and b = t^j u' for j in {-2, -1, 2}, u' a unit
+    that does not read 1."""
+    rng = random.Random("source vectors")
+    out = []
+    for p, e, level in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2),
+                        (2, 2, 2)]:
+        F = gf(p, e)
+        prec = 12 + 4 * p ** level
+
+        def series(val, n):
+            return Laurent(F, val, [F.from_code(rng.randrange(1, F.order))
+                                    for _ in range(n)], prec)
+        for j in (-2, -1, 2):
+            u = WittVector(p, [series(rng.randint(0, 1), 3)
+                               for _ in range(level)])
+            y = WittVector(p, [series(-rng.randint(1, 2), 2)]
+                           + [Laurent.zero(F, prec)] * (level - 1))
+            out.append((laurent_field(F), u + y.wp(), series(j, 3)))
+    return out
+
+
+def _check_reduced_once(inputs, monkeypatch):
+    """AssertionError unless building (w | b) runs _standard_form_step as
+    often as witt_standard_form(w) alone, and at least once."""
+    steps = []
+    step = kato._standard_form_step
+
+    def counting(*args):
+        steps.append(args)
+        return step(*args)
+    with monkeypatch.context() as m:
+        m.setattr(kato, "_standard_form_step", counting)
+        for field, w, b in inputs:
+            steps.clear()
+            kato.witt_standard_form(w, field.base)
+            alone = len(steps)
+            steps.clear()
+            HClass.build(field, w, (b,))
+            assert len(steps) == alone > 0, (w, b)
+
+
+@pytest.mark.parametrize("name", sorted(SOURCE_VECTOR_MUTANTS))
+def test_source_vector_mutants_fail_the_step_count(name, monkeypatch):
+    inputs = _source_vector_inputs()
+    _check_reduced_once(inputs, monkeypatch)
+    monkeypatch.setattr(kato, "_expanded_terms", _mutant(
+        kato._expanded_terms, SOURCE_VECTOR_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        _check_reduced_once(inputs, monkeypatch)
 
 
 # the table's places and orders come from one factorization per
