@@ -515,28 +515,51 @@ def local_symbol(k_field, level, w_coords, b):
     precision 1 - val g, which knows dlog b to O(t^(-val g)).  Inputs known
     to less are used as they are; PrecisionExhausted if the residue is then
     out of reach.
+
+    Two steps are memoized per process, per Galois ring R = GR(p^level, k),
+    at most 512 entries each, least recently used out: the ghost term
+    p^j teich(a_j)^(p^(level-1-j)) of each truncated coordinate
+    (`_ghost_term`) and dlog teich(b) of the truncated entry
+    (`_lifted_dlog`).  Their keys are the truncated series, so inputs known
+    further share an entry.  ConfigMismatch for a coordinate or an entry
+    that is not a Laurent series.
     """
     if level < 1:
         raise ResourceLimit(f"level must be >= 1, got {level}")
     if len(w_coords) != level:
         raise ConfigMismatch(
             f"{len(w_coords)} Witt coordinates for level {level}")
+    for x in (*w_coords, b):
+        if not isinstance(x, Laurent):
+            raise ConfigMismatch(
+                f"local_symbol reads Laurent series, got a {type(x).__name__}")
     if b.is_zero():
         raise DivisionByZero("dlog of a series zero to precision")
-    p = k_field.p
     R = galois_ring(k_field, level)
-    needs, _ = _precision_needs(p, level, [a.val for a in w_coords])
+    needs, _ = _precision_needs(k_field.p, level, [a.val for a in w_coords])
     g = None
     for j, (a, need) in enumerate(zip(w_coords, needs)):
-        a = a.truncate(min(a.prec, need))
-        term = a.map_coeffs(R, R.teich) ** (p ** (level - 1 - j))
-        term = term * (p ** j)
+        term = _ghost_term(R, j, a.truncate(min(a.prec, need)))
         g = term if g is None else g + term
     if g.val >= 1:
         return 0    # g_k = 0 for every k <= 0
-    b = b.truncate(min(b.prec, b.val + 1 - g.val))
-    dlogb = b.map_coeffs(R, R.teich).dlog()
+    dlogb = _lifted_dlog(R, b.truncate(min(b.prec, b.val + 1 - g.val)))
     return R.trace_int((g * dlogb).coeff(-1))
+
+
+@lru_cache(maxsize=512)
+def _ghost_term(R, j, a):
+    """p^j teich(a)^(p^(level-1-j)) over R = GR(p^level, k) for coordinate j
+    of local_symbol, cut to what the residue reads."""
+    return (a.map_coeffs(R, R.teich) ** (R.p ** (R.length - 1 - j))
+            * (R.p ** j))
+
+
+@lru_cache(maxsize=512)
+def _lifted_dlog(R, b):
+    """dlog teich(b) over R for local_symbol's entry, cut to what the
+    residue reads."""
+    return b.map_coeffs(R, R.teich).dlog()
 
 
 def witt_standard_form(w, base):

@@ -7,6 +7,11 @@ Every operation records the guaranteed precision of its result and never
 truncates below it; reading a coefficient at or beyond the precision raises
 PrecisionExhausted.
 
+A series is an immutable value: no operation changes its operands, coeffs
+is a tuple, and equality asks for the same ring object.  So memos key on
+series and hand the same series to every caller (`PlaceContext.expand`,
+and the ghost terms and lifted dlogs of `kato.local_symbol`).
+
 The coefficient ring is a GF(p^e) or a Galois ring GR(p^i, e): an element is
 a length-e tuple of digits in Z/M (`coeffs`), M = `digit_modulus` (p for GF,
 p^i for GR), read modulo the monic `modulus` of degree e lifted to Z.  Besides

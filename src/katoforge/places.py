@@ -15,6 +15,12 @@ division of the two shifted (or reversed) polynomials.
 Residues are read off the exact local Laurent expansion; this stays valid for
 every pole order in characteristic p (order-reduction tricks that divide by
 (order - 1) do not).
+
+`PlaceContext.expand` is memoized per process on (context, function,
+precision), at most 512 expansions, least recently used out.  A RatFunc is
+equal only to one over the same field, and a context belongs to one field
+and place, so a hit is the exact series asked for; the series is immutable,
+and every caller that asks shares it.
 """
 
 from functools import lru_cache
@@ -24,6 +30,7 @@ from .errors import ConfigMismatch, IntegralityViolation, UnsupportedField
 from .laurent import DEFAULT_PREC, Laurent, _series_div
 from .mpoly import format_mpoly
 from .poly import Poly, factor_ratfunc, is_irreducible, to_dense, to_mpoly
+from .rational import RatFunc
 
 
 class Place:
@@ -100,10 +107,20 @@ class PlaceContext:
                 raise IntegralityViolation(
                     "place polynomial has no root in its residue field")
 
+    @lru_cache(maxsize=512)
     def expand(self, r, prec):
-        """Local Laurent expansion of a RatFunc, to absolute precision prec."""
-        if r.field is not self.field:
-            raise ConfigMismatch("rational function over a different field")
+        """Local Laurent expansion of a RatFunc, to absolute precision prec.
+
+        Memoized per process on (context, r, prec), at most 512 entries,
+        least recently used out: a repeated request returns the same
+        immutable series, which every caller shares.  ConfigMismatch for
+        anything but a RatFunc of this context's field."""
+        if not isinstance(r, RatFunc) or r.field is not self.field:
+            got = (f"one of {r.field!r}" if isinstance(r, RatFunc)
+                   else f"a {type(r).__name__}")
+            raise ConfigMismatch(
+                f"expansion at {self.place!r} takes a rational function of "
+                f"{self.field!r}, got {got}")
         num = to_dense(r.num)
         if r.den.is_const():
             # the denominator is monic, so 1: a polynomial divides by nothing

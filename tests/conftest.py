@@ -24,6 +24,26 @@ ORACLE_FIELDS = [(2, 1, ("t",)), (3, 1, ("t",)), (2, 2, ("t",)),
                  (2, 1, ("x", "y", "z")), (3, 1, ("x", "y", "z"))]
 
 
+# the per-process memos under the Schmid-Witt residue: a test that reads
+# their counters empties them first
+RESIDUE_MEMOS = (katoforge.places.PlaceContext.expand,
+                 katoforge.kato._ghost_term, katoforge.kato._lifted_dlog)
+
+
+def clear_residue_memos():
+    for memo in RESIDUE_MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _residue_memos_cleared_after_patching(request):
+    """After a test that patches, once its patches are undone, no series
+    that a patched function made stays in the memos for the next test."""
+    yield
+    if "monkeypatch" in request.fixturenames:
+        clear_residue_memos()
+
+
 def run_optimized(code):
     """stdout of code run by ``python -O``, which strips every assert."""
     src = os.path.dirname(os.path.dirname(katoforge.__file__))

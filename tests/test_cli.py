@@ -18,7 +18,7 @@ from katoforge.cli import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
                            run_statement, tokenize)
 from katoforge.laurent import DEFAULT_PREC
 
-from conftest import random_ratfunc
+from conftest import RESIDUE_MEMOS, clear_residue_memos, random_ratfunc
 from literal_oracle import (check_forms, check_literals, form_inputs,
                             literal_inputs)
 
@@ -327,6 +327,33 @@ def test_a_script_run_twice_reads_its_factorizations_from_the_memo():
     recip = json.loads(outs[0].splitlines()[2].removeprefix("recip: "))
     assert recip["ok"] is True and recip["sum"] == 0
     assert outs[0].splitlines()[3] == "zero: True"
+
+
+def test_a_script_run_twice_reads_its_expansions_from_the_memos():
+    """Reciprocity tables and an invariant over GF(3)(t) at level 3 and
+    GF(2)(t) at level 4, run twice in one process with the residue's memos
+    emptied first: the same bytes twice, and the second run adds no
+    miss in any of them."""
+    script = ("field F = GF(3)(t)\nset level 3\n"
+              "recip [ [1/(t^2+1), 1/t, 0] | t*(t+2) )\n"
+              "inv [ [1/(t^2+1)^2, t] | t^2+1 ) at t^2+1\n"
+              "field G = GF(2)(t)\nset level 4\n"
+              "recip [ [1/(t^2+t+1), 1/t, 0, 1] | t+1 )\n")
+    clear_residue_memos()
+    outs, misses = [], [[m.cache_info().misses for m in RESIDUE_MEMOS]]
+    for _ in range(2):
+        buf = io.StringIO()
+        assert run_script(script, out=buf) == 0
+        outs.append(buf.getvalue())
+        misses.append([m.cache_info().misses for m in RESIDUE_MEMOS])
+    assert outs[0] == outs[1]
+    assert all(a < b for a, b in zip(misses[0], misses[1]))
+    assert misses[2] == misses[1]
+    lines = outs[0].splitlines()
+    assert len(lines) == 7
+    for line in (lines[2], lines[6]):
+        recip = json.loads(line.removeprefix("recip: "))
+        assert recip["ok"] is True and recip["sum"] == 0
 
 
 def test_error_reporting():

@@ -25,7 +25,8 @@ from katoforge.places import (PlaceContext, from_rational, place_order,
 from katoforge.poly import is_irreducible, to_dense
 from katoforge.witt import max_structure_level
 
-from conftest import random_mpoly, random_ratfunc, run_optimized
+from conftest import (clear_residue_memos, random_mpoly, random_ratfunc,
+                      run_optimized)
 from ghost_oracle import (ghost_inversion_symbol, uniform_precision,
                           uniform_series_inputs)
 from standard_form_oracle import (answer, restart_standard_form,
@@ -1018,6 +1019,125 @@ def test_local_symbol_zero_entry_raises():
     with pytest.raises(DivisionByZero):
         local_symbol(F, 1, [Laurent.monomial(F, F.one, 2, 8)],
                      Laurent.zero(F, 8))
+
+
+@pytest.mark.parametrize("case", ["entry", "coordinate"])
+def test_local_symbol_refuses_what_is_no_series(case):
+    """The memos take truncated series as their keys; each coordinate and
+    the entry are checked before anything is lifted."""
+    F = gf(2)
+    s = Laurent(F, -1, [F.one, F.one], 6)
+    w, b = ([s], 3) if case == "entry" else ([3], s)
+    with pytest.raises(ConfigMismatch, match="reads Laurent series"):
+        local_symbol(F, 1, w, b)
+
+
+# ----------------------------------------------- the residue's memos ----
+
+def _seeded_series(rng, F, val, prec):
+    """A series of valuation val known to O(t^prec), seeded coefficients."""
+    lead = F.from_code(rng.randrange(1, F.order))
+    return Laurent(F, val, [lead] + [F.from_code(rng.randrange(F.order))
+                                     for _ in range(prec - val - 1)], prec)
+
+
+@pytest.mark.parametrize("levels", [(1, 2, 3), (3, 2, 1)])
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_the_ghost_memo_tells_levels_apart(p, e, levels):
+    """One coordinate series asked at levels 1-3 over one residue field.
+    An integral coordinate 0 is cut to O(t^1) at every level, so only the
+    Galois ring tells its ghost terms apart; one with a pole is cut further
+    at each level.  Every symbol is the ghost oracle's."""
+    clear_residue_memos()
+    F = gf(p, e)
+    rng = random.Random(f"ghost memo {p} {e}")
+    firsts = [_seeded_series(rng, F, v, 24) for v in (0, 0, -2)]
+    rest = [_seeded_series(rng, F, v, 24) for v in (-1, 1)]
+    entries = [_seeded_series(rng, F, v, 24) for v in (1, -1)]
+    nonzero = 0
+    for level in levels:
+        for a in firsts:
+            w = [a] + rest[:level - 1]
+            for b in entries:
+                want = ghost_inversion_symbol(F, level, w, b)
+                assert local_symbol(F, level, w, b) == want, (level, a, b)
+                nonzero += bool(want)
+    assert nonzero
+
+
+def test_ghost_eviction_keeps_answers():
+    """600 distinct coordinates and entries at level 1 over GF(3), each
+    read whole, overflow the 512 entries of both memos; the first 50,
+    evicted, read again to the ghost oracle's symbols."""
+    clear_residue_memos()
+    F = gf(3)
+
+    def series(k, val):
+        return Laurent(F, val, [F.one] + [F.from_code(k // 3 ** j % 3)
+                                          for j in range(6)], val + 7)
+    cases = [([series(k, -6)], series(k, 1)) for k in range(600)]
+    for w, b in cases:
+        local_symbol(F, 1, w, b)
+    for memo in (kato_module._ghost_term, kato_module._lifted_dlog):
+        info = memo.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (600, 512, 512)
+    for w, b in cases[:50]:
+        assert local_symbol(F, 1, w, b) == ghost_inversion_symbol(F, 1, w, b)
+    for memo in (kato_module._ghost_term, kato_module._lifted_dlog):
+        assert memo.cache_info().misses == 650
+
+
+def test_inputs_known_further_read_the_memos(monkeypatch):
+    """Inputs known 8 coefficients past what the residue reads give the
+    symbols that inputs known 16 past it gave, with no series lifted: both
+    are cut to the same memo keys.  local_symbol is read from its module,
+    where a mutant is patched in."""
+    clear_residue_memos()
+    rng = random.Random("inputs known further")
+    cases = []
+    for p, e, level in [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 2)]:
+        F = gf(p, e)
+        vals = [rng.randint(-3, 1) for _ in range(level)]
+        needs, rel = _precision_needs(p, level, vals)
+        w = [_seeded_series(rng, F, v, n + 16) for v, n in zip(vals, needs)]
+        b = _seeded_series(rng, F, -1, rel + 15)
+        cases.append((F, level, w, b,
+                      kato_module.local_symbol(F, level, w, b)))
+
+    def lifted(*args):
+        raise AssertionError("a series was lifted again")
+    with monkeypatch.context() as m:
+        m.setattr(Laurent, "map_coeffs", lifted)
+        for F, level, w, b, want in cases:
+            shorter = [a.truncate(a.prec - 8) for a in w]
+            assert kato_module.local_symbol(
+                F, level, shorter, b.truncate(b.prec - 8)) == want
+
+
+def test_a_repeated_reciprocity_check_reads_the_memos(monkeypatch):
+    """Seeded classes over GF(2)(t), GF(3)(t) and GF(4)(t) at levels 1-3:
+    the second check returns the same tables, and it expands and lifts
+    nothing, so it reaches no _series_div, Poly.shift or
+    Laurent.map_coeffs.  A fresh class reaches them."""
+    rng = random.Random("repeated reciprocity")
+    classes = [_rnd_class(rng, func_field(gf(p, e), ("t",)), level, 2)
+               for p, e, level in [(2, 1, 1), (2, 1, 3), (3, 1, 2),
+                                   (2, 2, 2)]]
+    first = [reciprocity_check(c) for c in classes]
+    assert any(inv.value for _, table in first for inv in table)
+    K = func_field(gf(3), ("t",))
+    t = K.var("t")
+    fresh = HClass.build(K, _w(3, K.one / (t ** 3 + t + K.one), K.one / t),
+                         (t ** 2 + K.one,))
+
+    def reached(*args):
+        raise AssertionError("a memoized step ran")
+    monkeypatch.setattr(places_module, "_series_div", reached)
+    monkeypatch.setattr(Poly, "shift", reached)
+    monkeypatch.setattr(Laurent, "map_coeffs", reached)
+    assert [reciprocity_check(c) for c in classes] == first
+    with pytest.raises(AssertionError, match="a memoized step ran"):
+        reciprocity_check(fresh)
 
 
 @pytest.mark.parametrize("prec", [0, 3])

@@ -27,6 +27,7 @@ from katoforge.poly import Poly, to_dense
 
 import test_cli as cli_tests
 import test_kato as kato_tests
+import test_places as places_tests
 import test_poly as poly_tests
 from conftest import random_form, random_mpoly, random_ratfunc
 from forms_oracle import (d_termwise, degree_one_sums, dlog_sum,
@@ -47,14 +48,16 @@ from witt_oracle import (all_vectors, as_solve_inputs, check_as_solve,
                          check_int_mul)
 
 
-def _mutant(func, edits):
+def _mutant(func, edits, **names):
     """func recompiled from its source with every (old, new) of edits
-    applied, in the globals of its module."""
+    applied, in the globals of its module and names.  A memoized func is
+    recompiled with its decorator, so the mutant has a memo of its own."""
     src = textwrap.dedent(inspect.getsource(func))
     for old, new in edits:
         assert old in src, f"mutation site {old!r} is gone"
         src = src.replace(old, new)
     namespace = dict(vars(inspect.getmodule(func)))
+    namespace.update(names)
     exec(compile(src, f"<mutant of {func.__qualname__}>", "exec"), namespace)
     return namespace[func.__name__]
 
@@ -1176,3 +1179,51 @@ def test_a_key_without_the_field_fails_the_fields_apart_test(monkeypatch):
         # but drop them
         poly._factor.cache_clear()
         poly.is_irreducible.cache_clear()
+
+
+# ------------------------------------------------ the residue's memos ----
+
+def _memo_without(pos):
+    """A memo decorator whose key leaves out argument pos."""
+    def decorate(fn):
+        memo = {}
+
+        def wrapper(*args):
+            key = args[:pos] + args[pos + 1:]
+            if key not in memo:
+                memo[key] = fn(*args)
+            return memo[key]
+        return wrapper
+    return decorate
+
+
+# each mutant is (owner, function, edits, check), the function patched into
+# its owner; a memo key without the ring hands a ghost term over the wrong
+# Galois ring to a sum or product over the right one, which refuses it
+RESIDUE_MEMO_MUTANTS = {
+    "precision left out of the expansion key": (
+        PlaceContext, PlaceContext.expand,
+        [("@lru_cache(maxsize=512)", "@_memo_without(2)")],
+        lambda m: places_tests.test_the_expansion_memo_keeps_each_precision(
+            (-1, 1, 9))),
+    "ring left out of the ghost-term key": (
+        kato, kato._ghost_term,
+        [("@lru_cache(maxsize=512)", "@_memo_without(0)")],
+        lambda m: kato_tests.test_the_ghost_memo_tells_levels_apart(
+            2, 1, (1, 2, 3))),
+    "entry truncated after the lookup": (
+        kato, kato.local_symbol,
+        [("_lifted_dlog(R, b.truncate(min(b.prec, b.val + 1 - g.val)))",
+          "_lifted_dlog(R, b).truncate(-g.val)")],
+        kato_tests.test_inputs_known_further_read_the_memos),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUE_MEMO_MUTANTS))
+def test_residue_memo_mutants_fail_the_memo_tests(name, monkeypatch):
+    owner, func, edits, check = RESIDUE_MEMO_MUTANTS[name]
+    check(monkeypatch)
+    monkeypatch.setattr(owner, func.__name__,
+                        _mutant(func, edits, _memo_without=_memo_without))
+    with pytest.raises((AssertionError, KatoforgeError)):
+        check(monkeypatch)

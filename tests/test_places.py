@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from katoforge import (ConfigMismatch, Place, Poly, UnsupportedField,
-                       from_rational, func_field, gf,
+from katoforge import (ConfigMismatch, Laurent, MPoly, Place, Poly,
+                       UnsupportedField, from_rational, func_field, gf,
                        place_order, residue_at, residue_table)
-from katoforge.places import place_context, support_places
+from katoforge.places import PlaceContext, place_context, support_places
 from katoforge.poly import factor_ratfunc
 
 import series_oracle
-from conftest import random_mpoly, random_ratfunc, run_optimized
+from conftest import (clear_residue_memos, random_mpoly, random_ratfunc,
+                      run_optimized)
 
 
 def _t_place(F):
@@ -173,3 +174,78 @@ def test_expansions_match_oracle(p, e):
         for prec in (-2, 0, 6):
             assert from_rational(r, prec) == \
                 place_context(K, _t_place(F)).expand(r, prec)
+
+
+# ------------------------------------------------ typed refusals, memo ----
+
+@pytest.mark.parametrize("make", [
+    lambda F: 3, lambda F: None,
+    lambda F: Laurent(F, -1, [F.one, F.one], 4)],
+    ids=["int", "None", "Laurent"])
+def test_expand_refuses_what_is_no_rational_function(make):
+    """The memo takes (context, r, prec) as its key; r is checked before
+    anything is expanded."""
+    F = gf(2)
+    ctx = place_context(func_field(F, ("t",)), _t_place(F))
+    with pytest.raises(ConfigMismatch, match="takes a rational function"):
+        ctx.expand(make(F), 4)
+
+
+def _codes(K, codes):
+    """The polynomial of K = F(t) with these coefficient codes, constant
+    term first."""
+    return K.from_poly(MPoly._from_codes(
+        K.base, 1, {(j,): c for j, c in enumerate(codes) if c}))
+
+
+@pytest.mark.parametrize("order", [(2, 3, 4), (4, 3, 2)])
+def test_the_expansion_memo_tells_fields_apart(order):
+    """(t + 1)/(t^2 + 1) from the same codes over GF(2)(t), GF(3)(t) and
+    GF(4)(t), at t and at infinity: each field gets its own series."""
+    clear_residue_memos()
+    fields = {2: gf(2), 3: gf(3), 4: gf(2, 2)}
+    for q in order + order:
+        F = fields[q]
+        K = func_field(F, ("t",))
+        r = _codes(K, [1, 1]) / _codes(K, [1, 0, 1])
+        for place in (_t_place(F), Place.infinity()):
+            ctx = place_context(K, place)
+            s = ctx.expand(r, 6)
+            assert s == series_oracle.expand(ctx, r, 6), (q, place)
+            assert s.ring is ctx.res_field
+
+
+@pytest.mark.parametrize("precs", [(-1, 1, 9), (9, 1, -1)])
+def test_the_expansion_memo_keeps_each_precision(precs):
+    """One function asked at precisions -1, 1 and 9, twice, in either
+    order: every answer is known to exactly the precision asked for."""
+    clear_residue_memos()
+    F = gf(3)
+    K = func_field(F, ("t",))
+    t = K.var("t")
+    r = (t + K.one) / (t * t * (t * t + K.one)) + t
+    for place in series_oracle.expansion_places(F):
+        ctx = place_context(K, place)
+        for prec in precs + precs:
+            s = ctx.expand(r, prec)
+            assert s == series_oracle.expand(ctx, r, prec), (place, prec)
+            assert s.prec == prec
+
+
+def test_expansion_eviction_keeps_answers():
+    """600 distinct functions overflow the memo's 512 entries; the first 50,
+    evicted, expand again to the oracle's series."""
+    clear_residue_memos()
+    F = gf(3)
+    K = func_field(F, ("t",))
+    den = _codes(K, [2, 1, 1])
+    rs = [_codes(K, [k // 3 ** j % 3 for j in range(7)]) / den
+          for k in range(1, 601)]
+    ctx = place_context(K, _t_place(F))
+    for r in rs:
+        ctx.expand(r, 5)
+    info = PlaceContext.expand.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (600, 512, 512)
+    for r in rs[:50]:
+        assert ctx.expand(r, 5) == series_oracle.expand(ctx, r, 5), r
+    assert PlaceContext.expand.cache_info().misses == 650
