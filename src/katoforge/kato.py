@@ -1,37 +1,51 @@
 """Level-i cohomology classes of char-p fields as Witt-symbol sums.
 
-An HClass is a formal sum of terms (w | b_1, ..., b_n) with w a length-i Witt
-vector and nonzero field entries b_k, taken modulo the relation families
+An HClass is a Z/p^i-combination of terms m (w | b_1, ..., b_n) with w a
+length-i Witt vector and nonzero field entries b_k, taken modulo the
+relation families
   (F(w) - w | b...),   ((a,0,..,0) | a, b...),   (w | ..b..b..).
+Its terms are the dict {(w, entries): m}, and building, adding, negating,
+multiplying and shifting classes run no Witt arithmetic on vectors: they
+take entries, add and multiply the integers m, and shift coordinates.
 Every HClass is in normal form: a class of degree above the p-rank of its
 field (below) keeps no term, and none of its entries is expanded or
 factored.  Otherwise each entry is expanded along a fixed factorization
 strategy (`_expand_entry`; over F_q(t) a monic irreducible or a constant
 other than 1, over F_q((t)) t or a unit, a unit that reads 1 dropped only
-beside a power of t, which carries its precision), over F_q((t)) each
-degree-1 term whose vector has a pole and is known as far as the standard
-form below reads it is replaced by its standard form, no term has a zero
-vector, a repeated entry or a Teichmueller match (t counts once at every
-precision), and the terms are sorted.  The standard form leaves the class
-as it is, since [w | b) depends on w only modulo wp W_i; degree 0 sums its
-terms before it reduces, and a term known too short stays as it is for
-the residue's own precision guard.  A series
+beside a power of t, which carries its precision), a multiplicity of a
+factor multiplies m, over F_q((t)) each degree-1 term whose vector has a
+pole and is known as far as the standard form below reads it is replaced
+by its standard form, equal symbols are merged by adding their m, and the
+terms are sorted.  With z leading zero coordinates, w = V^z w' and the
+term has order dividing p^(i - z), so m is read modulo p^(i - z), and
+1 <= m < p^(i - z), p prime to m: m = p^k u is stored as u on V^k w,
+since F V = V F = p in characteristic p gives p^k w = V^k F^k w, and
+F^k w - w = wp(w + F w + .. + F^(k-1) w) with V^k wp = wp V^k, so
+p^k w = V^k w modulo wp W_i.  V^k is a shift of coordinates.  No term
+has m = 0, a zero vector, a repeated entry or a Teichmueller match: m w =
+(l a, 0,..,0) for w = (a,0,..,0) and m a (p-1)-th root of unity modulo
+p^i, l = m mod p, and l a is an entry (t counts once at every
+precision).  The standard form leaves the class as it is, since [w | b)
+depends on w only modulo wp W_i; degree 0 sums its terms before it
+reduces, and a term known too short stays as it is for the residue's own
+precision guard.  A series
 coordinate counts as zero only when it is known to O(t^1), as far as the
 residue reads a zero coordinate; zero to a lower precision, its term stays
 and the residue refuses it.  Only HClass(field, degree, level, terms)
 expands, and over F_q((t)) it reduces each degree-1 source vector once,
-before the expansion, so that every multiple m w of the expansion starts
-from the reduced vector.  The canonical step, which the other operations
-take alone, re-reduces only what negation at p = 2 and int_mul (through
-Frobenius) move back into a pole of order divisible by p.  No confluent
-rewriting is attempted: h_zero_test decides equality by the p-rank r
-of the field,
+before the expansion.  V^k of a reduced vector is reduced, so the canonical
+step, which the other operations take alone, reduces a vector again only
+after a fold, where V^k can leave a vector known too short for its own
+standard form known far enough.  No confluent
+rewriting is attempted: two vectors of one class, w and w + wp(y), stay
+two terms, and h_zero_test decides equality by the p-rank r of the field,
 [F : F^p] = p^r, which is 0 for GF(q), 1 for F_q(t) and F_q((t)) and k for
 F_q(x_1..x_k).  K_n(F)/p^i embeds in W_i Omega^n_F (Bloch-Kato-Gabber;
 Bloch-Kato, Publ. IHES 63, 1986), H^{n+1}_{p^i}(F) is described through
 W_i Omega^n_F, and Omega^n_F = 0 for n > r: every class of degree n > r is
 zero, and the normal form keeps none of its terms.  At degree r the
-invariants decide: the trace of the summed vector over GF(q), the
+invariants decide: the trace of the summed vector (each term's vector
+taken m times, here and below) over GF(q), the
 invariants at the finite places of the reciprocity table over F_q(t) (they
 and the one at infinity sum to 0, so infinity is not read), the invariant
 at t over F_q((t)).  Degree 0 over F_q((t)) reduces the summed vector to its
@@ -48,7 +62,8 @@ u modulo wp W_i(F_q), which the trace to Z/p^i detects.  So at each
 coordinate pole and at infinity, last, every term's vector is expanded as
 far as the standard form reads the termwise minimum valuations, which the
 factorization that finds the poles gives (`_factor_pass`), the
-expansions are summed over k(v)((t)), and the sum is reduced: by the
+expansions, each taken m times as a series, are summed over k(v)((t)),
+and the sum is reduced: by the
 isobaric bound below the sum is known that far, so no Witt sum of
 rational functions is taken.  A pole surviving at any place answers
 False, and the trace of infinity's residue vector decides.
@@ -62,7 +77,8 @@ The local invariant at a place is the Schmid-Witt residue: coordinates and
 entry are expanded in the completion k(v)((pi)) and lifted coefficient-wise
 by Teichmueller representatives into the Galois ring W_i(k(v)); the top ghost
 component g = sum_j p^j [a_j]^(p^(i-1-j)) pairs with dlog b by the ordinary
-series residue, and the trace to Z/p^i of that one residue is the invariant.
+series residue, and the trace to Z/p^i of that one residue is the invariant;
+a term m (w | b) adds it m times.
 Ghost inversion of all i residues would give lifts x_j of the Witt vector
 (x_j mod p) with ghost component w_{i-1}(x) equal to the top residue; since
 x = y (mod p) implies x^(p^k) = y^(p^k) (mod p^(k+1)), that residue is
@@ -190,7 +206,7 @@ from .milnor import MilnorElement, _entry_factors, multilinear_expansion
 from .places import Place, place_context, place_order
 from .poly import Poly, factor, to_dense
 from .rational import FuncField
-from .witt import WittVector, _one_term_sum
+from .witt import WittVector, _check_request, _one_term_sum
 
 
 class LaurentField:
@@ -302,14 +318,17 @@ def _known_zero(x):
     return _is_zero(x) and (not isinstance(x, Laurent) or x.prec >= 1)
 
 
-def _teich_match(w, entries):
-    """True when w = (a,0,...,0) with a equal to some entry and each 0 a
-    `_known_zero`; the uniformizer t, which `_expand_entry` records at the
-    precision of the entry it came from, is one value at every
-    precision."""
-    if not all(map(_known_zero, w.coords[1:])):
+def _teich_match(w, entries, m):
+    """True when m [w | entries) is a Teichmueller-Steinberg match: w =
+    (a,0,...,0) with each 0 a `_known_zero`, m a (p-1)-th root of unity
+    modulo p^level, so that m w = (l a, 0,...,0) with l = m mod p, since
+    Teichmueller vectors multiply, and l a equal to some entry.  The
+    uniformizer t, which `_expand_entry` records at the precision of the
+    entry it came from, is one value at every precision."""
+    if pow(m, w.p - 1, w.p ** w.level) != 1 or not all(
+            map(_known_zero, w.coords[1:])):
         return False
-    a = w.coords[0]
+    a = w.coords[0] if m % w.p == 1 else w.coords[0] * (m % w.p)
     return any(a == b or _is_uniformizer(a) and _is_uniformizer(b)
                for b in entries)
 
@@ -334,24 +353,28 @@ def _term_key(w, entries):
 
 
 class HClass:
-    """A class in normal form (module docstring)."""
+    """A class in normal form (module docstring).  terms is the dict
+    {(w, entries): m} in `_term_key` order; the constructor takes such a
+    dict, or (w, entries) pairs, each taken once."""
 
     __slots__ = ("field", "degree", "level", "terms")
 
     def __init__(self, field, degree, level, terms):
-        terms = list(terms)
-        if any(_is_zero(b) for _, entries in terms for b in entries):
+        items = (list(terms.items()) if isinstance(terms, dict)
+                 else [(term, 1) for term in terms])
+        if any(_is_zero(b) for (_, entries), _ in items for b in entries):
             raise ConfigMismatch("zero entry in a Witt symbol")
         self.field = field
         self.degree = degree
         self.level = level
         # Omega^n_F = 0 above the p-rank (module docstring)
-        self.terms = () if degree > _p_rank(field) else _canonical(
-            field, _expanded_terms(field, terms))
+        self.terms = _canonical(field, () if degree > _p_rank(field) else
+                                _expanded_terms(field, level, items))
 
     @classmethod
     def _normal(cls, field, degree, level, terms):
-        """The class of expanded terms: the canonical step, no expansion."""
+        """The class of expanded ((w, entries), m) items: the canonical
+        step, no expansion."""
         c = cls.__new__(cls)
         c.field, c.degree, c.level = field, degree, level
         c.terms = _canonical(field, terms)
@@ -374,21 +397,20 @@ class HClass:
                 or other.degree != self.degree or other.level != self.level):
             raise ConfigMismatch("classes of different spaces")
 
-    def _with_terms(self, terms):
-        return HClass._normal(self.field, self.degree, self.level, terms)
-
     def __add__(self, other):
         self._check(other)
-        return self._with_terms(self.terms + other.terms)
+        return HClass._normal(self.field, self.degree, self.level,
+                              [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return self._with_terms([(-w, b) for w, b in self.terms])
+        return self.int_mul(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def int_mul(self, m):
-        return self._with_terms([(w.int_mul(m), b) for w, b in self.terms])
+        return HClass._normal(self.field, self.degree, self.level,
+                              [(t, m * n) for t, n in self.terms.items()])
 
     def __repr__(self):
         if not self.terms:     # a literal that reads back as this class
@@ -396,45 +418,67 @@ class HClass:
             ones = ", ".join(["1"] * self.degree)
             return f"[ [{zeros}] | {ones} )" if ones else f"[ [{zeros}] | )"
         parts = []
-        for w, b in self.terms:
+        for (w, b), m in self.terms.items():
             inner = ", ".join(repr(x) for x in b)
-            parts.append(f"[ {w!r} | {inner} )" if b else f"[ {w!r} | )")
+            term = f"[ {w!r} | {inner} )" if b else f"[ {w!r} | )"
+            parts.append(term if m == 1 else f"{m}*{term}")
         return " + ".join(parts)
 
 
-def _expanded_terms(field, terms):
-    """The multilinear expansion of every entry: (m w | factors) for each
-    choice of factors, m the product of their multiplicities.  Over
-    F_q((t)) a degree-1 w is put in standard form first
-    (`_standard_form_term`), once, so every m w starts from the reduced
-    vector and `_canonical` re-reduces only the poles that int_mul moves."""
+def _expanded_terms(field, level, terms):
+    """The multilinear expansion of every entry of the ((w, entries), m)
+    items terms: ((w, factors), m m') for each choice of factors, m' the
+    product of their multiplicities.  Over F_q((t)) a degree-1 w is put in
+    standard form first (`_standard_form_term`), once: the fold of
+    `_canonical` keeps it so.  Over a field other than GF(q), whose sums
+    and standard forms take universal polynomials, ResourceLimit above
+    max_structure_level, as Witt arithmetic on such coordinates refuses."""
+    if terms and not isinstance(field, GF):
+        _check_request(field.base.p, level)
     local = isinstance(field, LaurentField)
     out = []
-    for w, entries in terms:
+    for (w, entries), m in terms:
         if local and len(entries) == 1:
             w = _standard_form_term(w, field.base)
-        for ent, m in multilinear_expansion(
-                entries, lambda b: _expand_entry(field, b)):
-            out.append((w.int_mul(m), ent))
+        out += [((w, ent), k) for ent, k in multilinear_expansion(
+            entries, lambda b: _expand_entry(field, b), m)]
     return out
 
 
 def _canonical(field, terms):
-    """Expanded terms in normal form: over F_q((t)) each degree-1 term in
-    standard form (`_standard_form_term`; a vector already reduced takes
-    no step, so this re-reduces only the poles that int_mul and negation
-    move), then vectors of `_known_zero` coordinates, repeated slots and
-    Teichmueller-Steinberg matches dropped, the rest sorted."""
-    if isinstance(field, LaurentField):
-        terms = [(_standard_form_term(w, field.base) if len(ent) == 1 else w,
-                  ent) for w, ent in terms]
-    out = [(w, ent) for w, ent in terms
-           if not all(map(_known_zero, w.coords))
-           and len(set(map(_entry_key, ent))) == len(ent)
-           and not _teich_match(w, ent)]
-    if len(out) > 1:
-        out.sort(key=lambda t: _term_key(*t))
-    return tuple(out)
+    """Expanded ((w, entries), m) items in normal form.  Equal symbols
+    merge by `_term_key`, adding their m.  With z leading `_known_zero`
+    coordinates m is read modulo p^(level - z), so a vector of
+    `_known_zero` coordinates drops; so does a term whose m reads 0, one
+    with a repeated entry and a Teichmueller-Steinberg match
+    (`_teich_match`).  An m = p^k u, p prime to u, becomes u on V^k w
+    (V = `WittVector.verschiebung`, a shift), since p^k w = V^k F^k w =
+    V^k w modulo wp W_i (module docstring).  Over F_q((t)) a folded
+    degree-1 vector is put in standard form: V^k of a reduced vector is
+    reduced, but one known too short for its standard form can be known
+    far enough once V^k drops its last k coordinates.  A fold can make two
+    symbols equal or a vector zero, so the terms then take the step
+    again; the rest are sorted."""
+    merged = {}
+    for (w, ent), m in terms:
+        merged.setdefault(_term_key(w, ent), [w, ent, 0])[2] += m
+    out, folded = [], False
+    for key, (w, ent, m) in merged.items():
+        m %= w.p ** (w.level - next((j for j, a in enumerate(w.coords)
+                                     if not _known_zero(a)), w.level))
+        if len(set(key[1])) < len(ent) or _teich_match(w, ent, m):
+            continue
+        k = 0
+        while m and not m % w.p:
+            m, w, k = m // w.p, w.verschiebung(), k + 1
+        if k and isinstance(field, LaurentField) and len(ent) == 1:
+            w = _standard_form_term(w, field.base)
+        if m:
+            out.append((key, ((w, ent), m)))
+        folded = folded or k
+    if folded:
+        return _canonical(field, [term for _, term in out])
+    return dict(term for _, term in sorted(out, key=operator.itemgetter(0)))
 
 
 def _standard_form_term(w, base):
@@ -449,11 +493,12 @@ def _standard_form_term(w, base):
 
 
 def pair(w, s):
-    """The pairing (w, {b_1,...,b_n}) -> sum of Witt symbols."""
+    """The pairing (w, {b_1,...,b_n}) -> sum of Witt symbols, each
+    Milnor coefficient the multiplicity of its symbol."""
     if not isinstance(s, MilnorElement):
         raise ConfigMismatch("pair expects a Milnor element")
     return HClass(s.field, s.degree, w.level,
-                  [(w.int_mul(c), sym) for sym, c in s.terms.items()])
+                  {(w, sym): c for sym, c in s.terms.items()})
 
 
 def level_shift(c, new_level):
@@ -464,7 +509,8 @@ def level_shift(c, new_level):
         return c
     d = new_level - c.level
     return HClass._normal(c.field, c.degree, new_level,
-                          [(w.vshift(d), b) for w, b in c.terms])
+                          [((w.vshift(d), b), m)
+                           for (w, b), m in c.terms.items()])
 
 
 class ColimitClass:
@@ -717,9 +763,10 @@ def _unramified_residue(reduced, wild):
 # ------------------------------------------------------- invariants ----
 
 def _local_terms(c, place, orders=None):
-    """(k_field, w, b, vals, ord b, at) per term of a degree-1 class at a
-    place: vals and ord b are the coordinate valuations and the entry order
-    the residue reads (`_precision_needs`), and at(x, prec) is x's series
+    """(k_field, w, b, m, vals, ord b, at) per term m [w | b) of a
+    degree-1 class at a place: vals and ord b are the coordinate
+    valuations and the entry order the residue reads
+    (`_precision_needs`), and at(x, prec) is x's series
     over k_field known to O(t^prec) at least.  Over F_q(t) orders gives
     (vals, ord b) per term, by default from place_order (a zero coordinate
     at 1, as far as the residue reads it), and at expands at the place.
@@ -741,8 +788,8 @@ def _local_terms(c, place, orders=None):
             orders = [([1 if a.is_zero() else place_order(a, place)
                         for a in w.coords], place_order(b, place))
                       for w, (b,) in c.terms]
-    for (w, (b,)), (vals, ord_b) in zip(c.terms, orders):
-        yield k_field, w, b, vals, ord_b, at
+    for ((w, (b,)), m), (vals, ord_b) in zip(c.terms.items(), orders):
+        yield k_field, w, b, m, vals, ord_b, at
 
 
 def _require_degree_one(c):
@@ -761,23 +808,24 @@ def local_invariant(c, place, orders=None):
     others go through local_symbol.  Over F_q((t)) the normal form keeps
     each term in its standard form w - wp(y), so a term whose poles that
     removes is integral, and only a wild term, or one known short of what
-    the standard form reads, takes local_symbol."""
+    the standard form reads, takes local_symbol.  A term m (w | b) adds
+    its residue m times."""
     _require_degree_one(c)
     if _invariant_field_kind(c.field) == "const":
         raise UnsupportedField("constants have no places")
     level, p = c.level, c.field.base.p
     total = 0
-    for k_field, w, b, vals, ord_b, at in _local_terms(c, place, orders):
+    for k_field, w, b, m, vals, ord_b, at in _local_terms(c, place, orders):
         if min(vals) < 0 or _is_zero(b):
             needs, rel = _precision_needs(p, level, vals)
-            total += local_symbol(
+            total += m * local_symbol(
                 k_field, level,
                 [at(a, n) for a, n in zip(w.coords, needs)],
                 at(b, ord_b + rel))
         elif ord_b:     # else the term adds ord b * Tr(w(v)) = 0
             R = galois_ring(k_field, level)
             total += ord_b * R.trace_int(R.from_digits(
-                [at(a, 1).coeff(0) for a in w.coords]))
+                [at(a, 1).coeff(0) for a in w.coords])) * m
     return LocalInvariant(total, place, level, p)
 
 
@@ -880,7 +928,9 @@ def decompose_local(c):
     module docstring asks raises PrecisionExhausted first.  Only degree 1
     carries the full decomposition (degree 0 has no residue slot).  The
     specialization is the zero class, since H^2 of a finite field is 0
-    (degree 1 lies above the p-rank 0 of GF(q)).
+    (degree 1 lies above the p-rank 0 of GF(q)).  The residue is one
+    degree-0 term: the sum over the terms m (w | b) of (m ord b) w(0),
+    w(0) the constant terms of w, summed in the Galois ring W_i(GF(q)).
     """
     if _field_kind(c.field) != "local":
         raise UnsupportedField("decomposition applies over F_q((t))")
@@ -890,13 +940,15 @@ def decompose_local(c):
     for w, _ in c.terms:
         _require_standard_form_precision(base.p, w.coords)
     resid = []
-    for w, (b,) in c.terms:
+    for (w, (b,)), m in c.terms.items():
         if min(a.val for a in w.coords) < 0:
             raise WildClass(w)
-        w0 = WittVector(w.p, [a.coeff(0) for a in w.coords])
-        resid.append((w0.int_mul(b.val), ()))
+        if b.val:       # else the term adds 0
+            w0 = WittVector(w.p, [a.coeff(0) for a in w.coords])
+            resid.append(w0.int_mul(m * b.val))
+    terms = [((reduce(operator.add, resid), ()), 1)] if resid else []
     return (HClass.zero(base, 1, c.level),
-            HClass._normal(base, 0, c.level, resid))
+            HClass._normal(base, 0, c.level, terms))
 
 
 def h_zero_test(c):
@@ -914,6 +966,7 @@ def h_zero_test(c):
     from one factorization of the coordinate denominators
     (`_factor_pass`), expands each term's vector at each place as far as
     that rule reads the termwise minimum valuations, sums the expansions,
+    each taken m times as a series (never on rational coordinates),
     answers False when the sum is wild at any place and otherwise traces
     infinity's residue vector.
     UnsupportedField for a class with a term, of degree n <= k, over
@@ -928,8 +981,7 @@ def h_zero_test(c):
             return not any(local_invariant(c, pl, orders(pl)).value
                            for pl in places[:-1])
         return local_invariant(c, _t_place(c.field)).value == 0
-    vectors = [w for w, _ in c.terms]
-    p = vectors[0].p
+    p = next(iter(c.terms))[0].p
     if kind == "global":
         # the sum of expansions is known as far as the termwise minimum
         # valuations ask (module docstring); the places end at infinity,
@@ -941,14 +993,15 @@ def h_zero_test(c):
             needs = _standard_form_needs(p, list(vals))
             summed = reduce(operator.add, (
                 WittVector(p, [ctx.expand(a, n)
-                               for a, n in zip(w.coords, needs)])
-                for w in vectors))
+                               for a, n in zip(w.coords, needs)]).int_mul(m)
+                for (w, _), m in c.terms.items()))
             red = _unramified_residue(*witt_standard_form(summed,
                                                           ctx.res_field))
             if red is None:
                 return False
     else:
-        red = reduce(operator.add, vectors)
+        red = reduce(operator.add, (w.int_mul(m)
+                                    for (w, _), m in c.terms.items()))
         if kind == "local":
             _require_standard_form_precision(p, red.coords)
             red = _unramified_residue(*witt_standard_form(red,

@@ -50,10 +50,12 @@ def uniform_precision(level, w, b, place):
 
 
 def uniform_series_inputs(c, place):
-    """(k_field, [coord series], b series) per term of a global class,
-    every series expanded to the term's ``uniform_precision``."""
+    """(k_field, [coord series], b series) per term m [w | b) of a
+    global class, m times, every series expanded to the term's
+    ``uniform_precision``."""
     ctx = place_context(c.field, place)
-    for w, (b,) in c.terms:
+    for (w, (b,)), m in c.terms.items():
         prec = uniform_precision(c.level, w, b, place)
-        yield (ctx.res_field, [ctx.expand(a, prec) for a in w.coords],
-               ctx.expand(b, prec))
+        series = (ctx.res_field, [ctx.expand(a, prec) for a in w.coords],
+                  ctx.expand(b, prec))
+        yield from [series] * m

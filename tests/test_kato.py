@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +35,7 @@ from standard_form_oracle import (answer, restart_standard_form,
 from unramified_oracle import (check_unit_completions, classes,
                                series_residue, short_standard_form_terms,
                                unit_entry_inputs, unramified_terms)
+from transport_oracle import check_transport, transport_classes
 
 
 def _w(p, *coords):
@@ -52,7 +54,7 @@ def _raw_class(field, degree, level, terms):
     term of it is in standard form: a term with a pole is read as given
     and takes one local_symbol call."""
     c = HClass.__new__(HClass)
-    c.field, c.degree, c.level, c.terms = field, degree, level, tuple(terms)
+    c.field, c.degree, c.level, c.terms = field, degree, level, Counter(terms)
     return c
 
 
@@ -87,11 +89,21 @@ def _rnd_class(rng, K, level, nterms=1):
 
 def _is_normal(c):
     """The expanding constructor leaves c's terms as they are, no class
-    of degree above the p-rank of its field keeps a term, and over
-    F_q((t)) no degree-1 term known as far as the standard form reads it
-    keeps a pole of order divisible by p."""
+    of degree above the p-rank of its field keeps a term, no two terms
+    share a `_term_key`, every multiplicity m is a unit modulo
+    p^(level - z), z the leading `_known_zero` coordinates of its vector,
+    and over F_q((t)) no degree-1 term known as far as the standard form
+    reads it keeps a pole of order divisible by p."""
     if c.terms and c.degree > kato_module._p_rank(c.field):
         return False
+    keys = [kato_module._term_key(*term) for term in c.terms]
+    if len(set(keys)) < len(keys):
+        return False
+    for (w, _), m in c.terms.items():
+        z = next((j for j, a in enumerate(w.coords)
+                  if not kato_module._known_zero(a)), w.level)
+        if not (0 < m < w.p ** (w.level - z) and m % w.p):
+            return False
     if c.degree == 1 and isinstance(c.field, LaurentField):
         p = c.field.base.p
         for w, _ in c.terms:
@@ -182,6 +194,111 @@ def test_every_operation_returns_the_normal_form(kind, level):
         assert _is_normal(c), c
 
 
+def _class_pairs(kind, level, rng):
+    """(field, p, [(c, d)]): three seeded pairs over kind at level, c of
+    two terms and d its first; degree 0 over GF(4), whose p-rank is 0,
+    and degree 1 otherwise."""
+    field, p, elem, _ = _normal_form_inputs(kind, rng)
+    degree = 0 if kind == "GF(4)" else 1
+    pairs = []
+    for _ in range(3):
+        terms = [(WittVector(p, tuple(elem() for _ in range(level))),
+                  tuple(elem() for _ in range(degree))) for _ in range(2)]
+        pairs.append((HClass(field, degree, level, terms),
+                      HClass(field, degree, level, terms[:1])))
+    return field, p, pairs
+
+
+def check_multiplicities(kinds_levels):
+    """AssertionError unless, on the seeded pairs of each (kind, level),
+    c - c, d + d - 2*d and p^level c keep no term, d + d and 2*d print
+    alike, and every result is in normal form; and unless over GF(2)((t))
+    at level 2 the class 2 [ (0, t^-1) | t ), built as
+    [ (0, t^-1) | t^2 ), keeps no term and decomposes to the zero
+    residue: p^k w = V^k w modulo wp W_i folds it to [ (0, 0) | t )."""
+    for kind, level in kinds_levels:
+        rng = random.Random(f"multiplicities {kind}:{level}")
+        _, p, pairs = _class_pairs(kind, level, rng)
+        for c, d in pairs:
+            for zero in (c - c, d + d - d.int_mul(2), c.int_mul(p ** level)):
+                assert not zero.terms, zero
+            assert repr(d + d) == repr(d.int_mul(2)), d
+            for x in (c, d, d + d, -c, c.int_mul(p), c.int_mul(p + 1)):
+                assert _is_normal(x), x
+    F = gf(2)
+    w = _w(2, Laurent.zero(F, 16), Laurent.monomial(F, F.one, -1, 16))
+    c = HClass.build(laurent_field(F), w, (Laurent.monomial(F, F.one, 2, 16),))
+    assert not c.terms, c
+    spec, resid = decompose_local(c)
+    assert not spec.terms and not resid.terms, resid
+
+
+MULTIPLICITY_CELLS = [(kind, level) for kind in
+                      ("GF(4)", "F_2(t)", "F_3(t)", "F_2((t))")
+                      for level in (1, 2, 3)]
+
+
+def test_equal_symbols_merge_and_multiples_of_p_fold():
+    check_multiplicities(MULTIPLICITY_CELLS)
+
+
+@pytest.mark.parametrize("kind", ["GF(4)", "F_2(t)", "F_3(t)", "F_2((t))"])
+def test_class_operations_take_no_witt_arithmetic(kind, monkeypatch):
+    """build, +, -, negation, int_mul, level_shift and pair add, negate
+    and multiply multiplicities, never vectors: with WittVector's sums,
+    negation and int_mul refusing, each answers at levels 1-3 (degree 0
+    over GF(4), whose p-rank is 0)."""
+    rng = random.Random(f"no Witt arithmetic {kind}")
+    field, p, elem, _ = _normal_form_inputs(kind, rng)
+    degree = 0 if kind == "GF(4)" else 1
+    vectors = [WittVector(p, tuple(elem() for _ in range(level)))
+               for level in (1, 2, 3) for _ in range(2)]
+    entries = [tuple(elem() for _ in range(degree)) for _ in vectors]
+    a, b = elem(), elem()
+
+    def refuse(*args):
+        raise AssertionError("Witt arithmetic on a class's vectors")
+    for name in ("_binop", "__neg__", "int_mul"):
+        monkeypatch.setattr(WittVector, name, refuse)
+    out = []
+    for j in range(0, len(vectors), 2):
+        w = vectors[j]
+        c = HClass.build(field, w, entries[j])
+        d = HClass.build(field, vectors[j + 1], entries[j + 1])
+        out += [c + d, c - d, -c, c.int_mul(rng.randrange(2 * p ** w.level)),
+                level_shift(c, w.level + 1)]
+        if kind in ("F_2(t)", "F_3(t)"):
+            sym = MilnorElement.symbol
+            out += [pair(w, sym(field, [a]) + sym(field, [b], 2)),
+                    pair(w, sym(field, [a, b]))]
+    assert any(x.terms for x in out)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_build_refuses_levels_past_the_structure_bound(p):
+    """Above max_structure_level a class over F_q(t), F_q((t)) or
+    F_q(x, y), whose sums would take universal polynomials, is refused
+    when it is built, with the ResourceLimit that Witt arithmetic on its
+    coordinates raises; over GF(q), and above the p-rank, it is built."""
+    level = max_structure_level(p) + 1
+    F = gf(p)
+    K, Kxy = func_field(F, ("t",)), func_field(F, ("x", "y"))
+    t, x = K.var("t"), Kxy.var("x")
+    series = Laurent.monomial(F, F.one, -1, 8)
+    message = (f"universal polynomials for p={p}, i={level} exceed the "
+               f"bound \\(max i={level - 1}\\)")
+    for field, a, b in [(K, K.one / t, t + K.one),
+                        (laurent_field(F), series, series.inverse()),
+                        (Kxy, Kxy.one / x, x + Kxy.one)]:
+        w = WittVector(p, (a,) + (a * 0,) * (level - 1))
+        with pytest.raises(ResourceLimit, match=message):
+            HClass.build(field, w, (b,))
+    w = WittVector(p, (K.one / t,) + (K.zero,) * (level - 1))
+    assert HClass.build(K, w, (t, t + K.one)).terms == {}
+    one = WittVector(p, (F.one,) + (F.zero,) * (level - 1))
+    assert HClass.build(F, one, ()).terms
+
+
 def test_j_generators_drop_syntactically(K2):
     t = K2.var("t")
     # teichmuller-Steinberg: (a,0) x (a)
@@ -228,7 +345,7 @@ def test_two_variable_entries_expand():
     w = _w(2, x)
     c = HClass.build(K, w, (y,))
     assert not c.is_formally_zero()
-    assert c.terms == ((w, (y,)),)
+    assert c.terms == {(w, (y,)): 1}
     s = MilnorElement.symbol(K, [x * y, y + K.one])
     got = {entries for _, entries in pair(_w(2, x + y), s).terms}
     assert got == {(x, y + K.one), (y, y + K.one)}
@@ -831,15 +948,15 @@ def _laurent_class(c, pad):
     each coordinate and entry expanded at t (from_rational) pad
     coefficients past the precision `_precision_needs` asks for."""
     place = Place(Poly.x(c.field.base))
-    terms = []
-    for w, (b,) in c.terms:
+    terms = Counter()
+    for (w, (b,)), m in c.terms.items():
         vals = [1 if a.is_zero() else place_order(a, place)
                 for a in w.coords]
         needs, rel = _precision_needs(c.field.base.p, c.level, vals)
         coords = tuple(from_rational(a, need + pad)
                        for a, need in zip(w.coords, needs))
         b = from_rational(b, place_order(b, place) + rel + pad)
-        terms.append((WittVector(w.p, coords), (b,)))
+        terms[WittVector(w.p, coords), (b,)] += m
     return HClass(laurent_field(c.field.base), 1, c.level, terms)
 
 
@@ -859,9 +976,9 @@ def test_invariant_at_t_matches_the_class_over_laurent_series(p, e, level):
                for c in _oracle_classes(p, e, level)]
     for _ in range(4):
         c = _rnd_class(rng, K, level, nterms=3)
-        classes += [c, HClass(K, 1, level, [
-            (WittVector(p, tuple(a / t for a in w.coords)), b)
-            for w, b in c.terms])]
+        classes += [c, HClass(K, 1, level, {
+            (WittVector(p, tuple(a / t for a in w.coords)), b): m
+            for (w, b), m in c.terms.items()})]
     nonzero = 0
     for c in classes:
         want = local_invariant(c, place).value
@@ -890,7 +1007,7 @@ def test_laurent_class_at_another_place_is_refused():
             local_invariant(c, place)
         with pytest.raises(UnsupportedField, match="single place"):
             local_invariant(HClass.zero(LF, 1, 1), place)
-    two = _raw_class(LF, 1, 1, [(c.terms[0][0], (t, t))])
+    two = _raw_class(LF, 1, 1, [(next(iter(c.terms))[0], (t, t))])
     with pytest.raises(UnsupportedDegree):
         local_invariant(two, Place(Poly.x(F4)))
 
@@ -907,7 +1024,7 @@ def test_degree_two_over_the_laurent_field_keeps_no_term():
                     (Laurent(F2, 1, [o], 5), Laurent(F2, 1, [o], 9)),
                     (Laurent(F2, 0, [o, o], 5), Laurent(F2, 0, [o, o], 9))]:
         c = HClass.build(LF, w, entries)
-        assert c.terms == () and repr(c) == "[ [0] | 1, 1 )"
+        assert c.terms == {} and repr(c) == "[ [0] | 1, 1 )"
         assert _is_normal(c)
 
 
@@ -1185,7 +1302,8 @@ def test_level_shift_sorts_the_shifted_terms():
     shifted = level_shift(c, 2)
     vshifted = [(w.vshift(1), b) for w, b in c.terms]
     assert list(shifted.terms) != vshifted
-    assert shifted.terms == HClass._normal(L, 1, 2, vshifted).terms
+    assert shifted.terms == HClass._normal(
+        L, 1, 2, [(term, 1) for term in vshifted]).terms
     assert repr(shifted) == (
         "[ [O(t^3), t^-1 + O(t^3)] | 1 + t + O(t^16) ) + "
         "[ [O(t^9), t^-3 + O(t^9)] | 1 + t^2 + O(t^16) )")
@@ -1320,7 +1438,7 @@ def test_classes_with_no_term_over_two_variables_are_zero():
                        (_w(2, x), (x,)), (_w(2, K.one / x), (x + y, x + y)),
                        (_w(2, K.zero), (x, y, x + y))]:
         c = HClass.build(K, w, entries)
-        assert c.terms == () and h_zero_test(c), c
+        assert c.terms == {} and h_zero_test(c), c
     assert HClass.build(K, _w(2, K.one / x), (x + y, x)).terms
 
 
@@ -1406,6 +1524,14 @@ def test_degree_zero_over_fqt_reads_each_term_as_far_as_all_need(
     monkeypatch.setattr(WittVector, "_binop", _binop_off_rational)
     assert h_zero_test(HClass(K, 0, 3, terms))
     assert not h_zero_test(HClass(K, 0, 3, terms + [(one, ())]))
+
+
+def test_pgl2_transport_keeps_every_invariant():
+    """inv_sigma(v)(sigma c) = inv_v(c) for sigma in PGL_2(F_q) sending
+    infinity to a finite place, matched place by place on 80 seeded
+    classes over GF(2), GF(3), GF(4) and GF(5)(t) at levels 1-4, some with
+    multiplicities (transport_oracle)."""
+    check_transport(transport_classes(8, "PGL_2 transport"))
 
 
 def _place_order_unread(r, place):
@@ -1521,7 +1647,7 @@ def test_classes_above_the_p_rank_are_zero(monkeypatch):
         (w, entries), = terms
         for c in (HClass(field, degree, level, terms),
                   HClass.build(field, w, entries)):
-            assert c.terms == () and c.degree == degree, c
+            assert c.terms == {} and c.degree == degree, c
             classes.append(c)
         zero = entries[:-1] + (entries[-1] * 0,)
         with pytest.raises(ConfigMismatch, match="zero entry"):
@@ -1788,11 +1914,13 @@ LOCAL_PIN_CELLS = ([(2, 1, level) for level in (1, 2, 3, 4)]
 # sha256 of the answers of _local_pin_answers, as the dense series sum and
 # the product-only powers gave them, with zero classes printed as literals
 # (`[ [0] | 1 )`), the terms sorted by their standard forms, each source
-# vector reduced before the expansion and every specialization of
-# decompose_local the zero class, since H^2 of a finite field is 0; a
-# change of series precision must change it on purpose
-LOCAL_PIN_SHA256 = ("524df077be336f44f87cc30cb6d9d205"
-                    "30b012283f6241e8e344a110d1ed396e")
+# vector reduced before the expansion, each multiplicity kept beside its
+# vector with its p-power part folded into V^k w, every specialization of
+# decompose_local the zero class, since H^2 of a finite field is 0, and
+# its residue one term; a change of series precision must change it on
+# purpose
+LOCAL_PIN_SHA256 = ("739bcbe95e934cff7af02ad8c1bab0db"
+                    "6e83c7596192e1c2564798bfb5db0dc9")
 
 
 def _local_pin_classes():
@@ -1847,11 +1975,17 @@ def test_local_answers_pinned():
 
 def _expand_then_reduce(field, terms):
     """The class of terms with no vector reduced before the expansion:
-    expand, int_mul, then the canonical step alone, which reduces each
-    multiple m w from w itself."""
-    expanded = [(w.int_mul(m), ent) for w, entries in terms
-                for ent, m in multilinear_expansion(
-                    entries, lambda b: kato_module._expand_entry(field, b))]
+    expand, fold each multiplicity m = p^k u into (V^k w, u), reduce each
+    folded vector V^k w from w itself, then the canonical step alone."""
+    expanded = []
+    for w, entries in terms:
+        for ent, m in multilinear_expansion(
+                entries, lambda b: kato_module._expand_entry(field, b)):
+            v = w
+            while m and m % w.p == 0:
+                m, v = m // w.p, v.verschiebung()
+            expanded.append(((kato_module._standard_form_term(
+                v, field.base), ent), m))
     return HClass._normal(field, len(terms[0][1]), terms[0][0].level,
                           expanded)
 

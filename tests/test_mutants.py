@@ -271,7 +271,7 @@ def _invariant(F, level, coords, b):
     LF = laurent_field(F)
     c = kato.HClass.__new__(kato.HClass)
     c.field, c.degree, c.level = LF, 1, level
-    c.terms = ((WittVector(F.p, coords), (b,)),)
+    c.terms = {(WittVector(F.p, coords), (b,)): 1}
     try:
         return kato.local_invariant(c, kato._t_place(LF)).value
     except KatoforgeError as exc:
@@ -439,7 +439,7 @@ def _check_normal_form(inputs, units, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(kato, "_expand_entry", expanded)
         for field, degree, terms in inputs:
-            assert HClass(field, degree, 1, terms).terms == (), terms
+            assert HClass(field, degree, 1, terms).terms == {}, terms
     check_unit_completions(units)
 
 
@@ -453,6 +453,30 @@ def test_normal_form_mutants_fail_the_rank_and_completion_checks(
     monkeypatch.setattr(owner, func.__name__, _mutant(func, edits))
     with pytest.raises(AssertionError):
         _check_normal_form(inputs, units, monkeypatch)
+
+
+# a class is a Z/p^level-combination of symbols: the canonical step merges
+# equal symbols, reads each multiplicity modulo p^(level - z) and folds
+# its p-power part into V^k w
+MULTIPLICITY_MUTANTS = {
+    "equal symbols not merged": [
+        ("merged.setdefault(_term_key(w, ent), [w, ent, 0])",
+         "merged.setdefault(_term_key(w, ent) + (len(merged),), "
+         "[w, ent, 0])")],
+    "multiplicity not reduced": [("m %= w.p ** (", "m += 0 * w.p ** (")],
+    "p-power part kept as a coefficient (no V-fold)": [
+        ("while m and not m % w.p:", "while False:")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPLICITY_MUTANTS))
+def test_multiplicity_mutants_fail_the_merge_checks(name, monkeypatch):
+    cells = [("F_2(t)", 2), ("F_3(t)", 1), ("F_2((t))", 2)]
+    kato_tests.check_multiplicities(cells)
+    monkeypatch.setattr(kato, "_canonical", _mutant(
+        kato._canonical, MULTIPLICITY_MUTANTS[name]))
+    with pytest.raises(AssertionError):
+        kato_tests.check_multiplicities(cells)
 
 
 # ------------------------------------------------- the zero tests' reads ----
@@ -535,7 +559,7 @@ def _integral_term_cases():
                     rng.randrange(1, F.order))) * unit / other
                 c = HClass.__new__(HClass)
                 c.field, c.degree, c.level = K, 1, 2
-                c.terms = ((WittVector(p, coords), (b,)),)
+                c.terms = {(WittVector(p, coords), (b,)): 1}
                 want = sum(kato.local_symbol(k, 2, series, entry)
                            for k, series, entry
                            in uniform_series_inputs(c, place))
@@ -576,7 +600,8 @@ UNRAMIFIED_TERM_MUTANTS = {
     "precision guard removed": (kato._standard_form_term, [
         ("any(a.prec < n for", "any(False and a.prec < n for")]),
     "standard form skipped": (kato._canonical, [
-        ("if isinstance(field, LaurentField):", "if False:")]),
+        ("if k and isinstance(field, LaurentField) and len(ent) == 1:",
+         "if False:")]),
 }
 
 
@@ -586,10 +611,11 @@ def _unramified_sums():
     "wild", the others "integral" in normal form; the term known "short"
     of what the standard form reads; and over GF(2)((t)) and GF(3)((t))
     at level 2 sums of "integral" terms (u | t^j unit), j in {-2, -1, 2},
-    whose raw class reads ord b = j; and over GF(2)((t)) at level 2 the
-    term (w | t^-1 (1 + t + t^2)), w = (t^-3 + 1 + t, t), whose vector is
-    its own standard form, so only the "canonical" step reduces the pole
-    t^-6 that negation puts into coordinate 1 of its (-w | t)."""
+    whose raw class reads ord b = j; and over GF(2)((t)) at level 3 the
+    term of short_standard_form_terms twice, known too short for its
+    standard form, so that only the "canonical" step reduces the pole t^-2
+    that the fold of its multiplicity 2 puts into coordinate 1 of
+    V w."""
     out = [(terms, "wild" if wild else "integral")
            for p, e, level in [(2, 1, 1), (2, 1, 2), (2, 1, 3),
                                (3, 1, 2), (2, 2, 2)]
@@ -608,11 +634,7 @@ def _unramified_sums():
                                          for _ in range(2)]),
                           series(rng.choice((-2, -1, 2))))
                          for _ in range(2)], "integral"))
-    F = gf(2)
-    o, z = F.one, F.zero
-    w = WittVector(2, (Laurent(F, -3, [o, z, z, o, o], 40),
-                       Laurent.monomial(F, o, 1, 40)))
-    out.append(([(w, Laurent(F, -1, [o, o, o], 40))], "canonical"))
+    out.append((short_standard_form_terms() * 2, "canonical"))
     return out
 
 

@@ -21,6 +21,7 @@ same answer on every completion u + c t^k, known far past what it reads.
 """
 
 import random
+from collections import Counter
 
 from katoforge import (HClass, KatoforgeError, Laurent, PrecisionExhausted,
                        WittVector, gf, laurent_field, local_invariant)
@@ -85,7 +86,8 @@ def classes(terms):
     LF = laurent_field(b0.ring)
     pairs = [(w, (b,)) for w, b in terms]
     raw = HClass.__new__(HClass)
-    raw.field, raw.degree, raw.level, raw.terms = LF, 1, w0.level, tuple(pairs)
+    raw.field, raw.degree, raw.level, raw.terms = (LF, 1, w0.level,
+                                                   Counter(pairs))
     return HClass(LF, 1, w0.level, pairs), raw
 
 
