@@ -28,7 +28,7 @@ from .errors import (ConfigMismatch, DivisionByZero, IntegralityViolation,
                      NonPrime, ResourceLimit)
 from .poly import Poly, is_irreducible
 from .power import binary_power
-from .render import format_monomial
+from .render import format_gf_coeff, format_monomial
 
 _MAX_FIELD_ORDER = 2 ** 24
 
@@ -205,6 +205,9 @@ class GF:
     code of a + b, mul[a][b] of a * b, neg[a] of -a and inv[a] of 1/a (a
     nonzero).  With ``_frob_table`` (the code of a^p) and ``_elems`` (the
     element of a code) they are the one definition of GFElem arithmetic.
+    ``coeff_text`` is the text of each code as a polynomial coefficient,
+    ``render.format_gf_coeff`` of its element, read by code where
+    polynomials print (``mpoly.format_mpoly``).
     Up to _TABLE_MAX_ORDER elements they are lists, built once; past it
     each entry is computed when it is read.  Only ``__init__`` tells the
     two apart.
@@ -239,6 +242,8 @@ class GF:
             self._neg_table = _Computed(self._code_neg)
             self._inv_table = _Computed(self._code_inv)
             self._frob_table = _Computed(lambda a: self._code_pow(a, p))
+            self.coeff_text = _Computed(
+                lambda c: format_gf_coeff(self._elems[c]))
         self.tables = (self._add_table, self._mul_table, self._neg_table,
                        self._inv_table)
 
@@ -316,6 +321,7 @@ class GF:
         self._inv_table = [None] + [exp[q - 1 - log[a]] for a in range(1, q)]
         self._frob_table = [0] + [exp[p * log[a] % (q - 1)]
                                   for a in range(1, q)]
+        self.coeff_text = [format_gf_coeff(a) for a in self._elems]
 
     def __repr__(self):
         return f"GF({self.p})" if self.e == 1 else f"GF({self.p}^{self.e})"

@@ -4,13 +4,24 @@ Terms live in a dict {exponent tuple: nonzero element code} (``GF.from_code``)
 and every coefficient operation reads the field's ``tables``; the term order
 is graded lexicographic (total degree first, then lex on the exponent tuple).
 The public constructor takes GFElem coefficients, and ``leading``,
-``const_value``, ``sort_key`` and printing give them back as GFElems.
+``const_value`` and ``sort_key`` give them back as GFElems; printing reads
+each coefficient's text from the field's table by code.
 
 This module also holds the library's one dense univariate arithmetic: the
 kernels ``_code_trim``, ``_code_eval``, ``_code_addmul``, ``_code_mul``,
 ``_code_divmod``, ``_code_gcd`` and ``_code_exact_div`` on lists of element
 codes.  ``poly.Poly`` runs on them; this module imports neither ``poly``
 nor ``gf`` at load time.
+
+The kernel answers trivial operands without its loops: a product with a
+zero operand is that zero, a product with the unit 1 (one term, exponent
+all zero, code 1) is the other operand, and a product with one term is one
+dict comprehension, since shifted exponents stay distinct and GF(q) has no
+zero divisors.  ``is_const`` reads a one-term dict directly, and
+``monic_grlex`` returns the operand when its leading code is 1 already.  So
+a result may be an operand object itself: that is safe because an MPoly is
+immutable, and nothing changes ``terms`` in place.  The hash is computed
+once per object and kept.
 
 ``mpoly_gcd`` answers equal operands and a one-term operand directly.  For
 other operands the GCD is Euclid on these kernels when one variable occurs,
@@ -25,7 +36,7 @@ from operator import add as _exp_add, sub as _exp_sub
 
 from .errors import ConfigMismatch, DivisionByZero, IntegralityViolation
 from .power import binary_power
-from .render import format_gf_coeff, format_monomial
+from .render import format_monomial
 
 
 def _grlex(e):
@@ -34,7 +45,7 @@ def _grlex(e):
 
 
 class MPoly:
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_hash")
 
     def __init__(self, field, nvars, terms):
         codes = {}
@@ -50,6 +61,7 @@ class MPoly:
         self.field = field
         self.nvars = nvars
         self.terms = codes
+        self._hash = None
 
     @classmethod
     def _from_codes(cls, field, nvars, terms):
@@ -59,6 +71,7 @@ class MPoly:
         f.field = field
         f.nvars = nvars
         f.terms = terms
+        f._hash = None
         return f
 
     @classmethod
@@ -76,7 +89,12 @@ class MPoly:
         return not self.terms
 
     def is_const(self):
-        return all(not any(e) for e in self.terms)
+        """Exponents are distinct, so a constant has at most one term."""
+        a = self.terms
+        if len(a) != 1:
+            return not a
+        e, = a
+        return not any(e)
 
     def const_value(self):
         return self.field.from_code(self.terms.get((0,) * self.nvars, 0))
@@ -89,8 +107,11 @@ class MPoly:
                 and self.nvars == other.nvars and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((id(self.field), self.nvars,
-                     frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((id(self.field), self.nvars,
+                                   frozenset(self.terms.items())))
+        return h
 
     def _terms_of(self, other):
         if not isinstance(other, MPoly) or other.field is not self.field \
@@ -128,13 +149,31 @@ class MPoly:
                           for e, c in self._terms_of(other).items())
 
     def __mul__(self, other):
+        """The product.  A zero operand is the answer, the unit 1 gives the
+        other operand itself (an MPoly is immutable, so the result may be
+        an operand object), and a one-term operand takes ``_times_term``;
+        everything else runs the general loop."""
         if isinstance(other, int):
             return self.scale(self.field.elem(other))
-        b = self._terms_of(other).items()
+        a, b = self.terms, self._terms_of(other)
+        if not a or not b:
+            return self if not a else other
+        if len(b) == 1:
+            (e, c), = b.items()
+            if c == 1 and not any(e):
+                return self
+            if len(a) > 1:
+                return self._times_term(e, c)
+        if len(a) == 1:
+            (e, c), = a.items()
+            if c == 1 and not any(e):
+                return other
+            return other._times_term(e, c)
         add, mul = self.field.tables[:2]
         out = {}
         get = out.get
-        for e1, c1 in self.terms.items():
+        b = b.items()
+        for e1, c1 in a.items():
             row = mul[c1]
             for e2, c2 in b:
                 e = tuple(map(_exp_add, e1, e2))
@@ -143,14 +182,21 @@ class MPoly:
         return MPoly._from_codes(self.field, self.nvars,
                                  {e: c for e, c in out.items() if c})
 
+    def _times_term(self, e, c):
+        """self times the term c x^e, c a nonzero code: the shifted
+        exponents stay distinct and a product of nonzero codes is nonzero,
+        so nothing merges or vanishes."""
+        row = self.field.tables[1][c]
+        return MPoly._from_codes(self.field, self.nvars,
+                                 {tuple(map(_exp_add, e1, e)): row[c1]
+                                  for e1, c1 in self.terms.items()})
+
     def scale(self, c):
         if getattr(c, "field", None) is not self.field:
             raise ConfigMismatch("scalar from a different field")
         if not c:
             return MPoly._from_codes(self.field, self.nvars, {})
-        row = self.field.tables[1][c.idx]
-        return MPoly._from_codes(self.field, self.nvars,
-                                 {e: row[a] for e, a in self.terms.items()})
+        return self._times_term((0,) * self.nvars, c.idx)
 
     def __pow__(self, n):
         if not n:
@@ -166,8 +212,9 @@ class MPoly:
         """Scaled so the graded-lex leading coefficient is 1."""
         if self.is_zero():
             return self
-        return MPoly._from_codes(self.field, self.nvars,
-                                 _monic(self.terms, self.field.tables))
+        a = _monic(self.terms, self.field.tables)
+        return self if a is self.terms else \
+            MPoly._from_codes(self.field, self.nvars, a)
 
     def divmod_exact(self, other):
         """Quotient when other divides self exactly; None otherwise."""
@@ -206,11 +253,12 @@ def exact_div(f, g):
 
 
 def format_mpoly(f, vars):
+    """f in the variable names vars, terms in falling graded-lex order; each
+    coefficient's text is read from the field's table by code."""
     if f.is_zero():
         return "0"
-    terms, from_code = f.terms, f.field.from_code
-    return "+".join(format_monomial(format_gf_coeff(from_code(terms[e])),
-                                    e, vars)
+    terms, text = f.terms, f.field.coeff_text
+    return "+".join(format_monomial(text[terms[e]], e, vars)
                     for e in sorted(terms, key=_grlex, reverse=True))
 
 
@@ -296,7 +344,8 @@ def _code_exact_div(a, b, T):
 # ``MPoly.terms``; T is the field's ``tables``.
 
 def _monic(a, T):
-    """The nonzero code dict a scaled so its graded-lex leading code is 1."""
+    """The nonzero code dict a scaled so its graded-lex leading code is 1;
+    a itself when that code is 1 already."""
     lc = a[max(a, key=_grlex)]
     if lc == 1:
         return a

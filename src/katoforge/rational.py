@@ -93,7 +93,7 @@ class RatFunc:
                 den = MPoly.const(field.base, field.k, 1)
             else:
                 g = mpoly_gcd(num, den)
-                if not (g.is_const() and g.const_value() == field.base.one):
+                if not g.is_const():   # mpoly_gcd answers monic: 1
                     num = exact_div(num, g)
                     den = exact_div(den, g)
                 num, den = _monic_den(num, den)

@@ -1,5 +1,8 @@
 """MPoly arithmetic on element codes against a schoolbook on GFElem dicts,
+every operand shape the kernel answers without its loops on each side,
 constructor checks, and the multivariate GCD against the primitive PRS."""
+
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,6 +106,74 @@ def test_mpoly_matches_schoolbook(data):
         with pytest.raises(DivisionByZero):
             fa.divmod_exact(fb)
     assert fa.const_value() == a.get((0,) * nv, F.zero)
+    assert fa.is_const() == all(not any(m) for m in a)
+
+
+def _operand_shapes(rng, F, nv):
+    """GFElem dicts of each shape the kernel answers apart: zero, the unit
+    1, a constant other than 1 (when F has one), a monomial with
+    coefficient 1, one non-constant term with a coefficient other than 1,
+    and many terms."""
+    nonzero = [c for c in F.elements() if c]
+    other = [c for c in nonzero if c != F.one] or [F.one]
+    zero = (0,) * nv
+
+    def mono():
+        return tuple(rng.randint(0, 3) for _ in range(nv - 1)) \
+            + (rng.randint(1, 3),)
+    shapes = [{}, {zero: F.one}]
+    if F.order > 2:
+        shapes.append({zero: rng.choice(other)})
+    shapes += [{mono(): F.one}, {mono(): rng.choice(other)}]
+    many = {}
+    while len(many) < 4:
+        many[tuple(rng.randint(0, 3) for _ in range(nv))] = \
+            rng.choice(nonzero)
+    return shapes + [many]
+
+
+def check_operand_shapes():
+    """+, -, *, is_const, leading and monic_grlex against the schoolbook on
+    every pair of operand shapes, in 1-3 variables; f * 1 and 1 * f are
+    the operand f itself, no operand's terms change, and equal polynomials
+    built by different routes hash alike."""
+    rng = random.Random("mpoly operand shapes")
+    for p, e in SCHOOLBOOK_FIELDS:
+        F = gf(p, e)
+        for nv in (1, 2, 3):
+            shapes = _operand_shapes(rng, F, nv)
+            for a in shapes:
+                fa = MPoly(F, nv, a)
+                before = dict(fa.terms)
+                assert fa.is_const() == all(not any(m) for m in a)
+                if a:
+                    la = max(a, key=_grlex)
+                    assert fa.leading() == (la, a[la])
+                    inv = a[la].inverse()
+                    monic = fa.monic_grlex()
+                    assert monic == MPoly(F, nv, {m: x * inv
+                                                  for m, x in a.items()})
+                    assert (monic is fa) == (a[la] == F.one)
+                for b in shapes:
+                    fb = MPoly(F, nv, b)
+                    neg_b = {m: -x for m, x in b.items()}
+                    total, diff, prod = fa + fb, fa - fb, fa * fb
+                    assert total == MPoly(F, nv, _school_add(a, b))
+                    assert diff == MPoly(F, nv, _school_add(a, neg_b))
+                    assert prod == MPoly(F, nv, _school_mul(a, b))
+                    if b == {(0,) * nv: F.one}:
+                        assert prod is fa
+                    elif a == {(0,) * nv: F.one}:
+                        assert prod is fb
+                    for x, y in [(prod, fb * fa), (total, fb + fa),
+                                 (prod, MPoly(F, nv, _school_mul(a, b)))]:
+                        assert hash(x) == hash(y)
+                    assert fb.terms == {m: x.idx for m, x in b.items()}
+                assert fa.terms == before
+
+
+def test_every_operand_shape_matches_schoolbook():
+    check_operand_shapes()
 
 
 def test_constructor_rejects_bad_terms():

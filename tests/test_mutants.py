@@ -27,6 +27,7 @@ from katoforge.poly import Poly, to_dense
 
 import test_cli as cli_tests
 import test_kato as kato_tests
+import test_mpoly as mpoly_tests
 import test_places as places_tests
 import test_poly as poly_tests
 from conftest import random_form, random_mpoly, random_ratfunc
@@ -1168,6 +1169,36 @@ def test_gcd_shortcut_mutants_fail_the_prs_oracle(name, monkeypatch):
                         _mutant(mpoly.mpoly_gcd, GCD_SHORTCUT_MUTANTS[name]))
     with pytest.raises(AssertionError):
         _check_gcds(inputs)
+
+
+# ------------------------------ the sparse kernel's trivial operands ----
+
+# each mutant is (owner, function, edits), the function patched into its
+# owner: the product's shortcuts, then is_const's and monic_grlex's
+MUL_SHORTCUT_MUTANTS = {
+    "unit test ignores the exponent": (
+        MPoly, MPoly.__mul__, [("c == 1 and not any(e)", "c == 1")]),
+    "unit test ignores the coefficient": (
+        MPoly, MPoly.__mul__, [("c == 1 and not any(e)", "not any(e)")]),
+    "one-term product drops the coefficient product": (
+        MPoly, MPoly._times_term, [("row[c1]", "c1")]),
+    "zero shortcut returns the other operand": (
+        MPoly, MPoly.__mul__, [("return self if not a else other",
+                                "return other if not a else self")]),
+    "is_const reads the term count only": (
+        MPoly, MPoly.is_const, [("return not any(e)", "return True")]),
+    "monic_grlex returns every one-term operand": (
+        MPoly, MPoly.monic_grlex, [("a is self.terms", "len(a) == 1")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUL_SHORTCUT_MUTANTS))
+def test_mul_shortcut_mutants_fail_the_shape_oracle(name, monkeypatch):
+    mpoly_tests.check_operand_shapes()
+    owner, func, edits = MUL_SHORTCUT_MUTANTS[name]
+    monkeypatch.setattr(owner, func.__name__, _mutant(func, edits))
+    with pytest.raises(AssertionError):
+        mpoly_tests.check_operand_shapes()
 
 
 # ------------------------------------------------ the factorization memo ----

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from katoforge import DiffForm, Laurent, Poly, factor, func_field, gf
+from katoforge import DiffForm, Laurent, MPoly, Poly, factor, func_field, gf
 from katoforge.places import Place
 
 from conftest import random_form, random_mpoly, random_ratfunc
@@ -75,6 +75,13 @@ def _series(F, val, codes, prec):
     (Place(Poly(gf(2), [gf(2).one] * 3), "s"), "s^2+s+1"),
     (Poly(gf(3), [gf(3).from_code(c) for c in (2, 0, 1)]), "t^2+2"),
     (DiffForm.zero(func_field(gf(2), ("x", "y")), 2), "0 dx^dy"),
+    # past 256 elements the coefficient texts are computed, not stored
+    (MPoly(gf(2, 9), 2, {(2, 1): gf(2, 9).from_code(257),
+                         (1, 0): gf(2, 9).from_code(2),
+                         (0, 0): gf(2, 9).from_code(40)}),
+     "(z^8+1)*x0^2*x1+z*x0+(z^5+z^3)"),
+    (Place(Poly(gf(7, 3), [gf(7, 3).from_code(159), gf(7, 3).one]), "s"),
+     "s+(3*z^2+z+5)"),
 ])
 def test_printed_examples(value, printed):
     assert repr(value) == printed
